@@ -200,6 +200,9 @@ def cmd_analyze(args) -> int:
 def cmd_validate(args) -> int:
     try:
         _check_backend_m(args.backend, args.M)
+        if args.M != 1:
+            # both checks below solve the four-segment problem
+            raise ValueError(f"validate checks M=1 only, got M={args.M}")
         pot = build_square_well(1, args.Z)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -298,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     va = sub.add_parser("validate", help="cross-backend and free-limit checks")
     va.add_argument("--Z", type=float, required=True)
-    va.add_argument("--M", type=int, default=1)
+    va.add_argument("--M", type=int, default=1, help="must be 1")
     add_backend(va)
     va.set_defaults(func=cmd_validate)
     return p

@@ -1,9 +1,16 @@
 """Root location for log-scaled secular functions of t.
 
+The secular callable f takes a 1-D float array of t and returns a
+LogScaledValue whose sign and logmag are arrays of the same length. Every
+stage evaluates whole arrays: the master grid (in chunks of at most
+_EVAL_CHUNK points), all bump windows of one refinement depth together,
+and one step of every open bisection together.
+
 The spectrum is found on a master grid that is uniform in s = Z/(2t) (so the
 energy resolution is roughly uniform), with two detection channels:
 
-- sign changes of the secular value, closed by bisection;
+- sign changes of the secular value, closed by bisection to a relative
+  width of t_tol; all brackets are bisected in lock step;
 - "bumps": deep dips of log|F| with no sign change, which arise either from
   a doublet of real roots closer than the grid spacing or from a complex
   conjugate pair of roots sitting just off the real t axis.
@@ -33,6 +40,9 @@ import numpy as np
 _MASTER_DS = 5e-3
 _WINDOW_SAMPLES = 64
 _MERGE_TOL = 1e-12
+# Most t values handed to the secular callable in one call; the explicit
+# backend holds one 8x8 complex matrix (1 KiB) per point.
+_EVAL_CHUNK = 1024
 
 
 class SecularEvaluationError(RuntimeError):
@@ -77,8 +87,11 @@ class ScanConfig:
             raise ValueError("bump_drop must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanSample:
+    """One scan point. find_roots makes one per master grid point (about
+    20k at 100 levels), so instances carry slots instead of a __dict__."""
+
     t: float
     sign: int
     logmag: float
@@ -111,72 +124,121 @@ class BumpWindow:
     drop: float
 
 
-def _eval_sample(f: Callable[[float], object], t: float) -> ScanSample:
-    try:
-        v = f(t)
-    except SecularEvaluationError:
-        raise
-    except Exception as e:
-        raise SecularEvaluationError(t, e) from e
-    return ScanSample(t=float(t), sign=v.sign, logmag=v.logmag)
+def _evaluate(
+    f: Callable[[np.ndarray], object], ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and log-magnitudes of f over the 1-D array ts, chunk by chunk.
+
+    An error raised by f is wrapped in SecularEvaluationError, carrying the
+    cause's own t when it has one and the chunk's first t otherwise.
+    """
+    signs = np.empty(ts.size, dtype=int)
+    logmags = np.empty(ts.size)
+    for i in range(0, ts.size, _EVAL_CHUNK):
+        chunk = ts[i : i + _EVAL_CHUNK]
+        try:
+            v = f(chunk)
+        except SecularEvaluationError:
+            raise
+        except Exception as e:
+            t = getattr(e, "t", None)
+            raise SecularEvaluationError(
+                float(chunk[0]) if t is None else t, e
+            ) from e
+        signs[i : i + chunk.size] = v.sign
+        logmags[i : i + chunk.size] = v.logmag
+    return signs, logmags
+
+
+def _samples(
+    ts: np.ndarray, signs: np.ndarray, logmags: np.ndarray
+) -> list[ScanSample]:
+    return list(map(ScanSample, ts.tolist(), signs.tolist(), logmags.tolist()))
 
 
 def scan_secular(
-    f: Callable[[float], object], config: ScanConfig
+    f: Callable[[np.ndarray], object], config: ScanConfig
 ) -> list[ScanSample]:
     """Tabulate sign and log-magnitude on a uniform t grid over the window."""
     ts = np.linspace(config.t_min, config.t_max, config.initial_samples)
-    return [_eval_sample(f, t) for t in ts]
+    return _samples(ts, *_evaluate(f, ts))
+
+
+def _close_brackets(
+    f: Callable[[np.ndarray], object],
+    brackets: Sequence[tuple[float, float]],
+    t_tol: float,
+) -> list[RootRecord]:
+    """Bisect every sign-change bracket in lock step, one record each.
+
+    Each bracket follows a lone bisection exactly: an endpoint with sign 0
+    is the root; otherwise midpoints are taken while the width exceeds
+    t_tol times the upper end and lo < mid < hi holds, a midpoint with
+    sign 0 closes the bracket on it, and the residual is evaluated at the
+    final midpoint. One step evaluates the midpoints of all open brackets
+    in one call. Raises ValueError unless 0 < lo < hi and the end signs
+    differ.
+    """
+    if not brackets:
+        return []
+    ends = [(float(a), float(b)) for a, b in brackets]
+    for a, b in ends:
+        if not 0 < a < b:
+            raise ValueError(f"need 0 < lo < hi, got ({a!r}, {b!r})")
+    lo, hi = np.array(ends).T.copy()
+    n = lo.size
+    end_signs, end_logmags = _evaluate(f, np.concatenate([lo, hi]))
+    sign_lo, sign_hi = end_signs[:n], end_signs[n:]
+    exact_lo = sign_lo == 0
+    exact_hi = ~exact_lo & (sign_hi == 0)
+    same = ~exact_lo & ~exact_hi & (sign_lo == sign_hi)
+    if same.any():
+        i = int(np.flatnonzero(same)[0])
+        raise ValueError(
+            f"no sign change across bracket {ends[i]!r}; "
+            f"both ends have sign {sign_lo[i]}"
+        )
+    bisecting = ~exact_lo & ~exact_hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        step = np.flatnonzero(
+            bisecting & (hi - lo > t_tol * hi) & (lo < mid) & (mid < hi)
+        )
+        if not step.size:
+            break
+        mid = mid[step]
+        signs, _ = _evaluate(f, mid)
+        zero = signs == 0
+        to_lo = zero | (signs == sign_lo[step])
+        to_hi = zero | ~to_lo
+        lo[step[to_lo]] = mid[to_lo]
+        hi[step[to_hi]] = mid[to_hi]
+    # the residual of a bracket whose end is exact is that end's own value
+    t = np.where(exact_lo, lo, np.where(exact_hi, hi, 0.5 * (lo + hi)))
+    width = np.where(bisecting, hi - lo, 0.0)
+    residual = np.where(exact_lo, end_logmags[:n], end_logmags[n:])
+    closed = np.flatnonzero(bisecting)
+    residual[closed] = _evaluate(f, t[closed])[1]
+    return [
+        RootRecord(
+            t=ti, residual_logmag=ri, bracket_width=wi, detection="sign_change"
+        )
+        for ti, ri, wi in zip(t.tolist(), residual.tolist(), width.tolist())
+    ]
 
 
 def bisect(
-    f: Callable[[float], object],
+    f: Callable[[np.ndarray], object],
     bracket: tuple[float, float],
     t_tol: float = 1e-13,
 ) -> RootRecord:
     """Close a sign-change bracket down to relative width t_tol.
 
+    The one-bracket case of the lock-step bisection find_roots runs.
     Raises ValueError unless the secular signs at the bracket ends differ
     (an endpoint with sign 0 is accepted as an exact root).
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0 < lo < hi:
-        raise ValueError(f"need 0 < lo < hi, got ({lo!r}, {hi!r})")
-    va = _eval_sample(f, lo)
-    vb = _eval_sample(f, hi)
-    for end in (va, vb):
-        if end.sign == 0:
-            return RootRecord(
-                t=end.t,
-                residual_logmag=end.logmag,
-                bracket_width=0.0,
-                detection="sign_change",
-            )
-    if va.sign == vb.sign:
-        raise ValueError(
-            f"no sign change across bracket ({lo!r}, {hi!r}); "
-            f"both ends have sign {va.sign}"
-        )
-    while hi - lo > t_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        vm = _eval_sample(f, mid)
-        if vm.sign == 0:
-            lo = hi = mid
-            break
-        if vm.sign == va.sign:
-            lo, va = mid, vm
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    res = _eval_sample(f, t)
-    return RootRecord(
-        t=t,
-        residual_logmag=res.logmag,
-        bracket_width=hi - lo,
-        detection="sign_change",
-    )
+    return _close_brackets(f, [bracket], t_tol)[0]
 
 
 def detect_bumps(
@@ -226,66 +288,63 @@ def detect_bumps(
 
 
 def _brackets_and_exacts(
-    samples: Sequence[ScanSample],
-) -> tuple[list[tuple[float, float]], list[ScanSample]]:
-    brackets = []
-    exacts = []
-    for i in range(len(samples) - 1):
-        a, b = samples[i], samples[i + 1]
-        if a.sign == 0:
-            exacts.append(a)
-        elif a.sign * b.sign < 0:
-            t_pair = (a.t, b.t)
-            brackets.append((min(t_pair), max(t_pair)))
-    if samples and samples[-1].sign == 0:
-        exacts.append(samples[-1])
-    return brackets, exacts
+    ts: np.ndarray, signs: np.ndarray, logmags: np.ndarray
+) -> tuple[list[tuple[float, float]], list[RootRecord]]:
+    """Sign-change brackets between neighbours, and exact (sign 0) roots."""
+    i = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+    lo = np.minimum(ts[i], ts[i + 1])
+    hi = np.maximum(ts[i], ts[i + 1])
+    zero = signs == 0
+    exacts = [
+        RootRecord(t=t, residual_logmag=lm, bracket_width=0.0, detection="sign_change")
+        for t, lm in zip(ts[zero].tolist(), logmags[zero].tolist())
+    ]
+    return list(zip(lo.tolist(), hi.tolist())), exacts
 
 
-def _refine_bump(
-    f: Callable[[float], object],
-    t_lo: float,
-    t_hi: float,
+def _refine_bumps(
+    f: Callable[[np.ndarray], object],
+    windows: list[BumpWindow],
     config: ScanConfig,
-    depth: int,
-) -> list[RootRecord]:
-    """Re-scan a bump window; resolve, recurse, report, or discard.
+) -> tuple[list[tuple[float, float]], list[RootRecord]]:
+    """Re-scan bump windows a depth at a time; resolve, recurse, report, or discard.
 
-    Sign changes found at the finer resolution are bisected and returned.
-    Otherwise the dip must re-qualify under detect_bumps: a dip that
-    flattened out is a complex pair and is dropped; one that persists is
-    recursed into, or reported as an unresolved doublet at the depth limit.
+    All windows of one depth are evaluated in one call. A window whose
+    re-scan shows sign changes hands its brackets on for bisection. Otherwise
+    its dip must re-qualify under detect_bumps: a dip that flattened out is a
+    complex pair and is dropped; one that persists is re-scanned at the next
+    depth, or reported as an unresolved doublet at the depth limit.
     """
-    ts = np.linspace(t_lo, t_hi, _WINDOW_SAMPLES)
-    samples = [_eval_sample(f, t) for t in ts]
-    brackets, exacts = _brackets_and_exacts(samples)
-    if brackets or exacts:
-        recs = [bisect(f, br, config.t_tol) for br in brackets]
-        recs.extend(
-            RootRecord(
-                t=e.t,
-                residual_logmag=e.logmag,
-                bracket_width=0.0,
-                detection="sign_change",
-            )
-            for e in exacts
-        )
-        return recs
-    out: list[RootRecord] = []
-    for w in detect_bumps(samples, config):
-        if depth >= config.max_refine_depth:
-            out.append(
-                RootRecord(
-                    t=w.min_t,
-                    residual_logmag=w.min_logmag,
-                    bracket_width=w.t_hi - w.t_lo,
-                    detection="bump",
-                    unresolved_doublet=True,
+    brackets: list[tuple[float, float]] = []
+    records: list[RootRecord] = []
+    depth = 1
+    while windows:
+        grids = [np.linspace(w.t_lo, w.t_hi, _WINDOW_SAMPLES) for w in windows]
+        signs, logmags = _evaluate(f, np.concatenate(grids))
+        nested = []
+        for j, grid in enumerate(grids):
+            part = slice(j * _WINDOW_SAMPLES, (j + 1) * _WINDOW_SAMPLES)
+            brs, exacts = _brackets_and_exacts(grid, signs[part], logmags[part])
+            if brs or exacts:
+                brackets += brs
+                records += exacts
+                continue
+            for w in detect_bumps(_samples(grid, signs[part], logmags[part]), config):
+                if depth < config.max_refine_depth:
+                    nested.append(w)
+                    continue
+                records.append(
+                    RootRecord(
+                        t=w.min_t,
+                        residual_logmag=w.min_logmag,
+                        bracket_width=w.t_hi - w.t_lo,
+                        detection="bump",
+                        unresolved_doublet=True,
+                    )
                 )
-            )
-        else:
-            out.extend(_refine_bump(f, w.t_lo, w.t_hi, config, depth + 1))
-    return out
+        windows = nested
+        depth += 1
+    return brackets, records
 
 
 def _merge_close(records: list[RootRecord]) -> list[RootRecord]:
@@ -351,41 +410,33 @@ def default_scan_config(
 
 
 def find_roots(
-    f: Callable[[float], object],
+    f: Callable[[np.ndarray], object],
     Z: float,
     n_levels: int,
     config: ScanConfig | None = None,
 ) -> list[RootRecord]:
     """Locate the real secular roots covering the lowest n_levels levels.
 
-    Returns every root found in the window, in descending t (ascending
-    energy) order; callers slice the leading n_levels levels after doublet
-    expansion. Warns with LevelShortfallWarning when the window yields
-    fewer levels than requested, which for this operator family indicates
-    levels lost to complex conjugate pairs rather than a scan failure.
+    f maps a 1-D float array of t to a LogScaledValue of sign and logmag
+    arrays; it is called on the master grid, on each refinement depth's
+    windows and on each lock-step bisection step. Returns every root found
+    in the window, in descending t (ascending energy) order; callers slice
+    the leading n_levels levels after doublet expansion. Warns with
+    LevelShortfallWarning when the window yields fewer levels than
+    requested, which for this operator family indicates levels lost to
+    complex conjugate pairs rather than a scan failure.
     """
     cfg = config if config is not None else default_scan_config(Z, n_levels)
     s_lo = Z / (2.0 * cfg.t_max)
     s_hi = Z / (2.0 * cfg.t_min)
     n = max(cfg.initial_samples, math.ceil((s_hi - s_lo) / _MASTER_DS) + 1)
-    s_grid = np.linspace(s_lo, s_hi, n)
-    samples = [_eval_sample(f, Z / (2.0 * s)) for s in s_grid]
-
-    records: list[RootRecord] = []
-    brackets, exacts = _brackets_and_exacts(samples)
-    for br in brackets:
-        records.append(bisect(f, br, cfg.t_tol))
-    records.extend(
-        RootRecord(
-            t=e.t,
-            residual_logmag=e.logmag,
-            bracket_width=0.0,
-            detection="sign_change",
-        )
-        for e in exacts
-    )
-    for w in detect_bumps(samples, cfg):
-        records.extend(_refine_bump(f, w.t_lo, w.t_hi, cfg, depth=1))
+    ts = Z / (2.0 * np.linspace(s_lo, s_hi, n))
+    signs, logmags = _evaluate(f, ts)
+    brackets, records = _brackets_and_exacts(ts, signs, logmags)
+    windows = detect_bumps(_samples(ts, signs, logmags), cfg)
+    refined_brackets, refined = _refine_bumps(f, windows, cfg)
+    # every bracket, from the master grid and from refinement, in one lock step
+    records += refined + _close_brackets(f, brackets + refined_brackets, cfg.t_tol)
 
     records = _merge_close(records)
     records.sort(key=lambda r: -r.t)

@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ptring
 from ptring import parse_spectrum_csv, parse_spectrum_json, spectrum_to_csv, spectrum_to_json
 from ptring.cli import main
 
@@ -267,6 +271,15 @@ def test_validate_backend_m_invariant(capsys):
     assert "explicit backend requires M=1" in err
 
 
+def test_validate_rejects_m_other_than_1(capsys):
+    """validate solves the M=1 problem only; any other M is an error, never
+    a silent check of the wrong potential."""
+    code, out, err = _run(capsys, ["validate", "--Z", "1e-6", "--M", "8"])
+    assert code == 1
+    assert out == ""
+    assert "validate checks M=1 only, got M=8" in err
+
+
 def test_validate_free_limit(capsys):
     code, out, _err = _run(capsys, ["validate", "--Z", "1e-6"])
     assert code == 0
@@ -294,3 +307,17 @@ def test_unknown_command_exits_1():
     with pytest.raises(SystemExit) as ei:
         main(["frobnicate"])
     assert ei.value.code == 1
+
+
+# --- imports ---------------------------------------------------------------------
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """The runtime needs numpy only; scipy is a test dependency."""
+    src = os.path.dirname(os.path.dirname(ptring.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, ptring.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"

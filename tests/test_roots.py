@@ -6,13 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
+from test_secular import EXPLICIT_ROOTS_Z1
+
 from ptring import (
+    CirclePotential,
     LevelShortfallWarning,
     LogScaledValue,
     RootRecord,
     ScanConfig,
     ScanSample,
     SecularEvaluationError,
+    SecularRealityError,
     bisect,
     build_square_well,
     default_scan_config,
@@ -25,14 +29,6 @@ from ptring import (
     secular_monodromy,
 )
 
-# frozen at 40-digit precision; see test_secular for the full list
-T_EXPLICIT_Z1 = [
-    0.656419569606386165771,
-    0.3934710176605069340951,
-    0.2659198624354214277554,
-    0.1595707645052334930822,
-    0.1587476660683445053169,
-]
 T_EXPLICIT_Z01 = [0.2219819562431546437372, 0.03467067057228565555074]
 # roots of the strictly periodic secular function at Z = 1
 T_MONODROMY_Z1 = [
@@ -101,7 +97,7 @@ def test_scan_single_crossing():
     ]
     assert len(flips) == 1
     lo, hi = flips[0]
-    assert lo < T_EXPLICIT_Z1[1] < hi
+    assert lo < EXPLICIT_ROOTS_Z1[1] < hi
 
 
 def test_scan_wraps_evaluation_errors():
@@ -119,7 +115,7 @@ def test_scan_wraps_evaluation_errors():
 
 def test_bisect_explicit_ground_z1():
     rec = bisect(_f_explicit(1.0), (0.6, 0.7))
-    assert rec.t == pytest.approx(T_EXPLICIT_Z1[0], abs=1e-8)
+    assert rec.t == pytest.approx(EXPLICIT_ROOTS_Z1[0], abs=1e-8)
     assert rec.detection == "sign_change"
     assert rec.bracket_width <= 1e-13 * 0.7 * 2
 
@@ -132,6 +128,18 @@ def test_bisect_explicit_ground_z01():
 def test_bisect_linear_function():
     rec = bisect(_linear(0.5), (0.3, 0.9), t_tol=1e-13)
     assert rec.t == pytest.approx(0.5, rel=1e-12)
+
+
+def test_bisect_exact_endpoint_is_the_root():
+    rec = bisect(_linear(0.5), (0.5, 0.9))
+    assert (rec.t, rec.bracket_width) == (0.5, 0.0)
+    assert rec.residual_logmag == float("-inf")
+
+
+def test_bisect_exact_midpoint_closes_bracket():
+    # 0.75 is the first midpoint and an exact root
+    rec = bisect(_linear(0.75), (0.5, 1.0))
+    assert (rec.t, rec.bracket_width) == (0.75, 0.0)
 
 
 def test_bisect_rejects_same_sign():
@@ -152,7 +160,7 @@ def test_detect_bumps_doublet_window():
     wins = detect_bumps(samples, cfg)
     assert len(wins) == 1
     w = wins[0]
-    assert w.t_lo < T_EXPLICIT_Z1[4] < T_EXPLICIT_Z1[3] < w.t_hi
+    assert w.t_lo < EXPLICIT_ROOTS_Z1[4] < EXPLICIT_ROOTS_Z1[3] < w.t_hi
     assert w.drop >= 3.0
 
 
@@ -184,10 +192,13 @@ def test_detect_bumps_requires_single_sign():
 
 
 def test_find_roots_explicit_z1_prefix():
-    recs = find_roots(_f_explicit(1.0), 1.0, 5)
-    ts = [r.t for r in recs[:5]]
-    assert ts == pytest.approx(T_EXPLICIT_Z1, abs=1e-9)
-    assert all(r.detection == "sign_change" for r in recs[:5])
+    """The whole 18-level spectrum against the 22-digit frozen roots."""
+    recs = find_roots(_f_explicit(1.0), 1.0, 18)
+    ts = [r.t for r in recs[:18]]
+    assert ts == pytest.approx(EXPLICIT_ROOTS_Z1, rel=1e-12, abs=0)
+    assert all(
+        r.detection == "sign_change" and not r.unresolved_doublet for r in recs[:18]
+    )
     assert [r.t for r in recs] == sorted((r.t for r in recs), reverse=True)
 
 
@@ -201,7 +212,7 @@ def test_find_roots_single_level_window():
     cfg = ScanConfig(t_min=0.45, t_max=1.0)
     recs = find_roots(_f_explicit(1.0), 1.0, 1, cfg)
     assert len(recs) == 1
-    assert recs[0].t == pytest.approx(T_EXPLICIT_Z1[0], abs=1e-9)
+    assert recs[0].t == pytest.approx(EXPLICIT_ROOTS_Z1[0], abs=1e-9)
     assert not recs[0].unresolved_doublet
 
 
@@ -260,6 +271,56 @@ def test_find_roots_residual_dominance():
     for r in recs[:3]:
         nearby = secular_explicit(1.0, r.t * 1.01).logmag
         assert nearby - r.residual_logmag > 5.0
+
+
+def test_scan_reality_error_carries_first_failing_t(monkeypatch):
+    """An array call raises at its first failing point, and find_roots
+    wraps that error with the same t, not the first t of the chunk."""
+    asym = CirclePotential(
+        circumference=4.0,
+        start=-2.0,
+        segments=((0.5, 1j), (1.5, -1j), (1.0, 1j), (1.0, -1j)),
+    )
+    # |Im|/(1+|Re|) of this layout stays below 0.5 for t in [0.85, 3] and
+    # exceeds it for t in [0.6, 0.8]
+    monkeypatch.setenv("PT_CIRCLE_TOL", "0.5")
+    cfg = ScanConfig(t_min=0.6, t_max=3.0, initial_samples=256)
+    # find_roots' master grid at Z=1: 256 points uniform in s = 1/(2t),
+    # in descending t
+    s_grid = np.linspace(1.0 / (2.0 * cfg.t_max), 1.0 / (2.0 * cfg.t_min), 256)
+    ts = 1.0 / (2.0 * s_grid)
+
+    def fails(t):
+        try:
+            secular_monodromy(asym, 1.0, t)
+        except SecularRealityError:
+            return True
+        return False
+
+    first = next(float(t) for t in ts if fails(float(t)))
+    assert first < ts[0]
+    with pytest.raises(SecularRealityError) as ei:
+        secular_monodromy(asym, 1.0, ts)
+    assert ei.value.t == first
+    with pytest.raises(SecularEvaluationError) as ej:
+        find_roots(lambda t: secular_monodromy(asym, 1.0, t), 1.0, 5, cfg)
+    assert ej.value.t == first
+
+
+@pytest.mark.parametrize(
+    "backend,Z,M",
+    [("monodromy", z, m) for z in (1e-6, 0.1, 1.0, 4.0) for m in (1, 8)]
+    + [("explicit", z, 1) for z in (0.1, 1.0, 4.0)],
+)
+def test_solve_raises_no_numpy_warning(backend, Z, M):
+    """The CLI prints every warning a solve raises; only the level
+    shortfall may come out of one."""
+    f = _f_explicit(Z) if backend == "explicit" else _f_monodromy(Z, M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        find_roots(f, Z, 18)
+        scan_secular(f, ScanConfig(t_min=0.03, t_max=1.0, initial_samples=512))
 
 
 def test_shortfall_warning_message():

@@ -218,6 +218,37 @@ def test_reality_accepts_pt_symmetric_non_alternating():
     assert v.sign in (-1, 1)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    z=st.floats(min_value=0.05, max_value=4.0),
+    m=st.integers(min_value=1, max_value=4),
+    ts=st.lists(
+        st.floats(min_value=0.025, max_value=5.0), min_size=1, max_size=300
+    ).map(sorted),
+)
+def test_array_call_equals_pointwise_calls(z, m, ts):
+    """One array call gives each point's own value: every point is rescaled
+    and checked by itself, never against the rest of the batch."""
+    pot = build_square_well(m, z)
+    ts = np.array(ts)
+    for f in (
+        lambda t: secular_explicit(z, t),
+        lambda t: secular_monodromy(pot, z, t),
+    ):
+        batch = f(ts)
+        single = [f(float(t)) for t in ts]
+        assert batch.sign.tolist() == [v.sign for v in single]
+        np.testing.assert_allclose(
+            batch.logmag, [v.logmag for v in single], rtol=0, atol=1e-12
+        )
+
+
+def test_scalar_call_returns_python_scalars():
+    pot = build_square_well(2, 1.0)
+    for v in (secular_explicit(1.0, 0.3), secular_monodromy(pot, 1.0, 0.3)):
+        assert type(v.sign) is int and type(v.logmag) is float
+
+
 def test_reality_tolerance_env_override(monkeypatch):
     asym = CirclePotential(
         circumference=4.0,
@@ -243,6 +274,14 @@ def test_q_matrix_shape_and_sparsity():
     assert np.count_nonzero(Q[7]) == 4
     assert np.count_nonzero(Q[2]) == 2
     assert np.count_nonzero(Q[3]) == 2
+
+
+def test_q_matrix_stack_matches_single_builds():
+    ts = np.array([0.05, 0.3, 2.0])
+    Q = build_Q(1.0, ts)
+    assert Q.shape == (3, 8, 8)
+    for i, t in enumerate(ts):
+        np.testing.assert_allclose(Q[i], build_Q(1.0, float(t)), rtol=1e-15)
 
 
 def test_q_matrix_corner_entry():
@@ -314,3 +353,5 @@ def test_explicit_requires_positive_inputs():
         secular_explicit(1.0, 0.0)
     with pytest.raises(ValueError):
         secular_explicit(-1.0, 0.5)
+    with pytest.raises(ValueError, match="-0.5"):
+        secular_explicit(1.0, np.array([0.3, -0.5, 0.2]))
