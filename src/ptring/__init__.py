@@ -30,6 +30,7 @@ from .roots import (
 )
 from .secular import (
     LogScaledValue,
+    SecularOverflowError,
     SecularRealityError,
     SpectralPoint,
     TransferMatrix2,
@@ -81,6 +82,7 @@ __all__ = [
     "level_count",
     "scan_secular",
     "LogScaledValue",
+    "SecularOverflowError",
     "SecularRealityError",
     "SpectralPoint",
     "TransferMatrix2",

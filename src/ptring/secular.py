@@ -22,8 +22,8 @@ huge dynamic range of the secular determinant.
 Both take t as a float or a 1-D float array. A float is evaluated as a
 one-point array and comes back as a scalar LogScaledValue; an array comes
 back as a LogScaledValue of sign and log-magnitude arrays. Every point is
-computed, rescaled and reality-checked on its own, so an array call equals
-the element-by-element calls.
+computed, rescaled and checked (finite, then real) on its own, so an array
+call equals the element-by-element calls.
 """
 
 import math
@@ -58,6 +58,25 @@ class SecularRealityError(RuntimeError):
         self.Z = Z
         self.t = t
         self.im_mag = im_mag
+
+
+class SecularOverflowError(OverflowError):
+    """The secular value left the double range (sin/cos of kappa overflow
+    once |Im(kappa * width)| passes about 710); carries the offending (Z, t).
+    For an array call, t is the first failing point.
+    """
+
+    def __init__(self, what: str, Z: float, t: float):
+        super().__init__(f"{what} overflowed at Z={Z!r}, t={t!r}")
+        self.Z = Z
+        self.t = t
+
+
+def _check_finite(what: str, Z: float, ts: np.ndarray, finite: np.ndarray) -> None:
+    """Raise SecularOverflowError at the first t whose point is not finite."""
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise SecularOverflowError(what, Z, float(ts[bad[0]]))
 
 
 def reality_rtol() -> float:
@@ -131,14 +150,10 @@ class LogScaledValue:
 
     @classmethod
     def from_float(cls, x) -> "LogScaledValue":
-        if np.ndim(x) == 0:
-            if x == 0.0:
-                return cls(0, float("-inf"))
-            return cls(1 if x > 0 else -1, math.log(abs(x)))
-        x = np.asarray(x, dtype=float)
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
         with np.errstate(divide="ignore"):  # log(0) = -inf marks the zeros
-            logmag = np.log(np.abs(x))
-        return cls(np.sign(x).astype(int), logmag)
+            logmag = np.log(np.abs(xs))
+        return _log_scaled(np.sign(xs).astype(int), logmag, np.ndim(x) == 0)
 
 
 def _points(Z: float, t) -> tuple[SpectralPoint, bool]:
@@ -259,11 +274,18 @@ def secular_monodromy(pot: CirclePotential, Z: float, t) -> LogScaledValue:
 
     The monodromy logscale is folded in (the returned value is e^L times the
     normalized 2 e^(-L) - tr(T_scaled)), which leaves root positions intact.
-    Asserts |Im g| <= rtol (1 + |Re g|) on the normalized value, per point.
+    Per point, raises SecularOverflowError unless the normalized value and
+    L are finite, then asserts |Im g| <= rtol (1 + |Re g|).
     """
     point, scalar = _points(Z, t)
-    T = monodromy(pot, point)
-    v = 2.0 * np.exp(-T.logscale) - T.trace()
+    # an overflowing propagator turns the value non-finite, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = monodromy(pot, point)
+        v = 2.0 * np.exp(-T.logscale) - T.trace()
+    _check_finite(
+        "monodromy secular value", Z, point.t,
+        np.isfinite(v) & np.isfinite(T.logscale),
+    )
     rtol = reality_rtol()
     bad = np.flatnonzero(np.abs(v.imag) > rtol * (1.0 + np.abs(v.real)))
     if bad.size:
@@ -336,24 +358,32 @@ Q_CONJUGATE_PAIRS: tuple[tuple[int, int, int, int, int], ...] = (
 def secular_explicit(Z: float, t) -> LogScaledValue:
     """det Q via partial-pivot LU with log-accumulated pivots, M=1 only.
 
-    The determinant is asserted real: |Im| <= rtol |Re| plus a rounding floor
-    of 64 eps exp(sum log ||row||), below which the phase of a vanishing
-    determinant is rounding noise; both are taken per point. The returned
-    log-magnitude is envelope normalized by the smooth positive factor
-    8 (s^2 + t^2)^3, which gives the value the cosh^6(t) / (2 t^4) small-t
-    crest growth of the closed form (verified numerically); roots and signs
-    are unaffected.
+    Per point, raises SecularOverflowError unless every entry of Q and the
+    determinant are finite. The determinant is then asserted real:
+    |Im| <= rtol |Re| plus a rounding floor of 64 eps exp(sum log ||row||),
+    below which the phase of a vanishing determinant is rounding noise;
+    both are taken per point. The returned log-magnitude is envelope
+    normalized by the smooth positive factor 8 (s^2 + t^2)^3, which gives
+    the value the cosh^6(t) / (2 t^4) small-t crest growth of the closed
+    form (verified numerically); roots and signs are unaffected.
     """
     point, scalar = _points(Z, t)
-    Q = build_Q(Z, point.t)
-    # log of the Hadamard bound prod ||row||, without a complex temporary
-    rows = np.einsum("...ij,...ij->...i", Q.real, Q.real)
-    rows += np.einsum("...ij,...ij->...i", Q.imag, Q.imag)
-    hadamard = 0.5 * np.sum(np.log(rows), axis=-1)
-    # slogdet runs LAPACK getrf (partial pivoting) on each matrix of the stack
-    phase, logmag = np.linalg.slogdet(Q)
+    # overflowing entries of Q make it or its determinant non-finite,
+    # checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = build_Q(Z, point.t)
+        # slogdet runs LAPACK getrf (partial pivoting) on each matrix
+        phase, logmag = np.linalg.slogdet(Q)
+    _check_finite(
+        "explicit secular determinant", Z, point.t,
+        np.isfinite(Q).all(axis=(-2, -1)) & ((phase == 0) | np.isfinite(logmag)),
+    )
     rtol = reality_rtol()
     with np.errstate(over="ignore"):  # an infinite floor: phase is all noise
+        # log of the Hadamard bound prod ||row||, without a complex temporary
+        rows = np.einsum("...ij,...ij->...i", Q.real, Q.real)
+        rows += np.einsum("...ij,...ij->...i", Q.imag, Q.imag)
+        hadamard = 0.5 * np.sum(np.log(rows), axis=-1)
         floor = _NOISE_FLOOR_C * np.finfo(float).eps * np.exp(hadamard - logmag)
     bad = np.flatnonzero(np.abs(phase.imag) > rtol * np.abs(phase.real) + floor)
     if bad.size:

@@ -151,6 +151,16 @@ def test_scan_monodromy_ground_crossing(capsys):
     assert flips == 1
 
 
+@pytest.mark.parametrize("backend", ["explicit", "monodromy"])
+def test_scan_overflow_exits_1(capsys, backend):
+    code, out, err = _run(
+        capsys, ["scan", "--Z", "1", "--t-max", "1000", "--backend", backend]
+    )
+    assert code == 1
+    assert out == ""
+    assert "overflowed" in err
+
+
 def test_scan_rejects_tiny_sample_count(capsys):
     code, _out, err = _run(capsys, ["scan", "--Z", "1", "--samples", "1"])
     assert code == 1

@@ -307,6 +307,27 @@ def test_scan_reality_error_carries_first_failing_t(monkeypatch):
     assert ej.value.t == first
 
 
+@pytest.mark.parametrize("backend", ["explicit", "monodromy"])
+def test_scan_overflow_error_carries_first_failing_t(backend):
+    """A window reaching t where the secular value overflows fails at the
+    first overflowing grid point, as the pointwise calls do."""
+    f = _f_explicit(1.0) if backend == "explicit" else _f_monodromy(1.0)
+    cfg = ScanConfig(t_min=0.03, t_max=1000.0, initial_samples=256)
+    ts = np.linspace(cfg.t_min, cfg.t_max, cfg.initial_samples)
+
+    def fails(t):
+        try:
+            f(t)
+        except OverflowError:
+            return True
+        return False
+
+    first = next(float(t) for t in ts if fails(float(t)))
+    with pytest.raises(SecularEvaluationError) as ei:
+        scan_secular(f, cfg)
+    assert ei.value.t == first
+
+
 @pytest.mark.parametrize(
     "backend,Z,M",
     [("monodromy", z, m) for z in (1e-6, 0.1, 1.0, 4.0) for m in (1, 8)]

@@ -7,6 +7,7 @@ sign changes across tight brackets around them rather than re-deriving.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from ptring import (
     CirclePotential,
     LogScaledValue,
+    SecularOverflowError,
     SecularRealityError,
     SpectralPoint,
     TransferMatrix2,
@@ -91,6 +93,13 @@ def test_log_scaled_value_roundtrip():
     assert v.value() == pytest.approx(-123.456, rel=1e-15)
     z = LogScaledValue.from_float(0.0)
     assert z.sign == 0 and z.value() == 0.0
+    assert type(v.sign) is int and type(v.logmag) is float
+
+
+def test_log_scaled_value_from_float_array():
+    v = LogScaledValue.from_float(np.array([2.0, 0.0, -3.0]))
+    assert v.sign.tolist() == [1, 0, -1]
+    assert v.logmag.tolist() == [math.log(2.0), -math.inf, math.log(3.0)]
 
 
 def test_log_scaled_value_validation():
@@ -247,6 +256,34 @@ def test_scalar_call_returns_python_scalars():
     pot = build_square_well(2, 1.0)
     for v in (secular_explicit(1.0, 0.3), secular_monodromy(pot, 1.0, 0.3)):
         assert type(v.sign) is int and type(v.logmag) is float
+
+
+@pytest.mark.parametrize(
+    "backend,first_bad",
+    # sin/cos(2 kappa) in Q overflow from t = 354.x; the unit-width
+    # propagators of M=1 from t = 710.x
+    [("explicit", 360.0), ("monodromy", 800.0)],
+)
+def test_overflow_raises_at_first_failing_t(backend, first_bad):
+    """Overflow is an error naming the first failing t, never a NaN value
+    or a numpy warning."""
+    pot = build_square_well(1, 1.0)
+
+    def f(t):
+        if backend == "explicit":
+            return secular_explicit(1.0, t)
+        return secular_monodromy(pot, 1.0, t)
+
+    ts = np.array([1.0, 300.0, 360.0, 700.0, 800.0, 1000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ok = f(ts[ts < first_bad])
+        assert not np.isnan(ok.logmag).any()
+        with pytest.raises(SecularOverflowError) as ei:
+            f(ts)
+        assert ei.value.t == first_bad
+        with pytest.raises(OverflowError):
+            f(1000.0)
 
 
 def test_reality_tolerance_env_override(monkeypatch):
