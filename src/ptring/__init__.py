@@ -10,7 +10,6 @@ where E = s^2 - t^2 and 2 s t = Z.
 
 from .potential import (
     CirclePotential,
-    asymptotic_pt_imag,
     build_square_well,
     rotate_segments,
 )
@@ -44,7 +43,6 @@ from .serialize import (
     SpectrumDocument,
     analysis_to_csv,
     fmt_float,
-    parse_potential_json,
     parse_spectrum_csv,
     parse_spectrum_json,
     potential_to_csv,
@@ -66,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CirclePotential",
-    "asymptotic_pt_imag",
     "build_square_well",
     "rotate_segments",
     "BumpWindow",
@@ -94,7 +91,6 @@ __all__ = [
     "SpectrumDocument",
     "analysis_to_csv",
     "fmt_float",
-    "parse_potential_json",
     "parse_spectrum_csv",
     "parse_spectrum_json",
     "potential_to_csv",

@@ -220,7 +220,13 @@ def cmd_validate(args) -> int:
         return 1
     mismatch = _compare_root_sets(recs_e, recs_m)
     window = f"t in [{_AGREE_WINDOW[0]}, {_AGREE_WINDOW[1]}]"
-    if mismatch:
+    if not recs_e and not recs_m:
+        # two empty root sets agree without anything being compared
+        print(
+            f"backend agreement on {window}: skipped "
+            f"(no real level in the window at Z={args.Z:g})"
+        )
+    elif mismatch:
         failures.append(f"backend agreement: {mismatch}")
         print(f"backend agreement on {window}: FAIL ({mismatch})")
     else:

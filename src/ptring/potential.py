@@ -6,7 +6,6 @@ alternating between +iZ and -iZ, the first segment (starting at -2) carrying
 away from segment boundaries.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -103,14 +102,3 @@ def rotate_segments(pot: CirclePotential, k: int) -> CirclePotential:
     return CirclePotential(
         pot.circumference, pot.start, pot.segments[k:] + pot.segments[:k]
     )
-
-
-def asymptotic_pt_imag(M: int, alpha: float, s: float) -> complex:
-    """Smooth large-alpha reference shape e^(-2 M alpha) (-cos(pi M s) + i sin(pi M s)).
-
-    Used only to cross-check segment signs; never enters the secular solver.
-    """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    phase = math.pi * M * s
-    return cmath.exp(-2.0 * M * alpha) * complex(-math.cos(phase), math.sin(phase))

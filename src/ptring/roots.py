@@ -4,13 +4,14 @@ The secular callable f takes a 1-D float array of t and returns a
 LogScaledValue whose sign and logmag are arrays of the same length. Every
 stage evaluates whole arrays: the master grid (in chunks of at most
 _EVAL_CHUNK points), all bump windows of one refinement depth together,
-and one step of every open bisection together.
+and one ITP step of every open bracket together.
 
 The spectrum is found on a master grid that is uniform in s = Z/(2t) (so the
 energy resolution is roughly uniform), with two detection channels:
 
-- sign changes of the secular value, closed by bisection to a relative
-  width of t_tol; all brackets are bisected in lock step;
+- sign changes of the secular value, closed by ITP (interpolate, truncate,
+  project) to a relative width of t_tol, in at most one step more than
+  bisection would take; all brackets are closed in lock step;
 - "bumps": deep dips of log|F| with no sign change, which arise either from
   a doublet of real roots closer than the grid spacing or from a complex
   conjugate pair of roots sitting just off the real t axis.
@@ -43,6 +44,10 @@ _MERGE_TOL = 1e-12
 # Most t values handed to the secular callable in one call; the explicit
 # backend holds one 8x8 complex matrix (1 KiB) per point.
 _EVAL_CHUNK = 1024
+# ITP truncation kappa1 (times the initial bracket width) and spare steps n0
+# over bisection's count; kappa2 is 2.
+_ITP_KAPPA1 = 0.2
+_ITP_N0 = 1
 
 
 class SecularEvaluationError(RuntimeError):
@@ -89,8 +94,7 @@ class ScanConfig:
 
 @dataclass(frozen=True, slots=True)
 class ScanSample:
-    """One scan point. find_roots makes one per master grid point (about
-    20k at 100 levels), so instances carry slots instead of a __dict__."""
+    """One point of a scan_secular table; slots keep a long table small."""
 
     t: float
     sign: int
@@ -150,18 +154,13 @@ def _evaluate(
     return signs, logmags
 
 
-def _samples(
-    ts: np.ndarray, signs: np.ndarray, logmags: np.ndarray
-) -> list[ScanSample]:
-    return list(map(ScanSample, ts.tolist(), signs.tolist(), logmags.tolist()))
-
-
 def scan_secular(
     f: Callable[[np.ndarray], object], config: ScanConfig
 ) -> list[ScanSample]:
     """Tabulate sign and log-magnitude on a uniform t grid over the window."""
     ts = np.linspace(config.t_min, config.t_max, config.initial_samples)
-    return _samples(ts, *_evaluate(f, ts))
+    signs, logmags = _evaluate(f, ts)
+    return list(map(ScanSample, ts.tolist(), signs.tolist(), logmags.tolist()))
 
 
 def _close_brackets(
@@ -169,15 +168,21 @@ def _close_brackets(
     brackets: Sequence[tuple[float, float]],
     t_tol: float,
 ) -> list[RootRecord]:
-    """Bisect every sign-change bracket in lock step, one record each.
+    """Close every sign-change bracket by ITP in lock step, one record each.
 
-    Each bracket follows a lone bisection exactly: an endpoint with sign 0
-    is the root; otherwise midpoints are taken while the width exceeds
-    t_tol times the upper end and lo < mid < hi holds, a midpoint with
-    sign 0 closes the bracket on it, and the residual is evaluated at the
-    final midpoint. One step evaluates the midpoints of all open brackets
-    in one call. Raises ValueError unless 0 < lo < hi and the end signs
-    differ.
+    Each bracket runs its own ITP iteration (Oliveira & Takahashi, ACM TOMS
+    47(1), 2020) on its secular value normalized by the larger of its two
+    end magnitudes, with kappa1 = 0.2/(hi0 - lo0), kappa2 = 2, n0 = 1 and
+    epsilon = t_tol lo0 / 2: at most ceil(log2((hi0 - lo0) / (t_tol lo0)))
+    + 1 steps, one more than bisection needs to reach width t_tol lo0. A
+    regula-falsi point that is not finite or not inside (lo, hi) is
+    replaced by the midpoint, so each step point lies between the two and
+    inside the bracket. An endpoint with sign 0 is the root;
+    otherwise points are taken while the width exceeds t_tol times the
+    upper end and lo < mid < hi holds, a point with sign 0 closes the
+    bracket on it, and the residual is evaluated at the final midpoint.
+    One step evaluates one point of every open bracket in one call.
+    Raises ValueError unless 0 < lo < hi and the end signs differ.
     """
     if not brackets:
         return []
@@ -189,6 +194,7 @@ def _close_brackets(
     n = lo.size
     end_signs, end_logmags = _evaluate(f, np.concatenate([lo, hi]))
     sign_lo, sign_hi = end_signs[:n], end_signs[n:]
+    logmag_lo, logmag_hi = end_logmags[:n].copy(), end_logmags[n:].copy()
     exact_lo = sign_lo == 0
     exact_hi = ~exact_lo & (sign_hi == 0)
     same = ~exact_lo & ~exact_hi & (sign_lo == sign_hi)
@@ -198,26 +204,50 @@ def _close_brackets(
             f"no sign change across bracket {ends[i]!r}; "
             f"both ends have sign {sign_lo[i]}"
         )
-    bisecting = ~exact_lo & ~exact_hi
+    closing = ~exact_lo & ~exact_hi
+    eps = 0.5 * t_tol * lo
+    kappa1 = _ITP_KAPPA1 / (hi - lo)
+    n_max = np.ceil(np.log2((hi - lo) / (2.0 * eps))) + _ITP_N0
+    # rounding of mid and x adds up to one ulp to a width held at its
+    # budget; an ulp less of budget keeps n_max steps enough
+    eps_r = eps - np.spacing(hi)
+    j = 0
     while True:
         mid = 0.5 * (lo + hi)
         step = np.flatnonzero(
-            bisecting & (hi - lo > t_tol * hi) & (lo < mid) & (mid < hi)
+            closing & (hi - lo > t_tol * hi) & (lo < mid) & (mid < hi)
         )
         if not step.size:
             break
-        mid = mid[step]
-        signs, _ = _evaluate(f, mid)
+        a, b, m = lo[step], hi[step], mid[step]
+        # interpolate: the regula-falsi point of the normalized end values
+        top = np.maximum(logmag_lo[step], logmag_hi[step])
+        ya = sign_lo[step] * np.exp(logmag_lo[step] - top)
+        yb = sign_hi[step] * np.exp(logmag_hi[step] - top)
+        xf = (yb * a - ya * b) / (yb - ya)
+        xf = np.where(np.isfinite(xf) & (a < xf) & (xf < b), xf, m)
+        # truncate: move it delta toward the midpoint
+        sigma = np.sign(m - xf)
+        delta = kappa1[step] * (b - a) ** 2
+        xt = np.where(delta <= np.abs(m - xf), xf + sigma * delta, m)
+        # project: keep it within r of the midpoint, so that the bracket
+        # never outgrows (eps - ulp) 2^(n_max - j)
+        r = np.maximum(eps_r[step] * 2.0 ** (n_max[step] - j) - 0.5 * (b - a), 0.0)
+        x = np.where(np.abs(xt - m) <= r, xt, m - sigma * r)
+        signs, logmags = _evaluate(f, x)
         zero = signs == 0
         to_lo = zero | (signs == sign_lo[step])
         to_hi = zero | ~to_lo
-        lo[step[to_lo]] = mid[to_lo]
-        hi[step[to_hi]] = mid[to_hi]
+        lo[step[to_lo]] = x[to_lo]
+        logmag_lo[step[to_lo]] = logmags[to_lo]
+        hi[step[to_hi]] = x[to_hi]
+        logmag_hi[step[to_hi]] = logmags[to_hi]
+        j += 1
     # the residual of a bracket whose end is exact is that end's own value
     t = np.where(exact_lo, lo, np.where(exact_hi, hi, 0.5 * (lo + hi)))
-    width = np.where(bisecting, hi - lo, 0.0)
+    width = np.where(closing, hi - lo, 0.0)
     residual = np.where(exact_lo, end_logmags[:n], end_logmags[n:])
-    closed = np.flatnonzero(bisecting)
+    closed = np.flatnonzero(closing)
     residual[closed] = _evaluate(f, t[closed])[1]
     return [
         RootRecord(
@@ -234,7 +264,7 @@ def bisect(
 ) -> RootRecord:
     """Close a sign-change bracket down to relative width t_tol.
 
-    The one-bracket case of the lock-step bisection find_roots runs.
+    The one-bracket case of the lock-step ITP closer find_roots runs.
     Raises ValueError unless the secular signs at the bracket ends differ
     (an endpoint with sign 0 is accepted as an exact root).
     """
@@ -242,49 +272,46 @@ def bisect(
 
 
 def detect_bumps(
-    samples: Sequence[ScanSample], config: ScanConfig
+    ts: np.ndarray, signs: np.ndarray, logmags: np.ndarray, config: ScanConfig
 ) -> list[BumpWindow]:
     """Find dips of log|F| that qualify for bump refinement.
 
-    A sample is a dip when it is a local minimum of logmag lying at least
-    bump_drop below both nearest flanking crests (grid ends count as
-    crests), with a single sign throughout. The returned window spans two
-    samples to each side of the minimum.
+    ts, signs and logmags are 1-D arrays of one scan. A sample is a dip when
+    it is a local minimum of logmag lying at least bump_drop below both
+    nearest flanking crests (grid ends count as crests), with a single sign
+    throughout. The returned window spans two samples to each side of the
+    minimum.
     """
-    n = len(samples)
+    lm = logmags
+    n = lm.size
     if n < 3:
         return []
-    lm = [s.logmag for s in samples]
-    out: list[BumpWindow] = []
-    for i in range(1, n - 1):
-        if not (lm[i] < lm[i - 1] and lm[i] <= lm[i + 1]):
-            continue
-        j = i
-        while j > 0 and lm[j - 1] >= lm[j]:
-            j -= 1
-        k = i
-        while k < n - 1 and lm[k + 1] >= lm[k]:
-            k += 1
-        drop = min(lm[j], lm[k]) - lm[i]
-        if drop < config.bump_drop:
-            continue
-        a = min(j, max(0, i - 2))
-        b = max(k, min(n - 1, i + 2))
-        signs = {samples[q].sign for q in range(a, b + 1)}
-        if len(signs) != 1 or 0 in signs:
-            continue
-        lo_i, hi_i = max(0, i - 2), min(n - 1, i + 2)
-        t_pair = (samples[lo_i].t, samples[hi_i].t)
-        out.append(
-            BumpWindow(
-                t_lo=min(t_pair),
-                t_hi=max(t_pair),
-                min_t=samples[i].t,
-                min_logmag=lm[i],
-                drop=drop,
-            )
+    i = np.flatnonzero((lm[1:-1] < lm[:-2]) & (lm[1:-1] <= lm[2:])) + 1
+    # each crest is the first sample, walking outward from the minimum,
+    # whose outward neighbour is lower, or the grid end
+    left = np.flatnonzero(np.r_[True, lm[:-1] < lm[1:]])
+    right = np.flatnonzero(np.r_[lm[1:] < lm[:-1], True])
+    crest_lo = left[np.searchsorted(left, i, side="right") - 1]
+    crest_hi = right[np.searchsorted(right, i)]
+    # a zero plateau reaching the grid end gives -inf - -inf; its sign-0
+    # minimum fails the sign test below
+    with np.errstate(invalid="ignore"):
+        drop = np.minimum(lm[crest_lo], lm[crest_hi]) - lm[i]
+    lo_i, hi_i = np.maximum(i - 2, 0), np.minimum(i + 2, n - 1)
+    a, b = np.minimum(crest_lo, lo_i), np.maximum(crest_hi, hi_i)
+    changes = np.r_[0, np.cumsum(signs[1:] != signs[:-1])]
+    keep = ~(drop < config.bump_drop) & (changes[a] == changes[b]) & (signs[i] != 0)
+    i, drop, lo_i, hi_i = i[keep], drop[keep], lo_i[keep], hi_i[keep]
+    return [
+        BumpWindow(t_lo=t_lo, t_hi=t_hi, min_t=t, min_logmag=m, drop=d)
+        for t_lo, t_hi, t, m, d in zip(
+            np.minimum(ts[lo_i], ts[hi_i]).tolist(),
+            np.maximum(ts[lo_i], ts[hi_i]).tolist(),
+            ts[i].tolist(),
+            lm[i].tolist(),
+            drop.tolist(),
         )
-    return out
+    ]
 
 
 def _brackets_and_exacts(
@@ -310,7 +337,7 @@ def _refine_bumps(
     """Re-scan bump windows a depth at a time; resolve, recurse, report, or discard.
 
     All windows of one depth are evaluated in one call. A window whose
-    re-scan shows sign changes hands its brackets on for bisection. Otherwise
+    re-scan shows sign changes hands its brackets on to be closed. Otherwise
     its dip must re-qualify under detect_bumps: a dip that flattened out is a
     complex pair and is dropped; one that persists is re-scanned at the next
     depth, or reported as an unresolved doublet at the depth limit.
@@ -329,7 +356,7 @@ def _refine_bumps(
                 brackets += brs
                 records += exacts
                 continue
-            for w in detect_bumps(_samples(grid, signs[part], logmags[part]), config):
+            for w in detect_bumps(grid, signs[part], logmags[part], config):
                 if depth < config.max_refine_depth:
                     nested.append(w)
                     continue
@@ -348,7 +375,7 @@ def _refine_bumps(
 
 
 def _merge_close(records: list[RootRecord]) -> list[RootRecord]:
-    """Collapse root pairs closer than the float resolution of bisection.
+    """Collapse root pairs closer than the float resolution of bracket closing.
 
     Two distinct records within _MERGE_TOL of each other are one doublet
     whose splitting is below achievable resolution; they merge into a
@@ -419,7 +446,7 @@ def find_roots(
 
     f maps a 1-D float array of t to a LogScaledValue of sign and logmag
     arrays; it is called on the master grid, on each refinement depth's
-    windows and on each lock-step bisection step. Returns every root found
+    windows and on each lock-step ITP step. Returns every root found
     in the window, in descending t (ascending energy) order; callers slice
     the leading n_levels levels after doublet expansion. Warns with
     LevelShortfallWarning when the window yields fewer levels than
@@ -433,7 +460,7 @@ def find_roots(
     ts = Z / (2.0 * np.linspace(s_lo, s_hi, n))
     signs, logmags = _evaluate(f, ts)
     brackets, records = _brackets_and_exacts(ts, signs, logmags)
-    windows = detect_bumps(_samples(ts, signs, logmags), cfg)
+    windows = detect_bumps(ts, signs, logmags, cfg)
     refined_brackets, refined = _refine_bumps(f, windows, cfg)
     # every bracket, from the master grid and from refinement, in one lock step
     records += refined + _close_brackets(f, brackets + refined_brackets, cfg.t_tol)

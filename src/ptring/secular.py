@@ -199,11 +199,6 @@ class TransferMatrix2:
     def trace(self) -> complex:
         return self.a + self.d
 
-    def det_stored(self) -> complex:
-        """a d - b c of the stored entries. Diagnostic only: the rescaling
-        makes this e^(-2 logscale), computed amid O(1) entries."""
-        return self.a * self.d - self.b * self.c
-
     def det_true(self) -> complex:
         return self.det_factors
 

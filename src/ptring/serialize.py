@@ -176,25 +176,6 @@ def potential_to_json(pot: CirclePotential) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_potential_json(text: str) -> CirclePotential:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"not a potential JSON document: {e}") from e
-    try:
-        segments = tuple(
-            (float(d["width"]), complex(0.0, float(d["im"])))
-            for d in obj["segments"]
-        )
-        return CirclePotential(
-            circumference=float(obj["circumference"]),
-            start=float(obj["start"]),
-            segments=segments,
-        )
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"potential JSON missing or malformed field: {e}") from e
-
-
 def potential_to_csv(pot: CirclePotential, samples: int) -> str:
     """Imaginary part of V on a uniform midpoint grid, columns s, im_V.
 

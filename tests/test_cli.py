@@ -291,8 +291,15 @@ def test_validate_rejects_m_other_than_1(capsys):
 
 
 def test_validate_free_limit(capsys):
+    """At Z = 1e-6 every t in [0.03, 1] gives E < 0: the agreement check
+    has no level to compare and says so, and the exit code follows the
+    free-limit check alone."""
     code, out, _err = _run(capsys, ["validate", "--Z", "1e-6"])
     assert code == 0
+    assert out.splitlines()[0] == (
+        "backend agreement on t in [0.03, 1.0]: skipped "
+        "(no real level in the window at Z=1e-06)"
+    )
     assert "free-limit spectrum: ok" in out
 
 

@@ -1,15 +1,11 @@
 """Geometry and symmetry of the alternating imaginary square-well family."""
 
-import cmath
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptring import (
     CirclePotential,
-    asymptotic_pt_imag,
     build_square_well,
     rotate_segments,
 )
@@ -158,21 +154,3 @@ def test_pt_symmetry_pointwise(m, z, x):
     if abs(x / h - round(x / h)) * h < 1e-9:
         return
     assert pot.value_at(-x) == pot.value_at(x).conjugate()
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    m=st.integers(min_value=1, max_value=4),
-    alpha=st.floats(min_value=0.05, max_value=3.0),
-    s=st.floats(min_value=-2.0, max_value=2.0),
-)
-def test_asymptotic_profile_is_pt(m, alpha, s):
-    v = asymptotic_pt_imag(m, alpha, s)
-    w = asymptotic_pt_imag(m, alpha, -s)
-    assert cmath.isclose(w, v.conjugate(), rel_tol=1e-12, abs_tol=1e-300)
-    assert abs(v) == pytest.approx(math.exp(-2 * m * alpha), rel=1e-12)
-
-
-def test_asymptotic_profile_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        asymptotic_pt_imag(1, 0.0, 0.5)

@@ -1,14 +1,17 @@
-"""Scanning, bisection, bump refinement, and full root discovery."""
+"""Scanning, bracket closing, bump refinement, and full root discovery."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_secular import EXPLICIT_ROOTS_Z1
 
 from ptring import (
+    BumpWindow,
     CirclePotential,
     LevelShortfallWarning,
     LogScaledValue,
@@ -28,6 +31,8 @@ from ptring import (
     secular_explicit,
     secular_monodromy,
 )
+import ptring.roots
+from ptring.roots import _close_brackets
 
 T_EXPLICIT_Z01 = [0.2219819562431546437372, 0.03467067057228565555074]
 # roots of the strictly periodic secular function at Z = 1
@@ -51,6 +56,31 @@ def _f_monodromy(Z, M=1):
 
 def _linear(root):
     return lambda t: LogScaledValue.from_float(t - root)
+
+
+def _steps(root, lo_logmag, hi_logmag, zero_until=None):
+    """Sign -1 below root and +1 above it (sign 0 on [root, zero_until]),
+    with constant log-magnitudes on each side."""
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        top = root if zero_until is None else zero_until
+        sign = np.where(t < root, -1, np.where(t > top, 1, 0))
+        logmag = np.where(sign < 0, lo_logmag, np.where(sign > 0, hi_logmag, -np.inf))
+        return LogScaledValue(sign, logmag)
+
+    return f
+
+
+def _counted(f):
+    """f, and the list of array sizes it was called with."""
+    sizes = []
+
+    def g(t):
+        sizes.append(np.size(t))
+        return f(t)
+
+    return g, sizes
 
 
 # --- ScanConfig -------------------------------------------------------------
@@ -110,7 +140,7 @@ def test_scan_wraps_evaluation_errors():
     assert ei.value.t == pytest.approx(0.1)
 
 
-# --- bisect ------------------------------------------------------------------
+# --- bisect and the lock-step closer -----------------------------------------
 
 
 def test_bisect_explicit_ground_z1():
@@ -142,22 +172,172 @@ def test_bisect_exact_midpoint_closes_bracket():
     assert (rec.t, rec.bracket_width) == (0.75, 0.0)
 
 
+def test_bisect_exact_step_point_closes_bracket():
+    # the first ITP point is regula falsi 0.6 truncated toward the midpoint
+    # 0.75 by 0.1, and lands on the zero run [0.65, 0.72]
+    f = _steps(0.65, 0.0, math.log(4.0), zero_until=0.72)
+    rec = bisect(f, (0.5, 1.0))
+    assert rec.bracket_width == 0.0
+    assert rec.t == pytest.approx(0.7, abs=1e-15)
+    assert rec.residual_logmag == float("-inf")
+    # in lock step beside a bracket closed by its exact end, each bracket
+    # still exits as it does alone
+    brackets = [(0.5, 1.0), (0.6, 0.66)]
+    assert _close_brackets(f, brackets, 1e-13) == [bisect(f, b) for b in brackets]
+
+
 def test_bisect_rejects_same_sign():
     with pytest.raises(ValueError):
         bisect(_linear(0.5), (0.6, 0.9))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    bracket=st.sampled_from([(0.3, 0.9), (0.02, 0.05), (0.0265, 0.02651)]),
+    where=st.one_of(
+        st.floats(min_value=1e-9, max_value=1.0 - 1e-9),
+        st.sampled_from([1e-9, 1e-6, 1e-4, 1.0 - 1e-4, 1.0 - 1e-6]),
+    ),
+    jump=st.sampled_from([-700.0, -30.0, -10.0, -2.0, 2.0, 10.0, 30.0, 700.0]),
+)
+def test_bisect_worst_case_bound(bracket, where, jump):
+    """A jump of the log-magnitude at the root, +700 nats included, skews
+    regula falsi toward one end; ITP still needs at most one step more
+    than bisection's count."""
+    lo, hi = bracket
+    root = lo + where * (hi - lo)
+    f, sizes = _counted(_steps(root, max(-jump, 0.0), max(jump, 0.0)))
+    rec = bisect(f, bracket, t_tol=1e-13)
+    # two ends, the bisection count plus n0 = 1 steps, and the residual
+    bound = math.ceil(math.log2((hi - lo) / (1e-13 * lo))) + 1 + 3
+    assert sum(sizes) <= bound
+    assert rec.bracket_width <= 1e-13 * hi
+    assert abs(rec.t - root) <= rec.bracket_width
+
+
+def _closer_brackets(f, Z, n_levels):
+    """The brackets find_roots hands its lock-step closer, from the master
+    scan and from bump refinement."""
+    seen = []
+
+    def spy(g, brackets, t_tol):
+        seen.extend(brackets)
+        return _close_brackets(g, brackets, t_tol)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(ptring.roots, "_close_brackets", spy)
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        find_roots(f, Z, n_levels)
+    return seen
+
+
+_CLOSE_CASES = {
+    "explicit-Z1": (_f_explicit(1.0), 1.0, 50),
+    "monodromy-M1": (_f_monodromy(2.5), 2.5, 18),
+    "monodromy-M8": (_f_monodromy(1.0, 8), 1.0, 18),
+}
+_CLOSE_POOLS = {name: _closer_brackets(*case) for name, case in _CLOSE_CASES.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_lock_step_equals_lone_brackets(data):
+    """Each record of one lock-step call equals bisect on its bracket alone,
+    and every bracket closes to width t_tol times its upper end."""
+    name = data.draw(st.sampled_from(sorted(_CLOSE_POOLS)))
+    pool = _CLOSE_POOLS[name]
+    picks = data.draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40)
+    )
+    brackets = [pool[i] for i in picks]
+    f = _CLOSE_CASES[name][0]
+    records = _close_brackets(f, brackets, 1e-13)
+    assert records == [bisect(f, b) for b in brackets]
+    for (lo, hi), r in zip(brackets, records):
+        assert lo <= r.t <= hi
+        assert r.bracket_width <= 1e-13 * hi
+
+
 # --- detect_bumps ------------------------------------------------------------
+
+
+def _detect_bumps_reference(samples, config):
+    """The sample-list loop detect_bumps replaced, kept as its oracle."""
+    n = len(samples)
+    if n < 3:
+        return []
+    lm = [s.logmag for s in samples]
+    out = []
+    for i in range(1, n - 1):
+        if not (lm[i] < lm[i - 1] and lm[i] <= lm[i + 1]):
+            continue
+        j = i
+        while j > 0 and lm[j - 1] >= lm[j]:
+            j -= 1
+        k = i
+        while k < n - 1 and lm[k + 1] >= lm[k]:
+            k += 1
+        drop = min(lm[j], lm[k]) - lm[i]
+        if drop < config.bump_drop:
+            continue
+        a = min(j, max(0, i - 2))
+        b = max(k, min(n - 1, i + 2))
+        signs = {samples[q].sign for q in range(a, b + 1)}
+        if len(signs) != 1 or 0 in signs:
+            continue
+        lo_i, hi_i = max(0, i - 2), min(n - 1, i + 2)
+        t_pair = (samples[lo_i].t, samples[hi_i].t)
+        out.append(
+            BumpWindow(
+                t_lo=min(t_pair),
+                t_hi=max(t_pair),
+                min_t=samples[i].t,
+                min_logmag=lm[i],
+                drop=drop,
+            )
+        )
+    return out
+
+
+_LOGMAG = st.one_of(
+    st.sampled_from([-1.0, 0.0, 2.0, 5.0]),
+    st.floats(min_value=-50.0, max_value=50.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.sampled_from([-1, 0, 1]),
+            st.lists(_LOGMAG, min_size=1, max_size=12),
+        ),
+        max_size=8,
+    ),
+    descending=st.booleans(),
+    drop=st.sampled_from([0.5, 3.0, 10.0]),
+)
+def test_detect_bumps_matches_sample_loop(runs, descending, drop):
+    """Runs of one sign, zeros (sign 0, logmag -inf), repeated values and
+    plateaus give the same windows as the sample-list loop."""
+    cfg = ScanConfig(t_min=0.1, t_max=1.0, initial_samples=16, bump_drop=drop)
+    signs = np.array([s for s, run in runs for _ in run], dtype=int)
+    logmags = np.array([-np.inf if s == 0 else v for s, run in runs for v in run])
+    ts = np.linspace(0.1, 1.0, signs.size)
+    if descending:
+        ts = ts[::-1]
+    samples = list(map(ScanSample, ts.tolist(), signs.tolist(), logmags.tolist()))
+    assert detect_bumps(ts, signs, logmags, cfg) == _detect_bumps_reference(
+        samples, cfg
+    )
 
 
 def test_detect_bumps_doublet_window():
     """The unresolved pair near t = 0.159 shows up as one deep dip."""
     cfg = ScanConfig(t_min=0.15, t_max=0.17, initial_samples=16)
-    samples = []
-    for t in np.linspace(0.15, 0.17, 11):
-        v = secular_explicit(1.0, float(t))
-        samples.append(ScanSample(float(t), v.sign, v.logmag))
-    wins = detect_bumps(samples, cfg)
+    ts = np.linspace(0.15, 0.17, 11)
+    v = secular_explicit(1.0, ts)
+    wins = detect_bumps(ts, v.sign, v.logmag, cfg)
     assert len(wins) == 1
     w = wins[0]
     assert w.t_lo < EXPLICIT_ROOTS_Z1[4] < EXPLICIT_ROOTS_Z1[3] < w.t_hi
@@ -166,26 +346,24 @@ def test_detect_bumps_doublet_window():
 
 def test_detect_bumps_monotone_is_empty():
     cfg = ScanConfig(t_min=0.1, t_max=1.0, initial_samples=16)
-    samples = [ScanSample(0.1 + 0.05 * i, 1, float(i)) for i in range(16)]
-    assert detect_bumps(samples, cfg) == []
+    ts = 0.1 + 0.05 * np.arange(16)
+    assert detect_bumps(ts, np.ones(16, dtype=int), np.arange(16.0), cfg) == []
 
 
 def test_detect_bumps_shallow_dip_rejected():
     cfg = ScanConfig(t_min=0.1, t_max=1.0, initial_samples=16)
-    lm = [2.0, 1.5, 1.0, 1.5, 2.0]
-    samples = [ScanSample(0.1 + 0.1 * i, 1, v) for i, v in enumerate(lm)]
-    assert detect_bumps(samples, cfg) == []
+    lm = np.array([2.0, 1.5, 1.0, 1.5, 2.0])
+    ts = 0.1 + 0.1 * np.arange(5)
+    assert detect_bumps(ts, np.ones(5, dtype=int), lm, cfg) == []
 
 
 def test_detect_bumps_requires_single_sign():
     cfg = ScanConfig(t_min=0.1, t_max=1.0, initial_samples=16)
-    lm = [4.0, 2.0, -3.0, 2.0, 4.0]
-    signs = [1, 1, -1, 1, 1]
-    samples = [
-        ScanSample(0.1 + 0.1 * i, s, v) for i, (s, v) in enumerate(zip(signs, lm))
-    ]
+    lm = np.array([4.0, 2.0, -3.0, 2.0, 4.0])
+    signs = np.array([1, 1, -1, 1, 1])
+    ts = 0.1 + 0.1 * np.arange(5)
     # the crossing channel owns this dip
-    assert detect_bumps(samples, cfg) == []
+    assert detect_bumps(ts, signs, lm, cfg) == []
 
 
 # --- find_roots --------------------------------------------------------------
@@ -200,6 +378,22 @@ def test_find_roots_explicit_z1_prefix():
         r.detection == "sign_change" and not r.unresolved_doublet for r in recs[:18]
     )
     assert [r.t for r in recs] == sorted((r.t for r in recs), reverse=True)
+
+
+@pytest.mark.parametrize(
+    "f,Z,calls",
+    [(_f_explicit(1.0), 1.0, 23), (_f_monodromy(1.0, 8), 1.0, 25)],
+    ids=["explicit-Z1", "monodromy-M8"],
+)
+def test_find_roots_batched_call_count(f, Z, calls):
+    """Master chunks, refinement depths, the bracket ends, every ITP step
+    and the residuals: a slower bracket closer fails here, not only in the
+    benchmark."""
+    g, sizes = _counted(f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        find_roots(g, Z, 18)
+    assert len(sizes) == calls
 
 
 def test_find_roots_explicit_z01():

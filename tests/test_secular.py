@@ -157,7 +157,8 @@ def test_monodromy_unit_determinant():
     assert abs(T.det_true() - 1) < 1e-12
     # at small logscale the entry-based extraction agrees with the
     # factor-accumulated value
-    assert abs(T.det_stored() * math.exp(2.0 * T.logscale) - T.det_true()) < 1e-10
+    stored = T.a * T.d - T.b * T.c
+    assert abs(stored * math.exp(2.0 * T.logscale) - T.det_true()) < 1e-10
 
 
 def test_monodromy_det_stable_at_large_logscale():
