@@ -33,7 +33,6 @@ from .secular import (
     SecularRealityError,
     SpectralPoint,
     TransferMatrix2,
-    build_Q,
     monodromy,
     secular_explicit,
     secular_monodromy,
@@ -61,48 +60,3 @@ from .spectrum import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CirclePotential",
-    "build_square_well",
-    "rotate_segments",
-    "BumpWindow",
-    "LevelShortfallWarning",
-    "RootRecord",
-    "ScanConfig",
-    "ScanSample",
-    "SecularEvaluationError",
-    "bisect",
-    "default_scan_config",
-    "detect_bumps",
-    "find_roots",
-    "level_count",
-    "scan_secular",
-    "LogScaledValue",
-    "SecularOverflowError",
-    "SecularRealityError",
-    "SpectralPoint",
-    "TransferMatrix2",
-    "build_Q",
-    "monodromy",
-    "secular_explicit",
-    "secular_monodromy",
-    "segment_propagator",
-    "SpectrumDocument",
-    "analysis_to_csv",
-    "fmt_float",
-    "parse_spectrum_csv",
-    "parse_spectrum_json",
-    "potential_to_csv",
-    "potential_to_json",
-    "scan_to_csv",
-    "spectrum_to_csv",
-    "spectrum_to_json",
-    "EnergyLevel",
-    "SpectrumReport",
-    "analyze_series",
-    "energies_from_roots",
-    "first_differences",
-    "quasi_degenerate_pairs",
-    "__version__",
-]

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage or domain error, 2 partial results (fewer
 real levels found than requested, or backend disagreement under
---backend both). The PT_CIRCLE_TOL environment variable overrides the
-secular reality tolerance used by both backends.
+--backend both). Every command solves square wells, whose secular
+functions are closed forms; PT_CIRCLE_TOL, which acts on the propagator
+product of other layouts only, has no effect here.
 """
 
 import argparse
@@ -232,6 +233,12 @@ def cmd_validate(args) -> int:
     else:
         print(f"backend agreement on {window}: ok ({len(recs_e)} roots)")
 
+    if args.Z > FREE_LIMIT_Z and not (recs_e or recs_m):
+        print(
+            f"nothing checked: no real level in the window, and the free-limit "
+            f"check needs Z <= {FREE_LIMIT_Z:g}"
+        )
+        return 1
     if args.Z <= FREE_LIMIT_Z:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LevelShortfallWarning)

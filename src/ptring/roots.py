@@ -41,8 +41,9 @@ import numpy as np
 _MASTER_DS = 5e-3
 _WINDOW_SAMPLES = 64
 _MERGE_TOL = 1e-12
-# Most t values handed to the secular callable in one call; the explicit
-# backend holds one 8x8 complex matrix (1 KiB) per point.
+# Most t values handed to the secular callable in one call, which bounds its
+# temporaries: a few dozen doubles per point for the closed forms, a few
+# complex 2x2 matrices per point for the propagator product.
 _EVAL_CHUNK = 1024
 # ITP truncation kappa1 (times the initial bracket width) and spare steps n0
 # over bisection's count; kappa2 is 2.

@@ -1,29 +1,32 @@
 """Secular functions whose real roots t_n determine the spectrum.
 
-Two independent backends are provided:
+The ring of a square well is 2M copies of one (+iZ, -iZ) cell, and both
+closures are elementary functions of the real cell trace tau:
 
-- secular_monodromy: for any M, the ordered product T of segment propagators
-  around the circle, with strictly periodic closure g(t) = 2 - tr(T)
-  (a periodic eigenstate exists where the unit-determinant monodromy has
-  eigenvalue 1, i.e. det(T - 1) = 2 - tr(T) = 0).
+- secular_monodromy: the strictly periodic closure g(t) = 2 - tr(T) of the
+  monodromy T once around the circle (a periodic eigenstate exists where
+  the unit-determinant monodromy has eigenvalue 1, i.e. det(T - 1) =
+  2 - tr(T) = 0). For a square well, tr T = 2 T_2M(tau/2) (Chebyshev);
+  any other layout takes the ordered product of segment propagators, with
+  a reality assertion on its value.
 
-- secular_explicit: M=1 only, the determinant of an eight-by-eight matching
-  system assembled from the per-segment sine/cosine ansatz. Its rows 3 and 4
-  couple the two inner half-waves through an energy-dependent unimodular
-  factor cos(kappa)/cos(kappa*), so this system is equivalent to a
-  quasi-periodic closure and its root set is NOT the periodic one; it is the
-  reference spectrum the regression suite pins. See README for the relation
-  between the two backends.
+- secular_explicit: M=1 only, the determinant of the eight-by-eight
+  matching system assembled from the per-segment sine/cosine ansatz, in
+  closed form. Its rows 3 and 4 couple the two inner half-waves through an
+  energy-dependent unimodular factor cos(kappa)/cos(kappa*), so this system
+  is equivalent to a quasi-periodic closure and its root set is NOT the
+  periodic one; it is the reference spectrum the regression suite pins. See
+  README for the relation between the two backends.
 
 Both backends substitute s = Z/(2t) and work at purely real energy
 E = s^2 - t^2; values are returned in sign/log-magnitude form to survive the
-huge dynamic range of the secular determinant.
+huge dynamic range of the secular functions.
 
 Both take t as a float or a 1-D float array. A float is evaluated as a
 one-point array and comes back as a scalar LogScaledValue; an array comes
 back as a LogScaledValue of sign and log-magnitude arrays. Every point is
-computed, rescaled and checked (finite, then real) on its own, so an array
-call equals the element-by-element calls.
+computed, rescaled and checked on its own, so an array call equals the
+element-by-element calls.
 """
 
 import math
@@ -35,10 +38,6 @@ import numpy as np
 from .potential import CirclePotential
 
 DEFAULT_REALITY_RTOL = 1e-8
-# Calibrated ceiling for LU determinant imaginary-part rounding noise, in
-# units of eps * exp(Hadamard row bound). Measured maximum over the working
-# (Z, t) domain is 0.29; 64 leaves two orders of margin.
-_NOISE_FLOOR_C = 64.0
 
 _TINY_KAPPA = 1e-150
 
@@ -80,7 +79,9 @@ def _check_finite(what: str, Z: float, ts: np.ndarray, finite: np.ndarray) -> No
 
 
 def reality_rtol() -> float:
-    """Reality tolerance, overridable via the PT_CIRCLE_TOL environment variable."""
+    """Reality tolerance of the propagator product, the secular_monodromy path
+    of layouts other than square wells; overridable via the PT_CIRCLE_TOL
+    environment variable."""
     raw = os.environ.get("PT_CIRCLE_TOL")
     if raw is None:
         return DEFAULT_REALITY_RTOL
@@ -140,14 +141,6 @@ class LogScaledValue:
         if np.any((sign == 0) & (logmag != -np.inf)):
             raise ValueError("zero value must carry logmag = -inf")
 
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.logmag)
-        except OverflowError:
-            return self.sign * float("inf")
-
     @classmethod
     def from_float(cls, x) -> "LogScaledValue":
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -157,12 +150,17 @@ class LogScaledValue:
 
 
 def _points(Z: float, t) -> tuple[SpectralPoint, bool]:
-    """The spectral points of t as a 1-D array, and whether t was a scalar."""
+    """The spectral points of t as a 1-D array, and whether t was a scalar.
+
+    An energy that leaves the double range is left infinite, for the
+    caller's finiteness check.
+    """
     scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim != 1:
         raise ValueError(f"t must be a float or a 1-D array, got shape {ts.shape}")
-    return SpectralPoint.from_zt(Z, ts), scalar
+    with np.errstate(over="ignore"):
+        return SpectralPoint.from_zt(Z, ts), scalar
 
 
 def _log_scaled(sign: np.ndarray, logmag: np.ndarray, scalar: bool) -> LogScaledValue:
@@ -264,15 +262,83 @@ def monodromy(pot: CirclePotential, point: SpectralPoint) -> TransferMatrix2:
     return T
 
 
-def secular_monodromy(pot: CirclePotential, Z: float, t) -> LogScaledValue:
-    """g(t) = 2 - tr(T) for the monodromy T, as a log-scaled real value.
+def _square_well_periods(pot: CirclePotential, Z: float) -> int:
+    """M for a square-well layout of 2M (+iZ, -iZ) cells, else 0.
 
-    The monodromy logscale is folded in (the returned value is e^L times the
-    normalized 2 e^(-L) - tr(T_scaled)), which leaves root positions intact.
-    Per point, raises SecularOverflowError unless the normalized value and
-    L are finite, then asserts |Im g| <= rtol (1 + |Re g|).
+    A square well has a multiple of four segments, all of one width,
+    alternating between +iZ and -iZ. Any rotation qualifies, because the
+    monodromy trace is cyclic.
     """
-    point, scalar = _points(Z, t)
+    widths = {width for width, _ in pot.segments}
+    ims = [value.imag for _, value in pot.segments]
+    if (
+        len(ims) % 4
+        or len(widths) != 1
+        or any(abs(abs(im) - Z) > 1e-12 * Z for im in ims)
+        or any(a * b > 0 for a, b in zip(ims, ims[1:]))
+    ):
+        return 0
+    return len(ims) // 4
+
+
+def _cell_trace(point: SpectralPoint, h: float):
+    """(2 - tau) e^(-2th), (2 + tau) e^(-2th) and 2th for one (+iZ, -iZ) cell.
+
+    The cell trace is real: with segment width h and |kappa|^2 = s^2 + t^2,
+    tau = 2 cos^2(sh) - 2 (E/|kappa|^2) sin^2(sh) + 4 (t^2/|kappa|^2) sinh^2(th).
+    It is taken through the factored forms
+    2 - tau = 4 (s^2 sin^2(sh) - t^2 sinh^2(th)) / |kappa|^2 and
+    2 + tau = 4 (s^2 cos^2(sh) + t^2 cosh^2(th)) / |kappa|^2,
+    which keep full relative precision at the band edge tau = 2; the
+    factor e^(-2th) keeps both finite at every t.
+    """
+    s, t = point.s, point.t
+    th = t * h
+    decay = np.exp(-th)
+    s_sin, s_cos = s * np.sin(s * h) * decay, s * np.cos(s * h) * decay
+    t_sinh = -0.5 * t * np.expm1(-2.0 * th)  # t sinh(th) e^(-th)
+    t_cosh = t - t_sinh
+    scale = 4.0 / (s * s + t * t)
+    minus = scale * (s_sin - t_sinh) * (s_sin + t_sinh)
+    plus = scale * (s_cos * s_cos + t_cosh * t_cosh)
+    return minus, plus, 2.0 * th
+
+
+def _periodic_closure(point: SpectralPoint, M: int, h: float):
+    """Sign and log-magnitude of 2 - tr T for T the product of 2M cells.
+
+    tr T = 2 T_2M(tau/2) (Chebyshev), which is even in tau; and 2 + tau > 0.
+    So 2 - tr T = 4 sin^2(M theta) where tau = 2 cos(theta), and
+    -4 sinh^2(M phi) where tau = 2 cosh(phi) > 2. tan(theta/2) and
+    tanh(phi/2) are sqrt(|2 - tau| / (2 + tau)), free of cancellation near
+    tau = 2.
+    """
+    minus, plus, two_th = _cell_trace(point, h)
+    band = minus >= 0.0
+    q = np.sqrt(np.abs(minus) / plus)
+    sign = np.empty(q.shape, dtype=int)
+    logmag = np.empty_like(q)
+    with np.errstate(divide="ignore"):  # an exact root: -inf
+        v = np.abs(np.sin(2.0 * M * np.arctan(q[band])))
+        sign[band] = np.where(v > 0.0, 1, 0)
+        logmag[band] = math.log(4.0) + 2.0 * np.log(v)
+        # phi = 2 artanh(q); for q > 1/2 through 1 - q^2 = 4 / (2 + tau)
+        out = ~band
+        qh = q[out]
+        phi = np.where(
+            qh <= 0.5,
+            2.0 * np.arctanh(np.minimum(qh, 0.5)),
+            2.0 * np.log1p(qh) + np.log(0.25 * plus[out]) + two_th[out],
+        )
+        y = M * phi
+        sign[out] = np.where(y > 0.0, -1, 0)
+        logmag[out] = 2.0 * (y + np.log(-np.expm1(-2.0 * y)))
+    return sign, logmag
+
+
+def _product_closure(pot: CirclePotential, point: SpectralPoint):
+    """Sign and log-magnitude of 2 - tr T from the propagator product."""
+    Z = point.Z
     # an overflowing propagator turns the value non-finite, checked below
     with np.errstate(over="ignore", invalid="ignore"):
         T = monodromy(pot, point)
@@ -290,103 +356,60 @@ def secular_monodromy(pot: CirclePotential, Z: float, t) -> LogScaledValue:
         )
     with np.errstate(divide="ignore"):  # Re g = 0 is an exact root: -inf
         logmag = T.logscale + np.log(np.abs(v.real))
-    return _log_scaled(np.sign(v.real).astype(int), logmag, scalar)
+    return np.sign(v.real).astype(int), logmag
 
 
-def build_Q(Z: float, t) -> np.ndarray:
-    """The eight-by-eight matching matrix of the four-segment (M=1) system.
+def secular_monodromy(pot: CirclePotential, Z: float, t) -> LogScaledValue:
+    """g(t) = 2 - tr(T) for the monodromy T, as a log-scaled real value.
 
-    Columns order the ansatz coefficients (A, B) per segment from -2:
-    far-left, near-left, near-right, far-right; psi = A sin(kappa x)
-    + B cos(kappa x) with the global coordinate x. Rows 1-2 match at x=-1,
-    rows 3-4 at x=0, rows 5-6 at x=+1, rows 7-8 close the circle at x=+-2.
-    Only the listed entries are nonzero; conjugate-paired positions hold
-    conjugate values with the signs encoded below. For an array of t the
-    result is the stack of shape t.shape + (8, 8).
+    A square-well layout (see _square_well_periods) takes the closed form in
+    the cell trace, which is real by construction. Any other layout takes
+    the propagator product: its logscale is folded in (the returned value
+    is e^L times the normalized 2 e^(-L) - tr(T_scaled)), and per point it
+    raises SecularOverflowError unless the normalized value and L are
+    finite, then asserts |Im g| <= rtol (1 + |Re g|). Either way a point
+    whose energy leaves the double range raises SecularOverflowError.
     """
-    point = SpectralPoint.from_zt(Z, t)
-    k = point.kappa
-    kc = np.conj(k)
-    sk, ck = np.sin(k), np.cos(k)
-    s2k, c2k = np.sin(2 * k), np.cos(2 * k)
-    skc, ckc = np.conj(sk), np.conj(ck)
-    s2kc, c2kc = np.conj(s2k), np.conj(c2k)
-
-    Q = np.zeros(np.shape(k) + (8, 8), dtype=complex)
-    # x = -1: psi and psi' continuity between far-left and near-left
-    Q[..., 0, 0], Q[..., 0, 1], Q[..., 0, 2], Q[..., 0, 3] = -sk, ck, skc, -ckc
-    Q[..., 1, 0], Q[..., 1, 1] = k * ck, k * sk
-    Q[..., 1, 2], Q[..., 1, 3] = -kc * ckc, -kc * skc
-    # x = 0: the inner-boundary rows; note the cos(kappa) weights, which make
-    # the system quasi-periodic rather than strictly periodic (see README)
-    Q[..., 2, 3], Q[..., 2, 5] = ckc, -ck
-    Q[..., 3, 2], Q[..., 3, 4] = kc * ckc, -k * ck
-    # x = +1: near-right to far-right
-    Q[..., 4, 4], Q[..., 4, 5], Q[..., 4, 6], Q[..., 4, 7] = sk, ck, -skc, -ckc
-    Q[..., 5, 4], Q[..., 5, 5] = k * ck, -k * sk
-    Q[..., 5, 6], Q[..., 5, 7] = -kc * ckc, kc * skc
-    # x = +-2: circular closure between far-right and far-left
-    Q[..., 6, 0], Q[..., 6, 1], Q[..., 6, 6], Q[..., 6, 7] = -s2k, c2k, -s2kc, -c2kc
-    Q[..., 7, 0], Q[..., 7, 1] = k * c2k, k * s2k
-    Q[..., 7, 6], Q[..., 7, 7] = -kc * c2kc, kc * s2kc
-    return Q
-
-
-# Conjugation pairing of the nonzero Q positions: each tuple is
-# (row, col, row', col', sign) asserting Q[row, col] == sign * conj(Q[row', col']).
-# This is the internal redundancy of the element list; the build_Q tests
-# verify it numerically.
-Q_CONJUGATE_PAIRS: tuple[tuple[int, int, int, int, int], ...] = (
-    (0, 0, 0, 2, -1), (0, 1, 0, 3, -1),
-    (1, 0, 1, 2, -1), (1, 1, 1, 3, -1),
-    (2, 3, 2, 5, -1), (3, 2, 3, 4, -1),
-    (4, 4, 4, 6, -1), (4, 5, 4, 7, -1),
-    (5, 4, 5, 6, -1), (5, 5, 5, 7, -1),
-    (6, 0, 6, 6, 1), (6, 1, 6, 7, -1),
-    (7, 0, 7, 6, -1), (7, 1, 7, 7, 1),
-    # cross-row ties between the two half-circle matchings
-    (0, 0, 4, 6, 1), (0, 1, 4, 7, -1),
-    (1, 0, 5, 6, -1), (1, 1, 5, 7, 1),
-)
+    point, scalar = _points(Z, t)
+    M = _square_well_periods(pot, Z)
+    if M:
+        _check_finite("monodromy secular value", Z, point.t, np.isfinite(point.E))
+        sign, logmag = _periodic_closure(point, M, pot.segments[0][0])
+    else:
+        sign, logmag = _product_closure(pot, point)
+    return _log_scaled(sign, logmag, scalar)
 
 
 def secular_explicit(Z: float, t) -> LogScaledValue:
-    """det Q via partial-pivot LU with log-accumulated pivots, M=1 only.
+    """The twisted closure of the four-segment (M=1) circle.
 
-    Per point, raises SecularOverflowError unless every entry of Q and the
-    determinant are finite. The determinant is then asserted real:
-    |Im| <= rtol |Re| plus a rounding floor of 64 eps exp(sum log ||row||),
-    below which the phase of a vanishing determinant is rounding noise;
-    both are taken per point. The returned log-magnitude is envelope
-    normalized by the smooth positive factor 8 (s^2 + t^2)^3, which gives
-    the value the cosh^6(t) / (2 t^4) small-t crest growth of the closed
-    form (verified numerically); roots and signs are unaffected.
+    This is the determinant of the eight-by-eight matching system whose
+    inner-boundary rows carry cos(kappa)/cos(kappa*) weights, in closed
+    form: with c = cos(kappa) and tau the trace of one unit-width cell,
+    det Q = |kappa|^4 (2 Re c - |c| tau)(2 Re c + |c| tau). The returned
+    value is det Q times the smooth positive envelope 8 |kappa|^6, which
+    gives the value the cosh^6(t) / (2 t^4) small-t crest growth; roots and
+    signs are unaffected. Per point, raises SecularOverflowError when the
+    energy leaves the double range.
     """
     point, scalar = _points(Z, t)
-    # overflowing entries of Q make it or its determinant non-finite,
-    # checked below
-    with np.errstate(over="ignore", invalid="ignore"):
-        Q = build_Q(Z, point.t)
-        # slogdet runs LAPACK getrf (partial pivoting) on each matrix
-        phase, logmag = np.linalg.slogdet(Q)
-    _check_finite(
-        "explicit secular determinant", Z, point.t,
-        np.isfinite(Q).all(axis=(-2, -1)) & ((phase == 0) | np.isfinite(logmag)),
-    )
-    rtol = reality_rtol()
-    with np.errstate(over="ignore"):  # an infinite floor: phase is all noise
-        # log of the Hadamard bound prod ||row||, without a complex temporary
-        rows = np.einsum("...ij,...ij->...i", Q.real, Q.real)
-        rows += np.einsum("...ij,...ij->...i", Q.imag, Q.imag)
-        hadamard = 0.5 * np.sum(np.log(rows), axis=-1)
-        floor = _NOISE_FLOOR_C * np.finfo(float).eps * np.exp(hadamard - logmag)
-    bad = np.flatnonzero(np.abs(phase.imag) > rtol * np.abs(phase.real) + floor)
-    if bad.size:
-        i = bad[0]
-        raise SecularRealityError(
-            "explicit secular determinant", Z, float(point.t[i]),
-            float(abs(phase.imag[i]) * math.exp(logmag[i])),
+    _check_finite("explicit secular value", Z, point.t, np.isfinite(point.E))
+    minus, plus, two_t = _cell_trace(point, 1.0)
+    s = point.s
+    decay = np.exp(-two_t)
+    sinh2 = (0.5 * np.expm1(-two_t)) ** 2  # sinh^2(t) e^(-2t)
+    c2 = np.cos(s) ** 2 * decay + sinh2  # |c|^2 e^(-2t)
+    rho = np.abs(np.cos(s)) * (0.5 + 0.5 * decay) / np.sqrt(c2)  # |Re c| / |c|
+    # 2 (1 - rho) e^(-2t), through 1 - rho^2 = (Im c)^2 / |c|^2
+    gap = 2.0 * np.sin(s) ** 2 * sinh2 / (c2 * (1.0 + rho)) * decay
+    lo, hi = minus - gap, plus - gap  # (2 rho -+ tau) e^(-2t)
+    with np.errstate(divide="ignore"):  # an exact root: -inf
+        logmag = (
+            math.log(8.0)
+            + 5.0 * np.log(s * s + point.t * point.t)
+            + np.log(c2)
+            + 3.0 * two_t
+            + np.log(np.abs(lo))
+            + np.log(np.abs(hi))
         )
-    sign = np.where(phase == 0, 0, np.where(phase.real > 0, 1, -1))
-    norm = math.log(8.0) + 3.0 * np.log(point.s * point.s + point.t * point.t)
-    return _log_scaled(sign, logmag + norm, scalar)
+    return _log_scaled((np.sign(lo) * np.sign(hi)).astype(int), logmag, scalar)

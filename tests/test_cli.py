@@ -62,6 +62,19 @@ def test_spectrum_monodromy_z1_partial(capsys):
     assert len(out.strip().split("\n")) == 1 + 13
 
 
+def test_spectrum_explicit_strong_coupling_has_no_spurious_levels(capsys):
+    """At Z = 16 every level has E >= -Z; an LU of the matching matrix that
+    cancels pivots to exact zeros above t = 18.8 once reported five levels
+    near E = -400 here."""
+    code, out, _err = _run(
+        capsys, ["spectrum", "--Z", "16", "--backend", "explicit", "--levels", "5"]
+    )
+    assert code in (0, 2)
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert rows
+    assert all(float(row[3]) >= -16.0 for row in rows)
+
+
 def test_spectrum_both_backends_disagree(capsys):
     """The eight-by-eight closure is quasi-periodic, the transfer-matrix
     closure strictly periodic, so their root sets differ by construction."""
@@ -153,8 +166,9 @@ def test_scan_monodromy_ground_crossing(capsys):
 
 @pytest.mark.parametrize("backend", ["explicit", "monodromy"])
 def test_scan_overflow_exits_1(capsys, backend):
+    """From t = 1.4e154 on, E = s^2 - t^2 leaves the double range."""
     code, out, err = _run(
-        capsys, ["scan", "--Z", "1", "--t-max", "1000", "--backend", backend]
+        capsys, ["scan", "--Z", "1", "--t-max", "1e200", "--backend", backend]
     )
     assert code == 1
     assert out == ""
@@ -301,6 +315,17 @@ def test_validate_free_limit(capsys):
         "(no real level in the window at Z=1e-06)"
     )
     assert "free-limit spectrum: ok" in out
+
+
+def test_validate_exits_1_when_nothing_is_checked(capsys):
+    """Between Z = 1e-3 (where the free-limit check stops) and about 0.0018
+    (where the first level enters t >= 0.03) neither check runs."""
+    code, out, _err = _run(capsys, ["validate", "--Z", "0.0015"])
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "nothing checked: no real level in the window, and the free-limit "
+        "check needs Z <= 0.001"
+    )
 
 
 def test_validate_z1_reports_backend_mismatch(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_secular import EXPLICIT_ROOTS_Z1
+from test_secular import EXPLICIT_ROOTS_Z1, NON_ALTERNATING
 
 from ptring import (
     BumpWindow,
@@ -382,7 +382,7 @@ def test_find_roots_explicit_z1_prefix():
 
 @pytest.mark.parametrize(
     "f,Z,calls",
-    [(_f_explicit(1.0), 1.0, 23), (_f_monodromy(1.0, 8), 1.0, 25)],
+    [(_f_explicit(1.0), 1.0, 25), (_f_monodromy(1.0, 8), 1.0, 19)],
     ids=["explicit-Z1", "monodromy-M8"],
 )
 def test_find_roots_batched_call_count(f, Z, calls):
@@ -394,6 +394,37 @@ def test_find_roots_batched_call_count(f, Z, calls):
         warnings.simplefilter("ignore", LevelShortfallWarning)
         find_roots(g, Z, 18)
     assert len(sizes) == calls
+
+
+@pytest.mark.parametrize("M", [8, 32])
+def test_find_roots_multicell_doublet_widths(M):
+    """Each record's level is a root of tau = 2 cos(pi j / M) (tau the cell
+    trace), computed at 40 digits; it lies within the record's
+    bracket_width of t. Interior-band levels (0 < j < M) are exact double
+    roots of 2 - tr T, each reported as one unresolved doublet, never as two
+    sign changes split by rounding."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+
+    def tau(t):
+        s = 1 / (2 * t)
+        k2, h = s * s + t * t, mp.mpf(1) / M
+        return (
+            2 * mp.cos(s * h) ** 2
+            - 2 * (s * s - t * t) / k2 * mp.sin(s * h) ** 2
+            + 4 * t * t / k2 * mp.sinh(t * h) ** 2
+        )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        recs = find_roots(_f_monodromy(1.0, M), 1.0, 18)
+    for r in recs:
+        band = M * mp.acos(max(min(tau(mp.mpf(r.t)) / 2, 1), -1)) / mp.pi
+        target = 2 * mp.cos(mp.pi * int(mp.nint(band)) / M)
+        root = mp.findroot(lambda t: tau(t) - target, mp.mpf(r.t))
+        assert abs(float(root) - r.t) <= r.bracket_width, r
+    crossings = sorted(r.t for r in recs if r.detection == "sign_change")
+    assert all(b - a > 1e-6 * a for a, b in zip(crossings, crossings[1:]))
 
 
 def test_find_roots_explicit_z01():
@@ -501,12 +532,19 @@ def test_scan_reality_error_carries_first_failing_t(monkeypatch):
     assert ej.value.t == first
 
 
-@pytest.mark.parametrize("backend", ["explicit", "monodromy"])
+@pytest.mark.parametrize("backend", ["explicit", "monodromy", "product"])
 def test_scan_overflow_error_carries_first_failing_t(backend):
     """A window reaching t where the secular value overflows fails at the
-    first overflowing grid point, as the pointwise calls do."""
-    f = _f_explicit(1.0) if backend == "explicit" else _f_monodromy(1.0)
-    cfg = ScanConfig(t_min=0.03, t_max=1000.0, initial_samples=256)
+    first overflowing grid point, as the pointwise calls do: from t = 710.x
+    on the propagator product, and where the energy leaves the double range
+    on the closed forms."""
+    f = {
+        "explicit": _f_explicit(1.0),
+        "monodromy": _f_monodromy(1.0),
+        "product": lambda t: secular_monodromy(NON_ALTERNATING, 1.0, t),
+    }[backend]
+    t_max = 1000.0 if backend == "product" else 1e200
+    cfg = ScanConfig(t_min=0.03, t_max=t_max, initial_samples=256)
     ts = np.linspace(cfg.t_min, cfg.t_max, cfg.initial_samples)
 
     def fails(t):

@@ -1,4 +1,6 @@
-"""Both secular backends against frozen reference roots and exact identities.
+"""Both secular backends against frozen reference roots, exact identities
+and the two independent oracles: the eight-by-eight matching matrix (by LU)
+for the twisted closure and the propagator product for the periodic one.
 
 Reference t values were computed independently at 40-digit precision with a
 multiprecision propagator and det evaluation, then frozen here; tests assert
@@ -21,7 +23,6 @@ from ptring import (
     SecularRealityError,
     SpectralPoint,
     TransferMatrix2,
-    build_Q,
     build_square_well,
     monodromy,
     rotate_segments,
@@ -29,7 +30,7 @@ from ptring import (
     secular_monodromy,
     segment_propagator,
 )
-from ptring.secular import Q_CONJUGATE_PAIRS
+from ptring.secular import _product_closure
 
 # 22-digit roots of the eight-by-eight determinant at Z = 1, ascending E
 EXPLICIT_ROOTS_Z1 = [
@@ -56,6 +57,13 @@ EXPLICIT_ROOTS_Z01 = [0.2219819562431546437372, 0.03467067057228565555074]
 # roots of the strictly periodic (transfer-matrix) secular function
 MONODROMY_GROUND_Z1 = 0.6780547977525431307031
 MONODROMY_GROUND_Z01 = 0.2226769781898852005535
+# PT-symmetric but not alternating, so secular_monodromy takes the
+# propagator product; its unit-width propagators overflow from t = 710.x
+NON_ALTERNATING = CirclePotential(
+    circumference=4.0,
+    start=-2.0,
+    segments=((1.0, 1j), (1.0, 1j), (1.0, -1j), (1.0, -1j)),
+)
 
 
 def _sign_flips(f, t0, rel=1e-6):
@@ -90,9 +98,9 @@ def test_spectral_point_domain(z, t):
 def test_log_scaled_value_roundtrip():
     v = LogScaledValue.from_float(-123.456)
     assert v.sign == -1
-    assert v.value() == pytest.approx(-123.456, rel=1e-15)
+    assert math.exp(v.logmag) == pytest.approx(123.456, rel=1e-15)
     z = LogScaledValue.from_float(0.0)
-    assert z.sign == 0 and z.value() == 0.0
+    assert z.sign == 0 and z.logmag == -math.inf
     assert type(v.sign) is int and type(v.logmag) is float
 
 
@@ -202,9 +210,9 @@ def test_monodromy_rejects_mismatched_coupling():
 @pytest.mark.parametrize("M", [1, 2, 4, 6])
 @pytest.mark.parametrize("Z", [0.1, 1.0, 10.0])
 def test_reality_never_fires_on_family(M, Z):
+    """On the propagator product, which square wells reach only here."""
     pot = build_square_well(M, Z)
-    for t in np.linspace(0.02, 2.0, 100):
-        secular_monodromy(pot, Z, float(t))
+    _product_closure(pot, SpectralPoint.from_zt(Z, np.linspace(0.02, 2.0, 100)))
 
 
 def test_reality_fires_on_pt_broken_layouts():
@@ -219,12 +227,7 @@ def test_reality_fires_on_pt_broken_layouts():
 
 
 def test_reality_accepts_pt_symmetric_non_alternating():
-    pot = CirclePotential(
-        circumference=4.0,
-        start=-2.0,
-        segments=((1.0, 1j), (1.0, 1j), (1.0, -1j), (1.0, -1j)),
-    )
-    v = secular_monodromy(pot, 1.0, 0.4)
+    v = secular_monodromy(NON_ALTERNATING, 1.0, 0.4)
     assert v.sign in (-1, 1)
 
 
@@ -259,23 +262,27 @@ def test_scalar_call_returns_python_scalars():
         assert type(v.sign) is int and type(v.logmag) is float
 
 
+def _closure(backend, M=1):
+    """The square-well closures by backend name, and "product" for the
+    propagator product on NON_ALTERNATING, all at Z = 1."""
+    pot = build_square_well(M, 1.0)
+    return {
+        "explicit": lambda t: secular_explicit(1.0, t),
+        "monodromy": lambda t: secular_monodromy(pot, 1.0, t),
+        "product": lambda t: secular_monodromy(NON_ALTERNATING, 1.0, t),
+    }[backend]
+
+
 @pytest.mark.parametrize(
     "backend,first_bad",
-    # sin/cos(2 kappa) in Q overflow from t = 354.x; the unit-width
-    # propagators of M=1 from t = 710.x
-    [("explicit", 360.0), ("monodromy", 800.0)],
+    # the closed forms fail only where E = s^2 - t^2 leaves the double range
+    [("product", 800.0), ("explicit", 1e155), ("monodromy", 1e155)],
 )
 def test_overflow_raises_at_first_failing_t(backend, first_bad):
     """Overflow is an error naming the first failing t, never a NaN value
     or a numpy warning."""
-    pot = build_square_well(1, 1.0)
-
-    def f(t):
-        if backend == "explicit":
-            return secular_explicit(1.0, t)
-        return secular_monodromy(pot, 1.0, t)
-
-    ts = np.array([1.0, 300.0, 360.0, 700.0, 800.0, 1000.0])
+    f = _closure(backend)
+    ts = np.array([1.0, 300.0, 360.0, 700.0, 800.0, 1000.0, 1e155, 1e200])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         ok = f(ts[ts < first_bad])
@@ -284,7 +291,20 @@ def test_overflow_raises_at_first_failing_t(backend, first_bad):
             f(ts)
         assert ei.value.t == first_bad
         with pytest.raises(OverflowError):
-            f(1000.0)
+            f(1e200)
+
+
+@pytest.mark.parametrize("backend,M", [("explicit", 1), ("monodromy", 1), ("monodromy", 32)])
+def test_square_well_closures_finite_to_t_1000(backend, M):
+    """The closed forms stay finite, nonzero and warning-free past t = 710,
+    where the propagators overflow; the LU of the matching matrix returned
+    exact zeros at most t above 18.8 (778 of 991 points on [1, 100])."""
+    ts = np.r_[np.linspace(1.0, 100.0, 991), np.linspace(100.0, 1000.0, 901)[1:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = _closure(backend, M)(ts)
+    assert np.isfinite(v.logmag).all()
+    assert (v.sign != 0).all()
 
 
 def test_reality_tolerance_env_override(monkeypatch):
@@ -302,7 +322,99 @@ def test_reality_tolerance_env_override(monkeypatch):
         secular_monodromy(asym, 1.0, 0.4)
 
 
-# --- the eight-by-eight system ---------------------------------------------
+# --- oracles -----------------------------------------------------------------
+
+
+def build_Q(Z: float, t) -> np.ndarray:
+    """The eight-by-eight matching matrix of the four-segment (M=1) system.
+
+    Columns order the ansatz coefficients (A, B) per segment from -2:
+    far-left, near-left, near-right, far-right; psi = A sin(kappa x)
+    + B cos(kappa x) with the global coordinate x. Rows 1-2 match at x=-1,
+    rows 3-4 at x=0, rows 5-6 at x=+1, rows 7-8 close the circle at x=+-2.
+    Only the listed entries are nonzero; conjugate-paired positions hold
+    conjugate values with the signs encoded below. For an array of t the
+    result is the stack of shape t.shape + (8, 8).
+    """
+    point = SpectralPoint.from_zt(Z, t)
+    k = point.kappa
+    kc = np.conj(k)
+    sk, ck = np.sin(k), np.cos(k)
+    s2k, c2k = np.sin(2 * k), np.cos(2 * k)
+    skc, ckc = np.conj(sk), np.conj(ck)
+    s2kc, c2kc = np.conj(s2k), np.conj(c2k)
+
+    Q = np.zeros(np.shape(k) + (8, 8), dtype=complex)
+    # x = -1: psi and psi' continuity between far-left and near-left
+    Q[..., 0, 0], Q[..., 0, 1], Q[..., 0, 2], Q[..., 0, 3] = -sk, ck, skc, -ckc
+    Q[..., 1, 0], Q[..., 1, 1] = k * ck, k * sk
+    Q[..., 1, 2], Q[..., 1, 3] = -kc * ckc, -kc * skc
+    # x = 0: the inner-boundary rows; note the cos(kappa) weights, which make
+    # the system quasi-periodic rather than strictly periodic (see README)
+    Q[..., 2, 3], Q[..., 2, 5] = ckc, -ck
+    Q[..., 3, 2], Q[..., 3, 4] = kc * ckc, -k * ck
+    # x = +1: near-right to far-right
+    Q[..., 4, 4], Q[..., 4, 5], Q[..., 4, 6], Q[..., 4, 7] = sk, ck, -skc, -ckc
+    Q[..., 5, 4], Q[..., 5, 5] = k * ck, -k * sk
+    Q[..., 5, 6], Q[..., 5, 7] = -kc * ckc, kc * skc
+    # x = +-2: circular closure between far-right and far-left
+    Q[..., 6, 0], Q[..., 6, 1], Q[..., 6, 6], Q[..., 6, 7] = -s2k, c2k, -s2kc, -c2kc
+    Q[..., 7, 0], Q[..., 7, 1] = k * c2k, k * s2k
+    Q[..., 7, 6], Q[..., 7, 7] = -kc * c2kc, kc * s2kc
+    return Q
+
+
+# Conjugation pairing of the nonzero Q positions: each tuple is
+# (row, col, row', col', sign) asserting Q[row, col] == sign * conj(Q[row', col']).
+Q_CONJUGATE_PAIRS: tuple[tuple[int, int, int, int, int], ...] = (
+    (0, 0, 0, 2, -1), (0, 1, 0, 3, -1),
+    (1, 0, 1, 2, -1), (1, 1, 1, 3, -1),
+    (2, 3, 2, 5, -1), (3, 2, 3, 4, -1),
+    (4, 4, 4, 6, -1), (4, 5, 4, 7, -1),
+    (5, 4, 5, 6, -1), (5, 5, 5, 7, -1),
+    (6, 0, 6, 6, 1), (6, 1, 6, 7, -1),
+    (7, 0, 7, 6, -1), (7, 1, 7, 7, 1),
+    # cross-row ties between the two half-circle matchings
+    (0, 0, 4, 6, 1), (0, 1, 4, 7, -1),
+    (1, 0, 5, 6, -1), (1, 1, 5, 7, 1),
+)
+
+
+@pytest.mark.parametrize("Z", [0.1, 1.0, 4.0, 10.0])
+def test_explicit_equals_matching_determinant(Z):
+    """secular_explicit is det Q times 8 |kappa|^6, here by partial-pivot
+    LU (numpy slogdet) on t in [0.03, 5], below where the LU starts to
+    cancel pivots to zero."""
+    ts = np.geomspace(0.03, 5.0, 400)
+    phase, logdet = np.linalg.slogdet(build_Q(Z, ts))
+    p = SpectralPoint.from_zt(Z, ts)
+    v = secular_explicit(Z, ts)
+    assert v.sign.tolist() == np.sign(phase.real).astype(int).tolist()
+    want = logdet + math.log(8.0) + 3.0 * np.log(p.s**2 + p.t**2)
+    np.testing.assert_allclose(v.logmag, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 8, 32])
+@pytest.mark.parametrize("Z", [0.1, 1.0, 10.0])
+def test_periodic_closure_equals_propagator_product(M, Z):
+    """The Chebyshev closed form of a square well against 2 - tr T from the
+    product of its 4M propagators, for the layout and a rotation of it.
+
+    Signs agree where |g| > e^-20. Values agree to 1e-9 relative plus the
+    product's rounding floor: about 2 eps e^L per segment was measured
+    (L its logscale), and the floor allows 16, which leaves the log-magnitude
+    within 1e-9 wherever |g| exceeds 1e-6 e^L."""
+    pot = build_square_well(M, Z)
+    ts = np.geomspace(0.02, 5.0, 1000)
+    T = monodromy(pot, SpectralPoint.from_zt(Z, ts))
+    g = (2.0 * np.exp(-T.logscale) - T.trace()).real  # g e^-L
+    floor = 64 * M * np.finfo(float).eps
+    for layout in (pot, rotate_segments(pot, 1)):
+        v = secular_monodromy(layout, Z, ts)
+        big = np.log(np.abs(g)) + T.logscale > -20.0
+        assert (v.sign[big] == np.sign(g[big])).all()
+        diff = np.abs(v.sign * np.exp(v.logmag - T.logscale) - g)
+        assert (diff <= 1e-9 * np.abs(g) + floor).all()
 
 
 def test_q_matrix_shape_and_sparsity():
