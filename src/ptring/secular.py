@@ -396,10 +396,11 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     _check_finite("explicit secular value", Z, point.t, np.isfinite(point.E))
     minus, plus, two_t = _cell_trace(point, 1.0)
     s = point.s
+    cos_s = np.cos(s)
     decay = np.exp(-two_t)
     sinh2 = (0.5 * np.expm1(-two_t)) ** 2  # sinh^2(t) e^(-2t)
-    c2 = np.cos(s) ** 2 * decay + sinh2  # |c|^2 e^(-2t)
-    rho = np.abs(np.cos(s)) * (0.5 + 0.5 * decay) / np.sqrt(c2)  # |Re c| / |c|
+    c2 = cos_s * cos_s * decay + sinh2  # |c|^2 e^(-2t)
+    rho = np.abs(cos_s) * (0.5 + 0.5 * decay) / np.sqrt(c2)  # |Re c| / |c|
     # 2 (1 - rho) e^(-2t), through 1 - rho^2 = (Im c)^2 / |c|^2
     gap = 2.0 * np.sin(s) ** 2 * sinh2 / (c2 * (1.0 + rho)) * decay
     lo, hi = minus - gap, plus - gap  # (2 rho -+ tau) e^(-2t)
