@@ -6,6 +6,7 @@ alternating between +iZ and -iZ, the first segment (starting at -2) carrying
 away from segment boundaries.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,26 @@ class CirclePotential:
             raise ValueError(
                 f"segment widths sum to {total!r}, expected {self.circumference!r}"
             )
+
+    @functools.cached_property
+    def cell_layout(self) -> tuple[int, float, float] | None:
+        """(M, smallest |Im V|, largest |Im V|) for 2M alternating cells, else None.
+
+        A square well has a multiple of four segments, all of one width,
+        alternating between positive and negative Im V; any rotation
+        qualifies. Whether every |Im V| equals the coupling Z depends on Z,
+        so that check is the caller's. Computed once per potential: the
+        cached value is no field, so equality, hashing and repr ignore it.
+        """
+        ims = [value.imag for _, value in self.segments]
+        if (
+            len(ims) % 4
+            or len({width for width, _ in self.segments}) != 1
+            or any(a * b > 0 for a, b in zip(ims, ims[1:]))
+        ):
+            return None
+        mags = [abs(im) for im in ims]
+        return len(ims) // 4, min(mags), max(mags)
 
     def boundaries(self) -> list[float]:
         """All segment edges from start to start + circumference."""

@@ -6,6 +6,12 @@ stage evaluates whole arrays: the master grid (in chunks of at most
 _EVAL_CHUNK points), all bump windows of one refinement depth together,
 and one ITP step of every open bracket together.
 
+Every stage works on the reduced value r = g / u, where g is f's value and
+u its double_factor (u = 1 when the value carries none, so r = g). r has a
+simple root at every root of u, where g has a double one; a root counts
+twice exactly when u changes sign across its closed bracket or vanishes
+there.
+
 The spectrum is found on a master grid that is uniform in s = Z/(2t) (so the
 energy resolution is roughly uniform), with two detection channels:
 
@@ -49,6 +55,9 @@ _EVAL_CHUNK = 1024
 # over bisection's count; kappa2 is 2.
 _ITP_KAPPA1 = 0.2
 _ITP_N0 = 1
+# Least bracket_width reported for a closed bracket, in ulps of its t: the
+# sign of a computed value is rounding noise within a few ulps of its root
+_WIDTH_FLOOR_ULPS = 8
 
 
 class SecularEvaluationError(RuntimeError):
@@ -104,11 +113,14 @@ class ScanSample:
 
 @dataclass(frozen=True)
 class RootRecord:
-    """One located root (or unresolved root pair) of the secular function.
+    """One located root (or root pair) of the secular function.
 
     bracket_width is the final uncertainty interval; residual_logmag is
-    log|F| at the reported t. detection is "sign_change" or "bump"; a bump
-    record has unresolved_doublet=True and stands for two levels.
+    log|r| at the reported t, r the reduced value (see find_roots).
+    detection is "sign_change" or "bump". unresolved_doublet=True means
+    the record stands for two levels: a bump that never split, two sign
+    changes closer than bracket resolution, or an exact degeneracy (a root
+    of the value's double factor).
     """
 
     t: float
@@ -131,14 +143,17 @@ class BumpWindow:
 
 def _evaluate(
     f: Callable[[np.ndarray], object], ts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and log-magnitudes of f over the 1-D array ts, chunk by chunk.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Signs and log-magnitudes of f over the 1-D array ts, chunk by chunk,
+    then those of its double factor (None when no chunk's value carries
+    one; sign 1 and logmag 0 in a chunk without one).
 
     An error raised by f is wrapped in SecularEvaluationError, carrying the
     cause's own t when it has one and the chunk's first t otherwise.
     """
     signs = np.empty(ts.size, dtype=int)
     logmags = np.empty(ts.size)
+    u_signs = u_logmags = None
     for i in range(0, ts.size, _EVAL_CHUNK):
         chunk = ts[i : i + _EVAL_CHUNK]
         try:
@@ -152,15 +167,38 @@ def _evaluate(
             ) from e
         signs[i : i + chunk.size] = v.sign
         logmags[i : i + chunk.size] = v.logmag
-    return signs, logmags
+        u = v.double_factor
+        if u is not None:
+            if u_signs is None:
+                u_signs, u_logmags = np.ones(ts.size, dtype=int), np.zeros(ts.size)
+            u_signs[i : i + chunk.size] = u.sign
+            u_logmags[i : i + chunk.size] = u.logmag
+    return signs, logmags, u_signs, u_logmags
+
+
+def _reduced(
+    f: Callable[[np.ndarray], object], ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sign and log-magnitude of r = g / u over ts, and the sign of u, for g
+    the value of f and u its double factor (u = 1 without one, so r = g).
+
+    r has a simple root at each root of u; an exact zero of u is one of r.
+    """
+    signs, logmags, u_signs, u_logmags = _evaluate(f, ts)
+    if u_signs is None:
+        return signs, logmags, np.ones(signs.size, dtype=int)
+    r_logmags = np.full(ts.size, -np.inf)
+    np.subtract(logmags, u_logmags, out=r_logmags, where=u_signs != 0)
+    return signs * u_signs, r_logmags, u_signs
 
 
 def scan_secular(
     f: Callable[[np.ndarray], object], config: ScanConfig
 ) -> list[ScanSample]:
-    """Tabulate sign and log-magnitude on a uniform t grid over the window."""
+    """Tabulate sign and log-magnitude of f itself on a uniform t grid over
+    the window."""
     ts = np.linspace(config.t_min, config.t_max, config.initial_samples)
-    signs, logmags = _evaluate(f, ts)
+    signs, logmags, _, _ = _evaluate(f, ts)
     return list(map(ScanSample, ts.tolist(), signs.tolist(), logmags.tolist()))
 
 
@@ -193,8 +231,9 @@ def _close_brackets(
             raise ValueError(f"need 0 < lo < hi, got ({a!r}, {b!r})")
     lo, hi = np.array(ends).T.copy()
     n = lo.size
-    end_signs, end_logmags = _evaluate(f, np.concatenate([lo, hi]))
+    end_signs, end_logmags, end_u = _reduced(f, np.concatenate([lo, hi]))
     sign_lo, sign_hi = end_signs[:n], end_signs[n:]
+    u_lo, u_hi = end_u[:n].copy(), end_u[n:].copy()
     logmag_lo, logmag_hi = end_logmags[:n].copy(), end_logmags[n:].copy()
     exact_lo = sign_lo == 0
     exact_hi = ~exact_lo & (sign_hi == 0)
@@ -235,26 +274,39 @@ def _close_brackets(
         # never outgrows (eps - ulp) 2^(n_max - j)
         r = np.maximum(eps_r[step] * 2.0 ** (n_max[step] - j) - 0.5 * (b - a), 0.0)
         x = np.where(np.abs(xt - m) <= r, xt, m - sigma * r)
-        signs, logmags = _evaluate(f, x)
+        signs, logmags, us = _reduced(f, x)
         zero = signs == 0
         to_lo = zero | (signs == sign_lo[step])
         to_hi = zero | ~to_lo
-        lo[step[to_lo]] = x[to_lo]
-        logmag_lo[step[to_lo]] = logmags[to_lo]
-        hi[step[to_hi]] = x[to_hi]
-        logmag_hi[step[to_hi]] = logmags[to_hi]
+        i = step[to_lo]
+        lo[i], logmag_lo[i], u_lo[i] = x[to_lo], logmags[to_lo], us[to_lo]
+        i = step[to_hi]
+        hi[i], logmag_hi[i], u_hi[i] = x[to_hi], logmags[to_hi], us[to_hi]
         j += 1
     # the residual of a bracket whose end is exact is that end's own value
     t = np.where(exact_lo, lo, np.where(exact_hi, hi, 0.5 * (lo + hi)))
-    width = np.where(closing, hi - lo, 0.0)
+    width = np.where(
+        closing & (lo < hi), np.maximum(hi - lo, _WIDTH_FLOOR_ULPS * np.spacing(t)), 0.0
+    )
+    # the root is a root of u (two levels) where u changes sign across the
+    # closed bracket or is zero at its end; an exact root is its own bracket
+    u_lo = np.where(exact_hi, u_hi, u_lo)
+    u_hi = np.where(exact_lo, u_lo, u_hi)
+    doublet = u_lo * u_hi <= 0
     residual = np.where(exact_lo, end_logmags[:n], end_logmags[n:])
     closed = np.flatnonzero(closing)
-    residual[closed] = _evaluate(f, t[closed])[1]
+    residual[closed] = _reduced(f, t[closed])[1]
     return [
         RootRecord(
-            t=ti, residual_logmag=ri, bracket_width=wi, detection="sign_change"
+            t=ti,
+            residual_logmag=ri,
+            bracket_width=wi,
+            detection="sign_change",
+            unresolved_doublet=di,
         )
-        for ti, ri, wi in zip(t.tolist(), residual.tolist(), width.tolist())
+        for ti, ri, wi, di in zip(
+            t.tolist(), residual.tolist(), width.tolist(), doublet.tolist()
+        )
     ]
 
 
@@ -316,16 +368,25 @@ def detect_bumps(
 
 
 def _brackets_and_exacts(
-    ts: np.ndarray, signs: np.ndarray, logmags: np.ndarray
+    ts: np.ndarray, signs: np.ndarray, logmags: np.ndarray, u_signs: np.ndarray
 ) -> tuple[list[tuple[float, float]], list[RootRecord]]:
-    """Sign-change brackets between neighbours, and exact (sign 0) roots."""
+    """Sign-change brackets between neighbours, and exact (sign 0) roots;
+    an exact root where u is zero too stands for two levels."""
     i = np.flatnonzero(signs[:-1] * signs[1:] < 0)
     lo = np.minimum(ts[i], ts[i + 1])
     hi = np.maximum(ts[i], ts[i + 1])
     zero = signs == 0
     exacts = [
-        RootRecord(t=t, residual_logmag=lm, bracket_width=0.0, detection="sign_change")
-        for t, lm in zip(ts[zero].tolist(), logmags[zero].tolist())
+        RootRecord(
+            t=t,
+            residual_logmag=lm,
+            bracket_width=0.0,
+            detection="sign_change",
+            unresolved_doublet=u == 0,
+        )
+        for t, lm, u in zip(
+            ts[zero].tolist(), logmags[zero].tolist(), u_signs[zero].tolist()
+        )
     ]
     return list(zip(lo.tolist(), hi.tolist())), exacts
 
@@ -348,11 +409,13 @@ def _refine_bumps(
     depth = 1
     while windows:
         grids = [np.linspace(w.t_lo, w.t_hi, _WINDOW_SAMPLES) for w in windows]
-        signs, logmags = _evaluate(f, np.concatenate(grids))
+        signs, logmags, us = _reduced(f, np.concatenate(grids))
         nested = []
         for j, grid in enumerate(grids):
             part = slice(j * _WINDOW_SAMPLES, (j + 1) * _WINDOW_SAMPLES)
-            brs, exacts = _brackets_and_exacts(grid, signs[part], logmags[part])
+            brs, exacts = _brackets_and_exacts(
+                grid, signs[part], logmags[part], us[part]
+            )
             if brs or exacts:
                 brackets += brs
                 records += exacts
@@ -446,8 +509,9 @@ def find_roots(
     """Locate the real secular roots covering the lowest n_levels levels.
 
     f maps a 1-D float array of t to a LogScaledValue of sign and logmag
-    arrays; it is called on the master grid, on each refinement depth's
-    windows and on each lock-step ITP step. Returns every root found
+    arrays, optionally with a double factor u; it is called on the master
+    grid, on each refinement depth's windows and on each lock-step ITP
+    step, and every stage works on r = g / u. Returns every root found
     in the window, in descending t (ascending energy) order; callers slice
     the leading n_levels levels after doublet expansion. Warns with
     LevelShortfallWarning when the window yields fewer levels than
@@ -459,8 +523,8 @@ def find_roots(
     s_hi = Z / (2.0 * cfg.t_min)
     n = max(cfg.initial_samples, math.ceil((s_hi - s_lo) / _MASTER_DS) + 1)
     ts = Z / (2.0 * np.linspace(s_lo, s_hi, n))
-    signs, logmags = _evaluate(f, ts)
-    brackets, records = _brackets_and_exacts(ts, signs, logmags)
+    signs, logmags, us = _reduced(f, ts)
+    brackets, records = _brackets_and_exacts(ts, signs, logmags, us)
     windows = detect_bumps(ts, signs, logmags, cfg)
     refined_brackets, refined = _refine_bumps(f, windows, cfg)
     # every bracket, from the master grid and from refinement, in one lock step

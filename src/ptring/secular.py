@@ -6,9 +6,10 @@ closures are elementary functions of the real cell trace tau:
 - secular_monodromy: the strictly periodic closure g(t) = 2 - tr(T) of the
   monodromy T once around the circle (a periodic eigenstate exists where
   the unit-determinant monodromy has eigenvalue 1, i.e. det(T - 1) =
-  2 - tr(T) = 0). For a square well, tr T = 2 T_2M(tau/2) (Chebyshev);
-  any other layout takes the ordered product of segment propagators, with
-  a reality assertion on its value.
+  2 - tr(T) = 0). For a square well, tr T = 2 T_2M(tau/2) (Chebyshev),
+  and for M > 1 the value carries the factor U_(M-1)(tau/2) whose roots
+  are its double roots; any other layout takes the ordered product of
+  segment propagators, with a reality assertion on its value.
 
 - secular_explicit: M=1 only, the determinant of the eight-by-eight
   matching system assembled from the per-segment sine/cosine ansatz, in
@@ -71,13 +72,6 @@ class SecularOverflowError(OverflowError):
         self.t = t
 
 
-def _check_finite(what: str, Z: float, ts: np.ndarray, finite: np.ndarray) -> None:
-    """Raise SecularOverflowError at the first t whose point is not finite."""
-    bad = np.flatnonzero(~finite)
-    if bad.size:
-        raise SecularOverflowError(what, Z, float(ts[bad[0]]))
-
-
 def reality_rtol() -> float:
     """Reality tolerance of the propagator product, the secular_monodromy path
     of layouts other than square wells; overridable via the PT_CIRCLE_TOL
@@ -112,14 +106,22 @@ class SpectralPoint:
 
     @classmethod
     def from_zt(cls, Z: float, t) -> "SpectralPoint":
+        """The point of (Z, t). Raises ValueError unless Z > 0 and t > 0, and
+        SecularOverflowError at the first t whose energy leaves the double
+        range (t above about 1.3e154, or s = Z/(2t) overflowing)."""
         if not Z > 0:
             raise ValueError(f"Z must be positive, got {Z!r}")
         bad = np.flatnonzero(~(np.asarray(t) > 0))
         if bad.size:
             first = float(np.ravel(t)[bad[0]])
             raise ValueError(f"t must be positive, got {first!r}")
-        s = Z / (2.0 * t)
-        return cls(Z=Z, t=t, s=s, kappa=s - 1j * t, E=s * s - t * t)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            s = Z / (2.0 * t)
+            E = s * s - t * t
+        bad = np.flatnonzero(~np.isfinite(E))
+        if bad.size:
+            raise SecularOverflowError("energy", Z, float(np.ravel(t)[bad[0]]))
+        return cls(Z=Z, t=t, s=s, kappa=s - 1j * t, E=E)
 
 
 @dataclass(frozen=True)
@@ -129,16 +131,22 @@ class LogScaledValue:
     logmag is exactly the L(t) = log|F(t)| quantity plotted by the scan
     command, so near-tangent zero crossings appear as deep dips. sign and
     logmag are both scalars or both arrays of one shape.
+
+    double_factor, when present, is a factor u of the same shape whose
+    square divides the value, so every root of u is a double root of the
+    value: root finders work on the value divided by u, on which each such
+    root is simple, and count it twice. None means no such factor (u = 1).
     """
 
     sign: int
     logmag: float
+    double_factor: "LogScaledValue | None" = None
 
     def __post_init__(self) -> None:
         sign, logmag = np.asarray(self.sign), np.asarray(self.logmag)
-        if not np.all((sign == -1) | (sign == 0) | (sign == 1)):
+        if not ((sign == -1) | (sign == 0) | (sign == 1)).all():
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if np.any((sign == 0) & (logmag != -np.inf)):
+        if ((sign == 0) & (logmag != -np.inf)).any():
             raise ValueError("zero value must carry logmag = -inf")
 
     @classmethod
@@ -150,24 +158,23 @@ class LogScaledValue:
 
 
 def _points(Z: float, t) -> tuple[SpectralPoint, bool]:
-    """The spectral points of t as a 1-D array, and whether t was a scalar.
-
-    An energy that leaves the double range is left infinite, for the
-    caller's finiteness check.
-    """
+    """The spectral points of t as a 1-D array, and whether t was a scalar."""
     scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim != 1:
         raise ValueError(f"t must be a float or a 1-D array, got shape {ts.shape}")
-    with np.errstate(over="ignore"):
-        return SpectralPoint.from_zt(Z, ts), scalar
+    return SpectralPoint.from_zt(Z, ts), scalar
 
 
-def _log_scaled(sign: np.ndarray, logmag: np.ndarray, scalar: bool) -> LogScaledValue:
-    """The per-point value, unwrapped to Python scalars for a scalar call."""
+def _log_scaled(
+    sign: np.ndarray, logmag: np.ndarray, scalar: bool, factor=None
+) -> LogScaledValue:
+    """The per-point value, unwrapped to Python scalars for a scalar call;
+    factor is the (sign, logmag) of its double factor, or None."""
+    double = None if factor is None else _log_scaled(*factor, scalar)
     if scalar:
-        return LogScaledValue(int(sign[0]), float(logmag[0]))
-    return LogScaledValue(sign, logmag)
+        return LogScaledValue(int(sign[0]), float(logmag[0]), double)
+    return LogScaledValue(sign, logmag, double)
 
 
 @dataclass(frozen=True)
@@ -265,20 +272,17 @@ def monodromy(pot: CirclePotential, point: SpectralPoint) -> TransferMatrix2:
 def _square_well_periods(pot: CirclePotential, Z: float) -> int:
     """M for a square-well layout of 2M (+iZ, -iZ) cells, else 0.
 
-    A square well has a multiple of four segments, all of one width,
-    alternating between +iZ and -iZ. Any rotation qualifies, because the
-    monodromy trace is cyclic.
+    The layout test itself is cached on the potential (cell_layout); any
+    rotation qualifies, because the monodromy trace is cyclic. Only the
+    match of every |Im V| to Z is checked per call.
     """
-    widths = {width for width, _ in pot.segments}
-    ims = [value.imag for _, value in pot.segments]
-    if (
-        len(ims) % 4
-        or len(widths) != 1
-        or any(abs(abs(im) - Z) > 1e-12 * Z for im in ims)
-        or any(a * b > 0 for a, b in zip(ims, ims[1:]))
-    ):
+    layout = pot.cell_layout
+    if layout is None:
         return 0
-    return len(ims) // 4
+    M, im_lo, im_hi = layout
+    if abs(im_lo - Z) > 1e-12 * Z or abs(im_hi - Z) > 1e-12 * Z:
+        return 0
+    return M
 
 
 def _cell_trace(point: SpectralPoint, h: float):
@@ -305,35 +309,54 @@ def _cell_trace(point: SpectralPoint, h: float):
 
 
 def _periodic_closure(point: SpectralPoint, M: int, h: float):
-    """Sign and log-magnitude of 2 - tr T for T the product of 2M cells.
+    """Sign and log-magnitude of g = 2 - tr T for T the product of 2M cells,
+    and of its double factor u = U_(M-1)(tau/2) (None at M = 1, where U_0 = 1).
 
     tr T = 2 T_2M(tau/2) (Chebyshev), which is even in tau; and 2 + tau > 0.
-    So 2 - tr T = 4 sin^2(M theta) where tau = 2 cos(theta), and
-    -4 sinh^2(M phi) where tau = 2 cosh(phi) > 2. tan(theta/2) and
-    tanh(phi/2) are sqrt(|2 - tau| / (2 + tau)), free of cancellation near
-    tau = 2.
+    So g = 4 sin^2(M theta) where tau = 2 cos(theta), and -4 sinh^2(M phi)
+    where tau = 2 cosh(phi) > 2: g = (2 - tau)(2 + tau) u^2 with
+    u = sin(M theta) / sin(theta) or sinh(M phi) / sinh(phi). The roots of u,
+    tau = 2 cos(pi j / M) for 0 < j < M, are the exact double roots of g
+    (the Bloch pair +-pi j / M). tan(theta/2) and tanh(phi/2) are
+    sqrt(|2 - tau| / (2 + tau)), free of cancellation near tau = 2.
     """
     minus, plus, two_th = _cell_trace(point, h)
     band = minus >= 0.0
+    out = ~band
     q = np.sqrt(np.abs(minus) / plus)
+    qb, qo = q[band], q[out]
     sign = np.empty(q.shape, dtype=int)
     logmag = np.empty_like(q)
     with np.errstate(divide="ignore"):  # an exact root: -inf
-        v = np.abs(np.sin(2.0 * M * np.arctan(q[band])))
-        sign[band] = np.where(v > 0.0, 1, 0)
-        logmag[band] = math.log(4.0) + 2.0 * np.log(v)
+        sin_m = np.sin(2.0 * M * np.arctan(qb))
+        log_sin = np.log(np.abs(sin_m))  # log|sin(M theta)|
+        sign[band] = np.where(sin_m != 0.0, 1, 0)
+        logmag[band] = math.log(4.0) + 2.0 * log_sin
         # phi = 2 artanh(q); for q > 1/2 through 1 - q^2 = 4 / (2 + tau)
-        out = ~band
-        qh = q[out]
         phi = np.where(
-            qh <= 0.5,
-            2.0 * np.arctanh(np.minimum(qh, 0.5)),
-            2.0 * np.log1p(qh) + np.log(0.25 * plus[out]) + two_th[out],
+            qo <= 0.5,
+            2.0 * np.arctanh(np.minimum(qo, 0.5)),
+            2.0 * np.log1p(qo) + np.log(0.25 * plus[out]) + two_th[out],
         )
         y = M * phi
+        log_sinh = y + np.log(-np.expm1(-2.0 * y))  # log(2 sinh(M phi))
         sign[out] = np.where(y > 0.0, -1, 0)
-        logmag[out] = 2.0 * (y + np.log(-np.expm1(-2.0 * y)))
-    return sign, logmag
+        logmag[out] = 2.0 * log_sinh
+    if M == 1:
+        return sign, logmag, None
+    # sin(M theta) vanishes only at q = 0, tau = 2, where u = M; elsewhere
+    # sin(theta) = 2 / (q + 1/q) and 2 sinh(phi) = e^phi (1 - e^(-2 phi))
+    u_sign = np.ones_like(sign)
+    u_sign[band] = np.where(sin_m < 0.0, -1, 1)
+    log_u = np.empty_like(q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_u[band] = np.where(
+            qb > 0.0, log_sin + np.log(0.5 * (qb + 1.0 / qb)), math.log(M)
+        )
+        log_u[out] = np.where(
+            qo > 0.0, log_sinh - phi - np.log(-np.expm1(-2.0 * phi)), math.log(M)
+        )
+    return sign, logmag, (u_sign, log_u)
 
 
 def _product_closure(pot: CirclePotential, point: SpectralPoint):
@@ -343,10 +366,9 @@ def _product_closure(pot: CirclePotential, point: SpectralPoint):
     with np.errstate(over="ignore", invalid="ignore"):
         T = monodromy(pot, point)
         v = 2.0 * np.exp(-T.logscale) - T.trace()
-    _check_finite(
-        "monodromy secular value", Z, point.t,
-        np.isfinite(v) & np.isfinite(T.logscale),
-    )
+    bad = np.flatnonzero(~(np.isfinite(v) & np.isfinite(T.logscale)))
+    if bad.size:
+        raise SecularOverflowError("monodromy secular value", Z, float(point.t[bad[0]]))
     rtol = reality_rtol()
     bad = np.flatnonzero(np.abs(v.imag) > rtol * (1.0 + np.abs(v.real)))
     if bad.size:
@@ -363,21 +385,28 @@ def secular_monodromy(pot: CirclePotential, Z: float, t) -> LogScaledValue:
     """g(t) = 2 - tr(T) for the monodromy T, as a log-scaled real value.
 
     A square-well layout (see _square_well_periods) takes the closed form in
-    the cell trace, which is real by construction. Any other layout takes
-    the propagator product: its logscale is folded in (the returned value
-    is e^L times the normalized 2 e^(-L) - tr(T_scaled)), and per point it
-    raises SecularOverflowError unless the normalized value and L are
-    finite, then asserts |Im g| <= rtol (1 + |Re g|). Either way a point
-    whose energy leaves the double range raises SecularOverflowError.
+    the cell trace, which is real by construction; for M > 1 the value
+    carries its double factor U_(M-1)(tau/2) (see _periodic_closure). Any
+    other layout takes the propagator product, without a double factor: its
+    logscale is folded in (the returned value is e^L times the normalized
+    2 e^(-L) - tr(T_scaled)), and per point it raises SecularOverflowError
+    unless the normalized value and L are finite, then asserts
+    |Im g| <= rtol (1 + |Re g|). Either way a point whose energy leaves the
+    double range raises SecularOverflowError.
     """
-    point, scalar = _points(Z, t)
     M = _square_well_periods(pot, Z)
+    try:
+        point, scalar = _points(Z, t)
+    except SecularOverflowError as e:
+        if not M:  # the product may overflow first, at an earlier point
+            ts = np.atleast_1d(t)
+            _product_closure(pot, SpectralPoint.from_zt(Z, ts[: np.argmax(ts == e.t)]))
+        raise
     if M:
-        _check_finite("monodromy secular value", Z, point.t, np.isfinite(point.E))
-        sign, logmag = _periodic_closure(point, M, pot.segments[0][0])
+        sign, logmag, factor = _periodic_closure(point, M, pot.segments[0][0])
     else:
-        sign, logmag = _product_closure(pot, point)
-    return _log_scaled(sign, logmag, scalar)
+        (sign, logmag), factor = _product_closure(pot, point), None
+    return _log_scaled(sign, logmag, scalar, factor)
 
 
 def secular_explicit(Z: float, t) -> LogScaledValue:
@@ -393,7 +422,6 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     energy leaves the double range.
     """
     point, scalar = _points(Z, t)
-    _check_finite("explicit secular value", Z, point.t, np.isfinite(point.E))
     minus, plus, two_t = _cell_trace(point, 1.0)
     s = point.s
     cos_s = np.cos(s)

@@ -381,11 +381,11 @@ def test_find_roots_explicit_z1_prefix():
 
 
 @pytest.mark.parametrize(
-    "f,Z,calls",
-    [(_f_explicit(1.0), 1.0, 25), (_f_monodromy(1.0, 8), 1.0, 19)],
+    "f,Z,calls,points",
+    [(_f_explicit(1.0), 1.0, 25, 4584), (_f_monodromy(1.0, 8), 1.0, 23, 4036)],
     ids=["explicit-Z1", "monodromy-M8"],
 )
-def test_find_roots_batched_call_count(f, Z, calls):
+def test_find_roots_batched_call_count(f, Z, calls, points):
     """Master chunks, refinement depths, the bracket ends, every ITP step
     and the residuals: a slower bracket closer fails here, not only in the
     benchmark."""
@@ -394,20 +394,25 @@ def test_find_roots_batched_call_count(f, Z, calls):
         warnings.simplefilter("ignore", LevelShortfallWarning)
         find_roots(g, Z, 18)
     assert len(sizes) == calls
+    assert sum(sizes) == points
 
 
-@pytest.mark.parametrize("M", [8, 32])
-def test_find_roots_multicell_doublet_widths(M):
+MULTICELL_LEVELS = {2: 19, 8: 23, 32: 25}
+
+
+@pytest.mark.parametrize("Z", [0.1, 1.0, 4.0])
+@pytest.mark.parametrize("M", sorted(MULTICELL_LEVELS))
+def test_find_roots_multicell_doublet_widths(M, Z):
     """Each record's level is a root of tau = 2 cos(pi j / M) (tau the cell
-    trace), computed at 40 digits; it lies within the record's
-    bracket_width of t. Interior-band levels (0 < j < M) are exact double
-    roots of 2 - tr T, each reported as one unresolved doublet, never as two
-    sign changes split by rounding."""
+    trace), computed at 40 digits; t lies within 1e-12 relative of it and
+    within the record's bracket_width. Interior-band levels (0 < j < M) are
+    exact double roots of 2 - tr T, each reported as one record that stands
+    for two levels, never as two sign changes split by rounding."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
 
     def tau(t):
-        s = 1 / (2 * t)
+        s = Z / (2 * t)
         k2, h = s * s + t * t, mp.mpf(1) / M
         return (
             2 * mp.cos(s * h) ** 2
@@ -417,14 +422,66 @@ def test_find_roots_multicell_doublet_widths(M):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LevelShortfallWarning)
-        recs = find_roots(_f_monodromy(1.0, M), 1.0, 18)
+        recs = find_roots(_f_monodromy(Z, M), Z, 18)
+    assert level_count(recs) == MULTICELL_LEVELS[M]
+    roots = []
     for r in recs:
         band = M * mp.acos(max(min(tau(mp.mpf(r.t)) / 2, 1), -1)) / mp.pi
-        target = 2 * mp.cos(mp.pi * int(mp.nint(band)) / M)
-        root = mp.findroot(lambda t: tau(t) - target, mp.mpf(r.t))
-        assert abs(float(root) - r.t) <= r.bracket_width, r
-    crossings = sorted(r.t for r in recs if r.detection == "sign_change")
-    assert all(b - a > 1e-6 * a for a, b in zip(crossings, crossings[1:]))
+        j = int(mp.nint(band))
+        root = float(mp.findroot(lambda t: tau(t) - 2 * mp.cos(mp.pi * j / M), r.t))
+        assert abs(root - r.t) <= 1e-12 * root, r
+        assert abs(root - r.t) <= r.bracket_width, r
+        assert r.unresolved_doublet == (0 < j < M), r
+        roots.append(root)
+    # band-edge pairs (j = 0) split by as little as 2e-7 relative at Z = 0.1
+    # are two roots; no root is reported twice
+    roots.sort()
+    assert all(b - a > 1e-9 * a for a, b in zip(roots, roots[1:]))
+
+
+def _with_double_factor(root, other):
+    """(t - root)^2 (t - other), carrying t - root as its double factor."""
+
+    def f(t):
+        g = LogScaledValue.from_float((t - root) ** 2 * (t - other))
+        return LogScaledValue(g.sign, g.logmag, LogScaledValue.from_float(t - root))
+
+    return f
+
+
+def test_find_roots_counts_double_factor_roots_twice():
+    """A root of the double factor is a simple sign change of g / u, closed
+    by ITP and reported as one record standing for two levels."""
+    recs = find_roots(
+        _with_double_factor(0.5, 0.7), 1.0, 3, ScanConfig(t_min=0.3, t_max=0.9)
+    )
+    assert [r.unresolved_doublet for r in recs] == [False, True]
+    assert [r.t for r in recs] == pytest.approx([0.7, 0.5], rel=1e-13)
+    assert level_count(recs) == 3
+
+
+def test_bisect_exact_zero_of_double_factor():
+    """An exact zero of u, at a bracket end or at a step point, is a root
+    standing for two levels; a simple root at a bracket end is not."""
+    f = _with_double_factor(0.5, 0.7)
+    for bracket in [(0.5, 0.6), (0.4, 0.6)]:
+        rec = bisect(f, bracket)
+        assert (rec.t, rec.bracket_width, rec.unresolved_doublet) == (0.5, 0.0, True)
+    assert not bisect(f, (0.6, 0.7)).unresolved_doublet
+
+
+def test_bisect_width_floor():
+    """A bracket closed to adjacent floats reports the few ulps within which
+    a computed sign is rounding noise, not the last step's width."""
+    a = 0.3
+
+    def f(t):
+        sign = np.where(np.asarray(t) <= a, -1, 1)
+        return LogScaledValue(sign, np.zeros(sign.shape))
+
+    rec = bisect(f, (0.1, 0.9), t_tol=1e-20)
+    assert rec.t in (a, np.nextafter(a, 1.0))
+    assert rec.bracket_width == 8 * np.spacing(rec.t)
 
 
 def test_find_roots_explicit_z01():

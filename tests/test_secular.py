@@ -30,7 +30,7 @@ from ptring import (
     secular_monodromy,
     segment_propagator,
 )
-from ptring.secular import _product_closure
+from ptring.secular import _product_closure, _square_well_periods
 
 # 22-digit roots of the eight-by-eight determinant at Z = 1, ascending E
 EXPLICIT_ROOTS_Z1 = [
@@ -90,6 +90,27 @@ def test_spectral_point_identities(z, t):
 def test_spectral_point_domain(z, t):
     with pytest.raises(ValueError):
         SpectralPoint.from_zt(z, t)
+
+
+@pytest.mark.parametrize("t", [1e155, 1e-320])
+def test_spectral_point_overflow_scalar(t):
+    """E = s^2 - t^2 leaves the double range: above t = 1.3e154, and where
+    s = Z/(2t) overflows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SecularOverflowError) as ei:
+            SpectralPoint.from_zt(1.0, t)
+    assert (ei.value.Z, ei.value.t) == (1.0, t)
+
+
+def test_spectral_point_overflow_array():
+    ts = np.array([1.0, 1e100, 1e-320, 1e155, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SecularOverflowError) as ei:
+            SpectralPoint.from_zt(1.0, ts)
+        assert ei.value.t == 1e-320
+        assert np.isfinite(SpectralPoint.from_zt(1.0, ts[:2]).E).all()
 
 
 # --- LogScaledValue --------------------------------------------------------
@@ -204,6 +225,25 @@ def test_monodromy_rejects_mismatched_coupling():
         monodromy(pot, SpectralPoint.from_zt(1.0, 0.5))
 
 
+def test_square_well_layout_is_cached_per_potential():
+    """The Z-independent layout test runs once per potential; the match of
+    |Im V| to Z stays a per-call check, and a mismatch still takes the
+    propagator product, which raises."""
+    pot = build_square_well(3, 1.0)
+    rotated = rotate_segments(pot, 1)
+    assert _square_well_periods(rotated, 1.0) == 3
+    assert secular_monodromy(rotated, 1.0, 0.3).double_factor is not None
+    assert rotated.cell_layout is rotated.cell_layout
+    assert _square_well_periods(NON_ALTERNATING, 1.0) == 0
+    assert secular_monodromy(NON_ALTERNATING, 1.0, 0.3).double_factor is None
+    assert _square_well_periods(pot, 2.0) == 0
+    with pytest.raises(ValueError, match="does not match coupling"):
+        secular_monodromy(pot, 2.0, 0.3)
+    # the cached value is no field
+    fresh = build_square_well(3, 1.0)
+    assert (pot, hash(pot), repr(pot)) == (fresh, hash(fresh), repr(fresh))
+
+
 # --- reality assertion -----------------------------------------------------
 
 
@@ -254,6 +294,14 @@ def test_array_call_equals_pointwise_calls(z, m, ts):
         np.testing.assert_allclose(
             batch.logmag, [v.logmag for v in single], rtol=0, atol=1e-12
         )
+    # the double factor of M > 1, bit for bit
+    batch = secular_monodromy(pot, z, ts).double_factor
+    single = [secular_monodromy(pot, z, float(t)).double_factor for t in ts]
+    if m == 1:
+        assert batch is None and single == [None] * len(ts)
+        return
+    assert batch.sign.tolist() == [u.sign for u in single]
+    assert batch.logmag.tolist() == [u.logmag for u in single]
 
 
 def test_scalar_call_returns_python_scalars():
@@ -415,6 +463,30 @@ def test_periodic_closure_equals_propagator_product(M, Z):
         assert (v.sign[big] == np.sign(g[big])).all()
         diff = np.abs(v.sign * np.exp(v.logmag - T.logscale) - g)
         assert (diff <= 1e-9 * np.abs(g) + floor).all()
+
+
+@pytest.mark.parametrize("M", [2, 3, 8, 32])
+@pytest.mark.parametrize("Z", [0.1, 1.0, 10.0])
+def test_double_factor_is_chebyshev_u(M, Z):
+    """The double factor against U_(M-1)(tau/2) at 30 digits, tau the cell
+    trace; a square well at M = 1 and the explicit closure carry none."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    ts = np.geomspace(0.01, 20.0, 120)
+    u = secular_monodromy(build_square_well(M, Z), Z, ts).double_factor
+    for t, sign, logmag in zip(ts, u.sign, u.logmag):
+        s, t = Z / (2 * mp.mpf(t)), mp.mpf(t)
+        k2, h = s * s + t * t, mp.mpf(1) / M
+        tau = (
+            2 * mp.cos(s * h) ** 2
+            - 2 * (s * s - t * t) / k2 * mp.sin(s * h) ** 2
+            + 4 * t * t / k2 * mp.sinh(t * h) ** 2
+        )
+        want = mp.chebyu(M - 1, tau / 2)
+        assert sign == mp.sign(want)
+        assert logmag == pytest.approx(float(mp.log(abs(want))), rel=1e-11, abs=1e-11)
+    assert secular_monodromy(build_square_well(1, Z), Z, ts).double_factor is None
+    assert secular_explicit(Z, ts).double_factor is None
 
 
 def test_q_matrix_shape_and_sparsity():
