@@ -3,8 +3,10 @@
 The secular callable f takes a 1-D float array of t and returns a
 LogScaledValue whose sign and logmag are arrays of the same length. Every
 stage evaluates whole arrays: the master grid (in chunks of at most
-_EVAL_CHUNK points), all bump windows of one refinement depth together,
-and one ITP step of every open bracket together.
+_EVAL_CHUNK points, one chunk at 18 levels), all bump windows of one
+refinement depth together, and one step of every open bracket together.
+Each secular call costs a fixed overhead far above its per-point cost, so
+a solve's time follows its number of calls.
 
 Every stage works on the reduced value r = g / u, where g is f's value and
 u its double_factor (u = 1 when the value carries none, so r = g). r has a
@@ -15,9 +17,11 @@ there.
 The spectrum is found on a master grid that is uniform in s = Z/(2t) (so the
 energy resolution is roughly uniform), with two detection channels:
 
-- sign changes of the secular value, closed by ITP (interpolate, truncate,
-  project) to a relative width of t_tol, in at most one step more than
-  bisection would take; all brackets are closed in lock step;
+- sign changes of the secular value, closed to a relative width of t_tol
+  by Chandrupatla's inverse quadratic interpolation under ITP's projection,
+  in at most one step more than bisection would take; all brackets are
+  closed in lock step, starting from the values the scans found at their
+  ends;
 - "bumps": deep dips of log|F| with no sign change, which arise either from
   a doublet of real roots closer than the grid spacing or from a complex
   conjugate pair of roots sitting just off the real t axis.
@@ -49,11 +53,13 @@ _WINDOW_SAMPLES = 64
 _MERGE_TOL = 1e-12
 # Most t values handed to the secular callable in one call, which bounds its
 # temporaries: a few dozen doubles per point for the closed forms, a few
-# complex 2x2 matrices per point for the propagator product.
-_EVAL_CHUNK = 1024
-# ITP truncation kappa1 (times the initial bracket width) and spare steps n0
-# over bisection's count; kappa2 is 2.
-_ITP_KAPPA1 = 0.2
+# complex 2x2 matrices per point for the propagator product. 8192 takes the
+# whole master grid of an 18-level solve (about 3800-5900 points) in one
+# call; against 1024 it raised the peak RSS of a solve by at most 0.3 MB
+# (explicit, 100 levels), and the benchmark's peak_rss_mb by 0.3-0.9 MB
+# (+0.5% to +1.4%).
+_EVAL_CHUNK = 8192
+# Spare steps of ITP's projection over bisection's count
 _ITP_N0 = 1
 # Least bracket_width reported for a closed bracket, in ulps of its t: the
 # sign of a computed value is rounding noise within a few ulps of its root
@@ -206,95 +212,120 @@ def _close_brackets(
     f: Callable[[np.ndarray], object],
     brackets: Sequence[tuple[float, float]],
     t_tol: float,
+    ends: np.ndarray | None = None,
 ) -> list[RootRecord]:
-    """Close every sign-change bracket by ITP in lock step, one record each.
+    """Close every sign-change bracket in lock step, one record each.
 
-    Each bracket runs its own ITP iteration (Oliveira & Takahashi, ACM TOMS
-    47(1), 2020) on its secular value normalized by the larger of its two
-    end magnitudes, with kappa1 = 0.2/(hi0 - lo0), kappa2 = 2, n0 = 1 and
-    epsilon = t_tol lo0 / 2: at most ceil(log2((hi0 - lo0) / (t_tol lo0)))
-    + 1 steps, one more than bisection needs to reach width t_tol lo0. A
-    regula-falsi point that is not finite or not inside (lo, hi) is
-    replaced by the midpoint, so each step point lies between the two and
-    inside the bracket. An endpoint with sign 0 is the root;
-    otherwise points are taken while the width exceeds t_tol times the
-    upper end and lo < mid < hi holds, a point with sign 0 closes the
-    bracket on it, and the residual is evaluated at the final midpoint.
-    One step evaluates one point of every open bracket in one call.
-    Raises ValueError unless 0 < lo < hi and the end signs differ.
+    ends, when given, holds the reduced values at the bracket ends, as an
+    array of shape (3, 2, n): rows sign, logmag and sign of u, each with a
+    lo row and a hi row; without it the ends are evaluated first.
+
+    Each step point is Chandrupatla's (Adv. Eng. Softw. 28 (1997) 145):
+    inverse quadratic interpolation over the newest point, the opposite
+    bracket end and the point before them, taken where his test accepts it
+    and the midpoint otherwise (the first step, with no point before, is
+    the midpoint). It is clipped to at least epsilon = t_tol lo0 / 2 from
+    the newest point, so that a converged estimate steps across the root
+    and closes the bracket, and then projected as in ITP (Oliveira &
+    Takahashi, ACM TOMS 47(1), 2020) with n0 = 1: at most
+    ceil(log2((hi0 - lo0) / (t_tol lo0))) + 1 steps, one more than
+    bisection needs to reach width t_tol lo0. An endpoint with sign 0 is
+    the root; otherwise points are taken while the width exceeds t_tol
+    times the upper end and lo < mid < hi holds, a point with sign 0
+    closes the bracket on it, and the residual is evaluated at the final
+    midpoint. One step evaluates one point of every open bracket in one
+    call. Raises ValueError unless 0 < lo < hi and the end signs differ.
     """
     if not brackets:
         return []
-    ends = [(float(a), float(b)) for a, b in brackets]
-    for a, b in ends:
+    pairs = [(float(a), float(b)) for a, b in brackets]
+    for a, b in pairs:
         if not 0 < a < b:
             raise ValueError(f"need 0 < lo < hi, got ({a!r}, {b!r})")
-    lo, hi = np.array(ends).T.copy()
+    lo, hi = np.array(pairs).T
     n = lo.size
-    end_signs, end_logmags, end_u = _reduced(f, np.concatenate([lo, hi]))
-    sign_lo, sign_hi = end_signs[:n], end_signs[n:]
-    u_lo, u_hi = end_u[:n].copy(), end_u[n:].copy()
-    logmag_lo, logmag_hi = end_logmags[:n].copy(), end_logmags[n:].copy()
+    if ends is None:
+        ends = np.reshape(_reduced(f, np.concatenate([lo, hi])), (3, 2, n))
+    # sign, logmag and sign of u, each with a lo row and a hi row
+    (sign_lo, sign_hi), (logmag_lo, logmag_hi), (u_lo, u_hi) = np.asarray(
+        ends, dtype=float
+    )
     exact_lo = sign_lo == 0
     exact_hi = ~exact_lo & (sign_hi == 0)
     same = ~exact_lo & ~exact_hi & (sign_lo == sign_hi)
     if same.any():
         i = int(np.flatnonzero(same)[0])
         raise ValueError(
-            f"no sign change across bracket {ends[i]!r}; "
-            f"both ends have sign {sign_lo[i]}"
+            f"no sign change across bracket {pairs[i]!r}; "
+            f"both ends have sign {int(sign_lo[i])}"
         )
-    closing = ~exact_lo & ~exact_hi
-    eps = 0.5 * t_tol * lo
-    kappa1 = _ITP_KAPPA1 / (hi - lo)
-    n_max = np.ceil(np.log2((hi - lo) / (2.0 * eps))) + _ITP_N0
-    # rounding of mid and x adds up to one ulp to a width held at its
-    # budget; an ulp less of budget keeps n_max steps enough
-    eps_r = eps - np.spacing(hi)
-    j = 0
-    while True:
-        mid = 0.5 * (lo + hi)
-        step = np.flatnonzero(
-            closing & (hi - lo > t_tol * hi) & (lo < mid) & (mid < hi)
-        )
-        if not step.size:
-            break
-        a, b, m = lo[step], hi[step], mid[step]
-        # interpolate: the regula-falsi point of the normalized end values
-        top = np.maximum(logmag_lo[step], logmag_hi[step])
-        ya = sign_lo[step] * np.exp(logmag_lo[step] - top)
-        yb = sign_hi[step] * np.exp(logmag_hi[step] - top)
-        xf = (yb * a - ya * b) / (yb - ya)
-        xf = np.where(np.isfinite(xf) & (a < xf) & (xf < b), xf, m)
-        # truncate: move it delta toward the midpoint
-        sigma = np.sign(m - xf)
-        delta = kappa1[step] * (b - a) ** 2
-        xt = np.where(delta <= np.abs(m - xf), xf + sigma * delta, m)
-        # project: keep it within r of the midpoint, so that the bracket
-        # never outgrows (eps - ulp) 2^(n_max - j)
-        r = np.maximum(eps_r[step] * 2.0 ** (n_max[step] - j) - 0.5 * (b - a), 0.0)
-        x = np.where(np.abs(xt - m) <= r, xt, m - sigma * r)
+    # an exact root is its own bracket, and its residual that end's value
+    t = np.where(exact_lo, lo, hi)
+    width = np.zeros(n)
+    doublet = np.where(exact_lo, u_lo, u_hi) == 0
+    residual = np.where(exact_lo, logmag_lo, logmag_hi)
+    closed = np.flatnonzero(~exact_lo & ~exact_hi)
+    # per open bracket i: the newest point x1 (of sign s1), the opposite
+    # end x2, the point before them x3 (the one x1 replaced, of sign s1 too;
+    # NaN before the first step), their log-magnitudes and u signs
+    i = closed
+    x1, x2, x3 = lo[i], hi[i], np.full(i.size, np.nan)
+    l1, l2, l3 = logmag_lo[i], logmag_hi[i], logmag_lo[i]
+    u1, u2, s1 = u_lo[i], u_hi[i], sign_lo[i]
+    eps = 0.5 * t_tol * x1
+    n_max = np.ceil(np.log2((x2 - x1) / (2.0 * eps))) + _ITP_N0
+    # ITP's projection radius plus half the width, (eps - ulp) 2^(n_max - j)
+    # at step j: rounding of mid and x adds up to one ulp to a width held at
+    # its budget, and an ulp less keeps n_max steps enough
+    budget = (eps - np.spacing(x2)) * 2.0**n_max
+    while i.size:
+        a, b = np.minimum(x1, x2), np.maximum(x1, x2)
+        w, m = b - a, 0.5 * (a + b)
+        go = (w > t_tol * b) & (a < m) & (m < b)
+        if not go.all():
+            # record the brackets that closed and drop them from the arrays
+            k = ~go
+            t[i[k]] = m[k]
+            width[i[k]] = np.where(
+                w[k] > 0, np.maximum(w[k], _WIDTH_FLOOR_ULPS * np.spacing(m[k])), 0.0
+            )
+            # a root of u (two levels) where u changes sign across the bracket
+            doublet[i[k]] = u1[k] * u2[k] <= 0
+            state = (i, x1, x2, x3, l1, l2, l3, u1, u2, s1, eps, budget, w, m)
+            i, x1, x2, x3, l1, l2, l3, u1, u2, s1, eps, budget, w, m = (
+                v[go] for v in state
+            )
+            if not i.size:
+                break
+        # inverse quadratic interpolation on the values normalized by the
+        # largest of the three, where Chandrupatla's test accepts it; the
+        # values carry the sign s1 (-s1 at x2), which changes neither
+        top = np.maximum(np.maximum(l1, l2), l3)
+        y1, y2, y3 = np.exp(l1 - top), -np.exp(l2 - top), np.exp(l3 - top)
+        dx = x2 - x1
+        with np.errstate(all="ignore"):
+            d21, d23 = y2 - y1, y2 - y3
+            xi, phi = dx / (x2 - x3), d21 / d23
+            q = y1 / d23 * (y3 / d21 - (x3 - x1) / dx * y2 / (y3 - y1))
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(q)
+        # clip: at least epsilon from the newest point toward the opposite end
+        q_min = eps / w
+        xt = np.where(iqi, x1 + np.clip(q, q_min, 1.0 - q_min) * dx, m)
+        # project: keep it within r of the midpoint
+        r = np.maximum(budget - 0.5 * w, 0.0)
+        d = m - xt
+        x = np.where(np.abs(d) <= r, xt, m - np.sign(d) * r)
         signs, logmags, us = _reduced(f, x)
+        # x replaces the point of its sign, and becomes the newest; a root
+        # (sign 0) closes its bracket on itself
+        near = signs == s1
+        x3, l3 = np.where(near, x1, x2), np.where(near, l1, l2)
         zero = signs == 0
-        to_lo = zero | (signs == sign_lo[step])
-        to_hi = zero | ~to_lo
-        i = step[to_lo]
-        lo[i], logmag_lo[i], u_lo[i] = x[to_lo], logmags[to_lo], us[to_lo]
-        i = step[to_hi]
-        hi[i], logmag_hi[i], u_hi[i] = x[to_hi], logmags[to_hi], us[to_hi]
-        j += 1
-    # the residual of a bracket whose end is exact is that end's own value
-    t = np.where(exact_lo, lo, np.where(exact_hi, hi, 0.5 * (lo + hi)))
-    width = np.where(
-        closing & (lo < hi), np.maximum(hi - lo, _WIDTH_FLOOR_ULPS * np.spacing(t)), 0.0
-    )
-    # the root is a root of u (two levels) where u changes sign across the
-    # closed bracket or is zero at its end; an exact root is its own bracket
-    u_lo = np.where(exact_hi, u_hi, u_lo)
-    u_hi = np.where(exact_lo, u_lo, u_hi)
-    doublet = u_lo * u_hi <= 0
-    residual = np.where(exact_lo, end_logmags[:n], end_logmags[n:])
-    closed = np.flatnonzero(closing)
+        x2 = np.where(near, x2, np.where(zero, x, x1))
+        l2 = np.where(near, l2, l1)
+        u2 = np.where(near, u2, np.where(zero, us, u1))
+        x1, l1, u1, s1 = x, logmags, us, signs
+        budget *= 0.5
     residual[closed] = _reduced(f, t[closed])[1]
     return [
         RootRecord(
@@ -317,7 +348,8 @@ def bisect(
 ) -> RootRecord:
     """Close a sign-change bracket down to relative width t_tol.
 
-    The one-bracket case of the lock-step ITP closer find_roots runs.
+    The one-bracket case of the lock-step closer find_roots runs; it
+    evaluates its own bracket ends.
     Raises ValueError unless the secular signs at the bracket ends differ
     (an endpoint with sign 0 is accepted as an exact root).
     """
@@ -369,12 +401,13 @@ def detect_bumps(
 
 def _brackets_and_exacts(
     ts: np.ndarray, signs: np.ndarray, logmags: np.ndarray, u_signs: np.ndarray
-) -> tuple[list[tuple[float, float]], list[RootRecord]]:
-    """Sign-change brackets between neighbours, and exact (sign 0) roots;
+) -> tuple[list[tuple[float, float]], np.ndarray, list[RootRecord]]:
+    """Sign-change brackets between neighbours, the scan's values at their
+    ends (the ends argument of _close_brackets), and exact (sign 0) roots;
     an exact root where u is zero too stands for two levels."""
     i = np.flatnonzero(signs[:-1] * signs[1:] < 0)
-    lo = np.minimum(ts[i], ts[i + 1])
-    hi = np.maximum(ts[i], ts[i + 1])
+    i_lo = np.where(ts[i] < ts[i + 1], i, i + 1)
+    ends = np.array([i_lo, 2 * i + 1 - i_lo])
     zero = signs == 0
     exacts = [
         RootRecord(
@@ -388,23 +421,26 @@ def _brackets_and_exacts(
             ts[zero].tolist(), logmags[zero].tolist(), u_signs[zero].tolist()
         )
     ]
-    return list(zip(lo.tolist(), hi.tolist())), exacts
+    brackets = list(zip(ts[ends[0]].tolist(), ts[ends[1]].tolist()))
+    return brackets, np.array([signs[ends], logmags[ends], u_signs[ends]]), exacts
 
 
 def _refine_bumps(
     f: Callable[[np.ndarray], object],
     windows: list[BumpWindow],
     config: ScanConfig,
-) -> tuple[list[tuple[float, float]], list[RootRecord]]:
+) -> tuple[list[tuple[float, float]], np.ndarray, list[RootRecord]]:
     """Re-scan bump windows a depth at a time; resolve, recurse, report, or discard.
 
     All windows of one depth are evaluated in one call. A window whose
-    re-scan shows sign changes hands its brackets on to be closed. Otherwise
-    its dip must re-qualify under detect_bumps: a dip that flattened out is a
-    complex pair and is dropped; one that persists is re-scanned at the next
-    depth, or reported as an unresolved doublet at the depth limit.
+    re-scan shows sign changes hands its brackets, with the re-scan's
+    values at their ends, on to be closed. Otherwise its dip must
+    re-qualify under detect_bumps: a dip that flattened out is a complex
+    pair and is dropped; one that persists is re-scanned at the next depth,
+    or reported as an unresolved doublet at the depth limit.
     """
     brackets: list[tuple[float, float]] = []
+    ends = [np.empty((3, 2, 0))]
     records: list[RootRecord] = []
     depth = 1
     while windows:
@@ -413,11 +449,12 @@ def _refine_bumps(
         nested = []
         for j, grid in enumerate(grids):
             part = slice(j * _WINDOW_SAMPLES, (j + 1) * _WINDOW_SAMPLES)
-            brs, exacts = _brackets_and_exacts(
+            brs, brs_ends, exacts = _brackets_and_exacts(
                 grid, signs[part], logmags[part], us[part]
             )
             if brs or exacts:
                 brackets += brs
+                ends.append(brs_ends)
                 records += exacts
                 continue
             for w in detect_bumps(grid, signs[part], logmags[part], config):
@@ -435,7 +472,7 @@ def _refine_bumps(
                 )
         windows = nested
         depth += 1
-    return brackets, records
+    return brackets, np.concatenate(ends, axis=2), records
 
 
 def _merge_close(records: list[RootRecord]) -> list[RootRecord]:
@@ -510,13 +547,13 @@ def find_roots(
 
     f maps a 1-D float array of t to a LogScaledValue of sign and logmag
     arrays, optionally with a double factor u; it is called on the master
-    grid, on each refinement depth's windows and on each lock-step ITP
-    step, and every stage works on r = g / u. Returns every root found
-    in the window, in descending t (ascending energy) order; callers slice
-    the leading n_levels levels after doublet expansion. Warns with
-    LevelShortfallWarning when the window yields fewer levels than
-    requested, which for this operator family indicates levels lost to
-    complex conjugate pairs rather than a scan failure.
+    grid, on each refinement depth's windows, on each lock-step closer
+    step and on the residuals, and every stage works on r = g / u. Returns
+    every root found in the window, in descending t (ascending energy)
+    order; callers slice the leading n_levels levels after doublet
+    expansion. Warns with LevelShortfallWarning when the window yields
+    fewer levels than requested, which for this operator family indicates
+    levels lost to complex conjugate pairs rather than a scan failure.
     """
     cfg = config if config is not None else default_scan_config(Z, n_levels)
     s_lo = Z / (2.0 * cfg.t_max)
@@ -524,11 +561,17 @@ def find_roots(
     n = max(cfg.initial_samples, math.ceil((s_hi - s_lo) / _MASTER_DS) + 1)
     ts = Z / (2.0 * np.linspace(s_lo, s_hi, n))
     signs, logmags, us = _reduced(f, ts)
-    brackets, records = _brackets_and_exacts(ts, signs, logmags, us)
+    brackets, ends, records = _brackets_and_exacts(ts, signs, logmags, us)
     windows = detect_bumps(ts, signs, logmags, cfg)
-    refined_brackets, refined = _refine_bumps(f, windows, cfg)
-    # every bracket, from the master grid and from refinement, in one lock step
-    records += refined + _close_brackets(f, brackets + refined_brackets, cfg.t_tol)
+    refined_brackets, refined_ends, refined = _refine_bumps(f, windows, cfg)
+    # every bracket, from the master grid and from refinement, in one lock
+    # step, starting from the values their scans found at their ends
+    records += refined + _close_brackets(
+        f,
+        brackets + refined_brackets,
+        cfg.t_tol,
+        np.concatenate([ends, refined_ends], axis=2),
+    )
 
     records = _merge_close(records)
     records.sort(key=lambda r: -r.t)
