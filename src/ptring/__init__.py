@@ -14,7 +14,6 @@ from .potential import (
     rotate_segments,
 )
 from .roots import (
-    BumpWindow,
     LevelShortfallWarning,
     RootRecord,
     ScanConfig,
@@ -22,7 +21,6 @@ from .roots import (
     SecularEvaluationError,
     bisect,
     default_scan_config,
-    detect_bumps,
     find_roots,
     level_count,
     scan_secular,

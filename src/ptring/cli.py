@@ -22,7 +22,12 @@ from .roots import (
     find_roots,
     scan_secular,
 )
-from .secular import SecularRealityError, secular_explicit, secular_monodromy
+from .secular import (
+    FREE_LIMIT_Z,
+    SecularRealityError,
+    secular_explicit,
+    secular_monodromy,
+)
 from .serialize import (
     analysis_to_csv,
     parse_spectrum_json,
@@ -35,8 +40,6 @@ from .serialize import (
 from .spectrum import analyze_series, energies_from_roots
 
 BACKEND_AGREE_TOL = 1e-10
-# Coupling below which the spectrum is checked against the free circle.
-FREE_LIMIT_Z = 1e-3
 _AGREE_WINDOW = (0.03, 1.0)
 
 

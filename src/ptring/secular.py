@@ -6,10 +6,9 @@ closures are elementary functions of the real cell trace tau:
 - secular_monodromy: the strictly periodic closure g(t) = 2 - tr(T) of the
   monodromy T once around the circle (a periodic eigenstate exists where
   the unit-determinant monodromy has eigenvalue 1, i.e. det(T - 1) =
-  2 - tr(T) = 0). For a square well, tr T = 2 T_2M(tau/2) (Chebyshev),
-  and for M > 1 the value carries the factor U_(M-1)(tau/2) whose roots
-  are its double roots; any other layout takes the ordered product of
-  segment propagators, with a reality assertion on its value.
+  2 - tr(T) = 0). For a square well, tr T = 2 T_2M(tau/2) (Chebyshev);
+  any other layout takes the ordered product of segment propagators, with
+  a reality assertion on its value.
 
 - secular_explicit: M=1 only, the determinant of the eight-by-eight
   matching system assembled from the per-segment sine/cosine ansatz, in
@@ -21,7 +20,9 @@ closures are elementary functions of the real cell trace tau:
 
 Both backends substitute s = Z/(2t) and work at purely real energy
 E = s^2 - t^2; values are returned in sign/log-magnitude form to survive the
-huge dynamic range of the secular functions.
+huge dynamic range of the secular functions. A square-well value also
+carries its real factors (see LogScaledValue), whose simple roots are the
+levels.
 
 Both take t as a float or a 1-D float array. A float is evaluated as a
 one-point array and comes back as a scalar LogScaledValue; an array comes
@@ -39,6 +40,9 @@ import numpy as np
 from .potential import CirclePotential
 
 DEFAULT_REALITY_RTOL = 1e-8
+# Coupling up to which the near-axis complex pairs at tau = -2 count as real
+# doublets of the free circle: their first-order |Im E| is at most 2Z/pi.
+FREE_LIMIT_Z = 1e-3
 
 _TINY_KAPPA = 1e-150
 
@@ -132,15 +136,18 @@ class LogScaledValue:
     command, so near-tangent zero crossings appear as deep dips. sign and
     logmag are both scalars or both arrays of one shape.
 
-    double_factor, when present, is a factor u of the same shape whose
-    square divides the value, so every root of u is a double root of the
-    value: root finders work on the value divided by u, on which each such
-    root is simple, and count it twice. None means no such factor (u = 1).
+    factors are real factors of the value as (value, count) pairs, each
+    value a float or array of the value's shape and bounded where its roots
+    lie. Every real root of the value is a simple root of exactly one
+    factor and stands for count (1 or 2) levels; the product of the factor
+    signs, each to the power count, is the value's sign up to a sign fixed
+    per closure. Where several factors vanish at one point, it is a root of
+    the first of them. A value without factors is its own single factor.
     """
 
     sign: int
     logmag: float
-    double_factor: "LogScaledValue | None" = None
+    factors: tuple = ()
 
     def __post_init__(self) -> None:
         sign, logmag = np.asarray(self.sign), np.asarray(self.logmag)
@@ -167,14 +174,14 @@ def _points(Z: float, t) -> tuple[SpectralPoint, bool]:
 
 
 def _log_scaled(
-    sign: np.ndarray, logmag: np.ndarray, scalar: bool, factor=None
+    sign: np.ndarray, logmag: np.ndarray, scalar: bool, factors=()
 ) -> LogScaledValue:
-    """The per-point value, unwrapped to Python scalars for a scalar call;
-    factor is the (sign, logmag) of its double factor, or None."""
-    double = None if factor is None else _log_scaled(*factor, scalar)
+    """The per-point value with its (value, count) factors, unwrapped to
+    Python scalars for a scalar call."""
     if scalar:
-        return LogScaledValue(int(sign[0]), float(logmag[0]), double)
-    return LogScaledValue(sign, logmag, double)
+        factors = [(float(v[0]), c) for v, c in factors]
+        return LogScaledValue(int(sign[0]), float(logmag[0]), tuple(factors))
+    return LogScaledValue(sign, logmag, tuple(factors))
 
 
 @dataclass(frozen=True)
@@ -286,52 +293,62 @@ def _square_well_periods(pot: CirclePotential, Z: float) -> int:
 
 
 def _cell_trace(point: SpectralPoint, h: float):
-    """(2 - tau) e^(-2th), (2 + tau) e^(-2th) and 2th for one (+iZ, -iZ) cell.
+    """(2 - tau) e^(-2th), (2 + tau) e^(-2th) and 2th for one (+iZ, -iZ) cell,
+    and the pieces k^2, a, b and c below.
 
     The cell trace is real: with segment width h and |kappa|^2 = s^2 + t^2,
     tau = 2 cos^2(sh) - 2 (E/|kappa|^2) sin^2(sh) + 4 (t^2/|kappa|^2) sinh^2(th).
-    It is taken through the factored forms
-    2 - tau = 4 (s^2 sin^2(sh) - t^2 sinh^2(th)) / |kappa|^2 and
-    2 + tau = 4 (s^2 cos^2(sh) + t^2 cosh^2(th)) / |kappa|^2,
-    which keep full relative precision at the band edge tau = 2; the
-    factor e^(-2th) keeps both finite at every t.
+    With k = 2/|kappa|, a = s sin(sh) e^(-th), b = t sinh(th) e^(-th),
+    c = s cos(sh) e^(-th) and d = t cosh(th) e^(-th), it is taken through
+    the factored forms (2 - tau) e^(-2th) = k^2 (a - b)(a + b) and
+    (2 + tau) e^(-2th) = k^2 (c^2 + d^2) > 0, which keep full relative
+    precision at the band edge tau = 2 and stay finite at every t.
     """
     s, t = point.s, point.t
     th = t * h
     decay = np.exp(-th)
-    s_sin, s_cos = s * np.sin(s * h) * decay, s * np.cos(s * h) * decay
-    t_sinh = -0.5 * t * np.expm1(-2.0 * th)  # t sinh(th) e^(-th)
-    t_cosh = t - t_sinh
+    a, c = s * np.sin(s * h) * decay, s * np.cos(s * h) * decay
+    b = -0.5 * t * np.expm1(-2.0 * th)  # t sinh(th) e^(-th)
+    d = t - b
     scale = 4.0 / (s * s + t * t)
-    minus = scale * (s_sin - t_sinh) * (s_sin + t_sinh)
-    plus = scale * (s_cos * s_cos + t_cosh * t_cosh)
-    return minus, plus, 2.0 * th
+    minus = scale * (a - b) * (a + b)
+    plus = scale * (c * c + d * d)
+    return minus, plus, 2.0 * th, scale, a, b, c
 
 
 def _periodic_closure(point: SpectralPoint, M: int, h: float):
-    """Sign and log-magnitude of g = 2 - tr T for T the product of 2M cells,
-    and of its double factor u = U_(M-1)(tau/2) (None at M = 1, where U_0 = 1).
+    """Sign, log-magnitude and factors of g = 2 - tr T for T the product of
+    2M cells.
 
     tr T = 2 T_2M(tau/2) (Chebyshev), which is even in tau; and 2 + tau > 0.
     So g = 4 sin^2(M theta) where tau = 2 cos(theta), and -4 sinh^2(M phi)
     where tau = 2 cosh(phi) > 2: g = (2 - tau)(2 + tau) u^2 with
-    u = sin(M theta) / sin(theta) or sinh(M phi) / sinh(phi). The roots of u,
-    tau = 2 cos(pi j / M) for 0 < j < M, are the exact double roots of g
-    (the Bloch pair +-pi j / M). tan(theta/2) and tanh(phi/2) are
-    sqrt(|2 - tau| / (2 + tau)), free of cancellation near tau = 2.
+    u = U_(M-1)(tau/2) = sin(M theta) / sin(theta) or sinh(M phi) / sinh(phi).
+    tan(theta/2) and tanh(phi/2) are sqrt(|2 - tau| / (2 + tau)), free of
+    cancellation near tau = 2.
+
+    The factors, with k, a, b and c of _cell_trace, are k (a - b) and
+    k (a + b), count 1, whose roots are the band edges tau = 2; for M > 1,
+    u, count 2, whose roots tau = 2 cos(pi j / M), 0 < j < M, are the exact
+    double roots of g (the Bloch pair +-pi j / M), carried with u's sign and
+    |g/u| as magnitude; and for Z <= FREE_LIMIT_Z, k c, count 2, whose
+    roots are the near-axis complex pairs at tau = -2, where
+    2 + tau = k^2 (c^2 + d^2) nearly vanishes.
     """
-    minus, plus, two_th = _cell_trace(point, h)
+    minus, plus, two_th, k_sq, a, b, c = _cell_trace(point, h)
+    k = np.sqrt(k_sq)
+    factors = [(k * (a - b), 1), (k * (a + b), 1)]
     band = minus >= 0.0
     out = ~band
     q = np.sqrt(np.abs(minus) / plus)
     qb, qo = q[band], q[out]
     sign = np.empty(q.shape, dtype=int)
     logmag = np.empty_like(q)
-    with np.errstate(divide="ignore"):  # an exact root: -inf
+    # an exact root: -inf; far outside the band |g/u| overflows to inf
+    with np.errstate(divide="ignore", over="ignore"):
         sin_m = np.sin(2.0 * M * np.arctan(qb))
-        log_sin = np.log(np.abs(sin_m))  # log|sin(M theta)|
         sign[band] = np.where(sin_m != 0.0, 1, 0)
-        logmag[band] = math.log(4.0) + 2.0 * log_sin
+        logmag[band] = math.log(4.0) + 2.0 * np.log(np.abs(sin_m))
         # phi = 2 artanh(q); for q > 1/2 through 1 - q^2 = 4 / (2 + tau)
         phi = np.where(
             qo <= 0.5,
@@ -342,21 +359,17 @@ def _periodic_closure(point: SpectralPoint, M: int, h: float):
         log_sinh = y + np.log(-np.expm1(-2.0 * y))  # log(2 sinh(M phi))
         sign[out] = np.where(y > 0.0, -1, 0)
         logmag[out] = 2.0 * log_sinh
-    if M == 1:
-        return sign, logmag, None
-    # sin(M theta) vanishes only at q = 0, tau = 2, where u = M; elsewhere
-    # sin(theta) = 2 / (q + 1/q) and 2 sinh(phi) = e^phi (1 - e^(-2 phi))
-    u_sign = np.ones_like(sign)
-    u_sign[band] = np.where(sin_m < 0.0, -1, 1)
-    log_u = np.empty_like(q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_u[band] = np.where(
-            qb > 0.0, log_sin + np.log(0.5 * (qb + 1.0 / qb)), math.log(M)
-        )
-        log_u[out] = np.where(
-            qo > 0.0, log_sinh - phi - np.log(-np.expm1(-2.0 * phi)), math.log(M)
-        )
-    return sign, logmag, (u_sign, log_u)
+        if M > 1:
+            # g/u is 4 sin(M theta) sin(theta), with sin(theta) = 2q / (1 + q^2),
+            # and -4 sinh(M phi) sinh(phi) where u > 0; it is 0 at q = 0 too,
+            # where one of k (a -+ b) vanishes and, listed first, takes the root
+            u = np.empty_like(q)
+            u[band] = 8.0 * sin_m * qb / (1.0 + qb * qb)
+            u[out] = np.exp(log_sinh + phi + np.log(-np.expm1(-2.0 * phi)))
+            factors.append((u, 2))
+    if point.Z <= FREE_LIMIT_Z:
+        factors.append((k * c, 2))
+    return sign, logmag, factors
 
 
 def _product_closure(pot: CirclePotential, point: SpectralPoint):
@@ -385,14 +398,13 @@ def secular_monodromy(pot: CirclePotential, Z: float, t) -> LogScaledValue:
     """g(t) = 2 - tr(T) for the monodromy T, as a log-scaled real value.
 
     A square-well layout (see _square_well_periods) takes the closed form in
-    the cell trace, which is real by construction; for M > 1 the value
-    carries its double factor U_(M-1)(tau/2) (see _periodic_closure). Any
-    other layout takes the propagator product, without a double factor: its
-    logscale is folded in (the returned value is e^L times the normalized
-    2 e^(-L) - tr(T_scaled)), and per point it raises SecularOverflowError
-    unless the normalized value and L are finite, then asserts
-    |Im g| <= rtol (1 + |Re g|). Either way a point whose energy leaves the
-    double range raises SecularOverflowError.
+    the cell trace, which is real by construction, and carries its factors
+    (see _periodic_closure). Any other layout takes the propagator product,
+    without factors: its logscale is folded in (the returned value is e^L
+    times the normalized 2 e^(-L) - tr(T_scaled)), and per point it raises
+    SecularOverflowError unless the normalized value and L are finite, then
+    asserts |Im g| <= rtol (1 + |Re g|). Either way a point whose energy
+    leaves the double range raises SecularOverflowError.
     """
     M = _square_well_periods(pot, Z)
     try:
@@ -403,10 +415,10 @@ def secular_monodromy(pot: CirclePotential, Z: float, t) -> LogScaledValue:
             _product_closure(pot, SpectralPoint.from_zt(Z, ts[: np.argmax(ts == e.t)]))
         raise
     if M:
-        sign, logmag, factor = _periodic_closure(point, M, pot.segments[0][0])
+        sign, logmag, factors = _periodic_closure(point, M, pot.segments[0][0])
     else:
-        (sign, logmag), factor = _product_closure(pot, point), None
-    return _log_scaled(sign, logmag, scalar, factor)
+        (sign, logmag), factors = _product_closure(pot, point), ()
+    return _log_scaled(sign, logmag, scalar, factors)
 
 
 def secular_explicit(Z: float, t) -> LogScaledValue:
@@ -420,9 +432,16 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     gives the value the cosh^6(t) / (2 t^4) small-t crest growth; roots and
     signs are unaffected. Per point, raises SecularOverflowError when the
     energy leaves the double range.
+
+    With k, a and b of _cell_trace and gap = 2 (1 - |Re c| / |c|) e^(-2t),
+    det Q is proportional to -(a - b1)(a + b1)(a - b2)(a + b2), where
+    b1 = sqrt(b^2 + gap / k^2) and b2 = sqrt(b^2 + (4 e^(-2t) - gap) / k^2),
+    both positive and free of cancellation, swapped where Re c < 0 so that
+    each factor is smooth. Its factors are k (a -+ b1) and k (a -+ b2),
+    count 1 each.
     """
     point, scalar = _points(Z, t)
-    minus, plus, two_t = _cell_trace(point, 1.0)
+    minus, plus, two_t, k_sq, a, b, _ = _cell_trace(point, 1.0)
     s = point.s
     cos_s = np.cos(s)
     decay = np.exp(-two_t)
@@ -441,4 +460,13 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
             + np.log(np.abs(lo))
             + np.log(np.abs(hi))
         )
-    return _log_scaled((np.sign(lo) * np.sign(hi)).astype(int), logmag, scalar)
+    # lo = k^2 (a^2 - b1^2) and hi = k^2 (b2^2 - a^2) before the swap
+    b_sq = b * b
+    b1, b2 = np.sqrt(b_sq + gap / k_sq), np.sqrt(b_sq + (4.0 * decay - gap) / k_sq)
+    flip = cos_s < 0.0
+    b1, b2 = np.where(flip, b2, b1), np.where(flip, b1, b2)
+    k = np.sqrt(k_sq)
+    factors = [(k * (a - b1), 1), (k * (a + b1), 1)]
+    factors += [(k * (a - b2), 1), (k * (a + b2), 1)]
+    sign = (np.sign(lo) * np.sign(hi)).astype(int)
+    return _log_scaled(sign, logmag, scalar, factors)

@@ -317,6 +317,16 @@ def test_validate_free_limit(capsys):
     assert "free-limit spectrum: ok" in out
 
 
+@pytest.mark.parametrize("Z", ["1e-5", "1e-4", "1e-3"])
+def test_validate_free_limit_up_to_its_bound(capsys, Z):
+    """Up to FREE_LIMIT_Z the tau = -2 pairs, complex for every Z > 0 but
+    within 2Z/pi of the real axis, count as the free doublets, so the check
+    passes at every Z up to its bound."""
+    code, out, _err = _run(capsys, ["validate", "--Z", Z])
+    assert code == 0
+    assert "free-limit spectrum: ok" in out
+
+
 def test_validate_exits_1_when_nothing_is_checked(capsys):
     """Between Z = 1e-3 (where the free-limit check stops) and about 0.0018
     (where the first level enters t >= 0.03) neither check runs."""

@@ -1,4 +1,4 @@
-"""Scanning, bracket closing, bump refinement, and full root discovery."""
+"""Scanning, bracket closing, and full root discovery."""
 
 import math
 import warnings
@@ -11,19 +11,16 @@ from hypothesis import strategies as st
 from test_secular import EXPLICIT_ROOTS_Z1, NON_ALTERNATING
 
 from ptring import (
-    BumpWindow,
     CirclePotential,
     LevelShortfallWarning,
     LogScaledValue,
     RootRecord,
     ScanConfig,
-    ScanSample,
     SecularEvaluationError,
     SecularRealityError,
     bisect,
     build_square_well,
     default_scan_config,
-    detect_bumps,
     energies_from_roots,
     find_roots,
     level_count,
@@ -93,7 +90,7 @@ def test_scan_config_validation():
     with pytest.raises(ValueError):
         ScanConfig(t_min=0.1, t_max=1.0, initial_samples=8)
     with pytest.raises(ValueError):
-        ScanConfig(t_min=0.1, t_max=1.0, bump_drop=0.0)
+        ScanConfig(t_min=0.1, t_max=1.0, t_tol=0.0)
 
 
 def test_default_scan_config_overrides():
@@ -145,7 +142,6 @@ def test_scan_wraps_evaluation_errors():
 def test_bisect_explicit_ground_z1():
     rec = bisect(_f_explicit(1.0), (0.6, 0.7))
     assert rec.t == pytest.approx(EXPLICIT_ROOTS_Z1[0], abs=1e-8)
-    assert rec.detection == "sign_change"
     assert rec.bracket_width <= 1e-13 * 0.7 * 2
 
 
@@ -221,8 +217,8 @@ def test_bisect_worst_case_bound(bracket, where, jump):
 
 
 def _closer_brackets(f, Z, n_levels):
-    """The brackets find_roots hands its lock-step closer, from the master
-    scan and from bump refinement."""
+    """The brackets find_roots hands its lock-step closer, from the sign
+    changes of each factor on the master grid."""
     seen = []
 
     def spy(g, brackets, t_tol, ends=None):
@@ -265,114 +261,6 @@ def test_lock_step_equals_lone_brackets(data):
         assert r.bracket_width <= 1e-13 * hi
 
 
-# --- detect_bumps ------------------------------------------------------------
-
-
-def _detect_bumps_reference(samples, config):
-    """The sample-list loop detect_bumps replaced, kept as its oracle."""
-    n = len(samples)
-    if n < 3:
-        return []
-    lm = [s.logmag for s in samples]
-    out = []
-    for i in range(1, n - 1):
-        if not (lm[i] < lm[i - 1] and lm[i] <= lm[i + 1]):
-            continue
-        j = i
-        while j > 0 and lm[j - 1] >= lm[j]:
-            j -= 1
-        k = i
-        while k < n - 1 and lm[k + 1] >= lm[k]:
-            k += 1
-        drop = min(lm[j], lm[k]) - lm[i]
-        if drop < config.bump_drop:
-            continue
-        a = min(j, max(0, i - 2))
-        b = max(k, min(n - 1, i + 2))
-        signs = {samples[q].sign for q in range(a, b + 1)}
-        if len(signs) != 1 or 0 in signs:
-            continue
-        lo_i, hi_i = max(0, i - 2), min(n - 1, i + 2)
-        t_pair = (samples[lo_i].t, samples[hi_i].t)
-        out.append(
-            BumpWindow(
-                t_lo=min(t_pair),
-                t_hi=max(t_pair),
-                min_t=samples[i].t,
-                min_logmag=lm[i],
-                drop=drop,
-            )
-        )
-    return out
-
-
-_LOGMAG = st.one_of(
-    st.sampled_from([-1.0, 0.0, 2.0, 5.0]),
-    st.floats(min_value=-50.0, max_value=50.0),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    runs=st.lists(
-        st.tuples(
-            st.sampled_from([-1, 0, 1]),
-            st.lists(_LOGMAG, min_size=1, max_size=12),
-        ),
-        max_size=8,
-    ),
-    descending=st.booleans(),
-    drop=st.sampled_from([0.5, 3.0, 10.0]),
-)
-def test_detect_bumps_matches_sample_loop(runs, descending, drop):
-    """Runs of one sign, zeros (sign 0, logmag -inf), repeated values and
-    plateaus give the same windows as the sample-list loop."""
-    cfg = ScanConfig(t_min=0.1, t_max=1.0, initial_samples=16, bump_drop=drop)
-    signs = np.array([s for s, run in runs for _ in run], dtype=int)
-    logmags = np.array([-np.inf if s == 0 else v for s, run in runs for v in run])
-    ts = np.linspace(0.1, 1.0, signs.size)
-    if descending:
-        ts = ts[::-1]
-    samples = list(map(ScanSample, ts.tolist(), signs.tolist(), logmags.tolist()))
-    assert detect_bumps(ts, signs, logmags, cfg) == _detect_bumps_reference(
-        samples, cfg
-    )
-
-
-def test_detect_bumps_doublet_window():
-    """The unresolved pair near t = 0.159 shows up as one deep dip."""
-    cfg = ScanConfig(t_min=0.15, t_max=0.17, initial_samples=16)
-    ts = np.linspace(0.15, 0.17, 11)
-    v = secular_explicit(1.0, ts)
-    wins = detect_bumps(ts, v.sign, v.logmag, cfg)
-    assert len(wins) == 1
-    w = wins[0]
-    assert w.t_lo < EXPLICIT_ROOTS_Z1[4] < EXPLICIT_ROOTS_Z1[3] < w.t_hi
-    assert w.drop >= 3.0
-
-
-def test_detect_bumps_monotone_is_empty():
-    cfg = ScanConfig(t_min=0.1, t_max=1.0, initial_samples=16)
-    ts = 0.1 + 0.05 * np.arange(16)
-    assert detect_bumps(ts, np.ones(16, dtype=int), np.arange(16.0), cfg) == []
-
-
-def test_detect_bumps_shallow_dip_rejected():
-    cfg = ScanConfig(t_min=0.1, t_max=1.0, initial_samples=16)
-    lm = np.array([2.0, 1.5, 1.0, 1.5, 2.0])
-    ts = 0.1 + 0.1 * np.arange(5)
-    assert detect_bumps(ts, np.ones(5, dtype=int), lm, cfg) == []
-
-
-def test_detect_bumps_requires_single_sign():
-    cfg = ScanConfig(t_min=0.1, t_max=1.0, initial_samples=16)
-    lm = np.array([4.0, 2.0, -3.0, 2.0, 4.0])
-    signs = np.array([1, 1, -1, 1, 1])
-    ts = 0.1 + 0.1 * np.arange(5)
-    # the crossing channel owns this dip
-    assert detect_bumps(ts, signs, lm, cfg) == []
-
-
 # --- find_roots --------------------------------------------------------------
 
 
@@ -381,22 +269,20 @@ def test_find_roots_explicit_z1_prefix():
     recs = find_roots(_f_explicit(1.0), 1.0, 18)
     ts = [r.t for r in recs[:18]]
     assert ts == pytest.approx(EXPLICIT_ROOTS_Z1, rel=1e-12, abs=0)
-    assert all(
-        r.detection == "sign_change" and not r.unresolved_doublet for r in recs[:18]
-    )
+    assert not any(r.unresolved_doublet for r in recs[:18])
     assert [r.t for r in recs] == sorted((r.t for r in recs), reverse=True)
 
 
 @pytest.mark.parametrize(
     "f,Z,calls,points",
-    [(_f_explicit(1.0), 1.0, 12, 4441), (_f_monodromy(1.0, 8), 1.0, 10, 3960)],
+    [(_f_explicit(1.0), 1.0, 10, 3990), (_f_monodromy(1.0, 8), 1.0, 9, 3896)],
     ids=["explicit-Z1", "monodromy-M8"],
 )
 def test_find_roots_batched_call_count(f, Z, calls, points):
-    """The master grid, refinement depths, every closer step and the
-    residuals: a slower bracket closer fails here, not only in the
-    benchmark. The point total is a ceiling, because the points a step
-    takes hang on the last bits of the secular value."""
+    """The master grid, every closer step and the residuals: a slower
+    bracket closer fails here, not only in the benchmark. The point total
+    is a ceiling, because the points a step takes hang on the last bits of
+    the secular value."""
     g, sizes = _counted(f)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LevelShortfallWarning)
@@ -407,17 +293,28 @@ def test_find_roots_batched_call_count(f, Z, calls, points):
 
 @pytest.mark.parametrize(
     "case,n_levels,ceiling",
-    [("explicit", 18, 8), ("explicit", 100, 19), ("M8", 18, 7), ("M32", 18, 8)],
+    [
+        ("explicit", 18, 8),
+        ("explicit", 100, 19),
+        ("M8", 18, 7),
+        ("M32", 18, 8),
+        ("M1-Z0.1734", 18, 10),
+        ("M1-Z1.6547", 18, 10),
+    ],
 )
 def test_closer_steps_per_bracket(case, n_levels, ceiling):
     """No bracket find_roots hands the closer stalls: each closes alone in
     at most ceiling steps (bisect's calls less its ends and its residual).
     These solves hold brackets beside a near-degenerate partner, where the
-    value is near-quadratic and a regula-falsi step stalls."""
+    value is near-quadratic and a regula-falsi step stalls; at M = 1 the
+    two were the slowest of the strictly periodic solves closed on the
+    value itself (14 and 11 steps)."""
     f, Z = {
         "explicit": (_f_explicit(1.0), 1.0),
         "M8": (_f_monodromy(1.0, 8), 1.0),
         "M32": (_f_monodromy(1.0, 32), 1.0),
+        "M1-Z0.1734": (_f_monodromy(0.1734), 0.1734),
+        "M1-Z1.6547": (_f_monodromy(1.6547), 1.6547),
     }[case]
     for bracket in _closer_brackets(f, Z, n_levels):
         g, sizes = _counted(f)
@@ -468,18 +365,20 @@ def test_find_roots_multicell_doublet_widths(M, Z):
 
 
 def _with_double_factor(root, other):
-    """(t - root)^2 (t - other), carrying t - root as its double factor."""
+    """(t - root)^2 (t - other), with factors t - other (count 1) and
+    t - root (count 2)."""
 
     def f(t):
         g = LogScaledValue.from_float((t - root) ** 2 * (t - other))
-        return LogScaledValue(g.sign, g.logmag, LogScaledValue.from_float(t - root))
+        return LogScaledValue(g.sign, g.logmag, ((t - other, 1), (t - root, 2)))
 
     return f
 
 
 def test_find_roots_counts_double_factor_roots_twice():
-    """A root of the double factor is a simple sign change of g / u, closed
-    by ITP and reported as one record standing for two levels."""
+    """A root of a count-2 factor is a simple sign change of that factor,
+    closed like any other and reported as one record standing for two
+    levels."""
     recs = find_roots(
         _with_double_factor(0.5, 0.7), 1.0, 3, ScanConfig(t_min=0.3, t_max=0.9)
     )
@@ -489,8 +388,9 @@ def test_find_roots_counts_double_factor_roots_twice():
 
 
 def test_bisect_exact_zero_of_double_factor():
-    """An exact zero of u, at a bracket end or at a step point, is a root
-    standing for two levels; a simple root at a bracket end is not."""
+    """An exact zero of a count-2 factor, at a bracket end or at a step
+    point, is a root standing for two levels; a simple root at a bracket end
+    is not."""
     f = _with_double_factor(0.5, 0.7)
     for bracket in [(0.5, 0.6), (0.4, 0.6)]:
         rec = bisect(f, bracket)
@@ -549,7 +449,8 @@ def test_find_roots_monodromy_z1_shortfall():
 
 
 def test_find_roots_free_limit_doublets():
-    """Near zero coupling, bump records stand in for the free doublets."""
+    """Near zero coupling, roots of the count-2 factor k c stand in for the
+    free doublets of the odd levels."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         recs = find_roots(_f_monodromy(1e-6), 1e-6, 5)
@@ -559,14 +460,33 @@ def test_find_roots_free_limit_doublets():
     assert len(levels) == 5
     for lvl, e in zip(levels, want):
         assert lvl.E == pytest.approx(e, abs=1e-3)
-    assert recs[1].unresolved_doublet and recs[1].detection == "bump"
+    assert recs[1].unresolved_doublet
+
+
+@pytest.mark.parametrize(
+    "M,Z,levels",
+    [(1, z, 25) for z in (1e-6, 1e-5, 1e-4, 1e-3)]
+    + [(1, 2e-3, 13)]
+    + [(2, z, 25) for z in (1e-6, 1e-5, 1e-4, 1e-3)]
+    + [(2, 2e-3, 19)],
+)
+def test_free_limit_pairs_all_or_none(M, Z, levels):
+    """The tau = -2 pairs count as doublets either all together, up to
+    FREE_LIMIT_Z, or not at all above it; never an arbitrary subset of them
+    as their distance from the real axis varies."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        recs = find_roots(_f_monodromy(Z, M), Z, 18)
+    assert level_count(recs) == levels
 
 
 def test_find_roots_synthetic_tight_pair():
-    """A real pair split below bisection resolution reports as one doublet."""
+    """A real pair split below bisection resolution, one root of each of two
+    factors, reports as one doublet."""
 
     def f(t):
-        return LogScaledValue.from_float((t - 0.5) * (t - 0.5 - 5e-13))
+        g = LogScaledValue.from_float((t - 0.5) * (t - 0.5 - 5e-13))
+        return LogScaledValue(g.sign, g.logmag, ((t - 0.5, 1), (t - 0.5 - 5e-13, 1)))
 
     cfg = ScanConfig(t_min=0.3, t_max=0.7)
     recs = find_roots(f, 1.0, 2, cfg)

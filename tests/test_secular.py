@@ -232,10 +232,10 @@ def test_square_well_layout_is_cached_per_potential():
     pot = build_square_well(3, 1.0)
     rotated = rotate_segments(pot, 1)
     assert _square_well_periods(rotated, 1.0) == 3
-    assert secular_monodromy(rotated, 1.0, 0.3).double_factor is not None
+    assert secular_monodromy(rotated, 1.0, 0.3).factors
     assert rotated.cell_layout is rotated.cell_layout
     assert _square_well_periods(NON_ALTERNATING, 1.0) == 0
-    assert secular_monodromy(NON_ALTERNATING, 1.0, 0.3).double_factor is None
+    assert secular_monodromy(NON_ALTERNATING, 1.0, 0.3).factors == ()
     assert _square_well_periods(pot, 2.0) == 0
     with pytest.raises(ValueError, match="does not match coupling"):
         secular_monodromy(pot, 2.0, 0.3)
@@ -294,14 +294,11 @@ def test_array_call_equals_pointwise_calls(z, m, ts):
         np.testing.assert_allclose(
             batch.logmag, [v.logmag for v in single], rtol=0, atol=1e-12
         )
-    # the double factor of M > 1, bit for bit
-    batch = secular_monodromy(pot, z, ts).double_factor
-    single = [secular_monodromy(pot, z, float(t)).double_factor for t in ts]
-    if m == 1:
-        assert batch is None and single == [None] * len(ts)
-        return
-    assert batch.sign.tolist() == [u.sign for u in single]
-    assert batch.logmag.tolist() == [u.logmag for u in single]
+        # every factor and its count, bit for bit
+        for j, (y, count) in enumerate(batch.factors):
+            assert [v.factors[j][1] for v in single] == [count] * len(ts)
+            assert y.tolist() == [v.factors[j][0] for v in single]
+        assert {len(v.factors) for v in single} == {len(batch.factors)}
 
 
 def test_scalar_call_returns_python_scalars():
@@ -468,13 +465,17 @@ def test_periodic_closure_equals_propagator_product(M, Z):
 @pytest.mark.parametrize("M", [2, 3, 8, 32])
 @pytest.mark.parametrize("Z", [0.1, 1.0, 10.0])
 def test_double_factor_is_chebyshev_u(M, Z):
-    """The double factor against U_(M-1)(tau/2) at 30 digits, tau the cell
-    trace; a square well at M = 1 and the explicit closure carry none."""
+    """The one count-2 factor against u = U_(M-1)(tau/2) at 30 digits, tau
+    the cell trace: it has u's sign, so its roots are u's, and |g/u| as
+    magnitude. A square well at M = 1 and the explicit closure carry no
+    count-2 factor above FREE_LIMIT_Z."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     ts = np.geomspace(0.01, 20.0, 120)
-    u = secular_monodromy(build_square_well(M, Z), Z, ts).double_factor
-    for t, sign, logmag in zip(ts, u.sign, u.logmag):
+    factors = secular_monodromy(build_square_well(M, Z), Z, ts).factors
+    (u,) = [y for y, count in factors if count == 2]
+    assert (np.diff(np.sign(u)) != 0).any()  # roots of u lie in the window
+    for t, y in zip(ts, u):
         s, t = Z / (2 * mp.mpf(t)), mp.mpf(t)
         k2, h = s * s + t * t, mp.mpf(1) / M
         tau = (
@@ -483,10 +484,39 @@ def test_double_factor_is_chebyshev_u(M, Z):
             + 4 * t * t / k2 * mp.sinh(t * h) ** 2
         )
         want = mp.chebyu(M - 1, tau / 2)
-        assert sign == mp.sign(want)
-        assert logmag == pytest.approx(float(mp.log(abs(want))), rel=1e-11, abs=1e-11)
-    assert secular_monodromy(build_square_well(1, Z), Z, ts).double_factor is None
-    assert secular_explicit(Z, ts).double_factor is None
+        assert np.sign(y) == mp.sign(want)
+        g_over_u = abs((2 - tau) * (2 + tau) * want)
+        assert math.log(abs(y)) == pytest.approx(
+            float(mp.log(g_over_u)), rel=1e-11, abs=1e-11
+        )
+    m1 = secular_monodromy(build_square_well(1, Z), Z, ts)
+    for v in (m1, secular_explicit(Z, ts)):
+        assert [count for _, count in v.factors] == [1] * len(v.factors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    z=st.floats(min_value=-6.0, max_value=2.0).map(lambda e: 10.0**e),
+    m=st.integers(min_value=1, max_value=32),
+    ts=st.lists(
+        st.floats(min_value=1e-3, max_value=20.0), min_size=1, max_size=200
+    ),
+)
+def test_factor_signs_give_value_sign(z, m, ts):
+    """The product of the factor signs, each to the power of its count, is
+    the value's sign wherever the value is nonzero; negated on the twisted
+    closure, whose value is -(a - b1)(a + b1)(a - b2)(a + b2) times a
+    positive envelope."""
+    ts = np.array(ts)
+    cases = [(secular_monodromy(build_square_well(m, z), z, ts), 1)]
+    if m == 1:
+        cases.append((secular_explicit(z, ts), -1))
+    for v, closure_sign in cases:
+        product = np.ones(ts.size)
+        for y, count in v.factors:
+            product *= np.sign(y) ** count
+        nonzero = v.sign != 0
+        assert (closure_sign * product[nonzero] == v.sign[nonzero]).all()
 
 
 def test_q_matrix_shape_and_sparsity():

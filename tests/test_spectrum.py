@@ -66,7 +66,6 @@ def _record(t, unresolved=False):
         t=t,
         residual_logmag=-30.0,
         bracket_width=1e-13,
-        detection="bump" if unresolved else "sign_change",
         unresolved_doublet=unresolved,
     )
 
