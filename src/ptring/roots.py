@@ -6,20 +6,25 @@ its real factors (a value without factors is its own single factor). Every
 stage evaluates whole arrays: the master grid (in chunks of at most
 _EVAL_CHUNK points, one chunk at 18 levels) and one step of every open
 bracket together. Each secular call costs a fixed overhead far above its
-per-point cost, so a solve's time follows its number of calls.
+per-point cost, so a solve's time follows its number of calls, and each
+closer step spends a few points per bracket to save calls.
 
 Every real root of the value is a simple root of exactly one factor, and
 the roots of one factor lie far apart. So the spectrum is the set of sign
 changes of the factors on a master grid that is uniform in s = Z/(2t) (so
-the energy resolution is roughly uniform). Each bracket is closed on its
-own factor to a relative width of t_tol by Chandrupatla's inverse
+the energy resolution is roughly uniform), with its first interval split
+geometrically in t where it spans a ratio above 2. Each bracket is closed
+on its own factor to a relative width of t_tol by Chandrupatla's inverse
 quadratic interpolation under ITP's projection, in at most one step more
-than bisection would take; all brackets are closed in lock step, starting
-from the values the scan found at their ends. A root stands for as many
-levels as its factor's count; two roots closer than _MERGE_TOL, as the
-nearly degenerate pairs of a weak coupling are, merge into one record
-standing for two. For a value without factors, a pair of real roots closer
-than the grid spacing is not found.
+than bisection would take; each step evaluates a geometric stencil around
+the estimate, so an accurate estimate on either side of the root closes
+most of the bracket at once. All brackets are closed in lock step,
+starting from the values the scan found at their ends and at the grid
+point beyond each lower end, so that the first step already interpolates.
+A root stands for as many levels as its factor's count; two roots closer
+than _MERGE_TOL, as the nearly degenerate pairs of a weak coupling are,
+merge into one record standing for two. For a value without factors, a
+pair of real roots closer than the grid spacing is not found.
 
 A level count below the requested one is a physical signal, not a
 numerical fault: the missing levels have no real root in the window, as
@@ -48,6 +53,11 @@ _MERGE_TOL = 1e-12
 _EVAL_CHUNK = 8192
 # Spare steps of ITP's projection over bisection's count
 _ITP_N0 = 1
+# Offsets of the points one closer step evaluates around its estimate, in
+# units of epsilon = t_tol lo0 / 2, and the estimate's index in the row
+# x1, stencil, x2 that the step searches for its sign change
+_STENCIL = np.array([-1e9, -1e6, -1e3, -1.0, 0.0, 1.0, 1e3, 1e6, 1e9])
+_CENTRE = 1 + _STENCIL.size // 2
 # Least bracket_width reported for a closed bracket, in ulps of its t: the
 # sign of a computed value is rounding noise within a few ulps of its root
 _WIDTH_FLOOR_ULPS = 8
@@ -103,8 +113,9 @@ class ScanSample:
 class RootRecord:
     """One located root (or root pair) of the secular function.
 
-    bracket_width is the final uncertainty interval; residual_logmag is
-    log|factor| at the reported t, for the factor whose root it is.
+    t is the end of the final bracket where |factor| is smaller, for the
+    factor whose root it is, and residual_logmag is log|factor| there;
+    bracket_width is the final bracket's width, which holds the root.
     unresolved_doublet=True means the record stands for two levels: a root
     of a factor of count 2, or two roots closer than bracket resolution.
     """
@@ -163,14 +174,31 @@ def _pick(
         return np.sign(y), np.log(np.abs(y))
 
 
-def _bracket_ends(scan: tuple, i_lo: np.ndarray, i_hi: np.ndarray, k: np.ndarray):
+def _bracket_ends(
+    scan: tuple,
+    i_lo: np.ndarray,
+    i_hi: np.ndarray,
+    k: np.ndarray,
+    ts: np.ndarray | None = None,
+):
     """The ends argument of _close_brackets for brackets between points
-    i_lo and i_hi of an _evaluate result, each closed on its factor k."""
+    i_lo and i_hi of an _evaluate result, each closed on its factor k.
+
+    With the grid ts the result was evaluated on, each bracket is seeded
+    with the grid point just beyond lo, where that point exists and has
+    lo's sign of the factor; otherwise, and without ts, it has no seed.
+    """
     n = k.size
+    i_seed = np.clip(2 * i_lo - i_hi, 0, scan[0].size - 1)
     signs, logmags = _pick(
-        scan, np.concatenate([k, k]), np.concatenate([i_lo, i_hi])
+        scan, np.concatenate([k, k, k]), np.concatenate([i_lo, i_hi, i_seed])
     )
-    return k, scan[3][k] == 2, signs.reshape(2, n), logmags.reshape(2, n)
+    signs, logmags = signs.reshape(3, n), logmags.reshape(3, n)
+    seed = np.full(n, np.nan)
+    if ts is not None:
+        beyond = (i_seed == 2 * i_lo - i_hi) & (signs[2] == signs[0])
+        seed[beyond] = ts[i_seed[beyond]]
+    return k, scan[3][k] == 2, signs[:2], logmags[:2], seed, logmags[2]
 
 
 def scan_secular(
@@ -193,28 +221,34 @@ def _close_brackets(
 
     Each bracket is closed on one factor of f's value (see find_roots).
     ends, when given, holds what the scan found per bracket: the index of
-    its factor, whether that factor counts twice, and the factor's signs and
+    its factor, whether that factor counts twice, the factor's signs and
     log-magnitudes at the bracket ends, each an array of shape (2, n) with a
-    lo row and a hi row. Without it the ends are evaluated first, and each
-    bracket takes the first factor that is zero at an end or changes sign
-    across it.
+    lo row and a hi row, and a seed point beyond lo of lo's sign with its
+    log-magnitude (NaN for none). Without it the ends are evaluated first,
+    each bracket takes the first factor that is zero at an end or changes
+    sign across it, and no bracket is seeded.
 
-    Each step point is Chandrupatla's (Adv. Eng. Softw. 28 (1997) 145):
-    inverse quadratic interpolation over the newest point, the opposite
-    bracket end and the point before them, taken where his test accepts it
-    and the midpoint otherwise (the first step, with no point before, is
-    the midpoint). It is clipped to at least epsilon = t_tol lo0 / 2 from
-    the newest point, so that a converged estimate steps across the root
-    and closes the bracket, and then projected as in ITP (Oliveira &
-    Takahashi, ACM TOMS 47(1), 2020) with n0 = 1: at most
+    Each step's estimate x is Chandrupatla's (Adv. Eng. Softw. 28 (1997)
+    145): inverse quadratic interpolation over the end nearer the last
+    estimate, the other end and the next point beyond the nearer end of its
+    sign (the seed at first), taken where his test accepts it and the
+    midpoint otherwise (as at the first step of an unseeded bracket). It is
+    clipped to at least epsilon = t_tol lo0 / 2 from the nearer end, so
+    that a converged estimate steps across the root, and then projected as
+    in ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with n0 = 1. The
+    step evaluates the stencil x + epsilon {0, +-1, +-1e3, +-1e6, +-1e9},
+    clipped into the bracket, and takes its sign change as the new bracket,
+    so an estimate off the root by e < 1e9 epsilon, on either side, leaves
+    a bracket at most about 1e3 e wide (epsilon for e < epsilon). The
+    stencil only shrinks the bracket ITP's point alone would leave: at most
     ceil(log2((hi0 - lo0) / (t_tol lo0))) + 1 steps, one more than
     bisection needs to reach width t_tol lo0. An endpoint with sign 0 is
-    the root; otherwise points are taken while the width exceeds t_tol
-    times the upper end and lo < mid < hi holds, a point with sign 0
-    closes the bracket on it, and the residual is evaluated at the final
-    midpoint. One step evaluates one point of every open bracket in one
-    call. Raises ValueError unless 0 < lo < hi and the end signs of the
-    bracket's factor differ.
+    the root; otherwise steps are taken while the width exceeds t_tol times
+    the upper end and lo < mid < hi holds, a point with sign 0 closes the
+    bracket on it, and the record's t is the final end of smaller
+    |factor|, whose log-magnitude is the residual. One step evaluates the
+    stencils of all open brackets in one call. Raises ValueError unless
+    0 < lo < hi and the end signs of the bracket's factor differ.
     """
     if not brackets:
         return []
@@ -231,7 +265,9 @@ def _close_brackets(
             y_lo, y_hi = scan[2][:, :n], scan[2][:, n:]
             k = np.argmax(np.sign(y_lo) * np.sign(y_hi) <= 0, axis=0)
         ends = _bracket_ends(scan, np.arange(n), np.arange(n, 2 * n), k)
-    factor, double, (sign_lo, sign_hi), (logmag_lo, logmag_hi) = ends
+    factor, double, (sign_lo, sign_hi), (logmag_lo, logmag_hi), seed, l_seed = (
+        ends
+    )
     exact_lo = sign_lo == 0
     exact_hi = ~exact_lo & (sign_hi == 0)
     same = ~exact_lo & ~exact_hi & (sign_lo == sign_hi)
@@ -245,13 +281,12 @@ def _close_brackets(
     t = np.where(exact_lo, lo, hi)
     width = np.zeros(n)
     residual = np.where(exact_lo, logmag_lo, logmag_hi)
-    closed = np.flatnonzero(~exact_lo & ~exact_hi)
-    # per open bracket i: the newest point x1 (of sign s1), the opposite
-    # end x2, the point before them x3 (the one x1 replaced, of sign s1 too;
-    # NaN before the first step), their log-magnitudes, and the factor k
-    i = closed
-    x1, x2, x3 = lo[i], hi[i], np.full(i.size, np.nan)
-    l1, l2, l3 = logmag_lo[i], logmag_hi[i], logmag_lo[i]
+    # per open bracket i: the end x1 nearer the last estimate (of sign s1),
+    # the other end x2, the next point x3 beyond x1 of x1's sign (NaN for
+    # none), their log-magnitudes, and the factor k
+    i = np.flatnonzero(~exact_lo & ~exact_hi)
+    x1, x2, x3 = lo[i], hi[i], seed[i]
+    l1, l2, l3 = logmag_lo[i], logmag_hi[i], l_seed[i]
     s1, k = sign_lo[i], factor[i]
     eps = 0.5 * t_tol * x1
     n_max = np.ceil(np.log2((x2 - x1) / (2.0 * eps))) + _ITP_N0
@@ -266,12 +301,14 @@ def _close_brackets(
         if not go.all():
             # record the brackets that closed and drop them from the arrays
             c = ~go
-            t[i[c]] = m[c]
+            nearer = l1[c] <= l2[c]
+            t[i[c]] = np.where(nearer, x1[c], x2[c])
+            residual[i[c]] = np.where(nearer, l1[c], l2[c])
             width[i[c]] = np.where(
                 w[c] > 0, np.maximum(w[c], _WIDTH_FLOOR_ULPS * np.spacing(m[c])), 0.0
             )
-            state = (i, x1, x2, x3, l1, l2, l3, s1, k, eps, budget, w, m)
-            i, x1, x2, x3, l1, l2, l3, s1, k, eps, budget, w, m = (
+            state = (i, x1, x2, x3, l1, l2, l3, s1, k, eps, budget, a, b, w, m)
+            i, x1, x2, x3, l1, l2, l3, s1, k, eps, budget, a, b, w, m = (
                 v[go] for v in state
             )
             if not i.size:
@@ -287,25 +324,41 @@ def _close_brackets(
             xi, phi = dx / (x2 - x3), d21 / d23
             q = y1 / d23 * (y3 / d21 - (x3 - x1) / dx * y2 / (y3 - y1))
             iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(q)
-        # clip: at least epsilon from the newest point toward the opposite end
+        # clip: at least epsilon from the nearer end toward the other end
         q_min = eps / w
         xt = np.where(iqi, x1 + np.clip(q, q_min, 1.0 - q_min) * dx, m)
         # project: keep it within r of the midpoint
         r = np.maximum(budget - 0.5 * w, 0.0)
         d = m - xt
         x = np.where(np.abs(d) <= r, xt, m - np.sign(d) * r)
-        signs, logmags = _pick(_evaluate(f, x), k, np.arange(k.size))
-        # x replaces the point of its sign, and becomes the newest; a root
-        # (sign 0) closes its bracket on itself
-        near = signs == s1
-        x3, l3 = np.where(near, x1, x2), np.where(near, l1, l2)
-        x2 = np.where(near, x2, np.where(signs == 0, x, x1))
-        l2 = np.where(near, l2, l1)
-        x1, l1, s1 = x, logmags, signs
+        # the row x1, stencil, x2 per bracket: the stencil runs from x1
+        # toward x2 and is clipped into the bracket, so the row is sorted; a
+        # point clipped onto an end takes that end's sign
+        col = (slice(None), None)  # a per-bracket array as a column
+        stencil = x[col] + (eps * np.sign(dx))[col] * _STENCIL
+        np.clip(stencil, a[col], b[col], out=stencil)
+        k_row = k.repeat(_STENCIL.size)
+        scan = _evaluate(f, stencil.ravel())
+        signs, logmags = _pick(scan, k_row, np.arange(k_row.size))
+        shape = stencil.shape
+        row = np.concatenate([x1[col], stencil, x2[col]], axis=1)
+        row_l = np.concatenate([l1[col], logmags.reshape(shape), l2[col]], axis=1)
+        row_s = np.concatenate([s1[col], signs.reshape(shape), -s1[col]], axis=1)
+        # the new bracket (row[j - 1], row[j]) at the row's first point j
+        # without x1's sign; its end nearer the estimate row[_CENTRE] becomes
+        # x1, the next point beyond that end x3 (of x1's sign, unless
+        # rounding noise flips a sign inside the stencil), and a zero at
+        # row[j] closes the bracket on it
+        keep = ((row_s == s1[col]) | (row == x1[col])) & (row != x2[col])
+        j = np.argmin(keep, axis=1)
+        brk = np.arange(j.size)
+        up = j > _CENTRE
+        idx = np.stack([j - up, j - 1 + up, j + 1 - 3 * up])
+        idx[:2] = np.where(row_s[brk, j] == 0, j, idx[:2])
+        x1, x2, x3 = row[brk, idx]
+        l1, l2, l3 = row_l[brk, idx]
+        s1 = np.where(up, s1, -s1)
         budget *= 0.5
-    residual[closed] = _pick(
-        _evaluate(f, t[closed]), factor[closed], np.arange(closed.size)
-    )[1]
     return [
         RootRecord(t=ti, residual_logmag=ri, bracket_width=wi, unresolved_doublet=di)
         for ti, ri, wi, di in zip(
@@ -321,10 +374,10 @@ def bisect(
 ) -> RootRecord:
     """Close a sign-change bracket down to relative width t_tol.
 
-    The one-bracket case of the lock-step closer find_roots runs; it
-    evaluates its own bracket ends and closes on the first factor that
-    changes sign across the bracket or vanishes at an end (an exact root).
-    Raises ValueError when there is none.
+    The one-bracket case of the lock-step closer find_roots runs, with no
+    grid point to seed it; it evaluates its own bracket ends and closes on
+    the first factor that changes sign across the bracket or vanishes at an
+    end (an exact root). Raises ValueError when there is none.
     """
     return _close_brackets(f, [bracket], t_tol)[0]
 
@@ -351,7 +404,7 @@ def _brackets_and_exacts(
     i_lo = np.where(ts[i] < ts[i + 1], i, i + 1)
     i_hi = 2 * i + 1 - i_lo
     brackets = list(zip(ts[i_lo].tolist(), ts[i_hi].tolist()))
-    return brackets, _bracket_ends(scan, i_lo, i_hi, k), exacts
+    return brackets, _bracket_ends(scan, i_lo, i_hi, k, ts), exacts
 
 
 def _merge_close(records: list[RootRecord]) -> list[RootRecord]:
@@ -424,8 +477,8 @@ def find_roots(
     """Locate the real secular roots covering the lowest n_levels levels.
 
     f maps a 1-D float array of t to a LogScaledValue of sign and logmag
-    arrays, optionally with factors; it is called on the master grid, on
-    each lock-step closer step and on the residuals. Every sign change of a
+    arrays, optionally with factors; it is called on the master grid and on
+    each lock-step closer step. Every sign change of a
     factor on the grid is closed on that factor. Returns every root found
     in the window, in descending t (ascending energy) order; callers slice
     the leading n_levels levels after doublet expansion. Warns with
@@ -438,6 +491,13 @@ def find_roots(
     s_hi = Z / (2.0 * cfg.t_min)
     n = max(cfg.initial_samples, math.ceil((s_hi - s_lo) / _MASTER_DS) + 1)
     ts = Z / (2.0 * np.linspace(s_lo, s_hi, n))
+    # the first interval, (Z / (2 (s_lo + ds)), t_max), spans a t ratio up
+    # to 5e4 at Z = 1e-6 and holds the ground state; geometric points in t
+    # split it into ratios of at most 2 (none in the default window from
+    # Z = 0.05 up)
+    n_fill = max(math.ceil(math.log2(ts[0] / ts[1])), 1) - 1
+    fill = np.geomspace(ts[0], ts[1], n_fill + 2)[1:-1]
+    ts = np.concatenate([ts[:1], fill, ts[1:]])
     brackets, ends, records = _brackets_and_exacts(ts, _evaluate(f, ts))
     records += _close_brackets(f, brackets, cfg.t_tol, ends)
 
