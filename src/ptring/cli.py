@@ -1,10 +1,11 @@
 """Command-line front end: spectra, secular scans, potential shapes, tables.
 
 Exit codes: 0 success, 1 usage or domain error, 2 partial results (fewer
-real levels found than requested, or backend disagreement under
---backend both). Every command solves square wells, whose secular
-functions are closed forms; PT_CIRCLE_TOL, which acts on the propagator
-product of other layouts only, has no effect here.
+real levels found than requested). Each run solves one closure, chosen by
+--backend; main reports every error a command raises as one "error:" line.
+Every command solves square wells, whose secular functions are closed
+forms; PT_CIRCLE_TOL, which acts on the propagator product of other
+layouts only, has no effect here.
 """
 
 import argparse
@@ -39,9 +40,6 @@ from .serialize import (
 )
 from .spectrum import analyze_series, energies_from_roots
 
-BACKEND_AGREE_TOL = 1e-10
-_AGREE_WINDOW = (0.03, 1.0)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; 2 is reserved for partial results."""
@@ -60,7 +58,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _check_backend_m(backend: str, M: int) -> None:
-    if backend in ("explicit", "both") and M != 1:
+    if backend == "explicit" and M != 1:
         raise ValueError(f"{backend} backend requires M=1")
 
 
@@ -70,62 +68,25 @@ def _secular_fn(backend: str, pot, Z: float):
     return lambda t: secular_monodromy(pot, Z, t)
 
 
-def _compare_root_sets(a, b) -> str | None:
-    if len(a) != len(b):
-        return f"explicit found {len(a)} roots, monodromy found {len(b)}"
-    worst = max((abs(x.t - y.t) for x, y in zip(a, b)), default=0.0)
-    if worst > BACKEND_AGREE_TOL:
-        return (
-            f"largest pairwise root distance {worst:.3e} in t "
-            f"exceeds {BACKEND_AGREE_TOL:.1e}"
-        )
-    return None
-
-
 def cmd_spectrum(args) -> int:
-    try:
-        _check_backend_m(args.backend, args.M)
-        if args.levels < 1:
-            raise ValueError(f"levels must be at least 1, got {args.levels!r}")
-        pot = build_square_well(args.M, args.Z)
-        cfg = default_scan_config(
-            args.Z, args.levels, t_min=args.t_min, t_max=args.t_max
+    _check_backend_m(args.backend, args.M)
+    if args.levels < 1:
+        raise ValueError(f"levels must be at least 1, got {args.levels!r}")
+    pot = build_square_well(args.M, args.Z)
+    cfg = default_scan_config(args.Z, args.levels, t_min=args.t_min, t_max=args.t_max)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = find_roots(
+            _secular_fn(args.backend, pot, args.Z), args.Z, args.levels, cfg
         )
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
     partial = False
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            if args.backend == "both":
-                recs_e = find_roots(
-                    _secular_fn("explicit", pot, args.Z), args.Z, args.levels, cfg
-                )
-                recs_m = find_roots(
-                    _secular_fn("monodromy", pot, args.Z), args.Z, args.levels, cfg
-                )
-                records = recs_e
-                mismatch = _compare_root_sets(recs_e, recs_m)
-                if mismatch:
-                    print(f"backend disagreement: {mismatch}", file=sys.stderr)
-                    partial = True
-            else:
-                records = find_roots(
-                    _secular_fn(args.backend, pot, args.Z), args.Z, args.levels, cfg
-                )
-    except (SecularRealityError, SecularEvaluationError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
         if issubclass(w.category, LevelShortfallWarning):
             partial = True
 
     if not records:
-        print("error: no roots found in the scan window", file=sys.stderr)
-        return 1
+        raise ValueError("no roots found in the scan window")
     levels = energies_from_roots(records, args.Z)[: args.levels]
     levels = [
         replace(lvl, doublet_partner=None)
@@ -138,8 +99,9 @@ def cmd_spectrum(args) -> int:
         partial = True
 
     if args.format == "json":
-        label = "explicit" if args.backend == "both" else args.backend
-        text = spectrum_to_json(report.levels, report.delta1, args.Z, args.M, label)
+        text = spectrum_to_json(
+            report.levels, report.delta1, args.Z, args.M, args.backend
+        )
     else:
         text = spectrum_to_csv(report.levels, report.delta1)
     _write_output(text, args.output)
@@ -147,49 +109,31 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    try:
-        _check_backend_m(args.backend, args.M)
-        pot = build_square_well(args.M, args.Z)
-        cfg = ScanConfig(
-            t_min=args.t_min, t_max=args.t_max, initial_samples=args.samples
-        )
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
-        samples = scan_secular(_secular_fn(args.backend, pot, args.Z), cfg)
-    except (SecularRealityError, SecularEvaluationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    _check_backend_m(args.backend, args.M)
+    pot = build_square_well(args.M, args.Z)
+    cfg = ScanConfig(t_min=args.t_min, t_max=args.t_max, initial_samples=args.samples)
+    samples = scan_secular(_secular_fn(args.backend, pot, args.Z), cfg)
     _write_output(scan_to_csv(samples), args.output)
     return 0
 
 
 def cmd_potential(args) -> int:
-    try:
-        pot = build_square_well(args.M, args.Z)
-        if args.format == "json":
-            text = potential_to_json(pot)
-        else:
-            text = potential_to_csv(pot, args.samples)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    pot = build_square_well(args.M, args.Z)
+    if args.format == "json":
+        text = potential_to_json(pot)
+    else:
+        text = potential_to_csv(pot, args.samples)
     _write_output(text, args.output)
     return 0
 
 
 def cmd_analyze(args) -> int:
-    try:
-        if args.input is None or args.input == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.input) as fh:
-                text = fh.read()
-        doc = parse_spectrum_json(text)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    if args.input is None or args.input == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.input) as fh:
+            text = fh.read()
+    doc = parse_spectrum_json(text)
     report = analyze_series(doc.levels)
     if len(doc.levels) < 10:
         print(
@@ -202,65 +146,27 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        _check_backend_m(args.backend, args.M)
-        if args.M != 1:
-            # both checks below solve the four-segment problem
-            raise ValueError(f"validate checks M=1 only, got M={args.M}")
-        pot = build_square_well(1, args.Z)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
-    failures = []
-    cfg = ScanConfig(t_min=_AGREE_WINDOW[0], t_max=_AGREE_WINDOW[1])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LevelShortfallWarning)
-            recs_e = find_roots(_secular_fn("explicit", pot, args.Z), args.Z, 1, cfg)
-            recs_m = find_roots(_secular_fn("monodromy", pot, args.Z), args.Z, 1, cfg)
-    except (SecularRealityError, SecularEvaluationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    mismatch = _compare_root_sets(recs_e, recs_m)
-    window = f"t in [{_AGREE_WINDOW[0]}, {_AGREE_WINDOW[1]}]"
-    if not recs_e and not recs_m:
-        # two empty root sets agree without anything being compared
-        print(
-            f"backend agreement on {window}: skipped "
-            f"(no real level in the window at Z={args.Z:g})"
+    """The free-particle limit: at Z <= FREE_LIMIT_Z the five lowest levels
+    of the strictly periodic M=1 problem are {0, (pi/2)^2 x2, pi^2 x2}."""
+    if args.Z > FREE_LIMIT_Z:
+        raise ValueError(
+            f"validate checks the free-particle limit, "
+            f"which needs Z <= {FREE_LIMIT_Z:g}"
         )
-    elif mismatch:
-        failures.append(f"backend agreement: {mismatch}")
-        print(f"backend agreement on {window}: FAIL ({mismatch})")
-    else:
-        print(f"backend agreement on {window}: ok ({len(recs_e)} roots)")
-
-    if args.Z > FREE_LIMIT_Z and not (recs_e or recs_m):
-        print(
-            f"nothing checked: no real level in the window, and the free-limit "
-            f"check needs Z <= {FREE_LIMIT_Z:g}"
-        )
+    pot = build_square_well(1, args.Z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        recs = find_roots(_secular_fn("monodromy", pot, args.Z), args.Z, 5)
+    levels = energies_from_roots(recs, args.Z)[:5]
+    if len(levels) < 5:
+        print(f"free-limit spectrum: FAIL (found {len(levels)} of 5 levels)")
         return 1
-    if args.Z <= FREE_LIMIT_Z:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LevelShortfallWarning)
-            recs = find_roots(_secular_fn("monodromy", pot, args.Z), args.Z, 5)
-        levels = energies_from_roots(recs, args.Z)[:5]
-        quarter = math.pi * math.pi / 4.0
-        expected = [0.0, quarter, quarter, 4.0 * quarter, 4.0 * quarter]
-        if len(levels) < 5:
-            failures.append(f"free limit: found only {len(levels)} of 5 levels")
-            print(f"free-limit spectrum: FAIL (found {len(levels)} of 5 levels)")
-        else:
-            worst = max(abs(l.E - e) for l, e in zip(levels, expected))
-            if worst > 1e-3:
-                failures.append(f"free limit: worst deviation {worst:.3e}")
-                print(f"free-limit spectrum: FAIL (worst deviation {worst:.3e})")
-            else:
-                print(f"free-limit spectrum: ok (worst deviation {worst:.3e})")
-
-    return 1 if failures else 0
+    quarter = math.pi * math.pi / 4.0
+    expected = [0.0, quarter, quarter, 4.0 * quarter, 4.0 * quarter]
+    worst = max(abs(l.E - e) for l, e in zip(levels, expected))
+    verdict = "ok" if worst <= 1e-3 else "FAIL"
+    print(f"free-limit spectrum: {verdict} (worst deviation {worst:.3e})")
+    return 0 if worst <= 1e-3 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,9 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_backend(sp):
         sp.add_argument(
             "--backend",
-            choices=("monodromy", "explicit", "both"),
+            choices=("monodromy", "explicit"),
             default="monodromy",
-            help="secular backend (explicit and both require M=1)",
+            help="secular backend (explicit requires M=1)",
         )
 
     sp = sub.add_parser("spectrum", help="compute the lowest energy levels")
@@ -315,10 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--output", default=None)
     an.set_defaults(func=cmd_analyze)
 
-    va = sub.add_parser("validate", help="cross-backend and free-limit checks")
+    va = sub.add_parser("validate", help="free-particle limit check (Z <= 1e-3)")
     va.add_argument("--Z", type=float, required=True)
-    va.add_argument("--M", type=int, default=1, help="must be 1")
-    add_backend(va)
     va.set_defaults(func=cmd_validate)
     return p
 
@@ -328,6 +232,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
+        return 1
+    except (OSError, ValueError, SecularRealityError, SecularEvaluationError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return 1
 
 

@@ -21,10 +21,10 @@ the estimate, so an accurate estimate on either side of the root closes
 most of the bracket at once. All brackets are closed in lock step,
 starting from the values the scan found at their ends and at the grid
 point beyond each lower end, so that the first step already interpolates.
-A root stands for as many levels as its factor's count; two roots closer
-than _MERGE_TOL, as the nearly degenerate pairs of a weak coupling are,
-merge into one record standing for two. For a value without factors, a
-pair of real roots closer than the grid spacing is not found.
+A root stands for as many levels as its factor's count; two roots whose
+closed brackets overlap, so that the closer cannot order them, merge into
+one record standing for two. For a value without factors, a pair of real
+roots closer than the grid spacing is not found.
 
 A level count below the requested one is a physical signal, not a
 numerical fault: the missing levels have no real root in the window, as
@@ -39,10 +39,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .potential import Z_FLOOR
+
 # Master-scan resolution in s; the roots of one square-well factor lie at
 # least 135 such steps apart (Z from 1e-6 to 16, up to 100 levels)
 _MASTER_DS = 5e-3
-_MERGE_TOL = 1e-12
 # Most t values handed to the secular callable in one call, which bounds its
 # temporaries: a few dozen doubles per point for the closed forms, a few
 # complex 2x2 matrices per point for the propagator product. 8192 takes the
@@ -408,16 +409,18 @@ def _brackets_and_exacts(
 
 
 def _merge_close(records: list[RootRecord]) -> list[RootRecord]:
-    """Collapse root pairs closer than the float resolution of bracket closing.
+    """Collapse root pairs that bracket closing cannot tell apart.
 
-    Two distinct records within _MERGE_TOL of each other are one doublet
-    whose splitting is below achievable resolution; they merge into a
-    single unresolved_doublet record.
+    Each record's root lies within bracket_width of its t. Two records
+    whose such intervals touch are one doublet whose splitting is below
+    the closer's resolution; they merge into a single unresolved_doublet
+    record. The test scales with t, as the closer's relative tolerance
+    does, so it holds at every coupling.
     """
     records = sorted(records, key=lambda r: r.t)
     out: list[RootRecord] = []
     for r in records:
-        if out and abs(r.t - out[-1].t) < _MERGE_TOL:
+        if out and r.t - out[-1].t <= r.bracket_width + out[-1].bracket_width:
             prev = out.pop()
             if prev.unresolved_doublet or r.unresolved_doublet:
                 # already counted as a pair; keep the sharper record
@@ -458,8 +461,8 @@ def default_scan_config(
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be at least 1, got {n_levels!r}")
-    if not Z > 0:
-        raise ValueError(f"Z must be positive, got {Z!r}")
+    if not Z >= Z_FLOOR:
+        raise ValueError(f"Z must be at least {Z_FLOOR:g}, got {Z!r}")
     e_max = 1.5 * (math.pi * (n_levels + 2) / 4.0) ** 2
     if t_max is None:
         t_max = 5.0 * max(1.0, math.sqrt(Z))

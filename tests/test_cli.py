@@ -1,16 +1,21 @@
 """End-to-end command behavior: formats, exit codes, round trips."""
 
+import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptring
 from ptring import parse_spectrum_csv, parse_spectrum_json, spectrum_to_csv, spectrum_to_json
 from ptring.cli import main
+from ptring.potential import Z_FLOOR
 
 
 def _run(capsys, argv):
@@ -75,19 +80,6 @@ def test_spectrum_explicit_strong_coupling_has_no_spurious_levels(capsys):
     assert all(float(row[3]) >= -16.0 for row in rows)
 
 
-def test_spectrum_both_backends_disagree(capsys):
-    """The eight-by-eight closure is quasi-periodic, the transfer-matrix
-    closure strictly periodic, so their root sets differ by construction."""
-    code, out, err = _run(
-        capsys, ["spectrum", "--Z", "1", "--backend", "both", "--levels", "5"]
-    )
-    assert code == 2
-    assert "backend disagreement" in err
-    # the emitted rows are the eight-by-eight system's
-    row0 = out.strip().split("\n")[1].split(",")
-    assert float(row0[1]) == pytest.approx(0.6564195696, abs=1e-8)
-
-
 def test_spectrum_json_round_trip(capsys):
     code, out, _err = _run(
         capsys,
@@ -121,6 +113,39 @@ def test_spectrum_writes_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert target.read_text().startswith("n,t,s,E,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--Z", "1", "--backend", "explicit", "--levels", "3"],
+        ["potential", "--Z", "1"],
+        ["scan", "--Z", "1", "--samples", "16"],
+    ],
+    ids=["spectrum", "potential", "scan"],
+)
+def test_output_in_missing_directory_exits_1(tmp_path, capsys, argv):
+    """An unwritable --output is an error line and exit 1, not a
+    traceback."""
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = _run(capsys, argv + ["--output", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert "Traceback" not in err
+
+
+def test_spectrum_at_the_z_floor(capsys):
+    """Z = Z_FLOOR still finds every level; the next smaller double is a
+    domain error."""
+    code, out, _err = _run(capsys, ["spectrum", "--Z", repr(Z_FLOOR), "--levels", "3"])
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1 + 3
+    below = repr(math.nextafter(Z_FLOOR, 0.0))
+    code, out, err = _run(capsys, ["spectrum", "--Z", below])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: Z must be at least 1e-200, got {below}\n"
 
 
 # --- scan ----------------------------------------------------------------------
@@ -287,33 +312,20 @@ def test_analyze_rejects_malformed_input(tmp_path, capsys):
 # --- validate ---------------------------------------------------------------------
 
 
-def test_validate_backend_m_invariant(capsys):
-    code, _out, err = _run(
-        capsys, ["validate", "--Z", "1", "--backend", "explicit", "--M", "3"]
-    )
-    assert code == 1
-    assert "explicit backend requires M=1" in err
-
-
 def test_validate_rejects_m_other_than_1(capsys):
-    """validate solves the M=1 problem only; any other M is an error, never
-    a silent check of the wrong potential."""
-    code, out, err = _run(capsys, ["validate", "--Z", "1e-6", "--M", "8"])
-    assert code == 1
-    assert out == ""
-    assert "validate checks M=1 only, got M=8" in err
+    """validate solves the M=1 problem only and has no --M; any M is a
+    usage error, never a silent check of the wrong potential."""
+    with pytest.raises(SystemExit) as ei:
+        main(["validate", "--Z", "1e-6", "--M", "8"])
+    assert ei.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --M 8" in out.err
 
 
 def test_validate_free_limit(capsys):
-    """At Z = 1e-6 every t in [0.03, 1] gives E < 0: the agreement check
-    has no level to compare and says so, and the exit code follows the
-    free-limit check alone."""
     code, out, _err = _run(capsys, ["validate", "--Z", "1e-6"])
     assert code == 0
-    assert out.splitlines()[0] == (
-        "backend agreement on t in [0.03, 1.0]: skipped "
-        "(no real level in the window at Z=1e-06)"
-    )
     assert "free-limit spectrum: ok" in out
 
 
@@ -328,22 +340,16 @@ def test_validate_free_limit_up_to_its_bound(capsys, Z):
 
 
 def test_validate_exits_1_when_nothing_is_checked(capsys):
-    """Between Z = 1e-3 (where the free-limit check stops) and about 0.0018
-    (where the first level enters t >= 0.03) neither check runs."""
-    code, out, _err = _run(capsys, ["validate", "--Z", "0.0015"])
-    assert code == 1
-    assert out.splitlines()[-1] == (
-        "nothing checked: no real level in the window, and the free-limit "
-        "check needs Z <= 0.001"
-    )
-
-
-def test_validate_z1_reports_backend_mismatch(capsys):
-    """The two closures have different root sets at Z = 1, so the
-    cross-backend check fails honestly."""
-    code, out, _err = _run(capsys, ["validate", "--Z", "1"])
-    assert code == 1
-    assert "backend agreement" in out and "FAIL" in out
+    """Above FREE_LIMIT_Z the free-limit check, validate's only check,
+    cannot run: an explicit error before any solve, never a report."""
+    for Z in ("0.0015", "1"):
+        code, out, err = _run(capsys, ["validate", "--Z", Z])
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: validate checks the free-particle limit, "
+            "which needs Z <= 0.001\n"
+        )
 
 
 # --- parser ------------------------------------------------------------------------
@@ -359,6 +365,54 @@ def test_unknown_command_exits_1():
     with pytest.raises(SystemExit) as ei:
         main(["frobnicate"])
     assert ei.value.code == 1
+
+
+# --- exit-code contract ----------------------------------------------------------
+
+_Z_EDGES = ["0", "-1", "nan", "inf", "1e-320", "1e-12", "0.01", "1", "1e6"]
+
+
+@st.composite
+def _argv(draw, unwritable):
+    command = draw(st.sampled_from(["spectrum", "scan", "potential", "validate"]))
+    z = draw(
+        st.sampled_from(_Z_EDGES)
+        | st.floats(min_value=-320.0, max_value=6.0).map(lambda e: repr(10.0**e))
+    )
+    argv = [command, "--Z", z]
+    if command == "validate":
+        return argv
+    argv += ["--M", str(draw(st.integers(0, 32)))]
+    if command == "spectrum":
+        argv += ["--levels", str(draw(st.integers(-1, 100)))]
+    else:
+        argv += ["--samples", str(draw(st.integers(0, 2000)))]
+    if command != "potential":
+        argv += ["--backend", draw(st.sampled_from(["monodromy", "explicit"]))]
+    if draw(st.booleans()) and draw(st.booleans()):
+        argv += ["--output", unwritable]
+    return argv
+
+
+def test_exit_code_contract(tmp_path_factory):
+    """Every command ends in 0, 1 or 2 (argparse's usage errors exit 1),
+    whatever the coupling, cell count, level count, sample count, backend
+    or output path; no exception escapes main."""
+    unwritable = str(tmp_path_factory.mktemp("exit") / "missing" / "out.csv")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_argv(unwritable))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    check()
 
 
 # --- imports ---------------------------------------------------------------------

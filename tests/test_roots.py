@@ -29,6 +29,7 @@ from ptring import (
     secular_monodromy,
 )
 import ptring.roots
+from ptring.potential import Z_FLOOR
 from ptring.roots import _close_brackets
 
 T_EXPLICIT_Z01 = [0.2219819562431546437372, 0.03467067057228565555074]
@@ -336,10 +337,10 @@ def test_pt_sweep_solve_takes_three_calls(Z):
     assert len(sizes) <= 3
 
 
-MULTICELL_LEVELS = {2: 19, 8: 23, 32: 25}
+MULTICELL_LEVELS = {1: 13, 2: 19, 8: 23, 32: 25}
 
 
-@pytest.mark.parametrize("Z", [0.1, 1.0, 4.0])
+@pytest.mark.parametrize("Z", [0.01, 0.1, 1.0, 4.0])
 @pytest.mark.parametrize("M", sorted(MULTICELL_LEVELS))
 def test_find_roots_multicell_doublet_widths(M, Z):
     """Each record's level is a root of tau = 2 cos(pi j / M) (tau the cell
@@ -372,10 +373,11 @@ def test_find_roots_multicell_doublet_widths(M, Z):
         assert abs(root - r.t) <= r.bracket_width, r
         assert r.unresolved_doublet == (0 < j < M), r
         roots.append(root)
-    # band-edge pairs (j = 0) split by as little as 2e-7 relative at Z = 0.1
-    # are two roots; no root is reported twice
+    # band-edge pairs (j = 0) split by as little as 4e-10 relative at
+    # Z = 0.01 are two roots; no root is reported twice (two records within
+    # 1e-12 of one root would give roots at most 2e-12 apart)
     roots.sort()
-    assert all(b - a > 1e-9 * a for a, b in zip(roots, roots[1:]))
+    assert all(b - a > 2e-12 * b for a, b in zip(roots, roots[1:]))
 
 
 def _with_double_factor(root, other):
@@ -477,21 +479,47 @@ def test_find_roots_free_limit_doublets():
     assert recs[1].unresolved_doublet
 
 
+WEAK_Z = (1e-100, 1e-30, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3)
+
+
 @pytest.mark.parametrize(
     "M,Z,levels",
-    [(1, z, 25) for z in (1e-6, 1e-5, 1e-4, 1e-3)]
+    [(1, z, 25) for z in WEAK_Z]
     + [(1, 2e-3, 13)]
-    + [(2, z, 25) for z in (1e-6, 1e-5, 1e-4, 1e-3)]
-    + [(2, 2e-3, 19)],
+    + [(2, z, 25) for z in WEAK_Z]
+    + [(2, 2e-3, 19)]
+    + [("explicit", z, 25) for z in WEAK_Z],
 )
 def test_free_limit_pairs_all_or_none(M, Z, levels):
     """The tau = -2 pairs count as doublets either all together, up to
     FREE_LIMIT_Z, or not at all above it; never an arbitrary subset of them
-    as their distance from the real axis varies."""
+    as their distance from the real axis varies. Their t scales with Z, so
+    at Z = 1e-8 and below pairs of distinct levels lie closer than 1e-12 in
+    t and must stay apart; the twisted closure gets all of them too."""
+    f = _f_explicit(Z) if M == "explicit" else _f_monodromy(Z, M)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LevelShortfallWarning)
-        recs = find_roots(_f_monodromy(Z, M), Z, 18)
+        recs = find_roots(f, Z, 18)
     assert level_count(recs) == levels
+
+
+@pytest.mark.parametrize("M", ["explicit", 1, 2, 8, 32])
+def test_z_floor(M):
+    """At Z_FLOOR every closure still finds every level, 25 at 18 requested
+    and 125 at 100; the next smaller double is a ValueError wherever Z
+    enters, not a miscount (the twisted closure overcounts from Z = 1e-243)
+    or an overflow in the grid sizing (below about 1e-308)."""
+    Z = Z_FLOOR
+    f = _f_explicit(Z) if M == "explicit" else _f_monodromy(Z, M)
+    for n_levels, levels in ((18, 25), (100, 125)):
+        assert level_count(find_roots(f, Z, n_levels)) == levels
+    below = math.nextafter(Z_FLOOR, 0.0)
+    with pytest.raises(ValueError, match="at least 1e-200"):
+        build_square_well(1, below)
+    with pytest.raises(ValueError, match="at least 1e-200"):
+        default_scan_config(below, 18)
+    with pytest.raises(ValueError, match="at least 1e-200"):
+        secular_explicit(below, 1e-201)
 
 
 @pytest.mark.parametrize(
@@ -519,20 +547,35 @@ def test_weak_coupling_ground_bracket_is_split(M, Z, t_ground):
     assert len(sizes) <= 4
 
 
-def test_find_roots_synthetic_tight_pair():
-    """A real pair split below bisection resolution, one root of each of two
-    factors, reports as one doublet."""
+def _split_pair(split):
+    """(t - 0.5)(t - 0.5 - split), one root of each of two factors."""
 
     def f(t):
-        g = LogScaledValue.from_float((t - 0.5) * (t - 0.5 - 5e-13))
-        return LogScaledValue(g.sign, g.logmag, ((t - 0.5, 1), (t - 0.5 - 5e-13, 1)))
+        g = LogScaledValue.from_float((t - 0.5) * (t - 0.5 - split))
+        return LogScaledValue(g.sign, g.logmag, ((t - 0.5, 1), (t - 0.5 - split, 1)))
 
+    return f
+
+
+def test_find_roots_synthetic_tight_pair():
+    """A real pair split below bisection resolution (5e-14 at t = 0.5), one
+    root of each of two factors, reports as one doublet."""
     cfg = ScanConfig(t_min=0.3, t_max=0.7)
-    recs = find_roots(f, 1.0, 2, cfg)
+    recs = find_roots(_split_pair(2e-14), 1.0, 2, cfg)
     assert level_count(recs) == 2
     assert len(recs) == 1
     assert recs[0].unresolved_doublet
     assert recs[0].t == pytest.approx(0.5, abs=1e-6)
+
+
+def test_find_roots_synthetic_resolved_pair():
+    """A pair split by ten times bisection resolution closes into two
+    brackets that do not overlap, so it is two records of one level each,
+    however small the split is in absolute t."""
+    cfg = ScanConfig(t_min=0.3, t_max=0.7)
+    recs = find_roots(_split_pair(5e-13), 1.0, 2, cfg)
+    assert [r.unresolved_doublet for r in recs] == [False, False]
+    assert [r.t for r in recs] == pytest.approx([0.5 + 5e-13, 0.5], rel=0, abs=5e-14)
 
 
 def test_find_roots_residual_dominance():
