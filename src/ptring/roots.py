@@ -2,12 +2,15 @@
 
 The secular callable f takes a 1-D float array of t and returns a
 LogScaledValue whose sign and logmag are arrays of the same length, with
-its real factors (a value without factors is its own single factor). Every
-stage evaluates whole arrays: the master grid (in chunks of at most
-_EVAL_CHUNK points, one chunk at 18 levels) and one step of every open
-bracket together. Each secular call costs a fixed overhead far above its
-per-point cost, so a solve's time follows its number of calls, and each
-closer step spends a few points per bracket to save calls.
+its real factors (a value without factors is its own single factor). Root
+finding reads only the factors of a value that has them, so a closure that
+computes its sign and logmag on first read never computes them here;
+scan_secular reads the value itself. Every stage evaluates whole arrays:
+the master grid (in chunks of at most _EVAL_CHUNK points, one chunk at 18
+levels) and one step of every open bracket together. Each secular call
+costs a fixed overhead far above its per-point cost, so a solve's time
+follows its number of calls, and each closer step spends a few points per
+bracket to save calls.
 
 Every real root of the value is a simple root of exactly one factor, and
 the roots of one factor lie far apart. So the spectrum is the set of sign
@@ -59,6 +62,12 @@ _ITP_N0 = 1
 # x1, stencil, x2 that the step searches for its sign change
 _STENCIL = np.array([-1e9, -1e6, -1e3, -1.0, 0.0, 1.0, 1e3, 1e6, 1e9])
 _CENTRE = 1 + _STENCIL.size // 2
+# Offsets from that first point j without x1's sign, in the row, of the next
+# step's x1, x2 and x3: column 0 for a new bracket below the estimate
+# (j <= _CENTRE), column 1 above it
+_NEXT = np.array([[0, -1], [-1, 0], [1, -2]])
+# Signs of the values at x1, x2 and x3 relative to x1's
+_Y_SIGNS = np.array([[1.0], [-1.0], [1.0]])
 # Least bracket_width reported for a closed bracket, in ulps of its t: the
 # sign of a computed value is rounding noise within a few ulps of its root
 _WIDTH_FLOOR_ULPS = 8
@@ -129,44 +138,50 @@ class RootRecord:
 
 def _evaluate(
     f: Callable[[np.ndarray], object], ts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-    """Signs and log-magnitudes of f over the 1-D array ts, chunk by chunk,
-    its factors as one row per factor (None for a value without factors)
-    and the factors' counts (one count of 1 without factors).
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray]:
+    """f over the 1-D array ts, chunk by chunk: its factors as one row per
+    factor and their counts, as (None, None, factors, counts); a value
+    without factors is its own single factor, (signs, logmags, None, [1]).
+    The sign and log-magnitude of a value with factors are not read.
 
     An error raised by f is wrapped in SecularEvaluationError, carrying the
     cause's own t when it has one and the chunk's first t otherwise.
     """
-    signs = np.empty(ts.size, dtype=int)
-    logmags = np.empty(ts.size)
-    factors, counts = None, np.ones(1, dtype=int)
+    signs = logmags = factors = None
+    counts = np.ones(1, dtype=int)
     for i in range(0, ts.size, _EVAL_CHUNK):
         chunk = ts[i : i + _EVAL_CHUNK]
-        try:
-            v = f(chunk)
-        except SecularEvaluationError:
-            raise
-        except Exception as e:
-            t = getattr(e, "t", None)
-            raise SecularEvaluationError(
-                float(chunk[0]) if t is None else t, e
-            ) from e
-        signs[i : i + chunk.size] = v.sign
-        logmags[i : i + chunk.size] = v.logmag
+        at = slice(i, i + chunk.size)
+        v = _call(f, chunk)
         if v.factors:
             if factors is None:
                 factors = np.empty((len(v.factors), ts.size))
                 counts = np.array([c for _, c in v.factors])
             for row, (y, _) in zip(factors, v.factors):
-                row[i : i + chunk.size] = y
+                row[at] = y
+        else:
+            if signs is None:
+                signs, logmags = np.empty(ts.size, dtype=int), np.empty(ts.size)
+            signs[at] = v.sign
+            logmags[at] = v.logmag
     return signs, logmags, factors, counts
 
 
-def _pick(
-    scan: tuple, k: np.ndarray, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log-magnitude of factor k[j] at point idx[j] of an _evaluate
-    result; the value's own for a value without factors."""
+def _call(f: Callable[[np.ndarray], object], ts: np.ndarray):
+    """f(ts), an error it raises wrapped as _evaluate describes."""
+    try:
+        return f(ts)
+    except SecularEvaluationError:
+        raise
+    except Exception as e:
+        t = getattr(e, "t", None)
+        raise SecularEvaluationError(float(ts[0]) if t is None else t, e) from e
+
+
+def _pick(scan: tuple, k: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log-magnitude of factor k at point idx of an _evaluate
+    result, k and idx broadcast together; the value's own for a value
+    without factors."""
     signs, logmags, factors, _ = scan
     if factors is None:
         return signs[idx], logmags[idx]
@@ -187,19 +202,18 @@ def _bracket_ends(
 
     With the grid ts the result was evaluated on, each bracket is seeded
     with the grid point just beyond lo, where that point exists and has
-    lo's sign of the factor; otherwise, and without ts, it has no seed.
+    lo's sign of the factor; otherwise, and without ts, it has no seed, and
+    lo stands in for the seed's log-magnitude.
     """
-    n = k.size
-    i_seed = np.clip(2 * i_lo - i_hi, 0, scan[0].size - 1)
-    signs, logmags = _pick(
-        scan, np.concatenate([k, k, k]), np.concatenate([i_lo, i_hi, i_seed])
-    )
-    signs, logmags = signs.reshape(3, n), logmags.reshape(3, n)
-    seed = np.full(n, np.nan)
+    seed, i_seed = np.full(k.size, np.nan), i_lo
     if ts is not None:
-        beyond = (i_seed == 2 * i_lo - i_hi) & (signs[2] == signs[0])
-        seed[beyond] = ts[i_seed[beyond]]
-    return k, scan[3][k] == 2, signs[:2], logmags[:2], seed, logmags[2]
+        beyond = 2 * i_lo - i_hi
+        i_seed = np.minimum(np.maximum(beyond, 0), ts.size - 1)
+    signs, logmags = _pick(scan, k, np.array([i_lo, i_hi, i_seed]))
+    if ts is not None:
+        found = (i_seed == beyond) & (signs[2] == signs[0])
+        seed[found] = ts[i_seed[found]]
+    return k, scan[3][k] == 2, signs[:2], seed, logmags
 
 
 def scan_secular(
@@ -208,26 +222,32 @@ def scan_secular(
     """Tabulate sign and log-magnitude of f itself on a uniform t grid over
     the window."""
     ts = np.linspace(config.t_min, config.t_max, config.initial_samples)
-    signs, logmags, _, _ = _evaluate(f, ts)
+    signs, logmags = np.empty(ts.size, dtype=int), np.empty(ts.size)
+    for i in range(0, ts.size, _EVAL_CHUNK):
+        v = _call(f, ts[i : i + _EVAL_CHUNK])
+        signs[i : i + _EVAL_CHUNK] = v.sign
+        logmags[i : i + _EVAL_CHUNK] = v.logmag
     return list(map(ScanSample, ts.tolist(), signs.tolist(), logmags.tolist()))
 
 
 def _close_brackets(
     f: Callable[[np.ndarray], object],
-    brackets: Sequence[tuple[float, float]],
+    brackets: Sequence[tuple[float, float]] | np.ndarray,
     t_tol: float,
     ends: tuple | None = None,
 ) -> list[RootRecord]:
     """Close every sign-change bracket in lock step, one record each.
 
     Each bracket is closed on one factor of f's value (see find_roots).
+    brackets is a sequence of (lo, hi) pairs or an (n, 2) array of them.
     ends, when given, holds what the scan found per bracket: the index of
-    its factor, whether that factor counts twice, the factor's signs and
-    log-magnitudes at the bracket ends, each an array of shape (2, n) with a
-    lo row and a hi row, and a seed point beyond lo of lo's sign with its
-    log-magnitude (NaN for none). Without it the ends are evaluated first,
-    each bracket takes the first factor that is zero at an end or changes
-    sign across it, and no bracket is seeded.
+    its factor, whether that factor counts twice, the factor's signs at the
+    bracket ends as an array of shape (2, n) with a lo row and a hi row, a
+    seed point beyond lo of lo's sign (NaN for none), and the factor's
+    log-magnitudes at lo, hi and the seed as an array of shape (3, n).
+    Without it the ends are evaluated first, each bracket takes the first
+    factor that is zero at an end or changes sign across it, and no bracket
+    is seeded.
 
     Each step's estimate x is Chandrupatla's (Adv. Eng. Softw. 28 (1997)
     145): inverse quadratic interpolation over the end nearer the last
@@ -251,13 +271,13 @@ def _close_brackets(
     stencils of all open brackets in one call. Raises ValueError unless
     0 < lo < hi and the end signs of the bracket's factor differ.
     """
-    if not brackets:
+    if not len(brackets):
         return []
-    pairs = [(float(a), float(b)) for a, b in brackets]
-    for a, b in pairs:
-        if not 0 < a < b:
-            raise ValueError(f"need 0 < lo < hi, got ({a!r}, {b!r})")
-    lo, hi = np.array(pairs).T
+    lo, hi = np.array(brackets, dtype=float).reshape(-1, 2).T
+    bad = ~((0 < lo) & (lo < hi))
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"need 0 < lo < hi, got ({float(lo[i])!r}, {float(hi[i])!r})")
     n = lo.size
     if ends is None:
         scan = _evaluate(f, np.concatenate([lo, hi]))
@@ -266,59 +286,59 @@ def _close_brackets(
             y_lo, y_hi = scan[2][:, :n], scan[2][:, n:]
             k = np.argmax(np.sign(y_lo) * np.sign(y_hi) <= 0, axis=0)
         ends = _bracket_ends(scan, np.arange(n), np.arange(n, 2 * n), k)
-    factor, double, (sign_lo, sign_hi), (logmag_lo, logmag_hi), seed, l_seed = (
-        ends
-    )
+    factor, double, (sign_lo, sign_hi), seed, logmags = ends
     exact_lo = sign_lo == 0
-    exact_hi = ~exact_lo & (sign_hi == 0)
-    same = ~exact_lo & ~exact_hi & (sign_lo == sign_hi)
+    open_ = ~exact_lo & (sign_hi != 0)
+    same = open_ & (sign_lo == sign_hi)
     if same.any():
-        i = int(np.flatnonzero(same)[0])
+        i = np.argmax(same)
         raise ValueError(
-            f"no sign change across bracket {pairs[i]!r}; "
+            f"no sign change across bracket {(float(lo[i]), float(hi[i]))!r}; "
             f"both ends have sign {int(sign_lo[i])}"
         )
     # an exact root is its own bracket, and its residual that end's value
     t = np.where(exact_lo, lo, hi)
     width = np.zeros(n)
-    residual = np.where(exact_lo, logmag_lo, logmag_hi)
-    # per open bracket i: the end x1 nearer the last estimate (of sign s1),
-    # the other end x2, the next point x3 beyond x1 of x1's sign (NaN for
-    # none), their log-magnitudes, and the factor k
-    i = np.flatnonzero(~exact_lo & ~exact_hi)
-    x1, x2, x3 = lo[i], hi[i], seed[i]
-    l1, l2, l3 = logmag_lo[i], logmag_hi[i], l_seed[i]
+    residual = np.where(exact_lo, logmags[0], logmags[1])
+    # per open bracket i: the rows of X are the end x1 nearer the last
+    # estimate (of sign s1), the other end x2 and the next point x3 beyond
+    # x1 of x1's sign (NaN for none), the rows of L their log-magnitudes,
+    # and k is its factor
+    i = np.flatnonzero(open_)
+    X, L = np.array([lo, hi, seed])[:, i], logmags[:, i]
     s1, k = sign_lo[i], factor[i]
-    eps = 0.5 * t_tol * x1
-    n_max = np.ceil(np.log2((x2 - x1) / (2.0 * eps))) + _ITP_N0
+    eps = 0.5 * t_tol * X[0]
+    n_max = np.ceil(np.log2((X[1] - X[0]) / (2.0 * eps))) + _ITP_N0
     # ITP's projection radius plus half the width, (eps - ulp) 2^(n_max - j)
     # at step j: rounding of mid and x adds up to one ulp to a width held at
     # its budget, and an ulp less keeps n_max steps enough
-    budget = (eps - np.spacing(x2)) * 2.0**n_max
+    budget = (eps - np.spacing(X[1])) * 2.0**n_max
     while i.size:
+        x1, x2, x3 = X
         a, b = np.minimum(x1, x2), np.maximum(x1, x2)
         w, m = b - a, 0.5 * (a + b)
         go = (w > t_tol * b) & (a < m) & (m < b)
         if not go.all():
             # record the brackets that closed and drop them from the arrays
             c = ~go
-            nearer = l1[c] <= l2[c]
-            t[i[c]] = np.where(nearer, x1[c], x2[c])
-            residual[i[c]] = np.where(nearer, l1[c], l2[c])
+            x_c, l_c, w_c = X[:2, c], L[:2, c], w[c]
+            nearer = l_c[0] <= l_c[1]
+            t[i[c]] = np.where(nearer, *x_c)
+            residual[i[c]] = np.where(nearer, *l_c)
             width[i[c]] = np.where(
-                w[c] > 0, np.maximum(w[c], _WIDTH_FLOOR_ULPS * np.spacing(m[c])), 0.0
+                w_c > 0, np.maximum(w_c, _WIDTH_FLOOR_ULPS * np.spacing(m[c])), 0.0
             )
-            state = (i, x1, x2, x3, l1, l2, l3, s1, k, eps, budget, a, b, w, m)
-            i, x1, x2, x3, l1, l2, l3, s1, k, eps, budget, a, b, w, m = (
-                v[go] for v in state
-            )
-            if not i.size:
+            if not go.any():
                 break
+            i, X, L, s1, k, eps, budget, a, b, w, m = (
+                i[go], X[:, go], L[:, go], s1[go], k[go], eps[go], budget[go],
+                a[go], b[go], w[go], m[go],
+            )
+            x1, x2, x3 = X
         # inverse quadratic interpolation on the values normalized by the
         # largest of the three, where Chandrupatla's test accepts it; the
         # values carry the sign s1 (-s1 at x2), which changes neither
-        top = np.maximum(np.maximum(l1, l2), l3)
-        y1, y2, y3 = np.exp(l1 - top), -np.exp(l2 - top), np.exp(l3 - top)
+        y1, y2, y3 = np.exp(L - L.max(axis=0)) * _Y_SIGNS
         dx = x2 - x1
         with np.errstate(all="ignore"):
             d21, d23 = y2 - y1, y2 - y3
@@ -327,7 +347,7 @@ def _close_brackets(
             iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(q)
         # clip: at least epsilon from the nearer end toward the other end
         q_min = eps / w
-        xt = np.where(iqi, x1 + np.clip(q, q_min, 1.0 - q_min) * dx, m)
+        xt = np.where(iqi, x1 + np.minimum(np.maximum(q, q_min), 1.0 - q_min) * dx, m)
         # project: keep it within r of the midpoint
         r = np.maximum(budget - 0.5 * w, 0.0)
         d = m - xt
@@ -337,14 +357,14 @@ def _close_brackets(
         # point clipped onto an end takes that end's sign
         col = (slice(None), None)  # a per-bracket array as a column
         stencil = x[col] + (eps * np.sign(dx))[col] * _STENCIL
-        np.clip(stencil, a[col], b[col], out=stencil)
-        k_row = k.repeat(_STENCIL.size)
+        np.maximum(stencil, a[col], out=stencil)
+        np.minimum(stencil, b[col], out=stencil)
         scan = _evaluate(f, stencil.ravel())
-        signs, logmags = _pick(scan, k_row, np.arange(k_row.size))
-        shape = stencil.shape
+        points = np.arange(stencil.size).reshape(stencil.shape)
+        signs, logmags = _pick(scan, k[col], points)
         row = np.concatenate([x1[col], stencil, x2[col]], axis=1)
-        row_l = np.concatenate([l1[col], logmags.reshape(shape), l2[col]], axis=1)
-        row_s = np.concatenate([s1[col], signs.reshape(shape), -s1[col]], axis=1)
+        row_l = np.concatenate([L[0][col], logmags, L[1][col]], axis=1)
+        row_s = np.concatenate([s1[col], signs, -s1[col]], axis=1)
         # the new bracket (row[j - 1], row[j]) at the row's first point j
         # without x1's sign; its end nearer the estimate row[_CENTRE] becomes
         # x1, the next point beyond that end x3 (of x1's sign, unless
@@ -354,10 +374,9 @@ def _close_brackets(
         j = np.argmin(keep, axis=1)
         brk = np.arange(j.size)
         up = j > _CENTRE
-        idx = np.stack([j - up, j - 1 + up, j + 1 - 3 * up])
-        idx[:2] = np.where(row_s[brk, j] == 0, j, idx[:2])
-        x1, x2, x3 = row[brk, idx]
-        l1, l2, l3 = row_l[brk, idx]
+        idx = j + _NEXT[:, up.astype(np.intp)]
+        np.copyto(idx[:2], j, where=row_s[brk, j] == 0)
+        X, L = row[brk, idx], row_l[brk, idx]
         s1 = np.where(up, s1, -s1)
         budget *= 0.5
     return [
@@ -385,26 +404,33 @@ def bisect(
 
 def _brackets_and_exacts(
     ts: np.ndarray, scan: tuple
-) -> tuple[list[tuple[float, float]], tuple, list[RootRecord]]:
-    """Sign-change brackets of each factor between neighbours of the grid ts,
-    their ends argument of _close_brackets, and exact roots: points where a
-    factor is zero, each a root of the first such factor."""
+) -> tuple[np.ndarray, tuple, list[RootRecord]]:
+    """Sign-change brackets of each factor between neighbours of the grid ts
+    as an (n, 2) array of (lo, hi) rows, their ends argument of
+    _close_brackets, and exact roots: points where a factor is zero, each a
+    root of the first such factor."""
     signs, _, factors, counts = scan
-    fs = signs[None, :] if factors is None else np.sign(factors)
-    zero = fs == 0
-    j = np.flatnonzero(zero.any(axis=0))
-    exacts = [
-        RootRecord(
-            t=t, residual_logmag=-math.inf, bracket_width=0.0, unresolved_doublet=d
-        )
-        for t, d in zip(
-            ts[j].tolist(), (counts[np.argmax(zero[:, j], axis=0)] == 2).tolist()
-        )
-    ]
-    k, i = np.nonzero(fs[:, :-1] * fs[:, 1:] < 0)
+    y = signs[None, :] if factors is None else factors
+    neg, pos, zero = y < 0, y > 0, y == 0
+    exacts = []
+    if zero.any():
+        j = np.flatnonzero(zero.any(axis=0))
+        exacts = [
+            RootRecord(
+                t=t, residual_logmag=-math.inf, bracket_width=0.0, unresolved_doublet=d
+            )
+            for t, d in zip(
+                ts[j].tolist(), (counts[np.argmax(zero[:, j], axis=0)] == 2).tolist()
+            )
+        ]
+    # factor by factor in ascending i, as np.nonzero would give them
+    k, i = divmod(
+        np.flatnonzero((neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])),
+        ts.size - 1,
+    )
     i_lo = np.where(ts[i] < ts[i + 1], i, i + 1)
     i_hi = 2 * i + 1 - i_lo
-    brackets = list(zip(ts[i_lo].tolist(), ts[i_hi].tolist()))
+    brackets = np.stack([ts[i_lo], ts[i_hi]], axis=1)
     return brackets, _bracket_ends(scan, i_lo, i_hi, k, ts), exacts
 
 
@@ -457,7 +483,12 @@ def default_scan_config(
 
     The energy ceiling is 1.5x the free-circle estimate for level
     n_levels + 2, converted to a t floor through s = Z/(2t); the t ceiling
-    sits far above the ground state of any coupling up to Z.
+    sits far above the ground state of any coupling up to Z. The floor
+    ignores the -t^2 of E = s^2 - t^2, so at large Z the window reaches
+    less far in E. Where a default floor leaves the window no positive
+    energy, or no t range at all, this raises ValueError rather than return
+    a window that holds no level of the strictly periodic operator (whose
+    eigenvalues all have Re E >= 0).
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be at least 1, got {n_levels!r}")
@@ -468,6 +499,13 @@ def default_scan_config(
         t_max = 5.0 * max(1.0, math.sqrt(Z))
     if t_min is None:
         t_min = Z / (2.0 * math.sqrt(e_max))
+        e_top = (Z / (2.0 * t_min)) ** 2 - t_min**2
+        if not (e_top > 0 and t_min < t_max):
+            raise ValueError(
+                f"the default scan window for {n_levels} levels at Z={Z!r} "
+                f"holds no positive energy: t from {t_min:.6g} to {t_max:.6g} "
+                f"reaches E up to {e_top:.6g}; set a smaller t_min (--t-min)"
+            )
     return ScanConfig(t_min=t_min, t_max=t_max)
 
 
@@ -481,8 +519,9 @@ def find_roots(
 
     f maps a 1-D float array of t to a LogScaledValue of sign and logmag
     arrays, optionally with factors; it is called on the master grid and on
-    each lock-step closer step. Every sign change of a
-    factor on the grid is closed on that factor. Returns every root found
+    each lock-step closer step, and the sign and logmag of a value with
+    factors are not read. Every sign change of a factor on the grid is
+    closed on that factor. Returns every root found
     in the window, in descending t (ascending energy) order; callers slice
     the leading n_levels levels after doublet expansion. Warns with
     LevelShortfallWarning when the window yields fewer levels than
@@ -499,8 +538,9 @@ def find_roots(
     # split it into ratios of at most 2 (none in the default window from
     # Z = 0.05 up)
     n_fill = max(math.ceil(math.log2(ts[0] / ts[1])), 1) - 1
-    fill = np.geomspace(ts[0], ts[1], n_fill + 2)[1:-1]
-    ts = np.concatenate([ts[:1], fill, ts[1:]])
+    if n_fill:
+        fill = np.geomspace(ts[0], ts[1], n_fill + 2)[1:-1]
+        ts = np.concatenate([ts[:1], fill, ts[1:]])
     brackets, ends, records = _brackets_and_exacts(ts, _evaluate(f, ts))
     records += _close_brackets(f, brackets, cfg.t_tol, ends)
 

@@ -22,7 +22,8 @@ Both backends substitute s = Z/(2t) and work at purely real energy
 E = s^2 - t^2; values are returned in sign/log-magnitude form to survive the
 huge dynamic range of the secular functions. A square-well value also
 carries its real factors (see LogScaledValue), whose simple roots are the
-levels.
+levels; the call computes the factors, and the sign and log-magnitude only
+when one of them is first read, since root finding reads only the factors.
 
 Both take t as a float or a 1-D float array. A float is evaluated as a
 one-point array and comes back as a scalar LogScaledValue; an array comes
@@ -94,19 +95,23 @@ def reality_rtol() -> float:
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """The (t, s, kappa, E) bundle tied by 2st = Z and E = s^2 - t^2.
+    """The (t, s, E) bundle tied by 2st = Z and E = s^2 - t^2, and kappa.
 
     kappa = s - i t is the wavenumber in +iZ segments (kappa^2 = E - iZ);
     its conjugate belongs to -iZ segments. The branch is fixed by s > 0,
-    t > 0 by construction, never by a complex square root. t may be a float
-    or a float array; s, kappa and E then have its shape.
+    t > 0 by construction, never by a complex square root. kappa is
+    computed when read, since only the propagator product needs it. t may be
+    a float or a float array; s, kappa and E then have its shape.
     """
 
     Z: float
     t: float
     s: float
-    kappa: complex
     E: float
+
+    @property
+    def kappa(self):
+        return self.s - 1j * self.t
 
     @classmethod
     def from_zt(cls, Z: float, t) -> "SpectralPoint":
@@ -115,20 +120,20 @@ class SpectralPoint:
         the double range (t above about 1.3e154, or s = Z/(2t) overflowing)."""
         if not Z >= Z_FLOOR:
             raise ValueError(f"Z must be at least {Z_FLOOR:g}, got {Z!r}")
-        bad = np.flatnonzero(~(np.asarray(t) > 0))
-        if bad.size:
-            first = float(np.ravel(t)[bad[0]])
+        positive = np.asarray(t) > 0
+        if not positive.all():
+            first = float(np.ravel(t)[np.argmin(positive)])
             raise ValueError(f"t must be positive, got {first!r}")
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             s = Z / (2.0 * t)
             E = s * s - t * t
-        bad = np.flatnonzero(~np.isfinite(E))
-        if bad.size:
-            raise SecularOverflowError("energy", Z, float(np.ravel(t)[bad[0]]))
-        return cls(Z=Z, t=t, s=s, kappa=s - 1j * t, E=E)
+        finite = np.isfinite(E)
+        if not finite.all():
+            first = float(np.ravel(t)[np.argmin(finite)])
+            raise SecularOverflowError("energy", Z, first)
+        return cls(Z=Z, t=t, s=s, E=E)
 
 
-@dataclass(frozen=True)
 class LogScaledValue:
     """sign * e^(logmag) with sign in {-1, 0, +1}; logmag = -inf when sign = 0.
 
@@ -143,25 +148,65 @@ class LogScaledValue:
     signs, each to the power count, is the value's sign up to a sign fixed
     per closure. Where several factors vanish at one point, it is a root of
     the first of them. A value without factors is its own single factor.
+
+    The secular functions return a deferred value (see deferred): its
+    factors are computed by the call, its sign and logmag only when one of
+    them is first read, since root finding reads only the factors. The
+    checks on sign and logmag run then; the constructor runs them at once.
     """
 
-    sign: int
-    logmag: float
-    factors: tuple = ()
+    __slots__ = ("factors", "_value", "_pair")
 
-    def __post_init__(self) -> None:
-        sign, logmag = np.asarray(self.sign), np.asarray(self.logmag)
-        if not ((sign == -1) | (sign == 0) | (sign == 1)).all():
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if ((sign == 0) & (logmag != -np.inf)).any():
-            raise ValueError("zero value must carry logmag = -inf")
+    def __init__(self, sign, logmag, factors: tuple = ()):
+        self.factors = factors
+        self._value = None
+        self._pair = _checked(sign, logmag)
+
+    @classmethod
+    def deferred(cls, value, factors: tuple = ()) -> "LogScaledValue":
+        """The value whose sign and logmag value() returns, called once, on
+        the first read of either."""
+        v = cls.__new__(cls)
+        v.factors, v._value, v._pair = factors, value, None
+        return v
+
+    @property
+    def sign(self):
+        return self._read()[0]
+
+    @property
+    def logmag(self):
+        return self._read()[1]
+
+    def _read(self) -> tuple:
+        if self._pair is None:
+            self._pair = _checked(*self._value())
+            self._value = None
+        return self._pair
+
+    def __repr__(self) -> str:
+        return (
+            f"LogScaledValue(sign={self.sign!r}, logmag={self.logmag!r}, "
+            f"factors={self.factors!r})"
+        )
 
     @classmethod
     def from_float(cls, x) -> "LogScaledValue":
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         with np.errstate(divide="ignore"):  # log(0) = -inf marks the zeros
-            logmag = np.log(np.abs(xs))
-        return _log_scaled(np.sign(xs).astype(int), logmag, np.ndim(x) == 0)
+            pair = np.sign(xs).astype(int), np.log(np.abs(xs))
+        return _log_scaled(lambda: pair, np.ndim(x) == 0)
+
+
+def _checked(sign, logmag) -> tuple:
+    """(sign, logmag), after checking that every sign is -1, 0 or +1 and
+    that every zero carries logmag = -inf."""
+    sign_a, logmag_a = np.asarray(sign), np.asarray(logmag)
+    if not ((sign_a == -1) | (sign_a == 0) | (sign_a == 1)).all():
+        raise ValueError(f"sign must be -1, 0 or +1, got {sign!r}")
+    if ((sign_a == 0) & (logmag_a != -np.inf)).any():
+        raise ValueError("zero value must carry logmag = -inf")
+    return sign, logmag
 
 
 def _points(Z: float, t) -> tuple[SpectralPoint, bool]:
@@ -173,15 +218,19 @@ def _points(Z: float, t) -> tuple[SpectralPoint, bool]:
     return SpectralPoint.from_zt(Z, ts), scalar
 
 
-def _log_scaled(
-    sign: np.ndarray, logmag: np.ndarray, scalar: bool, factors=()
-) -> LogScaledValue:
-    """The per-point value with its (value, count) factors, unwrapped to
-    Python scalars for a scalar call."""
-    if scalar:
-        factors = [(float(v[0]), c) for v, c in factors]
-        return LogScaledValue(int(sign[0]), float(logmag[0]), tuple(factors))
-    return LogScaledValue(sign, logmag, tuple(factors))
+def _log_scaled(value, scalar: bool, factors=()) -> LogScaledValue:
+    """The deferred value whose sign and log-magnitude arrays value()
+    returns, with its (value, count) factors, unwrapped to Python scalars
+    for a scalar call. value() must read only arrays the call computed, not
+    the caller's t, which the caller may change before the value is read."""
+    if not scalar:
+        return LogScaledValue.deferred(value, tuple(factors))
+
+    def first():
+        sign, logmag = value()
+        return int(sign[0]), float(logmag[0])
+
+    return LogScaledValue.deferred(first, tuple((float(v[0]), c) for v, c in factors))
 
 
 @dataclass(frozen=True)
@@ -293,32 +342,57 @@ def _square_well_periods(pot: CirclePotential, Z: float) -> int:
 
 
 def _cell_trace(point: SpectralPoint, h: float):
-    """(2 - tau) e^(-2th), (2 + tau) e^(-2th) and 2th for one (+iZ, -iZ) cell,
-    and the pieces k^2, a, b and c below.
+    """k^2, a, b, c, d and 2th for one (+iZ, -iZ) cell, and sin(sh), cos(sh)
+    and |kappa|^2 = s^2 + t^2.
 
-    The cell trace is real: with segment width h and |kappa|^2 = s^2 + t^2,
+    The cell trace is real: with segment width h,
     tau = 2 cos^2(sh) - 2 (E/|kappa|^2) sin^2(sh) + 4 (t^2/|kappa|^2) sinh^2(th).
     With k = 2/|kappa|, a = s sin(sh) e^(-th), b = t sinh(th) e^(-th),
     c = s cos(sh) e^(-th) and d = t cosh(th) e^(-th), it is taken through
-    the factored forms (2 - tau) e^(-2th) = k^2 (a - b)(a + b) and
-    (2 + tau) e^(-2th) = k^2 (c^2 + d^2) > 0, which keep full relative
-    precision at the band edge tau = 2 and stay finite at every t.
+    the factored forms of _band_forms, which keep full relative precision at
+    the band edge tau = 2 and stay finite at every t.
     """
     s, t = point.s, point.t
     th = t * h
     decay = np.exp(-th)
-    a, c = s * np.sin(s * h) * decay, s * np.cos(s * h) * decay
+    sin_sh, cos_sh = np.sin(s * h), np.cos(s * h)
+    a, c = s * sin_sh * decay, s * cos_sh * decay
     b = -0.5 * t * np.expm1(-2.0 * th)  # t sinh(th) e^(-th)
     d = t - b
-    scale = 4.0 / (s * s + t * t)
-    minus = scale * (a - b) * (a + b)
-    plus = scale * (c * c + d * d)
-    return minus, plus, 2.0 * th, scale, a, b, c
+    mod_sq = s * s + t * t
+    return 4.0 / mod_sq, a, b, c, d, 2.0 * th, sin_sh, cos_sh, mod_sq
+
+
+def _band_forms(k_sq, a, b, c, d):
+    """(2 - tau) e^(-2th) = k^2 (a - b)(a + b) and
+    (2 + tau) e^(-2th) = k^2 (c^2 + d^2) > 0, from the pieces of _cell_trace."""
+    return k_sq * (a - b) * (a + b), k_sq * (c * c + d * d)
+
+
+def _angles(minus, plus, two_th, M: int):
+    """The band mask tau <= 2 and, within the band, q and sin(M theta), and
+    outside it phi, M phi and log(2 sinh(M phi)) (see _periodic_closure),
+    from the forms of _band_forms."""
+    band = minus >= 0.0
+    out = ~band
+    q = np.sqrt(np.abs(minus) / plus)
+    qb, qo = q[band], q[out]
+    with np.errstate(divide="ignore", over="ignore"):
+        sin_m = np.sin(2.0 * M * np.arctan(qb))
+        # phi = 2 artanh(q); for q > 1/2 through 1 - q^2 = 4 / (2 + tau)
+        phi = np.where(
+            qo <= 0.5,
+            2.0 * np.arctanh(np.minimum(qo, 0.5)),
+            2.0 * np.log1p(qo) + np.log(0.25 * plus[out]) + two_th[out],
+        )
+        y = M * phi
+        log_sinh = y + np.log(-np.expm1(-2.0 * y))  # log(2 sinh(M phi))
+    return band, qb, sin_m, phi, y, log_sinh
 
 
 def _periodic_closure(point: SpectralPoint, M: int, h: float):
-    """Sign, log-magnitude and factors of g = 2 - tr T for T the product of
-    2M cells.
+    """Factors of g = 2 - tr T for T the product of 2M cells, and a function
+    of no arguments that returns g's sign and log-magnitude.
 
     tr T = 2 T_2M(tau/2) (Chebyshev), which is even in tau; and 2 + tau > 0.
     So g = 4 sin^2(M theta) where tau = 2 cos(theta), and -4 sinh^2(M phi)
@@ -333,43 +407,45 @@ def _periodic_closure(point: SpectralPoint, M: int, h: float):
     double roots of g (the Bloch pair +-pi j / M), carried with u's sign and
     |g/u| as magnitude; and for Z <= FREE_LIMIT_Z, k c, count 2, whose
     roots are the near-axis complex pairs at tau = -2, where
-    2 + tau = k^2 (c^2 + d^2) nearly vanishes.
+    2 + tau = k^2 (c^2 + d^2) nearly vanishes. u needs the angles theta and
+    phi, which are most of the value's work; for M = 1 they are computed
+    only when the value is.
     """
-    minus, plus, two_th, k_sq, a, b, c = _cell_trace(point, h)
+    k_sq, a, b, c, d, two_th = _cell_trace(point, h)[:6]
     k = np.sqrt(k_sq)
     factors = [(k * (a - b), 1), (k * (a + b), 1)]
-    band = minus >= 0.0
-    out = ~band
-    q = np.sqrt(np.abs(minus) / plus)
-    qb, qo = q[band], q[out]
-    sign = np.empty(q.shape, dtype=int)
-    logmag = np.empty_like(q)
-    # an exact root: -inf; far outside the band |g/u| overflows to inf
-    with np.errstate(divide="ignore", over="ignore"):
-        sin_m = np.sin(2.0 * M * np.arctan(qb))
-        sign[band] = np.where(sin_m != 0.0, 1, 0)
-        logmag[band] = math.log(4.0) + 2.0 * np.log(np.abs(sin_m))
-        # phi = 2 artanh(q); for q > 1/2 through 1 - q^2 = 4 / (2 + tau)
-        phi = np.where(
-            qo <= 0.5,
-            2.0 * np.arctanh(np.minimum(qo, 0.5)),
-            2.0 * np.log1p(qo) + np.log(0.25 * plus[out]) + two_th[out],
+    angles = None
+    if M > 1:
+        angles = band, qb, sin_m, phi, _, log_sinh = _angles(
+            *_band_forms(k_sq, a, b, c, d), two_th, M
         )
-        y = M * phi
-        log_sinh = y + np.log(-np.expm1(-2.0 * y))  # log(2 sinh(M phi))
-        sign[out] = np.where(y > 0.0, -1, 0)
-        logmag[out] = 2.0 * log_sinh
-        if M > 1:
-            # g/u is 4 sin(M theta) sin(theta), with sin(theta) = 2q / (1 + q^2),
-            # and -4 sinh(M phi) sinh(phi) where u > 0; it is 0 at q = 0 too,
-            # where one of k (a -+ b) vanishes and, listed first, takes the root
-            u = np.empty_like(q)
+        # g/u is 4 sin(M theta) sin(theta), with sin(theta) = 2q / (1 + q^2),
+        # and -4 sinh(M phi) sinh(phi) where u > 0; it is 0 at q = 0 too,
+        # where one of k (a -+ b) vanishes and, listed first, takes the root
+        u = np.empty(band.shape)
+        # far outside the band |g/u| overflows to inf
+        with np.errstate(divide="ignore", over="ignore"):
             u[band] = 8.0 * sin_m * qb / (1.0 + qb * qb)
-            u[out] = np.exp(log_sinh + phi + np.log(-np.expm1(-2.0 * phi)))
-            factors.append((u, 2))
+            u[~band] = np.exp(log_sinh + phi + np.log(-np.expm1(-2.0 * phi)))
+        factors.append((u, 2))
     if point.Z <= FREE_LIMIT_Z:
         factors.append((k * c, 2))
-    return sign, logmag, factors
+
+    def value():
+        band, _, sin_m, _, y, log_sinh = angles or _angles(
+            *_band_forms(k_sq, a, b, c, d), two_th, M
+        )
+        sign = np.empty(band.shape, dtype=int)
+        logmag = np.empty(band.shape)
+        sign[band] = np.where(sin_m != 0.0, 1, 0)
+        with np.errstate(divide="ignore"):  # an exact root: -inf
+            logmag[band] = math.log(4.0) + 2.0 * np.log(np.abs(sin_m))
+        out = ~band
+        sign[out] = np.where(y > 0.0, -1, 0)
+        logmag[out] = 2.0 * log_sinh
+        return sign, logmag
+
+    return factors, value
 
 
 def _product_closure(pot: CirclePotential, point: SpectralPoint):
@@ -399,9 +475,10 @@ def secular_monodromy(pot: CirclePotential, Z: float, t) -> LogScaledValue:
 
     A square-well layout (see _square_well_periods) takes the closed form in
     the cell trace, which is real by construction, and carries its factors
-    (see _periodic_closure). Any other layout takes the propagator product,
-    without factors: its logscale is folded in (the returned value is e^L
-    times the normalized 2 e^(-L) - tr(T_scaled)), and per point it raises
+    (see _periodic_closure); its sign and logmag are computed on first read.
+    Any other layout takes the propagator product, without factors: its
+    logscale is folded in (the returned value is e^L times the normalized
+    2 e^(-L) - tr(T_scaled)), and per point it raises
     SecularOverflowError unless the normalized value and L are finite, then
     asserts |Im g| <= rtol (1 + |Re g|). Either way a point whose energy
     leaves the double range raises SecularOverflowError.
@@ -414,11 +491,11 @@ def secular_monodromy(pot: CirclePotential, Z: float, t) -> LogScaledValue:
             ts = np.atleast_1d(t)
             _product_closure(pot, SpectralPoint.from_zt(Z, ts[: np.argmax(ts == e.t)]))
         raise
-    if M:
-        sign, logmag, factors = _periodic_closure(point, M, pot.segments[0][0])
-    else:
-        (sign, logmag), factors = _product_closure(pot, point), ()
-    return _log_scaled(sign, logmag, scalar, factors)
+    if not M:
+        pair = _product_closure(pot, point)
+        return _log_scaled(lambda: pair, scalar)
+    factors, value = _periodic_closure(point, M, pot.segments[0][0])
+    return _log_scaled(value, scalar, factors)
 
 
 def secular_explicit(Z: float, t) -> LogScaledValue:
@@ -438,29 +515,18 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     b1 = sqrt(b^2 + gap / k^2) and b2 = sqrt(b^2 + (4 e^(-2t) - gap) / k^2),
     both positive and free of cancellation, swapped where Re c < 0 so that
     each factor is smooth. Its factors are k (a -+ b1) and k (a -+ b2),
-    count 1 each.
+    count 1 each. The sign and logmag, from 2 rho -+ tau and six logs, are
+    computed on first read.
     """
     point, scalar = _points(Z, t)
-    minus, plus, two_t, k_sq, a, b, _ = _cell_trace(point, 1.0)
-    s = point.s
-    cos_s = np.cos(s)
+    k_sq, a, b, c, d, two_t, sin_s, cos_s, mod_sq = _cell_trace(point, 1.0)
     decay = np.exp(-two_t)
     sinh2 = (0.5 * np.expm1(-two_t)) ** 2  # sinh^2(t) e^(-2t)
     c2 = cos_s * cos_s * decay + sinh2  # |c|^2 e^(-2t)
     rho = np.abs(cos_s) * (0.5 + 0.5 * decay) / np.sqrt(c2)  # |Re c| / |c|
     # 2 (1 - rho) e^(-2t), through 1 - rho^2 = (Im c)^2 / |c|^2
-    gap = 2.0 * np.sin(s) ** 2 * sinh2 / (c2 * (1.0 + rho)) * decay
-    lo, hi = minus - gap, plus - gap  # (2 rho -+ tau) e^(-2t)
-    with np.errstate(divide="ignore"):  # an exact root: -inf
-        logmag = (
-            math.log(8.0)
-            + 5.0 * np.log(s * s + point.t * point.t)
-            + np.log(c2)
-            + 3.0 * two_t
-            + np.log(np.abs(lo))
-            + np.log(np.abs(hi))
-        )
-    # lo = k^2 (a^2 - b1^2) and hi = k^2 (b2^2 - a^2) before the swap
+    gap = 2.0 * sin_s ** 2 * sinh2 / (c2 * (1.0 + rho)) * decay
+    # the value's lo = k^2 (a^2 - b1^2) and hi = k^2 (b2^2 - a^2) before the swap
     b_sq = b * b
     b1, b2 = np.sqrt(b_sq + gap / k_sq), np.sqrt(b_sq + (4.0 * decay - gap) / k_sq)
     flip = cos_s < 0.0
@@ -468,5 +534,19 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     k = np.sqrt(k_sq)
     factors = [(k * (a - b1), 1), (k * (a + b1), 1)]
     factors += [(k * (a - b2), 1), (k * (a + b2), 1)]
-    sign = (np.sign(lo) * np.sign(hi)).astype(int)
-    return _log_scaled(sign, logmag, scalar, factors)
+
+    def value():
+        minus, plus = _band_forms(k_sq, a, b, c, d)
+        lo, hi = minus - gap, plus - gap  # (2 rho -+ tau) e^(-2t)
+        with np.errstate(divide="ignore"):  # an exact root: -inf
+            logmag = (
+                math.log(8.0)
+                + 5.0 * np.log(mod_sq)
+                + np.log(c2)
+                + 3.0 * two_t
+                + np.log(np.abs(lo))
+                + np.log(np.abs(hi))
+            )
+        return (np.sign(lo) * np.sign(hi)).astype(int), logmag
+
+    return _log_scaled(value, scalar, factors)

@@ -148,6 +148,27 @@ def test_spectrum_at_the_z_floor(capsys):
     assert err == f"error: Z must be at least 1e-200, got {below}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,ceiling",
+    [
+        # t_min = 5096.06 lies above t_max = 5000
+        (["--Z", "1e6", "--levels", "100"], "-2.59602e+07"),
+        # t_min = 259.9 lies below t_max = 500, but the window holds no E > 0
+        (["--Z", "1e4", "--levels", "18"], "-67177.3"),
+    ],
+)
+def test_spectrum_default_window_without_positive_energy_exits_1(capsys, argv, ceiling):
+    """At large Z the default t floor ignores the -t^2 of E = s^2 - t^2;
+    where its window reaches no positive energy, the run is a domain error
+    naming Z, the level count and --t-min, not a silent "no roots found"."""
+    code, out, err = _run(capsys, ["spectrum", *argv])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: the default scan window")
+    assert f"levels at Z={float(argv[1])!r}" in err and argv[3] + " levels" in err
+    assert f"E up to {ceiling};" in err and "--t-min" in err
+
+
 # --- scan ----------------------------------------------------------------------
 
 

@@ -102,6 +102,11 @@ def test_default_scan_config_overrides():
     assert (cfg2.t_min, cfg2.t_max) == (0.1, 2.0)
     with pytest.raises(ValueError):
         default_scan_config(1.0, 0)
+    # a default floor whose window holds no positive energy is an error; a
+    # given one is taken as it is
+    with pytest.raises(ValueError, match="t_min"):
+        default_scan_config(1e4, 18)
+    assert default_scan_config(1e4, 18, t_min=1.0).t_min == 1.0
 
 
 # --- scan_secular ------------------------------------------------------------
@@ -654,13 +659,42 @@ def test_scan_overflow_error_carries_first_failing_t(backend):
 )
 def test_solve_raises_no_numpy_warning(backend, Z, M):
     """The CLI prints every warning a solve raises; only the level
-    shortfall may come out of one."""
+    shortfall may come out of one. Nor does a value read after its call,
+    outside the closure, on the roots and on a grid across the window."""
     f = _f_explicit(Z) if backend == "explicit" else _f_monodromy(Z, M)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         warnings.simplefilter("ignore", LevelShortfallWarning)
-        find_roots(f, Z, 18)
+        records = find_roots(f, Z, 18)
         scan_secular(f, ScanConfig(t_min=0.03, t_max=1.0, initial_samples=512))
+        cfg = default_scan_config(Z, 18)
+        ts = np.concatenate(
+            [[r.t for r in records], np.geomspace(cfg.t_min, cfg.t_max, 4096)]
+        )
+        v = f(ts)
+        assert v.sign.shape == v.logmag.shape == ts.shape
+
+
+@pytest.mark.parametrize("Z", [1e-6, 1e-3, 1.0, 17.9012])
+def test_find_roots_never_computes_a_closed_form_value(monkeypatch, Z):
+    """Root finding reads only the factors of the closed forms: with the
+    deferred value stage made to raise, every solve still finds its
+    levels."""
+    solves = {M: _f_monodromy(Z, M) for M in (1, 2, 8, 32)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        expected = {M: find_roots(f, Z, 18) for M, f in solves.items()}
+        expected["explicit"] = find_roots(_f_explicit(Z), Z, 18)
+
+        def refuse(self):
+            raise AssertionError("a closed-form value was computed")
+
+        monkeypatch.setattr(LogScaledValue, "_read", refuse)
+        for M, f in solves.items():
+            assert find_roots(f, Z, 18) == expected[M]
+        assert find_roots(_f_explicit(Z), Z, 18) == expected["explicit"]
+        with pytest.raises(AssertionError, match="closed-form value"):
+            _f_explicit(Z)(np.array([0.5])).sign
 
 
 def test_shortfall_warning_message():

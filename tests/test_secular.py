@@ -132,10 +132,23 @@ def test_log_scaled_value_from_float_array():
 
 
 def test_log_scaled_value_validation():
+    """The constructor checks at once; a deferred value checks on its first
+    read, after one call of its value function."""
     with pytest.raises(ValueError):
         LogScaledValue(2, 0.0)
     with pytest.raises(ValueError):
         LogScaledValue(0, 1.0)
+    calls = []
+
+    def value(pair):
+        return lambda: calls.append(pair) or pair
+
+    bad = LogScaledValue.deferred(value((0, 1.0)))
+    with pytest.raises(ValueError):
+        bad.logmag
+    good = LogScaledValue.deferred(value((-1, 2.0)))
+    assert (good.sign, good.logmag, good.sign) == (-1, 2.0, -1)
+    assert calls == [(0, 1.0), (-1, 2.0)]
 
 
 # --- propagator and monodromy ---------------------------------------------
@@ -281,7 +294,9 @@ def test_reality_accepts_pt_symmetric_non_alternating():
 )
 def test_array_call_equals_pointwise_calls(z, m, ts):
     """One array call gives each point's own value: every point is rescaled
-    and checked by itself, never against the rest of the batch."""
+    and checked by itself, never against the rest of the batch. The factors
+    are read first, as root finding reads them; the sign and log-magnitude,
+    computed on their later first read, match as well."""
     pot = build_square_well(m, z)
     ts = np.array(ts)
     for f in (
@@ -290,15 +305,15 @@ def test_array_call_equals_pointwise_calls(z, m, ts):
     ):
         batch = f(ts)
         single = [f(float(t)) for t in ts]
-        assert batch.sign.tolist() == [v.sign for v in single]
-        np.testing.assert_allclose(
-            batch.logmag, [v.logmag for v in single], rtol=0, atol=1e-12
-        )
         # every factor and its count, bit for bit
         for j, (y, count) in enumerate(batch.factors):
             assert [v.factors[j][1] for v in single] == [count] * len(ts)
             assert y.tolist() == [v.factors[j][0] for v in single]
         assert {len(v.factors) for v in single} == {len(batch.factors)}
+        assert batch.sign.tolist() == [v.sign for v in single]
+        np.testing.assert_allclose(
+            batch.logmag, [v.logmag for v in single], rtol=0, atol=1e-12
+        )
 
 
 def test_scalar_call_returns_python_scalars():
