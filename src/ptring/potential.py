@@ -101,13 +101,6 @@ class CirclePotential:
                 return False
         return True
 
-    def to_json_dict(self) -> dict:
-        return {
-            "circumference": self.circumference,
-            "start": self.start,
-            "segments": [{"width": w, "im": v.imag} for w, v in self.segments],
-        }
-
 
 def build_square_well(M: int, Z: float) -> CirclePotential:
     """The 4M-segment alternating potential: +iZ first from -2, width 1/M each."""

@@ -2,32 +2,35 @@
 
 The secular callable f takes a 1-D float array of t and returns a
 LogScaledValue whose sign and logmag are arrays of the same length, with
-its real factors (a value without factors is its own single factor). Root
-finding reads only the factors of a value that has them, so a closure that
-computes its sign and logmag on first read never computes them here;
-scan_secular reads the value itself. Every stage evaluates whole arrays:
-the master grid (in chunks of at most _EVAL_CHUNK points, one chunk at 18
-levels) and one step of every open bracket together. Each secular call
-costs a fixed overhead far above its per-point cost, so a solve's time
-follows its number of calls, and each closer step spends a few points per
-bracket to save calls.
+its real factors. Root finding reads only the factors, and rejects a
+value without them, so a closure that computes its sign and logmag on
+first read never computes them here; scan_secular reads the value
+itself. Every stage evaluates whole arrays: the master grid (in chunks
+of at most _EVAL_CHUNK points, one chunk at 18 levels) and one step of
+every open bracket together. Each secular call costs a fixed overhead
+far above its per-point cost, so a solve's time follows its number of
+calls, and each closer step spends a few points per bracket to save
+calls.
 
 Every real root of the value is a simple root of exactly one factor, and
-the roots of one factor lie far apart. So the spectrum is the set of sign
-changes of the factors on a master grid that is uniform in s = Z/(2t) (so
-the energy resolution is roughly uniform), with its first interval split
-geometrically in t where it spans a ratio above 2. Each bracket is closed
-on its own factor to a relative width of t_tol by Chandrupatla's inverse
-quadratic interpolation under ITP's projection, in at most one step more
-than bisection would take; each step evaluates a geometric stencil around
-the estimate, so an accurate estimate on either side of the root closes
-most of the bracket at once. All brackets are closed in lock step,
-starting from the values the scan found at their ends and at the grid
-point beyond each lower end, so that the first step already interpolates.
-A root stands for as many levels as its factor's count; two roots whose
-closed brackets overlap, so that the closer cannot order them, merge into
-one record standing for two. For a value without factors, a pair of real
-roots closer than the grid spacing is not found.
+the roots of one factor lie far apart. So the spectrum is the set of
+sign changes of the factors on a master grid that is uniform in
+s = Z/(2t) (so the energy resolution is roughly uniform), with its first
+interval split geometrically in t where it spans a ratio above 2. A grid
+point where a factor vanishes is an exact root. Each bracket is closed
+on its own factor to a relative width of _T_TOL by Chandrupatla's
+inverse quadratic interpolation under ITP's projection, in at most one
+step more than bisection would take; each step evaluates a geometric
+stencil around the estimate, so an accurate estimate on either side of
+the root closes most of the bracket at once. All brackets are closed in
+lock step, starting from the values the scan found at their ends and at
+the grid point beyond each lower end, so that the first step already
+interpolates. A root stands for as many levels as its factor's count;
+two roots whose closed brackets overlap, so that the closer cannot order
+them, merge into one record standing for two. A factor's pair of real
+roots closer than the grid spacing is not found; the closed-form factors
+have none, but the propagator product's one factor (any layout other
+than a square well) may.
 
 A level count below the requested one is a physical signal, not a
 numerical fault: the missing levels have no real root in the window, as
@@ -47,6 +50,11 @@ from .potential import Z_FLOOR
 # Master-scan resolution in s; the roots of one square-well factor lie at
 # least 135 such steps apart (Z from 1e-6 to 16, up to 100 levels)
 _MASTER_DS = 5e-3
+# Most points of a master grid, checked before it is allocated: the default
+# window of up to about 21800 levels at any Z, or t_min down to about
+# 2.4e-5 at Z = 1. Just below it, a solve peaks at 270 MB RSS (explicit,
+# four factors; 166 MB at M = 1)
+_MAX_GRID_POINTS = 2**22
 # Most t values handed to the secular callable in one call, which bounds its
 # temporaries: a few dozen doubles per point for the closed forms, a few
 # complex 2x2 matrices per point for the propagator product. 8192 takes the
@@ -55,10 +63,12 @@ _MASTER_DS = 5e-3
 # (explicit, 100 levels), and the benchmark's peak_rss_mb by 0.3-0.9 MB
 # (+0.5% to +1.4%).
 _EVAL_CHUNK = 8192
+# Relative width to which every bracket is closed
+_T_TOL = 1e-13
 # Spare steps of ITP's projection over bisection's count
 _ITP_N0 = 1
 # Offsets of the points one closer step evaluates around its estimate, in
-# units of epsilon = t_tol lo0 / 2, and the estimate's index in the row
+# units of epsilon = _T_TOL lo0 / 2, and the estimate's index in the row
 # x1, stencil, x2 that the step searches for its sign change
 _STENCIL = np.array([-1e9, -1e6, -1e3, -1.0, 0.0, 1.0, 1e3, 1e6, 1e9])
 _CENTRE = 1 + _STENCIL.size // 2
@@ -87,13 +97,11 @@ class LevelShortfallWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Scan window, least sample count and closing tolerance for find_roots
-    and scan_secular."""
+    """Scan window and least sample count for find_roots and scan_secular."""
 
     t_min: float
     t_max: float
     initial_samples: int = 256
-    t_tol: float = 1e-13
 
     def __post_init__(self) -> None:
         if not self.t_min > 0:
@@ -106,8 +114,6 @@ class ScanConfig:
             raise ValueError(
                 f"initial_samples must be at least 16, got {self.initial_samples!r}"
             )
-        if not self.t_tol > 0:
-            raise ValueError("t_tol must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,33 +144,29 @@ class RootRecord:
 
 def _evaluate(
     f: Callable[[np.ndarray], object], ts: np.ndarray
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray]:
-    """f over the 1-D array ts, chunk by chunk: its factors as one row per
-    factor and their counts, as (None, None, factors, counts); a value
-    without factors is its own single factor, (signs, logmags, None, [1]).
-    The sign and log-magnitude of a value with factors are not read.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of f over the 1-D array ts, chunk by chunk, as one row
+    per factor, and their counts; the sign and log-magnitude of the value
+    are not read. Raises ValueError on a value without factors.
 
     An error raised by f is wrapped in SecularEvaluationError, carrying the
     cause's own t when it has one and the chunk's first t otherwise.
     """
-    signs = logmags = factors = None
-    counts = np.ones(1, dtype=int)
+    factors = counts = None
     for i in range(0, ts.size, _EVAL_CHUNK):
         chunk = ts[i : i + _EVAL_CHUNK]
-        at = slice(i, i + chunk.size)
         v = _call(f, chunk)
-        if v.factors:
-            if factors is None:
-                factors = np.empty((len(v.factors), ts.size))
-                counts = np.array([c for _, c in v.factors])
-            for row, (y, _) in zip(factors, v.factors):
-                row[at] = y
-        else:
-            if signs is None:
-                signs, logmags = np.empty(ts.size, dtype=int), np.empty(ts.size)
-            signs[at] = v.sign
-            logmags[at] = v.logmag
-    return signs, logmags, factors, counts
+        if not v.factors:
+            raise ValueError(
+                "root finding needs a secular value with factors; "
+                "LogScaledValue.from_float(x) carries x as its one factor"
+            )
+        if factors is None:
+            factors = np.empty((len(v.factors), ts.size))
+            counts = np.array([c for _, c in v.factors])
+        for row, (y, _) in zip(factors, v.factors):
+            row[i : i + chunk.size] = y
+    return factors, counts
 
 
 def _call(f: Callable[[np.ndarray], object], ts: np.ndarray):
@@ -178,42 +180,14 @@ def _call(f: Callable[[np.ndarray], object], ts: np.ndarray):
         raise SecularEvaluationError(float(ts[0]) if t is None else t, e) from e
 
 
-def _pick(scan: tuple, k: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log-magnitude of factor k at point idx of an _evaluate
-    result, k and idx broadcast together; the value's own for a value
-    without factors."""
-    signs, logmags, factors, _ = scan
-    if factors is None:
-        return signs[idx], logmags[idx]
+def _pick(
+    factors: np.ndarray, k: np.ndarray, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log-magnitude of factor k at point idx of _evaluate's
+    factors, k and idx broadcast together."""
     y = factors[k, idx]
     with np.errstate(divide="ignore"):  # an exact root: -inf
         return np.sign(y), np.log(np.abs(y))
-
-
-def _bracket_ends(
-    scan: tuple,
-    i_lo: np.ndarray,
-    i_hi: np.ndarray,
-    k: np.ndarray,
-    ts: np.ndarray | None = None,
-):
-    """The ends argument of _close_brackets for brackets between points
-    i_lo and i_hi of an _evaluate result, each closed on its factor k.
-
-    With the grid ts the result was evaluated on, each bracket is seeded
-    with the grid point just beyond lo, where that point exists and has
-    lo's sign of the factor; otherwise, and without ts, it has no seed, and
-    lo stands in for the seed's log-magnitude.
-    """
-    seed, i_seed = np.full(k.size, np.nan), i_lo
-    if ts is not None:
-        beyond = 2 * i_lo - i_hi
-        i_seed = np.minimum(np.maximum(beyond, 0), ts.size - 1)
-    signs, logmags = _pick(scan, k, np.array([i_lo, i_hi, i_seed]))
-    if ts is not None:
-        found = (i_seed == beyond) & (signs[2] == signs[0])
-        seed[found] = ts[i_seed[found]]
-    return k, scan[3][k] == 2, signs[:2], seed, logmags
 
 
 def scan_secular(
@@ -231,30 +205,24 @@ def scan_secular(
 
 
 def _close_brackets(
-    f: Callable[[np.ndarray], object],
-    brackets: Sequence[tuple[float, float]] | np.ndarray,
-    t_tol: float,
-    ends: tuple | None = None,
+    f: Callable[[np.ndarray], object], brackets: np.ndarray, ends: tuple
 ) -> list[RootRecord]:
     """Close every sign-change bracket in lock step, one record each.
 
-    Each bracket is closed on one factor of f's value (see find_roots).
-    brackets is a sequence of (lo, hi) pairs or an (n, 2) array of them.
-    ends, when given, holds what the scan found per bracket: the index of
-    its factor, whether that factor counts twice, the factor's signs at the
-    bracket ends as an array of shape (2, n) with a lo row and a hi row, a
-    seed point beyond lo of lo's sign (NaN for none), and the factor's
-    log-magnitudes at lo, hi and the seed as an array of shape (3, n).
-    Without it the ends are evaluated first, each bracket takes the first
-    factor that is zero at an end or changes sign across it, and no bracket
-    is seeded.
+    brackets and ends are what _brackets_and_exacts found on a grid: an
+    (n, 2) array of (lo, hi) rows, 0 < lo < hi, and per bracket the index of
+    the factor of f's value that changes sign across it, whether that
+    factor counts twice, the factor's sign at lo, a seed point beyond lo of
+    lo's sign (NaN for none), and the factor's log-magnitudes at lo, hi and
+    the seed as an array of shape (3, n). No factor is zero at its
+    bracket's ends, which the scan records as exact roots instead.
 
     Each step's estimate x is Chandrupatla's (Adv. Eng. Softw. 28 (1997)
     145): inverse quadratic interpolation over the end nearer the last
     estimate, the other end and the next point beyond the nearer end of its
     sign (the seed at first), taken where his test accepts it and the
     midpoint otherwise (as at the first step of an unseeded bracket). It is
-    clipped to at least epsilon = t_tol lo0 / 2 from the nearer end, so
+    clipped to at least epsilon = _T_TOL lo0 / 2 from the nearer end, so
     that a converged estimate steps across the root, and then projected as
     in ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with n0 = 1. The
     step evaluates the stencil x + epsilon {0, +-1, +-1e3, +-1e6, +-1e9},
@@ -262,52 +230,24 @@ def _close_brackets(
     so an estimate off the root by e < 1e9 epsilon, on either side, leaves
     a bracket at most about 1e3 e wide (epsilon for e < epsilon). The
     stencil only shrinks the bracket ITP's point alone would leave: at most
-    ceil(log2((hi0 - lo0) / (t_tol lo0))) + 1 steps, one more than
-    bisection needs to reach width t_tol lo0. An endpoint with sign 0 is
-    the root; otherwise steps are taken while the width exceeds t_tol times
-    the upper end and lo < mid < hi holds, a point with sign 0 closes the
-    bracket on it, and the record's t is the final end of smaller
-    |factor|, whose log-magnitude is the residual. One step evaluates the
-    stencils of all open brackets in one call. Raises ValueError unless
-    0 < lo < hi and the end signs of the bracket's factor differ.
+    ceil(log2((hi0 - lo0) / (_T_TOL lo0))) + 1 steps, one more than
+    bisection needs to reach width _T_TOL lo0. Steps are taken while the
+    width exceeds _T_TOL times the upper end and lo < mid < hi holds, a
+    point with sign 0 closes the bracket on it, and the record's t is the
+    final end of smaller |factor|, whose log-magnitude is the residual. One
+    step evaluates the stencils of all open brackets in one call.
     """
     if not len(brackets):
         return []
-    lo, hi = np.array(brackets, dtype=float).reshape(-1, 2).T
-    bad = ~((0 < lo) & (lo < hi))
-    if bad.any():
-        i = np.argmax(bad)
-        raise ValueError(f"need 0 < lo < hi, got ({float(lo[i])!r}, {float(hi[i])!r})")
-    n = lo.size
-    if ends is None:
-        scan = _evaluate(f, np.concatenate([lo, hi]))
-        k = np.zeros(n, dtype=int)
-        if scan[2] is not None:
-            y_lo, y_hi = scan[2][:, :n], scan[2][:, n:]
-            k = np.argmax(np.sign(y_lo) * np.sign(y_hi) <= 0, axis=0)
-        ends = _bracket_ends(scan, np.arange(n), np.arange(n, 2 * n), k)
-    factor, double, (sign_lo, sign_hi), seed, logmags = ends
-    exact_lo = sign_lo == 0
-    open_ = ~exact_lo & (sign_hi != 0)
-    same = open_ & (sign_lo == sign_hi)
-    if same.any():
-        i = np.argmax(same)
-        raise ValueError(
-            f"no sign change across bracket {(float(lo[i]), float(hi[i]))!r}; "
-            f"both ends have sign {int(sign_lo[i])}"
-        )
-    # an exact root is its own bracket, and its residual that end's value
-    t = np.where(exact_lo, lo, hi)
-    width = np.zeros(n)
-    residual = np.where(exact_lo, logmags[0], logmags[1])
     # per open bracket i: the rows of X are the end x1 nearer the last
     # estimate (of sign s1), the other end x2 and the next point x3 beyond
     # x1 of x1's sign (NaN for none), the rows of L their log-magnitudes,
     # and k is its factor
-    i = np.flatnonzero(open_)
-    X, L = np.array([lo, hi, seed])[:, i], logmags[:, i]
-    s1, k = sign_lo[i], factor[i]
-    eps = 0.5 * t_tol * X[0]
+    k, double, s1, seed, L = ends
+    i = np.arange(len(brackets))
+    X = np.concatenate([brackets.T, seed[None]])
+    t, residual, width = np.empty((3, i.size))
+    eps = 0.5 * _T_TOL * X[0]
     n_max = np.ceil(np.log2((X[1] - X[0]) / (2.0 * eps))) + _ITP_N0
     # ITP's projection radius plus half the width, (eps - ulp) 2^(n_max - j)
     # at step j: rounding of mid and x adds up to one ulp to a width held at
@@ -317,7 +257,7 @@ def _close_brackets(
         x1, x2, x3 = X
         a, b = np.minimum(x1, x2), np.maximum(x1, x2)
         w, m = b - a, 0.5 * (a + b)
-        go = (w > t_tol * b) & (a < m) & (m < b)
+        go = (w > _T_TOL * b) & (a < m) & (m < b)
         if not go.all():
             # record the brackets that closed and drop them from the arrays
             c = ~go
@@ -359,9 +299,9 @@ def _close_brackets(
         stencil = x[col] + (eps * np.sign(dx))[col] * _STENCIL
         np.maximum(stencil, a[col], out=stencil)
         np.minimum(stencil, b[col], out=stencil)
-        scan = _evaluate(f, stencil.ravel())
+        factors, _ = _evaluate(f, stencil.ravel())
         points = np.arange(stencil.size).reshape(stencil.shape)
-        signs, logmags = _pick(scan, k[col], points)
+        signs, logmags = _pick(factors, k[col], points)
         row = np.concatenate([x1[col], stencil, x2[col]], axis=1)
         row_l = np.concatenate([L[0][col], logmags, L[1][col]], axis=1)
         row_s = np.concatenate([s1[col], signs, -s1[col]], axis=1)
@@ -388,18 +328,26 @@ def _close_brackets(
 
 
 def bisect(
-    f: Callable[[np.ndarray], object],
-    bracket: tuple[float, float],
-    t_tol: float = 1e-13,
+    f: Callable[[np.ndarray], object], bracket: tuple[float, float]
 ) -> RootRecord:
-    """Close a sign-change bracket down to relative width t_tol.
+    """The root in the bracket (lo, hi), closed to relative width _T_TOL.
 
-    The one-bracket case of the lock-step closer find_roots runs, with no
-    grid point to seed it; it evaluates its own bracket ends and closes on
-    the first factor that changes sign across the bracket or vanishes at an
-    end (an exact root). Raises ValueError when there is none.
+    find_roots on the two-point grid lo, hi, without a seed: an end where a
+    factor vanishes is the root, lo before hi; otherwise the first factor,
+    in the value's order, that changes sign across the bracket is closed.
+    Raises ValueError unless 0 < lo < hi and some factor changes sign
+    across the bracket or vanishes at an end.
     """
-    return _close_brackets(f, [bracket], t_tol)[0]
+    lo, hi = map(float, bracket)
+    if not 0 < lo < hi:
+        raise ValueError(f"need 0 < lo < hi, got {(lo, hi)!r}")
+    ts = np.array([lo, hi])
+    brackets, ends, exacts = _brackets_and_exacts(ts, _evaluate(f, ts))
+    if exacts:
+        return exacts[0]
+    if not len(brackets):
+        raise ValueError(f"no factor changes sign across the bracket {(lo, hi)!r}")
+    return _close_brackets(f, brackets[:1], tuple(e[..., :1] for e in ends))[0]
 
 
 def _brackets_and_exacts(
@@ -408,10 +356,13 @@ def _brackets_and_exacts(
     """Sign-change brackets of each factor between neighbours of the grid ts
     as an (n, 2) array of (lo, hi) rows, their ends argument of
     _close_brackets, and exact roots: points where a factor is zero, each a
-    root of the first such factor."""
-    signs, _, factors, counts = scan
-    y = signs[None, :] if factors is None else factors
-    neg, pos, zero = y < 0, y > 0, y == 0
+    root of the first such factor.
+
+    Each bracket is seeded with the grid point just beyond lo, where that
+    point exists and has lo's sign of the factor.
+    """
+    factors, counts = scan
+    neg, pos, zero = factors < 0, factors > 0, factors == 0
     exacts = []
     if zero.any():
         j = np.flatnonzero(zero.any(axis=0))
@@ -430,8 +381,12 @@ def _brackets_and_exacts(
     )
     i_lo = np.where(ts[i] < ts[i + 1], i, i + 1)
     i_hi = 2 * i + 1 - i_lo
+    beyond = 2 * i_lo - i_hi
+    i_seed = np.minimum(np.maximum(beyond, 0), ts.size - 1)
+    signs, logmags = _pick(factors, k, np.array([i_lo, i_hi, i_seed]))
+    seed = np.where((i_seed == beyond) & (signs[2] == signs[0]), ts[i_seed], np.nan)
     brackets = np.stack([ts[i_lo], ts[i_hi]], axis=1)
-    return brackets, _bracket_ends(scan, i_lo, i_hi, k, ts), exacts
+    return brackets, (k, counts[k] == 2, signs[0], seed, logmags), exacts
 
 
 def _merge_close(records: list[RootRecord]) -> list[RootRecord]:
@@ -517,21 +472,32 @@ def find_roots(
 ) -> list[RootRecord]:
     """Locate the real secular roots covering the lowest n_levels levels.
 
-    f maps a 1-D float array of t to a LogScaledValue of sign and logmag
-    arrays, optionally with factors; it is called on the master grid and on
-    each lock-step closer step, and the sign and logmag of a value with
-    factors are not read. Every sign change of a factor on the grid is
-    closed on that factor. Returns every root found
-    in the window, in descending t (ascending energy) order; callers slice
-    the leading n_levels levels after doublet expansion. Warns with
+    f maps a 1-D float array of t to a LogScaledValue with factors; it is
+    called on the master grid and on each lock-step closer step, and only
+    its factors are read. Every sign change of a factor on the grid is
+    closed on that factor. Returns every root found in the window, in
+    descending t (ascending energy) order; callers slice the leading
+    n_levels levels after doublet expansion. Warns with
     LevelShortfallWarning when the window yields fewer levels than
     requested, which for this operator family indicates levels lost to
-    complex conjugate pairs rather than a scan failure.
+    complex conjugate pairs rather than a scan failure. Raises ValueError
+    on a value without factors, and before evaluating or allocating
+    anything when the master grid would take more than _MAX_GRID_POINTS
+    points.
     """
     cfg = config if config is not None else default_scan_config(Z, n_levels)
     s_lo = Z / (2.0 * cfg.t_max)
     s_hi = Z / (2.0 * cfg.t_min)
-    n = max(cfg.initial_samples, math.ceil((s_hi - s_lo) / _MASTER_DS) + 1)
+    span = (s_hi - s_lo) / _MASTER_DS  # inf where s_hi overflows
+    points = max(span + 1.0, cfg.initial_samples)
+    if not points <= _MAX_GRID_POINTS:
+        raise ValueError(
+            f"the master grid for t from {cfg.t_min:.6g} to {cfg.t_max:.6g} at "
+            f"Z={Z!r} would take {points:.4g} points, more than the "
+            f"{_MAX_GRID_POINTS} allowed; set a larger t_min (--t-min) or "
+            f"request fewer levels (--levels)"
+        )
+    n = max(cfg.initial_samples, math.ceil(span) + 1)
     ts = Z / (2.0 * np.linspace(s_lo, s_hi, n))
     # the first interval, (Z / (2 (s_lo + ds)), t_max), spans a t ratio up
     # to 5e4 at Z = 1e-6 and holds the ground state; geometric points in t
@@ -542,7 +508,7 @@ def find_roots(
         fill = np.geomspace(ts[0], ts[1], n_fill + 2)[1:-1]
         ts = np.concatenate([ts[:1], fill, ts[1:]])
     brackets, ends, records = _brackets_and_exacts(ts, _evaluate(f, ts))
-    records += _close_brackets(f, brackets, cfg.t_tol, ends)
+    records += _close_brackets(f, brackets, ends)
 
     records = _merge_close(records)
     records.sort(key=lambda r: -r.t)

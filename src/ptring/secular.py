@@ -20,10 +20,12 @@ closures are elementary functions of the real cell trace tau:
 
 Both backends substitute s = Z/(2t) and work at purely real energy
 E = s^2 - t^2; values are returned in sign/log-magnitude form to survive the
-huge dynamic range of the secular functions. A square-well value also
-carries its real factors (see LogScaledValue), whose simple roots are the
-levels; the call computes the factors, and the sign and log-magnitude only
-when one of them is first read, since root finding reads only the factors.
+huge dynamic range of the secular functions. Every value also carries
+real factors (see LogScaledValue), whose simple roots are the levels: the
+closed-form factors of a square well, or the propagator product's own
+normalized real value. The call computes the factors, and the sign and
+log-magnitude only when one of them is first read, since root finding reads
+only the factors.
 
 Both take t as a float or a 1-D float array. A float is evaluated as a
 one-point array and comes back as a scalar LogScaledValue; an array comes
@@ -147,12 +149,13 @@ class LogScaledValue:
     factor and stands for count (1 or 2) levels; the product of the factor
     signs, each to the power count, is the value's sign up to a sign fixed
     per closure. Where several factors vanish at one point, it is a root of
-    the first of them. A value without factors is its own single factor.
+    the first of them. Root finding reads only the factors and rejects a
+    value without them; from_float(x) carries x as its one factor.
 
     The secular functions return a deferred value (see deferred): its
     factors are computed by the call, its sign and logmag only when one of
-    them is first read, since root finding reads only the factors. The
-    checks on sign and logmag run then; the constructor runs them at once.
+    them is first read. The checks on sign and logmag run then; the
+    constructor runs them at once.
     """
 
     __slots__ = ("factors", "_value", "_pair")
@@ -192,10 +195,11 @@ class LogScaledValue:
 
     @classmethod
     def from_float(cls, x) -> "LogScaledValue":
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        """x in log-scaled form, with x itself as its one factor, count 1."""
+        xs = np.array(x, dtype=float, ndmin=1)
         with np.errstate(divide="ignore"):  # log(0) = -inf marks the zeros
             pair = np.sign(xs).astype(int), np.log(np.abs(xs))
-        return _log_scaled(lambda: pair, np.ndim(x) == 0)
+        return _log_scaled(lambda: pair, np.ndim(x) == 0, [(xs, 1)])
 
 
 def _checked(sign, logmag) -> tuple:
@@ -449,7 +453,13 @@ def _periodic_closure(point: SpectralPoint, M: int, h: float):
 
 
 def _product_closure(pot: CirclePotential, point: SpectralPoint):
-    """Sign and log-magnitude of 2 - tr T from the propagator product."""
+    """The factor of 2 - tr T from the propagator product, and a function of
+    no arguments that returns its sign and log-magnitude.
+
+    The one factor, count 1, is the normalized real value
+    2 e^(-L) - Re tr(T_scaled) for T = e^L T_scaled, which has the value's
+    roots and sign since e^(-L) > 0.
+    """
     Z = point.Z
     # an overflowing propagator turns the value non-finite, checked below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -465,9 +475,13 @@ def _product_closure(pot: CirclePotential, point: SpectralPoint):
         raise SecularRealityError(
             "monodromy secular value", Z, float(point.t[i]), float(abs(v.imag[i]))
         )
-    with np.errstate(divide="ignore"):  # Re g = 0 is an exact root: -inf
-        logmag = T.logscale + np.log(np.abs(v.real))
-    return np.sign(v.real).astype(int), logmag
+
+    def value():
+        with np.errstate(divide="ignore"):  # Re g = 0 is an exact root: -inf
+            logmag = T.logscale + np.log(np.abs(v.real))
+        return np.sign(v.real).astype(int), logmag
+
+    return [(v.real, 1)], value
 
 
 def secular_monodromy(pot: CirclePotential, Z: float, t) -> LogScaledValue:
@@ -475,13 +489,14 @@ def secular_monodromy(pot: CirclePotential, Z: float, t) -> LogScaledValue:
 
     A square-well layout (see _square_well_periods) takes the closed form in
     the cell trace, which is real by construction, and carries its factors
-    (see _periodic_closure); its sign and logmag are computed on first read.
-    Any other layout takes the propagator product, without factors: its
-    logscale is folded in (the returned value is e^L times the normalized
+    (see _periodic_closure). Any other layout takes the propagator product,
+    whose one factor is its normalized real value (see _product_closure):
+    its logscale is folded into the value (e^L times the normalized
     2 e^(-L) - tr(T_scaled)), and per point it raises
     SecularOverflowError unless the normalized value and L are finite, then
-    asserts |Im g| <= rtol (1 + |Re g|). Either way a point whose energy
-    leaves the double range raises SecularOverflowError.
+    asserts |Im g| <= rtol (1 + |Re g|). Either way the sign and logmag are
+    computed on first read, and a point whose energy leaves the double
+    range raises SecularOverflowError.
     """
     M = _square_well_periods(pot, Z)
     try:
@@ -491,10 +506,10 @@ def secular_monodromy(pot: CirclePotential, Z: float, t) -> LogScaledValue:
             ts = np.atleast_1d(t)
             _product_closure(pot, SpectralPoint.from_zt(Z, ts[: np.argmax(ts == e.t)]))
         raise
-    if not M:
-        pair = _product_closure(pot, point)
-        return _log_scaled(lambda: pair, scalar)
-    factors, value = _periodic_closure(point, M, pot.segments[0][0])
+    if M:
+        factors, value = _periodic_closure(point, M, pot.segments[0][0])
+    else:
+        factors, value = _product_closure(pot, point)
     return _log_scaled(value, scalar, factors)
 
 

@@ -169,6 +169,30 @@ def test_spectrum_default_window_without_positive_energy_exits_1(capsys, argv, c
     assert f"E up to {ceiling};" in err and "--t-min" in err
 
 
+@pytest.mark.parametrize(
+    "argv,points",
+    [
+        (["--t-min", "1e-300"], "1e+302"),
+        (["--t-min", "5e-324"], "inf"),
+        (["--levels", "10000000"], "1.924e+09"),
+    ],
+)
+def test_spectrum_oversized_master_grid_exits_1(capsys, monkeypatch, argv, points):
+    """A window whose master grid would exceed its bound is a domain error
+    naming the point count, --t-min and --levels, raised before the grid is
+    allocated or the secular function is called."""
+
+    def refuse(f, ts):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr(ptring.roots, "_evaluate", refuse)
+    code, out, err = _run(capsys, ["spectrum", "--Z", "1", *argv])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and f"would take {points} points" in err
+    assert "--t-min" in err and "--levels" in err
+
+
 # --- scan ----------------------------------------------------------------------
 
 

@@ -126,19 +126,6 @@ def test_pt_symmetry_detects_asymmetric_layout():
     assert not pot.is_pt_symmetric()
 
 
-def test_to_json_dict_shape():
-    pot = build_square_well(1, 2.0)
-    d = pot.to_json_dict()
-    assert d["circumference"] == 4.0
-    assert d["start"] == -2.0
-    assert d["segments"] == [
-        {"width": 1.0, "im": 2.0},
-        {"width": 1.0, "im": -2.0},
-        {"width": 1.0, "im": 2.0},
-        {"width": 1.0, "im": -2.0},
-    ]
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     m=st.integers(min_value=1, max_value=8),

@@ -30,7 +30,7 @@ from ptring import (
 )
 import ptring.roots
 from ptring.potential import Z_FLOOR
-from ptring.roots import _close_brackets
+from ptring.roots import _brackets_and_exacts, _close_brackets, _evaluate
 
 T_EXPLICIT_Z01 = [0.2219819562431546437372, 0.03467067057228565555074]
 # roots of the strictly periodic secular function at Z = 1
@@ -62,9 +62,8 @@ def _steps(root, lo_logmag, hi_logmag):
 
     def f(t):
         t = np.asarray(t, dtype=float)
-        sign = np.sign(t - root).astype(int)
-        logmag = np.where(sign < 0, lo_logmag, np.where(sign > 0, hi_logmag, -np.inf))
-        return LogScaledValue(sign, logmag)
+        logmag = np.where(t < root, lo_logmag, hi_logmag)
+        return LogScaledValue.from_float(np.sign(t - root) * np.exp(logmag))
 
     return f
 
@@ -90,8 +89,6 @@ def test_scan_config_validation():
         ScanConfig(t_min=0.0, t_max=1.0)
     with pytest.raises(ValueError):
         ScanConfig(t_min=0.1, t_max=1.0, initial_samples=8)
-    with pytest.raises(ValueError):
-        ScanConfig(t_min=0.1, t_max=1.0, t_tol=0.0)
 
 
 def test_default_scan_config_overrides():
@@ -157,7 +154,7 @@ def test_bisect_explicit_ground_z01():
 
 
 def test_bisect_linear_function():
-    rec = bisect(_linear(0.5), (0.3, 0.9), t_tol=1e-13)
+    rec = bisect(_linear(0.5), (0.3, 0.9))
     assert rec.t == pytest.approx(0.5, rel=1e-12)
 
 
@@ -188,15 +185,41 @@ def test_bisect_exact_step_point_closes_bracket():
     assert rec.bracket_width == 0.0
     assert rec.t == pytest.approx(0.5477237066763262, abs=1e-15)
     assert rec.residual_logmag == float("-inf")
-    # in lock step beside a bracket closed by its exact end, each bracket
-    # still exits as it does alone
-    brackets = [(0.5, 1.0), (0.4, 0.54772)]
-    assert _close_brackets(f, brackets, 1e-13) == [bisect(f, b) for b in brackets]
+
+    # in lock step beside a seeded bracket of a second factor, t - 1.2, on
+    # the grid 0.5, 1.0, 1.5, each bracket still exits as it does alone
+    def g(t):
+        y = f(t).factors[0][0]
+        v = LogScaledValue.from_float(y * (t - 1.2))
+        return LogScaledValue(v.sign, v.logmag, ((y, 1), (t - 1.2, 1)))
+
+    ts = np.array([0.5, 1.0, 1.5])
+    brackets, ends, _ = _brackets_and_exacts(ts, _evaluate(g, ts))
+    assert np.isnan(ends[3][0]) and ends[3][1] == 0.5  # the seeds
+    records = _close_brackets(g, brackets, ends)
+    assert records[0] == rec
+    assert records == _lone(g, brackets, ends)
 
 
 def test_bisect_rejects_same_sign():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no factor changes sign"):
         bisect(_linear(0.5), (0.6, 0.9))
+    with pytest.raises(ValueError, match="need 0 < lo < hi"):
+        bisect(_linear(0.5), (0.9, 0.3))
+
+
+def test_value_without_factors_is_rejected():
+    """Root finding reads only factors: a value that carries none is a
+    ValueError, in find_roots and in bisect alike."""
+
+    def f(t):
+        g = LogScaledValue.from_float(np.asarray(t) - 0.5)
+        return LogScaledValue(g.sign, g.logmag)
+
+    with pytest.raises(ValueError, match="with factors"):
+        find_roots(f, 1.0, 1, ScanConfig(t_min=0.3, t_max=0.9))
+    with pytest.raises(ValueError, match="with factors"):
+        bisect(f, (0.3, 0.9))
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,7 +238,7 @@ def test_bisect_worst_case_bound(bracket, where, jump):
     lo, hi = bracket
     root = lo + where * (hi - lo)
     f, sizes = _counted(_steps(root, max(-jump, 0.0), max(jump, 0.0)))
-    rec = bisect(f, bracket, t_tol=1e-13)
+    rec = bisect(f, bracket)
     # the ends, the bisection count plus n0 = 1 steps, and two calls spare
     bound = math.ceil(math.log2((hi - lo) / (1e-13 * lo))) + 1 + 3
     assert len(sizes) <= bound
@@ -224,20 +247,34 @@ def test_bisect_worst_case_bound(bracket, where, jump):
     assert abs(rec.t - root) <= rec.bracket_width
 
 
-def _closer_brackets(f, Z, n_levels):
-    """The brackets find_roots hands its lock-step closer, from the sign
-    changes of each factor on the master grid."""
+def _lone(f, brackets, ends):
+    """Each bracket of a lock-step closer call closed alone."""
+    return [
+        _close_brackets(f, brackets[j : j + 1], tuple(e[..., j : j + 1] for e in ends))[0]
+        for j in range(len(brackets))
+    ]
+
+
+def _closer_call(f, Z, n_levels):
+    """The brackets and ends find_roots hands its lock-step closer, from the
+    sign changes of each factor on the master grid."""
     seen = []
 
-    def spy(g, brackets, t_tol, ends=None):
-        seen.extend(brackets)
-        return _close_brackets(g, brackets, t_tol, ends)
+    def spy(g, brackets, ends):
+        seen.append((brackets, ends))
+        return _close_brackets(g, brackets, ends)
 
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         mp.setattr(ptring.roots, "_close_brackets", spy)
         warnings.simplefilter("ignore", LevelShortfallWarning)
         find_roots(f, Z, n_levels)
-    return seen
+    (call,) = seen
+    return call
+
+
+def _closer_brackets(f, Z, n_levels):
+    """The brackets find_roots hands its lock-step closer."""
+    return list(_closer_call(f, Z, n_levels)[0])
 
 
 _CLOSE_CASES = {
@@ -247,26 +284,30 @@ _CLOSE_CASES = {
     "monodromy-M1": (_f_monodromy(2.5), 2.5, 18),
     "monodromy-M8": (_f_monodromy(1.0, 8), 1.0, 18),
 }
-_CLOSE_POOLS = {name: _closer_brackets(*case) for name, case in _CLOSE_CASES.items()}
+_CLOSE_POOLS = {name: _closer_call(*case) for name, case in _CLOSE_CASES.items()}
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_lock_step_equals_lone_brackets(data):
-    """Each record of one lock-step call equals bisect on its bracket alone,
-    and every bracket closes to width t_tol times its upper end."""
+    """On the seeded brackets find_roots hands the closer, each record of
+    one lock-step call over any selection of them equals the record of its
+    bracket closed alone, and every bracket closes to width 1e-13 times its
+    upper end."""
     name = data.draw(st.sampled_from(sorted(_CLOSE_POOLS)))
-    pool = _CLOSE_POOLS[name]
-    picks = data.draw(
-        st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40)
+    pool, pool_ends = _CLOSE_POOLS[name]
+    picks = np.array(
+        data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
     )
-    brackets = [pool[i] for i in picks]
+    brackets, ends = pool[picks], tuple(e[..., picks] for e in pool_ends)
     f = _CLOSE_CASES[name][0]
-    records = _close_brackets(f, brackets, 1e-13)
-    assert records == [bisect(f, b) for b in brackets]
+    records = _close_brackets(f, brackets, ends)
+    assert records == _lone(f, brackets, ends)
     for (lo, hi), r in zip(brackets, records):
         assert lo <= r.t <= hi
         assert r.bracket_width <= 1e-13 * hi
+    # the pool's brackets are seeded, bar the lowest-energy ones
+    assert np.isfinite(pool_ends[3]).mean() > 0.5
 
 
 # --- find_roots --------------------------------------------------------------
@@ -417,18 +458,21 @@ def test_bisect_exact_zero_of_double_factor():
         rec = bisect(f, bracket)
         assert (rec.t, rec.bracket_width, rec.unresolved_doublet) == (0.5, 0.0, True)
     assert not bisect(f, (0.6, 0.7)).unresolved_doublet
+    # an exact end comes before a sign change of an earlier factor
+    rec = bisect(f, (0.5, 0.8))
+    assert (rec.t, rec.bracket_width, rec.unresolved_doublet) == (0.5, 0.0, True)
 
 
-def test_bisect_width_floor():
+def test_bisect_width_floor(monkeypatch):
     """A bracket closed to adjacent floats reports the few ulps within which
     a computed sign is rounding noise, not the last step's width."""
     a = 0.3
 
     def f(t):
-        sign = np.where(np.asarray(t) <= a, -1, 1)
-        return LogScaledValue(sign, np.zeros(sign.shape))
+        return LogScaledValue.from_float(np.where(np.asarray(t) <= a, -1.0, 1.0))
 
-    rec = bisect(f, (0.1, 0.9), t_tol=1e-20)
+    monkeypatch.setattr(ptring.roots, "_T_TOL", 1e-20)
+    rec = bisect(f, (0.1, 0.9))
     assert rec.t in (a, np.nextafter(a, 1.0))
     assert rec.bracket_width == 8 * np.spacing(rec.t)
 
@@ -695,6 +739,26 @@ def test_find_roots_never_computes_a_closed_form_value(monkeypatch, Z):
         assert find_roots(_f_explicit(Z), Z, 18) == expected["explicit"]
         with pytest.raises(AssertionError, match="closed-form value"):
             _f_explicit(Z)(np.array([0.5])).sign
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ScanConfig(t_min=1e-300, t_max=5.0),
+        ScanConfig(t_min=5e-324, t_max=5.0),
+        ScanConfig(t_min=0.1, t_max=1.0, initial_samples=2**22 + 1),
+    ],
+    ids=["tiny-t_min", "s-overflow", "samples"],
+)
+def test_find_roots_rejects_oversized_grid(cfg):
+    """A master grid above _MAX_GRID_POINTS points is a ValueError naming
+    its size, raised before f is called."""
+
+    def f(t):
+        raise AssertionError("f was called")
+
+    with pytest.raises(ValueError, match=r"would take \S+ points, more than the 4194304"):
+        find_roots(f, 1.0, 18, cfg)
 
 
 def test_shortfall_warning_message():

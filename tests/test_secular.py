@@ -123,12 +123,18 @@ def test_log_scaled_value_roundtrip():
     z = LogScaledValue.from_float(0.0)
     assert z.sign == 0 and z.logmag == -math.inf
     assert type(v.sign) is int and type(v.logmag) is float
+    assert v.factors == ((-123.456, 1),)
 
 
 def test_log_scaled_value_from_float_array():
-    v = LogScaledValue.from_float(np.array([2.0, 0.0, -3.0]))
+    x = np.array([2.0, 0.0, -3.0])
+    v = LogScaledValue.from_float(x)
     assert v.sign.tolist() == [1, 0, -1]
     assert v.logmag.tolist() == [math.log(2.0), -math.inf, math.log(3.0)]
+    # the one factor is x itself, a copy the caller cannot change
+    ((y, count),) = v.factors
+    x[0] = 5.0
+    assert (y.tolist(), count) == ([2.0, 0.0, -3.0], 1)
 
 
 def test_log_scaled_value_validation():
@@ -248,7 +254,7 @@ def test_square_well_layout_is_cached_per_potential():
     assert secular_monodromy(rotated, 1.0, 0.3).factors
     assert rotated.cell_layout is rotated.cell_layout
     assert _square_well_periods(NON_ALTERNATING, 1.0) == 0
-    assert secular_monodromy(NON_ALTERNATING, 1.0, 0.3).factors == ()
+    assert [c for _, c in secular_monodromy(NON_ALTERNATING, 1.0, 0.3).factors] == [1]
     assert _square_well_periods(pot, 2.0) == 0
     with pytest.raises(ValueError, match="does not match coupling"):
         secular_monodromy(pot, 2.0, 0.3)
@@ -380,6 +386,31 @@ def test_reality_tolerance_env_override(monkeypatch):
     monkeypatch.setenv("PT_CIRCLE_TOL", "not-a-number")
     with pytest.raises(ValueError):
         secular_monodromy(asym, 1.0, 0.4)
+
+
+@pytest.mark.parametrize("layout", ["non-alternating", "asymmetric"])
+def test_product_factor_has_the_value_sign(monkeypatch, layout):
+    """The propagator product's one factor, count 1, has the sign of its
+    value at every point, zeros included, so it has the value's roots: on
+    a PT-symmetric layout, and on an asymmetric one let through by
+    PT_CIRCLE_TOL."""
+    pot = NON_ALTERNATING
+    if layout == "asymmetric":
+        pot = CirclePotential(
+            circumference=4.0,
+            start=-2.0,
+            segments=((0.5, 1j), (1.5, -1j), (1.0, 1j), (1.0, -1j)),
+        )
+        monkeypatch.setenv("PT_CIRCLE_TOL", "10.0")
+    ts = np.geomspace(0.02, 5.0, 2000)
+    v = secular_monodromy(pot, 1.0, ts)
+    ((y, count),) = v.factors
+    assert count == 1
+    assert (np.sign(y) == v.sign).all()
+    assert (np.diff(v.sign) != 0).any()
+    for t in ts[::100]:
+        w = secular_monodromy(pot, 1.0, float(t))
+        assert w.factors[0][1] == 1 and np.sign(w.factors[0][0]) == w.sign
 
 
 # --- oracles -----------------------------------------------------------------
