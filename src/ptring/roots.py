@@ -13,24 +13,28 @@ calls, and each closer step spends a few points per bracket to save
 calls.
 
 Every real root of the value is a simple root of exactly one factor, and
-the roots of one factor lie far apart. So the spectrum is the set of
-sign changes of the factors on a master grid that is uniform in
-s = Z/(2t) (so the energy resolution is roughly uniform), with its first
-interval split geometrically in t where it spans a ratio above 2. A grid
-point where a factor vanishes is an exact root. Each bracket is closed
-on its own factor to a relative width of _T_TOL by Chandrupatla's
-inverse quadratic interpolation under ITP's projection, in at most one
-step more than bisection would take; each step evaluates a geometric
-stencil around the estimate, so an accurate estimate on either side of
-the root closes most of the bracket at once. All brackets are closed in
-lock step, starting from the values the scan found at their ends and at
-the grid point beyond each lower end, so that the first step already
-interpolates. A root stands for as many levels as its factor's count;
-two roots whose closed brackets overlap, so that the closer cannot order
-them, merge into one record standing for two. A factor's pair of real
-roots closer than the grid spacing is not found; the closed-form factors
-have none, but the propagator product's one factor (any layout other
-than a square well) may.
+the roots of one factor lie far apart, except that two of them meet where
+two real levels leave the real axis at an exceptional point. So the
+spectrum is the set of sign changes of the factors on a master grid in
+s = Z/(2t) (so the energy resolution is roughly uniform), geometric near
+the ground state and uniform above it, with spacings derived from the
+closer's reach (see _GRID_RATIO). A grid point where a factor vanishes is
+an exact root. Where a factor keeps its sign across three grid points but
+its least magnitude there lies so near zero that a pair of its roots may
+hide in between (see _hides_pair), the scan flags an extremum window. Each
+bracket is closed on its own factor to a relative width of _T_TOL by
+Chandrupatla's inverse quadratic interpolation under ITP's projection, in
+at most one step more than bisection would take; each step evaluates a
+geometric stencil around the estimate, so an accurate estimate on either
+side of the root closes most of the bracket at once. All brackets are
+closed in lock step, starting from the values the scan found at their ends
+and at the grid point beyond each lower end, so that the first step already
+interpolates; in the same calls each extremum window is closed on the
+factor's derivative until it shows the pair, whose two brackets then join
+the others, or shows that the factor keeps its sign. A root stands for as
+many levels as its factor's count; two roots whose closed brackets overlap,
+so that the closer cannot order them, merge into one record standing for
+two.
 
 A level count below the requested one is a physical signal, not a
 numerical fault: the missing levels have no real root in the window, as
@@ -47,20 +51,18 @@ import numpy as np
 
 from .potential import Z_FLOOR
 
-# Master-scan resolution in s; the roots of one square-well factor lie at
-# least 135 such steps apart (Z from 1e-6 to 16, up to 100 levels)
-_MASTER_DS = 5e-3
-# Most points of a master grid, checked before it is allocated: the default
-# window of up to about 21800 levels at any Z, or t_min down to about
-# 2.4e-5 at Z = 1. Just below it, a solve peaks at 270 MB RSS (explicit,
-# four factors; 166 MB at M = 1)
+# Most points of a master grid, checked before it is allocated, and of a
+# scan_secular table: the default window of up to about 80000 levels at any
+# Z, or t_min down to about 6.5e-6 at Z = 1. Just below it, a solve peaked at
+# 478 MB RSS (explicit, four factors, 2.2 s on one core; 287 MB at M = 1)
 _MAX_GRID_POINTS = 2**22
 # Most t values handed to the secular callable in one call, which bounds its
 # temporaries: a few dozen doubles per point for the closed forms, a few
 # complex 2x2 matrices per point for the propagator product. 8192 takes the
-# whole master grid of an 18-level solve (about 3800-5900 points) in one
-# call; against 1024 it raised the peak RSS of a solve by at most 0.3 MB
-# (explicit, 100 levels), and the benchmark's peak_rss_mb by 0.3-0.9 MB
+# whole master grid of a default window up to about 150 levels (about 1100
+# points at 18, 5400 at 100) in one call; against 1024 it raised the peak
+# RSS of a solve by at most 0.3 MB (explicit, 100 levels, on a uniform
+# master grid of step 5e-3), and the benchmark's peak_rss_mb by 0.3-0.9 MB
 # (+0.5% to +1.4%).
 _EVAL_CHUNK = 8192
 # Relative width to which every bracket is closed
@@ -76,11 +78,37 @@ _CENTRE = 1 + _STENCIL.size // 2
 # step's x1, x2 and x3: column 0 for a new bracket below the estimate
 # (j <= _CENTRE), column 1 above it
 _NEXT = np.array([[0, -1], [-1, 0], [1, -2]])
-# Signs of the values at x1, x2 and x3 relative to x1's
-_Y_SIGNS = np.array([[1.0], [-1.0], [1.0]])
+# Reach of the stencil around a closer estimate, relative to t: an estimate
+# off the root by less than this closes most of the bracket at once
+_REACH = float(_STENCIL[-1]) * _T_TOL / 2
+# Master grid in s. The closer's first step on a bracket interpolates
+# through its ends (the secant, where the scan has no point beyond them of
+# the right sign) or through them and the grid point beyond one end (inverse
+# quadratic interpolation), and needs only one step more when it lands
+# within _REACH of the root. Through points h apart on a factor that varies
+# on a length l, the secant errs by about h^2 / (8 l) and the quadratic by
+# about h^3 / l^2. Near the ground state, s ~ sqrt(Z/2), a factor varies on
+# the scale of s itself (l = s), and the secant sets a geometric grid of
+# ratio 1 + _GRID_RATIO, 2% apart. Above s = _GRID_STEP / _GRID_RATIO (0.92)
+# a factor varies on the scale of its roots, which lie no closer than about
+# pi/2 in s (the free ring's level spacing at circumference 4), l = 1/2, and
+# the quadratic sets the uniform step _GRID_STEP (0.018). Two roots of one
+# factor that meet at an exceptional point lie closer than that; the
+# extremum windows catch them.
+_GRID_RATIO = math.sqrt(8.0 * _REACH)
+_GRID_STEP = 0.5 * _REACH ** (1.0 / 3.0)
+# An extremum of a factor toward zero may hide a pair of roots when the vertex
+# of the parabola through it and its neighbours lies within this many times
+# the parabola's own error (the cubic term, from the third divided difference)
+# of zero, or beyond it
+_VERTEX_MARGIN = 3.0
 # Least bracket_width reported for a closed bracket, in ulps of its t: the
 # sign of a computed value is rounding noise within a few ulps of its root
 _WIDTH_FLOOR_ULPS = 8
+# The extremum windows of _close_brackets when there are none
+_NO_WINDOWS = (
+    np.empty((3, 0)), np.empty((3, 0)), np.empty(0, np.intp), np.empty(0, bool)
+)
 
 
 class SecularEvaluationError(RuntimeError):
@@ -180,21 +208,30 @@ def _call(f: Callable[[np.ndarray], object], ts: np.ndarray):
         raise SecularEvaluationError(float(ts[0]) if t is None else t, e) from e
 
 
-def _pick(
-    factors: np.ndarray, k: np.ndarray, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log-magnitude of factor k at point idx of _evaluate's
-    factors, k and idx broadcast together."""
-    y = factors[k, idx]
-    with np.errstate(divide="ignore"):  # an exact root: -inf
-        return np.sign(y), np.log(np.abs(y))
+def _factor_values(
+    f: Callable[[np.ndarray], object], ts: np.ndarray, k: np.ndarray
+) -> np.ndarray:
+    """The value at each point of the 1-D array ts of the factor of f whose
+    index k (an array of ts's shape) gives, chunk by chunk."""
+    y = np.empty(ts.size)
+    for i in range(0, ts.size, _EVAL_CHUNK):
+        v = _call(f, ts[i : i + _EVAL_CHUNK])
+        rows = [row for row, _ in v.factors]
+        y[i : i + _EVAL_CHUNK] = np.choose(k[i : i + _EVAL_CHUNK], rows)
+    return y
 
 
 def scan_secular(
     f: Callable[[np.ndarray], object], config: ScanConfig
 ) -> list[ScanSample]:
     """Tabulate sign and log-magnitude of f itself on a uniform t grid over
-    the window."""
+    the window. Raises ValueError before evaluating or allocating anything
+    when the table would take more than _MAX_GRID_POINTS samples."""
+    if not config.initial_samples <= _MAX_GRID_POINTS:
+        raise ValueError(
+            f"a scan of {config.initial_samples} samples is more than the "
+            f"{_MAX_GRID_POINTS} allowed; request fewer (--samples)"
+        )
     ts = np.linspace(config.t_min, config.t_max, config.initial_samples)
     signs, logmags = np.empty(ts.size, dtype=int), np.empty(ts.size)
     for i in range(0, ts.size, _EVAL_CHUNK):
@@ -204,24 +241,66 @@ def scan_secular(
     return list(map(ScanSample, ts.tolist(), signs.tolist(), logmags.tolist()))
 
 
+def _itp_budget(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per bracket (lo, hi): epsilon = _T_TOL lo / 2, and ITP's projection
+    radius plus half the width, (epsilon - ulp) 2^n_max, for its first step.
+
+    n_max = ceil(log2((hi - lo) / (2 epsilon))) + _ITP_N0 steps; rounding of
+    mid and x adds up to one ulp to a width held at its budget, and an ulp
+    less keeps n_max steps enough.
+    """
+    eps = 0.5 * _T_TOL * lo
+    n_max = np.ceil(np.log2((hi - lo) / (2.0 * eps))) + _ITP_N0
+    return eps, (eps - np.spacing(hi)) * 2.0**n_max
+
+
+def _hides_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per column of x and y, five points in ascending x (NaN where absent)
+    around a middle point where |y| is least, all of one sign: whether a pair
+    of roots may lie near it.
+
+    That is, whether the vertex of the parabola through the middle three
+    points lies within _VERTEX_MARGIN times the parabola's error of zero, or
+    beyond it. The error is the cubic term, the largest third divided
+    difference over four neighbouring points times the cube of the wider
+    middle spacing, so a touch of zero at a kink, where the third difference
+    is large, counts as near. x is taken relative to the middle point, which
+    keeps the differences finite at any t.
+    """
+    _, vertex = _vertex(x[1:4], y[1:4])
+    u = x / x[2] - 1.0
+    with np.errstate(all="ignore"):
+        d1 = (y[1:] - y[:-1]) / (u[1:] - u[:-1])
+        d2 = (d1[1:] - d1[:-1]) / (u[2:] - u[:-2])
+        d3 = np.abs((d2[1:] - d2[:-1]) / (u[3:] - u[:-3]))
+    error = np.fmax(np.fmax(d3[0], d3[1]), 0.0) * np.maximum(-u[1], u[3]) ** 3
+    return ~(np.sign(y[2]) * vertex > _VERTEX_MARGIN * error)
+
+
 def _close_brackets(
-    f: Callable[[np.ndarray], object], brackets: np.ndarray, ends: tuple
+    f: Callable[[np.ndarray], object],
+    brackets: np.ndarray,
+    ends: tuple,
+    windows: tuple = _NO_WINDOWS,
 ) -> list[RootRecord]:
-    """Close every sign-change bracket in lock step, one record each.
+    """Close every sign-change bracket in lock step, one record each, and
+    resolve every extremum window in the same calls.
 
     brackets and ends are what _brackets_and_exacts found on a grid: an
     (n, 2) array of (lo, hi) rows, 0 < lo < hi, and per bracket the index of
     the factor of f's value that changes sign across it, whether that
-    factor counts twice, the factor's sign at lo, a seed point beyond lo of
-    lo's sign (NaN for none), and the factor's log-magnitudes at lo, hi and
-    the seed as an array of shape (3, n). No factor is zero at its
-    bracket's ends, which the scan records as exact roots instead.
+    factor counts twice, a seed point beyond lo of lo's sign (NaN for none),
+    and the factor's values at lo, hi and the seed as an array of shape
+    (3, n). No factor is zero at its bracket's ends, which the scan records
+    as exact roots instead.
 
     Each step's estimate x is Chandrupatla's (Adv. Eng. Softw. 28 (1997)
     145): inverse quadratic interpolation over the end nearer the last
     estimate, the other end and the next point beyond the nearer end of its
     sign (the seed at first), taken where his test accepts it and the
-    midpoint otherwise (as at the first step of an unseeded bracket). It is
+    midpoint otherwise; the first step of an unseeded bracket takes the
+    secant through its ends instead, and of a window's pair bracket a root
+    of the pair's parabola (see _window_step). It is
     clipped to at least epsilon = _T_TOL lo0 / 2 from the nearer end, so
     that a converged estimate steps across the root, and then projected as
     in ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with n0 = 1. The
@@ -233,27 +312,48 @@ def _close_brackets(
     ceil(log2((hi0 - lo0) / (_T_TOL lo0))) + 1 steps, one more than
     bisection needs to reach width _T_TOL lo0. Steps are taken while the
     width exceeds _T_TOL times the upper end and lo < mid < hi holds, a
-    point with sign 0 closes the bracket on it, and the record's t is the
-    final end of smaller |factor|, whose log-magnitude is the residual. One
-    step evaluates the stencils of all open brackets in one call.
+    point with value 0 closes the bracket on it, and the record's t is the
+    final end of smaller |factor|, whose log is the residual. One step
+    evaluates the stencils of all open brackets and windows in one call.
+
+    windows are _brackets_and_exacts' extremum windows: three points in
+    ascending t per window, an array of shape (3, m), the factor's values
+    there, its index and whether it counts twice. The factor has one sign
+    on a window, least in magnitude at its middle point, and may have a
+    pair of roots inside. Each step closes a window on the factor's
+    derivative, whose sign change the window brackets: it evaluates the
+    stencil around the vertex of the parabola through the window, and takes
+    the least |factor| of the window's and stencil's points, between its
+    neighbours, as the next window. A point of the other sign, or a zero, is
+    a pair: its two brackets, from the points' sign changes, join the open
+    brackets (where the two roots meet at a zero, both close on it, and
+    _merge_close makes one record of them standing for two levels). A window
+    closes with no pair when it no longer hides one (_hides_pair), or after
+    bisection's step count.
     """
-    if not len(brackets):
-        return []
+    n = len(brackets)
+    k, double, seed, Y = ends
+    W, YW, kw, dw = windows
+    W, YW = W.copy(), YW.copy()
+    # records: the brackets given first, then those the windows open
+    t, y_end, width = np.empty((3, n + 2 * kw.size))
+    doubles = list(double.tolist())
     # per open bracket i: the rows of X are the end x1 nearer the last
-    # estimate (of sign s1), the other end x2 and the next point x3 beyond
-    # x1 of x1's sign (NaN for none), the rows of L their log-magnitudes,
-    # and k is its factor
-    k, double, s1, seed, L = ends
-    i = np.arange(len(brackets))
+    # estimate, the other end x2 and the next point x3 beyond x1 of x1's
+    # sign (NaN for none), the rows of Y the factor's values there, and k
+    # is its factor
     X = np.concatenate([brackets.T, seed[None]])
-    t, residual, width = np.empty((3, i.size))
-    eps = 0.5 * _T_TOL * X[0]
-    n_max = np.ceil(np.log2((X[1] - X[0]) / (2.0 * eps))) + _ITP_N0
-    # ITP's projection radius plus half the width, (eps - ulp) 2^(n_max - j)
-    # at step j: rounding of mid and x adds up to one ulp to a width held at
-    # its budget, and an ulp less keeps n_max steps enough
-    budget = (eps - np.spacing(X[1])) * 2.0**n_max
-    while i.size:
+    i = np.arange(n)
+    eps, budget = _itp_budget(X[0], X[1])
+    # first estimates in place of interpolation, for the next step only
+    # (None for none): the secant through the ends of an unseeded bracket
+    guess = None
+    if np.isnan(seed).any():
+        guess = np.where(np.isnan(seed), _secant(X[:2], Y[:2]), np.nan)
+    # steps left per open window: bisection's count for its width
+    steps = np.ceil(np.log2((W[2] - W[0]) / (_T_TOL * W[0]))) + _ITP_N0
+    col = (slice(None), None)  # a per-bracket array as a column
+    while i.size or kw.size:
         x1, x2, x3 = X
         a, b = np.minimum(x1, x2), np.maximum(x1, x2)
         w, m = b - a, 0.5 * (a + b)
@@ -261,30 +361,38 @@ def _close_brackets(
         if not go.all():
             # record the brackets that closed and drop them from the arrays
             c = ~go
-            x_c, l_c, w_c = X[:2, c], L[:2, c], w[c]
-            nearer = l_c[0] <= l_c[1]
-            t[i[c]] = np.where(nearer, *x_c)
-            residual[i[c]] = np.where(nearer, *l_c)
+            nearer = np.abs(Y[0, c]) <= np.abs(Y[1, c])
+            t[i[c]] = np.where(nearer, x1[c], x2[c])
+            y_end[i[c]] = np.where(nearer, Y[0, c], Y[1, c])
+            w_c = w[c]
             width[i[c]] = np.where(
                 w_c > 0, np.maximum(w_c, _WIDTH_FLOOR_ULPS * np.spacing(m[c])), 0.0
             )
-            if not go.any():
-                break
-            i, X, L, s1, k, eps, budget, a, b, w, m = (
-                i[go], X[:, go], L[:, go], s1[go], k[go], eps[go], budget[go],
+            i, X, Y, k, eps, budget, a, b, w, m = (
+                i[go], X[:, go], Y[:, go], k[go], eps[go], budget[go],
                 a[go], b[go], w[go], m[go],
             )
+            if guess is not None:
+                guess = guess[go]
+            if not (i.size or kw.size):
+                break
             x1, x2, x3 = X
-        # inverse quadratic interpolation on the values normalized by the
-        # largest of the three, where Chandrupatla's test accepts it; the
-        # values carry the sign s1 (-s1 at x2), which changes neither
-        y1, y2, y3 = np.exp(L - L.max(axis=0)) * _Y_SIGNS
+        # the first estimate where there is one, else inverse quadratic
+        # interpolation where Chandrupatla's test accepts it, else the
+        # midpoint; the values at x1 and x3 share a sign, the value at x2
+        # has the other, and the interpolant is the same at any scale
+        y1, y2, y3 = Y
         dx = x2 - x1
         with np.errstate(all="ignore"):
             d21, d23 = y2 - y1, y2 - y3
             xi, phi = dx / (x2 - x3), d21 / d23
             q = y1 / d23 * (y3 / d21 - (x3 - x1) / dx * y2 / (y3 - y1))
             iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(q)
+        if guess is not None:
+            guessed = ~np.isnan(guess)
+            q = np.where(guessed, (guess - x1) / dx, q)
+            iqi |= guessed
+            guess = None
         # clip: at least epsilon from the nearer end toward the other end
         q_min = eps / w
         xt = np.where(iqi, x1 + np.minimum(np.maximum(q, q_min), 1.0 - q_min) * dx, m)
@@ -294,37 +402,139 @@ def _close_brackets(
         x = np.where(np.abs(d) <= r, xt, m - np.sign(d) * r)
         # the row x1, stencil, x2 per bracket: the stencil runs from x1
         # toward x2 and is clipped into the bracket, so the row is sorted; a
-        # point clipped onto an end takes that end's sign
-        col = (slice(None), None)  # a per-bracket array as a column
+        # point clipped onto an end takes that end's value
         stencil = x[col] + (eps * np.sign(dx))[col] * _STENCIL
         np.maximum(stencil, a[col], out=stencil)
         np.minimum(stencil, b[col], out=stencil)
-        factors, _ = _evaluate(f, stencil.ravel())
-        points = np.arange(stencil.size).reshape(stencil.shape)
-        signs, logmags = _pick(factors, k[col], points)
-        row = np.concatenate([x1[col], stencil, x2[col]], axis=1)
-        row_l = np.concatenate([L[0][col], logmags, L[1][col]], axis=1)
-        row_s = np.concatenate([s1[col], signs, -s1[col]], axis=1)
+        ts, ks = stencil.ravel(), np.repeat(k, _STENCIL.size)
+        if kw.size:
+            # each window's stencil around the vertex of its parabola
+            xv = _vertex(W, YW)[0]
+            w_stencil = xv[col] + (0.5 * _T_TOL * W[0])[col] * _STENCIL
+            np.maximum(w_stencil, W[0][col], out=w_stencil)
+            np.minimum(w_stencil, W[2][col], out=w_stencil)
+            ts = np.concatenate([ts, w_stencil.ravel()])
+            ks = np.concatenate([ks, np.repeat(kw, _STENCIL.size)])
+        values = _factor_values(f, ts, ks)
         # the new bracket (row[j - 1], row[j]) at the row's first point j
         # without x1's sign; its end nearer the estimate row[_CENTRE] becomes
         # x1, the next point beyond that end x3 (of x1's sign, unless
         # rounding noise flips a sign inside the stencil), and a zero at
         # row[j] closes the bracket on it
-        keep = ((row_s == s1[col]) | (row == x1[col])) & (row != x2[col])
+        row = np.concatenate([x1[col], stencil, x2[col]], axis=1)
+        row_y = np.concatenate(
+            [y1[col], values[: stencil.size].reshape(stencil.shape), y2[col]], axis=1
+        )
+        keep = ((row_y * np.sign(y1)[col] > 0) | (row == x1[col])) & (row != x2[col])
         j = np.argmin(keep, axis=1)
         brk = np.arange(j.size)
         up = j > _CENTRE
         idx = j + _NEXT[:, up.astype(np.intp)]
-        np.copyto(idx[:2], j, where=row_s[brk, j] == 0)
-        X, L = row[brk, idx], row_l[brk, idx]
-        s1 = np.where(up, s1, -s1)
+        np.copyto(idx[:2], j, where=row_y[brk, j] == 0)
+        X, Y = row[brk, idx], row_y[brk, idx]
         budget *= 0.5
+        if not kw.size:
+            continue
+        # the windows, each from its points and its stencil's
+        w_values = values[stencil.size :].reshape(w_stencil.shape)
+        live = np.zeros(kw.size, dtype=bool)
+        for wi in range(kw.size):
+            kind, found = _window_step(
+                np.concatenate([W[:, wi], w_stencil[wi]]),
+                np.concatenate([YW[:, wi], w_values[wi]]),
+            )
+            if kind == "pair":
+                # two unseeded brackets join the open ones, each with a root
+                # of the pair's parabola as its first estimate
+                lo, hi, g, y_lo, y_hi = found
+                e, bud = _itp_budget(lo, hi)
+                g = np.where(np.isnan(g), _secant((lo, hi), (y_lo, y_hi)), g)
+                if guess is None:
+                    guess = np.full(i.size, np.nan)
+                guess = np.concatenate([guess, g])
+                X = np.concatenate([X, [lo, hi, [np.nan] * 2]], axis=1)
+                Y = np.concatenate([Y, [y_lo, y_hi, [np.nan] * 2]], axis=1)
+                k = np.concatenate([k, [kw[wi]] * 2])
+                eps, budget = np.concatenate([eps, e]), np.concatenate([budget, bud])
+                i = np.concatenate([i, [len(doubles), len(doubles) + 1]])
+                doubles += [bool(dw[wi])] * 2
+            elif kind == "open" and steps[wi] > 1:
+                W[:, wi], YW[:, wi] = found
+                live[wi] = True
+        W, YW, kw, dw = W[:, live], YW[:, live], kw[live], dw[live]
+        steps = steps[live] - 1
+    used = len(doubles)
+    with np.errstate(divide="ignore"):  # an exact root: -inf
+        residual = np.log(np.abs(y_end[:used]))
     return [
         RootRecord(t=ti, residual_logmag=ri, bracket_width=wi, unresolved_doublet=di)
         for ti, ri, wi, di in zip(
-            t.tolist(), residual.tolist(), width.tolist(), double.tolist()
+            t[:used].tolist(), residual.tolist(), width[:used].tolist(), doubles
         )
     ]
+
+
+def _secant(x: tuple, y: tuple) -> np.ndarray:
+    """Where the line through (x[0], y[0]) and (x[1], y[1]) crosses zero."""
+    with np.errstate(all="ignore"):
+        return x[0] - y[0] * (x[1] - x[0]) / (y[1] - y[0])
+
+
+def _vertex(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of the arrays x and y of shape (3, n), the abscissa and
+    value of the vertex of the parabola through the three points, or the
+    middle point where the three values are flat. x is taken relative to
+    the middle point, which keeps the differences finite at any t."""
+    u = x / x[1] - 1.0
+    with np.errstate(all="ignore"):
+        d_am, d_mb = (y[1] - y[0]) / -u[0], (y[2] - y[1]) / u[2]
+        c = (d_mb - d_am) / (u[2] - u[0])
+        uv = 0.5 * u[0] - 0.5 * d_am / c
+        v = y[1] + uv * (d_am + c * (uv - u[0]))
+    flat = ~(np.isfinite(uv) & np.isfinite(v))
+    return x[1] * (1.0 + np.where(flat, 0.0, uv)), np.where(flat, y[1], v)
+
+
+def _window_step(x: np.ndarray, y: np.ndarray) -> tuple[str, object]:
+    """One step of an extremum window, from the factor's values y at the
+    points x: first the window's three, in ascending t, where the factor has
+    the sign of y[1], then its stencil's.
+
+    Returns ("pair", (lo, hi, guess, y_lo, y_hi)) where some point has the
+    other sign or is zero: the brackets of the first and the last such
+    change of sign, and for each a root of the parabola through the outer
+    ends and the least value as its first estimate, since interpolation
+    within a bracket whose inner end lies near the vertex is poor.
+    Otherwise ("open", (x3, y3)), the three points around the least |factor|
+    as the next window, or ("none", None) where that window is narrower than
+    _T_TOL times its t or hides no pair.
+    """
+    sign = np.sign(y[1])
+    x, first = np.unique(x, return_index=True)
+    y = y[first]
+    sy = sign * y
+    if (sy <= 0).any():
+        inner, outer = np.flatnonzero(sy <= 0), np.flatnonzero(sy > 0)
+        lo = np.array([outer[outer < inner[0]][-1], inner[-1]])
+        hi = np.array([inner[0], outer[outer > inner[-1]][0]])
+        # p(u) = ym + b u + c u^2 in u = x - xm, through both outer ends
+        j = [lo[0], np.argmin(sy), hi[1]]
+        (xl, xm, xr), (yl, ym, yr) = x[j], y[j]
+        d_l, d_r = (ym - yl) / (xm - xl), (yr - ym) / (xr - xm)
+        c = (d_r - d_l) / (xr - xl)
+        b = d_l + c * (xm - xl)
+        with np.errstate(all="ignore"):
+            q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * c * ym), b))
+            guess = xm + np.sort([q / c, ym / q])
+        return "pair", (x[lo], x[hi], guess, y[lo], y[hi])
+    p = min(max(int(np.argmin(sy)), 1), x.size - 2)
+    x5, y5 = np.full((2, 5, 1), np.nan)
+    lo, hi = max(p - 2, 0), min(p + 3, x.size)
+    x5[lo - p + 2 : hi - p + 2, 0] = x[lo:hi]
+    y5[lo - p + 2 : hi - p + 2, 0] = y[lo:hi]
+    if x[p + 1] - x[p - 1] <= _T_TOL * x[p + 1] or not _hides_pair(x5, y5)[0]:
+        return "none", None
+    return "open", (x[p - 1 : p + 2], y[p - 1 : p + 2])
 
 
 def bisect(
@@ -342,7 +552,7 @@ def bisect(
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got {(lo, hi)!r}")
     ts = np.array([lo, hi])
-    brackets, ends, exacts = _brackets_and_exacts(ts, _evaluate(f, ts))
+    brackets, ends, _, exacts = _brackets_and_exacts(ts, _evaluate(f, ts))
     if exacts:
         return exacts[0]
     if not len(brackets):
@@ -352,18 +562,25 @@ def bisect(
 
 def _brackets_and_exacts(
     ts: np.ndarray, scan: tuple
-) -> tuple[np.ndarray, tuple, list[RootRecord]]:
+) -> tuple[np.ndarray, tuple, tuple, list[RootRecord]]:
     """Sign-change brackets of each factor between neighbours of the grid ts
-    as an (n, 2) array of (lo, hi) rows, their ends argument of
-    _close_brackets, and exact roots: points where a factor is zero, each a
-    root of the first such factor.
+    as an (n, 2) array of (lo, hi) rows, their ends and the extremum windows
+    arguments of _close_brackets, and exact roots: points where a factor is
+    zero, each a root of the first such factor.
 
     Each bracket is seeded with the grid point just beyond lo, where that
-    point exists and has lo's sign of the factor.
+    point exists and has lo's sign of the factor. An extremum window is
+    three neighbouring grid points where a factor keeps its sign and is
+    least in magnitude at the middle one, so close to zero that it may hide
+    a pair of roots (_hides_pair), where no factor changes sign or vanishes:
+    a factor touching zero at another factor's root, as U_(M-1) does at
+    every band edge, has no roots of its own there.
     """
     factors, counts = scan
     neg, pos, zero = factors < 0, factors > 0, factors == 0
+    change = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
     exacts = []
+    quiet = ~change.any(axis=0)  # per grid interval
     if zero.any():
         j = np.flatnonzero(zero.any(axis=0))
         exacts = [
@@ -374,19 +591,42 @@ def _brackets_and_exacts(
                 ts[j].tolist(), (counts[np.argmax(zero[:, j], axis=0)] == 2).tolist()
             )
         ]
+        at_zero = zero.any(axis=0)
+        quiet &= ~(at_zero[:-1] | at_zero[1:])
     # factor by factor in ascending i, as np.nonzero would give them
-    k, i = divmod(
-        np.flatnonzero((neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])),
-        ts.size - 1,
-    )
+    k, i = divmod(np.flatnonzero(change), ts.size - 1)
     i_lo = np.where(ts[i] < ts[i + 1], i, i + 1)
     i_hi = 2 * i + 1 - i_lo
     beyond = 2 * i_lo - i_hi
     i_seed = np.minimum(np.maximum(beyond, 0), ts.size - 1)
-    signs, logmags = _pick(factors, k, np.array([i_lo, i_hi, i_seed]))
-    seed = np.where((i_seed == beyond) & (signs[2] == signs[0]), ts[i_seed], np.nan)
+    Y = factors[k, np.array([i_lo, i_hi, i_seed])]
+    seeded = (i_seed == beyond) & (np.sign(Y[2]) == np.sign(Y[0]))
+    seed = np.where(seeded, ts[i_seed], np.nan)
     brackets = np.stack([ts[i_lo], ts[i_hi]], axis=1)
-    return brackets, (k, counts[k] == 2, signs[0], seed, logmags), exacts
+    ends = k, counts[k] == 2, seed, Y
+    # the extremum windows: five points around each least |factor|, in
+    # ascending t, NaN beyond the grid
+    mag = np.abs(factors)
+    mid = mag[:, 1:-1]
+    least = (mid <= mag[:, :-2]) & (mid < mag[:, 2:])
+    kw, iw = np.nonzero(least & quiet[:-1] & quiet[1:])
+    near = iw + np.arange(-1, 4)[:, None]
+    inside = (near >= 0) & (near < ts.size)
+    near = np.minimum(np.maximum(near, 0), ts.size - 1)
+    y5 = np.where(inside, factors[kw, near], np.nan)
+    # on a near-uniform grid the parabola's vertex lies at most S/4 beyond
+    # the middle value and its cubic term is at most 4 S/3, S the largest
+    # difference from the middle value over the five points: no pair hides
+    # where |y| at the middle exceeds 5 S
+    low = np.abs(y5[2]) < 5.0 * np.fmax.reduce(np.abs(y5 - y5[2]), axis=0)
+    if not low.any():
+        return brackets, ends, _NO_WINDOWS, exacts
+    kw, x5, y5 = kw[low], np.where(inside, ts[near], np.nan)[:, low], y5[:, low]
+    if ts[0] > ts[1]:
+        x5, y5 = x5[::-1], y5[::-1]
+    hides = _hides_pair(x5, y5)
+    windows = (x5[1:4, hides], y5[1:4, hides], kw[hides], counts[kw[hides]] == 2)
+    return brackets, ends, windows, exacts
 
 
 def _merge_close(records: list[RootRecord]) -> list[RootRecord]:
@@ -475,21 +715,31 @@ def find_roots(
     f maps a 1-D float array of t to a LogScaledValue with factors; it is
     called on the master grid and on each lock-step closer step, and only
     its factors are read. Every sign change of a factor on the grid is
-    closed on that factor. Returns every root found in the window, in
-    descending t (ascending energy) order; callers slice the leading
-    n_levels levels after doublet expansion. Warns with
+    closed on that factor, and every extremum window where a pair of one
+    factor's roots may hide is resolved. Returns every root found in the
+    window, in descending t (ascending energy) order; callers slice the
+    leading n_levels levels after doublet expansion. Warns with
     LevelShortfallWarning when the window yields fewer levels than
     requested, which for this operator family indicates levels lost to
-    complex conjugate pairs rather than a scan failure. Raises ValueError
-    on a value without factors, and before evaluating or allocating
-    anything when the master grid would take more than _MAX_GRID_POINTS
-    points.
+    complex conjugate pairs rather than a scan failure. Raises ValueError on
+    a value without factors, and before evaluating or allocating anything
+    when the master grid would take more than _MAX_GRID_POINTS points.
     """
     cfg = config if config is not None else default_scan_config(Z, n_levels)
     s_lo = Z / (2.0 * cfg.t_max)
     s_hi = Z / (2.0 * cfg.t_min)
-    span = (s_hi - s_lo) / _MASTER_DS  # inf where s_hi overflows
-    points = max(span + 1.0, cfg.initial_samples)
+    # geometric in s up to _GRID_STEP / _GRID_RATIO, uniform above it
+    s_mid = min(max(_GRID_STEP / _GRID_RATIO, s_lo), s_hi)
+    n_geo = math.log(s_mid / s_lo) / math.log1p(_GRID_RATIO)
+    n_lin = (s_hi - s_mid) / _GRID_STEP  # inf where s_hi overflows
+    points = max(n_geo + n_lin + 1.0, cfg.initial_samples)
+    if points <= _MAX_GRID_POINTS:
+        n_geo, n_lin = math.ceil(n_geo), math.ceil(n_lin)
+        # every interval split evenly where the grid falls short of the
+        # least sample count
+        split = max(1, -(-(cfg.initial_samples - 1) // (n_geo + n_lin)))
+        n_geo, n_lin = split * n_geo, split * n_lin
+        points = n_geo + n_lin + 1
     if not points <= _MAX_GRID_POINTS:
         raise ValueError(
             f"the master grid for t from {cfg.t_min:.6g} to {cfg.t_max:.6g} at "
@@ -497,18 +747,13 @@ def find_roots(
             f"{_MAX_GRID_POINTS} allowed; set a larger t_min (--t-min) or "
             f"request fewer levels (--levels)"
         )
-    n = max(cfg.initial_samples, math.ceil(span) + 1)
-    ts = Z / (2.0 * np.linspace(s_lo, s_hi, n))
-    # the first interval, (Z / (2 (s_lo + ds)), t_max), spans a t ratio up
-    # to 5e4 at Z = 1e-6 and holds the ground state; geometric points in t
-    # split it into ratios of at most 2 (none in the default window from
-    # Z = 0.05 up)
-    n_fill = max(math.ceil(math.log2(ts[0] / ts[1])), 1) - 1
-    if n_fill:
-        fill = np.geomspace(ts[0], ts[1], n_fill + 2)[1:-1]
-        ts = np.concatenate([ts[:1], fill, ts[1:]])
-    brackets, ends, records = _brackets_and_exacts(ts, _evaluate(f, ts))
-    records += _close_brackets(f, brackets, ends)
+    ratio = math.log(s_mid / s_lo) / max(n_geo, 1)
+    s = np.concatenate(
+        [s_lo * np.exp(ratio * np.arange(n_geo)), np.linspace(s_mid, s_hi, n_lin + 1)]
+    )
+    ts = Z / (2.0 * s)
+    brackets, ends, windows, records = _brackets_and_exacts(ts, _evaluate(f, ts))
+    records += _close_brackets(f, brackets, ends, windows)
 
     records = _merge_close(records)
     records.sort(key=lambda r: -r.t)

@@ -11,7 +11,7 @@ local level scale) are flagged and cross-linked via doublet_partner; for
 this operator family they occupy the (3,4), (7,8), (11,12), ... slots.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 DEFAULT_QUASI_TOL = 2e-2
@@ -65,16 +65,12 @@ def energies_from_roots(roots: Sequence, Z: float) -> list[EnergyLevel]:
     for r in roots:
         s = Z / (2.0 * r.t)
         e = s * s - r.t * r.t
-        copies = 2 if getattr(r, "unresolved_doublet", False) else 1
-        for _ in range(copies):
-            n = len(levels)
-            levels.append(
-                EnergyLevel(n=n, t=r.t, s=s, E=e, series=n % 4)
-            )
-        if copies == 2:
-            i, j = levels[-2].n, levels[-1].n
-            levels[-2] = replace(levels[-2], doublet_partner=j)
-            levels[-1] = replace(levels[-1], doublet_partner=i)
+        n = len(levels)
+        if getattr(r, "unresolved_doublet", False):
+            levels.append(EnergyLevel(n, r.t, s, e, n % 4, n + 1))
+            levels.append(EnergyLevel(n + 1, r.t, s, e, (n + 1) % 4, n))
+        else:
+            levels.append(EnergyLevel(n, r.t, s, e, n % 4))
     return levels
 
 
@@ -144,10 +140,15 @@ def analyze_series(
     )
 
     pairs = quasi_degenerate_pairs(levels, quasi_tol)
-    tagged = list(levels)
+    partner = {}
     for i, j, _gap in pairs:
-        tagged[i] = replace(tagged[i], doublet_partner=j)
-        tagged[j] = replace(tagged[j], doublet_partner=i)
+        partner[i], partner[j] = j, i
+    tagged = [
+        EnergyLevel(lvl.n, lvl.t, lvl.s, lvl.E, lvl.series, partner[k])
+        if k in partner
+        else lvl
+        for k, lvl in enumerate(levels)
+    ]
     return SpectrumReport(
         levels=tuple(tagged),
         delta1=tuple(delta),

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import ACCEPTANCE_LINES
+from fd_oracle import fd_eigenvalues
 
 from ptring import (
     ScanConfig,
@@ -148,29 +149,14 @@ def test_even_second_n8_from_finite_differences():
     grid) gives two real pairs near 9.84 and 39.47 that match the monodromy
     backend to 1e-4 relative, and (E8 - E7) - (E4 - E3) = -0.077 within
     criterion 3's tolerance. No secular function enters the levels."""
-    sla = pytest.importorskip("scipy.sparse.linalg")
-    from scipy import sparse
-    z, m, n_grid = 1.0, 1, 4000
-    h = 4.0 / n_grid
-    s = -2.0 + (np.arange(n_grid) + 0.5) * h
-    v = np.where(np.floor((s + 2.0) * m).astype(int) % 2 == 0, 1j * z, -1j * z)
-    off = np.full(n_grid, -1.0 / h**2)
-    op = sparse.diags(
-        [off[:1], off[:-1], 2.0 / h**2 + v, off[:-1], off[:1]],
-        [-(n_grid - 1), -1, 0, 1, n_grid - 1],
-        format="csc",
-        dtype=complex,
-    )
-
+    z, m = 1.0, 1
     pot = build_square_well(m, z)
     recs = find_roots(lambda t: secular_monodromy(pot, z, t), z, 5)
     mono = [lvl.E for lvl in energies_from_roots(recs, z)]
 
     gaps = []
     for sigma in (9.84, 39.47):
-        pair = np.sort_complex(
-            sla.eigs(op, k=2, sigma=sigma, return_eigenvectors=False)
-        )
+        pair = fd_eigenvalues(z, m, sigma)
         assert np.all(np.abs(pair.imag) < 1e-8), pair
         ref = sorted(e for e in mono if abs(e - sigma) < 1.0)
         assert len(ref) == 2, mono

@@ -172,9 +172,9 @@ def test_spectrum_default_window_without_positive_energy_exits_1(capsys, argv, c
 @pytest.mark.parametrize(
     "argv,points",
     [
-        (["--t-min", "1e-300"], "1e+302"),
+        (["--t-min", "1e-300"], "2.714e+301"),
         (["--t-min", "5e-324"], "inf"),
-        (["--levels", "10000000"], "1.924e+09"),
+        (["--levels", "10000000"], "5.222e+08"),
     ],
 )
 def test_spectrum_oversized_master_grid_exits_1(capsys, monkeypatch, argv, points):
@@ -249,6 +249,22 @@ def test_scan_rejects_tiny_sample_count(capsys):
     code, _out, err = _run(capsys, ["scan", "--Z", "1", "--samples", "1"])
     assert code == 1
     assert "at least 16" in err
+
+
+@pytest.mark.parametrize("samples", ["4194305", "100000000000000"])
+def test_scan_oversized_table_exits_1(capsys, monkeypatch, samples):
+    """A sample count above the bound is a domain error naming --samples,
+    raised before the table is allocated or the secular function called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table was allocated")
+
+    monkeypatch.setattr(ptring.roots.np, "linspace", refuse)
+    code, out, err = _run(capsys, ["scan", "--Z", "1", "--samples", samples])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"a scan of {samples} samples" in err and "--samples" in err
 
 
 # --- potential -------------------------------------------------------------------

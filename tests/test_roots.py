@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fd_oracle import fd_eigenvalues
 from test_secular import EXPLICIT_ROOTS_Z1, NON_ALTERNATING
 
 from ptring import (
@@ -172,9 +173,10 @@ def test_bisect_exact_midpoint_closes_bracket():
 
 def test_bisect_exact_step_point_closes_bracket():
     # t^2 - 0.3, zero on [0.54772, 0.54773] around its root: the first
-    # estimate is the midpoint 0.75, the second interpolates to 0.5456, all
-    # of whose stencil lies below the run, and the third to 0.54772373,
-    # whose stencil, taken from below, first reaches the run at 0.54772371
+    # estimate is the secant point 0.5333, the next interpolate to 0.5641
+    # and 0.5477163, whose stencils all miss the run, and the fourth to
+    # 0.54772256, whose stencil, taken from below, first reaches the run at
+    # 0.54772253
     def f(t):
         t = np.asarray(t, dtype=float)
         return LogScaledValue.from_float(
@@ -183,7 +185,7 @@ def test_bisect_exact_step_point_closes_bracket():
 
     rec = bisect(f, (0.5, 1.0))
     assert rec.bracket_width == 0.0
-    assert rec.t == pytest.approx(0.5477237066763262, abs=1e-15)
+    assert rec.t == pytest.approx(0.5477225325051645, abs=1e-15)
     assert rec.residual_logmag == float("-inf")
 
     # in lock step beside a seeded bracket of a second factor, t - 1.2, on
@@ -194,8 +196,8 @@ def test_bisect_exact_step_point_closes_bracket():
         return LogScaledValue(v.sign, v.logmag, ((y, 1), (t - 1.2, 1)))
 
     ts = np.array([0.5, 1.0, 1.5])
-    brackets, ends, _ = _brackets_and_exacts(ts, _evaluate(g, ts))
-    assert np.isnan(ends[3][0]) and ends[3][1] == 0.5  # the seeds
+    brackets, ends, _, _ = _brackets_and_exacts(ts, _evaluate(g, ts))
+    assert np.isnan(ends[2][0]) and ends[2][1] == 0.5  # the seeds
     records = _close_brackets(g, brackets, ends)
     assert records[0] == rec
     assert records == _lone(g, brackets, ends)
@@ -256,13 +258,13 @@ def _lone(f, brackets, ends):
 
 
 def _closer_call(f, Z, n_levels):
-    """The brackets and ends find_roots hands its lock-step closer, from the
-    sign changes of each factor on the master grid."""
+    """The brackets, ends and extremum windows find_roots hands its
+    lock-step closer, from each factor's values on the master grid."""
     seen = []
 
-    def spy(g, brackets, ends):
-        seen.append((brackets, ends))
-        return _close_brackets(g, brackets, ends)
+    def spy(g, brackets, ends, windows):
+        seen.append((brackets, ends, windows))
+        return _close_brackets(g, brackets, ends, windows)
 
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         mp.setattr(ptring.roots, "_close_brackets", spy)
@@ -295,7 +297,7 @@ def test_lock_step_equals_lone_brackets(data):
     bracket closed alone, and every bracket closes to width 1e-13 times its
     upper end."""
     name = data.draw(st.sampled_from(sorted(_CLOSE_POOLS)))
-    pool, pool_ends = _CLOSE_POOLS[name]
+    pool, pool_ends, _ = _CLOSE_POOLS[name]
     picks = np.array(
         data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
     )
@@ -307,7 +309,7 @@ def test_lock_step_equals_lone_brackets(data):
         assert lo <= r.t <= hi
         assert r.bracket_width <= 1e-13 * hi
     # the pool's brackets are seeded, bar the lowest-energy ones
-    assert np.isfinite(pool_ends[3]).mean() > 0.5
+    assert np.isfinite(pool_ends[2]).mean() > 0.5
 
 
 # --- find_roots --------------------------------------------------------------
@@ -324,7 +326,7 @@ def test_find_roots_explicit_z1_prefix():
 
 @pytest.mark.parametrize(
     "f,Z,calls,points",
-    [(_f_explicit(1.0), 1.0, 4, 4306), (_f_monodromy(1.0, 8), 1.0, 3, 4045)],
+    [(_f_explicit(1.0), 1.0, 4, 1700), (_f_monodromy(1.0, 8), 1.0, 3, 1400)],
     ids=["explicit-Z1", "monodromy-M8"],
 )
 def test_find_roots_batched_call_count(f, Z, calls, points):
@@ -581,12 +583,12 @@ def test_z_floor(M):
     ],
 )
 def test_weak_coupling_ground_bracket_is_split(M, Z, t_ground):
-    """Uniform in s, the master grid's first interval spans t from about
-    Z / 0.01 to t_max, a ratio of 5e4 at Z = 1e-6, and holds the ground
-    state; split geometrically, it closes in as few calls as any other
-    bracket (unsplit, a solve took 58 and 57 calls with one point per
-    closer step and 49-53 with the stencil). t_ground is the root closed
-    on the whole interval."""
+    """The ground state at s = sqrt(Z/2) lies where the master grid is
+    geometric in s, so its bracket spans a small t ratio at any coupling
+    and closes in as few calls as any other (in one interval of t ratio
+    5e4 at Z = 1e-6, as a uniform grid in s left it, a solve took 58 and
+    57 calls with one point per closer step and 49-53 with the stencil).
+    t_ground is the root closed on that whole interval."""
     g, sizes = _counted(_f_monodromy(Z, M))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LevelShortfallWarning)
@@ -646,10 +648,17 @@ def test_scan_reality_error_carries_first_failing_t(monkeypatch):
     # exceeds it for t in [0.6, 0.8]
     monkeypatch.setenv("PT_CIRCLE_TOL", "0.5")
     cfg = ScanConfig(t_min=0.6, t_max=3.0, initial_samples=256)
-    # find_roots' master grid at Z=1: 256 points uniform in s = 1/(2t),
-    # in descending t
-    s_grid = np.linspace(1.0 / (2.0 * cfg.t_max), 1.0 / (2.0 * cfg.t_min), 256)
-    ts = 1.0 / (2.0 * s_grid)
+    # find_roots' master grid at Z=1, in descending t, as its first call
+    # receives it
+    grids = []
+
+    def f(t):
+        grids.append(np.array(t))
+        return secular_monodromy(asym, 1.0, t)
+
+    with pytest.raises(SecularEvaluationError) as ej:
+        find_roots(f, 1.0, 5, cfg)
+    ts = grids[0]
 
     def fails(t):
         try:
@@ -663,8 +672,6 @@ def test_scan_reality_error_carries_first_failing_t(monkeypatch):
     with pytest.raises(SecularRealityError) as ei:
         secular_monodromy(asym, 1.0, ts)
     assert ei.value.t == first
-    with pytest.raises(SecularEvaluationError) as ej:
-        find_roots(lambda t: secular_monodromy(asym, 1.0, t), 1.0, 5, cfg)
     assert ej.value.t == first
 
 
@@ -769,3 +776,83 @@ def test_shortfall_warning_message():
     assert len(msgs) == 1
     assert "13 of 18" in msgs[0]
     assert "complex conjugate pairs" in msgs[0]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("explicit", 1.0, n) for n in (18, 50, 100)]
+    + [(M, 1.0, 18) for M in (1, 8, 32)]
+    + [(1, Z, 18) for Z in np.linspace(0.05, 4.0, 80).tolist()],
+    ids=str,
+)
+def test_guard_spends_nothing_on_benchmark_solves(case):
+    """The benchmark's solves (the explicit ladder, M = 8 and 32, the
+    strictly periodic M = 1 at Z = 1 and across pt-sweep's coupling range)
+    flag no extremum, so the exceptional-point guard adds no point and no
+    secular call to them; in particular U_(M-1) touching zero at each band
+    edge, where another factor has its root, is no window."""
+    M, Z, n_levels = case
+    f = _f_explicit(Z) if M == "explicit" else _f_monodromy(Z, M)
+    assert _closer_call(f, Z, n_levels)[2][2].size == 0
+
+
+def _band_edge_roots(Z, guesses):
+    """Roots in t of k (a + b) at M = 1, s sin(s) + t sinh(t) with
+    s = Z / (2 t), by 30-digit mpmath from each guess."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    Z = mp.mpf(Z)
+
+    def g(t):
+        s = Z / (2 * t)
+        return s * mp.sin(s) + t * mp.sinh(t)
+
+    return [float(mp.findroot(g, mp.mpf(t))) for t in guesses]
+
+
+@pytest.mark.parametrize("Z", [17.9012, 17.901234, 17.9012344])
+def test_exceptional_point_pair_is_found(Z):
+    """Just below the M = 1 exceptional point Z_c = 17.9012344088, where
+    two real levels near E = 25.6 meet, both roots of k (a + b) are found,
+    each within 1e-9 relative of its 30-digit root, however far inside one
+    master grid interval they lie (without the guard, 9 levels at
+    Z = 17.9012344)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        recs = find_roots(_f_monodromy(Z), Z, 18)
+    assert level_count(recs) == 11
+    pair = sorted(r.t for r in recs if 1.67 < r.t < 1.69)
+    assert len(pair) == 2 and not any(r.unresolved_doublet for r in recs)
+    roots = _band_edge_roots(Z, pair)
+    assert roots[0] < roots[1]
+    assert pair == pytest.approx(roots, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("Z", [17.9012345, 17.9013])
+def test_exceptional_point_no_pair_above(Z):
+    """Just above Z_c the pair is complex: no root appears near it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        recs = find_roots(_f_monodromy(Z), Z, 18)
+    assert level_count(recs) == 9
+    assert not [r for r in recs if 1.6 < r.t < 1.75]
+
+
+@pytest.mark.parametrize("Z,real", [(17.9, True), (17.95, False)])
+def test_exceptional_point_against_finite_differences(Z, real):
+    """The finite-difference oracle (N = 4000) sees the pair near E = 25.6
+    real below Z_c and complex above it, as find_roots does; below Z_c its
+    two eigenvalues lie within 1e-3 relative of the levels found (the pair's
+    sensitivity to Z near Z_c magnifies the O(h^2) discretization error)."""
+    pair = fd_eigenvalues(Z, 1, 25.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        recs = find_roots(_f_monodromy(Z), Z, 18)
+    found = [lvl.E for lvl in energies_from_roots(recs, Z) if 20.0 < lvl.E < 30.0]
+    if real:
+        assert np.all(np.abs(pair.imag) < 1e-6), pair
+        assert pair.real == pytest.approx(found, rel=1e-3, abs=0)
+    else:
+        assert np.all(np.abs(pair.imag) > 0.5), pair
+        assert pair[0] == pytest.approx(np.conj(pair[1]), rel=1e-9), pair
+        assert found == []
