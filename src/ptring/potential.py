@@ -22,6 +22,12 @@ Z_FLOOR = 1e-200
 _WIDTH_SUM_TOL = 1e-12
 
 
+def check_coupling(Z: float) -> None:
+    """Raise ValueError unless Z is a finite coupling of at least Z_FLOOR."""
+    if not Z_FLOOR <= Z < math.inf:
+        raise ValueError(f"Z must be finite and at least {Z_FLOOR:g}, got {Z!r}")
+
+
 @dataclass(frozen=True)
 class CirclePotential:
     """Ordered segments (width, purely imaginary value) covering the circle.
@@ -106,8 +112,7 @@ def build_square_well(M: int, Z: float) -> CirclePotential:
     """The 4M-segment alternating potential: +iZ first from -2, width 1/M each."""
     if not isinstance(M, int) or M < 1:
         raise ValueError(f"M must be a positive integer, got {M!r}")
-    if not Z >= Z_FLOOR:
-        raise ValueError(f"Z must be at least {Z_FLOOR:g}, got {Z!r}")
+    check_coupling(Z)
     h = 1.0 / M
     segments = tuple(
         (h, complex(0.0, Z) if j % 2 == 0 else complex(0.0, -Z)) for j in range(4 * M)

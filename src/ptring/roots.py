@@ -21,19 +21,20 @@ the ground state and uniform above it, with spacings derived from the
 closer's reach (see _GRID_RATIO). A grid point where a factor vanishes is
 an exact root. Where a factor keeps its sign across three grid points but
 its least magnitude there lies so near zero that a pair of its roots may
-hide in between (see _hides_pair), the scan flags an extremum window. Each
-bracket is closed on its own factor to a relative width of _T_TOL by
-Chandrupatla's inverse quadratic interpolation under ITP's projection, in
-at most one step more than bisection would take; each step evaluates a
-geometric stencil around the estimate, so an accurate estimate on either
-side of the root closes most of the bracket at once. All brackets are
-closed in lock step, starting from the values the scan found at their ends
-and at the grid point beyond each lower end, so that the first step already
-interpolates; in the same calls each extremum window is closed on the
-factor's derivative until it shows the pair, whose two brackets then join
-the others, or shows that the factor keeps its sign. A root stands for as
-many levels as its factor's count; two roots whose closed brackets overlap,
-so that the closer cannot order them, merge into one record standing for
+hide in between (see _hides_pair), the scan flags an extremum window, and
+find_roots refines the grid before closing anything: each pass adds the
+closer's stencil around the vertex of each window's parabola and scans the
+merged grid again, until no window is left; a pair it shows is two
+ordinary sign changes. Each bracket is closed on its own factor to a
+relative width of _T_TOL by Chandrupatla's inverse quadratic interpolation
+under ITP's projection, in at most one step more than bisection would
+take; each step evaluates a geometric stencil around the estimate, so an
+accurate estimate on either side of the root closes most of the bracket at
+once. All brackets are closed in lock step, starting from the values the
+scan found at their ends and at the grid point beyond each lower end, so
+that the first step already interpolates. A root stands for as many
+levels as its factor's count; two roots whose closed brackets overlap, so
+that the closer cannot order them, merge into one record standing for
 two.
 
 A level count below the requested one is a physical signal, not a
@@ -49,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .potential import Z_FLOOR
+from .potential import check_coupling
 
 # Most points of a master grid, checked before it is allocated, and of a
 # scan_secular table: the default window of up to about 80000 levels at any
@@ -105,10 +106,6 @@ _VERTEX_MARGIN = 3.0
 # Least bracket_width reported for a closed bracket, in ulps of its t: the
 # sign of a computed value is rounding noise within a few ulps of its root
 _WIDTH_FLOOR_ULPS = 8
-# The extremum windows of _close_brackets when there are none
-_NO_WINDOWS = (
-    np.empty((3, 0)), np.empty((3, 0)), np.empty(0, np.intp), np.empty(0, bool)
-)
 
 
 class SecularEvaluationError(RuntimeError):
@@ -208,19 +205,6 @@ def _call(f: Callable[[np.ndarray], object], ts: np.ndarray):
         raise SecularEvaluationError(float(ts[0]) if t is None else t, e) from e
 
 
-def _factor_values(
-    f: Callable[[np.ndarray], object], ts: np.ndarray, k: np.ndarray
-) -> np.ndarray:
-    """The value at each point of the 1-D array ts of the factor of f whose
-    index k (an array of ts's shape) gives, chunk by chunk."""
-    y = np.empty(ts.size)
-    for i in range(0, ts.size, _EVAL_CHUNK):
-        v = _call(f, ts[i : i + _EVAL_CHUNK])
-        rows = [row for row, _ in v.factors]
-        y[i : i + _EVAL_CHUNK] = np.choose(k[i : i + _EVAL_CHUNK], rows)
-    return y
-
-
 def scan_secular(
     f: Callable[[np.ndarray], object], config: ScanConfig
 ) -> list[ScanSample]:
@@ -278,13 +262,9 @@ def _hides_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _close_brackets(
-    f: Callable[[np.ndarray], object],
-    brackets: np.ndarray,
-    ends: tuple,
-    windows: tuple = _NO_WINDOWS,
+    f: Callable[[np.ndarray], object], brackets: np.ndarray, ends: tuple
 ) -> list[RootRecord]:
-    """Close every sign-change bracket in lock step, one record each, and
-    resolve every extremum window in the same calls.
+    """Close every sign-change bracket in lock step, one record each.
 
     brackets and ends are what _brackets_and_exacts found on a grid: an
     (n, 2) array of (lo, hi) rows, 0 < lo < hi, and per bracket the index of
@@ -292,18 +272,19 @@ def _close_brackets(
     factor counts twice, a seed point beyond lo of lo's sign (NaN for none),
     and the factor's values at lo, hi and the seed as an array of shape
     (3, n). No factor is zero at its bracket's ends, which the scan records
-    as exact roots instead.
+    as exact roots instead. find_roots has resolved every extremum window
+    on its grid before this, so a pair of roots it found is two ordinary
+    brackets here.
 
     Each step's estimate x is Chandrupatla's (Adv. Eng. Softw. 28 (1997)
     145): inverse quadratic interpolation over the end nearer the last
     estimate, the other end and the next point beyond the nearer end of its
     sign (the seed at first), taken where his test accepts it and the
     midpoint otherwise; the first step of an unseeded bracket takes the
-    secant through its ends instead, and of a window's pair bracket a root
-    of the pair's parabola (see _window_step). It is
-    clipped to at least epsilon = _T_TOL lo0 / 2 from the nearer end, so
-    that a converged estimate steps across the root, and then projected as
-    in ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with n0 = 1. The
+    secant through its ends instead. It is clipped to at least
+    epsilon = _T_TOL lo0 / 2 from the nearer end, so that a converged
+    estimate steps across the root, and then projected as in ITP (Oliveira
+    & Takahashi, ACM TOMS 47(1), 2020) with n0 = 1. The
     step evaluates the stencil x + epsilon {0, +-1, +-1e3, +-1e6, +-1e9},
     clipped into the bracket, and takes its sign change as the new bracket,
     so an estimate off the root by e < 1e9 epsilon, on either side, leaves
@@ -314,30 +295,11 @@ def _close_brackets(
     width exceeds _T_TOL times the upper end and lo < mid < hi holds, a
     point with value 0 closes the bracket on it, and the record's t is the
     final end of smaller |factor|, whose log is the residual. One step
-    evaluates the stencils of all open brackets and windows in one call.
-
-    windows are _brackets_and_exacts' extremum windows: three points in
-    ascending t per window, an array of shape (3, m), the factor's values
-    there, its index and whether it counts twice. The factor has one sign
-    on a window, least in magnitude at its middle point, and may have a
-    pair of roots inside. Each step closes a window on the factor's
-    derivative, whose sign change the window brackets: it evaluates the
-    stencil around the vertex of the parabola through the window, and takes
-    the least |factor| of the window's and stencil's points, between its
-    neighbours, as the next window. A point of the other sign, or a zero, is
-    a pair: its two brackets, from the points' sign changes, join the open
-    brackets (where the two roots meet at a zero, both close on it, and
-    _merge_close makes one record of them standing for two levels). A window
-    closes with no pair when it no longer hides one (_hides_pair), or after
-    bisection's step count.
+    evaluates the stencils of all open brackets in one call.
     """
     n = len(brackets)
     k, double, seed, Y = ends
-    W, YW, kw, dw = windows
-    W, YW = W.copy(), YW.copy()
-    # records: the brackets given first, then those the windows open
-    t, y_end, width = np.empty((3, n + 2 * kw.size))
-    doubles = list(double.tolist())
+    t, y_end, width = np.empty((3, n))
     # per open bracket i: the rows of X are the end x1 nearer the last
     # estimate, the other end x2 and the next point x3 beyond x1 of x1's
     # sign (NaN for none), the rows of Y the factor's values there, and k
@@ -350,10 +312,8 @@ def _close_brackets(
     guess = None
     if np.isnan(seed).any():
         guess = np.where(np.isnan(seed), _secant(X[:2], Y[:2]), np.nan)
-    # steps left per open window: bisection's count for its width
-    steps = np.ceil(np.log2((W[2] - W[0]) / (_T_TOL * W[0]))) + _ITP_N0
     col = (slice(None), None)  # a per-bracket array as a column
-    while i.size or kw.size:
+    while i.size:
         x1, x2, x3 = X
         a, b = np.minimum(x1, x2), np.maximum(x1, x2)
         w, m = b - a, 0.5 * (a + b)
@@ -374,7 +334,7 @@ def _close_brackets(
             )
             if guess is not None:
                 guess = guess[go]
-            if not (i.size or kw.size):
+            if not i.size:
                 break
             x1, x2, x3 = X
         # the first estimate where there is one, else inverse quadratic
@@ -406,25 +366,15 @@ def _close_brackets(
         stencil = x[col] + (eps * np.sign(dx))[col] * _STENCIL
         np.maximum(stencil, a[col], out=stencil)
         np.minimum(stencil, b[col], out=stencil)
-        ts, ks = stencil.ravel(), np.repeat(k, _STENCIL.size)
-        if kw.size:
-            # each window's stencil around the vertex of its parabola
-            xv = _vertex(W, YW)[0]
-            w_stencil = xv[col] + (0.5 * _T_TOL * W[0])[col] * _STENCIL
-            np.maximum(w_stencil, W[0][col], out=w_stencil)
-            np.minimum(w_stencil, W[2][col], out=w_stencil)
-            ts = np.concatenate([ts, w_stencil.ravel()])
-            ks = np.concatenate([ks, np.repeat(kw, _STENCIL.size)])
-        values = _factor_values(f, ts, ks)
+        ts = stencil.ravel()
+        values = _evaluate(f, ts)[0][np.repeat(k, _STENCIL.size), np.arange(ts.size)]
         # the new bracket (row[j - 1], row[j]) at the row's first point j
         # without x1's sign; its end nearer the estimate row[_CENTRE] becomes
         # x1, the next point beyond that end x3 (of x1's sign, unless
         # rounding noise flips a sign inside the stencil), and a zero at
         # row[j] closes the bracket on it
         row = np.concatenate([x1[col], stencil, x2[col]], axis=1)
-        row_y = np.concatenate(
-            [y1[col], values[: stencil.size].reshape(stencil.shape), y2[col]], axis=1
-        )
+        row_y = np.concatenate([y1[col], values.reshape(stencil.shape), y2[col]], axis=1)
         keep = ((row_y * np.sign(y1)[col] > 0) | (row == x1[col])) & (row != x2[col])
         j = np.argmin(keep, axis=1)
         brk = np.arange(j.size)
@@ -433,43 +383,12 @@ def _close_brackets(
         np.copyto(idx[:2], j, where=row_y[brk, j] == 0)
         X, Y = row[brk, idx], row_y[brk, idx]
         budget *= 0.5
-        if not kw.size:
-            continue
-        # the windows, each from its points and its stencil's
-        w_values = values[stencil.size :].reshape(w_stencil.shape)
-        live = np.zeros(kw.size, dtype=bool)
-        for wi in range(kw.size):
-            kind, found = _window_step(
-                np.concatenate([W[:, wi], w_stencil[wi]]),
-                np.concatenate([YW[:, wi], w_values[wi]]),
-            )
-            if kind == "pair":
-                # two unseeded brackets join the open ones, each with a root
-                # of the pair's parabola as its first estimate
-                lo, hi, g, y_lo, y_hi = found
-                e, bud = _itp_budget(lo, hi)
-                g = np.where(np.isnan(g), _secant((lo, hi), (y_lo, y_hi)), g)
-                if guess is None:
-                    guess = np.full(i.size, np.nan)
-                guess = np.concatenate([guess, g])
-                X = np.concatenate([X, [lo, hi, [np.nan] * 2]], axis=1)
-                Y = np.concatenate([Y, [y_lo, y_hi, [np.nan] * 2]], axis=1)
-                k = np.concatenate([k, [kw[wi]] * 2])
-                eps, budget = np.concatenate([eps, e]), np.concatenate([budget, bud])
-                i = np.concatenate([i, [len(doubles), len(doubles) + 1]])
-                doubles += [bool(dw[wi])] * 2
-            elif kind == "open" and steps[wi] > 1:
-                W[:, wi], YW[:, wi] = found
-                live[wi] = True
-        W, YW, kw, dw = W[:, live], YW[:, live], kw[live], dw[live]
-        steps = steps[live] - 1
-    used = len(doubles)
     with np.errstate(divide="ignore"):  # an exact root: -inf
-        residual = np.log(np.abs(y_end[:used]))
+        residual = np.log(np.abs(y_end))
     return [
         RootRecord(t=ti, residual_logmag=ri, bracket_width=wi, unresolved_doublet=di)
         for ti, ri, wi, di in zip(
-            t[:used].tolist(), residual.tolist(), width[:used].tolist(), doubles
+            t.tolist(), residual.tolist(), width.tolist(), double.tolist()
         )
     ]
 
@@ -493,48 +412,6 @@ def _vertex(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = y[1] + uv * (d_am + c * (uv - u[0]))
     flat = ~(np.isfinite(uv) & np.isfinite(v))
     return x[1] * (1.0 + np.where(flat, 0.0, uv)), np.where(flat, y[1], v)
-
-
-def _window_step(x: np.ndarray, y: np.ndarray) -> tuple[str, object]:
-    """One step of an extremum window, from the factor's values y at the
-    points x: first the window's three, in ascending t, where the factor has
-    the sign of y[1], then its stencil's.
-
-    Returns ("pair", (lo, hi, guess, y_lo, y_hi)) where some point has the
-    other sign or is zero: the brackets of the first and the last such
-    change of sign, and for each a root of the parabola through the outer
-    ends and the least value as its first estimate, since interpolation
-    within a bracket whose inner end lies near the vertex is poor.
-    Otherwise ("open", (x3, y3)), the three points around the least |factor|
-    as the next window, or ("none", None) where that window is narrower than
-    _T_TOL times its t or hides no pair.
-    """
-    sign = np.sign(y[1])
-    x, first = np.unique(x, return_index=True)
-    y = y[first]
-    sy = sign * y
-    if (sy <= 0).any():
-        inner, outer = np.flatnonzero(sy <= 0), np.flatnonzero(sy > 0)
-        lo = np.array([outer[outer < inner[0]][-1], inner[-1]])
-        hi = np.array([inner[0], outer[outer > inner[-1]][0]])
-        # p(u) = ym + b u + c u^2 in u = x - xm, through both outer ends
-        j = [lo[0], np.argmin(sy), hi[1]]
-        (xl, xm, xr), (yl, ym, yr) = x[j], y[j]
-        d_l, d_r = (ym - yl) / (xm - xl), (yr - ym) / (xr - xm)
-        c = (d_r - d_l) / (xr - xl)
-        b = d_l + c * (xm - xl)
-        with np.errstate(all="ignore"):
-            q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * c * ym), b))
-            guess = xm + np.sort([q / c, ym / q])
-        return "pair", (x[lo], x[hi], guess, y[lo], y[hi])
-    p = min(max(int(np.argmin(sy)), 1), x.size - 2)
-    x5, y5 = np.full((2, 5, 1), np.nan)
-    lo, hi = max(p - 2, 0), min(p + 3, x.size)
-    x5[lo - p + 2 : hi - p + 2, 0] = x[lo:hi]
-    y5[lo - p + 2 : hi - p + 2, 0] = y[lo:hi]
-    if x[p + 1] - x[p - 1] <= _T_TOL * x[p + 1] or not _hides_pair(x5, y5)[0]:
-        return "none", None
-    return "open", (x[p - 1 : p + 2], y[p - 1 : p + 2])
 
 
 def bisect(
@@ -562,19 +439,21 @@ def bisect(
 
 def _brackets_and_exacts(
     ts: np.ndarray, scan: tuple
-) -> tuple[np.ndarray, tuple, tuple, list[RootRecord]]:
-    """Sign-change brackets of each factor between neighbours of the grid ts
-    as an (n, 2) array of (lo, hi) rows, their ends and the extremum windows
-    arguments of _close_brackets, and exact roots: points where a factor is
-    zero, each a root of the first such factor.
+) -> tuple[np.ndarray, tuple, np.ndarray, list[RootRecord]]:
+    """Sign-change brackets of each factor between neighbours of the
+    ascending grid ts as an (n, 2) array of (lo, hi) rows and their ends,
+    the arguments of _close_brackets; the extremum windows; and exact roots:
+    points where a factor is zero, each a root of the first such factor.
 
-    Each bracket is seeded with the grid point just beyond lo, where that
+    Each bracket is seeded with the grid point just below lo, where that
     point exists and has lo's sign of the factor. An extremum window is
     three neighbouring grid points where a factor keeps its sign and is
     least in magnitude at the middle one, so close to zero that it may hide
     a pair of roots (_hides_pair), where no factor changes sign or vanishes:
     a factor touching zero at another factor's root, as U_(M-1) does at
-    every band edge, has no roots of its own there.
+    every band edge, has no roots of its own there. The windows are an
+    array of shape (2, 3, m): each window's points and the factor's values
+    there.
     """
     factors, counts = scan
     neg, pos, zero = factors < 0, factors > 0, factors == 0
@@ -595,20 +474,17 @@ def _brackets_and_exacts(
         quiet &= ~(at_zero[:-1] | at_zero[1:])
     # factor by factor in ascending i, as np.nonzero would give them
     k, i = divmod(np.flatnonzero(change), ts.size - 1)
-    i_lo = np.where(ts[i] < ts[i + 1], i, i + 1)
-    i_hi = 2 * i + 1 - i_lo
-    beyond = 2 * i_lo - i_hi
-    i_seed = np.minimum(np.maximum(beyond, 0), ts.size - 1)
-    Y = factors[k, np.array([i_lo, i_hi, i_seed])]
-    seeded = (i_seed == beyond) & (np.sign(Y[2]) == np.sign(Y[0]))
+    i_seed = np.maximum(i - 1, 0)
+    Y = factors[k, np.array([i, i + 1, i_seed])]
+    seeded = (i > 0) & (np.sign(Y[2]) == np.sign(Y[0]))
     seed = np.where(seeded, ts[i_seed], np.nan)
-    brackets = np.stack([ts[i_lo], ts[i_hi]], axis=1)
+    brackets = np.stack([ts[i], ts[i + 1]], axis=1)
     ends = k, counts[k] == 2, seed, Y
-    # the extremum windows: five points around each least |factor|, in
-    # ascending t, NaN beyond the grid
+    # the extremum windows: five points around each least |factor|, NaN
+    # beyond the grid; of equal magnitudes the one at larger t is least
     mag = np.abs(factors)
     mid = mag[:, 1:-1]
-    least = (mid <= mag[:, :-2]) & (mid < mag[:, 2:])
+    least = (mid < mag[:, :-2]) & (mid <= mag[:, 2:])
     kw, iw = np.nonzero(least & quiet[:-1] & quiet[1:])
     near = iw + np.arange(-1, 4)[:, None]
     inside = (near >= 0) & (near < ts.size)
@@ -620,13 +496,10 @@ def _brackets_and_exacts(
     # where |y| at the middle exceeds 5 S
     low = np.abs(y5[2]) < 5.0 * np.fmax.reduce(np.abs(y5 - y5[2]), axis=0)
     if not low.any():
-        return brackets, ends, _NO_WINDOWS, exacts
-    kw, x5, y5 = kw[low], np.where(inside, ts[near], np.nan)[:, low], y5[:, low]
-    if ts[0] > ts[1]:
-        x5, y5 = x5[::-1], y5[::-1]
+        return brackets, ends, np.empty((2, 3, 0)), exacts
+    x5, y5 = np.where(inside, ts[near], np.nan)[:, low], y5[:, low]
     hides = _hides_pair(x5, y5)
-    windows = (x5[1:4, hides], y5[1:4, hides], kw[hides], counts[kw[hides]] == 2)
-    return brackets, ends, windows, exacts
+    return brackets, ends, np.stack([x5[1:4, hides], y5[1:4, hides]]), exacts
 
 
 def _merge_close(records: list[RootRecord]) -> list[RootRecord]:
@@ -687,8 +560,7 @@ def default_scan_config(
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be at least 1, got {n_levels!r}")
-    if not Z >= Z_FLOOR:
-        raise ValueError(f"Z must be at least {Z_FLOOR:g}, got {Z!r}")
+    check_coupling(Z)
     e_max = 1.5 * (math.pi * (n_levels + 2) / 4.0) ** 2
     if t_max is None:
         t_max = 5.0 * max(1.0, math.sqrt(Z))
@@ -713,10 +585,11 @@ def find_roots(
     """Locate the real secular roots covering the lowest n_levels levels.
 
     f maps a 1-D float array of t to a LogScaledValue with factors; it is
-    called on the master grid and on each lock-step closer step, and only
-    its factors are read. Every sign change of a factor on the grid is
-    closed on that factor, and every extremum window where a pair of one
-    factor's roots may hide is resolved. Returns every root found in the
+    called on the master grid, on each pass that refines it in the extremum
+    windows, and on each lock-step closer step, and only its factors are
+    read. Every extremum window where a pair of one factor's roots may hide
+    is resolved on the grid first; then every sign change of a factor on
+    the grid is closed on that factor. Returns every root found in the
     window, in descending t (ascending energy) order; callers slice the
     leading n_levels levels after doublet expansion. Warns with
     LevelShortfallWarning when the window yields fewer levels than
@@ -751,9 +624,29 @@ def find_roots(
     s = np.concatenate(
         [s_lo * np.exp(ratio * np.arange(n_geo)), np.linspace(s_mid, s_hi, n_lin + 1)]
     )
-    ts = Z / (2.0 * s)
-    brackets, ends, windows, records = _brackets_and_exacts(ts, _evaluate(f, ts))
-    records += _close_brackets(f, brackets, ends, windows)
+    ts = Z / (2.0 * s[::-1])
+    factors, counts = _evaluate(f, ts)
+    brackets, ends, windows, records = _brackets_and_exacts(ts, (factors, counts))
+    # refine the grid in each extremum window until none is left: a pass
+    # adds the stencil around the vertex of the window's parabola, clipped
+    # into the window, for at most bisection's step count over the widest
+    # window, and stops early when it adds no point
+    W = windows[0]
+    passes = np.ceil(np.log2((W[2] - W[0]) / (_T_TOL * W[0]))) + _ITP_N0
+    for _ in range(int(passes.max(initial=0))):
+        W, YW = windows
+        x = _vertex(W, YW)[0][:, None] + (0.5 * _T_TOL * W[0])[:, None] * _STENCIL
+        new = np.setdiff1d(np.clip(x, W[0][:, None], W[2][:, None]), ts)
+        if not new.size:
+            break
+        ts = np.concatenate([ts, new])
+        order = np.argsort(ts)
+        ts = ts[order]
+        factors = np.concatenate([factors, _evaluate(f, new)[0]], axis=1)[:, order]
+        brackets, ends, windows, records = _brackets_and_exacts(ts, (factors, counts))
+        if not windows.size:
+            break
+    records += _close_brackets(f, brackets, ends)
 
     records = _merge_close(records)
     records.sort(key=lambda r: -r.t)

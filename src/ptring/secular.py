@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import Z_FLOOR, CirclePotential
+from .potential import CirclePotential, check_coupling
 
 DEFAULT_REALITY_RTOL = 1e-8
 # Coupling up to which the near-axis complex pairs at tau = -2 count as real
@@ -117,11 +117,11 @@ class SpectralPoint:
 
     @classmethod
     def from_zt(cls, Z: float, t) -> "SpectralPoint":
-        """The point of (Z, t). Raises ValueError unless Z >= Z_FLOOR and
-        t > 0, and SecularOverflowError at the first t whose energy leaves
-        the double range (t above about 1.3e154, or s = Z/(2t) overflowing)."""
-        if not Z >= Z_FLOOR:
-            raise ValueError(f"Z must be at least {Z_FLOOR:g}, got {Z!r}")
+        """The point of (Z, t). Raises ValueError unless Z is finite and at
+        least Z_FLOOR and t > 0, and SecularOverflowError at the first t
+        whose energy leaves the double range (t above about 1.3e154, or
+        s = Z/(2t) overflowing)."""
+        check_coupling(Z)
         positive = np.asarray(t) > 0
         if not positive.all():
             first = float(np.ravel(t)[np.argmin(positive)])

@@ -14,6 +14,8 @@ this operator family they occupy the (3,4), (7,8), (11,12), ... slots.
 from dataclasses import dataclass
 from typing import Sequence
 
+from .potential import check_coupling
+
 DEFAULT_QUASI_TOL = 2e-2
 
 
@@ -51,11 +53,10 @@ def energies_from_roots(roots: Sequence, Z: float) -> list[EnergyLevel]:
     """Expand root records (descending t) into indexed ascending levels.
 
     Unresolved doublet records produce two coincident levels partnered with
-    each other. Raises ValueError if Z is not positive or the records are
-    not strictly descending in t.
+    each other. Raises ValueError unless Z is finite and at least Z_FLOOR
+    and the records are strictly descending in t.
     """
-    if not Z > 0:
-        raise ValueError(f"Z must be positive, got {Z!r}")
+    check_coupling(Z)
     ts = [r.t for r in roots]
     if any(not t > 0 for t in ts):
         raise ValueError("every root must have t > 0")

@@ -145,7 +145,26 @@ def test_spectrum_at_the_z_floor(capsys):
     code, out, err = _run(capsys, ["spectrum", "--Z", below])
     assert code == 1
     assert out == ""
-    assert err == f"error: Z must be at least 1e-200, got {below}\n"
+    assert err == f"error: Z must be finite and at least 1e-200, got {below}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--Z", "inf"],
+        ["spectrum", "--Z", "inf", "--t-min", "1", "--t-max", "2"],
+        ["scan", "--Z", "inf"],
+        ["potential", "--Z", "inf"],
+    ],
+    ids=["spectrum", "spectrum-window", "scan", "potential"],
+)
+def test_infinite_coupling_exits_1(capsys, argv):
+    """An infinite Z is a domain error with one error line, not a table of
+    infinities or a complaint about the master grid's size."""
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: Z must be finite and at least 1e-200, got inf\n"
 
 
 @pytest.mark.parametrize(

@@ -258,20 +258,26 @@ def _lone(f, brackets, ends):
 
 
 def _closer_call(f, Z, n_levels):
-    """The brackets, ends and extremum windows find_roots hands its
-    lock-step closer, from each factor's values on the master grid."""
-    seen = []
+    """The brackets and ends find_roots hands its lock-step closer, and what
+    each scan before it found (brackets, ends, extremum windows, exact
+    roots): the master grid's first, then each refinement pass's."""
+    seen, scans = [], []
 
-    def spy(g, brackets, ends, windows):
-        seen.append((brackets, ends, windows))
-        return _close_brackets(g, brackets, ends, windows)
+    def spy(g, brackets, ends):
+        seen.append((brackets, ends))
+        return _close_brackets(g, brackets, ends)
+
+    def scan_spy(ts, scan):
+        scans.append(_brackets_and_exacts(ts, scan))
+        return scans[-1]
 
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         mp.setattr(ptring.roots, "_close_brackets", spy)
+        mp.setattr(ptring.roots, "_brackets_and_exacts", scan_spy)
         warnings.simplefilter("ignore", LevelShortfallWarning)
         find_roots(f, Z, n_levels)
-    (call,) = seen
-    return call
+    ((brackets, ends),) = seen
+    return brackets, ends, scans
 
 
 def _closer_brackets(f, Z, n_levels):
@@ -559,18 +565,21 @@ def test_z_floor(M):
     """At Z_FLOOR every closure still finds every level, 25 at 18 requested
     and 125 at 100; the next smaller double is a ValueError wherever Z
     enters, not a miscount (the twisted closure overcounts from Z = 1e-243)
-    or an overflow in the grid sizing (below about 1e-308)."""
+    or an overflow in the grid sizing (below about 1e-308), and so is an
+    infinite or NaN Z."""
     Z = Z_FLOOR
     f = _f_explicit(Z) if M == "explicit" else _f_monodromy(Z, M)
     for n_levels, levels in ((18, 25), (100, 125)):
         assert level_count(find_roots(f, Z, n_levels)) == levels
-    below = math.nextafter(Z_FLOOR, 0.0)
-    with pytest.raises(ValueError, match="at least 1e-200"):
-        build_square_well(1, below)
-    with pytest.raises(ValueError, match="at least 1e-200"):
-        default_scan_config(below, 18)
-    with pytest.raises(ValueError, match="at least 1e-200"):
-        secular_explicit(below, 1e-201)
+    for bad in (math.nextafter(Z_FLOOR, 0.0), math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and at least 1e-200"):
+            build_square_well(1, bad)
+        with pytest.raises(ValueError, match="finite and at least 1e-200"):
+            default_scan_config(bad, 18)
+        with pytest.raises(ValueError, match="finite and at least 1e-200"):
+            secular_explicit(bad, 1e-201)
+        with pytest.raises(ValueError, match="finite and at least 1e-200"):
+            energies_from_roots([], bad)
 
 
 @pytest.mark.parametrize(
@@ -644,11 +653,11 @@ def test_scan_reality_error_carries_first_failing_t(monkeypatch):
         start=-2.0,
         segments=((0.5, 1j), (1.5, -1j), (1.0, 1j), (1.0, -1j)),
     )
-    # |Im|/(1+|Re|) of this layout stays below 0.5 for t in [0.85, 3] and
-    # exceeds it for t in [0.6, 0.8]
+    # |Im|/(1+|Re|) of this layout stays below 0.5 for t in [0.05, 0.64]
+    # and [0.85, 3] and exceeds it for t in [0.65, 0.8]
     monkeypatch.setenv("PT_CIRCLE_TOL", "0.5")
-    cfg = ScanConfig(t_min=0.6, t_max=3.0, initial_samples=256)
-    # find_roots' master grid at Z=1, in descending t, as its first call
+    cfg = ScanConfig(t_min=0.3, t_max=3.0, initial_samples=256)
+    # find_roots' master grid at Z=1, in ascending t, as its first call
     # receives it
     grids = []
 
@@ -668,7 +677,7 @@ def test_scan_reality_error_carries_first_failing_t(monkeypatch):
         return False
 
     first = next(float(t) for t in ts if fails(float(t)))
-    assert first < ts[0]
+    assert first > ts[0]
     with pytest.raises(SecularRealityError) as ei:
         secular_monodromy(asym, 1.0, ts)
     assert ei.value.t == first
@@ -788,12 +797,32 @@ def test_shortfall_warning_message():
 def test_guard_spends_nothing_on_benchmark_solves(case):
     """The benchmark's solves (the explicit ladder, M = 8 and 32, the
     strictly periodic M = 1 at Z = 1 and across pt-sweep's coupling range)
-    flag no extremum, so the exceptional-point guard adds no point and no
-    secular call to them; in particular U_(M-1) touching zero at each band
-    edge, where another factor has its root, is no window."""
+    flag no extremum on the master grid and make no refinement pass, so the
+    exceptional-point guard adds no point and no secular call to them; in
+    particular U_(M-1) touching zero at each band edge, where another factor
+    has its root, is no window."""
     M, Z, n_levels = case
     f = _f_explicit(Z) if M == "explicit" else _f_monodromy(Z, M)
-    assert _closer_call(f, Z, n_levels)[2][2].size == 0
+    (master,) = _closer_call(f, Z, n_levels)[2]
+    assert master[2].size == 0
+
+
+@pytest.mark.parametrize("M,Z,levels", [(2, 0.01, 19), (2, 0.1, 19), (8, 0.01, 23)])
+def test_guard_refines_once_without_a_pair(M, Z, levels):
+    """Where the master grid flags a window but no pair hides there, one
+    refinement pass shows it: the closer gets the master grid's brackets,
+    the solve takes one call more than the master call and the closer's
+    two steps, and finds the same levels as without the guard."""
+    f = _f_monodromy(Z, M)
+    brackets, _, (master, refined) = _closer_call(f, Z, 18)
+    assert master[2].size > 0 and refined[2].size == 0
+    np.testing.assert_array_equal(brackets, master[0])
+    g, sizes = _counted(f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        recs = find_roots(g, Z, 18)
+    assert len(sizes) == 4
+    assert level_count(recs) == levels
 
 
 def _band_edge_roots(Z, guesses):
