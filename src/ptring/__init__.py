@@ -19,7 +19,6 @@ from .roots import (
     ScanConfig,
     ScanSample,
     SecularEvaluationError,
-    bisect,
     default_scan_config,
     find_roots,
     level_count,

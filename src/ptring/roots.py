@@ -31,11 +31,12 @@ under ITP's projection, in at most one step more than bisection would
 take; each step evaluates a geometric stencil around the estimate, so an
 accurate estimate on either side of the root closes most of the bracket at
 once. All brackets are closed in lock step, starting from the values the
-scan found at their ends and at the grid point beyond each lower end, so
-that the first step already interpolates. A root stands for as many
-levels as its factor's count; two roots whose closed brackets overlap, so
-that the closer cannot order them, merge into one record standing for
-two.
+scan found at their ends and at a seed, the grid point beyond one end with
+that end's sign (below the lower end where it has one, else above the
+upper), so that the first step interpolates; a bracket with neither seed
+starts at its midpoint. A root stands for as many levels as its factor's
+count; two roots whose closed brackets overlap, so that the closer cannot
+order them, merge into one record standing for two.
 
 A level count below the requested one is a physical signal, not a
 numerical fault: the missing levels have no real root in the window, as
@@ -83,17 +84,19 @@ _NEXT = np.array([[0, -1], [-1, 0], [1, -2]])
 # off the root by less than this closes most of the bracket at once
 _REACH = float(_STENCIL[-1]) * _T_TOL / 2
 # Master grid in s. The closer's first step on a bracket interpolates
-# through its ends (the secant, where the scan has no point beyond them of
-# the right sign) or through them and the grid point beyond one end (inverse
+# through its ends and its seed, the grid point beyond one end (inverse
 # quadratic interpolation), and needs only one step more when it lands
 # within _REACH of the root. Through points h apart on a factor that varies
 # on a length l, the secant errs by about h^2 / (8 l) and the quadratic by
 # about h^3 / l^2. Near the ground state, s ~ sqrt(Z/2), a factor varies on
-# the scale of s itself (l = s), and the secant sets a geometric grid of
-# ratio 1 + _GRID_RATIO, 2% apart. Above s = _GRID_STEP / _GRID_RATIO (0.92)
-# a factor varies on the scale of its roots, which lie no closer than about
-# pi/2 in s (the free ring's level spacing at circumference 4), l = 1/2, and
-# the quadratic sets the uniform step _GRID_STEP (0.018). Two roots of one
+# the scale of s itself (l = s), and the secant's bound sets a geometric
+# grid of ratio 1 + _GRID_RATIO, 2% apart. The ratio stays although every
+# first step interpolates through a seed or takes the midpoint: a wider one
+# moves the last bits of the roots, and with them the printed delta1 of
+# doublet partners. Above s = _GRID_STEP / _GRID_RATIO (0.92) a factor
+# varies on the scale of its roots, which lie no closer than about pi/2 in s
+# (the free ring's level spacing at circumference 4), l = 1/2, and the
+# quadratic sets the uniform step _GRID_STEP (0.018). Two roots of one
 # factor that meet at an exceptional point lie closer than that; the
 # extremum windows catch them.
 _GRID_RATIO = math.sqrt(8.0 * _REACH)
@@ -137,7 +140,8 @@ class ScanConfig:
             )
         if self.initial_samples < 16:
             raise ValueError(
-                f"initial_samples must be at least 16, got {self.initial_samples!r}"
+                f"initial_samples must be at least 16, got "
+                f"{self.initial_samples!r}; request more (--samples)"
             )
 
 
@@ -225,14 +229,16 @@ def scan_secular(
     return list(map(ScanSample, ts.tolist(), signs.tolist(), logmags.tolist()))
 
 
-def _itp_budget(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per bracket (lo, hi): epsilon = _T_TOL lo / 2, and ITP's projection
-    radius plus half the width, (epsilon - ulp) 2^n_max, for its first step.
+def _itp_budget(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per bracket with ends x1 and x2, in either order, lo the lesser and
+    hi the greater: epsilon = _T_TOL lo / 2, and ITP's projection radius
+    plus half the width, (epsilon - ulp) 2^n_max, for its first step.
 
     n_max = ceil(log2((hi - lo) / (2 epsilon))) + _ITP_N0 steps; rounding of
     mid and x adds up to one ulp to a width held at its budget, and an ulp
     less keeps n_max steps enough.
     """
+    lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
     eps = 0.5 * _T_TOL * lo
     n_max = np.ceil(np.log2((hi - lo) / (2.0 * eps))) + _ITP_N0
     return eps, (eps - np.spacing(hi)) * 2.0**n_max
@@ -262,29 +268,28 @@ def _hides_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _close_brackets(
-    f: Callable[[np.ndarray], object], brackets: np.ndarray, ends: tuple
+    f: Callable[[np.ndarray], object], brackets: tuple
 ) -> list[RootRecord]:
     """Close every sign-change bracket in lock step, one record each.
 
-    brackets and ends are what _brackets_and_exacts found on a grid: an
-    (n, 2) array of (lo, hi) rows, 0 < lo < hi, and per bracket the index of
-    the factor of f's value that changes sign across it, whether that
-    factor counts twice, a seed point beyond lo of lo's sign (NaN for none),
-    and the factor's values at lo, hi and the seed as an array of shape
-    (3, n). No factor is zero at its bracket's ends, which the scan records
-    as exact roots instead. find_roots has resolved every extremum window
-    on its grid before this, so a pair of roots it found is two ordinary
-    brackets here.
+    brackets is what _brackets_and_exacts found on a grid: per bracket, as
+    columns of (3, n) arrays, the points x1, x2 and x3 and the factor's
+    values there, then the index of the factor of f's value that changes
+    sign between x1 and x2 and whether that factor counts twice. x1 and x2
+    are the bracket's ends, 0 < min(x1, x2), and x3 is a seed: the grid
+    point beyond x1 with x1's sign (NaN for none). No factor is zero at its
+    bracket's ends, which the scan records as exact roots instead.
+    find_roots has resolved every extremum window on its grid before this,
+    so a pair of roots it found is two ordinary brackets here.
 
     Each step's estimate x is Chandrupatla's (Adv. Eng. Softw. 28 (1997)
     145): inverse quadratic interpolation over the end nearer the last
     estimate, the other end and the next point beyond the nearer end of its
     sign (the seed at first), taken where his test accepts it and the
-    midpoint otherwise; the first step of an unseeded bracket takes the
-    secant through its ends instead. It is clipped to at least
-    epsilon = _T_TOL lo0 / 2 from the nearer end, so that a converged
-    estimate steps across the root, and then projected as in ITP (Oliveira
-    & Takahashi, ACM TOMS 47(1), 2020) with n0 = 1. The
+    midpoint otherwise, as always without a seed. It is clipped to
+    at least epsilon = _T_TOL lo0 / 2 from the nearer end, so that a
+    converged estimate steps across the root, and then projected as in ITP
+    (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with n0 = 1. The
     step evaluates the stencil x + epsilon {0, +-1, +-1e3, +-1e6, +-1e9},
     clipped into the bracket, and takes its sign change as the new bracket,
     so an estimate off the root by e < 1e9 epsilon, on either side, leaves
@@ -297,21 +302,14 @@ def _close_brackets(
     final end of smaller |factor|, whose log is the residual. One step
     evaluates the stencils of all open brackets in one call.
     """
-    n = len(brackets)
-    k, double, seed, Y = ends
-    t, y_end, width = np.empty((3, n))
     # per open bracket i: the rows of X are the end x1 nearer the last
     # estimate, the other end x2 and the next point x3 beyond x1 of x1's
     # sign (NaN for none), the rows of Y the factor's values there, and k
     # is its factor
-    X = np.concatenate([brackets.T, seed[None]])
-    i = np.arange(n)
+    X, Y, k, double = brackets
+    t, y_end, width = np.empty((3, k.size))
+    i = np.arange(k.size)
     eps, budget = _itp_budget(X[0], X[1])
-    # first estimates in place of interpolation, for the next step only
-    # (None for none): the secant through the ends of an unseeded bracket
-    guess = None
-    if np.isnan(seed).any():
-        guess = np.where(np.isnan(seed), _secant(X[:2], Y[:2]), np.nan)
     col = (slice(None), None)  # a per-bracket array as a column
     while i.size:
         x1, x2, x3 = X
@@ -332,15 +330,13 @@ def _close_brackets(
                 i[go], X[:, go], Y[:, go], k[go], eps[go], budget[go],
                 a[go], b[go], w[go], m[go],
             )
-            if guess is not None:
-                guess = guess[go]
             if not i.size:
                 break
             x1, x2, x3 = X
-        # the first estimate where there is one, else inverse quadratic
-        # interpolation where Chandrupatla's test accepts it, else the
-        # midpoint; the values at x1 and x3 share a sign, the value at x2
-        # has the other, and the interpolant is the same at any scale
+        # inverse quadratic interpolation where Chandrupatla's test accepts
+        # it, else the midpoint (always without x3); the values at x1 and x3
+        # share a sign, the value at x2 has the other, and the interpolant is
+        # the same at any scale
         y1, y2, y3 = Y
         dx = x2 - x1
         with np.errstate(all="ignore"):
@@ -348,11 +344,6 @@ def _close_brackets(
             xi, phi = dx / (x2 - x3), d21 / d23
             q = y1 / d23 * (y3 / d21 - (x3 - x1) / dx * y2 / (y3 - y1))
             iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(q)
-        if guess is not None:
-            guessed = ~np.isnan(guess)
-            q = np.where(guessed, (guess - x1) / dx, q)
-            iqi |= guessed
-            guess = None
         # clip: at least epsilon from the nearer end toward the other end
         q_min = eps / w
         xt = np.where(iqi, x1 + np.minimum(np.maximum(q, q_min), 1.0 - q_min) * dx, m)
@@ -393,12 +384,6 @@ def _close_brackets(
     ]
 
 
-def _secant(x: tuple, y: tuple) -> np.ndarray:
-    """Where the line through (x[0], y[0]) and (x[1], y[1]) crosses zero."""
-    with np.errstate(all="ignore"):
-        return x[0] - y[0] * (x[1] - x[0]) / (y[1] - y[0])
-
-
 def _vertex(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column of the arrays x and y of shape (3, n), the abscissa and
     value of the vertex of the parabola through the three points, or the
@@ -414,46 +399,24 @@ def _vertex(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[1] * (1.0 + np.where(flat, 0.0, uv)), np.where(flat, y[1], v)
 
 
-def bisect(
-    f: Callable[[np.ndarray], object], bracket: tuple[float, float]
-) -> RootRecord:
-    """The root in the bracket (lo, hi), closed to relative width _T_TOL.
-
-    find_roots on the two-point grid lo, hi, without a seed: an end where a
-    factor vanishes is the root, lo before hi; otherwise the first factor,
-    in the value's order, that changes sign across the bracket is closed.
-    Raises ValueError unless 0 < lo < hi and some factor changes sign
-    across the bracket or vanishes at an end.
-    """
-    lo, hi = map(float, bracket)
-    if not 0 < lo < hi:
-        raise ValueError(f"need 0 < lo < hi, got {(lo, hi)!r}")
-    ts = np.array([lo, hi])
-    brackets, ends, _, exacts = _brackets_and_exacts(ts, _evaluate(f, ts))
-    if exacts:
-        return exacts[0]
-    if not len(brackets):
-        raise ValueError(f"no factor changes sign across the bracket {(lo, hi)!r}")
-    return _close_brackets(f, brackets[:1], tuple(e[..., :1] for e in ends))[0]
-
-
 def _brackets_and_exacts(
     ts: np.ndarray, scan: tuple
-) -> tuple[np.ndarray, tuple, np.ndarray, list[RootRecord]]:
+) -> tuple[tuple, np.ndarray, list[RootRecord]]:
     """Sign-change brackets of each factor between neighbours of the
-    ascending grid ts as an (n, 2) array of (lo, hi) rows and their ends,
-    the arguments of _close_brackets; the extremum windows; and exact roots:
-    points where a factor is zero, each a root of the first such factor.
+    ascending grid ts, the argument of _close_brackets; the extremum
+    windows; and exact roots: points where a factor is zero, each a root of
+    the first such factor.
 
     Each bracket is seeded with the grid point just below lo, where that
-    point exists and has lo's sign of the factor. An extremum window is
-    three neighbouring grid points where a factor keeps its sign and is
-    least in magnitude at the middle one, so close to zero that it may hide
-    a pair of roots (_hides_pair), where no factor changes sign or vanishes:
-    a factor touching zero at another factor's root, as U_(M-1) does at
-    every band edge, has no roots of its own there. The windows are an
-    array of shape (2, 3, m): each window's points and the factor's values
-    there.
+    point exists and has lo's sign of the factor, and otherwise with the
+    grid point just above hi, where that point exists and has hi's sign;
+    then hi is the closer's x1. An extremum window is three neighbouring
+    grid points where a factor keeps its sign and is least in magnitude at
+    the middle one, so close to zero that it may hide a pair of roots
+    (_hides_pair), where no factor changes sign or vanishes: a factor
+    touching zero at another factor's root, as U_(M-1) does at every band
+    edge, has no roots of its own there. The windows are an array of shape
+    (2, 3, m): each window's points and the factor's values there.
     """
     factors, counts = scan
     neg, pos, zero = factors < 0, factors > 0, factors == 0
@@ -472,14 +435,17 @@ def _brackets_and_exacts(
         ]
         at_zero = zero.any(axis=0)
         quiet &= ~(at_zero[:-1] | at_zero[1:])
-    # factor by factor in ascending i, as np.nonzero would give them
+    # factor by factor in ascending i, as np.nonzero would give them; the
+    # rows of around are lo, hi and the grid points below lo and above hi
     k, i = divmod(np.flatnonzero(change), ts.size - 1)
-    i_seed = np.maximum(i - 1, 0)
-    Y = factors[k, np.array([i, i + 1, i_seed])]
-    seeded = (i > 0) & (np.sign(Y[2]) == np.sign(Y[0]))
-    seed = np.where(seeded, ts[i_seed], np.nan)
-    brackets = np.stack([ts[i], ts[i + 1]], axis=1)
-    ends = k, counts[k] == 2, seed, Y
+    around = np.array([i, i + 1, np.maximum(i - 1, 0), np.minimum(i + 2, ts.size - 1)])
+    sign = np.sign(factors[k, around])
+    below = (i > 0) & (sign[2] == sign[0])
+    above = ~below & (i + 2 < ts.size) & (sign[3] == sign[1])
+    rows = np.where(above, around[[1, 0, 3]], around[:3])
+    X = ts[rows]
+    X[2, ~(below | above)] = np.nan
+    brackets = X, factors[k, rows], k, counts[k] == 2
     # the extremum windows: five points around each least |factor|, NaN
     # beyond the grid; of equal magnitudes the one at larger t is least
     mag = np.abs(factors)
@@ -496,10 +462,10 @@ def _brackets_and_exacts(
     # where |y| at the middle exceeds 5 S
     low = np.abs(y5[2]) < 5.0 * np.fmax.reduce(np.abs(y5 - y5[2]), axis=0)
     if not low.any():
-        return brackets, ends, np.empty((2, 3, 0)), exacts
+        return brackets, np.empty((2, 3, 0)), exacts
     x5, y5 = np.where(inside, ts[near], np.nan)[:, low], y5[:, low]
     hides = _hides_pair(x5, y5)
-    return brackets, ends, np.stack([x5[1:4, hides], y5[1:4, hides]]), exacts
+    return brackets, np.stack([x5[1:4, hides], y5[1:4, hides]]), exacts
 
 
 def _merge_close(records: list[RootRecord]) -> list[RootRecord]:
@@ -626,7 +592,7 @@ def find_roots(
     )
     ts = Z / (2.0 * s[::-1])
     factors, counts = _evaluate(f, ts)
-    brackets, ends, windows, records = _brackets_and_exacts(ts, (factors, counts))
+    brackets, windows, records = _brackets_and_exacts(ts, (factors, counts))
     # refine the grid in each extremum window until none is left: a pass
     # adds the stencil around the vertex of the window's parabola, clipped
     # into the window, for at most bisection's step count over the widest
@@ -643,10 +609,10 @@ def find_roots(
         order = np.argsort(ts)
         ts = ts[order]
         factors = np.concatenate([factors, _evaluate(f, new)[0]], axis=1)[:, order]
-        brackets, ends, windows, records = _brackets_and_exacts(ts, (factors, counts))
+        brackets, windows, records = _brackets_and_exacts(ts, (factors, counts))
         if not windows.size:
             break
-    records += _close_brackets(f, brackets, ends)
+    records += _close_brackets(f, brackets)
 
     records = _merge_close(records)
     records.sort(key=lambda r: -r.t)

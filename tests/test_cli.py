@@ -265,9 +265,14 @@ def test_scan_overflow_exits_1(capsys, backend):
 
 
 def test_scan_rejects_tiny_sample_count(capsys):
-    code, _out, err = _run(capsys, ["scan", "--Z", "1", "--samples", "1"])
-    assert code == 1
-    assert "at least 16" in err
+    """A sample count below the least is a domain error naming --samples,
+    as one above the bound is."""
+    for samples in ("1", "10"):
+        code, out, err = _run(capsys, ["scan", "--Z", "1", "--samples", samples])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"at least 16, got {samples}" in err and "--samples" in err
 
 
 @pytest.mark.parametrize("samples", ["4194305", "100000000000000"])

@@ -19,7 +19,6 @@ from ptring import (
     ScanConfig,
     SecularEvaluationError,
     SecularRealityError,
-    bisect,
     build_square_well,
     default_scan_config,
     energies_from_roots,
@@ -140,79 +139,89 @@ def test_scan_wraps_evaluation_errors():
     assert ei.value.t == pytest.approx(0.1)
 
 
-# --- bisect and the lock-step closer -----------------------------------------
+# --- the lock-step closer -----------------------------------------------------
+
+
+def _close_on(f, bracket):
+    """The root on the two-point grid (lo, hi), as find_roots' scan and
+    closer give it: an end where a factor vanishes (lo before hi), else the
+    first factor's sign change, closed without a seed, so that its first
+    step takes the midpoint."""
+    ts = np.array(bracket, dtype=float)
+    brackets, _, exacts = _brackets_and_exacts(ts, _evaluate(f, ts))
+    if exacts:
+        return exacts[0]
+    return _close_brackets(f, tuple(e[..., :1] for e in brackets))[0]
 
 
 def test_bisect_explicit_ground_z1():
-    rec = bisect(_f_explicit(1.0), (0.6, 0.7))
+    rec = _close_on(_f_explicit(1.0), (0.6, 0.7))
     assert rec.t == pytest.approx(EXPLICIT_ROOTS_Z1[0], abs=1e-8)
     assert rec.bracket_width <= 1e-13 * 0.7 * 2
 
 
 def test_bisect_explicit_ground_z01():
-    rec = bisect(_f_explicit(0.1), (0.2, 0.25))
+    rec = _close_on(_f_explicit(0.1), (0.2, 0.25))
     assert rec.t == pytest.approx(T_EXPLICIT_Z01[0], abs=1e-6)
 
 
 def test_bisect_linear_function():
-    rec = bisect(_linear(0.5), (0.3, 0.9))
+    rec = _close_on(_linear(0.5), (0.3, 0.9))
     assert rec.t == pytest.approx(0.5, rel=1e-12)
 
 
 def test_bisect_exact_endpoint_is_the_root():
-    rec = bisect(_linear(0.5), (0.5, 0.9))
+    rec = _close_on(_linear(0.5), (0.5, 0.9))
     assert (rec.t, rec.bracket_width) == (0.5, 0.0)
     assert rec.residual_logmag == float("-inf")
 
 
 def test_bisect_exact_midpoint_closes_bracket():
     # 0.75 is the first midpoint and an exact root
-    rec = bisect(_linear(0.75), (0.5, 1.0))
+    rec = _close_on(_linear(0.75), (0.5, 1.0))
     assert (rec.t, rec.bracket_width) == (0.75, 0.0)
 
 
 def test_bisect_exact_step_point_closes_bracket():
-    # t^2 - 0.3, zero on [0.54772, 0.54773] around its root: the first
-    # estimate is the secant point 0.5333, the next interpolate to 0.5641
-    # and 0.5477163, whose stencils all miss the run, and the fourth to
-    # 0.54772256, whose stencil, taken from below, first reaches the run at
-    # 0.54772253
+    # t^2 - 0.3, zero on [0.54772, 0.54773] around its root: without a seed
+    # the first estimate is the midpoint 0.75, the next interpolates to
+    # 0.5456, whose stencil misses the run, and the third to 0.54772373,
+    # whose stencil, taken from below, first reaches the run at 0.54772371
     def f(t):
         t = np.asarray(t, dtype=float)
         return LogScaledValue.from_float(
             np.where((0.54772 <= t) & (t <= 0.54773), 0.0, t * t - 0.3)
         )
 
-    rec = bisect(f, (0.5, 1.0))
+    counted, sizes = _counted(f)
+    rec = _close_on(counted, (0.5, 1.0))
     assert rec.bracket_width == 0.0
-    assert rec.t == pytest.approx(0.5477225325051645, abs=1e-15)
+    assert rec.t == pytest.approx(0.5477237066763219, abs=1e-15)
     assert rec.residual_logmag == float("-inf")
+    assert len(sizes) == 4  # the grid and three steps
 
-    # in lock step beside a seeded bracket of a second factor, t - 1.2, on
-    # the grid 0.5, 1.0, 1.5, each bracket still exits as it does alone
+    # on the grid 0.5, 1.0, 1.5 beside a second factor, t - 1.2, the first
+    # bracket is seeded from above (1.5, so that 1.0 is its x1) and the
+    # second from below (0.5); in lock step each still exits as it does
+    # alone, the first on the run after the estimates 0.538, 0.5641,
+    # 0.547718 and 0.54772256
     def g(t):
         y = f(t).factors[0][0]
         v = LogScaledValue.from_float(y * (t - 1.2))
         return LogScaledValue(v.sign, v.logmag, ((y, 1), (t - 1.2, 1)))
 
     ts = np.array([0.5, 1.0, 1.5])
-    brackets, ends, _, _ = _brackets_and_exacts(ts, _evaluate(g, ts))
-    assert np.isnan(ends[2][0]) and ends[2][1] == 0.5  # the seeds
-    records = _close_brackets(g, brackets, ends)
-    assert records[0] == rec
-    assert records == _lone(g, brackets, ends)
-
-
-def test_bisect_rejects_same_sign():
-    with pytest.raises(ValueError, match="no factor changes sign"):
-        bisect(_linear(0.5), (0.6, 0.9))
-    with pytest.raises(ValueError, match="need 0 < lo < hi"):
-        bisect(_linear(0.5), (0.9, 0.3))
+    brackets, _, _ = _brackets_and_exacts(ts, _evaluate(g, ts))
+    np.testing.assert_array_equal(brackets[0], [[1.0, 1.0], [0.5, 1.5], [1.5, 0.5]])
+    records = _close_brackets(g, brackets)
+    assert records[0].bracket_width == 0.0
+    assert records[0].t == pytest.approx(0.5477225325051647, abs=1e-15)
+    assert records == _lone(g, brackets)
 
 
 def test_value_without_factors_is_rejected():
     """Root finding reads only factors: a value that carries none is a
-    ValueError, in find_roots and in bisect alike."""
+    ValueError."""
 
     def f(t):
         g = LogScaledValue.from_float(np.asarray(t) - 0.5)
@@ -220,8 +229,6 @@ def test_value_without_factors_is_rejected():
 
     with pytest.raises(ValueError, match="with factors"):
         find_roots(f, 1.0, 1, ScanConfig(t_min=0.3, t_max=0.9))
-    with pytest.raises(ValueError, match="with factors"):
-        bisect(f, (0.3, 0.9))
 
 
 @settings(max_examples=200, deadline=None)
@@ -236,11 +243,12 @@ def test_value_without_factors_is_rejected():
 def test_bisect_worst_case_bound(bracket, where, jump):
     """A jump of the log-magnitude at the root, +700 nats included, skews
     interpolation toward one end; ITP's projection still allows at most one
-    step more than bisection's count, each step one stencil."""
+    step more than bisection's count, each step one stencil, on a bracket
+    closed without a seed from the two-point grid of its ends."""
     lo, hi = bracket
     root = lo + where * (hi - lo)
     f, sizes = _counted(_steps(root, max(-jump, 0.0), max(jump, 0.0)))
-    rec = bisect(f, bracket)
+    rec = _close_on(f, bracket)
     # the ends, the bisection count plus n0 = 1 steps, and two calls spare
     bound = math.ceil(math.log2((hi - lo) / (1e-13 * lo))) + 1 + 3
     assert len(sizes) <= bound
@@ -249,23 +257,23 @@ def test_bisect_worst_case_bound(bracket, where, jump):
     assert abs(rec.t - root) <= rec.bracket_width
 
 
-def _lone(f, brackets, ends):
+def _lone(f, brackets):
     """Each bracket of a lock-step closer call closed alone."""
     return [
-        _close_brackets(f, brackets[j : j + 1], tuple(e[..., j : j + 1] for e in ends))[0]
-        for j in range(len(brackets))
+        _close_brackets(f, tuple(e[..., j : j + 1] for e in brackets))[0]
+        for j in range(brackets[2].size)
     ]
 
 
-def _closer_call(f, Z, n_levels):
-    """The brackets and ends find_roots hands its lock-step closer, and what
-    each scan before it found (brackets, ends, extremum windows, exact
-    roots): the master grid's first, then each refinement pass's."""
+def _closer_call(f, Z, n_levels, config=None):
+    """The brackets find_roots hands its lock-step closer, and what each
+    scan before it found (brackets, extremum windows, exact roots): the
+    master grid's first, then each refinement pass's."""
     seen, scans = [], []
 
-    def spy(g, brackets, ends):
-        seen.append((brackets, ends))
-        return _close_brackets(g, brackets, ends)
+    def spy(g, brackets):
+        seen.append(brackets)
+        return _close_brackets(g, brackets)
 
     def scan_spy(ts, scan):
         scans.append(_brackets_and_exacts(ts, scan))
@@ -275,14 +283,9 @@ def _closer_call(f, Z, n_levels):
         mp.setattr(ptring.roots, "_close_brackets", spy)
         mp.setattr(ptring.roots, "_brackets_and_exacts", scan_spy)
         warnings.simplefilter("ignore", LevelShortfallWarning)
-        find_roots(f, Z, n_levels)
-    ((brackets, ends),) = seen
-    return brackets, ends, scans
-
-
-def _closer_brackets(f, Z, n_levels):
-    """The brackets find_roots hands its lock-step closer."""
-    return list(_closer_call(f, Z, n_levels)[0])
+        find_roots(f, Z, n_levels, config)
+    (brackets,) = seen
+    return brackets, scans
 
 
 _CLOSE_CASES = {
@@ -303,19 +306,39 @@ def test_lock_step_equals_lone_brackets(data):
     bracket closed alone, and every bracket closes to width 1e-13 times its
     upper end."""
     name = data.draw(st.sampled_from(sorted(_CLOSE_POOLS)))
-    pool, pool_ends, _ = _CLOSE_POOLS[name]
+    pool, _ = _CLOSE_POOLS[name]
     picks = np.array(
-        data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+        data.draw(st.lists(st.integers(0, pool[2].size - 1), min_size=1, max_size=40))
     )
-    brackets, ends = pool[picks], tuple(e[..., picks] for e in pool_ends)
+    brackets = tuple(e[..., picks] for e in pool)
     f = _CLOSE_CASES[name][0]
-    records = _close_brackets(f, brackets, ends)
-    assert records == _lone(f, brackets, ends)
-    for (lo, hi), r in zip(brackets, records):
+    records = _close_brackets(f, brackets)
+    assert records == _lone(f, brackets)
+    for x1, x2, r in zip(*brackets[0][:2], records):
+        lo, hi = min(x1, x2), max(x1, x2)
         assert lo <= r.t <= hi
         assert r.bracket_width <= 1e-13 * hi
-    # the pool's brackets are seeded, bar the lowest-energy ones
-    assert np.isfinite(pool_ends[2]).mean() > 0.5
+
+
+def test_every_bracket_is_seeded():
+    """Every bracket find_roots hands the closer has a seed, the grid point
+    beyond one end with that end's sign: below lo on the pools' solves, and
+    above hi where the window's first interval holds the root, as it does
+    for the ground state of a window that starts just below it. That solve
+    takes the master call and two closer steps."""
+    for pool, _ in _CLOSE_POOLS.values():
+        X = pool[0]
+        assert np.isfinite(X[2]).all()
+        assert (X[0] < X[1]).all() and (X[2] < X[0]).all()
+    t0 = 0.656419569606386  # the ground root at Z = 1
+    cfg = ScanConfig(t_min=t0 * (1 - 1e-4), t_max=1.5 * t0)
+    f, sizes = _counted(_f_explicit(1.0))
+    (X, *_), _ = _closer_call(f, 1.0, 1, cfg)
+    # one bracket, the first interval: x1 = hi, x2 = lo, the seed above hi
+    assert X.shape == (3, 1) and X[1, 0] < t0 < X[0, 0] < X[2, 0]
+    assert len(sizes) == 3
+    recs = find_roots(_f_explicit(1.0), 1.0, 1, cfg)
+    assert recs[0].t == pytest.approx(t0, rel=1e-13)
 
 
 # --- find_roots --------------------------------------------------------------
@@ -351,7 +374,7 @@ def test_find_roots_batched_call_count(f, Z, calls, points):
     "case,n_levels,ceiling",
     [
         pytest.param("explicit", 18, 3, id="explicit-18"),
-        pytest.param("explicit", 100, 3, id="explicit-100"),
+        pytest.param("explicit", 100, 4, id="explicit-100"),
         pytest.param("M8", 18, 3, id="M8-18"),
         pytest.param("M32", 18, 4, id="M32-18"),
         pytest.param("M1-Z0.1734", 18, 3, id="M1-Z0.1734-18"),
@@ -359,12 +382,12 @@ def test_find_roots_batched_call_count(f, Z, calls, points):
     ],
 )
 def test_closer_steps_per_bracket(case, n_levels, ceiling):
-    """No bracket find_roots hands the closer stalls: each closes alone in
-    at most ceiling steps (bisect's calls less the one for its ends), with
-    no grid seed. These solves hold brackets beside a near-degenerate
-    partner, where the value is near-quadratic and a regula-falsi step
-    stalls; at M = 1 the two were the slowest of the strictly periodic
-    solves closed on the value itself (14 and 11 steps)."""
+    """No bracket find_roots hands the closer stalls: each closes alone,
+    with its grid seed, in at most ceiling steps. These solves hold
+    brackets beside a near-degenerate partner, where the value is
+    near-quadratic and a regula-falsi step stalls; at M = 1 the two were
+    the slowest of the strictly periodic solves closed on the value itself
+    (14 and 11 steps)."""
     f, Z = {
         "explicit": (_f_explicit(1.0), 1.0),
         "M8": (_f_monodromy(1.0, 8), 1.0),
@@ -372,10 +395,11 @@ def test_closer_steps_per_bracket(case, n_levels, ceiling):
         "M1-Z0.1734": (_f_monodromy(0.1734), 0.1734),
         "M1-Z1.6547": (_f_monodromy(1.6547), 1.6547),
     }[case]
-    for bracket in _closer_brackets(f, Z, n_levels):
+    brackets, _ = _closer_call(f, Z, n_levels)
+    for j in range(brackets[2].size):
         g, sizes = _counted(f)
-        bisect(g, bracket)
-        assert len(sizes) - 1 <= ceiling, bracket
+        _close_brackets(g, tuple(e[..., j : j + 1] for e in brackets))
+        assert len(sizes) <= ceiling, brackets[0][:, j]
 
 
 @pytest.mark.parametrize("Z", np.linspace(0.05, 4.0, 24).tolist())
@@ -463,11 +487,11 @@ def test_bisect_exact_zero_of_double_factor():
     is not."""
     f = _with_double_factor(0.5, 0.7)
     for bracket in [(0.5, 0.6), (0.4, 0.6)]:
-        rec = bisect(f, bracket)
+        rec = _close_on(f, bracket)
         assert (rec.t, rec.bracket_width, rec.unresolved_doublet) == (0.5, 0.0, True)
-    assert not bisect(f, (0.6, 0.7)).unresolved_doublet
+    assert not _close_on(f, (0.6, 0.7)).unresolved_doublet
     # an exact end comes before a sign change of an earlier factor
-    rec = bisect(f, (0.5, 0.8))
+    rec = _close_on(f, (0.5, 0.8))
     assert (rec.t, rec.bracket_width, rec.unresolved_doublet) == (0.5, 0.0, True)
 
 
@@ -480,7 +504,7 @@ def test_bisect_width_floor(monkeypatch):
         return LogScaledValue.from_float(np.where(np.asarray(t) <= a, -1.0, 1.0))
 
     monkeypatch.setattr(ptring.roots, "_T_TOL", 1e-20)
-    rec = bisect(f, (0.1, 0.9))
+    rec = _close_on(f, (0.1, 0.9))
     assert rec.t in (a, np.nextafter(a, 1.0))
     assert rec.bracket_width == 8 * np.spacing(rec.t)
 
@@ -803,8 +827,8 @@ def test_guard_spends_nothing_on_benchmark_solves(case):
     has its root, is no window."""
     M, Z, n_levels = case
     f = _f_explicit(Z) if M == "explicit" else _f_monodromy(Z, M)
-    (master,) = _closer_call(f, Z, n_levels)[2]
-    assert master[2].size == 0
+    (master,) = _closer_call(f, Z, n_levels)[1]
+    assert master[1].size == 0
 
 
 @pytest.mark.parametrize("M,Z,levels", [(2, 0.01, 19), (2, 0.1, 19), (8, 0.01, 23)])
@@ -814,9 +838,10 @@ def test_guard_refines_once_without_a_pair(M, Z, levels):
     the solve takes one call more than the master call and the closer's
     two steps, and finds the same levels as without the guard."""
     f = _f_monodromy(Z, M)
-    brackets, _, (master, refined) = _closer_call(f, Z, 18)
-    assert master[2].size > 0 and refined[2].size == 0
-    np.testing.assert_array_equal(brackets, master[0])
+    brackets, (master, refined) = _closer_call(f, Z, 18)
+    assert master[1].size > 0 and refined[1].size == 0
+    for a, b in zip(brackets, master[0]):
+        np.testing.assert_array_equal(a, b)
     g, sizes = _counted(f)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LevelShortfallWarning)
