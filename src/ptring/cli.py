@@ -12,7 +12,6 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 from .potential import build_square_well
 from .roots import (
@@ -79,25 +78,12 @@ def cmd_spectrum(args) -> int:
         records = find_roots(
             _secular_fn(args.backend, pot, args.Z), args.Z, args.levels, cfg
         )
-    partial = False
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-        if issubclass(w.category, LevelShortfallWarning):
-            partial = True
 
     if not records:
         raise ValueError("no roots found in the scan window")
-    levels = energies_from_roots(records, args.Z)[: args.levels]
-    levels = [
-        replace(lvl, doublet_partner=None)
-        if lvl.doublet_partner is not None and lvl.doublet_partner >= len(levels)
-        else lvl
-        for lvl in levels
-    ]
-    report = analyze_series(levels)
-    if len(report.levels) < args.levels:
-        partial = True
-
+    report = analyze_series(energies_from_roots(records, args.Z)[: args.levels])
     if args.format == "json":
         text = spectrum_to_json(
             report.levels, report.delta1, args.Z, args.M, args.backend
@@ -105,7 +91,7 @@ def cmd_spectrum(args) -> int:
     else:
         text = spectrum_to_csv(report.levels, report.delta1)
     _write_output(text, args.output)
-    return 2 if partial else 0
+    return 2 if len(report.levels) < args.levels else 0
 
 
 def cmd_scan(args) -> int:

@@ -133,10 +133,14 @@ class ScanConfig:
 
     def __post_init__(self) -> None:
         if not self.t_min > 0:
-            raise ValueError(f"t_min must be positive, got {self.t_min!r}")
+            raise ValueError(
+                f"t_min must be positive, got {self.t_min!r}; "
+                f"set a positive t_min (--t-min)"
+            )
         if not self.t_min < self.t_max:
             raise ValueError(
-                f"need t_min < t_max, got [{self.t_min!r}, {self.t_max!r}]"
+                f"need t_min < t_max, got [{self.t_min!r}, {self.t_max!r}]; "
+                f"set t_min (--t-min) below t_max (--t-max)"
             )
         if self.initial_samples < 16:
             raise ValueError(

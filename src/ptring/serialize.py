@@ -10,7 +10,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .potential import CirclePotential
 from .spectrum import EnergyLevel, SpectrumReport
@@ -32,47 +32,86 @@ class SpectrumDocument:
     backend: str | None = None
 
 
+# one spectrum row, in the order both formats write it
+SPECTRUM_COLUMNS = ("n", "t", "s", "E", "delta1", "series", "doublet_partner")
+
+
+def _spectrum_rows(
+    levels: Sequence[EnergyLevel], delta1: Sequence[float | None], none: str
+) -> list[list[str]]:
+    """Each level's SPECTRUM_COLUMNS values as text, with none for None."""
+    if len(levels) != len(delta1):
+        raise ValueError("levels and delta1 must have equal length")
+    return [
+        [
+            str(lvl.n),
+            fmt_float(lvl.t),
+            fmt_float(lvl.s),
+            fmt_float(lvl.E),
+            none if d is None else fmt_float(d),
+            str(lvl.series),
+            none if lvl.doublet_partner is None else str(lvl.doublet_partner),
+        ]
+        for lvl, d in zip(levels, delta1)
+    ]
+
+
+def _read_spectrum(rows: Iterable[Sequence], none, **meta) -> SpectrumDocument:
+    """Invert _spectrum_rows: rows of SPECTRUM_COLUMNS values, none for None."""
+    levels, delta1 = [], []
+    for n, t, s, E, d, series, partner in rows:
+        levels.append(
+            EnergyLevel(
+                n=int(n),
+                t=float(t),
+                s=float(s),
+                E=float(E),
+                series=int(series),
+                doublet_partner=None if partner == none else int(partner),
+            )
+        )
+        delta1.append(None if d == none else float(d))
+    return SpectrumDocument(tuple(levels), tuple(delta1), **meta)
+
+
+def _json_document(fields: Sequence, key: str, names: Sequence, rows: Sequence) -> str:
+    """A JSON object: fields, then key's array of flat objects, one a line.
+
+    fields are (name, JSON text) pairs; each row holds the JSON texts of
+    the values of names, in order.
+    """
+    lines = ["{", *(f'  "{k}": {v},' for k, v in fields), f'  "{key}": [']
+    cells = ", ".join(f'"{k}": {{}}' for k in names)
+    for i, values in enumerate(rows):
+        tail = "," if i < len(rows) - 1 else ""
+        lines.append(f"    {{{cells.format(*values)}}}{tail}")
+    lines.extend(["  ]", "}"])
+    return "\n".join(lines) + "\n"
+
+
 def spectrum_to_csv(
     levels: Sequence[EnergyLevel], delta1: Sequence[float | None]
 ) -> str:
-    """One row per level: n, t, s, E, delta1, series, doublet_partner.
+    """One row per level, columns SPECTRUM_COLUMNS.
 
     None fields (delta1 at n=0, missing partner) are left empty.
     """
-    if len(levels) != len(delta1):
-        raise ValueError("levels and delta1 must have equal length")
-    lines = ["n,t,s,E,delta1,series,doublet_partner"]
-    for lvl, d in zip(levels, delta1):
-        lines.append(
-            f"{lvl.n},{fmt_float(lvl.t)},{fmt_float(lvl.s)},{fmt_float(lvl.E)},"
-            f"{'' if d is None else fmt_float(d)},{lvl.series},"
-            f"{'' if lvl.doublet_partner is None else lvl.doublet_partner}"
-        )
+    lines = [",".join(SPECTRUM_COLUMNS)]
+    lines.extend(",".join(row) for row in _spectrum_rows(levels, delta1, ""))
     return "\n".join(lines) + "\n"
 
 
 def parse_spectrum_csv(text: str) -> SpectrumDocument:
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows or rows[0] != ["n", "t", "s", "E", "delta1", "series", "doublet_partner"]:
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    if not rows or tuple(rows[0]) != SPECTRUM_COLUMNS:
         raise ValueError("not a spectrum CSV: bad or missing header")
-    levels = []
-    delta1: list[float | None] = []
     for row in rows[1:]:
-        if len(row) != 7:
-            raise ValueError(f"spectrum CSV row has {len(row)} fields, want 7")
-        levels.append(
-            EnergyLevel(
-                n=int(row[0]),
-                t=float(row[1]),
-                s=float(row[2]),
-                E=float(row[3]),
-                series=int(row[5]),
-                doublet_partner=int(row[6]) if row[6] else None,
+        if len(row) != len(SPECTRUM_COLUMNS):
+            raise ValueError(
+                f"spectrum CSV row has {len(row)} fields, "
+                f"want {len(SPECTRUM_COLUMNS)}"
             )
-        )
-        delta1.append(float(row[4]) if row[4] else None)
-    return SpectrumDocument(levels=tuple(levels), delta1=tuple(delta1))
+    return _read_spectrum(rows[1:], "")
 
 
 def spectrum_to_json(
@@ -82,27 +121,9 @@ def spectrum_to_json(
     M: int,
     backend: str,
 ) -> str:
-    if len(levels) != len(delta1):
-        raise ValueError("levels and delta1 must have equal length")
-    lines = [
-        "{",
-        f'  "Z": {fmt_float(Z)},',
-        f'  "M": {M},',
-        f'  "backend": {json.dumps(backend)},',
-        '  "levels": [',
-    ]
-    for i, (lvl, d) in enumerate(zip(levels, delta1)):
-        dd = "null" if d is None else fmt_float(d)
-        dp = "null" if lvl.doublet_partner is None else str(lvl.doublet_partner)
-        tail = "," if i < len(levels) - 1 else ""
-        lines.append(
-            f'    {{"n": {lvl.n}, "t": {fmt_float(lvl.t)}, '
-            f'"s": {fmt_float(lvl.s)}, "E": {fmt_float(lvl.E)}, '
-            f'"delta1": {dd}, "series": {lvl.series}, '
-            f'"doublet_partner": {dp}}}{tail}'
-        )
-    lines.extend(["  ]", "}"])
-    return "\n".join(lines) + "\n"
+    fields = [("Z", fmt_float(Z)), ("M", str(M)), ("backend", json.dumps(backend))]
+    rows = _spectrum_rows(levels, delta1, "null")
+    return _json_document(fields, "levels", SPECTRUM_COLUMNS, rows)
 
 
 def parse_spectrum_json(text: str) -> SpectrumDocument:
@@ -111,26 +132,9 @@ def parse_spectrum_json(text: str) -> SpectrumDocument:
     except json.JSONDecodeError as e:
         raise ValueError(f"not a spectrum JSON document: {e}") from e
     try:
-        raw_levels = obj["levels"]
-        levels = tuple(
-            EnergyLevel(
-                n=int(d["n"]),
-                t=float(d["t"]),
-                s=float(d["s"]),
-                E=float(d["E"]),
-                series=int(d["series"]),
-                doublet_partner=(
-                    None if d["doublet_partner"] is None else int(d["doublet_partner"])
-                ),
-            )
-            for d in raw_levels
-        )
-        delta1 = tuple(
-            None if d["delta1"] is None else float(d["delta1"]) for d in raw_levels
-        )
-        return SpectrumDocument(
-            levels=levels,
-            delta1=delta1,
+        return _read_spectrum(
+            ([d[k] for k in SPECTRUM_COLUMNS] for d in obj["levels"]),
+            None,
             Z=float(obj["Z"]),
             M=int(obj["M"]),
             backend=str(obj["backend"]),
@@ -161,19 +165,12 @@ def analysis_to_csv(report: SpectrumReport) -> str:
 
 
 def potential_to_json(pot: CirclePotential) -> str:
-    lines = [
-        "{",
-        f'  "circumference": {fmt_float(pot.circumference)},',
-        f'  "start": {fmt_float(pot.start)},',
-        '  "segments": [',
+    fields = [
+        ("circumference", fmt_float(pot.circumference)),
+        ("start", fmt_float(pot.start)),
     ]
-    for i, (width, value) in enumerate(pot.segments):
-        tail = "," if i < len(pot.segments) - 1 else ""
-        lines.append(
-            f'    {{"width": {fmt_float(width)}, "im": {fmt_float(value.imag)}}}{tail}'
-        )
-    lines.extend(["  ]", "}"])
-    return "\n".join(lines) + "\n"
+    rows = [(fmt_float(width), fmt_float(v.imag)) for width, v in pot.segments]
+    return _json_document(fields, "segments", ("width", "im"), rows)
 
 
 def potential_to_csv(pot: CirclePotential, samples: int) -> str:

@@ -7,8 +7,11 @@ Delta_n = E_n - E_{n-1} is regular within a family but jagged across them,
 so second differences are taken at lag 4 for even n and lag 2 for odd n.
 
 Quasi-degenerate pairs (adjacent levels separated by far less than the
-local level scale) are flagged and cross-linked via doublet_partner; for
-this operator family they occupy the (3,4), (7,8), (11,12), ... slots.
+local level scale) are flagged by analyze_series, which alone cross-links
+them via doublet_partner. At Z = 1 they occupy the (3,4), (7,8), (11,12),
+... slots of the explicit closure, but only there: at Z = 0.1 the gap rule
+adds pairs that cross branches, and from Z = 2 up it drops the lowest
+pair, whose split has outgrown the tolerance.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ from typing import Sequence
 
 from .potential import check_coupling
 
-DEFAULT_QUASI_TOL = 2e-2
+QUASI_TOL = 2e-2
 
 
 @dataclass(frozen=True)
@@ -24,8 +27,8 @@ class EnergyLevel:
     """One real eigenvalue with its (t, s) root coordinates.
 
     doublet_partner is the index n of the other member of a quasi-degenerate
-    pair, or None for a singlet. An unresolved root pair expands into two
-    levels at the same E that partner each other.
+    pair, or None for a singlet. Only analyze_series sets it; an unresolved
+    root pair expands into two levels at the same E, which it pairs.
     """
 
     n: int
@@ -52,9 +55,10 @@ class SpectrumReport:
 def energies_from_roots(roots: Sequence, Z: float) -> list[EnergyLevel]:
     """Expand root records (descending t) into indexed ascending levels.
 
-    Unresolved doublet records produce two coincident levels partnered with
-    each other. Raises ValueError unless Z is finite and at least Z_FLOOR
-    and the records are strictly descending in t.
+    Unresolved doublet records produce two coincident levels; no level
+    carries a doublet_partner (see analyze_series). Raises ValueError
+    unless Z is finite and at least Z_FLOOR and the records are strictly
+    descending in t.
     """
     check_coupling(Z)
     ts = [r.t for r in roots]
@@ -66,11 +70,8 @@ def energies_from_roots(roots: Sequence, Z: float) -> list[EnergyLevel]:
     for r in roots:
         s = Z / (2.0 * r.t)
         e = s * s - r.t * r.t
-        n = len(levels)
-        if getattr(r, "unresolved_doublet", False):
-            levels.append(EnergyLevel(n, r.t, s, e, n % 4, n + 1))
-            levels.append(EnergyLevel(n + 1, r.t, s, e, (n + 1) % 4, n))
-        else:
+        for _ in range(2 if getattr(r, "unresolved_doublet", False) else 1):
+            n = len(levels)
             levels.append(EnergyLevel(n, r.t, s, e, n % 4))
     return levels
 
@@ -84,22 +85,18 @@ def first_differences(levels: Sequence[EnergyLevel]) -> list[float | None]:
     return out
 
 
-def quasi_degenerate_pairs(
-    levels: Sequence[EnergyLevel], quasi_tol: float = DEFAULT_QUASI_TOL
-) -> list[tuple[int, int, float]]:
-    """Adjacent (n, n+1) pairs with gap below quasi_tol * max(1, E_n).
+def quasi_degenerate_pairs(levels: Sequence[EnergyLevel]) -> list[tuple[int, int, float]]:
+    """Adjacent (n, n+1) pairs with gap below QUASI_TOL * max(1, E_n).
 
     The threshold scales with the lower level's energy so that the shrinking
     absolute splittings of high doublets keep qualifying. Greedy from below;
     a level joins at most one pair.
     """
-    if not quasi_tol > 0:
-        raise ValueError("quasi_tol must be positive")
     pairs = []
     i = 0
     while i < len(levels) - 1:
         gap = levels[i + 1].E - levels[i].E
-        if gap < quasi_tol * max(1.0, levels[i].E):
+        if gap < QUASI_TOL * max(1.0, levels[i].E):
             pairs.append((levels[i].n, levels[i + 1].n, gap))
             i += 2
         else:
@@ -107,9 +104,7 @@ def quasi_degenerate_pairs(
     return pairs
 
 
-def analyze_series(
-    levels: Sequence[EnergyLevel], quasi_tol: float = DEFAULT_QUASI_TOL
-) -> SpectrumReport:
+def analyze_series(levels: Sequence[EnergyLevel]) -> SpectrumReport:
     """Difference tables resolving the four-series gap structure.
 
     even_second pairs each even n >= 6 with Delta_n - Delta_{n-4}
@@ -117,8 +112,10 @@ def analyze_series(
     n >= 3 with Delta_n - Delta_{n-2}. Two third-difference tables are
     kept: odd_third uses lag-4 outer steps, Delta_n - 2 Delta_{n-4}
     + Delta_{n-8} for odd n >= 9, while odd_third_nested iterates the lag-2
-    step, Delta_n - 2 Delta_{n-2} + Delta_{n-4} for odd n >= 5. The
-    returned levels carry doublet_partner links for every quasi pair.
+    step, Delta_n - 2 Delta_{n-2} + Delta_{n-4} for odd n >= 5. This is
+    the one place doublet partners are decided: each quasi pair's levels are
+    returned linked to each other by n, and every other level is returned
+    as given.
     """
     delta = first_differences(levels)
     n_max = len(levels) - 1
@@ -140,15 +137,15 @@ def analyze_series(
         for n in range(5, n_max + 1, 2)
     )
 
-    pairs = quasi_degenerate_pairs(levels, quasi_tol)
+    pairs = quasi_degenerate_pairs(levels)
     partner = {}
     for i, j, _gap in pairs:
         partner[i], partner[j] = j, i
     tagged = [
-        EnergyLevel(lvl.n, lvl.t, lvl.s, lvl.E, lvl.series, partner[k])
-        if k in partner
+        EnergyLevel(lvl.n, lvl.t, lvl.s, lvl.E, lvl.series, partner[lvl.n])
+        if lvl.n in partner
         else lvl
-        for k, lvl in enumerate(levels)
+        for lvl in levels
     ]
     return SpectrumReport(
         levels=tuple(tagged),

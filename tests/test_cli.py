@@ -212,6 +212,42 @@ def test_spectrum_oversized_master_grid_exits_1(capsys, monkeypatch, argv, point
     assert "--t-min" in err and "--levels" in err
 
 
+@pytest.mark.parametrize(
+    "argv,flags",
+    [
+        (["scan", "--Z", "1", "--t-min", "0"], ["--t-min"]),
+        (["spectrum", "--Z", "1", "--t-min", "2", "--t-max", "1"],
+         ["--t-min", "--t-max"]),
+    ],
+)
+def test_bad_window_names_its_flags(capsys, argv, flags):
+    """A window that is not positive or not ordered is a domain error naming
+    the flags that set it, as a bad sample count names --samples."""
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert all(flag in err for flag in flags)
+
+
+@pytest.mark.parametrize(
+    "levels,partners",
+    [
+        ("6", ["", "2", "1", "4", "3", ""]),
+        ("7", ["", "2", "1", "4", "3", "6", "5"]),
+    ],
+)
+def test_spectrum_partner_column_where_levels_cuts_a_doublet(capsys, levels, partners):
+    """At M = 8 the levels from n = 1 on come in unresolved doublets; a level
+    whose partner lies beyond --levels is printed without one."""
+    code, out, _err = _run(
+        capsys, ["spectrum", "--Z", "1", "--M", "8", "--levels", levels]
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [row[6] for row in rows] == partners
+
+
 # --- scan ----------------------------------------------------------------------
 
 

@@ -102,13 +102,15 @@ def test_zero_energy_point():
 
 
 def test_doublet_expansion_partners():
+    """An unresolved record expands into two levels at one E; the partner
+    link between them comes from analyze_series, not from the expansion."""
     recs = [_record(0.5), _record(0.1, unresolved=True)]
     lv = energies_from_roots(recs, 1.0)
     assert len(lv) == 3
     assert lv[1].E == lv[2].E
-    assert lv[1].doublet_partner == 2
-    assert lv[2].doublet_partner == 1
-    assert lv[0].doublet_partner is None
+    assert [lvl.doublet_partner for lvl in lv] == [None, None, None]
+    tagged = analyze_series(lv).levels
+    assert [lvl.doublet_partner for lvl in tagged] == [None, 2, 1]
 
 
 def test_rejects_non_descending_roots():
@@ -206,9 +208,18 @@ def test_quasi_pairs_exact_degeneracy():
     assert pairs == [(1, 2, 0.0)]
 
 
-def test_quasi_tol_validation(levels_z1):
-    with pytest.raises(ValueError):
-        quasi_degenerate_pairs(levels_z1, quasi_tol=0.0)
+def test_quasi_pairs_tag_partners_by_level_number():
+    """Partners are keyed by n, so levels that do not start at n = 0 (a
+    slice of a longer spectrum) are tagged too, and untagged ones are
+    returned as given."""
+    lv = [
+        EnergyLevel(n=n, t=1.0 / (n + 1), s=0.5, E=e, series=n % 4)
+        for n, e in zip(range(10, 14), [1.0, 5.0, 5.0, 9.0])
+    ]
+    report = analyze_series(lv)
+    assert report.quasi_pairs == ((11, 12, 0.0),)
+    assert [lvl.doublet_partner for lvl in report.levels] == [None, 12, 11, None]
+    assert report.levels[0] is lv[0] and report.levels[3] is lv[3]
 
 
 # --- rotation invariance ---------------------------------------------------------
