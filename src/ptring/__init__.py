@@ -8,32 +8,18 @@ locates those real eigenvalues through secular functions of the variable t,
 where E = s^2 - t^2 and 2 s t = Z.
 """
 
+import importlib as _importlib
+
+from .errors import (
+    LevelShortfallWarning,
+    SecularEvaluationError,
+    SecularOverflowError,
+    SecularRealityError,
+)
 from .potential import (
     CirclePotential,
     build_square_well,
     rotate_segments,
-)
-from .roots import (
-    LevelShortfallWarning,
-    RootRecord,
-    ScanConfig,
-    ScanSample,
-    SecularEvaluationError,
-    default_scan_config,
-    find_roots,
-    level_count,
-    scan_secular,
-)
-from .secular import (
-    LogScaledValue,
-    SecularOverflowError,
-    SecularRealityError,
-    SpectralPoint,
-    TransferMatrix2,
-    monodromy,
-    secular_explicit,
-    secular_monodromy,
-    segment_propagator,
 )
 from .serialize import (
     SpectrumDocument,
@@ -57,3 +43,40 @@ from .spectrum import (
 )
 
 __version__ = "0.1.0"
+
+# roots and secular are the modules that import numpy. Each is loaded on the
+# first use of one of its names here, or of the submodule itself, so that
+# building potentials, analysing and serializing spectra run without numpy.
+_LAZY = {
+    name: module
+    for module, names in {
+        "roots": (
+            "roots", "RootRecord", "ScanConfig", "ScanSample",
+            "default_scan_config", "find_roots", "level_count", "scan_secular",
+        ),
+        "secular": (
+            "secular", "LogScaledValue", "SpectralPoint", "TransferMatrix2",
+            "monodromy", "secular_explicit", "secular_monodromy",
+            "segment_propagator",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = _importlib.import_module(f".{module}", __name__)
+    value = mod if name == module else getattr(mod, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
+
+# `from ptring import *` still brings every public name, and so loads numpy
+__all__ = [name for name in __dir__() if not name.startswith("_")]

@@ -9,25 +9,13 @@ layouts only, has no effect here.
 """
 
 import argparse
+import importlib
 import math
 import sys
 import warnings
 
+from .errors import LevelShortfallWarning, SecularEvaluationError, SecularRealityError
 from .potential import build_square_well
-from .roots import (
-    LevelShortfallWarning,
-    ScanConfig,
-    SecularEvaluationError,
-    default_scan_config,
-    find_roots,
-    scan_secular,
-)
-from .secular import (
-    FREE_LIMIT_Z,
-    SecularRealityError,
-    secular_explicit,
-    secular_monodromy,
-)
 from .serialize import (
     analysis_to_csv,
     parse_spectrum_json,
@@ -38,6 +26,32 @@ from .serialize import (
     spectrum_to_json,
 )
 from .spectrum import analyze_series, energies_from_roots
+
+# The names the solving commands (spectrum, scan, validate) take from roots
+# and secular, which import numpy. _bind_solvers puts them into this module's
+# globals when such a command first runs, so potential, analyze and --help
+# start without numpy; reading one as an attribute binds them too.
+_SOLVER_NAMES = {
+    "roots": ("ScanConfig", "default_scan_config", "find_roots", "scan_secular"),
+    "secular": ("FREE_LIMIT_Z", "secular_explicit", "secular_monodromy"),
+}
+
+
+def _bind_solvers() -> None:
+    """Bind every solver name not yet bound; a name set from outside (a
+    patch on this module) is kept."""
+    scope = globals()
+    for module, names in _SOLVER_NAMES.items():
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            scope.setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name):
+    if not any(name in names for names in _SOLVER_NAMES.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_solvers()
+    return globals()[name]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,6 +82,7 @@ def _secular_fn(backend: str, pot, Z: float):
 
 
 def cmd_spectrum(args) -> int:
+    _bind_solvers()
     _check_backend_m(args.backend, args.M)
     if args.levels < 1:
         raise ValueError(f"levels must be at least 1, got {args.levels!r}")
@@ -95,6 +110,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    _bind_solvers()
     _check_backend_m(args.backend, args.M)
     pot = build_square_well(args.M, args.Z)
     cfg = ScanConfig(t_min=args.t_min, t_max=args.t_max, initial_samples=args.samples)
@@ -134,6 +150,7 @@ def cmd_analyze(args) -> int:
 def cmd_validate(args) -> int:
     """The free-particle limit: at Z <= FREE_LIMIT_Z the five lowest levels
     of the strictly periodic M=1 problem are {0, (pi/2)^2 x2, pi^2 x2}."""
+    _bind_solvers()
     if args.Z > FREE_LIMIT_Z:
         raise ValueError(
             f"validate checks the free-particle limit, "

@@ -32,9 +32,10 @@ def check_coupling(Z: float) -> None:
 class CirclePotential:
     """Ordered segments (width, purely imaginary value) covering the circle.
 
-    Segment boundaries are half-open on the right; the value at a boundary
-    point is the left segment's value (matching conditions never evaluate V
-    at a boundary, so this choice is inert).
+    Segments are left-closed, [a, b); the value at a boundary point is that
+    of the segment starting there, so at M = 1 x = 0 gives +iZ, from [0, 1),
+    not -iZ, from [-1, 0). Matching conditions never evaluate V at a
+    boundary, so this choice is inert.
     """
 
     circumference: float

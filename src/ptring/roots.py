@@ -51,6 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import LevelShortfallWarning, SecularEvaluationError
 from .potential import check_coupling
 
 # Most points of a master grid, checked before it is allocated, and of a
@@ -109,18 +110,6 @@ _VERTEX_MARGIN = 3.0
 # Least bracket_width reported for a closed bracket, in ulps of its t: the
 # sign of a computed value is rounding noise within a few ulps of its root
 _WIDTH_FLOOR_ULPS = 8
-
-
-class SecularEvaluationError(RuntimeError):
-    """A secular callable raised while scanning; carries the offending t."""
-
-    def __init__(self, t: float, cause: BaseException):
-        super().__init__(f"secular evaluation failed at t={t!r}: {cause}")
-        self.t = t
-
-
-class LevelShortfallWarning(UserWarning):
-    """Fewer real levels found than requested (possible PT breaking)."""
 
 
 @dataclass(frozen=True)

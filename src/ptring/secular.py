@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SecularOverflowError, SecularRealityError
 from .potential import CirclePotential, check_coupling
 
 DEFAULT_REALITY_RTOL = 1e-8
@@ -48,35 +49,6 @@ DEFAULT_REALITY_RTOL = 1e-8
 FREE_LIMIT_Z = 1e-3
 
 _TINY_KAPPA = 1e-150
-
-
-class SecularRealityError(RuntimeError):
-    """The secular value failed its reality assertion.
-
-    Signals either a PT-asymmetric input potential or a numerical fault;
-    carries the offending (Z, t) and the imaginary magnitude seen. For an
-    array call, t is the first failing point.
-    """
-
-    def __init__(self, what: str, Z: float, t: float, im_mag: float):
-        super().__init__(
-            f"{what} not real at Z={Z!r}, t={t!r}: |Im| = {im_mag:.3e}"
-        )
-        self.Z = Z
-        self.t = t
-        self.im_mag = im_mag
-
-
-class SecularOverflowError(OverflowError):
-    """The secular value left the double range (sin/cos of kappa overflow
-    once |Im(kappa * width)| passes about 710); carries the offending (Z, t).
-    For an array call, t is the first failing point.
-    """
-
-    def __init__(self, what: str, Z: float, t: float):
-        super().__init__(f"{what} overflowed at Z={Z!r}, t={t!r}")
-        self.Z = Z
-        self.t = t
 
 
 def reality_rtol() -> float:

@@ -297,6 +297,7 @@ def test_scan_overflow_exits_1(capsys, backend):
     )
     assert code == 1
     assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
     assert "overflowed" in err
 
 

@@ -1,0 +1,143 @@
+"""numpy loads only when a command solves, and the package's names survive
+the lazy loading of roots and secular."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import ptring
+import ptring.cli
+from ptring import errors, roots, secular
+from ptring.cli import main
+
+SRC = os.path.dirname(os.path.dirname(ptring.__file__))
+
+# Every name that `from ptring import ...` served when roots and secular
+# were imported with the package, by the module that defines it
+SOLVER_EXPORTS = {
+    roots: (
+        "RootRecord", "ScanConfig", "ScanSample", "default_scan_config",
+        "find_roots", "level_count", "scan_secular",
+    ),
+    secular: (
+        "LogScaledValue", "SpectralPoint", "TransferMatrix2", "monodromy",
+        "secular_explicit", "secular_monodromy", "segment_propagator",
+    ),
+}
+ERROR_BASES = {
+    "SecularEvaluationError": RuntimeError,
+    "SecularRealityError": RuntimeError,
+    "SecularOverflowError": OverflowError,
+    "LevelShortfallWarning": UserWarning,
+}
+EAGER_EXPORTS = (
+    "CirclePotential", "build_square_well", "rotate_segments",
+    "SpectrumDocument", "analysis_to_csv", "fmt_float", "parse_spectrum_csv",
+    "parse_spectrum_json", "potential_to_csv", "potential_to_json",
+    "scan_to_csv", "spectrum_to_csv", "spectrum_to_json",
+    "EnergyLevel", "SpectrumReport", "analyze_series", "energies_from_roots",
+    "first_differences", "quasi_degenerate_pairs", "__version__",
+    *ERROR_BASES,
+)
+
+PROBE = """
+import json, sys
+import ptring, ptring.cli
+from ptring.cli import main
+
+ptring.build_square_well(8, 1.0)
+codes = [
+    main(["analyze", "--input", sys.argv[1], "--output", sys.argv[2]]),
+    main(["potential", "--M", "8", "--Z", "1", "--output", sys.argv[2]]),
+]
+before = "numpy" in sys.modules
+codes.append(main(["spectrum", "--Z", "1", "--levels", "2", "--output", sys.argv[2]]))
+print(json.dumps({"codes": codes, "before": before, "after": "numpy" in sys.modules}))
+"""
+
+
+def test_analyze_and_potential_leave_numpy_unloaded(tmp_path):
+    spectrum = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--Z", "1", "--backend", "explicit", "--format", "json",
+                 "--output", str(spectrum)]) == 0
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, str(spectrum), str(tmp_path / "out.txt")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        check=True,
+    )
+    assert json.loads(out.stdout) == {"codes": [0, 0, 0], "before": False, "after": True}
+
+
+def test_solver_names_are_the_submodules_objects():
+    for module, names in SOLVER_EXPORTS.items():
+        for name in names:
+            assert getattr(ptring, name) is getattr(module, name), name
+    assert ptring.roots is roots and ptring.secular is secular
+    star = {}
+    exec("from ptring import *", star)
+    assert star["find_roots"] is roots.find_roots
+    assert star["build_square_well"] is ptring.build_square_well
+
+
+def test_error_classes_are_one_object_each():
+    for name, base in ERROR_BASES.items():
+        cls = getattr(errors, name)
+        assert issubclass(cls, base), name
+        assert getattr(ptring, name) is cls, name
+    assert roots.SecularEvaluationError is errors.SecularEvaluationError
+    assert roots.LevelShortfallWarning is errors.LevelShortfallWarning
+    assert secular.SecularRealityError is errors.SecularRealityError
+    assert secular.SecularOverflowError is errors.SecularOverflowError
+
+
+def test_dir_lists_every_name():
+    listed = set(dir(ptring))
+    expected = {*EAGER_EXPORTS, "roots", "secular"}
+    expected.update(name for names in SOLVER_EXPORTS.values() for name in names)
+    assert expected <= listed
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ptring.no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ptring.cli.no_such_name
+    with pytest.raises(ImportError):
+        from ptring import no_such_name  # noqa: F401
+
+
+def test_submodule_resolves_after_bare_package_import():
+    """The form test_cli.py relies on when it runs alone: a patch on
+    ptring.roots.np after nothing but `import ptring`."""
+    probe = (
+        "import sys, ptring\n"
+        "assert 'numpy' not in sys.modules\n"
+        "print(ptring.roots.np.__name__, ptring.secular.np is ptring.roots.np)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), check=True,
+    )
+    assert out.stdout.split() == ["numpy", "True"]
+
+
+def test_patch_on_cli_reaches_spectrum(monkeypatch, capsys):
+    """A solver name patched on ptring.cli is the one a command calls, as
+    the benchmark's traced run patches it."""
+    calls = []
+    real = secular.secular_monodromy
+
+    def spy(pot, Z, t):
+        calls.append(t)
+        return real(pot, Z, t)
+
+    # unbound, as in a fresh process: reading the name binds the solvers
+    monkeypatch.delitem(vars(ptring.cli), "secular_monodromy", raising=False)
+    monkeypatch.setattr(ptring.cli, "secular_monodromy", spy)
+    assert main(["spectrum", "--Z", "1", "--M", "8", "--levels", "4"]) == 0
+    capsys.readouterr()
+    assert calls
+    assert ptring.cli.secular_monodromy is spy
