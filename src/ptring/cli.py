@@ -113,8 +113,8 @@ def cmd_scan(args) -> int:
     _bind_solvers()
     _check_backend_m(args.backend, args.M)
     pot = build_square_well(args.M, args.Z)
-    cfg = ScanConfig(t_min=args.t_min, t_max=args.t_max, initial_samples=args.samples)
-    samples = scan_secular(_secular_fn(args.backend, pot, args.Z), cfg)
+    cfg = ScanConfig(t_min=args.t_min, t_max=args.t_max)
+    samples = scan_secular(_secular_fn(args.backend, pot, args.Z), cfg, args.samples)
     _write_output(scan_to_csv(samples), args.output)
     return 0
 

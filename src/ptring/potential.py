@@ -93,18 +93,24 @@ class CirclePotential:
                 return value
         return self.segments[-1][1]
 
-    def is_pt_symmetric(self, samples: int = 997) -> bool:
-        """Check V(-x) == conj(V(x)) on a grid, skipping segment boundaries.
+    def is_pt_symmetric(self) -> bool:
+        """Whether V(-x) == conj(V(x)) away from segment boundaries, decided
+        from the layout itself.
 
-        Boundary points are measure zero and carry no matching information;
-        the half-open convention makes V one-sided there, so they are excluded.
+        The edges and their mirrors cut the circle into pieces on each of
+        which both V(x) and V(-x) are constant, so one point per piece
+        decides it. A piece no wider than the width-sum tolerance, where an
+        edge and a mirrored edge coincide up to rounding, is skipped; any
+        wider mismatch of mirrored edges, or a mirror without the conjugate
+        value, is asymmetry.
         """
-        edges = self.boundaries()
-        for i in range(samples):
-            x = self.start + (i + 0.5) * self.circumference / samples
-            if any(abs(x - e) < 1e-9 or abs(-x - e) < 1e-9 for e in edges):
-                continue
-            if self.value_at(-x) != self.value_at(x).conjugate():
+        C, x0 = self.circumference, self.start
+        cuts = sorted({(x - x0) % C for e in self.boundaries() for x in (e, -e)})
+        cuts.append(cuts[0] + C)
+        for a, b in zip(cuts, cuts[1:]):
+            x = x0 + 0.5 * (a + b)
+            mirrored = self.value_at(-x) == self.value_at(x).conjugate()
+            if b - a > _WIDTH_SUM_TOL and not mirrored:
                 return False
         return True
 

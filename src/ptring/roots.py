@@ -59,6 +59,11 @@ from .potential import check_coupling
 # Z, or t_min down to about 6.5e-6 at Z = 1. Just below it, a solve peaked at
 # 478 MB RSS (explicit, four factors, 2.2 s on one core; 287 MB at M = 1)
 _MAX_GRID_POINTS = 2**22
+# Least points of a master grid: a derived grid with fewer has each of its
+# intervals split evenly until it has at least this many. Of the default
+# windows it binds only on those of 1-3 levels at Z from about 0.5 to 44
+# (186-253 derived points at Z = 1-17.9), whose printed roots rest on it
+_LEAST_GRID_POINTS = 256
 # Most t values handed to the secular callable in one call, which bounds its
 # temporaries: a few dozen doubles per point for the closed forms, a few
 # complex 2x2 matrices per point for the propagator product. 8192 takes the
@@ -114,11 +119,11 @@ _WIDTH_FLOOR_ULPS = 8
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Scan window and least sample count for find_roots and scan_secular."""
+    """The t window of find_roots and scan_secular, t_min < t_max, both
+    positive; each sizes its own grid over it."""
 
     t_min: float
     t_max: float
-    initial_samples: int = 256
 
     def __post_init__(self) -> None:
         if not self.t_min > 0:
@@ -130,11 +135,6 @@ class ScanConfig:
             raise ValueError(
                 f"need t_min < t_max, got [{self.t_min!r}, {self.t_max!r}]; "
                 f"set t_min (--t-min) below t_max (--t-max)"
-            )
-        if self.initial_samples < 16:
-            raise ValueError(
-                f"initial_samples must be at least 16, got "
-                f"{self.initial_samples!r}; request more (--samples)"
             )
 
 
@@ -164,20 +164,32 @@ class RootRecord:
     unresolved_doublet: bool = False
 
 
+def _chunks(f: Callable[[np.ndarray], object], ts: np.ndarray):
+    """(i, f(ts[i : i + _EVAL_CHUNK])) for i = 0, _EVAL_CHUNK, ... over the
+    1-D array ts. An error raised by f is wrapped in SecularEvaluationError,
+    carrying the cause's own t when it has one and the chunk's first t
+    otherwise."""
+    for i in range(0, ts.size, _EVAL_CHUNK):
+        chunk = ts[i : i + _EVAL_CHUNK]
+        try:
+            v = f(chunk)
+        except SecularEvaluationError:
+            raise
+        except Exception as e:
+            t = getattr(e, "t", None)
+            raise SecularEvaluationError(float(chunk[0]) if t is None else t, e) from e
+        yield i, v
+
+
 def _evaluate(
     f: Callable[[np.ndarray], object], ts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of f over the 1-D array ts, chunk by chunk, as one row
-    per factor, and their counts; the sign and log-magnitude of the value
-    are not read. Raises ValueError on a value without factors.
-
-    An error raised by f is wrapped in SecularEvaluationError, carrying the
-    cause's own t when it has one and the chunk's first t otherwise.
+    """The factors of f over the 1-D array ts, chunk by chunk (_chunks), as
+    one row per factor, and their counts; the sign and log-magnitude of the
+    value are not read. Raises ValueError on a value without factors.
     """
     factors = counts = None
-    for i in range(0, ts.size, _EVAL_CHUNK):
-        chunk = ts[i : i + _EVAL_CHUNK]
-        v = _call(f, chunk)
+    for i, v in _chunks(f, ts):
         if not v.factors:
             raise ValueError(
                 "root finding needs a secular value with factors; "
@@ -187,36 +199,30 @@ def _evaluate(
             factors = np.empty((len(v.factors), ts.size))
             counts = np.array([c for _, c in v.factors])
         for row, (y, _) in zip(factors, v.factors):
-            row[i : i + chunk.size] = y
+            row[i : i + _EVAL_CHUNK] = y
     return factors, counts
 
 
-def _call(f: Callable[[np.ndarray], object], ts: np.ndarray):
-    """f(ts), an error it raises wrapped as _evaluate describes."""
-    try:
-        return f(ts)
-    except SecularEvaluationError:
-        raise
-    except Exception as e:
-        t = getattr(e, "t", None)
-        raise SecularEvaluationError(float(ts[0]) if t is None else t, e) from e
-
-
 def scan_secular(
-    f: Callable[[np.ndarray], object], config: ScanConfig
+    f: Callable[[np.ndarray], object], config: ScanConfig, samples: int = 256
 ) -> list[ScanSample]:
-    """Tabulate sign and log-magnitude of f itself on a uniform t grid over
-    the window. Raises ValueError before evaluating or allocating anything
-    when the table would take more than _MAX_GRID_POINTS samples."""
-    if not config.initial_samples <= _MAX_GRID_POINTS:
+    """Tabulate sign and log-magnitude of f itself at samples points evenly
+    spaced in t over the window, both ends included, calling f chunk by
+    chunk as root finding does (_chunks). Raises ValueError before
+    evaluating or allocating anything when samples is below 16 or above
+    _MAX_GRID_POINTS."""
+    if samples < 16:
         raise ValueError(
-            f"a scan of {config.initial_samples} samples is more than the "
+            f"samples must be at least 16, got {samples!r}; request more (--samples)"
+        )
+    if not samples <= _MAX_GRID_POINTS:
+        raise ValueError(
+            f"a scan of {samples} samples is more than the "
             f"{_MAX_GRID_POINTS} allowed; request fewer (--samples)"
         )
-    ts = np.linspace(config.t_min, config.t_max, config.initial_samples)
+    ts = np.linspace(config.t_min, config.t_max, samples)
     signs, logmags = np.empty(ts.size, dtype=int), np.empty(ts.size)
-    for i in range(0, ts.size, _EVAL_CHUNK):
-        v = _call(f, ts[i : i + _EVAL_CHUNK])
+    for i, v in _chunks(f, ts):
         signs[i : i + _EVAL_CHUNK] = v.sign
         logmags[i : i + _EVAL_CHUNK] = v.logmag
     return list(map(ScanSample, ts.tolist(), signs.tolist(), logmags.tolist()))
@@ -543,19 +549,22 @@ def find_roots(
 ) -> list[RootRecord]:
     """Locate the real secular roots covering the lowest n_levels levels.
 
-    f maps a 1-D float array of t to a LogScaledValue with factors; it is
-    called on the master grid, on each pass that refines it in the extremum
-    windows, and on each lock-step closer step, and only its factors are
-    read. Every extremum window where a pair of one factor's roots may hide
-    is resolved on the grid first; then every sign change of a factor on
-    the grid is closed on that factor. Returns every root found in the
-    window, in descending t (ascending energy) order; callers slice the
-    leading n_levels levels after doublet expansion. Warns with
-    LevelShortfallWarning when the window yields fewer levels than
-    requested, which for this operator family indicates levels lost to
-    complex conjugate pairs rather than a scan failure. Raises ValueError on
-    a value without factors, and before evaluating or allocating anything
-    when the master grid would take more than _MAX_GRID_POINTS points.
+    config is the t window, default_scan_config(Z, n_levels) when None; the
+    master grid over it follows from the closer's reach (see _GRID_RATIO),
+    with at least _LEAST_GRID_POINTS points. f maps a 1-D float array of t
+    to a LogScaledValue with factors; it is called on the master grid, on
+    each pass that refines it in the extremum windows, and on each lock-step
+    closer step, and only its factors are read. Every extremum window where
+    a pair of one factor's roots may hide is resolved on the grid first;
+    then every sign change of a factor on the grid is closed on that factor.
+    Returns every root found in the window, in descending t (ascending
+    energy) order; callers slice the leading n_levels levels after doublet
+    expansion. Warns with LevelShortfallWarning when the window yields fewer
+    levels than requested, which for this operator family indicates levels
+    lost to complex conjugate pairs rather than a scan failure. Raises
+    ValueError on a value without factors, and before evaluating or
+    allocating anything when the master grid would take more than
+    _MAX_GRID_POINTS points.
     """
     cfg = config if config is not None else default_scan_config(Z, n_levels)
     s_lo = Z / (2.0 * cfg.t_max)
@@ -564,12 +573,10 @@ def find_roots(
     s_mid = min(max(_GRID_STEP / _GRID_RATIO, s_lo), s_hi)
     n_geo = math.log(s_mid / s_lo) / math.log1p(_GRID_RATIO)
     n_lin = (s_hi - s_mid) / _GRID_STEP  # inf where s_hi overflows
-    points = max(n_geo + n_lin + 1.0, cfg.initial_samples)
+    points = n_geo + n_lin + 1.0
     if points <= _MAX_GRID_POINTS:
         n_geo, n_lin = math.ceil(n_geo), math.ceil(n_lin)
-        # every interval split evenly where the grid falls short of the
-        # least sample count
-        split = max(1, -(-(cfg.initial_samples - 1) // (n_geo + n_lin)))
+        split = max(1, -(-(_LEAST_GRID_POINTS - 1) // (n_geo + n_lin)))
         n_geo, n_lin = split * n_geo, split * n_lin
         points = n_geo + n_lin + 1
     if not points <= _MAX_GRID_POINTS:

@@ -126,6 +126,28 @@ def test_pt_symmetry_detects_asymmetric_layout():
     assert not pot.is_pt_symmetric()
 
 
+def test_pt_symmetry_detects_a_slightly_moved_boundary():
+    """A boundary moved by 1e-3 breaks the symmetry on a piece of width
+    1e-3, however few points a sampling check would put there."""
+    pot = CirclePotential(
+        circumference=4.0,
+        start=-2.0,
+        segments=((1.001, 1j), (0.999, -1j), (1.0, 1j), (1.0, -1j)),
+    )
+    assert not pot.is_pt_symmetric()
+
+
+def test_pt_symmetry_ignores_an_edge_between_equal_values():
+    """An edge between two segments of one value has no mirror edge, yet
+    V(-x) = conj(V(x)) holds everywhere: +i on [-2, 0), -i on [0, 2)."""
+    pot = CirclePotential(
+        circumference=4.0,
+        start=-2.0,
+        segments=((1.0, 1j), (1.0, 1j), (2.0, -1j)),
+    )
+    assert pot.is_pt_symmetric()
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     m=st.integers(min_value=1, max_value=8),

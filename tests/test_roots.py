@@ -87,8 +87,6 @@ def test_scan_config_validation():
         ScanConfig(t_min=0.5, t_max=0.5)
     with pytest.raises(ValueError):
         ScanConfig(t_min=0.0, t_max=1.0)
-    with pytest.raises(ValueError):
-        ScanConfig(t_min=0.1, t_max=1.0, initial_samples=8)
 
 
 def test_default_scan_config_overrides():
@@ -110,15 +108,15 @@ def test_default_scan_config_overrides():
 
 
 def test_scan_all_negative_beyond_ground():
-    cfg = ScanConfig(t_min=0.66, t_max=1.0, initial_samples=256)
+    cfg = ScanConfig(t_min=0.66, t_max=1.0)
     samples = scan_secular(_f_explicit(1.0), cfg)
     assert len(samples) == 256
     assert all(s.sign == -1 for s in samples)
 
 
 def test_scan_single_crossing():
-    cfg = ScanConfig(t_min=0.35, t_max=0.45, initial_samples=256)
-    samples = scan_secular(_f_explicit(1.0), cfg)
+    cfg = ScanConfig(t_min=0.35, t_max=0.45)
+    samples = scan_secular(_f_explicit(1.0), cfg, 256)
     flips = [
         (a.t, b.t)
         for a, b in zip(samples, samples[1:])
@@ -133,10 +131,22 @@ def test_scan_wraps_evaluation_errors():
     def f(t):
         raise RuntimeError("boom")
 
-    cfg = ScanConfig(t_min=0.1, t_max=0.2, initial_samples=16)
+    cfg = ScanConfig(t_min=0.1, t_max=0.2)
     with pytest.raises(SecularEvaluationError) as ei:
-        scan_secular(f, cfg)
+        scan_secular(f, cfg, 16)
     assert ei.value.t == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("samples", [1, 15, 2**22 + 1])
+def test_scan_sample_count_is_checked_first(samples):
+    """A sample count below 16 or above _MAX_GRID_POINTS is a ValueError
+    naming --samples, raised before f is called."""
+
+    def f(t):
+        raise AssertionError("f was called")
+
+    with pytest.raises(ValueError, match=rf"\b{samples}\b.*--samples"):
+        scan_secular(f, ScanConfig(t_min=0.1, t_max=0.2), samples)
 
 
 # --- the lock-step closer -----------------------------------------------------
@@ -458,6 +468,50 @@ def test_find_roots_multicell_doublet_widths(M, Z):
     assert all(b - a > 2e-12 * b for a, b in zip(roots, roots[1:]))
 
 
+# The two tightest criterion-1 doublets of the twisted closure at Z = 1, as
+# 40-digit roots in t of det Q's factors 2 Re c -+ |c| tau (c = cos(kappa),
+# tau the trace of one unit cell; see secular_explicit), by mpmath; each
+# pair is two roots of one factor, its sign in -+ given first
+TIGHT_DOUBLETS_Z1 = [
+    (1, "0.05305333023870084564880166968171966463665",
+     "0.05304996558285919536240713170751389734852"),
+    (-1, "0.03978913487008050862374134803875500846309",
+     "0.03978833670789681931524699014552590302195"),
+]
+
+
+@pytest.mark.parametrize("sign,upper,lower", TIGHT_DOUBLETS_Z1, ids=["t053", "t0398"])
+def test_tightest_twisted_doublets_against_mpmath(sign, upper, lower):
+    """find_roots gives each root of the doublet its own record, whose t
+    lies within its own bracket_width of the 40-digit root; mpmath
+    reproduces the pinned roots from brackets 1e-9 relative around them."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+
+    def det_factor(t):
+        s = 1 / (2 * t)
+        c = mp.cos(mp.mpc(s, -t))
+        k2 = s * s + t * t
+        tau = (
+            2 * mp.cos(s) ** 2
+            - 2 * (s * s - t * t) / k2 * mp.sin(s) ** 2
+            + 4 * t * t / k2 * mp.sinh(t) ** 2
+        )
+        return 2 * mp.re(c) + sign * abs(c) * tau
+
+    roots = []
+    for pin in (mp.mpf(upper), mp.mpf(lower)):
+        bracket = (pin * (1 - mp.mpf("1e-9")), pin * (1 + mp.mpf("1e-9")))
+        root = mp.findroot(det_factor, bracket, solver="anderson")
+        assert abs(root - pin) <= mp.mpf("1e-38") * pin
+        roots.append(root)
+    recs = find_roots(_f_explicit(1.0), 1.0, 18)
+    near = [r for r in recs if abs(r.t - float(roots[0])) < 1e-5]
+    assert len(near) == 2 and not any(r.unresolved_doublet for r in near), near
+    for r, root in zip(near, roots):
+        assert abs(mp.mpf(r.t) - root) <= r.bracket_width, (r, root)
+
+
 def _with_double_factor(root, other):
     """(t - root)^2 (t - other), with factors t - other (count 1) and
     t - root (count 2)."""
@@ -523,12 +577,14 @@ def test_find_roots_single_level_window():
     assert not recs[0].unresolved_doublet
 
 
-def test_find_roots_sample_count_stability():
-    """Refining the master grid must not change the discovered roots."""
-    cfg_a = ScanConfig(t_min=0.1, t_max=1.0, initial_samples=256)
-    cfg_b = ScanConfig(t_min=0.1, t_max=1.0, initial_samples=512)
-    ra = find_roots(_f_explicit(1.0), 1.0, 5, cfg_a)
-    rb = find_roots(_f_explicit(1.0), 1.0, 5, cfg_b)
+def test_find_roots_sample_count_stability(monkeypatch):
+    """Refining the master grid must not change the discovered roots: at
+    t in [0.1, 1] the grid derives 254 points, which a floor of 256 or
+    512 points splits two or three ways (507 or 760 points)."""
+    cfg = ScanConfig(t_min=0.1, t_max=1.0)
+    ra = find_roots(_f_explicit(1.0), 1.0, 5, cfg)
+    monkeypatch.setattr(ptring.roots, "_LEAST_GRID_POINTS", 512)
+    rb = find_roots(_f_explicit(1.0), 1.0, 5, cfg)
     assert len(ra) == len(rb)
     for a, b in zip(ra, rb):
         assert a.t == pytest.approx(b.t, abs=1e-10)
@@ -680,7 +736,7 @@ def test_scan_reality_error_carries_first_failing_t(monkeypatch):
     # |Im|/(1+|Re|) of this layout stays below 0.5 for t in [0.05, 0.64]
     # and [0.85, 3] and exceeds it for t in [0.65, 0.8]
     monkeypatch.setenv("PT_CIRCLE_TOL", "0.5")
-    cfg = ScanConfig(t_min=0.3, t_max=3.0, initial_samples=256)
+    cfg = ScanConfig(t_min=0.3, t_max=3.0)
     # find_roots' master grid at Z=1, in ascending t, as its first call
     # receives it
     grids = []
@@ -720,8 +776,8 @@ def test_scan_overflow_error_carries_first_failing_t(backend):
         "product": lambda t: secular_monodromy(NON_ALTERNATING, 1.0, t),
     }[backend]
     t_max = 1000.0 if backend == "product" else 1e200
-    cfg = ScanConfig(t_min=0.03, t_max=t_max, initial_samples=256)
-    ts = np.linspace(cfg.t_min, cfg.t_max, cfg.initial_samples)
+    cfg = ScanConfig(t_min=0.03, t_max=t_max)
+    ts = np.linspace(cfg.t_min, cfg.t_max, 256)
 
     def fails(t):
         try:
@@ -750,7 +806,7 @@ def test_solve_raises_no_numpy_warning(backend, Z, M):
         warnings.simplefilter("error", RuntimeWarning)
         warnings.simplefilter("ignore", LevelShortfallWarning)
         records = find_roots(f, Z, 18)
-        scan_secular(f, ScanConfig(t_min=0.03, t_max=1.0, initial_samples=512))
+        scan_secular(f, ScanConfig(t_min=0.03, t_max=1.0), 512)
         cfg = default_scan_config(Z, 18)
         ts = np.concatenate(
             [[r.t for r in records], np.geomspace(cfg.t_min, cfg.t_max, 4096)]
@@ -782,21 +838,23 @@ def test_find_roots_never_computes_a_closed_form_value(monkeypatch, Z):
 
 
 @pytest.mark.parametrize(
-    "cfg",
+    "cfg,least",
     [
-        ScanConfig(t_min=1e-300, t_max=5.0),
-        ScanConfig(t_min=5e-324, t_max=5.0),
-        ScanConfig(t_min=0.1, t_max=1.0, initial_samples=2**22 + 1),
+        (ScanConfig(t_min=1e-300, t_max=5.0), 256),
+        (ScanConfig(t_min=5e-324, t_max=5.0), 256),
+        (ScanConfig(t_min=0.1, t_max=1.0), 2**22 + 1),
     ],
     ids=["tiny-t_min", "s-overflow", "samples"],
 )
-def test_find_roots_rejects_oversized_grid(cfg):
-    """A master grid above _MAX_GRID_POINTS points is a ValueError naming
-    its size, raised before f is called."""
+def test_find_roots_rejects_oversized_grid(monkeypatch, cfg, least):
+    """A master grid above _MAX_GRID_POINTS points, derived or raised to
+    the floor _LEAST_GRID_POINTS, is a ValueError naming its size, raised
+    before f is called."""
 
     def f(t):
         raise AssertionError("f was called")
 
+    monkeypatch.setattr(ptring.roots, "_LEAST_GRID_POINTS", least)
     with pytest.raises(ValueError, match=r"would take \S+ points, more than the 4194304"):
         find_roots(f, 1.0, 18, cfg)
 

@@ -1,0 +1,96 @@
+"""Digest what `python -m ptring.cli` prints for a fixed list of commands.
+
+    python tools/cli_digest.py path/to/src > digests.txt
+
+Runs every command of COMMANDS with this interpreter, the given src
+directory as PYTHONPATH and an empty temporary working directory (and
+without PT_CIRCLE_TOL), and prints one line per command: the SHA-256 of
+its stdout, stderr and exit code, then the command. Each `analyze`
+command reads the JSON that its spectrum command printed in the same
+run. Diffing the output for two checkouts' src/ compares what the CLI
+prints in each, byte for byte.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+
+def _spectra() -> list[list[str]]:
+    z1 = ["spectrum", "--Z", "1"]
+    out = []
+    for extra in (
+        ["--backend", "explicit"],
+        ["--backend", "explicit", "--levels", "100"],
+        [],
+        *(["--M", "8", "--levels", n] for n in ("6", "7", "12", "13", "18")),
+        ["--M", "32"],
+    ):
+        out += [z1 + extra, z1 + extra + ["--format", "json"]]
+    for backend in ("monodromy", "explicit"):
+        out += [["spectrum", "--Z", "1e-4", "--levels", n, "--backend", backend]
+                for n in ("2", "4", "5")]
+        # the windows where the master grid's floor of 256 points binds
+        out += [["spectrum", "--Z", z, "--levels", n, "--backend", backend]
+                for z in ("1", "4", "17.9") for n in ("1", "2", "3")]
+    out += [["spectrum", "--Z", "17.9012344", "--levels", n]
+            for n in ("11", "18", "30")]
+    out.append(["spectrum", "--Z", "0.1", "--backend", "explicit", "--levels", "30"])
+    return out
+
+
+COMMANDS = (
+    _spectra()
+    + [["scan", "--Z", "1", "--samples", n] for n in ("16", "512", "2048")]
+    + [
+        ["scan", "--Z", "1", "--samples", "512", "--backend", "explicit"],
+        ["validate", "--Z", "1e-4"],
+        ["validate", "--Z", "1e-6"],
+        ["potential", "--M", "3", "--Z", "1", "--samples", "600"],
+        ["potential", "--M", "1", "--Z", "1", "--format", "json"],
+        # errors: each one "error:" line and exit 1
+        ["scan", "--Z", "1", "--samples", "10"],
+        ["scan", "--Z", "1", "--t-min", "0"],
+        ["spectrum", "--Z", "inf"],
+        ["spectrum", "--Z", "1", "--t-min", "2", "--t-max", "1"],
+        ["spectrum", "--Z", "1e4"],
+        ["spectrum", "--Z", "1", "--t-min", "1e-300"],
+    ]
+)
+
+
+def _run(argv: list[str], env: dict, cwd: str, stdin: bytes = b""):
+    return subprocess.run(
+        [sys.executable, "-m", "ptring.cli", *argv],
+        input=stdin, capture_output=True, env=env, cwd=cwd, check=False,
+    )
+
+
+def _digest(proc) -> str:
+    h = hashlib.sha256()
+    for part in (proc.stdout, proc.stderr, str(proc.returncode).encode()):
+        h.update(len(part).to_bytes(8, "big"))
+        h.update(part)
+    return h.hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not os.path.isdir(argv[0]):
+        print("usage: python tools/cli_digest.py SRC_DIR", file=sys.stderr)
+        return 1
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(argv[0]))
+    env.pop("PT_CIRCLE_TOL", None)
+    with tempfile.TemporaryDirectory() as cwd:
+        for cmd in COMMANDS:
+            proc = _run(cmd, env, cwd)
+            print(_digest(proc), " ".join(cmd))
+            if "json" in cmd and cmd[0] == "spectrum":
+                print(_digest(_run(["analyze"], env, cwd, proc.stdout)),
+                      "analyze <", " ".join(cmd))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
