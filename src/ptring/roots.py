@@ -239,7 +239,8 @@ def _itp_budget(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """
     lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
     eps = 0.5 * _T_TOL * lo
-    n_max = np.ceil(np.log2((hi - lo) / (2.0 * eps))) + _ITP_N0
+    with np.errstate(divide="ignore"):  # a closed bracket: a budget of 0
+        n_max = np.ceil(np.log2((hi - lo) / (2.0 * eps))) + _ITP_N0
     return eps, (eps - np.spacing(hi)) * 2.0**n_max
 
 
@@ -269,15 +270,16 @@ def _hides_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _close_brackets(
     f: Callable[[np.ndarray], object], brackets: tuple
 ) -> list[RootRecord]:
-    """Close every sign-change bracket in lock step, one record each.
+    """Close every bracket in lock step and make one record of each.
 
-    brackets is what _brackets_and_exacts found on a grid: per bracket, as
+    brackets is what _brackets_and_windows found on a grid: per bracket, as
     columns of (3, n) arrays, the points x1, x2 and x3 and the factor's
-    values there, then the index of the factor of f's value that changes
-    sign between x1 and x2 and whether that factor counts twice. x1 and x2
-    are the bracket's ends, 0 < min(x1, x2), and x3 is a seed: the grid
-    point beyond x1 with x1's sign (NaN for none). No factor is zero at its
-    bracket's ends, which the scan records as exact roots instead.
+    values there, then the index of the factor of f's value whose root it
+    holds and whether that factor counts twice. A sign-change bracket has
+    ends x1 and x2, 0 < min(x1, x2), where its factor is not zero, and a
+    seed x3: the grid point beyond x1 with x1's sign (NaN for none). An
+    exact root, a grid point where the factor is zero, is a bracket already
+    closed: all three points are that grid point and the values are 0.
     find_roots has resolved every extremum window on its grid before this,
     so a pair of roots it found is two ordinary brackets here.
 
@@ -296,47 +298,31 @@ def _close_brackets(
     stencil only shrinks the bracket ITP's point alone would leave: at most
     ceil(log2((hi0 - lo0) / (_T_TOL lo0))) + 1 steps, one more than
     bisection needs to reach width _T_TOL lo0. Steps are taken while the
-    width exceeds _T_TOL times the upper end and lo < mid < hi holds, a
-    point with value 0 closes the bracket on it, and the record's t is the
-    final end of smaller |factor|, whose log is the residual. One step
-    evaluates the stencils of all open brackets in one call.
+    width exceeds _T_TOL times the upper end and lo < mid < hi holds, and a
+    point with value 0 closes the bracket on it. One step evaluates the
+    stencils of all open brackets in one call; a closed bracket keeps its
+    ends. When all have closed, each record's t is its final end of smaller
+    |factor|, whose log is the residual (-inf at an exact root).
     """
-    # per open bracket i: the rows of X are the end x1 nearer the last
-    # estimate, the other end x2 and the next point x3 beyond x1 of x1's
-    # sign (NaN for none), the rows of Y the factor's values there, and k
-    # is its factor
+    # per bracket: the rows of X are the end x1 nearer the last estimate,
+    # the other end x2 and the next point x3 beyond x1 of x1's sign (NaN for
+    # none), the rows of Y the factor's values there, and k is its factor
     X, Y, k, double = brackets
-    t, y_end, width = np.empty((3, k.size))
-    i = np.arange(k.size)
+    X, Y = X.copy(), Y.copy()
     eps, budget = _itp_budget(X[0], X[1])
     col = (slice(None), None)  # a per-bracket array as a column
-    while i.size:
-        x1, x2, x3 = X
-        a, b = np.minimum(x1, x2), np.maximum(x1, x2)
+    while True:
+        a, b = np.minimum(X[0], X[1]), np.maximum(X[0], X[1])
         w, m = b - a, 0.5 * (a + b)
         go = (w > _T_TOL * b) & (a < m) & (m < b)
-        if not go.all():
-            # record the brackets that closed and drop them from the arrays
-            c = ~go
-            nearer = np.abs(Y[0, c]) <= np.abs(Y[1, c])
-            t[i[c]] = np.where(nearer, x1[c], x2[c])
-            y_end[i[c]] = np.where(nearer, Y[0, c], Y[1, c])
-            w_c = w[c]
-            width[i[c]] = np.where(
-                w_c > 0, np.maximum(w_c, _WIDTH_FLOOR_ULPS * np.spacing(m[c])), 0.0
-            )
-            i, X, Y, k, eps, budget, a, b, w, m = (
-                i[go], X[:, go], Y[:, go], k[go], eps[go], budget[go],
-                a[go], b[go], w[go], m[go],
-            )
-            if not i.size:
-                break
-            x1, x2, x3 = X
+        if not go.any():
+            break
+        (x1, x2, x3), (y1, y2, y3) = X[:, go], Y[:, go]
+        a, b, w, m = a[go], b[go], w[go], m[go]
         # inverse quadratic interpolation where Chandrupatla's test accepts
         # it, else the midpoint (always without x3); the values at x1 and x3
         # share a sign, the value at x2 has the other, and the interpolant is
         # the same at any scale
-        y1, y2, y3 = Y
         dx = x2 - x1
         with np.errstate(all="ignore"):
             d21, d23 = y2 - y1, y2 - y3
@@ -344,20 +330,22 @@ def _close_brackets(
             q = y1 / d23 * (y3 / d21 - (x3 - x1) / dx * y2 / (y3 - y1))
             iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(q)
         # clip: at least epsilon from the nearer end toward the other end
-        q_min = eps / w
+        q_min = eps[go] / w
         xt = np.where(iqi, x1 + np.minimum(np.maximum(q, q_min), 1.0 - q_min) * dx, m)
         # project: keep it within r of the midpoint
-        r = np.maximum(budget - 0.5 * w, 0.0)
+        r = np.maximum(budget[go] - 0.5 * w, 0.0)
         d = m - xt
         x = np.where(np.abs(d) <= r, xt, m - np.sign(d) * r)
         # the row x1, stencil, x2 per bracket: the stencil runs from x1
         # toward x2 and is clipped into the bracket, so the row is sorted; a
         # point clipped onto an end takes that end's value
-        stencil = x[col] + (eps * np.sign(dx))[col] * _STENCIL
+        stencil = x[col] + (eps[go] * np.sign(dx))[col] * _STENCIL
         np.maximum(stencil, a[col], out=stencil)
         np.minimum(stencil, b[col], out=stencil)
         ts = stencil.ravel()
-        values = _evaluate(f, ts)[0][np.repeat(k, _STENCIL.size), np.arange(ts.size)]
+        values = _evaluate(f, ts)[0][
+            np.repeat(k[go], _STENCIL.size), np.arange(ts.size)
+        ]
         # the new bracket (row[j - 1], row[j]) at the row's first point j
         # without x1's sign; its end nearer the estimate row[_CENTRE] becomes
         # x1, the next point beyond that end x3 (of x1's sign, unless
@@ -371,10 +359,13 @@ def _close_brackets(
         up = j > _CENTRE
         idx = j + _NEXT[:, up.astype(np.intp)]
         np.copyto(idx[:2], j, where=row_y[brk, j] == 0)
-        X, Y = row[brk, idx], row_y[brk, idx]
+        X[:, go], Y[:, go] = row[brk, idx], row_y[brk, idx]
         budget *= 0.5
+    nearer = np.abs(Y[0]) <= np.abs(Y[1])
+    t = np.where(nearer, X[0], X[1])
     with np.errstate(divide="ignore"):  # an exact root: -inf
-        residual = np.log(np.abs(y_end))
+        residual = np.log(np.abs(np.where(nearer, Y[0], Y[1])))
+    width = np.where(w > 0, np.maximum(w, _WIDTH_FLOOR_ULPS * np.spacing(m)), 0.0)
     return [
         RootRecord(t=ti, residual_logmag=ri, bracket_width=wi, unresolved_doublet=di)
         for ti, ri, wi, di in zip(
@@ -398,17 +389,16 @@ def _vertex(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[1] * (1.0 + np.where(flat, 0.0, uv)), np.where(flat, y[1], v)
 
 
-def _brackets_and_exacts(
-    ts: np.ndarray, scan: tuple
-) -> tuple[tuple, np.ndarray, list[RootRecord]]:
-    """Sign-change brackets of each factor between neighbours of the
-    ascending grid ts, the argument of _close_brackets; the extremum
-    windows; and exact roots: points where a factor is zero, each a root of
-    the first such factor.
+def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarray]:
+    """The brackets of the ascending grid ts, the argument of
+    _close_brackets, and its extremum windows.
 
-    Each bracket is seeded with the grid point just below lo, where that
-    point exists and has lo's sign of the factor, and otherwise with the
-    grid point just above hi, where that point exists and has hi's sign;
+    The brackets are, first, the exact roots, points where a factor is
+    zero, each a bracket already closed on the first such factor, and then
+    the sign-change brackets of each factor between neighbours. Each
+    sign-change bracket is seeded with the grid point just below lo, where
+    that point exists and has lo's sign of the factor, and otherwise with
+    the grid point just above hi, where that point exists and has hi's sign;
     then hi is the closer's x1. An extremum window is three neighbouring
     grid points where a factor keeps its sign and is least in magnitude at
     the middle one, so close to zero that it may hide a pair of roots
@@ -420,20 +410,7 @@ def _brackets_and_exacts(
     factors, counts = scan
     neg, pos, zero = factors < 0, factors > 0, factors == 0
     change = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
-    exacts = []
     quiet = ~change.any(axis=0)  # per grid interval
-    if zero.any():
-        j = np.flatnonzero(zero.any(axis=0))
-        exacts = [
-            RootRecord(
-                t=t, residual_logmag=-math.inf, bracket_width=0.0, unresolved_doublet=d
-            )
-            for t, d in zip(
-                ts[j].tolist(), (counts[np.argmax(zero[:, j], axis=0)] == 2).tolist()
-            )
-        ]
-        at_zero = zero.any(axis=0)
-        quiet &= ~(at_zero[:-1] | at_zero[1:])
     # factor by factor in ascending i, as np.nonzero would give them; the
     # rows of around are lo, hi and the grid points below lo and above hi
     k, i = divmod(np.flatnonzero(change), ts.size - 1)
@@ -442,9 +419,17 @@ def _brackets_and_exacts(
     below = (i > 0) & (sign[2] == sign[0])
     above = ~below & (i + 2 < ts.size) & (sign[3] == sign[1])
     rows = np.where(above, around[[1, 0, 3]], around[:3])
-    X = ts[rows]
+    X, Y = ts[rows], factors[k, rows]
     X[2, ~(below | above)] = np.nan
-    brackets = X, factors[k, rows], k, counts[k] == 2
+    if zero.any():
+        # the exact roots go first, in ascending t
+        at_zero = zero.any(axis=0)
+        j = np.flatnonzero(at_zero)
+        X = np.concatenate([np.tile(ts[j], (3, 1)), X], axis=1)
+        Y = np.concatenate([np.zeros((3, j.size)), Y], axis=1)
+        k = np.concatenate([np.argmax(zero[:, j], axis=0), k])
+        quiet &= ~(at_zero[:-1] | at_zero[1:])
+    brackets = X, Y, k, counts[k] == 2
     # the extremum windows: five points around each least |factor|, NaN
     # beyond the grid; of equal magnitudes the one at larger t is least
     mag = np.abs(factors)
@@ -461,10 +446,10 @@ def _brackets_and_exacts(
     # where |y| at the middle exceeds 5 S
     low = np.abs(y5[2]) < 5.0 * np.fmax.reduce(np.abs(y5 - y5[2]), axis=0)
     if not low.any():
-        return brackets, np.empty((2, 3, 0)), exacts
+        return brackets, np.empty((2, 3, 0))
     x5, y5 = np.where(inside, ts[near], np.nan)[:, low], y5[:, low]
     hides = _hides_pair(x5, y5)
-    return brackets, np.stack([x5[1:4, hides], y5[1:4, hides]]), exacts
+    return brackets, np.stack([x5[1:4, hides], y5[1:4, hides]])
 
 
 def _merge_close(records: list[RootRecord]) -> list[RootRecord]:
@@ -556,15 +541,16 @@ def find_roots(
     each pass that refines it in the extremum windows, and on each lock-step
     closer step, and only its factors are read. Every extremum window where
     a pair of one factor's roots may hide is resolved on the grid first;
-    then every sign change of a factor on the grid is closed on that factor.
-    Returns every root found in the window, in descending t (ascending
-    energy) order; callers slice the leading n_levels levels after doublet
-    expansion. Warns with LevelShortfallWarning when the window yields fewer
-    levels than requested, which for this operator family indicates levels
-    lost to complex conjugate pairs rather than a scan failure. Raises
-    ValueError on a value without factors, and before evaluating or
-    allocating anything when the master grid would take more than
-    _MAX_GRID_POINTS points.
+    then every sign change of a factor on the grid is closed on that factor,
+    and the closer makes the record of each root, a grid point where a
+    factor is zero included (_close_brackets). Returns every root found in
+    the window, in descending t (ascending energy) order; callers slice the
+    leading n_levels levels after doublet expansion. Warns with
+    LevelShortfallWarning when the window yields fewer levels than
+    requested, which for this operator family indicates levels lost to
+    complex conjugate pairs rather than a scan failure. Raises ValueError on
+    a value without factors, and before evaluating or allocating anything
+    when the master grid would take more than _MAX_GRID_POINTS points.
     """
     cfg = config if config is not None else default_scan_config(Z, n_levels)
     s_lo = Z / (2.0 * cfg.t_max)
@@ -592,7 +578,7 @@ def find_roots(
     )
     ts = Z / (2.0 * s[::-1])
     factors, counts = _evaluate(f, ts)
-    brackets, windows, records = _brackets_and_exacts(ts, (factors, counts))
+    brackets, windows = _brackets_and_windows(ts, (factors, counts))
     # refine the grid in each extremum window until none is left: a pass
     # adds the stencil around the vertex of the window's parabola, clipped
     # into the window, for at most bisection's step count over the widest
@@ -609,12 +595,10 @@ def find_roots(
         order = np.argsort(ts)
         ts = ts[order]
         factors = np.concatenate([factors, _evaluate(f, new)[0]], axis=1)[:, order]
-        brackets, windows, records = _brackets_and_exacts(ts, (factors, counts))
+        brackets, windows = _brackets_and_windows(ts, (factors, counts))
         if not windows.size:
             break
-    records += _close_brackets(f, brackets)
-
-    records = _merge_close(records)
+    records = _merge_close(_close_brackets(f, brackets))
     records.sort(key=lambda r: -r.t)
 
     found = level_count(records)

@@ -30,7 +30,7 @@ from ptring import (
 )
 import ptring.roots
 from ptring.potential import Z_FLOOR
-from ptring.roots import _brackets_and_exacts, _close_brackets, _evaluate
+from ptring.roots import _brackets_and_windows, _close_brackets, _evaluate
 
 T_EXPLICIT_Z01 = [0.2219819562431546437372, 0.03467067057228565555074]
 # roots of the strictly periodic secular function at Z = 1
@@ -158,9 +158,7 @@ def _close_on(f, bracket):
     first factor's sign change, closed without a seed, so that its first
     step takes the midpoint."""
     ts = np.array(bracket, dtype=float)
-    brackets, _, exacts = _brackets_and_exacts(ts, _evaluate(f, ts))
-    if exacts:
-        return exacts[0]
+    brackets, _ = _brackets_and_windows(ts, _evaluate(f, ts))
     return _close_brackets(f, tuple(e[..., :1] for e in brackets))[0]
 
 
@@ -221,7 +219,7 @@ def test_bisect_exact_step_point_closes_bracket():
         return LogScaledValue(v.sign, v.logmag, ((y, 1), (t - 1.2, 1)))
 
     ts = np.array([0.5, 1.0, 1.5])
-    brackets, _, _ = _brackets_and_exacts(ts, _evaluate(g, ts))
+    brackets, _ = _brackets_and_windows(ts, _evaluate(g, ts))
     np.testing.assert_array_equal(brackets[0], [[1.0, 1.0], [0.5, 1.5], [1.5, 0.5]])
     records = _close_brackets(g, brackets)
     assert records[0].bracket_width == 0.0
@@ -277,7 +275,7 @@ def _lone(f, brackets):
 
 def _closer_call(f, Z, n_levels, config=None):
     """The brackets find_roots hands its lock-step closer, and what each
-    scan before it found (brackets, extremum windows, exact roots): the
+    scan before it found (brackets and extremum windows): the
     master grid's first, then each refinement pass's."""
     seen, scans = [], []
 
@@ -286,12 +284,12 @@ def _closer_call(f, Z, n_levels, config=None):
         return _close_brackets(g, brackets)
 
     def scan_spy(ts, scan):
-        scans.append(_brackets_and_exacts(ts, scan))
+        scans.append(_brackets_and_windows(ts, scan))
         return scans[-1]
 
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         mp.setattr(ptring.roots, "_close_brackets", spy)
-        mp.setattr(ptring.roots, "_brackets_and_exacts", scan_spy)
+        mp.setattr(ptring.roots, "_brackets_and_windows", scan_spy)
         warnings.simplefilter("ignore", LevelShortfallWarning)
         find_roots(f, Z, n_levels, config)
     (brackets,) = seen
@@ -547,6 +545,49 @@ def test_bisect_exact_zero_of_double_factor():
     # an exact end comes before a sign change of an earlier factor
     rec = _close_on(f, (0.5, 0.8))
     assert (rec.t, rec.bracket_width, rec.unresolved_doublet) == (0.5, 0.0, True)
+
+
+def _zero_on_grid(*factors):
+    """A value with the factor t - root of count n for each (root, n) of
+    factors, where a root of None is c, the master-grid point t[t.size // 3]
+    of the first call, so that its factors are exactly zero there; and a
+    list that holds c after that call."""
+    c = []
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        if not c:
+            c.append(float(t[t.size // 3]))
+        fs = tuple((t - (c[0] if root is None else root), n) for root, n in factors)
+        g = LogScaledValue.from_float(np.prod([y**n for y, n in fs], axis=0))
+        return LogScaledValue(g.sign, g.logmag, fs)
+
+    return f, c
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_find_roots_exact_grid_root(n):
+    """A master-grid point where a factor is zero is a root of that factor,
+    of width 0 and residual -inf, standing for as many levels as the
+    factor's count, beside the sign change of another factor."""
+    f, c = _zero_on_grid((0.4321, 1), (None, n))
+    recs = find_roots(f, 1.0, 1, ScanConfig(0.1, 1.0))
+    (rec,) = [r for r in recs if r.t == c[0]]
+    assert (rec.bracket_width, rec.residual_logmag) == (0.0, -math.inf)
+    assert rec.unresolved_doublet is (n == 2)
+    (other,) = [r for r in recs if r is not rec]
+    assert other.t == pytest.approx(0.4321, rel=1e-13)
+    assert level_count(recs) == 1 + n
+
+
+@pytest.mark.parametrize("counts,levels", [((1, 2), 1), ((2, 1), 2)])
+def test_find_roots_exact_grid_root_of_two_factors(counts, levels):
+    """A grid point where two factors are zero is one root, of the first of
+    them, whose count decides its levels."""
+    f, c = _zero_on_grid(*((None, n) for n in counts))
+    recs = find_roots(f, 1.0, 1, ScanConfig(0.1, 1.0))
+    assert [(r.t, r.bracket_width) for r in recs] == [(c[0], 0.0)]
+    assert level_count(recs) == levels
 
 
 def test_bisect_width_floor(monkeypatch):
