@@ -21,32 +21,13 @@ from .potential import (
     build_square_well,
     rotate_segments,
 )
-from .serialize import (
-    SpectrumDocument,
-    analysis_to_csv,
-    fmt_float,
-    parse_spectrum_csv,
-    parse_spectrum_json,
-    potential_to_csv,
-    potential_to_json,
-    scan_to_csv,
-    spectrum_to_csv,
-    spectrum_to_json,
-)
-from .spectrum import (
-    EnergyLevel,
-    SpectrumReport,
-    analyze_series,
-    energies_from_roots,
-    first_differences,
-    quasi_degenerate_pairs,
-)
 
 __version__ = "0.1.0"
 
-# roots and secular are the modules that import numpy. Each is loaded on the
-# first use of one of its names here, or of the submodule itself, so that
-# building potentials, analysing and serializing spectra run without numpy.
+# Importing the package loads errors and potential alone, so building
+# potentials pays for nothing else. Every other module loads on the first
+# use of one of its names here, or of the submodule itself: roots and
+# secular bring numpy, serialize and spectrum csv, json and dataclasses.
 _LAZY = {
     name: module
     for module, names in {
@@ -58,6 +39,16 @@ _LAZY = {
             "secular", "LogScaledValue", "SpectralPoint", "TransferMatrix2",
             "monodromy", "secular_explicit", "secular_monodromy",
             "segment_propagator",
+        ),
+        "serialize": (
+            "serialize", "SpectrumDocument", "analysis_to_csv", "fmt_float",
+            "parse_spectrum_csv", "parse_spectrum_json", "potential_to_csv",
+            "potential_to_json", "scan_to_csv", "spectrum_to_csv",
+            "spectrum_to_json",
+        ),
+        "spectrum": (
+            "spectrum", "EnergyLevel", "SpectrumReport", "analyze_series",
+            "energies_from_roots", "first_differences", "quasi_degenerate_pairs",
         ),
     }.items()
     for name in names

@@ -1,5 +1,6 @@
-"""numpy loads only when a command solves, and the package's names survive
-the lazy loading of roots and secular."""
+"""`import ptring` loads errors and potential alone, numpy loads only when a
+command solves, and the package's names survive the lazy loading of the
+other modules."""
 
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import ptring
 import ptring.cli
-from ptring import errors, roots, secular
+from ptring import errors, roots, secular, serialize, spectrum
 from ptring.cli import main
 
 SRC = os.path.dirname(os.path.dirname(ptring.__file__))
@@ -27,6 +28,18 @@ SOLVER_EXPORTS = {
         "secular_explicit", "secular_monodromy", "segment_propagator",
     ),
 }
+# The same for serialize and spectrum, also loaded on first use
+REPORT_EXPORTS = {
+    serialize: (
+        "SpectrumDocument", "analysis_to_csv", "fmt_float", "parse_spectrum_csv",
+        "parse_spectrum_json", "potential_to_csv", "potential_to_json",
+        "scan_to_csv", "spectrum_to_csv", "spectrum_to_json",
+    ),
+    spectrum: (
+        "EnergyLevel", "SpectrumReport", "analyze_series", "energies_from_roots",
+        "first_differences", "quasi_degenerate_pairs",
+    ),
+}
 ERROR_BASES = {
     "SecularEvaluationError": RuntimeError,
     "SecularRealityError": RuntimeError,
@@ -34,14 +47,21 @@ ERROR_BASES = {
     "LevelShortfallWarning": UserWarning,
 }
 EAGER_EXPORTS = (
-    "CirclePotential", "build_square_well", "rotate_segments",
-    "SpectrumDocument", "analysis_to_csv", "fmt_float", "parse_spectrum_csv",
-    "parse_spectrum_json", "potential_to_csv", "potential_to_json",
-    "scan_to_csv", "spectrum_to_csv", "spectrum_to_json",
-    "EnergyLevel", "SpectrumReport", "analyze_series", "energies_from_roots",
-    "first_differences", "quasi_degenerate_pairs", "__version__",
+    "CirclePotential", "build_square_well", "rotate_segments", "__version__",
     *ERROR_BASES,
 )
+
+# Modules are compared against the bare interpreter's, which differ by
+# machine with what site preloads
+FOOTPRINT = """
+import sys
+bare = set(sys.modules)
+import ptring
+ptring.build_square_well(8, 1.0)
+print(*sorted(set(sys.modules) - bare))
+ptring.spectrum_to_csv
+print("ptring.serialize" in sys.modules)
+"""
 
 PROBE = """
 import json, sys
@@ -71,14 +91,26 @@ def test_analyze_and_potential_leave_numpy_unloaded(tmp_path):
     assert json.loads(out.stdout) == {"codes": [0, 0, 0], "before": False, "after": True}
 
 
+def test_building_a_potential_loads_only_errors_and_potential():
+    out = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), check=True,
+    )
+    added, serialized = out.stdout.splitlines()
+    assert set(added.split()) <= {"ptring", "ptring.errors", "ptring.potential"}
+    assert serialized == "True"
+
+
 def test_solver_names_are_the_submodules_objects():
-    for module, names in SOLVER_EXPORTS.items():
+    for module, names in {**SOLVER_EXPORTS, **REPORT_EXPORTS}.items():
         for name in names:
             assert getattr(ptring, name) is getattr(module, name), name
     assert ptring.roots is roots and ptring.secular is secular
+    assert ptring.serialize is serialize and ptring.spectrum is spectrum
     star = {}
     exec("from ptring import *", star)
     assert star["find_roots"] is roots.find_roots
+    assert star["spectrum_to_csv"] is serialize.spectrum_to_csv
     assert star["build_square_well"] is ptring.build_square_well
 
 
@@ -95,8 +127,9 @@ def test_error_classes_are_one_object_each():
 
 def test_dir_lists_every_name():
     listed = set(dir(ptring))
-    expected = {*EAGER_EXPORTS, "roots", "secular"}
-    expected.update(name for names in SOLVER_EXPORTS.values() for name in names)
+    expected = {*EAGER_EXPORTS, "roots", "secular", "serialize", "spectrum"}
+    for table in (SOLVER_EXPORTS, REPORT_EXPORTS):
+        expected.update(name for names in table.values() for name in names)
     assert expected <= listed
 
 

@@ -91,6 +91,28 @@ def test_potential_rejects_bad_width_sum():
         )
 
 
+def test_potential_is_a_value():
+    """repr, equality and hashing see the three fields alone, only another
+    CirclePotential can equal one, and no attribute can be assigned."""
+    pot = build_square_well(1, 1.0)
+    assert repr(pot) == (
+        "CirclePotential(circumference=4.0, start=-2.0, "
+        "segments=((1.0, 1j), (1.0, -1j), (1.0, 1j), (1.0, -1j)))"
+    )
+    same = CirclePotential(4.0, -2.0, pot.segments)
+    assert same == CirclePotential(circumference=4.0, start=-2.0, segments=pot.segments)
+    assert same == pot and hash(same) == hash(pot)
+    assert pot != build_square_well(1, 2.0)
+    assert pot != rotate_segments(pot, 1)
+    assert pot != CirclePotential(4.0, -1.0, pot.segments)
+    assert pot != (4.0, -2.0, pot.segments)
+    with pytest.raises(AttributeError):
+        pot.segments = ((4.0, 1j),)
+    with pytest.raises(AttributeError):
+        pot.label = "well"
+    assert pot.segments == same.segments and not hasattr(pot, "label")
+
+
 def test_rotation_full_turn_is_identity():
     for M in (1, 3):
         pot = build_square_well(M, 1.0)

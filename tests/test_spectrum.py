@@ -1,7 +1,6 @@
 """Level assembly, difference tables, and quasi-degeneracy flags."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
