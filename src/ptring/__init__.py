@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 # Importing the package loads errors and potential alone, so building
 # potentials pays for nothing else. Every other module loads on the first
 # use of one of its names here, or of the submodule itself: roots and
-# secular bring numpy, serialize and spectrum csv, json and dataclasses.
+# secular bring numpy, serialize brings csv and json.
 _LAZY = {
     name: module
     for module, names in {

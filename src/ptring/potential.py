@@ -8,6 +8,7 @@ away from segment boundaries.
 
 import functools
 import math
+from dataclasses import dataclass
 
 CIRCUMFERENCE = 4.0
 START = -2.0
@@ -27,6 +28,7 @@ def check_coupling(Z: float) -> None:
         raise ValueError(f"Z must be finite and at least {Z_FLOOR:g}, got {Z!r}")
 
 
+@dataclass(frozen=True)
 class CirclePotential:
     """Ordered segments (width, purely imaginary value) covering the circle.
 
@@ -34,50 +36,25 @@ class CirclePotential:
     of the segment starting there, so at M = 1 x = 0 gives +iZ, from [0, 1),
     not -iZ, from [-1, 0). Matching conditions never evaluate V at a
     boundary, so this choice is inert.
-
-    A value: immutable, and equal to another CirclePotential, with the same
-    hash, when its circumference, start and segments are equal.
     """
 
-    def __init__(
-        self, circumference: float, start: float, segments: tuple[tuple[float, complex], ...]
-    ) -> None:
-        if not segments:
+    circumference: float
+    start: float
+    segments: tuple[tuple[float, complex], ...]
+
+    def __post_init__(self) -> None:
+        if not self.segments:
             raise ValueError("potential needs at least one segment")
-        for width, value in segments:
+        for width, value in self.segments:
             if not width > 0:
                 raise ValueError(f"segment width must be positive, got {width}")
             if value.real != 0.0:
                 raise ValueError(f"segment value must be purely imaginary, got {value}")
-        total = math.fsum(w for w, _ in segments)
-        if abs(total - circumference) > _WIDTH_SUM_TOL:
+        total = math.fsum(w for w, _ in self.segments)
+        if abs(total - self.circumference) > _WIDTH_SUM_TOL:
             raise ValueError(
-                f"segment widths sum to {total!r}, expected {circumference!r}"
+                f"segment widths sum to {total!r}, expected {self.circumference!r}"
             )
-        vars(self).update(circumference=circumference, start=start, segments=segments)
-
-    def _fields(self) -> tuple:
-        return self.circumference, self.start, self.segments
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(circumference={self.circumference!r}, "
-            f"start={self.start!r}, segments={self.segments!r})"
-        )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @functools.cached_property
     def cell_layout(self) -> tuple[int, float, float] | None:

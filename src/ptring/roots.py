@@ -317,11 +317,8 @@ def _close_brackets(
         go = (w > _T_TOL * b) & (a < m) & (m < b)
         if not go.any():
             break
-        # when every bracket is open, as on most first steps, step on the
-        # arrays themselves instead of gathering and scattering them
-        sel = slice(None) if go.all() else go
-        (x1, x2, x3), (y1, y2, y3) = X[:, sel], Y[:, sel]
-        a, b, w, m = a[sel], b[sel], w[sel], m[sel]
+        (x1, x2, x3), (y1, y2, y3) = X[:, go], Y[:, go]
+        a, b, w, m = a[go], b[go], w[go], m[go]
         # inverse quadratic interpolation where Chandrupatla's test accepts
         # it, else the midpoint (always without x3); the values at x1 and x3
         # share a sign, the value at x2 has the other, and the interpolant is
@@ -333,21 +330,21 @@ def _close_brackets(
             q = y1 / d23 * (y3 / d21 - (x3 - x1) / dx * y2 / (y3 - y1))
             iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(q)
         # clip: at least epsilon from the nearer end toward the other end
-        q_min = eps[sel] / w
+        q_min = eps[go] / w
         xt = np.where(iqi, x1 + np.minimum(np.maximum(q, q_min), 1.0 - q_min) * dx, m)
         # project: keep it within r of the midpoint
-        r = np.maximum(budget[sel] - 0.5 * w, 0.0)
+        r = np.maximum(budget[go] - 0.5 * w, 0.0)
         d = m - xt
         x = np.where(np.abs(d) <= r, xt, m - np.sign(d) * r)
         # the row x1, stencil, x2 per bracket: the stencil runs from x1
         # toward x2 and is clipped into the bracket, so the row is sorted; a
         # point clipped onto an end takes that end's value
-        stencil = x[col] + (eps[sel] * np.sign(dx))[col] * _STENCIL
+        stencil = x[col] + (eps[go] * np.sign(dx))[col] * _STENCIL
         np.maximum(stencil, a[col], out=stencil)
         np.minimum(stencil, b[col], out=stencil)
         ts = stencil.ravel()
         values = _evaluate(f, ts)[0][
-            np.repeat(k[sel], _STENCIL.size), np.arange(ts.size)
+            np.repeat(k[go], _STENCIL.size), np.arange(ts.size)
         ]
         # the new bracket (row[j - 1], row[j]) at the row's first point j
         # without x1's sign; its end nearer the estimate row[_CENTRE] becomes
@@ -362,10 +359,7 @@ def _close_brackets(
         up = j > _CENTRE
         idx = j + _NEXT[:, up.astype(np.intp)]
         np.copyto(idx[:2], j, where=row_y[brk, j] == 0)
-        if sel is go:
-            X[:, go], Y[:, go] = row[brk, idx], row_y[brk, idx]
-        else:
-            X, Y = row[brk, idx], row_y[brk, idx]
+        X[:, go], Y[:, go] = row[brk, idx], row_y[brk, idx]
         budget *= 0.5
     nearer = np.abs(Y[0]) <= np.abs(Y[1])
     t = np.where(nearer, X[0], X[1])

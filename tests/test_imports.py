@@ -51,10 +51,12 @@ EAGER_EXPORTS = (
     *ERROR_BASES,
 )
 
-# Modules are compared against the bare interpreter's, which differ by
-# machine with what site preloads
+# Modules are compared against those of an interpreter that has imported
+# the standard modules errors, potential and the package import themselves,
+# since what site preloads differs by machine
 FOOTPRINT = """
 import sys
+import dataclasses, functools, importlib, math
 bare = set(sys.modules)
 import ptring
 ptring.build_square_well(8, 1.0)
