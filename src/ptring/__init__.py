@@ -14,7 +14,6 @@ from .errors import (
     LevelShortfallWarning,
     SecularEvaluationError,
     SecularOverflowError,
-    SecularRealityError,
 )
 from .potential import (
     CirclePotential,
@@ -36,9 +35,8 @@ _LAZY = {
             "default_scan_config", "find_roots", "level_count", "scan_secular",
         ),
         "secular": (
-            "secular", "LogScaledValue", "SpectralPoint", "TransferMatrix2",
-            "monodromy", "secular_explicit", "secular_monodromy",
-            "segment_propagator",
+            "secular", "LogScaledValue", "SpectralPoint", "secular_explicit",
+            "secular_monodromy",
         ),
         "serialize": (
             "serialize", "SpectrumDocument", "analysis_to_csv", "fmt_float",

@@ -4,8 +4,7 @@ Exit codes: 0 success, 1 usage or domain error, 2 partial results (fewer
 real levels found than requested). Each run solves one closure, chosen by
 --backend; main reports every error a command raises as one "error:" line.
 Every command solves square wells, whose secular functions are closed
-forms; PT_CIRCLE_TOL, which acts on the propagator product of other
-layouts only, has no effect here.
+forms; no environment variable changes what a command computes.
 """
 
 import argparse
@@ -14,7 +13,7 @@ import math
 import sys
 import warnings
 
-from .errors import LevelShortfallWarning, SecularEvaluationError, SecularRealityError
+from .errors import LevelShortfallWarning, SecularEvaluationError
 from .potential import build_square_well
 from .serialize import (
     analysis_to_csv,
@@ -236,7 +235,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 1
-    except (OSError, ValueError, SecularRealityError, SecularEvaluationError) as e:
+    except (OSError, ValueError, SecularEvaluationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

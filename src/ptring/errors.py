@@ -14,27 +14,10 @@ class SecularEvaluationError(RuntimeError):
         self.t = t
 
 
-class SecularRealityError(RuntimeError):
-    """The secular value failed its reality assertion.
-
-    Signals either a PT-asymmetric input potential or a numerical fault;
-    carries the offending (Z, t) and the imaginary magnitude seen. For an
-    array call, t is the first failing point.
-    """
-
-    def __init__(self, what: str, Z: float, t: float, im_mag: float):
-        super().__init__(
-            f"{what} not real at Z={Z!r}, t={t!r}: |Im| = {im_mag:.3e}"
-        )
-        self.Z = Z
-        self.t = t
-        self.im_mag = im_mag
-
-
 class SecularOverflowError(OverflowError):
-    """The secular value left the double range (sin/cos of kappa overflow
-    once |Im(kappa * width)| passes about 710); carries the offending (Z, t).
-    For an array call, t is the first failing point.
+    """The secular value left the double range, as its energy E = s^2 - t^2
+    does once t, or s = Z/(2t), passes about 1.3e154; carries the offending
+    (Z, t). For an array call, t is the first failing point.
     """
 
     def __init__(self, what: str, Z: float, t: float):

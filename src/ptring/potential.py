@@ -18,6 +18,12 @@ START = -2.0
 # Z = 1e-243 on (26 levels there, 215 at 1e-300), and below about 1e-308
 # the scan window's extent in s = Z/(2t) overflows.
 Z_FLOOR = 1e-200
+# Most segments of a potential that build_square_well builds, and most rows
+# of a potential_to_csv table, checked before either is built. At it,
+# `ptring potential --M 131072 --format json` peaked at 304 MB RSS, the
+# spectrum at 106 MB and `ptring potential --samples 524288` at 105 MB; at
+# twice it the JSON took 593 MB
+MAX_SEGMENTS = 2**19
 
 _WIDTH_SUM_TOL = 1e-12
 
@@ -57,24 +63,25 @@ class CirclePotential:
             )
 
     @functools.cached_property
-    def cell_layout(self) -> tuple[int, float, float] | None:
-        """(M, smallest |Im V|, largest |Im V|) for 2M alternating cells, else None.
+    def cell_layout(self) -> tuple[int, float] | None:
+        """(M, |Im V|) for 2M alternating cells, else None.
 
-        A square well has a multiple of four segments, all of one width,
-        alternating between positive and negative Im V; any rotation
-        qualifies. Whether every |Im V| equals the coupling Z depends on Z,
-        so that check is the caller's. Computed once per potential: the
-        cached value is no field, so equality, hashing and repr ignore it.
+        A square well has a multiple of four segments, all of one width and
+        one |Im V|, alternating between positive and negative Im V; any
+        rotation qualifies. Whether |Im V| equals the coupling Z of a call
+        is the caller's check. Computed once per potential: the cached
+        value is no field, so equality, hashing and repr ignore it.
         """
         ims = [value.imag for _, value in self.segments]
+        mags = {abs(im) for im in ims}
         if (
             len(ims) % 4
+            or len(mags) != 1
             or len({width for width, _ in self.segments}) != 1
             or any(a * b > 0 for a, b in zip(ims, ims[1:]))
         ):
             return None
-        mags = [abs(im) for im in ims]
-        return len(ims) // 4, min(mags), max(mags)
+        return len(ims) // 4, mags.pop()
 
     def boundaries(self) -> list[float]:
         """All segment edges from start to start + circumference."""
@@ -93,32 +100,19 @@ class CirclePotential:
                 return value
         return self.segments[-1][1]
 
-    def is_pt_symmetric(self) -> bool:
-        """Whether V(-x) == conj(V(x)) away from segment boundaries, decided
-        from the layout itself.
-
-        The edges and their mirrors cut the circle into pieces on each of
-        which both V(x) and V(-x) are constant, so one point per piece
-        decides it. A piece no wider than the width-sum tolerance, where an
-        edge and a mirrored edge coincide up to rounding, is skipped; any
-        wider mismatch of mirrored edges, or a mirror without the conjugate
-        value, is asymmetry.
-        """
-        C, x0 = self.circumference, self.start
-        cuts = sorted({(x - x0) % C for e in self.boundaries() for x in (e, -e)})
-        cuts.append(cuts[0] + C)
-        for a, b in zip(cuts, cuts[1:]):
-            x = x0 + 0.5 * (a + b)
-            mirrored = self.value_at(-x) == self.value_at(x).conjugate()
-            if b - a > _WIDTH_SUM_TOL and not mirrored:
-                return False
-        return True
-
 
 def build_square_well(M: int, Z: float) -> CirclePotential:
-    """The 4M-segment alternating potential: +iZ first from -2, width 1/M each."""
+    """The 4M-segment alternating potential: +iZ first from -2, width 1/M each.
+
+    Raises ValueError before building anything unless M is a positive
+    integer with 4M <= MAX_SEGMENTS and Z passes check_coupling."""
     if not isinstance(M, int) or M < 1:
         raise ValueError(f"M must be a positive integer, got {M!r}")
+    if 4 * M > MAX_SEGMENTS:
+        raise ValueError(
+            f"M={M} gives {4 * M} segments, more than the {MAX_SEGMENTS} "
+            f"allowed; request a smaller M (--M)"
+        )
     check_coupling(Z)
     h = 1.0 / M
     segments = tuple(

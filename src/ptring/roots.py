@@ -65,13 +65,12 @@ _MAX_GRID_POINTS = 2**22
 # (186-253 derived points at Z = 1-17.9), whose printed roots rest on it
 _LEAST_GRID_POINTS = 256
 # Most t values handed to the secular callable in one call, which bounds its
-# temporaries: a few dozen doubles per point for the closed forms, a few
-# complex 2x2 matrices per point for the propagator product. 8192 takes the
-# whole master grid of a default window up to about 150 levels (about 1100
-# points at 18, 5400 at 100) in one call; against 1024 it raised the peak
-# RSS of a solve by at most 0.3 MB (explicit, 100 levels, on a uniform
-# master grid of step 5e-3), and the benchmark's peak_rss_mb by 0.3-0.9 MB
-# (+0.5% to +1.4%).
+# temporaries: a few dozen doubles per point for the closed forms. 8192
+# takes the whole master grid of a default window up to about 150 levels
+# (about 1100 points at 18, 5400 at 100) in one call; against 1024 it raised
+# the peak RSS of a solve by at most 0.3 MB (explicit, 100 levels, on a
+# uniform master grid of step 5e-3), and the benchmark's peak_rss_mb by
+# 0.3-0.9 MB (+0.5% to +1.4%).
 _EVAL_CHUNK = 8192
 # Relative width to which every bracket is closed
 _T_TOL = 1e-13

@@ -7,8 +7,7 @@ closures are elementary functions of the real cell trace tau:
   monodromy T once around the circle (a periodic eigenstate exists where
   the unit-determinant monodromy has eigenvalue 1, i.e. det(T - 1) =
   2 - tr(T) = 0). For a square well, tr T = 2 T_2M(tau/2) (Chebyshev);
-  any other layout takes the ordered product of segment propagators, with
-  a reality assertion on its value.
+  any other layout, or a square well of another coupling, is a ValueError.
 
 - secular_explicit: M=1 only, the determinant of the eight-by-eight
   matching system assembled from the per-segment sine/cosine ansatz, in
@@ -21,71 +20,44 @@ closures are elementary functions of the real cell trace tau:
 Both backends substitute s = Z/(2t) and work at purely real energy
 E = s^2 - t^2; values are returned in sign/log-magnitude form to survive the
 huge dynamic range of the secular functions. Every value also carries
-real factors (see LogScaledValue), whose simple roots are the levels: the
-closed-form factors of a square well, or the propagator product's own
-normalized real value. The call computes the factors, and the sign and
-log-magnitude only when one of them is first read, since root finding reads
-only the factors.
+closed-form real factors (see LogScaledValue), whose simple roots are the
+levels. The call computes the factors, and the sign and log-magnitude only
+when one of them is first read, since root finding reads only the factors.
 
 Both take t as a float or a 1-D float array. A float is evaluated as a
 one-point array and comes back as a scalar LogScaledValue; an array comes
 back as a LogScaledValue of sign and log-magnitude arrays. Every point is
-computed, rescaled and checked on its own, so an array call equals the
+computed and checked on its own, so an array call equals the
 element-by-element calls.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SecularOverflowError, SecularRealityError
+from .errors import SecularOverflowError
 from .potential import CirclePotential, check_coupling
 
-DEFAULT_REALITY_RTOL = 1e-8
 # Coupling up to which the near-axis complex pairs at tau = -2 count as real
 # doublets of the free circle: their first-order |Im E| is at most 2Z/pi.
 FREE_LIMIT_Z = 1e-3
 
-_TINY_KAPPA = 1e-150
-
-
-def reality_rtol() -> float:
-    """Reality tolerance of the propagator product, the secular_monodromy path
-    of layouts other than square wells; overridable via the PT_CIRCLE_TOL
-    environment variable."""
-    raw = os.environ.get("PT_CIRCLE_TOL")
-    if raw is None:
-        return DEFAULT_REALITY_RTOL
-    try:
-        val = float(raw)
-    except ValueError as e:
-        raise ValueError(f"PT_CIRCLE_TOL must be a float, got {raw!r}") from e
-    if not val > 0:
-        raise ValueError(f"PT_CIRCLE_TOL must be positive, got {val!r}")
-    return val
-
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """The (t, s, E) bundle tied by 2st = Z and E = s^2 - t^2, and kappa.
+    """The (t, s, E) bundle tied by 2st = Z and E = s^2 - t^2.
 
-    kappa = s - i t is the wavenumber in +iZ segments (kappa^2 = E - iZ);
-    its conjugate belongs to -iZ segments. The branch is fixed by s > 0,
-    t > 0 by construction, never by a complex square root. kappa is
-    computed when read, since only the propagator product needs it. t may be
-    a float or a float array; s, kappa and E then have its shape.
+    s - i t is the wavenumber kappa in +iZ segments (kappa^2 = E - iZ), its
+    conjugate that in -iZ segments; s > 0 and t > 0 fix the branch by
+    construction, never a complex square root. t may be a float or a float
+    array; s and E then have its shape.
     """
 
     Z: float
     t: float
     s: float
     E: float
-
-    @property
-    def kappa(self):
-        return self.s - 1j * self.t
 
     @classmethod
     def from_zt(cls, Z: float, t) -> "SpectralPoint":
@@ -209,111 +181,20 @@ def _log_scaled(value, scalar: bool, factors=()) -> LogScaledValue:
     return LogScaledValue.deferred(first, tuple((float(v[0]), c) for v, c in factors))
 
 
-@dataclass(frozen=True)
-class TransferMatrix2:
-    """2x2 complex transfer matrix with an accumulated log scale factored out.
-
-    The represented (true) matrix is e^(logscale) * [[a, b], [c, d]], so the
-    stored determinant a d - b c equals e^(-2 logscale) times the true one.
-    Wronskian conservation makes every true determinant here equal 1.
-
-    det_factors carries the determinant accumulated factor by factor as
-    products are built; extracting it from the final entries instead would
-    lose up to e^(2 logscale) digits to cancellation. Callers constructing
-    a matrix directly with a non-unit determinant must pass it explicitly.
-
-    Every field may instead be an array of one shape: a batch of matrices,
-    one per spectral point, each with its own logscale.
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    logscale: float = 0.0
-    det_factors: complex = 1.0 + 0j
-
-    def trace(self) -> complex:
-        return self.a + self.d
-
-    def det_true(self) -> complex:
-        return self.det_factors
-
-
-def segment_propagator(width: float, kappa) -> TransferMatrix2:
-    """Map (psi, psi') across one constant-kappa segment of the given width.
-
-    [[cos(kd), sin(kd)/k], [-k sin(kd), cos(kd)]]; unit determinant by the
-    sine/cosine Wronskian. For |kappa| below 1e-150 the analytic kappa -> 0
-    limit [[1, d], [0, 1]] is used. kappa may be a complex array.
-    """
-    if not width > 0:
-        raise ValueError(f"width must be positive, got {width!r}")
-    tiny = np.abs(kappa) < _TINY_KAPPA
-    k = np.where(tiny, 1.0, kappa)
-    kd = k * width
-    c = np.cos(kd)
-    s = np.sin(kd)
-    return TransferMatrix2(
-        np.where(tiny, 1.0 + 0j, c),
-        np.where(tiny, complex(width), s / k),
-        np.where(tiny, 0j, -k * s),
-        np.where(tiny, 1.0 + 0j, c),
-        det_factors=np.where(tiny, 1.0 + 0j, c * c + s * s),
-    )
-
-
-def _rescaled_multiply(P: TransferMatrix2, T: TransferMatrix2) -> TransferMatrix2:
-    """P @ T with each matrix's max entry magnitude factored out into logscale."""
-    a = P.a * T.a + P.b * T.c
-    b = P.a * T.b + P.b * T.d
-    c = P.c * T.a + P.d * T.c
-    d = P.c * T.b + P.d * T.d
-    m = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
-    if (m == 0.0).any():
-        raise ArithmeticError("transfer matrix product vanished")
-    return TransferMatrix2(
-        a / m, b / m, c / m, d / m,
-        P.logscale + T.logscale + np.log(m),
-        det_factors=P.det_factors * T.det_factors,
-    )
-
-
-def monodromy(pot: CirclePotential, point: SpectralPoint) -> TransferMatrix2:
-    """Ordered product of segment propagators once around the circle.
-
-    Segments with value +iZ use kappa, segments with value -iZ use its
-    conjugate; entries are rescaled to O(1) after every multiplication.
-    Each distinct (width, value) propagator is computed once.
-    """
-    props: dict[tuple[float, complex], TransferMatrix2] = {}
-    T = TransferMatrix2(1.0 + 0j, 0j, 0j, 1.0 + 0j)
-    for width, value in pot.segments:
-        P = props.get((width, value))
-        if P is None:
-            if abs(abs(value.imag) - point.Z) > 1e-12 * point.Z:
-                raise ValueError(
-                    f"segment value {value!r} does not match coupling Z={point.Z!r}"
-                )
-            kappa = point.kappa if value.imag > 0 else np.conj(point.kappa)
-            P = props[width, value] = segment_propagator(width, kappa)
-        T = _rescaled_multiply(P, T)
-    return T
-
-
 def _square_well_periods(pot: CirclePotential, Z: float) -> int:
-    """M for a square-well layout of 2M (+iZ, -iZ) cells, else 0.
+    """M for a square-well layout of 2M (+iZ, -iZ) cells; a ValueError
+    names any other layout, or both couplings of a square well of another Z.
 
     The layout test itself is cached on the potential (cell_layout); any
     rotation qualifies, because the monodromy trace is cyclic. Only the
-    match of every |Im V| to Z is checked per call.
+    match of |Im V| to Z is checked per call.
     """
     layout = pot.cell_layout
     if layout is None:
-        return 0
-    M, im_lo, im_hi = layout
-    if abs(im_lo - Z) > 1e-12 * Z or abs(im_hi - Z) > 1e-12 * Z:
-        return 0
+        raise ValueError(f"not a square well of alternating cells: {pot.segments!r}")
+    M, coupling = layout
+    if abs(coupling - Z) > 1e-12 * Z:
+        raise ValueError(f"square well of coupling {coupling!r} called at Z={Z!r}")
     return M
 
 
@@ -424,64 +305,18 @@ def _periodic_closure(point: SpectralPoint, M: int, h: float):
     return factors, value
 
 
-def _product_closure(pot: CirclePotential, point: SpectralPoint):
-    """The factor of 2 - tr T from the propagator product, and a function of
-    no arguments that returns its sign and log-magnitude.
-
-    The one factor, count 1, is the normalized real value
-    2 e^(-L) - Re tr(T_scaled) for T = e^L T_scaled, which has the value's
-    roots and sign since e^(-L) > 0.
-    """
-    Z = point.Z
-    # an overflowing propagator turns the value non-finite, checked below
-    with np.errstate(over="ignore", invalid="ignore"):
-        T = monodromy(pot, point)
-        v = 2.0 * np.exp(-T.logscale) - T.trace()
-    bad = np.flatnonzero(~(np.isfinite(v) & np.isfinite(T.logscale)))
-    if bad.size:
-        raise SecularOverflowError("monodromy secular value", Z, float(point.t[bad[0]]))
-    rtol = reality_rtol()
-    bad = np.flatnonzero(np.abs(v.imag) > rtol * (1.0 + np.abs(v.real)))
-    if bad.size:
-        i = bad[0]
-        raise SecularRealityError(
-            "monodromy secular value", Z, float(point.t[i]), float(abs(v.imag[i]))
-        )
-
-    def value():
-        with np.errstate(divide="ignore"):  # Re g = 0 is an exact root: -inf
-            logmag = T.logscale + np.log(np.abs(v.real))
-        return np.sign(v.real).astype(int), logmag
-
-    return [(v.real, 1)], value
-
-
 def secular_monodromy(pot: CirclePotential, Z: float, t) -> LogScaledValue:
     """g(t) = 2 - tr(T) for the monodromy T, as a log-scaled real value.
 
-    A square-well layout (see _square_well_periods) takes the closed form in
-    the cell trace, which is real by construction, and carries its factors
-    (see _periodic_closure). Any other layout takes the propagator product,
-    whose one factor is its normalized real value (see _product_closure):
-    its logscale is folded into the value (e^L times the normalized
-    2 e^(-L) - tr(T_scaled)), and per point it raises
-    SecularOverflowError unless the normalized value and L are finite, then
-    asserts |Im g| <= rtol (1 + |Re g|). Either way the sign and logmag are
-    computed on first read, and a point whose energy leaves the double
-    range raises SecularOverflowError.
+    pot must be a square well of coupling Z (see _square_well_periods). The
+    value is the closed form in the cell trace, which is real by
+    construction, with its factors (see _periodic_closure); the sign and
+    logmag are computed on first read. A point whose energy leaves the
+    double range raises SecularOverflowError.
     """
     M = _square_well_periods(pot, Z)
-    try:
-        point, scalar = _points(Z, t)
-    except SecularOverflowError as e:
-        if not M:  # the product may overflow first, at an earlier point
-            ts = np.atleast_1d(t)
-            _product_closure(pot, SpectralPoint.from_zt(Z, ts[: np.argmax(ts == e.t)]))
-        raise
-    if M:
-        factors, value = _periodic_closure(point, M, pot.segments[0][0])
-    else:
-        factors, value = _product_closure(pot, point)
+    point, scalar = _points(Z, t)
+    factors, value = _periodic_closure(point, M, pot.segments[0][0])
     return _log_scaled(value, scalar, factors)
 
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .potential import CirclePotential
+from .potential import MAX_SEGMENTS, CirclePotential
 from .spectrum import EnergyLevel, SpectrumReport
 
 
@@ -177,10 +177,16 @@ def potential_to_csv(pot: CirclePotential, samples: int) -> str:
     """Imaginary part of V on a uniform midpoint grid, columns s, im_V.
 
     A leading comment line lists the segment boundaries so block edges can
-    be drawn exactly rather than read off the grid.
+    be drawn exactly rather than read off the grid. A sample count below 1
+    or above MAX_SEGMENTS is a ValueError, raised before any row is built.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
+    if samples > MAX_SEGMENTS:
+        raise ValueError(
+            f"a table of {samples} samples is more than the {MAX_SEGMENTS} "
+            f"allowed; request fewer (--samples)"
+        )
     edges = ",".join(fmt_float(b) for b in pot.boundaries())
     lines = [f"# boundaries,{edges}", "s,im_V"]
     step = pot.circumference / samples

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from conftest import ACCEPTANCE_LINES
 from fd_oracle import fd_eigenvalues
+from product_oracle import _product_closure, monodromy
 
 from ptring import (
     ScanConfig,
@@ -22,12 +23,10 @@ from ptring import (
     build_square_well,
     energies_from_roots,
     find_roots,
-    monodromy,
     rotate_segments,
     secular_explicit,
     secular_monodromy,
 )
-from ptring.secular import _product_closure
 
 # reference 18-level regression table at Z = 1: printed t (string keeps the
 # rounding precision) and printed E per level
@@ -274,7 +273,8 @@ def test_criterion_8_free_particle_limit():
 
 def test_criterion_9_property_suite():
     """Wronskian, trace cyclicity, and the reality assertion over the
-    family M in 1..6, Z in {0.1, 1, 10}, 1000 t points in [0.02, 2].
+    family M in 1..6, Z in {0.1, 1, 10}, 1000 t points in [0.02, 2], on
+    the propagator product of product_oracle.py.
 
     Each layout is evaluated in one array call, as find_roots calls it."""
     t_grid = np.linspace(0.02, 2.0, 1000)
@@ -296,8 +296,8 @@ def test_criterion_9_property_suite():
                 float(np.max(np.abs(tr1 - tr0) / np.maximum(1.0, np.abs(tr0)))),
             )
             try:
-                # square wells take the closed form, which has no reality
-                # assertion; the product path carries it
+                # the closed form of secular_monodromy is real by
+                # construction; the product carries the assertion
                 _product_closure(pot, p)
             except Exception as e:  # the assertion must never fire
                 fired.append((m, z, getattr(e, "t", None), repr(e)))

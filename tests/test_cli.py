@@ -1,21 +1,23 @@
 """End-to-end command behavior: formats, exit codes, round trips."""
 
 import contextlib
+import functools
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ptring
 from ptring import parse_spectrum_csv, parse_spectrum_json, spectrum_to_csv, spectrum_to_json
 from ptring.cli import main
-from ptring.potential import Z_FLOOR
+from ptring.potential import MAX_SEGMENTS, Z_FLOOR
 
 
 def _run(capsys, argv):
@@ -366,6 +368,31 @@ def test_potential_json_schema(capsys):
     assert all(seg["width"] == 1.0 for seg in obj["segments"])
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["spectrum", "--Z", "1", "--M", str(MAX_SEGMENTS // 4 + 1)], "--M"),
+        (["scan", "--Z", "1", "--M", "100000000"], "--M"),
+        (["potential", "--Z", "1", "--M", "100000000", "--format", "json"], "--M"),
+        (["potential", "--Z", "1", "--samples", str(MAX_SEGMENTS + 1)], "--samples"),
+        (["potential", "--Z", "1", "--samples", "100000000"], "--samples"),
+    ],
+)
+def test_oversized_potential_exits_1(capsys, monkeypatch, argv, flag):
+    """More than MAX_SEGMENTS segments (4M of them) or potential table rows
+    is a domain error naming its flag, raised before either is built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(ptring.serialize, "fmt_float", refuse)
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"more than the {MAX_SEGMENTS} allowed" in err and f"({flag})" in err
+
+
 # --- analyze ----------------------------------------------------------------------
 
 
@@ -519,11 +546,15 @@ def _argv(draw, unwritable):
 def test_exit_code_contract(tmp_path_factory):
     """Every command ends in 0, 1 or 2 (argparse's usage errors exit 1),
     whatever the coupling, cell count, level count, sample count, backend
-    or output path; no exception escapes main."""
+    or output path, the oversized cell and sample counts included; no
+    exception escapes main."""
     unwritable = str(tmp_path_factory.mktemp("exit") / "missing" / "out.csv")
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_argv(unwritable))
+    # more segments or potential rows than MAX_SEGMENTS
+    @example(["spectrum", "--Z", "1", "--M", "100000000"])
+    @example(["potential", "--Z", "1", "--samples", "100000000"])
     def check(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -535,6 +566,37 @@ def test_exit_code_contract(tmp_path_factory):
         assert "Traceback" not in err.getvalue()
 
     check()
+
+
+# --- environment -----------------------------------------------------------------
+
+
+def test_pt_circle_tol_changes_nothing(capsys, monkeypatch):
+    """PT_CIRCLE_TOL sets the reality tolerance of the product oracle in the
+    tests alone: a value that is no number leaves every output, exit code
+    and root record of the library as it is unset."""
+    argvs = [
+        ["spectrum", "--Z", "1"],
+        ["spectrum", "--Z", "1", "--backend", "explicit"],
+        ["scan", "--Z", "1", "--samples", "64"],
+    ]
+
+    def results():
+        runs = [_run(capsys, argv) for argv in argvs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ptring.LevelShortfallWarning)
+            for M in (1, 8):
+                pot = ptring.build_square_well(M, 1.0)
+                f = functools.partial(ptring.secular_monodromy, pot, 1.0)
+                runs.append(ptring.find_roots(f, 1.0, 18))
+        return runs
+
+    monkeypatch.delenv("PT_CIRCLE_TOL", raising=False)
+    unset = results()
+    monkeypatch.setenv("PT_CIRCLE_TOL", "not-a-number")
+    assert results() == unset
+    assert [code for code, _, _ in unset[:3]] == [2, 0, 0]
+    assert all(unset[3:])
 
 
 # --- imports ---------------------------------------------------------------------

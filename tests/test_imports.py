@@ -24,10 +24,11 @@ SOLVER_EXPORTS = {
         "find_roots", "level_count", "scan_secular",
     ),
     secular: (
-        "LogScaledValue", "SpectralPoint", "TransferMatrix2", "monodromy",
-        "secular_explicit", "secular_monodromy", "segment_propagator",
+        "LogScaledValue", "SpectralPoint", "secular_explicit", "secular_monodromy",
     ),
 }
+# The propagator product's names, which moved to the tests' product oracle
+REMOVED = ("SecularRealityError", "TransferMatrix2", "monodromy", "segment_propagator")
 # The same for serialize and spectrum, also loaded on first use
 REPORT_EXPORTS = {
     serialize: (
@@ -42,7 +43,6 @@ REPORT_EXPORTS = {
 }
 ERROR_BASES = {
     "SecularEvaluationError": RuntimeError,
-    "SecularRealityError": RuntimeError,
     "SecularOverflowError": OverflowError,
     "LevelShortfallWarning": UserWarning,
 }
@@ -123,7 +123,6 @@ def test_error_classes_are_one_object_each():
         assert getattr(ptring, name) is cls, name
     assert roots.SecularEvaluationError is errors.SecularEvaluationError
     assert roots.LevelShortfallWarning is errors.LevelShortfallWarning
-    assert secular.SecularRealityError is errors.SecularRealityError
     assert secular.SecularOverflowError is errors.SecularOverflowError
 
 
@@ -133,6 +132,13 @@ def test_dir_lists_every_name():
     for table in (SOLVER_EXPORTS, REPORT_EXPORTS):
         expected.update(name for names in table.values() for name in names)
     assert expected <= listed
+
+
+def test_product_names_are_gone():
+    for name in REMOVED:
+        assert name not in ptring.__all__ and name not in dir(ptring), name
+        with pytest.raises(AttributeError):
+            getattr(ptring, name)
 
 
 def test_unknown_name_raises_attribute_error():

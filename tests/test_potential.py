@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from product_oracle import is_pt_symmetric
 
 from ptring import (
     CirclePotential,
@@ -24,7 +25,7 @@ def test_square_well_structure(M, Z):
         # +iZ first, alternating strictly
         assert value.imag == pytest.approx((-1) ** j * Z if j % 2 else Z)
     assert abs(sum(w for w, _ in pot.segments) - 4.0) < 1e-12
-    assert pot.is_pt_symmetric()
+    assert is_pt_symmetric(pot)
 
 
 @pytest.mark.parametrize("M", [1, 2, 5])
@@ -113,6 +114,18 @@ def test_potential_is_a_value():
     assert pot.segments == same.segments and not hasattr(pot, "label")
 
 
+def test_cell_layout_needs_one_width_and_one_coupling():
+    """(M, |Im V|) for a square well in any rotation, None for alternating
+    layouts of two widths or two couplings."""
+    pot = build_square_well(2, 3.0)
+    assert pot.cell_layout == rotate_segments(pot, 3).cell_layout == (2, 3.0)
+    for segments in (
+        ((1.0, 1j), (1.0, -2j), (1.0, 1j), (1.0, -2j)),
+        ((0.5, 1j), (1.5, -1j), (1.0, 1j), (1.0, -1j)),
+    ):
+        assert CirclePotential(4.0, -2.0, segments).cell_layout is None
+
+
 def test_rotation_full_turn_is_identity():
     for M in (1, 3):
         pot = build_square_well(M, 1.0)
@@ -136,7 +149,7 @@ def test_rotation_by_two_preserves_alternation():
 def test_rotation_by_one_keeps_pt_symmetry():
     # a half-period shift flips the sign of V, which is PT-symmetric too
     pot = build_square_well(1, 1.0)
-    assert rotate_segments(pot, 1).is_pt_symmetric()
+    assert is_pt_symmetric(rotate_segments(pot, 1))
 
 
 def test_pt_symmetry_detects_asymmetric_layout():
@@ -145,7 +158,7 @@ def test_pt_symmetry_detects_asymmetric_layout():
         start=-2.0,
         segments=((0.5, 1j), (1.5, -1j), (1.0, 1j), (1.0, -1j)),
     )
-    assert not pot.is_pt_symmetric()
+    assert not is_pt_symmetric(pot)
 
 
 def test_pt_symmetry_detects_a_slightly_moved_boundary():
@@ -156,7 +169,7 @@ def test_pt_symmetry_detects_a_slightly_moved_boundary():
         start=-2.0,
         segments=((1.001, 1j), (0.999, -1j), (1.0, 1j), (1.0, -1j)),
     )
-    assert not pot.is_pt_symmetric()
+    assert not is_pt_symmetric(pot)
 
 
 def test_pt_symmetry_ignores_an_edge_between_equal_values():
@@ -167,7 +180,7 @@ def test_pt_symmetry_ignores_an_edge_between_equal_values():
         start=-2.0,
         segments=((1.0, 1j), (1.0, 1j), (2.0, -1j)),
     )
-    assert pot.is_pt_symmetric()
+    assert is_pt_symmetric(pot)
 
 
 @settings(max_examples=50, deadline=None)

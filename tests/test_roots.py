@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fd_oracle import fd_eigenvalues
+from product_oracle import SecularRealityError, secular_product
 from test_secular import EXPLICIT_ROOTS_Z1, NON_ALTERNATING
 
 from ptring import (
@@ -18,7 +19,6 @@ from ptring import (
     RootRecord,
     ScanConfig,
     SecularEvaluationError,
-    SecularRealityError,
     build_square_well,
     default_scan_config,
     energies_from_roots,
@@ -784,7 +784,7 @@ def test_scan_reality_error_carries_first_failing_t(monkeypatch):
 
     def f(t):
         grids.append(np.array(t))
-        return secular_monodromy(asym, 1.0, t)
+        return secular_product(asym, 1.0, t)
 
     with pytest.raises(SecularEvaluationError) as ej:
         find_roots(f, 1.0, 5, cfg)
@@ -792,7 +792,7 @@ def test_scan_reality_error_carries_first_failing_t(monkeypatch):
 
     def fails(t):
         try:
-            secular_monodromy(asym, 1.0, t)
+            secular_product(asym, 1.0, t)
         except SecularRealityError:
             return True
         return False
@@ -800,7 +800,7 @@ def test_scan_reality_error_carries_first_failing_t(monkeypatch):
     first = next(float(t) for t in ts if fails(float(t)))
     assert first > ts[0]
     with pytest.raises(SecularRealityError) as ei:
-        secular_monodromy(asym, 1.0, ts)
+        secular_product(asym, 1.0, ts)
     assert ei.value.t == first
     assert ej.value.t == first
 
@@ -814,7 +814,7 @@ def test_scan_overflow_error_carries_first_failing_t(backend):
     f = {
         "explicit": _f_explicit(1.0),
         "monodromy": _f_monodromy(1.0),
-        "product": lambda t: secular_monodromy(NON_ALTERNATING, 1.0, t),
+        "product": lambda t: secular_product(NON_ALTERNATING, 1.0, t),
     }[backend]
     t_max = 1000.0 if backend == "product" else 1e200
     cfg = ScanConfig(t_min=0.03, t_max=t_max)

@@ -1,6 +1,7 @@
 """Both secular backends against frozen reference roots, exact identities
 and the two independent oracles: the eight-by-eight matching matrix (by LU)
-for the twisted closure and the propagator product for the periodic one.
+for the twisted closure and the propagator product (product_oracle.py) for
+the periodic one.
 
 Reference t values were computed independently at 40-digit precision with a
 multiprecision propagator and det evaluation, then frozen here; tests assert
@@ -16,21 +17,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from product_oracle import (
+    SecularRealityError,
+    _product_closure,
+    kappa,
+    monodromy,
+    secular_product,
+    segment_propagator,
+)
+
 from ptring import (
     CirclePotential,
     LogScaledValue,
     SecularOverflowError,
-    SecularRealityError,
     SpectralPoint,
-    TransferMatrix2,
     build_square_well,
-    monodromy,
     rotate_segments,
     secular_explicit,
     secular_monodromy,
-    segment_propagator,
 )
-from ptring.secular import _product_closure, _square_well_periods
+from ptring.secular import _square_well_periods
 
 # 22-digit roots of the eight-by-eight determinant at Z = 1, ascending E
 EXPLICIT_ROOTS_Z1 = [
@@ -57,8 +63,8 @@ EXPLICIT_ROOTS_Z01 = [0.2219819562431546437372, 0.03467067057228565555074]
 # roots of the strictly periodic (transfer-matrix) secular function
 MONODROMY_GROUND_Z1 = 0.6780547977525431307031
 MONODROMY_GROUND_Z01 = 0.2226769781898852005535
-# PT-symmetric but not alternating, so secular_monodromy takes the
-# propagator product; its unit-width propagators overflow from t = 710.x
+# PT-symmetric but not alternating, so only the propagator product
+# evaluates it; its unit-width propagators overflow from t = 710.x
 NON_ALTERNATING = CirclePotential(
     circumference=4.0,
     start=-2.0,
@@ -82,7 +88,7 @@ def _sign_flips(f, t0, rel=1e-6):
 def test_spectral_point_identities(z, t):
     p = SpectralPoint.from_zt(z, t)
     assert abs(2.0 * p.s * p.t - z) <= 1e-14 * z
-    k2 = p.kappa * p.kappa
+    k2 = kappa(p) * kappa(p)
     assert abs(k2 - complex(p.E, -z)) <= 1e-13 * abs(k2)
 
 
@@ -246,17 +252,18 @@ def test_monodromy_rejects_mismatched_coupling():
 
 def test_square_well_layout_is_cached_per_potential():
     """The Z-independent layout test runs once per potential; the match of
-    |Im V| to Z stays a per-call check, and a mismatch still takes the
-    propagator product, which raises."""
+    |Im V| to Z stays a per-call check. A rotated square well takes the
+    closed form; any other layout, and a square well called at another Z,
+    is a ValueError naming the layout or both couplings."""
     pot = build_square_well(3, 1.0)
     rotated = rotate_segments(pot, 1)
     assert _square_well_periods(rotated, 1.0) == 3
-    assert secular_monodromy(rotated, 1.0, 0.3).factors
+    assert [c for _, c in secular_monodromy(rotated, 1.0, 0.3).factors] == [1, 1, 2]
     assert rotated.cell_layout is rotated.cell_layout
-    assert _square_well_periods(NON_ALTERNATING, 1.0) == 0
-    assert [c for _, c in secular_monodromy(NON_ALTERNATING, 1.0, 0.3).factors] == [1]
-    assert _square_well_periods(pot, 2.0) == 0
-    with pytest.raises(ValueError, match="does not match coupling"):
+    layout = r"not a square well.*\(1\.0, 1j\), \(1\.0, 1j\)"
+    with pytest.raises(ValueError, match=layout):
+        secular_monodromy(NON_ALTERNATING, 1.0, 0.3)
+    with pytest.raises(ValueError, match=r"coupling 1\.0 called at Z=2\.0"):
         secular_monodromy(pot, 2.0, 0.3)
     # the cached value is no field
     fresh = build_square_well(3, 1.0)
@@ -269,7 +276,7 @@ def test_square_well_layout_is_cached_per_potential():
 @pytest.mark.parametrize("M", [1, 2, 4, 6])
 @pytest.mark.parametrize("Z", [0.1, 1.0, 10.0])
 def test_reality_never_fires_on_family(M, Z):
-    """On the propagator product, which square wells reach only here."""
+    """On the propagator product of the square wells."""
     pot = build_square_well(M, Z)
     _product_closure(pot, SpectralPoint.from_zt(Z, np.linspace(0.02, 2.0, 100)))
 
@@ -281,12 +288,12 @@ def test_reality_fires_on_pt_broken_layouts():
         segments=((0.5, 1j), (1.5, -1j), (1.0, 1j), (1.0, -1j)),
     )
     with pytest.raises(SecularRealityError) as ei:
-        secular_monodromy(asym, 1.0, 0.4)
+        secular_product(asym, 1.0, 0.4)
     assert ei.value.t == 0.4 and ei.value.Z == 1.0
 
 
 def test_reality_accepts_pt_symmetric_non_alternating():
-    v = secular_monodromy(NON_ALTERNATING, 1.0, 0.4)
+    v = secular_product(NON_ALTERNATING, 1.0, 0.4)
     assert v.sign in (-1, 1)
 
 
@@ -335,7 +342,7 @@ def _closure(backend, M=1):
     return {
         "explicit": lambda t: secular_explicit(1.0, t),
         "monodromy": lambda t: secular_monodromy(pot, 1.0, t),
-        "product": lambda t: secular_monodromy(NON_ALTERNATING, 1.0, t),
+        "product": lambda t: secular_product(NON_ALTERNATING, 1.0, t),
     }[backend]
 
 
@@ -382,10 +389,10 @@ def test_reality_tolerance_env_override(monkeypatch):
     # measured |Im|/(1+|Re|) is about 0.21 at this point; a huge tolerance
     # lets the value through
     monkeypatch.setenv("PT_CIRCLE_TOL", "10.0")
-    secular_monodromy(asym, 1.0, 0.4)
+    secular_product(asym, 1.0, 0.4)
     monkeypatch.setenv("PT_CIRCLE_TOL", "not-a-number")
     with pytest.raises(ValueError):
-        secular_monodromy(asym, 1.0, 0.4)
+        secular_product(asym, 1.0, 0.4)
 
 
 @pytest.mark.parametrize("layout", ["non-alternating", "asymmetric"])
@@ -403,13 +410,13 @@ def test_product_factor_has_the_value_sign(monkeypatch, layout):
         )
         monkeypatch.setenv("PT_CIRCLE_TOL", "10.0")
     ts = np.geomspace(0.02, 5.0, 2000)
-    v = secular_monodromy(pot, 1.0, ts)
+    v = secular_product(pot, 1.0, ts)
     ((y, count),) = v.factors
     assert count == 1
     assert (np.sign(y) == v.sign).all()
     assert (np.diff(v.sign) != 0).any()
     for t in ts[::100]:
-        w = secular_monodromy(pot, 1.0, float(t))
+        w = secular_product(pot, 1.0, float(t))
         assert w.factors[0][1] == 1 and np.sign(w.factors[0][0]) == w.sign
 
 
@@ -427,8 +434,7 @@ def build_Q(Z: float, t) -> np.ndarray:
     conjugate values with the signs encoded below. For an array of t the
     result is the stack of shape t.shape + (8, 8).
     """
-    point = SpectralPoint.from_zt(Z, t)
-    k = point.kappa
+    k = kappa(SpectralPoint.from_zt(Z, t))
     kc = np.conj(k)
     sk, ck = np.sin(k), np.cos(k)
     s2k, c2k = np.sin(2 * k), np.cos(2 * k)

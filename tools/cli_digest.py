@@ -3,12 +3,14 @@
     python tools/cli_digest.py path/to/src > digests.txt
 
 Runs every command of COMMANDS with this interpreter, the given src
-directory as PYTHONPATH and an empty temporary working directory (and
-without PT_CIRCLE_TOL), and prints one line per command: the SHA-256 of
-its stdout, stderr and exit code, then the command. Each `analyze`
-command reads the JSON that its spectrum command printed in the same
-run. Diffing the output for two checkouts' src/ compares what the CLI
-prints in each, byte for byte.
+directory as PYTHONPATH and an empty temporary working directory, and
+without PT_CIRCLE_TOL: the library does not read it, but the src of
+earlier commits does, and their digests must not depend on the caller's
+environment. Prints one line per command: the SHA-256 of its stdout,
+stderr and exit code, then the command. Each `analyze` command reads the
+JSON that its spectrum command printed in the same run. Diffing the output
+for two checkouts' src/ compares what the CLI prints in each, byte for
+byte.
 """
 
 import hashlib
