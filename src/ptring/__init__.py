@@ -35,8 +35,8 @@ _LAZY = {
             "default_scan_config", "find_roots", "level_count", "scan_secular",
         ),
         "secular": (
-            "secular", "LogScaledValue", "SpectralPoint", "secular_explicit",
-            "secular_monodromy",
+            "secular", "FREE_LIMIT_Z", "LogScaledValue", "SpectralPoint",
+            "secular_explicit", "secular_monodromy",
         ),
         "serialize": (
             "serialize", "SpectrumDocument", "analysis_to_csv", "fmt_float",

@@ -8,48 +8,34 @@ forms; no environment variable changes what a command computes.
 """
 
 import argparse
-import importlib
 import math
 import sys
 import warnings
 
+from . import _LAZY
 from .errors import LevelShortfallWarning, SecularEvaluationError
 from .potential import build_square_well
-from .serialize import (
-    analysis_to_csv,
-    parse_spectrum_json,
-    potential_to_csv,
-    potential_to_json,
-    scan_to_csv,
-    spectrum_to_csv,
-    spectrum_to_json,
-)
-from .spectrum import analyze_series, energies_from_roots
 
-# The names the solving commands (spectrum, scan, validate) take from roots
-# and secular, which import numpy. _bind_solvers puts them into this module's
-# globals when such a command first runs, so potential, analyze and --help
-# start without numpy; reading one as an attribute binds them too.
-_SOLVER_NAMES = {
-    "roots": ("ScanConfig", "default_scan_config", "find_roots", "scan_secular"),
-    "secular": ("FREE_LIMIT_Z", "secular_explicit", "secular_monodromy"),
-}
+# The names the commands take from roots, secular, serialize and spectrum
+# are the package's lazy ones (_LAZY). Each command binds those of the
+# modules it uses into this module's globals when it runs, so --help and
+# usage errors load neither numpy nor csv and json; reading one as an
+# attribute binds its module's names too.
 
 
-def _bind_solvers() -> None:
-    """Bind every solver name not yet bound; a name set from outside (a
-    patch on this module) is kept."""
-    scope = globals()
-    for module, names in _SOLVER_NAMES.items():
-        mod = importlib.import_module(f".{module}", __package__)
-        for name in names:
-            scope.setdefault(name, getattr(mod, name))
+def _bind(*modules: str) -> None:
+    """Bind every _LAZY name of the given modules not yet bound; a name set
+    from outside (a patch on this module) is kept."""
+    package, scope = sys.modules[__package__], globals()
+    for name, module in _LAZY.items():
+        if module in modules:
+            scope.setdefault(name, getattr(package, name))
 
 
 def __getattr__(name):
-    if not any(name in names for names in _SOLVER_NAMES.values()):
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_solvers()
+    _bind(_LAZY[name])
     return globals()[name]
 
 
@@ -81,7 +67,7 @@ def _secular_fn(backend: str, pot, Z: float):
 
 
 def cmd_spectrum(args) -> int:
-    _bind_solvers()
+    _bind("roots", "secular", "serialize", "spectrum")
     _check_backend_m(args.backend, args.M)
     if args.levels < 1:
         raise ValueError(f"levels must be at least 1, got {args.levels!r}")
@@ -109,7 +95,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    _bind_solvers()
+    _bind("roots", "secular", "serialize")
     _check_backend_m(args.backend, args.M)
     pot = build_square_well(args.M, args.Z)
     cfg = ScanConfig(t_min=args.t_min, t_max=args.t_max)
@@ -119,6 +105,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_potential(args) -> int:
+    _bind("serialize")
     pot = build_square_well(args.M, args.Z)
     if args.format == "json":
         text = potential_to_json(pot)
@@ -129,6 +116,7 @@ def cmd_potential(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _bind("serialize", "spectrum")
     if args.input is None or args.input == "-":
         text = sys.stdin.read()
     else:
@@ -149,7 +137,7 @@ def cmd_analyze(args) -> int:
 def cmd_validate(args) -> int:
     """The free-particle limit: at Z <= FREE_LIMIT_Z the five lowest levels
     of the strictly periodic M=1 problem are {0, (pi/2)^2 x2, pi^2 x2}."""
-    _bind_solvers()
+    _bind("roots", "secular", "spectrum")
     if args.Z > FREE_LIMIT_Z:
         raise ValueError(
             f"validate checks the free-particle limit, "

@@ -119,7 +119,7 @@ _WIDTH_FLOOR_ULPS = 8
 @dataclass(frozen=True)
 class ScanConfig:
     """The t window of find_roots and scan_secular, t_min < t_max, both
-    positive; each sizes its own grid over it."""
+    positive and t_max finite; each sizes its own grid over it."""
 
     t_min: float
     t_max: float
@@ -134,6 +134,11 @@ class ScanConfig:
             raise ValueError(
                 f"need t_min < t_max, got [{self.t_min!r}, {self.t_max!r}]; "
                 f"set t_min (--t-min) below t_max (--t-max)"
+            )
+        if not math.isfinite(self.t_max):
+            raise ValueError(
+                f"t_max must be finite, got {self.t_max!r}; "
+                f"set a finite t_max (--t-max)"
             )
 
 
@@ -515,7 +520,8 @@ def default_scan_config(
         t_max = 5.0 * max(1.0, math.sqrt(Z))
     if t_min is None:
         t_min = Z / (2.0 * math.sqrt(e_max))
-        e_top = (Z / (2.0 * t_min)) ** 2 - t_min**2
+        s = Z / (2.0 * t_min)
+        e_top = s * s - t_min * t_min  # -inf, not OverflowError, at huge Z
         if not (e_top > 0 and t_min < t_max):
             raise ValueError(
                 f"the default scan window for {n_levels} levels at Z={Z!r} "
@@ -549,11 +555,17 @@ def find_roots(
     requested, which for this operator family indicates levels lost to
     complex conjugate pairs rather than a scan failure. Raises ValueError on
     a value without factors, and before evaluating or allocating anything
-    when the master grid would take more than _MAX_GRID_POINTS points.
+    when s = Z/(2 t_max) underflows to 0 or the master grid would take more
+    than _MAX_GRID_POINTS points.
     """
     cfg = config if config is not None else default_scan_config(Z, n_levels)
     s_lo = Z / (2.0 * cfg.t_max)
     s_hi = Z / (2.0 * cfg.t_min)
+    if s_lo == 0.0:
+        raise ValueError(
+            f"s = Z/(2 t_max) underflows to 0 at Z={Z!r} and t_max={cfg.t_max!r}; "
+            f"set a smaller t_max (--t-max)"
+        )
     # geometric in s up to _GRID_STEP / _GRID_RATIO, uniform above it
     s_mid = min(max(_GRID_STEP / _GRID_RATIO, s_lo), s_hi)
     n_geo = math.log(s_mid / s_lo) / math.log1p(_GRID_RATIO)
@@ -602,7 +614,7 @@ def find_roots(
 
     found = level_count(records)
     if found < n_levels:
-        e_top = (Z / (2.0 * cfg.t_min)) ** 2 - cfg.t_min**2
+        e_top = s_hi * s_hi - cfg.t_min * cfg.t_min
         warnings.warn(
             LevelShortfallWarning(
                 f"found {found} of {n_levels} requested levels scanning "

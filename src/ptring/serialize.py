@@ -189,10 +189,18 @@ def potential_to_csv(pot: CirclePotential, samples: int) -> str:
         )
     edges = ",".join(fmt_float(b) for b in pot.boundaries())
     lines = [f"# boundaries,{edges}", "s,im_V"]
+    # the offsets ascend, so one walk over the segments serves every sample;
+    # it compares each offset with the running width sum as value_at does
     step = pot.circumference / samples
+    last = len(pot.segments) - 1
+    j, acc = 0, pot.segments[0][0]
     for i in range(samples):
         x = pot.start + (i + 0.5) * step
-        lines.append(f"{fmt_float(x)},{fmt_float(pot.value_at(x).imag)}")
+        offset = (x - pot.start) % pot.circumference
+        while j < last and not offset < acc:
+            j += 1
+            acc += pot.segments[j][0]
+        lines.append(f"{fmt_float(x)},{fmt_float(pot.segments[j][1].imag)}")
     return "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ptring
-from ptring import parse_spectrum_csv, parse_spectrum_json, spectrum_to_csv, spectrum_to_json
+from ptring import (
+    CirclePotential,
+    build_square_well,
+    fmt_float,
+    parse_spectrum_csv,
+    parse_spectrum_json,
+    potential_to_csv,
+    rotate_segments,
+    spectrum_to_csv,
+    spectrum_to_json,
+)
 from ptring.cli import main
 from ptring.potential import MAX_SEGMENTS, Z_FLOOR
 
@@ -176,6 +186,9 @@ def test_infinite_coupling_exits_1(capsys, argv):
         (["--Z", "1e6", "--levels", "100"], "-2.59602e+07"),
         # t_min = 259.9 lies below t_max = 500, but the window holds no E > 0
         (["--Z", "1e4", "--levels", "18"], "-67177.3"),
+        # t_min^2 leaves the double range: float ** would raise OverflowError
+        (["--Z", "1e200", "--levels", "2"], "-inf"),
+        (["--Z", "1.7e308", "--levels", "18"], "-inf"),
     ],
 )
 def test_spectrum_default_window_without_positive_energy_exits_1(capsys, argv, ceiling):
@@ -220,11 +233,17 @@ def test_spectrum_oversized_master_grid_exits_1(capsys, monkeypatch, argv, point
         (["scan", "--Z", "1", "--t-min", "0"], ["--t-min"]),
         (["spectrum", "--Z", "1", "--t-min", "2", "--t-max", "1"],
          ["--t-min", "--t-max"]),
+        # not finite, or so large that s = Z/(2 t_max) underflows to 0
+        (["spectrum", "--Z", "1", "--t-max", "inf"], ["--t-max"]),
+        (["scan", "--Z", "1", "--t-max", "inf"], ["--t-max"]),
+        (["spectrum", "--Z", "1", "--t-max", "1e308"], ["--t-max"]),
+        (["spectrum", "--Z", "1e-200", "--t-max", "1e200"], ["--t-max"]),
     ],
 )
 def test_bad_window_names_its_flags(capsys, argv, flags):
-    """A window that is not positive or not ordered is a domain error naming
-    the flags that set it, as a bad sample count names --samples."""
+    """A window that is not positive, not ordered or not finite is a domain
+    error naming the flags that set it, as a bad sample count names
+    --samples."""
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""
@@ -393,6 +412,26 @@ def test_oversized_potential_exits_1(capsys, monkeypatch, argv, flag):
     assert f"more than the {MAX_SEGMENTS} allowed" in err and f"({flag})" in err
 
 
+@pytest.mark.parametrize(
+    "pot",
+    [
+        *(build_square_well(M, 1.0) for M in (1, 2, 3, 8)),
+        rotate_segments(build_square_well(3, 2.0), 1),
+        rotate_segments(build_square_well(5, 1.0), 7),
+        CirclePotential(4.0, -2.0, ((0.1, 1j), (1.9, -2j), (0.7, 3j), (1.3, -1j))),
+        CirclePotential(4.0, -2.0, ((1 / 3, 1j), (1 / 3, -1j), (10 / 3, 2j))),
+    ],
+)
+def test_potential_csv_rows_follow_value_at(pot):
+    """Each row of potential_to_csv holds value_at of its sample, samples
+    that land exactly on a segment edge included (M = 1 at 2 or 4 samples)."""
+    for samples in [*range(1, 41), 64, 400, 997]:
+        step = pot.circumference / samples
+        xs = [pot.start + (i + 0.5) * step for i in range(samples)]
+        rows = potential_to_csv(pot, samples).splitlines()[2:]
+        assert rows == [f"{fmt_float(x)},{fmt_float(pot.value_at(x).imag)}" for x in xs]
+
+
 # --- analyze ----------------------------------------------------------------------
 
 
@@ -526,7 +565,7 @@ def _argv(draw, unwritable):
     command = draw(st.sampled_from(["spectrum", "scan", "potential", "validate"]))
     z = draw(
         st.sampled_from(_Z_EDGES)
-        | st.floats(min_value=-320.0, max_value=6.0).map(lambda e: repr(10.0**e))
+        | st.floats(min_value=-320.0, max_value=308.0).map(lambda e: repr(10.0**e))
     )
     argv = [command, "--Z", z]
     if command == "validate":
@@ -547,7 +586,7 @@ def test_exit_code_contract(tmp_path_factory):
     """Every command ends in 0, 1 or 2 (argparse's usage errors exit 1),
     whatever the coupling, cell count, level count, sample count, backend
     or output path, the oversized cell and sample counts included; no
-    exception escapes main."""
+    exception and no warning escapes main."""
     unwritable = str(tmp_path_factory.mktemp("exit") / "missing" / "out.csv")
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -555,15 +594,31 @@ def test_exit_code_contract(tmp_path_factory):
     # more segments or potential rows than MAX_SEGMENTS
     @example(["spectrum", "--Z", "1", "--M", "100000000"])
     @example(["potential", "--Z", "1", "--samples", "100000000"])
+    # an infinite t_max, or one where s = Z/(2 t_max) underflows to 0
+    @example(["spectrum", "--Z", "1", "--t-max", "inf"])
+    @example(["spectrum", "--Z", "1", "--t-max", "1e308"])
+    @example(["spectrum", "--Z", "1e-200", "--t-max", "1e200"])
+    @example(["scan", "--Z", "1", "--t-max", "inf"])
+    # a coupling whose default window's t_min^2 leaves the double range
+    @example(["spectrum", "--Z", "1e200", "--levels", "2"])
+    @example(["spectrum", "--Z", "1.7e308"])
     def check(argv):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with (
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+            warnings.catch_warnings(record=True) as caught,
+        ):
+            warnings.simplefilter("always")
             try:
                 code = main(argv)
             except SystemExit as e:
                 code = e.code
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        # a warning that escapes main prints as a "...Warning:" line
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert "Warning" not in err.getvalue()
 
     check()
 

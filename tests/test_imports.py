@@ -24,7 +24,8 @@ SOLVER_EXPORTS = {
         "find_roots", "level_count", "scan_secular",
     ),
     secular: (
-        "LogScaledValue", "SpectralPoint", "secular_explicit", "secular_monodromy",
+        "FREE_LIMIT_Z", "LogScaledValue", "SpectralPoint", "secular_explicit",
+        "secular_monodromy",
     ),
 }
 # The propagator product's names, which moved to the tests' product oracle
@@ -65,6 +66,20 @@ ptring.spectrum_to_csv
 print("ptring.serialize" in sys.modules)
 """
 
+# What `import ptring.cli`, --help and a usage error load, against the
+# modules the interpreter had before
+CLI_FOOTPRINT = """
+import sys
+bare = set(sys.modules)
+from ptring.cli import main
+for argv in (["--help"], ["spectrum"]):
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+print(*sorted(set(sys.modules) - bare))
+"""
+
 PROBE = """
 import json, sys
 import ptring, ptring.cli
@@ -101,6 +116,17 @@ def test_building_a_potential_loads_only_errors_and_potential():
     added, serialized = out.stdout.splitlines()
     assert set(added.split()) <= {"ptring", "ptring.errors", "ptring.potential"}
     assert serialized == "True"
+
+
+def test_cli_help_and_usage_errors_load_no_command_module():
+    out = subprocess.run(
+        [sys.executable, "-c", CLI_FOOTPRINT], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), check=True,
+    )
+    added = set(out.stdout.split())
+    assert {"ptring.cli", "ptring.errors", "ptring.potential", "argparse"} <= added
+    unloaded = {"ptring.serialize", "ptring.spectrum", "csv", "json", "numpy"}
+    assert not added & unloaded, added & unloaded
 
 
 def test_solver_names_are_the_submodules_objects():
@@ -182,3 +208,21 @@ def test_patch_on_cli_reaches_spectrum(monkeypatch, capsys):
     capsys.readouterr()
     assert calls
     assert ptring.cli.secular_monodromy is spy
+
+
+def test_emitter_patched_on_cli_is_the_one_spectrum_calls(monkeypatch, capsys):
+    """An emitter patched on ptring.cli is the one a command calls, as the
+    benchmark's traced run patches every emitter."""
+    calls = []
+    real = serialize.spectrum_to_csv
+
+    def spy(levels, delta1):
+        calls.append(len(levels))
+        return real(levels, delta1)
+
+    monkeypatch.delitem(vars(ptring.cli), "spectrum_to_csv", raising=False)
+    monkeypatch.setattr(ptring.cli, "spectrum_to_csv", spy)
+    assert main(["spectrum", "--Z", "1", "--backend", "explicit"]) == 0
+    capsys.readouterr()
+    assert calls == [18]
+    assert ptring.cli.spectrum_to_csv is spy

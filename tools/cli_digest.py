@@ -59,6 +59,14 @@ COMMANDS = (
         ["spectrum", "--Z", "1", "--t-min", "2", "--t-max", "1"],
         ["spectrum", "--Z", "1e4"],
         ["spectrum", "--Z", "1", "--t-min", "1e-300"],
+        # an infinite t_max, or one where s = Z/(2 t_max) underflows to 0
+        ["spectrum", "--Z", "1", "--t-max", "inf"],
+        ["spectrum", "--Z", "1", "--t-max", "1e308"],
+        ["spectrum", "--Z", "1e-200", "--t-max", "1e200"],
+        ["scan", "--Z", "1", "--t-max", "inf"],
+        # a default window whose t_min^2 leaves the double range
+        ["spectrum", "--Z", "1e200", "--levels", "2"],
+        ["spectrum", "--Z", "1.7e308"],
     ]
 )
 
