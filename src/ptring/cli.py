@@ -5,12 +5,18 @@ real levels found than requested). Each run solves one closure, chosen by
 --backend; main reports every error a command raises as one "error:" line.
 Every command solves square wells, whose secular functions are closed
 forms; no environment variable changes what a command computes.
+As a process (python -m ptring.cli, the ptring script) the CLI runs with
+the cyclic garbage collector off and frozen for teardown; main() leaves
+that state to its caller.
 """
 
 import argparse
+import gc
 import math
+import os
 import sys
 import warnings
+from typing import NoReturn
 
 from . import _LAZY
 from .errors import LevelShortfallWarning, SecularEvaluationError
@@ -228,5 +234,33 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The process entry of `python -m ptring.cli` and the `ptring` script:
+    main() on sys.argv, then exit with its code.
+
+    The process ends right after one command, which makes little cyclic
+    garbage, so the collector's passes (while numpy loads, and over every
+    object at teardown) are waste: it is off while main() runs, and
+    gc.freeze() then puts every object out of reach of teardown's
+    collections. main() leaves the collector alone: a caller that runs it
+    in its own process owns that state. stdout is flushed here, so that a
+    reader that closed the pipe early gets exit 1, as from main's own
+    writes, not the interpreter's exit 120 and its "Exception ignored".
+    """
+    gc.disable()
+    try:
+        code = main()
+    except SystemExit as e:  # argparse's --help and usage errors
+        code = e.code
+    gc.freeze()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

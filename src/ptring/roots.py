@@ -130,15 +130,15 @@ class ScanConfig:
                 f"t_min must be positive, got {self.t_min!r}; "
                 f"set a positive t_min (--t-min)"
             )
-        if not self.t_min < self.t_max:
-            raise ValueError(
-                f"need t_min < t_max, got [{self.t_min!r}, {self.t_max!r}]; "
-                f"set t_min (--t-min) below t_max (--t-max)"
-            )
         if not math.isfinite(self.t_max):
             raise ValueError(
                 f"t_max must be finite, got {self.t_max!r}; "
                 f"set a finite t_max (--t-max)"
+            )
+        if not self.t_min < self.t_max:
+            raise ValueError(
+                f"need t_min < t_max, got [{self.t_min!r}, {self.t_max!r}]; "
+                f"set t_min (--t-min) below t_max (--t-max)"
             )
 
 
@@ -516,10 +516,13 @@ def default_scan_config(
         raise ValueError(f"n_levels must be at least 1, got {n_levels!r}")
     check_coupling(Z)
     e_max = 1.5 * (math.pi * (n_levels + 2) / 4.0) ** 2
+    t_max_given = t_max is not None
     if t_max is None:
         t_max = 5.0 * max(1.0, math.sqrt(Z))
     if t_min is None:
         t_min = Z / (2.0 * math.sqrt(e_max))
+        if t_max_given:  # a bad given t_max is named before the default floor
+            ScanConfig(t_min=t_min, t_max=t_max)
         s = Z / (2.0 * t_min)
         e_top = s * s - t_min * t_min  # -inf, not OverflowError, at huge Z
         if not (e_top > 0 and t_min < t_max):

@@ -1,7 +1,10 @@
 """End-to-end command behavior: formats, exit codes, round trips."""
 
+import ast
 import contextlib
 import functools
+import gc
+import inspect
 import io
 import json
 import math
@@ -15,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ptring
+import ptring.cli
 from ptring import (
     CirclePotential,
     build_square_well,
@@ -34,6 +38,12 @@ def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _process_env() -> dict:
+    """The environment of a child interpreter that imports this ptring."""
+    src = os.path.dirname(os.path.dirname(ptring.__file__))
+    return dict(os.environ, PYTHONPATH=src)
 
 
 # --- spectrum -----------------------------------------------------------------
@@ -238,6 +248,8 @@ def test_spectrum_oversized_master_grid_exits_1(capsys, monkeypatch, argv, point
         (["scan", "--Z", "1", "--t-max", "inf"], ["--t-max"]),
         (["spectrum", "--Z", "1", "--t-max", "1e308"], ["--t-max"]),
         (["spectrum", "--Z", "1e-200", "--t-max", "1e200"], ["--t-max"]),
+        # a given t_max is checked before the default floor's energy
+        (["spectrum", "--Z", "1", "--t-max", "nan"], ["--t-max"]),
     ],
 )
 def test_bad_window_names_its_flags(capsys, argv, flags):
@@ -659,10 +671,105 @@ def test_pt_circle_tol_changes_nothing(capsys, monkeypatch):
 
 def test_cli_import_leaves_scipy_unloaded():
     """The runtime needs numpy only; scipy is a test dependency."""
-    src = os.path.dirname(os.path.dirname(ptring.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", "import sys, ptring.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=_process_env(), check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+# --- process entry ---------------------------------------------------------------
+
+
+def _gc_state():
+    return gc.isenabled(), gc.get_freeze_count()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--Z", "1", "--backend", "explicit"], ["--help"], ["spectrum"]],
+)
+def test_main_leaves_gc_state_to_its_caller(capsys, argv):
+    """main() is the in-process API: a command, --help and a usage error
+    each leave the collector as the caller had it."""
+    before = _gc_state()
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    capsys.readouterr()
+    assert _gc_state() == before
+
+
+def test_run_turns_the_collector_off_and_freezes(capsys, monkeypatch):
+    """run() is the process entry: the collector is off while main() runs
+    and every object is frozen when it ends, argparse's SystemExit too."""
+    seen = []
+    monkeypatch.setattr(ptring.cli, "main", lambda: seen.append(gc.isenabled()) or 2)
+    monkeypatch.setattr(sys, "argv", ["ptring", "--help"])
+    try:
+        with pytest.raises(SystemExit) as ei:
+            ptring.cli.run()
+        assert (seen, ei.value.code) == ([False], 2)
+        assert not gc.isenabled() and gc.get_freeze_count() > 0
+        gc.unfreeze()
+        monkeypatch.setattr(ptring.cli, "main", main)
+        with pytest.raises(SystemExit) as ei:
+            ptring.cli.run()
+        assert ei.value.code == 0 and "usage: ptring" in capsys.readouterr().out
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["spectrum", "--Z", "1", "--backend", "explicit"], 0),
+        (["spectrum", "--Z", "1", "--levels", "18"], 2),  # monodromy shortfall
+        (["spectrum", "--Z", "inf"], 1),
+    ],
+)
+def test_process_exit_code_and_stdout_match_main(capsys, argv, code):
+    """`python -m ptring.cli` exits with main()'s code and prints its bytes."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "ptring.cli", *argv],
+        capture_output=True, env=_process_env(), timeout=120, check=False,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert (main(argv), proc.stdout) == (code, capsys.readouterr().out.encode())
+
+
+def test_reader_closing_the_pipe_early_gets_exit_1():
+    """With stdout buffered, the output meets the closed pipe at the final
+    flush, which the process entry makes itself: exit 1 and a quiet stderr,
+    not the interpreter's exit 120 and its "Exception ignored" report."""
+    env = _process_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ptring.cli",
+             "spectrum", "--Z", "1", "--levels", "5", "--backend", "explicit"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Exception ignored" not in proc.stderr and proc.stderr == b""
+
+
+def test_console_script_is_the_main_block_entry():
+    """The `ptring` script and `python -m ptring.cli` start one function."""
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.dirname(ptring.__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["ptring"]
+    tree = ast.parse(inspect.getsource(ptring.cli))
+    (block,) = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    module, entry = script.split(":")
+    assert module == "ptring.cli"
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{entry}()"]

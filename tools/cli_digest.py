@@ -6,7 +6,8 @@ Runs every command of COMMANDS with this interpreter, the given src
 directory as PYTHONPATH and an empty temporary working directory, and
 without PT_CIRCLE_TOL: the library does not read it, but the src of
 earlier commits does, and their digests must not depend on the caller's
-environment. Prints one line per command: the SHA-256 of its stdout,
+environment. Nor does PYTHONUNBUFFERED reach a command, so that its
+stdout is buffered as a user's is. Prints one line per command: the SHA-256 of its stdout,
 stderr and exit code, then the command. Each `analyze` command reads the
 JSON that its spectrum command printed in the same run. Diffing the output
 for two checkouts' src/ compares what the CLI prints in each, byte for
@@ -67,6 +68,8 @@ COMMANDS = (
         # a default window whose t_min^2 leaves the double range
         ["spectrum", "--Z", "1e200", "--levels", "2"],
         ["spectrum", "--Z", "1.7e308"],
+        # a given t_max is checked before the default floor's energy
+        ["spectrum", "--Z", "1", "--t-max", "nan"],
     ]
 )
 
@@ -91,7 +94,8 @@ def main(argv: list[str]) -> int:
         print("usage: python tools/cli_digest.py SRC_DIR", file=sys.stderr)
         return 1
     env = dict(os.environ, PYTHONPATH=os.path.abspath(argv[0]))
-    env.pop("PT_CIRCLE_TOL", None)
+    for name in ("PT_CIRCLE_TOL", "PYTHONUNBUFFERED"):
+        env.pop(name, None)
     with tempfile.TemporaryDirectory() as cwd:
         for cmd in COMMANDS:
             proc = _run(cmd, env, cwd)
