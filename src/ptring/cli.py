@@ -61,12 +61,13 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _check_backend_m(backend: str, M: int) -> None:
+def _secular_fn(backend: str, M: int, Z: float):
+    """The secular callable of t for the square well of M cells at Z on the
+    backend's closure, which for explicit needs M = 1. The well is built on
+    either backend, so every solving command checks Z and M alike."""
     if backend == "explicit" and M != 1:
         raise ValueError(f"{backend} backend requires M=1")
-
-
-def _secular_fn(backend: str, pot, Z: float):
+    pot = build_square_well(M, Z)
     if backend == "explicit":
         return lambda t: secular_explicit(Z, t)
     return lambda t: secular_monodromy(pot, Z, t)
@@ -74,16 +75,11 @@ def _secular_fn(backend: str, pot, Z: float):
 
 def cmd_spectrum(args) -> int:
     _bind("roots", "secular", "serialize", "spectrum")
-    _check_backend_m(args.backend, args.M)
-    if args.levels < 1:
-        raise ValueError(f"levels must be at least 1, got {args.levels!r}")
-    pot = build_square_well(args.M, args.Z)
+    f = _secular_fn(args.backend, args.M, args.Z)
     cfg = default_scan_config(args.Z, args.levels, t_min=args.t_min, t_max=args.t_max)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        records = find_roots(
-            _secular_fn(args.backend, pot, args.Z), args.Z, args.levels, cfg
-        )
+        records = find_roots(f, args.Z, args.levels, cfg)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
 
@@ -102,10 +98,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_scan(args) -> int:
     _bind("roots", "secular", "serialize")
-    _check_backend_m(args.backend, args.M)
-    pot = build_square_well(args.M, args.Z)
+    f = _secular_fn(args.backend, args.M, args.Z)
     cfg = ScanConfig(t_min=args.t_min, t_max=args.t_max)
-    samples = scan_secular(_secular_fn(args.backend, pot, args.Z), cfg, args.samples)
+    samples = scan_secular(f, cfg, args.samples)
     _write_output(scan_to_csv(samples), args.output)
     return 0
 
@@ -149,10 +144,10 @@ def cmd_validate(args) -> int:
             f"validate checks the free-particle limit, "
             f"which needs Z <= {FREE_LIMIT_Z:g}"
         )
-    pot = build_square_well(1, args.Z)
+    f = _secular_fn("monodromy", 1, args.Z)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LevelShortfallWarning)
-        recs = find_roots(_secular_fn("monodromy", pot, args.Z), args.Z, 5)
+        recs = find_roots(f, args.Z, 5)
     levels = energies_from_roots(recs, args.Z)[:5]
     if len(levels) < 5:
         print(f"free-limit spectrum: FAIL (found {len(levels)} of 5 levels)")

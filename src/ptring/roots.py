@@ -248,27 +248,33 @@ def _itp_budget(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return eps, (eps - np.spacing(hi)) * 2.0**n_max
 
 
-def _hides_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _hides_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per column of x and y, five points in ascending x (NaN where absent)
     around a middle point where |y| is least, all of one sign: whether a pair
-    of roots may lie near it.
+    of roots may lie near it, and the abscissa of the vertex of the parabola
+    through the middle three points (the middle point where that parabola is
+    not finite, as on flat or straight values).
 
-    That is, whether the vertex of the parabola through the middle three
-    points lies within _VERTEX_MARGIN times the parabola's error of zero, or
-    beyond it. The error is the cubic term, the largest third divided
-    difference over four neighbouring points times the cube of the wider
-    middle spacing, so a touch of zero at a kink, where the third difference
-    is large, counts as near. x is taken relative to the middle point, which
-    keeps the differences finite at any t.
+    A pair may hide where the vertex lies within _VERTEX_MARGIN times the
+    parabola's error of zero, or beyond it. The error is the cubic term, the
+    largest third divided difference over four neighbouring points times the
+    cube of the wider middle spacing, so a touch of zero at a kink, where the
+    third difference is large, counts as near. x is taken relative to the
+    middle point, which keeps the differences finite at any t; this is the
+    one fit of each window's parabola.
     """
-    _, vertex = _vertex(x[1:4], y[1:4])
     u = x / x[2] - 1.0
     with np.errstate(all="ignore"):
         d1 = (y[1:] - y[:-1]) / (u[1:] - u[:-1])
         d2 = (d1[1:] - d1[:-1]) / (u[2:] - u[:-2])
         d3 = np.abs((d2[1:] - d2[:-1]) / (u[3:] - u[:-3]))
+        # the parabola through the middle three points, about u[2] = 0
+        uv = 0.5 * u[1] - 0.5 * d1[1] / d2[1]
+        v = y[2] + uv * (d1[1] + d2[1] * (uv - u[1]))
+    fit = np.isfinite(uv) & np.isfinite(v)
     error = np.fmax(np.fmax(d3[0], d3[1]), 0.0) * np.maximum(-u[1], u[3]) ** 3
-    return ~(np.sign(y[2]) * vertex > _VERTEX_MARGIN * error)
+    hides = ~(np.sign(y[2]) * np.where(fit, v, y[2]) > _VERTEX_MARGIN * error)
+    return hides, x[2] * (1.0 + np.where(fit, uv, 0.0))
 
 
 def _close_brackets(
@@ -378,21 +384,6 @@ def _close_brackets(
     ]
 
 
-def _vertex(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of the arrays x and y of shape (3, n), the abscissa and
-    value of the vertex of the parabola through the three points, or the
-    middle point where the three values are flat. x is taken relative to
-    the middle point, which keeps the differences finite at any t."""
-    u = x / x[1] - 1.0
-    with np.errstate(all="ignore"):
-        d_am, d_mb = (y[1] - y[0]) / -u[0], (y[2] - y[1]) / u[2]
-        c = (d_mb - d_am) / (u[2] - u[0])
-        uv = 0.5 * u[0] - 0.5 * d_am / c
-        v = y[1] + uv * (d_am + c * (uv - u[0]))
-    flat = ~(np.isfinite(uv) & np.isfinite(v))
-    return x[1] * (1.0 + np.where(flat, 0.0, uv)), np.where(flat, y[1], v)
-
-
 def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarray]:
     """The brackets of the ascending grid ts, the argument of
     _close_brackets, and its extremum windows.
@@ -409,7 +400,8 @@ def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarra
     (_hides_pair), where no factor changes sign or vanishes: a factor
     touching zero at another factor's root, as U_(M-1) does at every band
     edge, has no roots of its own there. The windows are an array of shape
-    (2, 3, m): each window's points and the factor's values there.
+    (3, m): per window, its lower grid point, the vertex of its parabola
+    (_hides_pair) and its upper grid point.
     """
     factors, counts = scan
     neg, pos, zero = factors < 0, factors > 0, factors == 0
@@ -450,10 +442,10 @@ def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarra
     # where |y| at the middle exceeds 5 S
     low = np.abs(y5[2]) < 5.0 * np.fmax.reduce(np.abs(y5 - y5[2]), axis=0)
     if not low.any():
-        return brackets, np.empty((2, 3, 0))
-    x5, y5 = np.where(inside, ts[near], np.nan)[:, low], y5[:, low]
-    hides = _hides_pair(x5, y5)
-    return brackets, np.stack([x5[1:4, hides], y5[1:4, hides]])
+        return brackets, np.empty((3, 0))
+    x5 = np.where(inside, ts[near], np.nan)[:, low]
+    hides, vertex = _hides_pair(x5, y5[:, low])
+    return brackets, np.stack([x5[1], vertex, x5[3]])[:, hides]
 
 
 def _merge_close(records: list[RootRecord]) -> list[RootRecord]:
@@ -463,7 +455,8 @@ def _merge_close(records: list[RootRecord]) -> list[RootRecord]:
     whose such intervals touch are one doublet whose splitting is below
     the closer's resolution; they merge into a single unresolved_doublet
     record. The test scales with t, as the closer's relative tolerance
-    does, so it holds at every coupling.
+    does, so it holds at every coupling. Returns the records in strictly
+    ascending t: two at one t touch, and merge.
     """
     records = sorted(records, key=lambda r: r.t)
     out: list[RootRecord] = []
@@ -513,7 +506,7 @@ def default_scan_config(
     eigenvalues all have Re E >= 0).
     """
     if n_levels < 1:
-        raise ValueError(f"n_levels must be at least 1, got {n_levels!r}")
+        raise ValueError(f"levels must be at least 1, got {n_levels!r}")
     check_coupling(Z)
     e_max = 1.5 * (math.pi * (n_levels + 2) / 4.0) ** 2
     t_max_given = t_max is not None
@@ -522,6 +515,12 @@ def default_scan_config(
     if t_min is None:
         t_min = Z / (2.0 * math.sqrt(e_max))
         if t_max_given:  # a bad given t_max is named before the default floor
+            if t_max <= t_min:
+                raise ValueError(
+                    f"need t_min < t_max, got [{t_min!r}, {t_max!r}], where "
+                    f"t_min is the default for {n_levels} levels at Z={Z!r}; "
+                    f"set a larger t_max (--t-max) or a smaller t_min (--t-min)"
+                )
             ScanConfig(t_min=t_min, t_max=t_max)
         s = Z / (2.0 * t_min)
         e_top = s * s - t_min * t_min  # -inf, not OverflowError, at huge Z
@@ -548,18 +547,19 @@ def find_roots(
     to a LogScaledValue with factors; it is called on the master grid, on
     each pass that refines it in the extremum windows, and on each lock-step
     closer step, and only its factors are read. Every extremum window where
-    a pair of one factor's roots may hide is resolved on the grid first;
-    then every sign change of a factor on the grid is closed on that factor,
-    and the closer makes the record of each root, a grid point where a
-    factor is zero included (_close_brackets). Returns every root found in
-    the window, in descending t (ascending energy) order; callers slice the
-    leading n_levels levels after doublet expansion. Warns with
-    LevelShortfallWarning when the window yields fewer levels than
-    requested, which for this operator family indicates levels lost to
-    complex conjugate pairs rather than a scan failure. Raises ValueError on
-    a value without factors, and before evaluating or allocating anything
-    when s = Z/(2 t_max) underflows to 0 or the master grid would take more
-    than _MAX_GRID_POINTS points.
+    a pair of one factor's roots may hide is resolved on the grid first,
+    each pass refining around the vertex its scan fitted; then every sign
+    change of a factor on the grid is closed on that factor, and the closer
+    makes the record of each root, a grid point where a factor is zero
+    included (_close_brackets). Returns every root found in the window, in
+    descending t (ascending energy) order, _merge_close's ascending list
+    reversed; callers slice the leading n_levels levels after doublet
+    expansion. Warns with LevelShortfallWarning when the window yields fewer
+    levels than requested, which for this operator family indicates levels
+    lost to complex conjugate pairs rather than a scan failure. Raises
+    ValueError on a value without factors, and before evaluating or
+    allocating anything when s = Z/(2 t_max) underflows to 0 or the master
+    grid would take more than _MAX_GRID_POINTS points.
     """
     cfg = config if config is not None else default_scan_config(Z, n_levels)
     s_lo = Z / (2.0 * cfg.t_max)
@@ -592,16 +592,14 @@ def find_roots(
     )
     ts = Z / (2.0 * s[::-1])
     factors, counts = _evaluate(f, ts)
-    brackets, windows = _brackets_and_windows(ts, (factors, counts))
-    # refine the grid in each extremum window until none is left: a pass
-    # adds the stencil around the vertex of the window's parabola, clipped
-    # into the window, for at most bisection's step count over the widest
-    # window, and stops early when it adds no point
-    W = windows[0]
+    brackets, W = _brackets_and_windows(ts, (factors, counts))
+    # refine the grid in each extremum window (lo, vertex, hi) until none is
+    # left: a pass adds the stencil around the vertex, clipped into the
+    # window, for at most bisection's step count over the widest window, and
+    # stops early when it adds no point
     passes = np.ceil(np.log2((W[2] - W[0]) / (_T_TOL * W[0]))) + _ITP_N0
     for _ in range(int(passes.max(initial=0))):
-        W, YW = windows
-        x = _vertex(W, YW)[0][:, None] + (0.5 * _T_TOL * W[0])[:, None] * _STENCIL
+        x = W[1][:, None] + (0.5 * _T_TOL * W[0])[:, None] * _STENCIL
         new = np.setdiff1d(np.clip(x, W[0][:, None], W[2][:, None]), ts)
         if not new.size:
             break
@@ -609,11 +607,10 @@ def find_roots(
         order = np.argsort(ts)
         ts = ts[order]
         factors = np.concatenate([factors, _evaluate(f, new)[0]], axis=1)[:, order]
-        brackets, windows = _brackets_and_windows(ts, (factors, counts))
-        if not windows.size:
+        brackets, W = _brackets_and_windows(ts, (factors, counts))
+        if not W.size:
             break
-    records = _merge_close(_close_brackets(f, brackets))
-    records.sort(key=lambda r: -r.t)
+    records = _merge_close(_close_brackets(f, brackets))[::-1]
 
     found = level_count(records)
     if found < n_levels:

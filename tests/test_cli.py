@@ -250,12 +250,15 @@ def test_spectrum_oversized_master_grid_exits_1(capsys, monkeypatch, argv, point
         (["spectrum", "--Z", "1e-200", "--t-max", "1e200"], ["--t-max"]),
         # a given t_max is checked before the default floor's energy
         (["spectrum", "--Z", "1", "--t-max", "nan"], ["--t-max"]),
+        # a t_max at or below the default t_min, which the message calls so
+        (["spectrum", "--Z", "1", "--t-max", "0.001"],
+         ["--t-max", "--t-min", "t_min is the default for 18 levels at Z=1.0"]),
     ],
 )
 def test_bad_window_names_its_flags(capsys, argv, flags):
     """A window that is not positive, not ordered or not finite is a domain
     error naming the flags that set it, as a bad sample count names
-    --samples."""
+    --samples, and calling a t_min the user did not set the default."""
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""

@@ -70,6 +70,13 @@ COMMANDS = (
         ["spectrum", "--Z", "1.7e308"],
         # a given t_max is checked before the default floor's energy
         ["spectrum", "--Z", "1", "--t-max", "nan"],
+        # a given t_max at or below the default t_min
+        ["spectrum", "--Z", "1", "--t-max", "0.001"],
+        ["spectrum", "--Z", "1", "--levels", "0"],
+        # the explicit closure needs M = 1
+        ["spectrum", "--Z", "1", "--M", "2", "--backend", "explicit"],
+        ["scan", "--Z", "1", "--M", "2", "--backend", "explicit"],
+        ["validate", "--Z", "0.002"],
     ]
 )
 

@@ -7,10 +7,11 @@ SOLVES: each coupling of COUPLINGS at each level count of LEVELS, on the
 explicit closure and on the monodromy at each cell count of CELLS, in the
 default window, then the solves of WINDOWS in a window of their own. Prints
 one line per solve: the SHA-256 of its records' t, residual_logmag and
-bracket_width as hex floats and their unresolved_doublet flags, then the
-solve. A solve whose window is refused prints the error text instead of a
-digest. Diffing the output for two checkouts' src/ compares their records
-bit for bit.
+bracket_width as hex floats and their unresolved_doublet flags, the number
+of calls the solve made to its secular function and the number of t values
+they evaluated, then the solve. A solve whose window is refused prints the
+error text instead. Diffing the output for two checkouts' src/ compares
+their records bit for bit, and the work that found them.
 """
 
 import hashlib
@@ -18,8 +19,9 @@ import os
 import sys
 import warnings
 
+# at Z = 0.01 and M = 2 or 8 the guard flags a window that holds no pair
 COUPLINGS = (
-    1e-6, 1e-4, 1e-3, 0.05, 0.1, 0.5, 1.0, 1.3, 2.0, 4.0, 5.5423, 8.0,
+    1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.5, 1.0, 1.3, 2.0, 4.0, 5.5423, 8.0,
     17.9012, 17.901234, 17.9012344, 17.9012345, 20.0, 33.55,
 )
 LEVELS = (1, 2, 3, 5, 18, 50, 100)
@@ -60,19 +62,20 @@ def _digest(records) -> str:
 
 
 def _solve(ptring, closure, Z, n_levels, t_min, t_max):
-    if closure == "explicit":
-        def f(t):
-            return ptring.secular_explicit(Z, t)
-    else:
-        pot = ptring.build_square_well(closure, Z)
+    """The records of one solve and the sizes of its secular calls."""
+    pot = None if closure == "explicit" else ptring.build_square_well(closure, Z)
+    sizes = []
 
-        def f(t):
-            return ptring.secular_monodromy(pot, Z, t)
+    def f(t):
+        sizes.append(t.size)
+        if pot is None:
+            return ptring.secular_explicit(Z, t)
+        return ptring.secular_monodromy(pot, Z, t)
 
     config = None if t_min is None else ptring.ScanConfig(t_min=t_min, t_max=t_max)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ptring.LevelShortfallWarning)
-        return ptring.find_roots(f, Z, n_levels, config)
+        return ptring.find_roots(f, Z, n_levels, config), sizes
 
 
 def main(argv: list[str]) -> int:
@@ -88,7 +91,8 @@ def main(argv: list[str]) -> int:
         if t_min is not None:
             name += f" t=[{t_min!r}, {t_max!r}]"
         try:
-            out = _digest(_solve(ptring, *solve))
+            records, sizes = _solve(ptring, *solve)
+            out = f"{_digest(records)} calls={len(sizes)} points={sum(sizes)}"
         except ValueError as e:
             out = f"error: {e}"
         print(out, name)
