@@ -15,11 +15,7 @@ from .errors import (
     SecularEvaluationError,
     SecularOverflowError,
 )
-from .potential import (
-    CirclePotential,
-    build_square_well,
-    rotate_segments,
-)
+from .potential import SquareWell, build_square_well
 
 __version__ = "0.1.0"
 

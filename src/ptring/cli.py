@@ -67,10 +67,10 @@ def _secular_fn(backend: str, M: int, Z: float):
     either backend, so every solving command checks Z and M alike."""
     if backend == "explicit" and M != 1:
         raise ValueError(f"{backend} backend requires M=1")
-    pot = build_square_well(M, Z)
+    well = build_square_well(M, Z)
     if backend == "explicit":
         return lambda t: secular_explicit(Z, t)
-    return lambda t: secular_monodromy(pot, Z, t)
+    return lambda t: secular_monodromy(well, Z, t)
 
 
 def cmd_spectrum(args) -> int:
@@ -107,11 +107,11 @@ def cmd_scan(args) -> int:
 
 def cmd_potential(args) -> int:
     _bind("serialize")
-    pot = build_square_well(args.M, args.Z)
+    well = build_square_well(args.M, args.Z)
     if args.format == "json":
-        text = potential_to_json(pot)
+        text = potential_to_json(well)
     else:
-        text = potential_to_csv(pot, args.samples)
+        text = potential_to_csv(well, args.samples)
     _write_output(text, args.output)
     return 0
 

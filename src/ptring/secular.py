@@ -1,21 +1,23 @@
 """Secular functions whose real roots t_n determine the spectrum.
 
-The ring of a square well is 2M copies of one (+iZ, -iZ) cell, and both
-closures are elementary functions of the real cell trace tau:
+The ring of a square well, a SquareWell(M, Z), is 2M copies of one
+(+iZ, -iZ) cell of width 1/M, and both closures are elementary functions
+of the real cell trace tau:
 
 - secular_monodromy: the strictly periodic closure g(t) = 2 - tr(T) of the
   monodromy T once around the circle (a periodic eigenstate exists where
   the unit-determinant monodromy has eigenvalue 1, i.e. det(T - 1) =
   2 - tr(T) = 0). For a square well, tr T = 2 T_2M(tau/2) (Chebyshev);
-  any other layout, or a square well of another coupling, is a ValueError.
+  a square well of another coupling than the call's is a ValueError.
 
 - secular_explicit: M=1 only, the determinant of the eight-by-eight
   matching system assembled from the per-segment sine/cosine ansatz, in
   closed form. Its rows 3 and 4 couple the two inner half-waves through an
   energy-dependent unimodular factor cos(kappa)/cos(kappa*), so this system
-  is equivalent to a quasi-periodic closure and its root set is NOT the
-  periodic one; it is the reference spectrum the regression suite pins. See
-  README for the relation between the two backends.
+  is the ring at the Bloch phase theta(E) = 2 arg cos(kappa(E)) and its
+  root set is NOT the periodic one; it is the reference spectrum the
+  regression suite pins. See README for the relation between the two
+  backends.
 
 Both backends substitute s = Z/(2t) and work at purely real energy
 E = s^2 - t^2; values are returned in sign/log-magnitude form to survive the
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SecularOverflowError
-from .potential import CirclePotential, check_coupling
+from .potential import SquareWell, check_coupling
 
 # Coupling up to which the near-axis complex pairs at tau = -2 count as real
 # doublets of the free circle: their first-order |Im E| is at most 2Z/pi.
@@ -181,23 +183,6 @@ def _log_scaled(value, scalar: bool, factors=()) -> LogScaledValue:
     return LogScaledValue.deferred(first, tuple((float(v[0]), c) for v, c in factors))
 
 
-def _square_well_periods(pot: CirclePotential, Z: float) -> int:
-    """M for a square-well layout of 2M (+iZ, -iZ) cells; a ValueError
-    names any other layout, or both couplings of a square well of another Z.
-
-    The layout test itself is cached on the potential (cell_layout); any
-    rotation qualifies, because the monodromy trace is cyclic. Only the
-    match of |Im V| to Z is checked per call.
-    """
-    layout = pot.cell_layout
-    if layout is None:
-        raise ValueError(f"not a square well of alternating cells: {pot.segments!r}")
-    M, coupling = layout
-    if abs(coupling - Z) > 1e-12 * Z:
-        raise ValueError(f"square well of coupling {coupling!r} called at Z={Z!r}")
-    return M
-
-
 def _cell_trace(point: SpectralPoint, h: float):
     """k^2, a, b, c, d and 2th for one (+iZ, -iZ) cell, and sin(sh), cos(sh)
     and |kappa|^2 = s^2 + t^2.
@@ -305,18 +290,20 @@ def _periodic_closure(point: SpectralPoint, M: int, h: float):
     return factors, value
 
 
-def secular_monodromy(pot: CirclePotential, Z: float, t) -> LogScaledValue:
-    """g(t) = 2 - tr(T) for the monodromy T, as a log-scaled real value.
+def secular_monodromy(well: SquareWell, Z: float, t) -> LogScaledValue:
+    """g(t) = 2 - tr(T) for the monodromy T of the well's 2M cells, as a
+    log-scaled real value.
 
-    pot must be a square well of coupling Z (see _square_well_periods). The
-    value is the closed form in the cell trace, which is real by
-    construction, with its factors (see _periodic_closure); the sign and
+    well.Z must equal Z to 1e-12 relative, else a ValueError names both
+    couplings. The value is the closed form in the cell trace, which is real
+    by construction, with its factors (see _periodic_closure); the sign and
     logmag are computed on first read. A point whose energy leaves the
     double range raises SecularOverflowError.
     """
-    M = _square_well_periods(pot, Z)
+    if abs(well.Z - Z) > 1e-12 * Z:
+        raise ValueError(f"square well of coupling {well.Z!r} called at Z={Z!r}")
     point, scalar = _points(Z, t)
-    factors, value = _periodic_closure(point, M, pot.segments[0][0])
+    factors, value = _periodic_closure(point, well.M, 1.0 / well.M)
     return _log_scaled(value, scalar, factors)
 
 
@@ -326,7 +313,11 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     This is the determinant of the eight-by-eight matching system whose
     inner-boundary rows carry cos(kappa)/cos(kappa*) weights, in closed
     form: with c = cos(kappa) and tau the trace of one unit-width cell,
-    det Q = |kappa|^4 (2 Re c - |c| tau)(2 Re c + |c| tau). The returned
+    det Q = |kappa|^4 (2 Re c - |c| tau)(2 Re c + |c| tau). Since
+    |Re c| / |c| = |cos(arg c)|, its roots are those of the ring under
+    psi(x + 4) = e^(i theta) psi(x), where tr T = tau^2 - 2 = 2 cos(theta),
+    at the energy-dependent Bloch phase theta(E) = 2 arg cos(kappa(E));
+    secular_monodromy is the ring at theta = 0. The returned
     value is det Q times the smooth positive envelope 8 |kappa|^6, which
     gives the value the cosh^6(t) / (2 t^4) small-t crest growth; roots and
     signs are unaffected. Per point, raises SecularOverflowError when the

@@ -3,16 +3,21 @@
 Every float is rendered with fmt_float (12 significant digits, lowercase
 e-notation) and emitters build their output byte-by-byte, so parsing an
 emitted document and re-emitting it reproduces the input exactly. CSV uses
-a comma separator, a header row, and LF line endings.
+a comma separator, a header row, and LF line endings. A potential is
+written from its SquareWell's (M, Z) alone. The spectrum parsers accept
+only what the emitters can write: finite floats, and levels numbered by
+their row.
 """
 
 import csv
 import io
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .potential import MAX_SEGMENTS, CirclePotential
+from .potential import CIRCUMFERENCE, MAX_SEGMENTS, START, SquareWell
 from .spectrum import EnergyLevel, SpectrumReport
 
 
@@ -56,21 +61,35 @@ def _spectrum_rows(
     ]
 
 
+def _finite(name: str, value) -> float:
+    """value as a float; a ValueError naming the field unless it is finite,
+    since json reads NaN, Infinity and 1e400 as floats."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"spectrum field {name} must be finite, got {value!r}")
+    return x
+
+
 def _read_spectrum(rows: Iterable[Sequence], none, **meta) -> SpectrumDocument:
-    """Invert _spectrum_rows: rows of SPECTRUM_COLUMNS values, none for None."""
+    """Invert _spectrum_rows: rows of SPECTRUM_COLUMNS values, none for None.
+
+    A non-finite t, s, E or delta1, or an n other than the row's index, is
+    a ValueError: analysis pairs levels by their place in the list."""
     levels, delta1 = [], []
-    for n, t, s, E, d, series, partner in rows:
+    for i, (n, t, s, E, d, series, partner) in enumerate(rows):
+        if str(n) != str(i):
+            raise ValueError(f"spectrum level {i} has n={n!r}, want n={i}")
         levels.append(
             EnergyLevel(
-                n=int(n),
-                t=float(t),
-                s=float(s),
-                E=float(E),
+                n=i,
+                t=_finite("t", t),
+                s=_finite("s", s),
+                E=_finite("E", E),
                 series=int(series),
                 doublet_partner=None if partner == none else int(partner),
             )
         )
-        delta1.append(None if d == none else float(d))
+        delta1.append(None if d == none else _finite("delta1", d))
     return SpectrumDocument(tuple(levels), tuple(delta1), **meta)
 
 
@@ -135,7 +154,7 @@ def parse_spectrum_json(text: str) -> SpectrumDocument:
         return _read_spectrum(
             ([d[k] for k in SPECTRUM_COLUMNS] for d in obj["levels"]),
             None,
-            Z=float(obj["Z"]),
+            Z=_finite("Z", obj["Z"]),
             M=int(obj["M"]),
             backend=str(obj["backend"]),
         )
@@ -164,21 +183,26 @@ def analysis_to_csv(report: SpectrumReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def potential_to_json(pot: CirclePotential) -> str:
+def potential_to_json(well: SquareWell) -> str:
+    """The circle and the well's 4M segments, one (width, im) row each."""
     fields = [
-        ("circumference", fmt_float(pot.circumference)),
-        ("start", fmt_float(pot.start)),
+        ("circumference", fmt_float(CIRCUMFERENCE)),
+        ("start", fmt_float(START)),
     ]
-    rows = [(fmt_float(width), fmt_float(v.imag)) for width, v in pot.segments]
+    width = fmt_float(1.0 / well.M)
+    rows = [(width, fmt_float(well.Z)), (width, fmt_float(-well.Z))] * (2 * well.M)
     return _json_document(fields, "segments", ("width", "im"), rows)
 
 
-def potential_to_csv(pot: CirclePotential, samples: int) -> str:
+def potential_to_csv(well: SquareWell, samples: int) -> str:
     """Imaginary part of V on a uniform midpoint grid, columns s, im_V.
 
     A leading comment line lists the segment boundaries so block edges can
-    be drawn exactly rather than read off the grid. A sample count below 1
-    or above MAX_SEGMENTS is a ValueError, raised before any row is built.
+    be drawn exactly rather than read off the grid. Each edge is the
+    running sum of the widths from START, not START + j/M, which differ in
+    the last place (the x = 0 edge of M = 3 is -3.33066907388e-16). A sample
+    count below 1 or above MAX_SEGMENTS is a ValueError, raised before any
+    row is built.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
@@ -187,20 +211,23 @@ def potential_to_csv(pot: CirclePotential, samples: int) -> str:
             f"a table of {samples} samples is more than the {MAX_SEGMENTS} "
             f"allowed; request fewer (--samples)"
         )
-    edges = ",".join(fmt_float(b) for b in pot.boundaries())
-    lines = [f"# boundaries,{edges}", "s,im_V"]
-    # the offsets ascend, so one walk over the segments serves every sample;
-    # it compares each offset with the running width sum as value_at does
-    step = pot.circumference / samples
-    last = len(pot.segments) - 1
-    j, acc = 0, pot.segments[0][0]
+    h, last = 1.0 / well.M, 4 * well.M - 1
+    edges = itertools.accumulate(itertools.repeat(h, last + 1), initial=START)
+    lines = [f"# boundaries,{','.join(map(fmt_float, edges))}", "s,im_V"]
+    values = fmt_float(well.Z), fmt_float(-well.Z)
+    # the offsets ascend, so one walk over the segments serves every sample.
+    # It compares each offset with the running width sum: a sample on an
+    # edge then falls on the side that sum puts it, which an exact integer
+    # rule would move for many (M, samples)
+    step = CIRCUMFERENCE / samples
+    j, acc = 0, h
     for i in range(samples):
-        x = pot.start + (i + 0.5) * step
-        offset = (x - pot.start) % pot.circumference
+        x = START + (i + 0.5) * step
+        offset = (x - START) % CIRCUMFERENCE
         while j < last and not offset < acc:
             j += 1
-            acc += pot.segments[j][0]
-        lines.append(f"{fmt_float(x)},{fmt_float(pot.segments[j][1].imag)}")
+            acc += h
+        lines.append(f"{fmt_float(x)},{values[j % 2]}")
     return "\n".join(lines) + "\n"
 
 

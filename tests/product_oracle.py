@@ -2,26 +2,96 @@
 g(t) = 2 - tr T of any layout, T the ordered product of its segment
 propagators once around the circle, with no closed form involved.
 
-The library solves square wells through the closed cell trace alone; this
-product is its independent check, and the only path that evaluates layouts
-other than square wells. A PT-symmetric layout has a real g, which
-secular_product asserts to the relative tolerance reality_rtol(): 1e-8, or
-the PT_CIRCLE_TOL environment variable, a bad value of which is a
-ValueError.
+The library solves square wells, each the pair (M, Z), through the closed
+cell trace alone; this product is its independent check, and the only path
+that evaluates layouts other than square wells. A layout is a
+CirclePotential, an ordered tuple of (width, purely imaginary value)
+segments; layout(well) gives a square well's. A PT-symmetric layout has a
+real g, which secular_product asserts to the relative tolerance
+reality_rtol(): 1e-8, or the PT_CIRCLE_TOL environment variable, a bad
+value of which is a ValueError.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ptring.errors import SecularOverflowError
-from ptring.potential import _WIDTH_SUM_TOL, CirclePotential
+from ptring.potential import CIRCUMFERENCE, START, SquareWell
 from ptring.secular import LogScaledValue, SpectralPoint, _log_scaled, _points
 
 DEFAULT_REALITY_RTOL = 1e-8
 
 _TINY_KAPPA = 1e-150
+
+_WIDTH_SUM_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class CirclePotential:
+    """Ordered segments (width, purely imaginary value) covering the circle.
+
+    Segments are left-closed, [a, b); the value at a boundary point is that
+    of the segment starting there, so at M = 1 x = 0 gives +iZ, from [0, 1),
+    not -iZ, from [-1, 0). Matching conditions never evaluate V at a
+    boundary, so this choice is inert.
+    """
+
+    circumference: float
+    start: float
+    segments: tuple[tuple[float, complex], ...]
+
+    def __post_init__(self) -> None:
+        if not self.segments:
+            raise ValueError("potential needs at least one segment")
+        for width, value in self.segments:
+            if not width > 0:
+                raise ValueError(f"segment width must be positive, got {width}")
+            if value.real != 0.0:
+                raise ValueError(f"segment value must be purely imaginary, got {value}")
+        total = math.fsum(w for w, _ in self.segments)
+        if abs(total - self.circumference) > _WIDTH_SUM_TOL:
+            raise ValueError(
+                f"segment widths sum to {total!r}, expected {self.circumference!r}"
+            )
+
+    def boundaries(self) -> list[float]:
+        """All segment edges from start to start + circumference."""
+        edges = [self.start]
+        for width, _ in self.segments:
+            edges.append(edges[-1] + width)
+        return edges
+
+    def value_at(self, x: float) -> complex:
+        """V(x) for x in [start, start + circumference), left-closed segments."""
+        offset = (x - self.start) % self.circumference
+        acc = 0.0
+        for width, value in self.segments:
+            acc += width
+            if offset < acc:
+                return value
+        return self.segments[-1][1]
+
+
+def layout(well: SquareWell) -> CirclePotential:
+    """The well's 4M segments: +iZ first from START, width 1/M each."""
+    h, Z = 1.0 / well.M, well.Z
+    segments = tuple(
+        (h, complex(0.0, Z) if j % 2 == 0 else complex(0.0, -Z))
+        for j in range(4 * well.M)
+    )
+    return CirclePotential(CIRCUMFERENCE, START, segments)
+
+
+def rotate_segments(pot: CirclePotential, k: int) -> CirclePotential:
+    """Cyclically shift the segment list by k positions (k taken mod count)."""
+    n = len(pot.segments)
+    k = k % n
+    return CirclePotential(
+        pot.circumference, pot.start, pot.segments[k:] + pot.segments[:k]
+    )
 
 
 class SecularRealityError(RuntimeError):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import ACCEPTANCE_LINES
 from fd_oracle import fd_eigenvalues
-from product_oracle import _product_closure, monodromy
+from product_oracle import _product_closure, layout, monodromy, rotate_segments
 
 from ptring import (
     ScanConfig,
@@ -23,7 +23,6 @@ from ptring import (
     build_square_well,
     energies_from_roots,
     find_roots,
-    rotate_segments,
     secular_explicit,
     secular_monodromy,
 )
@@ -283,7 +282,7 @@ def test_criterion_9_property_suite():
     fired = []
     for m in range(1, 7):
         for z in (0.1, 1.0, 10.0):
-            pot = build_square_well(m, z)
+            pot = layout(build_square_well(m, z))
             rot = rotate_segments(pot, 1)
             p = SpectralPoint.from_zt(z, t_grid)
             T = monodromy(pot, p)

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -19,14 +20,15 @@ from hypothesis import strategies as st
 
 import ptring
 import ptring.cli
+from product_oracle import layout
+
 from ptring import (
-    CirclePotential,
     build_square_well,
     fmt_float,
     parse_spectrum_csv,
     parse_spectrum_json,
     potential_to_csv,
-    rotate_segments,
+    potential_to_json,
     spectrum_to_csv,
     spectrum_to_json,
 )
@@ -427,24 +429,48 @@ def test_oversized_potential_exits_1(capsys, monkeypatch, argv, flag):
     assert f"more than the {MAX_SEGMENTS} allowed" in err and f"({flag})" in err
 
 
-@pytest.mark.parametrize(
-    "pot",
-    [
-        *(build_square_well(M, 1.0) for M in (1, 2, 3, 8)),
-        rotate_segments(build_square_well(3, 2.0), 1),
-        rotate_segments(build_square_well(5, 1.0), 7),
-        CirclePotential(4.0, -2.0, ((0.1, 1j), (1.9, -2j), (0.7, 3j), (1.3, -1j))),
-        CirclePotential(4.0, -2.0, ((1 / 3, 1j), (1 / 3, -1j), (10 / 3, 2j))),
-    ],
-)
+WELLS = [build_square_well(M, 2.0 if M % 3 else 0.75) for M in range(1, 13)]
+
+
+@pytest.mark.parametrize("pot", WELLS)
 def test_potential_csv_rows_follow_value_at(pot):
-    """Each row of potential_to_csv holds value_at of its sample, samples
-    that land exactly on a segment edge included (M = 1 at 2 or 4 samples)."""
-    for samples in [*range(1, 41), 64, 400, 997]:
-        step = pot.circumference / samples
-        xs = [pot.start + (i + 0.5) * step for i in range(samples)]
-        rows = potential_to_csv(pot, samples).splitlines()[2:]
-        assert rows == [f"{fmt_float(x)},{fmt_float(pot.value_at(x).imag)}" for x in xs]
+    """potential_to_csv of a well is the walk over its segment layout in the
+    product oracle: the boundaries line and, in each row, value_at of its
+    sample. Odd and even sample counts, and samples that land exactly on a
+    segment edge included (every sample at 2M, every third at 6M)."""
+    segments = layout(pot)
+    edges = ",".join(fmt_float(b) for b in segments.boundaries())
+    M = pot.M
+    for samples in [*range(1, 41), 64, 400, 997, *(k * M for k in (2, 6, 10, 14))]:
+        step = segments.circumference / samples
+        xs = [segments.start + (i + 0.5) * step for i in range(samples)]
+        lines = potential_to_csv(pot, samples).splitlines()
+        assert lines[:2] == [f"# boundaries,{edges}", "s,im_V"]
+        assert lines[2:] == [
+            f"{fmt_float(x)},{fmt_float(segments.value_at(x).imag)}" for x in xs
+        ]
+
+
+@pytest.mark.parametrize("pot", WELLS)
+def test_potential_json_follows_the_layout(pot):
+    """potential_to_json of a well writes the circle, then one row per
+    segment of its layout in the product oracle, in order."""
+    segments = layout(pot)
+    rows = [
+        f'    {{"width": {fmt_float(w)}, "im": {fmt_float(v.imag)}}}'
+        for w, v in segments.segments
+    ]
+    want = [
+        "{",
+        f'  "circumference": {fmt_float(segments.circumference)},',
+        f'  "start": {fmt_float(segments.start)},',
+        '  "segments": [',
+        *(row + "," for row in rows[:-1]),
+        rows[-1],
+        "  ]",
+        "}",
+    ]
+    assert potential_to_json(pot) == "\n".join(want) + "\n"
 
 
 # --- analyze ----------------------------------------------------------------------
@@ -510,6 +536,71 @@ def test_analyze_rejects_malformed_input(tmp_path, capsys):
     code, _out, err = _run(capsys, ["analyze", "--input", str(src)])
     assert code == 1
     assert "error" in err
+
+
+def _analyze_error(capsys, monkeypatch, text):
+    """analyze on text: exit 1, no output and one "error:" line, returned."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = _run(capsys, ["analyze"])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return err
+
+
+@functools.cache
+def _spectrum_text(fmt):
+    """Six explicit levels at Z = 1, as the spectrum command prints them."""
+    argv = ["spectrum", "--Z", "1", "--backend", "explicit", "--levels", "6",
+            "--format", fmt]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("field", ["t", "s", "E", "delta1", "Z"])
+def test_analyze_rejects_non_finite_json_fields(capsys, monkeypatch, field, token):
+    """json reads NaN, Infinity and 1e400 as floats; in any float field of
+    a level, or in Z, analyze names the field rather than print nan rows.
+    delta1 is replaced on level 1, the first that has one."""
+    lines = _spectrum_text("json").split("\n")
+    i = 6 if field == "delta1" else 1 if field == "Z" else 5
+    assert f'"{field}": ' in lines[i]
+    lines[i] = re.sub(rf'"{field}": [^,}}]+', f'"{field}": {token}', lines[i])
+    err = _analyze_error(capsys, monkeypatch, "\n".join(lines))
+    assert f"field {field} must be finite" in err
+
+
+@pytest.mark.parametrize("n", ["1", "2", "5", "-1", "0.0", "true", '"00"'])
+def test_analyze_rejects_levels_out_of_sequence(capsys, monkeypatch, n):
+    """Each level's n must be its index, or the difference tables would pair
+    the wrong levels."""
+    lines = _spectrum_text("json").split("\n")
+    assert lines[5].startswith('    {"n": 0, ')
+    lines[5] = lines[5].replace('"n": 0', f'"n": {n}')
+    err = _analyze_error(capsys, monkeypatch, "\n".join(lines))
+    assert "spectrum level 0 has n=" in err
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        *((f, v) for f in ("t", "s", "E", "delta1") for v in ("nan", "-inf", "1e400")),
+        ("n", "0"), ("n", "2"), ("n", "01"),
+    ],
+)
+def test_spectrum_csv_rejects_non_finite_values_and_bad_n(field, value):
+    """The CSV reader applies the JSON reader's checks to level 1: every
+    float field finite and n its row's index."""
+    text = _spectrum_text("csv")
+    assert parse_spectrum_csv(text).levels[1].n == 1
+    rows = [line.split(",") for line in text.splitlines()]
+    rows[2][rows[0].index(field)] = value
+    bad = "\n".join(",".join(row) for row in rows) + "\n"
+    message = "level 1 has n=" if field == "n" else f"field {field} must be finite"
+    with pytest.raises(ValueError, match=message):
+        parse_spectrum_csv(bad)
 
 
 # --- validate ---------------------------------------------------------------------

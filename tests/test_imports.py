@@ -28,8 +28,12 @@ SOLVER_EXPORTS = {
         "secular_monodromy",
     ),
 }
-# The propagator product's names, which moved to the tests' product oracle
-REMOVED = ("SecularRealityError", "TransferMatrix2", "monodromy", "segment_propagator")
+# The propagator product's names and the general segment layout's, which
+# moved to the tests' product oracle
+REMOVED = (
+    "SecularRealityError", "TransferMatrix2", "monodromy", "segment_propagator",
+    "CirclePotential", "rotate_segments",
+)
 # The same for serialize and spectrum, also loaded on first use
 REPORT_EXPORTS = {
     serialize: (
@@ -48,7 +52,7 @@ ERROR_BASES = {
     "LevelShortfallWarning": UserWarning,
 }
 EAGER_EXPORTS = (
-    "CirclePotential", "build_square_well", "rotate_segments", "__version__",
+    "SquareWell", "build_square_well", "__version__",
     *ERROR_BASES,
 )
 

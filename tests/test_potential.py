@@ -1,21 +1,20 @@
-"""Geometry and symmetry of the alternating imaginary square-well family."""
+"""Geometry and symmetry of the alternating imaginary square-well family:
+the library's SquareWell, and its segment layout in the product oracle."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from product_oracle import is_pt_symmetric
+from product_oracle import CirclePotential, is_pt_symmetric, layout, rotate_segments
 
-from ptring import (
-    CirclePotential,
-    build_square_well,
-    rotate_segments,
-)
+from ptring import SquareWell, build_square_well
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("Z", [0.1, 1.0, 10.0])
 def test_square_well_structure(M, Z):
-    pot = build_square_well(M, Z)
+    well = build_square_well(M, Z)
+    assert (well.M, well.Z) == (M, Z)
+    pot = layout(well)
     assert pot.circumference == 4.0
     assert pot.start == -2.0
     assert len(pot.segments) == 4 * M
@@ -32,7 +31,7 @@ def test_square_well_structure(M, Z):
 def test_value_at_midpoints(M):
     """Sign of Im V at every segment midpoint follows the alternation."""
     Z = 1.0
-    pot = build_square_well(M, Z)
+    pot = layout(build_square_well(M, Z))
     h = 1.0 / M
     for j in range(4 * M):
         mid = -2.0 + (j + 0.5) * h
@@ -41,7 +40,7 @@ def test_value_at_midpoints(M):
 
 
 def test_value_at_boundaries_left_closed():
-    pot = build_square_well(1, 2.0)
+    pot = layout(build_square_well(1, 2.0))
     assert pot.value_at(-2.0) == 2j
     assert pot.value_at(-1.0) == -2j
     assert pot.value_at(0.0) == 2j
@@ -51,14 +50,14 @@ def test_value_at_boundaries_left_closed():
 
 
 def test_value_at_periodic_wrap():
-    pot = build_square_well(2, 1.0)
+    pot = layout(build_square_well(2, 1.0))
     for x in (-1.3, -0.2, 0.45, 1.9):
         assert pot.value_at(x + 4.0) == pot.value_at(x)
         assert pot.value_at(x - 4.0) == pot.value_at(x)
 
 
 def test_boundaries_m1():
-    pot = build_square_well(1, 1.0)
+    pot = layout(build_square_well(1, 1.0))
     assert pot.boundaries() == pytest.approx([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
@@ -93,47 +92,30 @@ def test_potential_rejects_bad_width_sum():
 
 
 def test_potential_is_a_value():
-    """repr, equality and hashing see the three fields alone, only another
-    CirclePotential can equal one, and no attribute can be assigned."""
-    pot = build_square_well(1, 1.0)
-    assert repr(pot) == (
-        "CirclePotential(circumference=4.0, start=-2.0, "
-        "segments=((1.0, 1j), (1.0, -1j), (1.0, 1j), (1.0, -1j)))"
-    )
-    same = CirclePotential(4.0, -2.0, pot.segments)
-    assert same == CirclePotential(circumference=4.0, start=-2.0, segments=pot.segments)
-    assert same == pot and hash(same) == hash(pot)
-    assert pot != build_square_well(1, 2.0)
-    assert pot != rotate_segments(pot, 1)
-    assert pot != CirclePotential(4.0, -1.0, pot.segments)
-    assert pot != (4.0, -2.0, pot.segments)
+    """repr, equality and hashing see M and Z alone, only another SquareWell
+    can equal one, and no attribute can be assigned."""
+    well = build_square_well(1, 1.0)
+    assert repr(well) == "SquareWell(M=1, Z=1.0)"
+    same = SquareWell(M=1, Z=1.0)
+    assert same == well and hash(same) == hash(well)
+    assert well != build_square_well(1, 2.0)
+    assert well != build_square_well(2, 1.0)
+    assert well != (1, 1.0)
     with pytest.raises(AttributeError):
-        pot.segments = ((4.0, 1j),)
+        well.M = 2
     with pytest.raises(AttributeError):
-        pot.label = "well"
-    assert pot.segments == same.segments and not hasattr(pot, "label")
-
-
-def test_cell_layout_needs_one_width_and_one_coupling():
-    """(M, |Im V|) for a square well in any rotation, None for alternating
-    layouts of two widths or two couplings."""
-    pot = build_square_well(2, 3.0)
-    assert pot.cell_layout == rotate_segments(pot, 3).cell_layout == (2, 3.0)
-    for segments in (
-        ((1.0, 1j), (1.0, -2j), (1.0, 1j), (1.0, -2j)),
-        ((0.5, 1j), (1.5, -1j), (1.0, 1j), (1.0, -1j)),
-    ):
-        assert CirclePotential(4.0, -2.0, segments).cell_layout is None
+        well.label = "well"
+    assert well.M == 1 and not hasattr(well, "label")
 
 
 def test_rotation_full_turn_is_identity():
     for M in (1, 3):
-        pot = build_square_well(M, 1.0)
+        pot = layout(build_square_well(M, 1.0))
         assert rotate_segments(pot, 4 * M).segments == pot.segments
 
 
 def test_rotation_by_one_starts_negative():
-    pot = build_square_well(2, 1.0)
+    pot = layout(build_square_well(2, 1.0))
     rot = rotate_segments(pot, 1)
     assert rot.segments[0][1] == -1j
     assert len(rot.segments) == len(pot.segments)
@@ -141,14 +123,14 @@ def test_rotation_by_one_starts_negative():
 
 def test_rotation_by_two_preserves_alternation():
     """A shift by a full period of the alternation reproduces the pattern."""
-    pot = build_square_well(1, 1.0)
+    pot = layout(build_square_well(1, 1.0))
     rot = rotate_segments(pot, 2)
     assert rot.segments == pot.segments
 
 
 def test_rotation_by_one_keeps_pt_symmetry():
     # a half-period shift flips the sign of V, which is PT-symmetric too
-    pot = build_square_well(1, 1.0)
+    pot = layout(build_square_well(1, 1.0))
     assert is_pt_symmetric(rotate_segments(pot, 1))
 
 
@@ -191,7 +173,7 @@ def test_pt_symmetry_ignores_an_edge_between_equal_values():
 )
 def test_pt_symmetry_pointwise(m, z, x):
     """V(-x) = conj(V(x)) away from segment edges."""
-    pot = build_square_well(m, z)
+    pot = layout(build_square_well(m, z))
     h = 1.0 / m
     # skip points too close to an edge: the half-open convention makes the
     # two sides land in different segments there

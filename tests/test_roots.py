@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fd_oracle import fd_eigenvalues
-from product_oracle import SecularRealityError, secular_product
+from product_oracle import CirclePotential, SecularRealityError, secular_product
 from test_secular import EXPLICIT_ROOTS_Z1, NON_ALTERNATING
 
 from ptring import (
-    CirclePotential,
     LevelShortfallWarning,
     LogScaledValue,
     RootRecord,

@@ -18,25 +18,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from product_oracle import (
+    CirclePotential,
     SecularRealityError,
     _product_closure,
     kappa,
+    layout,
     monodromy,
+    rotate_segments,
     secular_product,
     segment_propagator,
 )
 
 from ptring import (
-    CirclePotential,
     LogScaledValue,
     SecularOverflowError,
     SpectralPoint,
     build_square_well,
-    rotate_segments,
     secular_explicit,
     secular_monodromy,
 )
-from ptring.secular import _square_well_periods
 
 # 22-digit roots of the eight-by-eight determinant at Z = 1, ascending E
 EXPLICIT_ROOTS_Z1 = [
@@ -206,7 +206,7 @@ def test_unit_det_secular_identity():
 
 
 def test_monodromy_unit_determinant():
-    pot = build_square_well(3, 1.0)
+    pot = layout(build_square_well(3, 1.0))
     T = monodromy(pot, SpectralPoint.from_zt(1.0, 0.2))
     assert abs(T.det_true() - 1) < 1e-12
     # at small logscale the entry-based extraction agrees with the
@@ -218,7 +218,7 @@ def test_monodromy_unit_determinant():
 def test_monodromy_det_stable_at_large_logscale():
     # deep in the hyperbolic regime the entries span e^(2 logscale) ~ 1e7;
     # the factor-accumulated determinant must not inherit that cancellation
-    pot = build_square_well(1, 10.0)
+    pot = layout(build_square_well(1, 10.0))
     T = monodromy(pot, SpectralPoint.from_zt(10.0, 2.0))
     assert T.logscale > 5.0
     assert abs(T.det_true() - 1) < 1e-12
@@ -226,7 +226,7 @@ def test_monodromy_det_stable_at_large_logscale():
 
 def test_monodromy_free_limit_trace():
     # at vanishing coupling the circle is free: tr = 2 cos(4 sqrt(E))
-    pot = build_square_well(1, 1e-12)
+    pot = layout(build_square_well(1, 1e-12))
     p = SpectralPoint.from_zt(1e-12, 5e-13)
     T = monodromy(pot, p)
     tr = T.trace() * math.exp(T.logscale)
@@ -234,7 +234,7 @@ def test_monodromy_free_limit_trace():
 
 
 def test_monodromy_trace_cyclicity():
-    pot = build_square_well(2, 1.0)
+    pot = layout(build_square_well(2, 1.0))
     p = SpectralPoint.from_zt(1.0, 0.37)
     t0 = monodromy(pot, p)
     tr0 = t0.trace() * math.exp(t0.logscale)
@@ -245,29 +245,22 @@ def test_monodromy_trace_cyclicity():
 
 
 def test_monodromy_rejects_mismatched_coupling():
-    pot = build_square_well(1, 2.0)
+    pot = layout(build_square_well(1, 2.0))
     with pytest.raises(ValueError):
         monodromy(pot, SpectralPoint.from_zt(1.0, 0.5))
 
 
-def test_square_well_layout_is_cached_per_potential():
-    """The Z-independent layout test runs once per potential; the match of
-    |Im V| to Z stays a per-call check. A rotated square well takes the
-    closed form; any other layout, and a square well called at another Z,
-    is a ValueError naming the layout or both couplings."""
-    pot = build_square_well(3, 1.0)
-    rotated = rotate_segments(pot, 1)
-    assert _square_well_periods(rotated, 1.0) == 3
-    assert [c for _, c in secular_monodromy(rotated, 1.0, 0.3).factors] == [1, 1, 2]
-    assert rotated.cell_layout is rotated.cell_layout
-    layout = r"not a square well.*\(1\.0, 1j\), \(1\.0, 1j\)"
-    with pytest.raises(ValueError, match=layout):
-        secular_monodromy(NON_ALTERNATING, 1.0, 0.3)
+def test_square_well_rejects_another_coupling():
+    """A square well takes the closed form at its own coupling, to 1e-12
+    relative; called at another Z it is a ValueError naming both."""
+    well = build_square_well(3, 1.0)
+    assert [c for _, c in secular_monodromy(well, 1.0, 0.3).factors] == [1, 1, 2]
+    near = secular_monodromy(well, 1.0 + 1e-13, 0.3)
+    assert [c for _, c in near.factors] == [1, 1, 2]
     with pytest.raises(ValueError, match=r"coupling 1\.0 called at Z=2\.0"):
-        secular_monodromy(pot, 2.0, 0.3)
-    # the cached value is no field
-    fresh = build_square_well(3, 1.0)
-    assert (pot, hash(pot), repr(pot)) == (fresh, hash(fresh), repr(fresh))
+        secular_monodromy(well, 2.0, 0.3)
+    with pytest.raises(ValueError, match=r"coupling 1\.0 called at Z=1\.000000000001"):
+        secular_monodromy(well, 1.000000000001, 0.3)
 
 
 # --- reality assertion -----------------------------------------------------
@@ -277,7 +270,7 @@ def test_square_well_layout_is_cached_per_potential():
 @pytest.mark.parametrize("Z", [0.1, 1.0, 10.0])
 def test_reality_never_fires_on_family(M, Z):
     """On the propagator product of the square wells."""
-    pot = build_square_well(M, Z)
+    pot = layout(build_square_well(M, Z))
     _product_closure(pot, SpectralPoint.from_zt(Z, np.linspace(0.02, 2.0, 100)))
 
 
@@ -495,19 +488,20 @@ def test_explicit_equals_matching_determinant(Z):
 @pytest.mark.parametrize("Z", [0.1, 1.0, 10.0])
 def test_periodic_closure_equals_propagator_product(M, Z):
     """The Chebyshev closed form of a square well against 2 - tr T from the
-    product of its 4M propagators, for the layout and a rotation of it.
+    product of its 4M propagators, for its layout and a rotation of it.
 
     Signs agree where |g| > e^-20. Values agree to 1e-9 relative plus the
     product's rounding floor: about 2 eps e^L per segment was measured
     (L its logscale), and the floor allows 16, which leaves the log-magnitude
     within 1e-9 wherever |g| exceeds 1e-6 e^L."""
-    pot = build_square_well(M, Z)
+    well = build_square_well(M, Z)
     ts = np.geomspace(0.02, 5.0, 1000)
-    T = monodromy(pot, SpectralPoint.from_zt(Z, ts))
-    g = (2.0 * np.exp(-T.logscale) - T.trace()).real  # g e^-L
+    v = secular_monodromy(well, Z, ts)
     floor = 64 * M * np.finfo(float).eps
-    for layout in (pot, rotate_segments(pot, 1)):
-        v = secular_monodromy(layout, Z, ts)
+    pot = layout(well)
+    for segments in (pot, rotate_segments(pot, 1)):
+        T = monodromy(segments, SpectralPoint.from_zt(Z, ts))
+        g = (2.0 * np.exp(-T.logscale) - T.trace()).real  # g e^-L
         big = np.log(np.abs(g)) + T.logscale > -20.0
         assert (v.sign[big] == np.sign(g[big])).all()
         diff = np.abs(v.sign * np.exp(v.logmag - T.logscale) - g)
@@ -611,6 +605,22 @@ def test_explicit_sign_flip_at_ground():
 @pytest.mark.parametrize("t0", EXPLICIT_ROOTS_Z1)
 def test_explicit_frozen_roots_z1(t0):
     assert _sign_flips(lambda t: secular_explicit(1.0, t), t0, rel=1e-8)
+
+
+def test_explicit_roots_are_the_ring_at_phase_two_arg_cos_kappa():
+    """The twisted closure is the M = 1 ring under the Bloch condition
+    psi(x + 4) = e^(i theta) psi(x) at the energy-dependent phase
+    theta(E) = 2 arg cos kappa(E): every frozen explicit root at Z = 1 is a
+    sign change of Re tr T - 2 cos theta within 1e-12 relative, T the
+    propagator product of the well. So the explicit and periodic (theta = 0)
+    closures are different eigenproblems, which is why criterion 7 fails."""
+    pot = layout(build_square_well(1, 1.0))
+    for t0 in EXPLICIT_ROOTS_Z1:
+        p = SpectralPoint.from_zt(1.0, np.array([t0 * (1 - 1e-12), t0 * (1 + 1e-12)]))
+        T = monodromy(pot, p)
+        theta = 2.0 * np.angle(np.cos(kappa(p)))
+        f = (T.trace() * np.exp(T.logscale)).real - 2.0 * np.cos(theta)
+        assert f[0] * f[1] < 0, t0
 
 
 @pytest.mark.parametrize("t0", EXPLICIT_ROOTS_Z01)

@@ -53,6 +53,11 @@ COMMANDS = (
         ["validate", "--Z", "1e-6"],
         ["potential", "--M", "3", "--Z", "1", "--samples", "600"],
         ["potential", "--M", "1", "--Z", "1", "--format", "json"],
+        # samples that fall on a segment edge
+        ["potential", "--M", "1", "--Z", "1", "--samples", "49"],
+        ["potential", "--M", "3", "--Z", "1", "--samples", "6"],
+        # the x = 0 edge, a running sum of 1/3, prints -3.33066907388e-16
+        ["potential", "--M", "3", "--Z", "1", "--format", "json"],
         # errors: each one "error:" line and exit 1
         ["scan", "--Z", "1", "--samples", "10"],
         ["scan", "--Z", "1", "--t-min", "0"],
