@@ -67,19 +67,29 @@ class SpectralPoint:
         least Z_FLOOR and t > 0, and SecularOverflowError at the first t
         whose energy leaves the double range (t above about 1.3e154, or
         s = Z/(2t) overflowing)."""
-        check_coupling(Z)
-        positive = np.asarray(t) > 0
+        return _spectral(Z, t)[0]
+
+
+def _spectral(Z: float, t) -> tuple[SpectralPoint, object]:
+    """SpectralPoint.from_zt(Z, t), and |kappa|^2 = s^2 + t^2 from the s^2
+    and t^2 of its energy. One mask checks t and E; the positivity error
+    goes first."""
+    check_coupling(Z)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+        try:
+            s = Z / (2.0 * t)
+        except ZeroDivisionError:  # a float t of 0, refused below
+            s = math.inf
+        ss, tt = s * s, t * t
+        E = ss - tt
+    ok = (t > 0.0) & np.isfinite(E)
+    if not ok.all():
+        positive = np.asarray(t) > 0.0
         if not positive.all():
             first = float(np.ravel(t)[np.argmin(positive)])
             raise ValueError(f"t must be positive, got {first!r}")
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            s = Z / (2.0 * t)
-            E = s * s - t * t
-        finite = np.isfinite(E)
-        if not finite.all():
-            first = float(np.ravel(t)[np.argmin(finite)])
-            raise SecularOverflowError("energy", Z, first)
-        return cls(Z=Z, t=t, s=s, E=E)
+        raise SecularOverflowError("energy", Z, float(np.ravel(t)[np.argmin(ok)]))
+    return SpectralPoint(Z=Z, t=t, s=s, E=E), ss + tt
 
 
 class LogScaledValue:
@@ -159,13 +169,14 @@ def _checked(sign, logmag) -> tuple:
     return sign, logmag
 
 
-def _points(Z: float, t) -> tuple[SpectralPoint, bool]:
-    """The spectral points of t as a 1-D array, and whether t was a scalar."""
+def _points(Z: float, t) -> tuple[SpectralPoint, object, bool]:
+    """The spectral points of t as a 1-D array, |kappa|^2 there (see
+    _spectral), and whether t was a scalar."""
     scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if ts.ndim != 1:
         raise ValueError(f"t must be a float or a 1-D array, got shape {ts.shape}")
-    return SpectralPoint.from_zt(Z, ts), scalar
+    return *_spectral(Z, ts), scalar
 
 
 def _log_scaled(value, scalar: bool, factors=()) -> LogScaledValue:
@@ -183,26 +194,29 @@ def _log_scaled(value, scalar: bool, factors=()) -> LogScaledValue:
     return LogScaledValue.deferred(first, tuple((float(v[0]), c) for v, c in factors))
 
 
-def _cell_trace(point: SpectralPoint, h: float):
-    """k^2, a, b, c, d and 2th for one (+iZ, -iZ) cell, and sin(sh), cos(sh)
-    and |kappa|^2 = s^2 + t^2.
+def _cell_trace(point: SpectralPoint, mod_sq, h: float):
+    """k^2, a and b for one (+iZ, -iZ) cell, and sh, th, e^(-th), sin(sh)
+    and e^(-2th) - 1, from the point and its |kappa|^2 = s^2 + t^2.
 
     The cell trace is real: with segment width h,
     tau = 2 cos^2(sh) - 2 (E/|kappa|^2) sin^2(sh) + 4 (t^2/|kappa|^2) sinh^2(th).
     With k = 2/|kappa|, a = s sin(sh) e^(-th), b = t sinh(th) e^(-th),
     c = s cos(sh) e^(-th) and d = t cosh(th) e^(-th), it is taken through
     the factored forms of _band_forms, which keep full relative precision at
-    the band edge tau = 2 and stay finite at every t.
+    the band edge tau = 2 and stay finite at every t. The factors read only
+    k, a and b, so c and d come from _cell_cd, where a value needs them.
     """
     s, t = point.s, point.t
-    th = t * h
+    sh, th = s * h, t * h
     decay = np.exp(-th)
-    sin_sh, cos_sh = np.sin(s * h), np.cos(s * h)
-    a, c = s * sin_sh * decay, s * cos_sh * decay
-    b = -0.5 * t * np.expm1(-2.0 * th)  # t sinh(th) e^(-th)
-    d = t - b
-    mod_sq = s * s + t * t
-    return 4.0 / mod_sq, a, b, c, d, 2.0 * th, sin_sh, cos_sh, mod_sq
+    sin_sh = np.sin(sh)
+    em = np.expm1(-2.0 * th)
+    return 4.0 / mod_sq, s * sin_sh * decay, -0.5 * t * em, sh, th, decay, sin_sh, em
+
+
+def _cell_cd(point: SpectralPoint, b, decay, sh):
+    """c = s cos(sh) e^(-th) and d = t cosh(th) e^(-th) = t - b of _cell_trace."""
+    return point.s * np.cos(sh) * decay, point.t - b
 
 
 def _band_forms(k_sq, a, b, c, d):
@@ -232,7 +246,7 @@ def _angles(minus, plus, two_th, M: int):
     return band, qb, sin_m, phi, y, log_sinh
 
 
-def _periodic_closure(point: SpectralPoint, M: int, h: float):
+def _periodic_closure(point: SpectralPoint, mod_sq, M: int, h: float):
     """Factors of g = 2 - tr T for T the product of 2M cells, and a function
     of no arguments that returns g's sign and log-magnitude.
 
@@ -250,16 +264,18 @@ def _periodic_closure(point: SpectralPoint, M: int, h: float):
     |g/u| as magnitude; and for Z <= FREE_LIMIT_Z, k c, count 2, whose
     roots are the near-axis complex pairs at tau = -2, where
     2 + tau = k^2 (c^2 + d^2) nearly vanishes. u needs the angles theta and
-    phi, which are most of the value's work; for M = 1 they are computed
-    only when the value is.
+    phi, and they need c and d (_cell_cd): most of the value's work. For
+    M = 1 they are computed only when the value is, c at once for
+    Z <= FREE_LIMIT_Z.
     """
-    k_sq, a, b, c, d, two_th = _cell_trace(point, h)[:6]
+    k_sq, a, b, sh, th, decay = _cell_trace(point, mod_sq, h)[:6]
     k = np.sqrt(k_sq)
     factors = [(k * (a - b), 1), (k * (a + b), 1)]
+    cd = _cell_cd(point, b, decay, sh) if M > 1 or point.Z <= FREE_LIMIT_Z else None
     angles = None
     if M > 1:
         angles = band, qb, sin_m, phi, _, log_sinh = _angles(
-            *_band_forms(k_sq, a, b, c, d), two_th, M
+            *_band_forms(k_sq, a, b, *cd), 2.0 * th, M
         )
         # g/u is 4 sin(M theta) sin(theta), with sin(theta) = 2q / (1 + q^2),
         # and -4 sinh(M phi) sinh(phi) where u > 0; it is 0 at q = 0 too,
@@ -271,11 +287,12 @@ def _periodic_closure(point: SpectralPoint, M: int, h: float):
             u[~band] = np.exp(log_sinh + phi + np.log(-np.expm1(-2.0 * phi)))
         factors.append((u, 2))
     if point.Z <= FREE_LIMIT_Z:
-        factors.append((k * c, 2))
+        factors.append((k * cd[0], 2))
 
     def value():
+        c, d = cd or _cell_cd(point, b, decay, sh)
         band, _, sin_m, _, y, log_sinh = angles or _angles(
-            *_band_forms(k_sq, a, b, c, d), two_th, M
+            *_band_forms(k_sq, a, b, c, d), 2.0 * th, M
         )
         sign = np.empty(band.shape, dtype=int)
         logmag = np.empty(band.shape)
@@ -302,8 +319,8 @@ def secular_monodromy(well: SquareWell, Z: float, t) -> LogScaledValue:
     """
     if abs(well.Z - Z) > 1e-12 * Z:
         raise ValueError(f"square well of coupling {well.Z!r} called at Z={Z!r}")
-    point, scalar = _points(Z, t)
-    factors, value = _periodic_closure(point, well.M, 1.0 / well.M)
+    point, mod_sq, scalar = _points(Z, t)
+    factors, value = _periodic_closure(point, mod_sq, well.M, 1.0 / well.M)
     return _log_scaled(value, scalar, factors)
 
 
@@ -331,10 +348,11 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     count 1 each. The sign and logmag, from 2 rho -+ tau and six logs, are
     computed on first read.
     """
-    point, scalar = _points(Z, t)
-    k_sq, a, b, c, d, two_t, sin_s, cos_s, mod_sq = _cell_trace(point, 1.0)
-    decay = np.exp(-two_t)
-    sinh2 = (0.5 * np.expm1(-two_t)) ** 2  # sinh^2(t) e^(-2t)
+    point, mod_sq, scalar = _points(Z, t)
+    k_sq, a, b, sh, th, decay_t, sin_s, em = _cell_trace(point, mod_sq, 1.0)
+    cos_s = np.cos(sh)
+    decay = np.exp(-2.0 * th)
+    sinh2 = (0.5 * em) ** 2  # sinh^2(t) e^(-2t)
     c2 = cos_s * cos_s * decay + sinh2  # |c|^2 e^(-2t)
     rho = np.abs(cos_s) * (0.5 + 0.5 * decay) / np.sqrt(c2)  # |Re c| / |c|
     # 2 (1 - rho) e^(-2t), through 1 - rho^2 = (Im c)^2 / |c|^2
@@ -349,14 +367,14 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     factors += [(k * (a - b2), 1), (k * (a + b2), 1)]
 
     def value():
-        minus, plus = _band_forms(k_sq, a, b, c, d)
+        minus, plus = _band_forms(k_sq, a, b, *_cell_cd(point, b, decay_t, sh))
         lo, hi = minus - gap, plus - gap  # (2 rho -+ tau) e^(-2t)
         with np.errstate(divide="ignore"):  # an exact root: -inf
             logmag = (
                 math.log(8.0)
                 + 5.0 * np.log(mod_sq)
                 + np.log(c2)
-                + 3.0 * two_t
+                + 6.0 * th
                 + np.log(np.abs(lo))
                 + np.log(np.abs(hi))
             )

@@ -268,7 +268,7 @@ def secular_product(pot: CirclePotential, Z: float, t) -> LogScaledValue:
     reaches both fails at the first point either fails.
     """
     try:
-        point, scalar = _points(Z, t)
+        point, _, scalar = _points(Z, t)
     except SecularOverflowError as e:
         ts = np.atleast_1d(t)
         _product_closure(pot, SpectralPoint.from_zt(Z, ts[: np.argmax(ts == e.t)]))

@@ -301,6 +301,9 @@ _CLOSE_CASES = {
     "explicit-Z1-100": (_f_explicit(1.0), 1.0, 100),
     "monodromy-M1": (_f_monodromy(2.5), 2.5, 18),
     "monodromy-M8": (_f_monodromy(1.0, 8), 1.0, 18),
+    # brackets that close at different steps: calls of 1457, 225, 225, 108,
+    # 99, 90, 63, 18 and 9 points, so the working set shrinks step by step
+    "explicit-Z1e-3": (_f_explicit(1e-3), 1e-3, 18),
 }
 _CLOSE_POOLS = {name: _closer_call(*case) for name, case in _CLOSE_CASES.items()}
 

@@ -109,6 +109,15 @@ def test_spectral_point_overflow_scalar(t):
     assert (ei.value.Z, ei.value.t) == (1.0, t)
 
 
+def test_spectral_point_positivity_first():
+    """A t <= 0 anywhere in the array is named before an energy that leaves
+    the double range at an earlier t."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"t must be positive, got 0\.0$"):
+            SpectralPoint.from_zt(1.0, np.array([1e-320, 0.0, 2.0]))
+
+
 def test_spectral_point_overflow_array():
     ts = np.array([1.0, 1e100, 1e-320, 1e155, 2.0])
     with warnings.catch_warnings():

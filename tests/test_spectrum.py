@@ -113,10 +113,17 @@ def test_doublet_expansion_partners():
 
 
 def test_rejects_non_descending_roots():
-    with pytest.raises(ValueError):
-        energies_from_roots([_record(0.1), _record(0.5)], 1.0)
+    for ts in ([0.1, 0.5], [0.5, 0.5]):
+        with pytest.raises(ValueError, match="strictly descending"):
+            energies_from_roots([_record(t) for t in ts], 1.0)
     with pytest.raises(ValueError):
         energies_from_roots([_record(0.5)], -1.0)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.5])
+def test_rejects_non_positive_roots(t):
+    with pytest.raises(ValueError, match="every root must have t > 0"):
+        energies_from_roots([_record(1.0), _record(t)], 1.0)
 
 
 # --- difference tables --------------------------------------------------------

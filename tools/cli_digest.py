@@ -49,6 +49,11 @@ COMMANDS = (
     + [["scan", "--Z", "1", "--samples", n] for n in ("16", "512", "2048")]
     + [
         ["scan", "--Z", "1", "--samples", "512", "--backend", "explicit"],
+        # the monodromy's value with tau's angles computed with its factors
+        ["scan", "--Z", "1", "--M", "8", "--samples", "512"],
+        ["scan", "--Z", "1", "--M", "32", "--samples", "512"],
+        # the weak-coupling value, which carries the k c factor
+        ["scan", "--Z", "1e-4", "--samples", "512"],
         ["validate", "--Z", "1e-4"],
         ["validate", "--Z", "1e-6"],
         ["potential", "--M", "3", "--Z", "1", "--samples", "600"],
