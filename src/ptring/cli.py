@@ -123,7 +123,9 @@ def cmd_analyze(args) -> int:
     else:
         with open(args.input) as fh:
             text = fh.read()
-    doc = parse_spectrum_json(text)
+    # a spectrum JSON document is an object; anything else is read as CSV
+    parse = parse_spectrum_json if text.lstrip()[:1] == "{" else parse_spectrum_csv
+    doc = parse(text)
     report = analyze_series(doc.levels)
     if len(doc.levels) < 10:
         print(
@@ -207,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--output", default=None)
     po.set_defaults(func=cmd_potential)
 
-    an = sub.add_parser("analyze", help="difference tables from a spectrum JSON")
-    an.add_argument("--input", default=None, help="spectrum JSON path (default stdin)")
+    an = sub.add_parser("analyze", help="difference tables from a saved spectrum")
+    an.add_argument("--input", default=None, help="spectrum CSV or JSON path (default stdin)")
     an.add_argument("--output", default=None)
     an.set_defaults(func=cmd_analyze)
 

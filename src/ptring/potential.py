@@ -9,7 +9,6 @@ segments from it.
 """
 
 import math
-from dataclasses import dataclass
 
 CIRCUMFERENCE = 4.0
 START = -2.0
@@ -34,8 +33,44 @@ def check_coupling(Z: float) -> None:
         raise ValueError(f"Z must be finite and at least {Z_FLOOR:g}, got {Z!r}")
 
 
-@dataclass(frozen=True)
-class SquareWell:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the package's small immutable values. A subclass names its
+    fields in __slots__ and sets each in __init__ with _set; repr, ==
+    (only with an instance of the same class) and hash read them in that
+    order, and assigning or deleting any attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SquareWell(_Frozen):
     """The 4M-segment alternating potential of coupling Z: +iZ first from
     START, width 1/M each, segments left-closed, [a, b).
 
@@ -43,11 +78,9 @@ class SquareWell:
     4M <= MAX_SEGMENTS and Z passes check_coupling.
     """
 
-    M: int
-    Z: float
+    __slots__ = ("M", "Z")
 
-    def __post_init__(self) -> None:
-        M = self.M
+    def __init__(self, M: int, Z: float) -> None:
         if not isinstance(M, int) or M < 1:
             raise ValueError(f"M must be a positive integer, got {M!r}")
         if 4 * M > MAX_SEGMENTS:
@@ -55,7 +88,9 @@ class SquareWell:
                 f"M={M} gives {4 * M} segments, more than the {MAX_SEGMENTS} "
                 f"allowed; request a smaller M (--M)"
             )
-        check_coupling(self.Z)
+        check_coupling(Z)
+        _set(self, "M", M)
+        _set(self, "Z", Z)
 
 
 def build_square_well(M: int, Z: float) -> SquareWell:

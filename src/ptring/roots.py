@@ -46,13 +46,12 @@ complex conjugate pairs. find_roots emits a LevelShortfallWarning for it.
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import LevelShortfallWarning, SecularEvaluationError
-from .potential import check_coupling
+from .potential import _Frozen, _set, check_coupling
 
 # Most points of a master grid, checked before it is allocated, and of a
 # scan_secular table: the default window of up to about 80000 levels at any
@@ -117,43 +116,44 @@ _VERTEX_MARGIN = 3.0
 _WIDTH_FLOOR_ULPS = 8
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(_Frozen):
     """The t window of find_roots and scan_secular, t_min < t_max, both
     positive and t_max finite; each sizes its own grid over it."""
 
-    t_min: float
-    t_max: float
+    __slots__ = ("t_min", "t_max")
 
-    def __post_init__(self) -> None:
-        if not self.t_min > 0:
+    def __init__(self, t_min: float, t_max: float) -> None:
+        if not t_min > 0:
             raise ValueError(
-                f"t_min must be positive, got {self.t_min!r}; "
+                f"t_min must be positive, got {t_min!r}; "
                 f"set a positive t_min (--t-min)"
             )
-        if not math.isfinite(self.t_max):
+        if not math.isfinite(t_max):
             raise ValueError(
-                f"t_max must be finite, got {self.t_max!r}; "
+                f"t_max must be finite, got {t_max!r}; "
                 f"set a finite t_max (--t-max)"
             )
-        if not self.t_min < self.t_max:
+        if not t_min < t_max:
             raise ValueError(
-                f"need t_min < t_max, got [{self.t_min!r}, {self.t_max!r}]; "
+                f"need t_min < t_max, got [{t_min!r}, {t_max!r}]; "
                 f"set t_min (--t-min) below t_max (--t-max)"
             )
+        _set(self, "t_min", t_min)
+        _set(self, "t_max", t_max)
 
 
-@dataclass(frozen=True, slots=True)
-class ScanSample:
+class ScanSample(_Frozen):
     """One point of a scan_secular table; slots keep a long table small."""
 
-    t: float
-    sign: int
-    logmag: float
+    __slots__ = ("t", "sign", "logmag")
+
+    def __init__(self, t: float, sign: int, logmag: float) -> None:
+        _set(self, "t", t)
+        _set(self, "sign", sign)
+        _set(self, "logmag", logmag)
 
 
-@dataclass(frozen=True)
-class RootRecord:
+class RootRecord(NamedTuple):
     """One located root (or root pair) of the secular function.
 
     t is the end of the final bracket where |factor| is smaller, for the

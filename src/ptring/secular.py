@@ -34,7 +34,7 @@ element-by-element calls.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ from .potential import SquareWell, check_coupling
 FREE_LIMIT_Z = 1e-3
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
+class SpectralPoint(NamedTuple):
     """The (t, s, E) bundle tied by 2st = Z and E = s^2 - t^2.
 
     s - i t is the wavenumber kappa in +iZ segments (kappa^2 = E - iZ), its
@@ -89,7 +88,7 @@ def _spectral(Z: float, t) -> tuple[SpectralPoint, object]:
             first = float(np.ravel(t)[np.argmin(positive)])
             raise ValueError(f"t must be positive, got {first!r}")
         raise SecularOverflowError("energy", Z, float(np.ravel(t)[np.argmin(ok)]))
-    return SpectralPoint(Z=Z, t=t, s=s, E=E), ss + tt
+    return SpectralPoint(Z, t, s, E), ss + tt
 
 
 class LogScaledValue:

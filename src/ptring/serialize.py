@@ -14,8 +14,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .potential import CIRCUMFERENCE, MAX_SEGMENTS, START, SquareWell
 from .spectrum import EnergyLevel, SpectrumReport
@@ -26,8 +25,7 @@ def fmt_float(x: float) -> str:
     return f"{x:.11e}"
 
 
-@dataclass(frozen=True)
-class SpectrumDocument:
+class SpectrumDocument(NamedTuple):
     """A parsed spectrum file: level rows plus run metadata (JSON only)."""
 
     levels: tuple[EnergyLevel, ...]

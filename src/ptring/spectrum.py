@@ -8,22 +8,23 @@ so second differences are taken at lag 4 for even n and lag 2 for odd n.
 
 Quasi-degenerate pairs (adjacent levels separated by far less than the
 local level scale) are flagged by analyze_series, which alone cross-links
-them via doublet_partner. At Z = 1 they occupy the (3,4), (7,8), (11,12),
-... slots of the explicit closure, but only there: at Z = 0.1 the gap rule
-adds pairs that cross branches, and from Z = 2 up it drops the lowest
-pair, whose split has outgrown the tolerance.
+them via doublet_partner. At Z = 1 the gap rule finds exactly the
+doublets of the explicit closure, the (3,4), (7,8), (11,12), ... slots, up
+to 30 levels. From 31 levels on, where the gap between two branches
+falls below QUASI_TOL of E, it also pairs levels of different branches:
+(29,30), (33,34), (37,38), (41,42) and (45,46) at 50 levels. At Z = 0.1 it
+adds pairs that cross branches as well, and from Z = 2 up it drops the
+lowest pair, whose split has outgrown the tolerance.
 """
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .potential import check_coupling
 
 QUASI_TOL = 2e-2
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
+class EnergyLevel(NamedTuple):
     """One real eigenvalue with its (t, s) root coordinates.
 
     doublet_partner is the index n of the other member of a quasi-degenerate
@@ -39,8 +40,7 @@ class EnergyLevel:
     doublet_partner: int | None = None
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Difference tables over a spectrum; see analyze_series."""
 
     levels: tuple[EnergyLevel, ...]

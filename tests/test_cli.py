@@ -23,6 +23,8 @@ import ptring.cli
 from product_oracle import layout
 
 from ptring import (
+    EnergyLevel,
+    SpectrumDocument,
     build_square_well,
     fmt_float,
     parse_spectrum_csv,
@@ -126,6 +128,19 @@ def test_spectrum_csv_round_trip(capsys):
     assert code == 0
     doc = parse_spectrum_csv(out)
     assert spectrum_to_csv(doc.levels, doc.delta1) == out
+
+
+def test_spectrum_document_is_a_frozen_record():
+    level = EnergyLevel(0, 0.5, 1.0, 0.75, 0)
+    doc = SpectrumDocument((level,), (None,))
+    assert repr(doc) == (
+        "SpectrumDocument(levels=(EnergyLevel(n=0, t=0.5, s=1.0, E=0.75, "
+        "series=0, doublet_partner=None),), delta1=(None,), Z=None, M=None, "
+        "backend=None)"
+    )
+    assert doc._replace(Z=1.0).Z == 1.0
+    with pytest.raises(AttributeError):
+        doc.Z = 1.0
 
 
 def test_spectrum_writes_file(tmp_path, capsys):
@@ -528,6 +543,27 @@ def test_analyze_reads_stdin(monkeypatch, capsys):
     code, out, _err = _run(capsys, ["analyze"])
     assert code == 0
     assert "even_second,6," in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--Z", "1"],
+        ["spectrum", "--Z", "1", "--backend", "explicit", "--levels", "30"],
+    ],
+)
+def test_analyze_reads_csv_and_json_alike(monkeypatch, capsys, argv):
+    """analyze reads the CSV that spectrum writes by default, chosen by the
+    first non-blank character, and prints what it prints for the JSON."""
+    outputs = []
+    for fmt in ("csv", "json"):
+        _code, text, _err = _run(capsys, argv + ["--format", fmt])
+        assert text.startswith("{" if fmt == "json" else "n,t,s,E,")
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n" + text))
+        outputs.append(_run(capsys, ["analyze"]))
+    csv_run, json_run = outputs
+    assert csv_run == json_run
+    assert csv_run[0] == 0 and "quasi_pair,3," in csv_run[1]
 
 
 def test_analyze_rejects_malformed_input(tmp_path, capsys):

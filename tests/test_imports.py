@@ -61,7 +61,7 @@ EAGER_EXPORTS = (
 # since what site preloads differs by machine
 FOOTPRINT = """
 import sys
-import dataclasses, functools, importlib, math
+import functools, importlib, math
 bare = set(sys.modules)
 import ptring
 ptring.build_square_well(8, 1.0)
@@ -99,17 +99,51 @@ codes.append(main(["spectrum", "--Z", "1", "--levels", "2", "--output", sys.argv
 print(json.dumps({"codes": codes, "before": before, "after": "numpy" in sys.modules}))
 """
 
+# Whether the commands that run without numpy load dataclasses or inspect
+# (which dataclasses imports), and then whether `from ptring import *`,
+# which loads numpy and with it inspect, loads dataclasses
+VALUE_TYPES_PROBE = """
+import json, sys
+bare = set(sys.modules)
+from ptring.cli import main
 
-def test_analyze_and_potential_leave_numpy_unloaded(tmp_path):
+codes = [
+    main(["analyze", "--input", sys.argv[1], "--output", sys.argv[2]]),
+    main(["potential", "--M", "8", "--Z", "1", "--output", sys.argv[2]]),
+]
+commands = sorted({"dataclasses", "inspect"} & (set(sys.modules) - bare))
+from ptring import *
+star = sorted({"dataclasses"} & (set(sys.modules) - bare))
+print(json.dumps({"codes": codes, "commands": commands, "star": star}))
+"""
+
+
+def _spectrum_json(tmp_path):
     spectrum = tmp_path / "spectrum.json"
     assert main(["spectrum", "--Z", "1", "--backend", "explicit", "--format", "json",
                  "--output", str(spectrum)]) == 0
+    return str(spectrum)
+
+
+def test_analyze_and_potential_leave_numpy_unloaded(tmp_path):
     out = subprocess.run(
-        [sys.executable, "-c", PROBE, str(spectrum), str(tmp_path / "out.txt")],
+        [sys.executable, "-c", PROBE, _spectrum_json(tmp_path), str(tmp_path / "out.txt")],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
         check=True,
     )
     assert json.loads(out.stdout) == {"codes": [0, 0, 0], "before": False, "after": True}
+
+
+def test_no_module_loads_dataclasses(tmp_path):
+    """The value types are built without dataclasses: neither the commands
+    that run without numpy nor the whole package load it, or inspect."""
+    out = subprocess.run(
+        [sys.executable, "-c", VALUE_TYPES_PROBE, _spectrum_json(tmp_path),
+         str(tmp_path / "out.txt")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        check=True,
+    )
+    assert json.loads(out.stdout) == {"codes": [0, 0], "commands": [], "star": []}
 
 
 def test_building_a_potential_loads_only_errors_and_potential():

@@ -1,6 +1,8 @@
 """Scanning, bracket closing, and full root discovery."""
 
 import math
+import pickle
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +19,7 @@ from ptring import (
     LogScaledValue,
     RootRecord,
     ScanConfig,
+    ScanSample,
     SecularEvaluationError,
     build_square_well,
     default_scan_config,
@@ -81,11 +84,64 @@ def _counted(f):
 # --- ScanConfig -------------------------------------------------------------
 
 
+# (t_min, t_max, the text of the ValueError); the checks run in this order:
+# t_min, then t_max, then the order of the two
+SCAN_CONFIG_ERRORS = [
+    (0.0, 1.0, "t_min must be positive, got 0.0; set a positive t_min (--t-min)"),
+    (math.nan, math.inf, "t_min must be positive, got nan; set a positive t_min (--t-min)"),
+    (0.1, math.inf, "t_max must be finite, got inf; set a finite t_max (--t-max)"),
+    (2.0, math.nan, "t_max must be finite, got nan; set a finite t_max (--t-max)"),
+    (0.5, 0.5, "need t_min < t_max, got [0.5, 0.5]; "
+               "set t_min (--t-min) below t_max (--t-max)"),
+]
+
+
 def test_scan_config_validation():
-    with pytest.raises(ValueError):
-        ScanConfig(t_min=0.5, t_max=0.5)
-    with pytest.raises(ValueError):
-        ScanConfig(t_min=0.0, t_max=1.0)
+    for t_min, t_max, text in SCAN_CONFIG_ERRORS:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            ScanConfig(t_min=t_min, t_max=t_max)
+
+
+@pytest.mark.parametrize(
+    "value,text,field",
+    [
+        (ScanConfig(0.03, 1.0), "ScanConfig(t_min=0.03, t_max=1.0)", "t_min"),
+        (ScanSample(0.5, -1, 2.5), "ScanSample(t=0.5, sign=-1, logmag=2.5)", "sign"),
+        (
+            RootRecord(0.5, -math.inf, 0.0, True),
+            "RootRecord(t=0.5, residual_logmag=-inf, bracket_width=0.0, "
+            "unresolved_doublet=True)",
+            "t",
+        ),
+        (
+            RootRecord(0.25, -3.5, 1e-14),
+            "RootRecord(t=0.25, residual_logmag=-3.5, bracket_width=1e-14, "
+            "unresolved_doublet=False)",
+            "unresolved_doublet",
+        ),
+    ],
+)
+def test_roots_values_are_frozen(value, text, field):
+    """Each value keeps the repr it had as a dataclass, equals and hashes
+    as a copy of itself, and refuses assignment to a field or a new name."""
+    assert repr(value) == text
+    again = pickle.loads(pickle.dumps(value))
+    assert again == value and hash(again) == hash(value)
+    for name in (field, "label"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    assert repr(value) == text
+
+
+def test_scan_values_equal_only_their_own_class():
+    assert ScanConfig(0.1, 1.0) == ScanConfig(t_min=0.1, t_max=1.0)
+    assert ScanConfig(0.1, 1.0) != ScanConfig(0.1, 2.0)
+    assert ScanConfig(0.1, 1.0) != (0.1, 1.0)
+    assert ScanSample(0.5, 1, 2.0) != ScanSample(0.5, -1, 2.0)
+    assert ScanSample(0.5, 1, 2.0) != (0.5, 1, 2.0)
+    # the records are NamedTuples, with tuple semantics
+    assert RootRecord(0.5, -1.0, 1e-14) == (0.5, -1.0, 1e-14, False)
+    assert RootRecord(0.5, -1.0, 1e-14)._replace(unresolved_doublet=True).unresolved_doublet
 
 
 def test_default_scan_config_overrides():

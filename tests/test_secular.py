@@ -92,6 +92,14 @@ def test_spectral_point_identities(z, t):
     assert abs(k2 - complex(p.E, -z)) <= 1e-13 * abs(k2)
 
 
+def test_spectral_point_is_a_frozen_record():
+    p = SpectralPoint.from_zt(1.0, 0.5)
+    assert repr(p) == "SpectralPoint(Z=1.0, t=0.5, s=1.0, E=0.75)"
+    assert p == SpectralPoint(Z=1.0, t=0.5, s=1.0, E=0.75)
+    with pytest.raises(AttributeError):
+        p.E = 0.0
+
+
 @pytest.mark.parametrize("z,t", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
 def test_spectral_point_domain(z, t):
     with pytest.raises(ValueError):

@@ -100,6 +100,27 @@ def test_zero_energy_point():
     assert abs(lv[0].E) < 1e-14
 
 
+def test_levels_and_reports_are_frozen_records():
+    """EnergyLevel and SpectrumReport keep the reprs they had as
+    dataclasses, refuse assignment, and are copied with _replace."""
+    level = EnergyLevel(3, 0.5, 1.0, 0.75, 3)
+    assert repr(level) == (
+        "EnergyLevel(n=3, t=0.5, s=1.0, E=0.75, series=3, doublet_partner=None)"
+    )
+    linked = level._replace(doublet_partner=1)
+    assert linked.doublet_partner == 1 and level.doublet_partner is None
+    assert linked == EnergyLevel(n=3, t=0.5, s=1.0, E=0.75, series=3, doublet_partner=1)
+    report = analyze_series([EnergyLevel(0, 0.5, 1.0, 0.75, 0)])
+    assert repr(report) == (
+        "SpectrumReport(levels=(EnergyLevel(n=0, t=0.5, s=1.0, E=0.75, series=0, "
+        "doublet_partner=None),), delta1=(None,), even_second=(), odd_second=(), "
+        "odd_third=(), odd_third_nested=(), quasi_pairs=())"
+    )
+    for value, field in ((level, "E"), (level, "doublet_partner"), (report, "levels")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+
 def test_doublet_expansion_partners():
     """An unresolved record expands into two levels at one E; the partner
     link between them comes from analyze_series, not from the expansion."""

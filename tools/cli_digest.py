@@ -8,8 +8,9 @@ without PT_CIRCLE_TOL: the library does not read it, but the src of
 earlier commits does, and their digests must not depend on the caller's
 environment. Nor does PYTHONUNBUFFERED reach a command, so that its
 stdout is buffered as a user's is. Prints one line per command: the SHA-256 of its stdout,
-stderr and exit code, then the command. Each `analyze` command reads the
-JSON that its spectrum command printed in the same run. Diffing the output
+stderr and exit code, then the command. Each spectrum command that
+prints a spectrum, CSV or JSON, is followed by an `analyze` command that
+reads it from stdin in the same run. Diffing the output
 for two checkouts' src/ compares what the CLI prints in each, byte for
 byte.
 """
@@ -117,7 +118,7 @@ def main(argv: list[str]) -> int:
         for cmd in COMMANDS:
             proc = _run(cmd, env, cwd)
             print(_digest(proc), " ".join(cmd))
-            if "json" in cmd and cmd[0] == "spectrum":
+            if cmd[0] == "spectrum" and proc.stdout:
                 print(_digest(_run(["analyze"], env, cwd, proc.stdout)),
                       "analyze <", " ".join(cmd))
     return 0
