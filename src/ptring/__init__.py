@@ -27,8 +27,8 @@ _LAZY = {
     name: module
     for module, names in {
         "roots": (
-            "roots", "RootRecord", "ScanConfig", "ScanSample",
-            "default_scan_config", "find_roots", "level_count", "scan_secular",
+            "roots", "RootRecord", "ScanConfig", "default_scan_config",
+            "find_roots", "level_count", "scan_secular",
         ),
         "secular": (
             "secular", "FREE_LIMIT_Z", "LogScaledValue", "SpectralPoint",

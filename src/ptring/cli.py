@@ -100,8 +100,7 @@ def cmd_scan(args) -> int:
     _bind("roots", "secular", "serialize")
     f = _secular_fn(args.backend, args.M, args.Z)
     cfg = ScanConfig(t_min=args.t_min, t_max=args.t_max)
-    samples = scan_secular(f, cfg, args.samples)
-    _write_output(scan_to_csv(samples), args.output)
+    _write_output(scan_to_csv(*scan_secular(f, cfg, args.samples)), args.output)
     return 0
 
 

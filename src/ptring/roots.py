@@ -142,17 +142,6 @@ class ScanConfig(_Frozen):
         _set(self, "t_max", t_max)
 
 
-class ScanSample(_Frozen):
-    """One point of a scan_secular table; slots keep a long table small."""
-
-    __slots__ = ("t", "sign", "logmag")
-
-    def __init__(self, t: float, sign: int, logmag: float) -> None:
-        _set(self, "t", t)
-        _set(self, "sign", sign)
-        _set(self, "logmag", logmag)
-
-
 class RootRecord(NamedTuple):
     """One located root (or root pair) of the secular function.
 
@@ -170,10 +159,10 @@ class RootRecord(NamedTuple):
 
 
 def _chunks(f: Callable[[np.ndarray], object], ts: np.ndarray):
-    """(i, f(ts[i : i + _EVAL_CHUNK])) for i = 0, _EVAL_CHUNK, ... over the
-    1-D array ts. An error raised by f is wrapped in SecularEvaluationError,
-    carrying the cause's own t when it has one and the chunk's first t
-    otherwise."""
+    """(i, n, f(ts[i : i + n])) for i = 0, _EVAL_CHUNK, ... over the 1-D
+    array ts, n the chunk's size, at most _EVAL_CHUNK. An error raised by f
+    is wrapped in SecularEvaluationError, carrying the cause's own t when it
+    has one and the chunk's first t otherwise."""
     for i in range(0, ts.size, _EVAL_CHUNK):
         chunk = ts[i : i + _EVAL_CHUNK]
         try:
@@ -183,7 +172,20 @@ def _chunks(f: Callable[[np.ndarray], object], ts: np.ndarray):
         except Exception as e:
             t = getattr(e, "t", None)
             raise SecularEvaluationError(float(chunk[0]) if t is None else t, e) from e
-        yield i, v
+        yield i, chunk.size, v
+
+
+def _per_t(arrays: list, n: int) -> np.ndarray:
+    """arrays, parts of a secular value on a chunk of n t, as the rows of one
+    float array. Raises ValueError unless each is 1-D with one entry per t,
+    as the secular callable's contract requires; a callable that returns
+    one value per call, or one too few, is caught here."""
+    if any(np.shape(a) != (n,) for a in arrays):
+        raise ValueError(
+            f"a secular callable must return sign, logmag and every factor with "
+            f"one entry per t, {n} here, but gave shapes {list(map(np.shape, arrays))}"
+        )
+    return np.array(arrays, dtype=float)
 
 
 def _evaluate(
@@ -191,28 +193,31 @@ def _evaluate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The factors of f over the 1-D array ts, chunk by chunk (_chunks), as
     one row per factor, and their counts; the sign and log-magnitude of the
-    value are not read. Raises ValueError on a value without factors.
+    value are not read. Raises ValueError on a value without factors, or
+    with a factor of another length than its chunk (_per_t).
     """
     rows = []
-    for _, v in _chunks(f, ts):
+    for _, n, v in _chunks(f, ts):
         if not v.factors:
             raise ValueError(
                 "root finding needs a secular value with factors; "
                 "LogScaledValue.from_float(x) carries x as its one factor"
             )
-        rows.append(np.array([y for y, _ in v.factors], dtype=float))
+        rows.append(_per_t([y for y, _ in v.factors], n))
     factors = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
     return factors, np.array([c for _, c in v.factors])
 
 
 def scan_secular(
     f: Callable[[np.ndarray], object], config: ScanConfig, samples: int = 256
-) -> list[ScanSample]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tabulate sign and log-magnitude of f itself at samples points evenly
     spaced in t over the window, both ends included, calling f chunk by
-    chunk as root finding does (_chunks). Raises ValueError before
-    evaluating or allocating anything when samples is below 16 or above
-    _MAX_GRID_POINTS."""
+    chunk as root finding does (_chunks). Returns the arrays t (float),
+    sign (int) and logmag (float), each of length samples. Raises
+    ValueError before evaluating or allocating anything when samples is
+    below 16 or above _MAX_GRID_POINTS, and on a chunk whose sign or
+    logmag has another length than the chunk (_per_t)."""
     if samples < 16:
         raise ValueError(
             f"samples must be at least 16, got {samples!r}; request more (--samples)"
@@ -224,10 +229,9 @@ def scan_secular(
         )
     ts = np.linspace(config.t_min, config.t_max, samples)
     signs, logmags = np.empty(ts.size, dtype=int), np.empty(ts.size)
-    for i, v in _chunks(f, ts):
-        signs[i : i + _EVAL_CHUNK] = v.sign
-        logmags[i : i + _EVAL_CHUNK] = v.logmag
-    return list(map(ScanSample, ts.tolist(), signs.tolist(), logmags.tolist()))
+    for i, n, v in _chunks(f, ts):
+        signs[i : i + n], logmags[i : i + n] = _per_t([v.sign, v.logmag], n)
+    return ts, signs, logmags
 
 
 def _itp_budget(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

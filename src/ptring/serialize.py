@@ -229,10 +229,13 @@ def potential_to_csv(well: SquareWell, samples: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scan_to_csv(samples: Sequence) -> str:
-    """Secular scan table, columns t, sign, logmag (logmag is log|F|)."""
+def scan_to_csv(t, sign, logmag) -> str:
+    """Secular scan table, columns t, sign, logmag (logmag is log|F|), one
+    row per entry of the equal-length numpy arrays scan_secular returns."""
     lines = ["t,sign,logmag"]
+    # the row lists live only as long as the generator, not through the join
     lines.extend(
-        f"{fmt_float(p.t)},{p.sign},{fmt_float(p.logmag)}" for p in samples
+        f"{fmt_float(x)},{s},{fmt_float(y)}"
+        for x, s, y in zip(t.tolist(), sign.tolist(), logmag.tolist())
     )
     return "\n".join(lines) + "\n"

@@ -2,9 +2,14 @@
 
 Roots arrive in descending t; energies E = s^2 - t^2 with s = Z/(2t) then
 ascend. Levels are indexed n = 0, 1, 2, ... and labeled by series = n mod 4,
-which sorts the spectrum into four interleaved families: the gap sequence
-Delta_n = E_n - E_{n-1} is regular within a family but jagged across them,
-so second differences are taken at lag 4 for even n and lag 2 for odd n.
+an ordinal label that the difference tables read: second differences of
+the gaps Delta_n = E_n - E_{n-1} are taken at lag 4 for even n and lag 2
+for odd n. It names no branch of the spectrum. Each real level is a simple
+root of one of the explicit closure's four factors k(a - b1), k(a + b1),
+k(a - b2) and k(a + b2), numbered 0-3. At Z = 1 levels 0-11 are roots of
+factors 0,2,0,2,3,1,3,1,0,2,0,2, so each series takes two factors in turn.
+At Z = 4 they are roots of 2,2,3,1,3,1,0,2,0,2,3,1: a pair left the real
+axis between Z = 2.9 and 3.0, and the label of every level above it moved.
 
 Quasi-degenerate pairs (adjacent levels separated by far less than the
 local level scale) are flagged by analyze_series, which alone cross-links

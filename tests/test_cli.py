@@ -12,8 +12,10 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ from ptring import (
     parse_spectrum_json,
     potential_to_csv,
     potential_to_json,
+    scan_to_csv,
     spectrum_to_csv,
     spectrum_to_json,
 )
@@ -315,6 +318,34 @@ def test_scan_csv_columns_and_signs(capsys):
     assert lines[0] == "t,sign,logmag"
     assert len(lines) == 129
     assert all(line.split(",")[1] == "-1" for line in lines[1:])
+
+
+def test_scan_to_csv_formats_each_row():
+    text = scan_to_csv(
+        np.array([0.5, 0.25]), np.array([0, -1]), np.array([-np.inf, 2.5])
+    )
+    assert text == (
+        "t,sign,logmag\n"
+        "5.00000000000e-01,0,-inf\n"
+        "2.50000000000e-01,-1,2.50000000000e+00\n"
+    )
+
+
+def test_scan_peak_memory_is_a_few_times_its_text(capsys, tmp_path):
+    """A scan holds its t, sign and logmag arrays and its text, not one
+    object per row: the traced peak of a 10^5-sample scan, once numpy and
+    the command are loaded, is at most six times the bytes it writes (7.4
+    with one object per row, 5.1 without)."""
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--Z", "1", "--samples", "16", "--output", str(out)]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["scan", "--Z", "1", "--samples", "100000", "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 6 * out.stat().st_size
 
 
 def test_scan_doublet_crossings(capsys):

@@ -20,8 +20,8 @@ SRC = os.path.dirname(os.path.dirname(ptring.__file__))
 # were imported with the package, by the module that defines it
 SOLVER_EXPORTS = {
     roots: (
-        "RootRecord", "ScanConfig", "ScanSample", "default_scan_config",
-        "find_roots", "level_count", "scan_secular",
+        "RootRecord", "ScanConfig", "default_scan_config", "find_roots",
+        "level_count", "scan_secular",
     ),
     secular: (
         "FREE_LIMIT_Z", "LogScaledValue", "SpectralPoint", "secular_explicit",

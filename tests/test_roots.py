@@ -19,7 +19,6 @@ from ptring import (
     LogScaledValue,
     RootRecord,
     ScanConfig,
-    ScanSample,
     SecularEvaluationError,
     build_square_well,
     default_scan_config,
@@ -106,7 +105,6 @@ def test_scan_config_validation():
     "value,text,field",
     [
         (ScanConfig(0.03, 1.0), "ScanConfig(t_min=0.03, t_max=1.0)", "t_min"),
-        (ScanSample(0.5, -1, 2.5), "ScanSample(t=0.5, sign=-1, logmag=2.5)", "sign"),
         (
             RootRecord(0.5, -math.inf, 0.0, True),
             "RootRecord(t=0.5, residual_logmag=-inf, bracket_width=0.0, "
@@ -137,8 +135,6 @@ def test_scan_values_equal_only_their_own_class():
     assert ScanConfig(0.1, 1.0) == ScanConfig(t_min=0.1, t_max=1.0)
     assert ScanConfig(0.1, 1.0) != ScanConfig(0.1, 2.0)
     assert ScanConfig(0.1, 1.0) != (0.1, 1.0)
-    assert ScanSample(0.5, 1, 2.0) != ScanSample(0.5, -1, 2.0)
-    assert ScanSample(0.5, 1, 2.0) != (0.5, 1, 2.0)
     # the records are NamedTuples, with tuple semantics
     assert RootRecord(0.5, -1.0, 1e-14) == (0.5, -1.0, 1e-14, False)
     assert RootRecord(0.5, -1.0, 1e-14)._replace(unresolved_doublet=True).unresolved_doublet
@@ -163,23 +159,25 @@ def test_default_scan_config_overrides():
 
 
 def test_scan_all_negative_beyond_ground():
-    cfg = ScanConfig(t_min=0.66, t_max=1.0)
-    samples = scan_secular(_f_explicit(1.0), cfg)
-    assert len(samples) == 256
-    assert all(s.sign == -1 for s in samples)
+    """The table is three arrays of length samples, t and logmag float and
+    sign int, and each row is the scalar call at its t."""
+    f = _f_explicit(1.0)
+    t, sign, logmag = scan_secular(f, ScanConfig(t_min=0.66, t_max=1.0))
+    assert t.shape == sign.shape == logmag.shape == (256,)
+    assert (t.dtype, logmag.dtype) == (np.float64, np.float64)
+    assert np.issubdtype(sign.dtype, np.integer)
+    assert (sign == -1).all()
+    assert (t[0], t[-1]) == (0.66, 1.0)
+    for x, s, y in zip(t.tolist(), sign.tolist(), logmag.tolist()):
+        v = f(x)
+        assert (s, y) == (v.sign, v.logmag)
 
 
 def test_scan_single_crossing():
-    cfg = ScanConfig(t_min=0.35, t_max=0.45)
-    samples = scan_secular(_f_explicit(1.0), cfg, 256)
-    flips = [
-        (a.t, b.t)
-        for a, b in zip(samples, samples[1:])
-        if a.sign * b.sign < 0
-    ]
-    assert len(flips) == 1
-    lo, hi = flips[0]
-    assert lo < EXPLICIT_ROOTS_Z1[1] < hi
+    t, sign, _ = scan_secular(_f_explicit(1.0), ScanConfig(t_min=0.35, t_max=0.45), 256)
+    (flips,) = np.nonzero(sign[:-1] * sign[1:] < 0)
+    assert flips.size == 1
+    assert t[flips[0]] < EXPLICIT_ROOTS_Z1[1] < t[flips[0] + 1]
 
 
 def test_scan_wraps_evaluation_errors():
@@ -190,6 +188,28 @@ def test_scan_wraps_evaluation_errors():
     with pytest.raises(SecularEvaluationError) as ei:
         scan_secular(f, cfg, 16)
     assert ei.value.t == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("solve", ["scan", "find_roots"])
+@pytest.mark.parametrize(
+    "f",
+    [
+        # one value per call, from the first t alone
+        lambda t: LogScaledValue.from_float(0.5 - float(np.ravel(t)[0])),
+        # one value too few
+        lambda t: LogScaledValue.from_float(0.5 - np.asarray(t)[1:]),
+    ],
+    ids=["scalar", "short"],
+)
+def test_value_of_another_length_than_t_is_refused(f, solve):
+    """A secular callable must give sign, logmag and every factor one entry
+    per t; one that does not is a ValueError stating that, not a table of
+    the wrong rows or an error deep in root finding."""
+    with pytest.raises(ValueError, match=r"every factor with one entry per t, \d+ "):
+        if solve == "scan":
+            scan_secular(f, ScanConfig(t_min=0.1, t_max=1.0), 16)
+        else:
+            find_roots(f, 1.0, 3, ScanConfig(t_min=0.1, t_max=1.0))
 
 
 @pytest.mark.parametrize("samples", [1, 15, 2**22 + 1])
