@@ -85,6 +85,9 @@ _CENTRE = 1 + _STENCIL.size // 2
 # the estimate (j <= _CENTRE), j - 1, j and j - 2 above it
 _J = np.arange(_STENCIL.size + 2)
 _NEXT = _J + np.where(_J <= _CENTRE, [[0], [-1], [1]], [[-1], [0], [-2]])
+# Offsets from a sign change's lower grid index of its lo, hi and the grid
+# points below lo and above hi
+_AROUND = np.array([0, 1, -1, 2])[:, None]
 # Reach of the stencil around a closer estimate, relative to t: an estimate
 # off the root by less than this closes most of the bracket at once
 _REACH = float(_STENCIL[-1]) * _T_TOL / 2
@@ -234,20 +237,19 @@ def scan_secular(
     return ts, signs, logmags
 
 
-def _itp_budget(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per bracket with ends x1 and x2, in either order, lo the lesser and
-    hi the greater: epsilon = _T_TOL lo / 2, and ITP's projection radius
-    plus half the width, (epsilon - ulp) 2^n_max, for its first step.
+def _itp_project(xt, m, w, budget):
+    """ITP's projection of the estimates xt of brackets of midpoints m and
+    widths w: an estimate within r = max(budget - w/2, 0) of its midpoint as
+    it is, any other moved to distance r from the midpoint toward it.
 
-    n_max = ceil(log2((hi - lo) / (2 epsilon))) + _ITP_N0 steps; rounding of
-    mid and x adds up to one ulp to a width held at its budget, and an ulp
-    less keeps n_max steps enough.
+    Where budget >= w, r >= w/2, and an estimate of _close_brackets, which
+    lies in its bracket at least epsilon = _T_TOL lo0 / 2 (some hundred
+    ulps) from either end, is within r of the midpoint: the projection
+    returns it unchanged, so the closer skips it on a step where every
+    budget is at least its width.
     """
-    lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
-    eps = 0.5 * _T_TOL * lo
-    with np.errstate(divide="ignore"):  # a closed bracket: a budget of 0
-        n_max = np.ceil(np.log2((hi - lo) / (2.0 * eps))) + _ITP_N0
-    return eps, (eps - np.spacing(hi)) * 2.0**n_max
+    r, d = np.maximum(budget - 0.5 * w, 0.0), m - xt
+    return np.where(np.abs(d) <= r, xt, m - np.sign(d) * r)
 
 
 def _hides_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +304,11 @@ def _close_brackets(
     midpoint otherwise, as always without a seed. It is clipped to
     at least epsilon = _T_TOL lo0 / 2 from the nearer end, so that a
     converged estimate steps across the root, and then projected as in ITP
-    (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with n0 = 1. The
+    (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with n0 = 1
+    (_itp_project), except on a step where every open bracket's budget is
+    at least its width, where the projection would keep every estimate: 84
+    of the 1985 steps of the 806 solves of tools/records_digest.py project,
+    and none of the M = 1 solves at Z in [0.05, 4]. The
     step evaluates the stencil x + epsilon {0, +-1, +-1e3, +-1e6, +-1e9},
     clipped into the bracket, and takes its sign change as the new bracket,
     so an estimate off the root by e < 1e9 epsilon, on either side, leaves
@@ -314,7 +320,8 @@ def _close_brackets(
     point with value 0 closes the bracket on it. One step evaluates the
     stencils of all open brackets in one call. When all have closed, each
     record's t is its final end of smaller |factor|, whose log is the
-    residual (-inf at an exact root).
+    residual (-inf at an exact root); where all close on one step and none
+    before, the final ends are taken as they are, without a gather.
 
     The working arrays hold the open brackets only: a bracket leaves them
     once, when it closes, with its final ends, and each step writes its
@@ -322,36 +329,48 @@ def _close_brackets(
     open gathers and scatters nothing. That is every step of the M = 1
     solves at Z in [0.05, 4] (48 of 48 over 24 couplings), 6 of 10 on the
     explicit closure at Z = 1 and 18, 50 and 100 levels, and 4 of 5 at
-    M = 8 and 32. On 13 brackets a step then costs about 95 us of the
-    closer's own numpy work (107 us with a gather and a scatter on every
-    step) besides its secular call, about 20 us at M = 1 (one core of a
-    shared 2-vCPU host, numpy 2.4, least of 200 runs).
+    M = 8 and 32. On 13 brackets a step then costs about 83 us of the
+    closer's own numpy work, its set-up and records included (93 us when
+    ITP's projection ran on every step, 107 us with a gather and a scatter
+    on every step as well) besides its secular call, about 20 us at M = 1
+    (one core of a shared 2-vCPU host, numpy 2.4, least of 300 runs; M = 1
+    at Z = 0.3, 1.3 and 3, two steps each).
     """
     # per open bracket: the rows of X are the end x1 nearer the last
     # estimate, the other end x2 and the next point x3 beyond x1 of x1's sign
-    # (NaN for none), the rows of Y the factor's values there, k is its
-    # factor and at its column in brackets; closed holds each closed
-    # bracket's x1, x2, their values, its width and its midpoint
+    # (NaN for none), the rows of Y the factor's values there, a and b the
+    # lesser and greater end, k its factor and at its column in brackets;
+    # closed holds each closed bracket's x1, x2, their values, its width and
+    # its midpoint
     X, Y, k, double = brackets
     if not k.size:
         return []
-    eps, budget = _itp_budget(X[0], X[1])
+    a, b = np.minimum(X[0], X[1]), np.maximum(X[0], X[1])
+    # ITP's projection radius plus half the width for the first step,
+    # (epsilon - ulp) 2^n_max for n_max = ceil(log2((b - a) / (2 epsilon)))
+    # + _ITP_N0 steps: rounding of mid and x adds up to one ulp to a width
+    # held at its budget, and an ulp less keeps n_max steps enough
+    eps = 0.5 * _T_TOL * a
+    with np.errstate(divide="ignore"):  # a closed bracket: a budget of 0
+        n_max = np.ceil(np.log2((b - a) / (2.0 * eps))) + _ITP_N0
+    budget = (eps - np.spacing(b)) * 2.0**n_max
     at = cols = np.arange(k.size)
     closed = np.empty((6, k.size))
     # the row x1, stencil, x2 of each open bracket and the values there
     rows = np.empty((2, k.size, _STENCIL.size + 2))
     col = (slice(None), None)  # a per-bracket array as a column
     while True:
-        a, b = np.minimum(X[0], X[1]), np.maximum(X[0], X[1])
         w, m = b - a, 0.5 * (a + b)
         go = (w > _T_TOL * b) & (a < m) & (m < b)
         n = np.count_nonzero(go)  # open brackets
         if n < at.size:
-            closed[:, at[~go]] = np.concatenate([X[:2], Y[:2], [w, m]])[:, ~go]
+            if n or at is not cols:  # else all close now, none before
+                closed[:, at[~go]] = np.concatenate([X[:2], Y[:2], [w, m]])[:, ~go]
             if not n:
                 break
-            X, Y, k, eps, budget, at = (e[..., go] for e in (X, Y, k, eps, budget, at))
-            a, b, w, m = a[go], b[go], w[go], m[go]
+            X, Y, k, eps, budget, at, a, b, w, m = (
+                e[..., go] for e in (X, Y, k, eps, budget, at, a, b, w, m)
+            )
         (x1, x2, x3), (y1, y2, y3) = X, Y
         # inverse quadratic interpolation where Chandrupatla's test accepts
         # it, else the midpoint (always without x3); the values at x1 and x3
@@ -366,16 +385,13 @@ def _close_brackets(
         # clip: at least epsilon from the nearer end toward the other end
         q_min = eps / w
         xt = np.where(iqi, x1 + np.minimum(np.maximum(q, q_min), 1.0 - q_min) * dx, m)
-        # project: keep it within r of the midpoint
-        r = np.maximum(budget - 0.5 * w, 0.0)
-        d = m - xt
-        x = np.where(np.abs(d) <= r, xt, m - np.sign(d) * r)
+        x = xt if (budget >= w).all() else _itp_project(xt, m, w, budget)
         # the row x1, stencil, x2 per bracket: the stencil runs from x1
         # toward x2 and is clipped into the bracket, so the row is sorted; a
         # point clipped onto an end takes that end's value
         brk, (xs, ys) = cols[:n], rows[:, :n]
         stencil = xs[:, 1:-1]
-        np.add(x[col], (eps * np.sign(dx))[col] * _STENCIL, out=stencil)
+        np.add(x[col], np.copysign(eps, dx)[col] * _STENCIL, out=stencil)
         np.maximum(stencil, a[col], out=stencil)
         np.minimum(stencil, b[col], out=stencil)
         xs[:, 0], xs[:, -1] = x1, x2
@@ -392,8 +408,9 @@ def _close_brackets(
         idx = _NEXT[:, j]
         np.copyto(idx[:2], j, where=ys[brk, j] == 0)
         X, Y = rows[:, brk, idx]
+        a, b = np.minimum(X[0], X[1]), np.maximum(X[0], X[1])
         budget *= 0.5
-    x1, x2, y1, y2, w, m = closed
+    x1, x2, y1, y2, w, m = (*X[:2], *Y[:2], w, m) if at is cols else closed
     nearer = np.abs(y1) <= np.abs(y2)
     t = np.where(nearer, x1, x2)
     with np.errstate(divide="ignore"):  # an exact root: -inf
@@ -431,7 +448,7 @@ def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarra
     # factor by factor in ascending i, as np.nonzero would give them; the
     # rows of around are lo, hi and the grid points below lo and above hi
     k, i = divmod(np.flatnonzero(change), ts.size - 1)
-    around = np.array([i, i + 1, np.maximum(i - 1, 0), np.minimum(i + 2, ts.size - 1)])
+    around = np.minimum(np.maximum(i + _AROUND, 0), ts.size - 1)
     seed = sign[k, around]
     below = (i > 0) & (seed[2] == seed[0])
     above = ~below & (i + 2 < ts.size) & (seed[3] == seed[1])
@@ -452,7 +469,7 @@ def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarra
     mag = np.abs(factors)
     mid = mag[:, 1:-1]
     least = (mid < mag[:, :-2]) & (mid <= mag[:, 2:])
-    kw, iw = np.nonzero(least & quiet[:-1] & quiet[1:])
+    kw, iw = divmod(np.flatnonzero(least & quiet[:-1] & quiet[1:]), ts.size - 2)
     near = iw + np.arange(-1, 4)[:, None]
     inside = (near >= 0) & (near < ts.size)
     near = np.minimum(np.maximum(near, 0), ts.size - 1)
@@ -479,26 +496,17 @@ def _merge_close(records: list[RootRecord]) -> list[RootRecord]:
     does, so it holds at every coupling. Returns the records in strictly
     ascending t: two at one t touch, and merge.
     """
-    records = sorted(records, key=lambda r: r.t)
     out: list[RootRecord] = []
-    for r in records:
+    for r in sorted(records, key=lambda r: r.t):
         if out and r.t - out[-1].t <= r.bracket_width + out[-1].bracket_width:
             prev = out.pop()
             if prev.unresolved_doublet or r.unresolved_doublet:
                 # already counted as a pair; keep the sharper record
-                keep = prev if prev.residual_logmag <= r.residual_logmag else r
-                out.append(keep)
+                out.append(prev if prev.residual_logmag <= r.residual_logmag else r)
                 continue
-            out.append(
-                RootRecord(
-                    t=0.5 * (prev.t + r.t),
-                    residual_logmag=min(prev.residual_logmag, r.residual_logmag),
-                    bracket_width=abs(r.t - prev.t)
-                    + prev.bracket_width
-                    + r.bracket_width,
-                    unresolved_doublet=True,
-                )
-            )
+            width = abs(r.t - prev.t) + prev.bracket_width + r.bracket_width
+            residual = min(prev.residual_logmag, r.residual_logmag)
+            out.append(RootRecord(0.5 * (prev.t + r.t), residual, width, True))
         else:
             out.append(r)
     return out
@@ -582,7 +590,7 @@ def find_roots(
     allocating anything when s = Z/(2 t_max) underflows to 0 or the master
     grid would take more than _MAX_GRID_POINTS points.
     """
-    cfg = config if config is not None else default_scan_config(Z, n_levels)
+    cfg = config or default_scan_config(Z, n_levels)
     s_lo = Z / (2.0 * cfg.t_max)
     s_hi = Z / (2.0 * cfg.t_min)
     if s_lo == 0.0:
@@ -608,9 +616,12 @@ def find_roots(
             f"request fewer levels (--levels)"
         )
     ratio = math.log(s_mid / s_lo) / max(n_geo, 1)
-    s = np.concatenate(
-        [s_lo * np.exp(ratio * np.arange(n_geo)), np.linspace(s_mid, s_hi, n_lin + 1)]
-    )
+    # the uniform part as np.linspace(s_mid, s_hi, n_lin + 1) computes it,
+    # arange * step + start with the last point set to stop, the same bits
+    # without its Python-level set-up (n_lin = 0 only where s_mid = s_hi)
+    lin = np.arange(n_lin + 1.0) * ((s_hi - s_mid) / max(n_lin, 1)) + s_mid
+    lin[-1] = s_hi
+    s = np.concatenate([s_lo * np.exp(ratio * np.arange(n_geo)), lin])
     ts = Z / (2.0 * s[::-1])
     factors, counts = _evaluate(f, ts)
     brackets, W = _brackets_and_windows(ts, (factors, counts))

@@ -71,8 +71,9 @@ class SpectralPoint(NamedTuple):
 
 def _spectral(Z: float, t) -> tuple[SpectralPoint, object]:
     """SpectralPoint.from_zt(Z, t), and |kappa|^2 = s^2 + t^2 from the s^2
-    and t^2 of its energy. One mask checks t and E; the positivity error
-    goes first."""
+    and t^2 of its energy. Two reductions check t > 0 and E finite; only
+    where they fail (or the sum of finite energies overflows) does a mask
+    find the first bad t, the positivity error first."""
     check_coupling(Z)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
         try:
@@ -81,8 +82,8 @@ def _spectral(Z: float, t) -> tuple[SpectralPoint, object]:
             s = math.inf
         ss, tt = s * s, t * t
         E = ss - tt
-    ok = (t > 0.0) & np.isfinite(E)
-    if not ok.all():
+        fine = np.minimum.reduce(t, initial=np.inf) > 0 and math.isfinite(np.add.reduce(E))
+    if not (fine or (ok := (t > 0.0) & np.isfinite(E)).all()):
         positive = np.asarray(t) > 0.0
         if not positive.all():
             first = float(np.ravel(t)[np.argmin(positive)])
@@ -206,7 +207,7 @@ def _cell_trace(point: SpectralPoint, mod_sq, h: float):
     k, a and b, so c and d come from _cell_cd, where a value needs them.
     """
     s, t = point.s, point.t
-    sh, th = s * h, t * h
+    sh, th = (s, t) if h == 1.0 else (s * h, t * h)  # a unit width: no product
     decay = np.exp(-th)
     sin_sh = np.sin(sh)
     em = np.expm1(-2.0 * th)

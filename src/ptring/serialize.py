@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import math
+import re
 from typing import Iterable, NamedTuple, Sequence
 
 from .potential import CIRCUMFERENCE, MAX_SEGMENTS, START, SquareWell
@@ -35,6 +36,8 @@ class SpectrumDocument(NamedTuple):
     backend: str | None = None
 
 
+# an integer field as str(int) writes it, compiled on the first parse
+_INTEGER = r"-?(0|[1-9][0-9]*)"
 # one spectrum row, in the order both formats write it
 SPECTRUM_COLUMNS = ("n", "t", "s", "E", "delta1", "series", "doublet_partner")
 
@@ -68,13 +71,24 @@ def _finite(name: str, value) -> float:
     return x
 
 
+def _integer(name: str, value) -> int:
+    """value itself; a ValueError naming the field unless it is an int as
+    the emitters write one: a JSON integer, or in CSV its decimal text,
+    which parse_spectrum_csv reads as an int. A float such as 2.5 or 1e400,
+    a boolean and a JSON string are refused."""
+    if type(value) is int:
+        return value
+    raise ValueError(f"spectrum field {name} must be an integer, got {value!r}")
+
+
 def _read_spectrum(rows: Iterable[Sequence], none, **meta) -> SpectrumDocument:
     """Invert _spectrum_rows: rows of SPECTRUM_COLUMNS values, none for None.
 
-    A non-finite t, s, E or delta1, or an n other than the row's index, is
-    a ValueError: analysis pairs levels by their place in the list."""
+    A non-finite t, s, E or delta1, a series or doublet_partner that is no
+    integer (_integer), or an n other than the row's index, is a
+    ValueError: analysis pairs levels by their place in the list."""
     levels, delta1 = [], []
-    for i, (n, t, s, E, d, series, partner) in enumerate(rows):
+    for i, (n, t, s, E, d, series, p) in enumerate(rows):
         if str(n) != str(i):
             raise ValueError(f"spectrum level {i} has n={n!r}, want n={i}")
         levels.append(
@@ -83,8 +97,8 @@ def _read_spectrum(rows: Iterable[Sequence], none, **meta) -> SpectrumDocument:
                 t=_finite("t", t),
                 s=_finite("s", s),
                 E=_finite("E", E),
-                series=int(series),
-                doublet_partner=None if partner == none else int(partner),
+                series=_integer("series", series),
+                doublet_partner=None if p == none else _integer("doublet_partner", p),
             )
         )
         delta1.append(None if d == none else _finite("delta1", d))
@@ -128,6 +142,8 @@ def parse_spectrum_csv(text: str) -> SpectrumDocument:
                 f"spectrum CSV row has {len(row)} fields, "
                 f"want {len(SPECTRUM_COLUMNS)}"
             )
+        # series and doublet_partner, the last two: str(int)'s text as an int
+        row[-2:] = [int(c) if re.fullmatch(_INTEGER, c) else c for c in row[-2:]]
     return _read_spectrum(rows[1:], "")
 
 
@@ -153,7 +169,7 @@ def parse_spectrum_json(text: str) -> SpectrumDocument:
             ([d[k] for k in SPECTRUM_COLUMNS] for d in obj["levels"]),
             None,
             Z=_finite("Z", obj["Z"]),
-            M=int(obj["M"]),
+            M=_integer("M", obj["M"]),
             backend=str(obj["backend"]),
         )
     except (KeyError, TypeError) as e:

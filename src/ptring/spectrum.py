@@ -63,21 +63,20 @@ def energies_from_roots(roots: Sequence, Z: float) -> list[EnergyLevel]:
     Unresolved doublet records produce two coincident levels; no level
     carries a doublet_partner (see analyze_series). Raises ValueError
     unless Z is finite and at least Z_FLOOR and the records are strictly
-    descending in t.
+    descending in t; a t <= 0 anywhere is named before an order fault.
     """
     check_coupling(Z)
-    ts = [r.t for r in roots]
-    if any(not t > 0 for t in ts):
-        raise ValueError("every root must have t > 0")
-    if any(b >= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("roots must be strictly descending in t")
     levels: list[EnergyLevel] = []
     for r in roots:
+        if not r.t > 0:
+            raise ValueError("every root must have t > 0")
         s = Z / (2.0 * r.t)
         e = s * s - r.t * r.t
         for _ in range(2 if getattr(r, "unresolved_doublet", False) else 1):
             n = len(levels)
             levels.append(EnergyLevel(n, r.t, s, e, n % 4))
+    if any(b.t >= a.t for a, b in zip(roots, roots[1:])):
+        raise ValueError("roots must be strictly descending in t")
     return levels
 
 

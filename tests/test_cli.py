@@ -670,6 +670,35 @@ def test_spectrum_csv_rejects_non_finite_values_and_bad_n(field, value):
         parse_spectrum_csv(bad)
 
 
+@pytest.mark.parametrize("token", ["1e400", "2.5", "1.0", "true", "false", '"1"'])
+@pytest.mark.parametrize("field", ["M", "series", "doublet_partner"])
+def test_analyze_rejects_non_integral_json_fields(capsys, monkeypatch, field, token):
+    """M, series and doublet_partner are integers as the emitter writes
+    them: a float (1e400 too, which ended in an OverflowError traceback), a
+    boolean or a string of digits is one error naming the field, never a
+    value truncated to an integer. The partner is replaced on level 0."""
+    lines = _spectrum_text("json").split("\n")
+    i = 2 if field == "M" else 5
+    assert f'"{field}": ' in lines[i]
+    lines[i] = re.sub(rf'"{field}": [^,}}]+', f'"{field}": {token}', lines[i])
+    err = _analyze_error(capsys, monkeypatch, "\n".join(lines))
+    assert f"field {field} must be an integer" in err
+
+
+@pytest.mark.parametrize("value", ["2.5", "1e400", "true", "+1", "01", " 1", "1_0"])
+@pytest.mark.parametrize("field", ["series", "doublet_partner"])
+def test_spectrum_csv_rejects_non_integral_fields(field, value):
+    """The CSV reader applies the JSON reader's rule to level 1: series and
+    doublet_partner as str(int) writes them, else an error naming the
+    field, where int() would have read "+1", "01", " 1" and "1_0"."""
+    text = _spectrum_text("csv")
+    rows = [line.split(",") for line in text.splitlines()]
+    rows[2][rows[0].index(field)] = value
+    bad = "\n".join(",".join(row) for row in rows) + "\n"
+    with pytest.raises(ValueError, match=f"field {field} must be an integer"):
+        parse_spectrum_csv(bad)
+
+
 # --- validate ---------------------------------------------------------------------
 
 

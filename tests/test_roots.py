@@ -31,7 +31,13 @@ from ptring import (
 )
 import ptring.roots
 from ptring.potential import Z_FLOOR
-from ptring.roots import _brackets_and_windows, _close_brackets, _evaluate, _hides_pair
+from ptring.roots import (
+    _brackets_and_windows,
+    _close_brackets,
+    _evaluate,
+    _hides_pair,
+    _itp_project,
+)
 
 T_EXPLICIT_Z01 = [0.2219819562431546437372, 0.03467067057228565555074]
 # roots of the strictly periodic secular function at Z = 1
@@ -680,6 +686,55 @@ def test_bisect_width_floor(monkeypatch):
     rec = _close_on(f, (0.1, 0.9))
     assert rec.t in (a, np.nextafter(a, 1.0))
     assert rec.bracket_width == 8 * np.spacing(rec.t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.floats(min_value=1e-6, max_value=1e3),
+    rel=st.floats(min_value=1e-12, max_value=0.05),
+    where=st.floats(min_value=0.0, max_value=1.0),
+    spare=st.floats(min_value=1.0, max_value=4.0),
+)
+def test_itp_projection_keeps_every_estimate_within_budget(lo, rel, where, spare):
+    """Where budget >= w, ITP's projection returns any estimate the closer
+    makes, which lies in its bracket at least epsilon = _T_TOL lo / 2 from
+    either end, unchanged, the ends of that range and the midpoint
+    included: so the closer may skip it on a step where every open bracket
+    has such a budget."""
+    a, b = lo, lo * (1.0 + rel)
+    w, m = b - a, 0.5 * (a + b)
+    eps = 0.5 * ptring.roots._T_TOL * a
+    xt = np.array([a + eps + where * (w - 2.0 * eps), a + eps, b - eps, m])
+    full = np.full(xt.size, 1.0)
+    x = _itp_project(xt, m * full, w * full, spare * w * full)
+    assert x.tolist() == xt.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rel=st.floats(min_value=1e-12, max_value=0.05),
+    where=st.floats(min_value=0.0, max_value=1.0),
+    spare=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+def test_itp_projection_pulls_toward_the_midpoint(rel, where, spare):
+    """Where budget < w, r = max(budget - w/2, 0) < w/2: an estimate within
+    r of the midpoint stays, any other moves to distance r from it, on its
+    own side, nearer the midpoint than it was; at r = 0 every estimate
+    becomes the midpoint, a bisection step."""
+    a, b = 1.0, 1.0 + rel
+    w, m = b - a, 0.5 * (a + b)
+    xt = a + where * w
+    budget = spare * w
+    r = max(budget - 0.5 * w, 0.0)
+    (x,) = _itp_project(np.array([xt]), np.array([m]), np.array([w]), np.array([budget]))
+    ulp = np.spacing(m)  # x and m carry rounding at the scale of m
+    if abs(m - xt) <= r:
+        assert x == xt
+    else:
+        assert abs(abs(x - m) - r) <= 2.0 * ulp
+        assert (x - m) * (xt - m) >= 0.0 and abs(x - m) <= abs(xt - m) + 2.0 * ulp
+    if r == 0.0:
+        assert x == m
 
 
 def test_find_roots_explicit_z01():

@@ -339,6 +339,62 @@ def test_array_call_equals_pointwise_calls(z, m, ts):
         )
 
 
+def _same_value(u, v):
+    """Whether two secular values agree bit for bit: sign, log-magnitude
+    and every factor with its count."""
+    same = np.array_equal(u.sign, v.sign) and np.array_equal(u.logmag, v.logmag)
+    return same and len(u.factors) == len(v.factors) and all(
+        np.array_equal(y, z) and c == d for (y, c), (z, d) in zip(u.factors, v.factors)
+    )
+
+
+@pytest.mark.parametrize("backend", ["explicit", "monodromy"])
+def test_secular_entry_takes_t_as_before(backend):
+    """Both closures take t as a float or a 1-D array of any real dtype: a
+    list or an int array gives the float array's value, a 0-d value the
+    float's, and an empty array an empty value. Finite energies whose sum
+    overflows are no error."""
+    f = _closure(backend)
+    ts = np.array([0.3, 0.5, 1.0, 2.0])
+    assert _same_value(f(ts.tolist()), f(ts))
+    assert _same_value(f(np.array([1, 2])), f(np.array([1.0, 2.0])))
+    for t in (np.array(0.5), np.float64(0.5)):
+        v = f(t)
+        assert type(v.sign) is int and type(v.logmag) is float
+        assert _same_value(v, f(0.5))
+    empty = f(np.array([]))
+    assert empty.sign.shape == empty.logmag.shape == (0,)
+    assert all(y.shape == (0,) for y, _ in empty.factors)
+    # E = s^2 - t^2 is about 1.6e308 at each point, 3.1e308 for the two
+    tiny = np.array([4e-155, 4e-155])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        both, one = f(tiny), f(float(tiny[0]))
+        assert [y.tolist() for y, _ in both.factors] == [[y, y] for y, _ in one.factors]
+        assert both.sign.tolist() == [one.sign] * 2
+
+
+@pytest.mark.parametrize("backend", ["explicit", "monodromy"])
+@pytest.mark.parametrize(
+    "t,error",
+    [
+        (np.ones((2, 2)), r"t must be a float or a 1-D array, got shape \(2, 2\)$"),
+        (np.array([0.5, -1.0, 0.0]), r"t must be positive, got -1\.0$"),
+        (np.array([0.5, np.nan, -1.0]), r"t must be positive, got nan$"),
+        ([0.5, 0.0], r"t must be positive, got 0\.0$"),
+        (np.array([1.0, 1e155, -1.0]), r"t must be positive, got -1\.0$"),
+    ],
+)
+def test_secular_entry_names_the_first_bad_t(backend, t, error):
+    """A 2-D t, and a t <= 0 or NaN anywhere, are refused with the same
+    texts as ever, naming the first bad t; a bad t is named before an
+    energy that leaves the double range at an earlier one."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=error):
+            _closure(backend)(t)
+
+
 def test_scalar_call_returns_python_scalars():
     pot = build_square_well(2, 1.0)
     for v in (secular_explicit(1.0, 0.3), secular_monodromy(pot, 1.0, 0.3)):

@@ -147,6 +147,14 @@ def test_rejects_non_positive_roots(t):
         energies_from_roots([_record(1.0), _record(t)], 1.0)
 
 
+@pytest.mark.parametrize("t", [0.0, -0.5, math.nan])
+def test_non_positive_root_is_named_before_an_order_fault(t):
+    """A t <= 0 (or NaN) anywhere is the error, even after the order fault
+    of 0.1 before 0.5."""
+    with pytest.raises(ValueError, match="every root must have t > 0"):
+        energies_from_roots([_record(0.1), _record(0.5), _record(t)], 1.0)
+
+
 # --- difference tables --------------------------------------------------------
 
 
