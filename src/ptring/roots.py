@@ -30,13 +30,15 @@ relative width of _T_TOL by Chandrupatla's inverse quadratic interpolation
 under ITP's projection, in at most one step more than bisection would
 take; each step evaluates a geometric stencil around the estimate, so an
 accurate estimate on either side of the root closes most of the bracket at
-once. All brackets are closed in lock step, starting from the values the
-scan found at their ends and at a seed, the grid point beyond one end with
-that end's sign (below the lower end where it has one, else above the
-upper), so that the first step interpolates; a bracket with neither seed
-starts at its midpoint. A root stands for as many levels as its factor's
-count; two roots whose closed brackets overlap, so that the closer cannot
-order them, merge into one record standing for two.
+once. All brackets are closed in lock step. The first step starts from the
+scan's first estimate of each root, t interpolated as a polynomial in the
+factor's value through the _FIT_POINTS grid points around the bracket; a
+bracket whose factor turns among those points starts at its midpoint. On
+every M = 1 solve at Z in [0.05, 4], and at M = 8 and 32 at Z = 1, the
+estimate lands within the stencil's innermost step of every root, so that
+one step closes every bracket. A root stands for as many levels as its
+factor's count; two roots whose closed brackets overlap, so that the
+closer cannot order them, merge into one record standing for two.
 
 A level count below the requested one is a physical signal, not a
 numerical fault: the missing levels have no real root in the window, as
@@ -85,30 +87,44 @@ _CENTRE = 1 + _STENCIL.size // 2
 # the estimate (j <= _CENTRE), j - 1, j and j - 2 above it
 _J = np.arange(_STENCIL.size + 2)
 _NEXT = _J + np.where(_J <= _CENTRE, [[0], [-1], [1]], [[-1], [0], [-2]])
-# Offsets from a sign change's lower grid index of its lo, hi and the grid
-# points below lo and above hi
-_AROUND = np.array([0, 1, -1, 2])[:, None]
+# Offsets from a sign change's lower grid index of its lo and hi
+_AROUND = np.array([0, 1])[:, None]
 # Reach of the stencil around a closer estimate, relative to t: an estimate
 # off the root by less than this closes most of the bracket at once
 _REACH = float(_STENCIL[-1]) * _T_TOL / 2
-# Master grid in s. The closer's first step on a bracket interpolates
-# through its ends and its seed, the grid point beyond one end (inverse
-# quadratic interpolation), and needs only one step more when it lands
-# within _REACH of the root. Through points h apart on a factor that varies
-# on a length l, the secant errs by about h^2 / (8 l) and the quadratic by
-# about h^3 / l^2. Near the ground state, s ~ sqrt(Z/2), a factor varies on
-# the scale of s itself (l = s), and the secant's bound sets a geometric
-# grid of ratio 1 + _GRID_RATIO, 2% apart. The ratio stays although every
-# first step interpolates through a seed or takes the midpoint: a wider one
-# moves the last bits of the roots, and with them the printed delta1 of
-# doublet partners. Above s = _GRID_STEP / _GRID_RATIO (0.92) a factor
-# varies on the scale of its roots, which lie no closer than about pi/2 in s
-# (the free ring's level spacing at circumference 4), l = 1/2, and the
-# quadratic sets the uniform step _GRID_STEP (0.018). Two roots of one
-# factor that meet at an exceptional point lie closer than that; the
-# extremum windows catch them.
+# Master grid in s. Through points h apart on a factor that varies on a
+# length l, the secant errs by about h^2 / (8 l) and the quadratic by about
+# h^3 / l^2, and the spacings are those at which each lands within _REACH of
+# the root. Near the ground state, s ~ sqrt(Z/2), a factor varies on the
+# scale of s itself (l = s), and the secant's bound sets a geometric grid of
+# ratio 1 + _GRID_RATIO, 2% apart. Above s = _GRID_STEP / _GRID_RATIO (0.92)
+# a factor varies on the scale of its roots, which lie no closer than about
+# pi/2 in s (the free ring's level spacing at circumference 4), l = 1/2, and
+# the quadratic sets the uniform step _GRID_STEP (0.018). The closer's first
+# estimate, through _FIT_POINTS grid points, would land within reach on a
+# wider grid too, but a wider grid moves the last bits of the roots, and
+# with them the printed delta1 of doublet partners. Two roots of one factor
+# that meet at an exceptional point lie closer than that; the extremum
+# windows catch them.
 _GRID_RATIO = math.sqrt(8.0 * _REACH)
 _GRID_STEP = 0.5 * _REACH ** (1.0 / 3.0)
+# Grid points around a bracket through which the closer's first estimate
+# interpolates t as a polynomial in the factor's value (_brackets_and_windows).
+# Through p points h apart on a factor that varies on a length l, it errs by
+# about (h/l)^p relative to t, and h/l <= 2 _GRID_STEP ~ 0.037 on either part
+# of the grid (_GRID_RATIO = 0.02 on the geometric one). Landing within
+# epsilon = _T_TOL t / 2, where one stencil step closes the bracket, then
+# needs (2 _GRID_STEP)^p <= _T_TOL / 2, p >= 9.3, before the spread of the p
+# points around the root, which costs a few powers of h/l more. Measured on
+# the M = 1 solves at 400 couplings in [0.05, 4], the estimate lands within
+# 15.6 epsilon of every root at p = 10, 1.28 at 12, 0.34 at 13 and 0.15 at
+# 14; p = 14 is also the least at which M = 32 at Z = 1 closes in one step.
+# The fit costs p^2 products per bracket: about 25 us of the scan's 100 on
+# the 25 brackets of the explicit closure at 18 levels, 56 of 170 on 125 at
+# 100 levels (one core of a shared 2-vCPU host)
+_FIT_POINTS = 14
+# Offsets of those points from the first of them, as a column
+_FIT = np.arange(_FIT_POINTS)[:, None]
 # An extremum of a factor toward zero may hide a pair of roots when the vertex
 # of the parabola through it and its neighbours lies within this many times
 # the parabola's own error (the cubic term, from the third divided difference)
@@ -287,65 +303,67 @@ def _close_brackets(
     """Close every bracket in lock step and make one record of each.
 
     brackets is what _brackets_and_windows found on a grid: per bracket, as
-    columns of (3, n) arrays, the points x1, x2 and x3 and the factor's
-    values there, then the index of the factor of f's value whose root it
-    holds and whether that factor counts twice. A sign-change bracket has
-    ends x1 and x2, 0 < min(x1, x2), where its factor is not zero, and a
-    seed x3: the grid point beyond x1 with x1's sign (NaN for none). An
-    exact root, a grid point where the factor is zero, is a bracket already
-    closed: all three points are that grid point and the values are 0.
-    find_roots has resolved every extremum window on its grid before this,
-    so a pair of roots it found is two ordinary brackets here.
+    columns of (2, n) arrays, the ends x1 and x2 and the factor's values
+    there, then the first estimate q, the index of the factor of f's value
+    whose root it holds and whether that factor counts twice. A sign-change
+    bracket has ends x1 = lo < x2 = hi, where its factor is not zero, and
+    q its first estimate as a fraction of the way from x1 to x2, strictly
+    between 0 and 1, or NaN for none. An exact root, a grid point where the
+    factor is zero, is a bracket already closed: both ends are that grid
+    point and the values are 0. find_roots has resolved every extremum
+    window on its grid before this, so a pair of roots it found is two
+    ordinary brackets here.
 
-    Each step's estimate x is Chandrupatla's (Adv. Eng. Softw. 28 (1997)
-    145): inverse quadratic interpolation over the end nearer the last
-    estimate, the other end and the next point beyond the nearer end of its
-    sign (the seed at first), taken where his test accepts it and the
-    midpoint otherwise, as always without a seed. It is clipped to
-    at least epsilon = _T_TOL lo0 / 2 from the nearer end, so that a
-    converged estimate steps across the root, and then projected as in ITP
-    (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with n0 = 1
-    (_itp_project), except on a step where every open bracket's budget is
-    at least its width, where the projection would keep every estimate: 84
-    of the 1985 steps of the 806 solves of tools/records_digest.py project,
-    and none of the M = 1 solves at Z in [0.05, 4]. The
-    step evaluates the stencil x + epsilon {0, +-1, +-1e3, +-1e6, +-1e9},
-    clipped into the bracket, and takes its sign change as the new bracket,
-    so an estimate off the root by e < 1e9 epsilon, on either side, leaves
-    a bracket at most about 1e3 e wide (epsilon for e < epsilon). The
-    stencil only shrinks the bracket ITP's point alone would leave: at most
-    ceil(log2((hi0 - lo0) / (_T_TOL lo0))) + 1 steps, one more than
-    bisection needs to reach width _T_TOL lo0. Steps are taken while the
-    width exceeds _T_TOL times the upper end and lo < mid < hi holds, and a
-    point with value 0 closes the bracket on it. One step evaluates the
-    stencils of all open brackets in one call. When all have closed, each
-    record's t is its final end of smaller |factor|, whose log is the
-    residual (-inf at an exact root); where all close on one step and none
-    before, the final ends are taken as they are, without a gather.
+    The first step's estimate x is the first estimate, or the midpoint
+    where there is none. Each later step's is Chandrupatla's (Adv. Eng.
+    Softw. 28 (1997) 145): inverse quadratic interpolation over the end
+    nearer the last estimate, the other end and the next point beyond the
+    nearer end of its sign, taken where his test accepts it and the
+    midpoint otherwise. It is clipped to at least epsilon = _T_TOL lo0 / 2
+    from the nearer end, so that a converged estimate steps across the
+    root, and then projected as in ITP (Oliveira & Takahashi, ACM TOMS
+    47(1), 2020) with n0 = 1 (_itp_project), except on a step where every
+    open bracket's budget is at least its width, where the projection would
+    keep every estimate: 78 of the 1553 steps of the 806 solves of
+    tools/records_digest.py project, and none of the M = 1 solves at Z in
+    [0.05, 4]. The step evaluates the stencil x + epsilon {0, +-1, +-1e3,
+    +-1e6, +-1e9}, clipped into the bracket, and takes its sign change as
+    the new bracket, so an estimate off the root by e < 1e9 epsilon, on
+    either side, leaves a bracket at most about 1e3 e wide (epsilon for
+    e < epsilon), and a first estimate within epsilon of the root closes
+    the bracket on the first step. The stencil only shrinks the bracket
+    ITP's point alone would leave: at most ceil(log2((hi0 - lo0) / (_T_TOL
+    lo0))) + 1 steps, one more than bisection needs to reach width _T_TOL
+    lo0. Steps are taken while the width exceeds _T_TOL times the upper end
+    and lo < mid < hi holds, and a point with value 0 closes the bracket on
+    it. One step evaluates the stencils of all open brackets in one call.
+    When all have closed, each record's t is its final end of smaller
+    |factor|, whose log is the residual (-inf at an exact root); where all
+    close on one step and none before, the final ends are taken as they
+    are, without a gather.
 
     The working arrays hold the open brackets only: a bracket leaves them
     once, when it closes, with its final ends, and each step writes its
     rows into buffers allocated once, so a step on which every bracket is
-    open gathers and scatters nothing. That is every step of the M = 1
-    solves at Z in [0.05, 4] (48 of 48 over 24 couplings), 6 of 10 on the
-    explicit closure at Z = 1 and 18, 50 and 100 levels, and 4 of 5 at
-    M = 8 and 32. On 13 brackets a step then costs about 83 us of the
-    closer's own numpy work, its set-up and records included (93 us when
-    ITP's projection ran on every step, 107 us with a gather and a scatter
-    on every step as well) besides its secular call, about 20 us at M = 1
-    (one core of a shared 2-vCPU host, numpy 2.4, least of 300 runs; M = 1
-    at Z = 0.3, 1.3 and 3, two steps each).
+    open gathers and scatters nothing. That is the one step of each M = 1
+    solve at Z in [0.05, 4] (24 of 24 over 24 couplings), and of the M = 8
+    and 32 solves at Z = 1, and 3 of the 9 steps on the explicit closure at
+    Z = 1 and 18, 50 and 100 levels. On the 13 brackets of an M = 1 solve
+    at Z = 0.3 the closer's own numpy work, its set-up and records
+    included, is about 92 us for its one step, besides its secular call
+    (one core of a shared 2-vCPU host, numpy 2.4, least of 300 runs).
     """
     # per open bracket: the rows of X are the end x1 nearer the last
-    # estimate, the other end x2 and the next point x3 beyond x1 of x1's sign
-    # (NaN for none), the rows of Y the factor's values there, a and b the
-    # lesser and greater end, k its factor and at its column in brackets;
-    # closed holds each closed bracket's x1, x2, their values, its width and
-    # its midpoint
-    X, Y, k, double = brackets
+    # estimate, the other end x2 and, after the first step, the next point
+    # x3 beyond x1 of x1's sign, the rows of Y the factor's values there, q
+    # the estimate as a fraction of the way from x1 to x2 (NaN for the
+    # midpoint), a and b the lesser and greater end, k its factor and at its
+    # column in brackets; closed holds each closed bracket's x1, x2, their
+    # values, its width and its midpoint
+    X, Y, q, k, double = brackets
     if not k.size:
         return []
-    a, b = np.minimum(X[0], X[1]), np.maximum(X[0], X[1])
+    a, b = X
     # ITP's projection radius plus half the width for the first step,
     # (epsilon - ulp) 2^n_max for n_max = ceil(log2((b - a) / (2 epsilon)))
     # + _ITP_N0 steps: rounding of mid and x adds up to one ulp to a width
@@ -359,6 +377,7 @@ def _close_brackets(
     # the row x1, stencil, x2 of each open bracket and the values there
     rows = np.empty((2, k.size, _STENCIL.size + 2))
     col = (slice(None), None)  # a per-bracket array as a column
+    first = True
     while True:
         w, m = b - a, 0.5 * (a + b)
         go = (w > _T_TOL * b) & (a < m) & (m < b)
@@ -368,20 +387,24 @@ def _close_brackets(
                 closed[:, at[~go]] = np.concatenate([X[:2], Y[:2], [w, m]])[:, ~go]
             if not n:
                 break
-            X, Y, k, eps, budget, at, a, b, w, m = (
-                e[..., go] for e in (X, Y, k, eps, budget, at, a, b, w, m)
+            X, Y, q, k, eps, budget, at, a, b, w, m = (
+                e[..., go] for e in (X, Y, q, k, eps, budget, at, a, b, w, m)
             )
-        (x1, x2, x3), (y1, y2, y3) = X, Y
-        # inverse quadratic interpolation where Chandrupatla's test accepts
-        # it, else the midpoint (always without x3); the values at x1 and x3
-        # share a sign, the value at x2 has the other, and the interpolant is
-        # the same at any scale
+        x1, x2, y1, y2 = X[0], X[1], Y[0], Y[1]
         dx = x2 - x1
-        with np.errstate(all="ignore"):
-            d21, d23 = y2 - y1, y2 - y3
-            xi, phi = dx / (x2 - x3), d21 / d23
-            q = y1 / d23 * (y3 / d21 - (x3 - x1) / dx * y2 / (y3 - y1))
-            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(q)
+        if first:  # the first estimate, where _brackets_and_windows found one
+            iqi, first = np.isfinite(q), False
+        else:
+            # inverse quadratic interpolation where Chandrupatla's test
+            # accepts it, else the midpoint; the values at x1 and x3 share a
+            # sign, the value at x2 has the other, and the interpolant is the
+            # same at any scale
+            x3, y3 = X[2], Y[2]
+            with np.errstate(all="ignore"):
+                d21, d23 = y2 - y1, y2 - y3
+                xi, phi = dx / (x2 - x3), d21 / d23
+                q = y1 / d23 * (y3 / d21 - (x3 - x1) / dx * y2 / (y3 - y1))
+                iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(q)
         # clip: at least epsilon from the nearer end toward the other end
         q_min = eps / w
         xt = np.where(iqi, x1 + np.minimum(np.maximum(q, q_min), 1.0 - q_min) * dx, m)
@@ -428,13 +451,15 @@ def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarra
     The brackets are, first, the exact roots, points where a factor is
     zero, each a bracket already closed on the first such factor, and then
     the sign-change brackets of each factor between neighbours. Each
-    sign-change bracket is seeded with the grid point just below lo, where
-    that point exists and has lo's sign of the factor, and otherwise with
-    the grid point just above hi, where that point exists and has hi's sign;
-    then hi is the closer's x1. An extremum window is three neighbouring
-    grid points where a factor keeps its sign and is least in magnitude at
-    the middle one, so close to zero that it may hide a pair of roots
-    (_hides_pair), where no factor changes sign or vanishes: a factor
+    sign-change bracket gets a first estimate of its root by barycentric
+    inverse interpolation (Berrut & Trefethen, SIAM Rev. 46 (2004) 501): t
+    as the polynomial in the factor's value through the _FIT_POINTS
+    consecutive grid points around it, taken where the factor is strictly
+    monotone over them and the estimate lies strictly inside the bracket,
+    NaN otherwise and on a grid of fewer points. An extremum window is three
+    neighbouring grid points where a factor keeps its sign and is least in
+    magnitude at the middle one, so close to zero that it may hide a pair of
+    roots (_hides_pair), where no factor changes sign or vanishes: a factor
     touching zero at another factor's root, as U_(M-1) does at every band
     edge, has no roots of its own there. The windows are an array of shape
     (3, m): per window, its lower grid point, the vertex of its parabola
@@ -445,25 +470,39 @@ def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarra
     zero = sign == 0
     change = sign[:, :-1] * sign[:, 1:] < 0
     quiet = ~change.any(axis=0)  # per grid interval
-    # factor by factor in ascending i, as np.nonzero would give them; the
-    # rows of around are lo, hi and the grid points below lo and above hi
+    # factor by factor in ascending i, as np.nonzero would give them
     k, i = divmod(np.flatnonzero(change), ts.size - 1)
-    around = np.minimum(np.maximum(i + _AROUND, 0), ts.size - 1)
-    seed = sign[k, around]
-    below = (i > 0) & (seed[2] == seed[0])
-    above = ~below & (i + 2 < ts.size) & (seed[3] == seed[1])
-    rows = np.where(above, around[[1, 0, 3]], around[:3])
-    X, Y = ts[rows], factors[k, rows]
-    X[2, ~(below | above)] = np.nan
+    lohi = i + _AROUND
+    X, Y = ts[lohi], factors[k, lohi]
+    # the first estimates, as fractions q of the way from lo to hi (NaN on a
+    # grid of fewer points): with x the points' t relative to lo and y their
+    # values over hi's less lo's, which rise through the bracket, the bracket
+    # axis innermost. With y on its diagonal, the product over the first
+    # axis of d is, per point, (-1)^(p-1) times its value and its differences
+    # to the others, the reciprocal of its barycentric weight at y = 0; the
+    # quotient drops the sign
+    q = np.full(i.size, np.nan)
+    last = ts.size - _FIT_POINTS  # the last grid index a fit may start at
+    if last >= 0:
+        fit = np.minimum(np.maximum(i - (_FIT_POINTS // 2 - 1), 0), last) + _FIT
+        # factor k at grid index fit is factors' flat entry fit + k * ts.size
+        x, y = ts[fit] - X[0], factors.take(fit + k * ts.size) / (Y[1] - Y[0])
+        d = y[:, None] - y
+        d.reshape(_FIT_POINTS**2, -1)[:: _FIT_POINTS + 1] = y  # the diagonal
+        with np.errstate(all="ignore"):  # equal values: not monotone
+            c = 1.0 / np.prod(d, axis=0)
+            u = (c * x).sum(axis=0) / (c.sum(axis=0) * (X[1] - X[0]))
+        np.copyto(q, u, where=(y[1:] > y[:-1]).all(axis=0) & (u > 0.0) & (u < 1.0))
     if zero.any():
         # the exact roots go first, in ascending t
         at_zero = zero.any(axis=0)
         j = np.flatnonzero(at_zero)
-        X = np.concatenate([np.tile(ts[j], (3, 1)), X], axis=1)
-        Y = np.concatenate([np.zeros((3, j.size)), Y], axis=1)
+        X = np.concatenate([np.tile(ts[j], (2, 1)), X], axis=1)
+        Y = np.concatenate([np.zeros((2, j.size)), Y], axis=1)
+        q = np.concatenate([np.full(j.size, np.nan), q])
         k = np.concatenate([np.argmax(zero[:, j], axis=0), k])
         quiet &= ~(at_zero[:-1] | at_zero[1:])
-    brackets = X, Y, k, counts[k] == 2
+    brackets = X, Y, q, k, counts[k] == 2
     # the extremum windows: five points around each least |factor|, NaN
     # beyond the grid; of equal magnitudes the one at larger t is least
     mag = np.abs(factors)
@@ -618,7 +657,10 @@ def find_roots(
     ratio = math.log(s_mid / s_lo) / max(n_geo, 1)
     # the uniform part as np.linspace(s_mid, s_hi, n_lin + 1) computes it,
     # arange * step + start with the last point set to stop, the same bits
-    # without its Python-level set-up (n_lin = 0 only where s_mid = s_hi)
+    # without its Python-level set-up (n_lin = 0 only where s_mid = s_hi):
+    # np.linspace took the find_roots stage 9.6 us more per pt-sweep solve
+    # (331.0 -> 340.6 us) and 12.3 us per ladder solve (tools/solve_ab.py
+    # --interleave, as for _cell_trace's unit width in secular.py)
     lin = np.arange(n_lin + 1.0) * ((s_hi - s_mid) / max(n_lin, 1)) + s_mid
     lin[-1] = s_hi
     s = np.concatenate([s_lo * np.exp(ratio * np.arange(n_geo)), lin])

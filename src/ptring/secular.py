@@ -207,7 +207,11 @@ def _cell_trace(point: SpectralPoint, mod_sq, h: float):
     k, a and b, so c and d come from _cell_cd, where a value needs them.
     """
     s, t = point.s, point.t
-    sh, th = (s, t) if h == 1.0 else (s * h, t * h)  # a unit width: no product
+    # a unit width (M = 1) skips the two exact products: with them, the
+    # find_roots stage of a pt-sweep solve took 3-4 us more (336.5 -> 339.8
+    # and 329.0 -> 333.0 us, least of tools/solve_ab.py --interleave over
+    # 25 s, one core of a shared 2-vCPU host)
+    sh, th = (s, t) if h == 1.0 else (s * h, t * h)
     decay = np.exp(-th)
     sin_sh = np.sin(sh)
     em = np.expm1(-2.0 * th)

@@ -36,10 +36,15 @@ class SpectrumDocument(NamedTuple):
     backend: str | None = None
 
 
-# an integer field as str(int) writes it, compiled on the first parse
+# an integer field as str(int) writes it, and a float field as a JSON
+# number with a fraction or an exponent, the form fmt_float writes; each is
+# compiled on the first parse
 _INTEGER = r"-?(0|[1-9][0-9]*)"
+_FLOAT = _INTEGER + r"(?=[.eE])(\.[0-9]+)?([eE][-+]?[0-9]+)?"
 # one spectrum row, in the order both formats write it
 SPECTRUM_COLUMNS = ("n", "t", "s", "E", "delta1", "series", "doublet_partner")
+# the text rule and the type of each column's CSV cells
+_CSV_CELLS = ((_INTEGER, int), *[(_FLOAT, float)] * 4, *[(_INTEGER, int)] * 2)
 
 
 def _spectrum_rows(
@@ -63,12 +68,17 @@ def _spectrum_rows(
 
 
 def _finite(name: str, value) -> float:
-    """value as a float; a ValueError naming the field unless it is finite,
-    since json reads NaN, Infinity and 1e400 as floats."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"spectrum field {name} must be finite, got {value!r}")
-    return x
+    """value itself; a ValueError naming the field unless it is a finite
+    float as the emitters write one: a JSON number with a fraction or an
+    exponent, or in CSV its text, which parse_spectrum_csv reads as a
+    float. NaN, Infinity and 1e400, which json reads as floats, are
+    refused, and so are an integer, a boolean, a JSON string and CSV text
+    that float() would read, such as "5_0.0", " 1" or "+1"."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    raise ValueError(
+        f"spectrum field {name} must be finite and written as a float, got {value!r}"
+    )
 
 
 def _integer(name: str, value) -> int:
@@ -84,12 +94,13 @@ def _integer(name: str, value) -> int:
 def _read_spectrum(rows: Iterable[Sequence], none, **meta) -> SpectrumDocument:
     """Invert _spectrum_rows: rows of SPECTRUM_COLUMNS values, none for None.
 
-    A non-finite t, s, E or delta1, a series or doublet_partner that is no
-    integer (_integer), or an n other than the row's index, is a
-    ValueError: analysis pairs levels by their place in the list."""
+    A t, s, E or delta1 that is no finite float (_finite), a series or
+    doublet_partner that is no integer (_integer), or an n that is not the
+    row's index as an integer, is a ValueError: analysis pairs levels by
+    their place in the list."""
     levels, delta1 = [], []
     for i, (n, t, s, E, d, series, p) in enumerate(rows):
-        if str(n) != str(i):
+        if type(n) is not int or n != i:
             raise ValueError(f"spectrum level {i} has n={n!r}, want n={i}")
         levels.append(
             EnergyLevel(
@@ -142,8 +153,12 @@ def parse_spectrum_csv(text: str) -> SpectrumDocument:
                 f"spectrum CSV row has {len(row)} fields, "
                 f"want {len(SPECTRUM_COLUMNS)}"
             )
-        # series and doublet_partner, the last two: str(int)'s text as an int
-        row[-2:] = [int(c) if re.fullmatch(_INTEGER, c) else c for c in row[-2:]]
+        # each cell as the JSON reader gets it: the text of an integer or a
+        # float as the emitters write it read as one, any other kept as text
+        row[:] = [
+            kind(c) if re.fullmatch(rule, c) else c
+            for c, (rule, kind) in zip(row, _CSV_CELLS)
+        ]
     return _read_spectrum(rows[1:], "")
 
 

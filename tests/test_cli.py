@@ -639,7 +639,7 @@ def test_analyze_rejects_non_finite_json_fields(capsys, monkeypatch, field, toke
     assert f"field {field} must be finite" in err
 
 
-@pytest.mark.parametrize("n", ["1", "2", "5", "-1", "0.0", "true", '"00"'])
+@pytest.mark.parametrize("n", ["1", "2", "5", "-1", "0.0", "true", '"00"', '"0"'])
 def test_analyze_rejects_levels_out_of_sequence(capsys, monkeypatch, n):
     """Each level's n must be its index, or the difference tables would pair
     the wrong levels."""
@@ -683,6 +683,36 @@ def test_analyze_rejects_non_integral_json_fields(capsys, monkeypatch, field, to
     lines[i] = re.sub(rf'"{field}": [^,}}]+', f'"{field}": {token}', lines[i])
     err = _analyze_error(capsys, monkeypatch, "\n".join(lines))
     assert f"field {field} must be an integer" in err
+
+
+@pytest.mark.parametrize("token", ["true", "false", "1", '"1.0"', "null"])
+@pytest.mark.parametrize("field", ["t", "s", "E", "Z"])
+def test_analyze_rejects_non_float_json_fields(capsys, monkeypatch, field, token):
+    """t, s, E and Z are floats as the emitter writes them: a boolean, which
+    float() reads as 1.0, an integer, a string or null is one error naming
+    the field."""
+    lines = _spectrum_text("json").split("\n")
+    i = 1 if field == "Z" else 5
+    assert f'"{field}": ' in lines[i]
+    lines[i] = re.sub(rf'"{field}": [^,}}]+', f'"{field}": {token}', lines[i])
+    err = _analyze_error(capsys, monkeypatch, "\n".join(lines))
+    assert f"field {field} must be finite and written as a float" in err
+
+
+@pytest.mark.parametrize("value", ["5_0.0", " 1", "+1", "1", "1.", ".5", "0x1p0"])
+@pytest.mark.parametrize("field", ["t", "s", "E", "delta1"])
+def test_analyze_rejects_csv_float_text_the_emitters_never_write(
+    capsys, monkeypatch, field, value
+):
+    """The CSV reader reads a float field of level 1 only as JSON would read
+    the number: "5_0.0", " 1", "+1" and the others, which float() reads,
+    are one error naming the field."""
+    text = _spectrum_text("csv")
+    rows = [line.split(",") for line in text.splitlines()]
+    rows[2][rows[0].index(field)] = value
+    bad = "\n".join(",".join(row) for row in rows) + "\n"
+    err = _analyze_error(capsys, monkeypatch, bad)
+    assert f"field {field} must be finite and written as a float" in err
 
 
 @pytest.mark.parametrize("value", ["2.5", "1e400", "true", "+1", "01", " 1", "1_0"])

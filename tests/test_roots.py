@@ -236,8 +236,9 @@ def test_scan_sample_count_is_checked_first(samples):
 def _close_on(f, bracket):
     """The root on the two-point grid (lo, hi), as find_roots' scan and
     closer give it: an end where a factor vanishes (lo before hi), else the
-    first factor's sign change, closed without a seed, so that its first
-    step takes the midpoint."""
+    first factor's sign change, closed without a first estimate (a grid of
+    fewer than _FIT_POINTS points has none), so that its first step takes
+    the midpoint."""
     ts = np.array(bracket, dtype=float)
     brackets, _ = _brackets_and_windows(ts, _evaluate(f, ts))
     return _close_brackets(f, tuple(e[..., :1] for e in brackets))[0]
@@ -272,8 +273,8 @@ def test_bisect_exact_midpoint_closes_bracket():
 
 
 def test_bisect_exact_step_point_closes_bracket():
-    # t^2 - 0.3, zero on [0.54772, 0.54773] around its root: without a seed
-    # the first estimate is the midpoint 0.75, the next interpolates to
+    # t^2 - 0.3, zero on [0.54772, 0.54773] around its root: without a first
+    # estimate the first step's is the midpoint 0.75, the next interpolates to
     # 0.5456, whose stencil misses the run, and the third to 0.54772373,
     # whose stencil, taken from below, first reaches the run at 0.54772371
     def f(t):
@@ -289,22 +290,27 @@ def test_bisect_exact_step_point_closes_bracket():
     assert rec.residual_logmag == float("-inf")
     assert len(sizes) == 4  # the grid and three steps
 
-    # on the grid 0.5, 1.0, 1.5 beside a second factor, t - 1.2, the first
-    # bracket is seeded from above (1.5, so that 1.0 is its x1) and the
-    # second from below (0.5); in lock step each still exits as it does
-    # alone, the first on the run after the estimates 0.538, 0.5641,
-    # 0.547718 and 0.54772256
+    # on the grid 0.2, 0.3, ..., 1.5, of _FIT_POINTS points, beside a
+    # second factor, t - 1.23, both brackets have a first estimate: t - 1.23
+    # is linear in its value, so its estimate is its root, an exact zero on
+    # which the first step closes it; the first bracket's estimate,
+    # 0.5477636, lies above the run, and it closes on the run at its second
+    # step, alone as in lock step
     def g(t):
         y = f(t).factors[0][0]
-        v = LogScaledValue.from_float(y * (t - 1.2))
-        return LogScaledValue(v.sign, v.logmag, ((y, 1), (t - 1.2, 1)))
+        v = LogScaledValue.from_float(y * (t - 1.23))
+        return LogScaledValue(v.sign, v.logmag, ((y, 1), (t - 1.23, 1)))
 
-    ts = np.array([0.5, 1.0, 1.5])
+    ts = np.linspace(0.2, 1.5, 14)
     brackets, _ = _brackets_and_windows(ts, _evaluate(g, ts))
-    np.testing.assert_array_equal(brackets[0], [[1.0, 1.0], [0.5, 1.5], [1.5, 0.5]])
-    records = _close_brackets(g, brackets)
-    assert records[0].bracket_width == 0.0
-    assert records[0].t == pytest.approx(0.5477225325051647, abs=1e-15)
+    (lo, hi), _, q, _, _ = brackets
+    np.testing.assert_allclose(lo + q * (hi - lo), [0.5477636, 1.23], rtol=1e-7)
+    counted, sizes = _counted(g)
+    records = _close_brackets(counted, brackets)
+    assert sizes == [18, 9]
+    assert [(r.t, r.bracket_width) for r in records] == [
+        (pytest.approx(0.5477225824494314, abs=1e-15), 0.0), (1.23, 0.0)
+    ]
     assert records == _lone(g, brackets)
 
 
@@ -333,7 +339,7 @@ def test_bisect_worst_case_bound(bracket, where, jump):
     """A jump of the log-magnitude at the root, +700 nats included, skews
     interpolation toward one end; ITP's projection still allows at most one
     step more than bisection's count, each step one stencil, on a bracket
-    closed without a seed from the two-point grid of its ends."""
+    closed without a first estimate from the two-point grid of its ends."""
     lo, hi = bracket
     root = lo + where * (hi - lo)
     f, sizes = _counted(_steps(root, max(-jump, 0.0), max(jump, 0.0)))
@@ -393,7 +399,7 @@ _CLOSE_POOLS = {name: _closer_call(*case) for name, case in _CLOSE_CASES.items()
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_lock_step_equals_lone_brackets(data):
-    """On the seeded brackets find_roots hands the closer, each record of
+    """On the brackets find_roots hands the closer, each record of
     one lock-step call over any selection of them equals the record of its
     bracket closed alone, and every bracket closes to width 1e-13 times its
     upper end."""
@@ -412,25 +418,77 @@ def test_lock_step_equals_lone_brackets(data):
         assert r.bracket_width <= 1e-13 * hi
 
 
-def test_every_bracket_is_seeded():
-    """Every bracket find_roots hands the closer has a seed, the grid point
-    beyond one end with that end's sign: below lo on the pools' solves, and
-    above hi where the window's first interval holds the root, as it does
-    for the ground state of a window that starts just below it. That solve
-    takes the master call and two closer steps."""
-    for pool, _ in _CLOSE_POOLS.values():
-        X = pool[0]
-        assert np.isfinite(X[2]).all()
-        assert (X[0] < X[1]).all() and (X[2] < X[0]).all()
+def test_every_bracket_has_a_first_estimate():
+    """Every sign-change bracket find_roots hands the closer runs from lo to
+    hi, and on the pools' solves away from the weak coupling every one has
+    a first estimate strictly inside it. So has the ground state of a window
+    that starts just below it, in the grid's first interval, where the
+    points of the fit are the grid's first ones: that solve takes the
+    master call and one closer step."""
+    for name, (pool, _) in _CLOSE_POOLS.items():
+        (lo, hi), _, q, _, _ = pool
+        assert (lo < hi).all()
+        if name != "explicit-Z1e-3":
+            assert ((0.0 < q) & (q < 1.0)).all(), name
     t0 = 0.656419569606386  # the ground root at Z = 1
     cfg = ScanConfig(t_min=t0 * (1 - 1e-4), t_max=1.5 * t0)
     f, sizes = _counted(_f_explicit(1.0))
-    (X, *_), _ = _closer_call(f, 1.0, 1, cfg)
-    # one bracket, the first interval: x1 = hi, x2 = lo, the seed above hi
-    assert X.shape == (3, 1) and X[1, 0] < t0 < X[0, 0] < X[2, 0]
-    assert len(sizes) == 3
+    ((lo, hi), _, q, _, _), _ = _closer_call(f, 1.0, 1, cfg)
+    assert lo.size == 1 and lo[0] < t0 < hi[0] and 0.0 < q[0] < 1.0
+    assert len(sizes) == 2
     recs = find_roots(_f_explicit(1.0), 1.0, 1, cfg)
     assert recs[0].t == pytest.approx(t0, rel=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    degree=st.integers(1, ptring.roots._FIT_POINTS - 1),
+    coefficients=st.lists(st.floats(-0.5, 0.5), min_size=10, max_size=10),
+    steps=st.lists(st.floats(0.5, 2.0), min_size=29, max_size=29),
+    crossing=st.integers(0, 28),
+    where=st.floats(0.01, 0.99),
+)
+def test_first_estimate_recovers_a_polynomial_root(
+    degree, coefficients, steps, crossing, where
+):
+    """Where t is a polynomial of degree below _FIT_POINTS in the factor's
+    value y, the first estimate is its root t(0) to rounding, on uneven
+    values and with the bracket anywhere on the grid: within 8 ulps where
+    the fit's points lie around the bracket, and within 1e-12 where they are
+    the grid's first or last ones, whose rounding the one-sided fit
+    amplifies (to 1.1e-13 in the first interval over 3000 random draws)."""
+    y = np.cumsum([0.0, *steps])
+    y -= y[crossing] + where * steps[crossing]  # zero inside the crossing
+    u = 0.01 * y
+    t = 1.0 + u + sum(c * u**d for d, c in zip(range(2, degree + 1), coefficients))
+    brackets, _ = _brackets_and_windows(t, (y[None, :], np.array([1])))
+    (lo, hi), _, q, k, _ = brackets
+    assert k.tolist() == [0] and lo[0] == t[crossing]
+    start = crossing - (ptring.roots._FIT_POINTS // 2 - 1)
+    centred = 0 <= start <= t.size - ptring.roots._FIT_POINTS
+    tol = 8 * math.ulp(1.0) if centred else 1e-12
+    assert abs(lo[0] + q[0] * (hi[0] - lo[0]) - 1.0) <= tol
+
+
+@pytest.mark.parametrize("Z", [17.9012, 17.901234, 17.9012344])
+def test_non_monotone_fit_takes_the_midpoint(Z):
+    """Near the exceptional point the factor k (a + b) turns between the
+    pair of roots, so the fit around either holds a turn and no first
+    estimate is taken: the closer's first step evaluates its stencil around
+    the bracket's midpoint. The other brackets of the solve have one."""
+    f = _f_monodromy(Z)
+    (lo, hi), _, q, _, _ = brackets = _closer_call(f, Z, 18)[0]
+    pair = (1.67 < lo) & (lo < 1.69)
+    assert pair.sum() == 2
+    assert np.isnan(q[pair]).all() and np.isfinite(q[~pair]).all()
+    for j in np.flatnonzero(pair):
+        calls = []
+        _close_brackets(
+            lambda t: calls.append(t.copy()) or f(t),
+            tuple(e[..., j : j + 1] for e in brackets),
+        )
+        centre = calls[0][ptring.roots._CENTRE - 1]
+        assert centre == 0.5 * (lo[j] + hi[j])
 
 
 # --- find_roots --------------------------------------------------------------
@@ -447,7 +505,7 @@ def test_find_roots_explicit_z1_prefix():
 
 @pytest.mark.parametrize(
     "f,Z,calls,points",
-    [(_f_explicit(1.0), 1.0, 4, 1700), (_f_monodromy(1.0, 8), 1.0, 3, 1400)],
+    [(_f_explicit(1.0), 1.0, 4, 1700), (_f_monodromy(1.0, 8), 1.0, 2, 1400)],
     ids=["explicit-Z1", "monodromy-M8"],
 )
 def test_find_roots_batched_call_count(f, Z, calls, points):
@@ -475,7 +533,7 @@ def test_find_roots_batched_call_count(f, Z, calls, points):
 )
 def test_closer_steps_per_bracket(case, n_levels, ceiling):
     """No bracket find_roots hands the closer stalls: each closes alone,
-    with its grid seed, in at most ceiling steps. These solves hold
+    from its first estimate, in at most ceiling steps. These solves hold
     brackets beside a near-degenerate partner, where the value is
     near-quadratic and a regula-falsi step stalls; at M = 1 the two were
     the slowest of the strictly periodic solves closed on the value itself
@@ -496,15 +554,28 @@ def test_closer_steps_per_bracket(case, n_levels, ceiling):
 
 @pytest.mark.parametrize("Z", np.linspace(0.05, 4.0, 24).tolist())
 def test_pt_sweep_solve_takes_three_calls(Z):
-    """An M = 1 solve of the benchmark's coupling range takes the master
-    call and two closer steps: each bracket starts from an interpolation
-    through the grid point beyond it, and the stencil around that estimate
-    brackets the root to about 1e3 times the estimate's error."""
+    """An M = 1 solve of the benchmark's coupling range takes at most three
+    calls, on a fixed grid of couplings; the property below holds it to
+    two."""
     g, sizes = _counted(_f_monodromy(Z))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LevelShortfallWarning)
         find_roots(g, Z, 18)
     assert len(sizes) <= 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(Z=st.floats(0.05, 4.0))
+def test_pt_sweep_solve_takes_two_calls(Z):
+    """An M = 1 solve of the benchmark's coupling range takes the master
+    call and one closer step: the first estimate of every bracket lands
+    within epsilon = _T_TOL t / 2 of its root, where the stencil around it
+    closes the bracket."""
+    g, sizes = _counted(_f_monodromy(Z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        find_roots(g, Z, 18)
+    assert len(sizes) == 2
 
 
 MULTICELL_LEVELS = {1: 13, 2: 19, 8: 23, 32: 25}
@@ -1063,12 +1134,20 @@ def test_guard_spends_nothing_on_benchmark_solves(case):
     assert master[1].size == 0
 
 
-@pytest.mark.parametrize("M,Z,levels", [(2, 0.01, 19), (2, 0.1, 19), (8, 0.01, 23)])
-def test_guard_refines_once_without_a_pair(M, Z, levels):
+@pytest.mark.parametrize(
+    "M,Z,levels,steps",
+    [
+        pytest.param(2, 0.01, 19, 1, id="2-0.01-19"),
+        pytest.param(2, 0.1, 19, 1, id="2-0.1-19"),
+        # one first estimate lands 9 epsilon off its root, at t = 0.00317
+        pytest.param(8, 0.01, 23, 2, id="8-0.01-23"),
+    ],
+)
+def test_guard_refines_once_without_a_pair(M, Z, levels, steps):
     """Where the master grid flags a window but no pair hides there, one
     refinement pass shows it: the closer gets the master grid's brackets,
     the solve takes one call more than the master call and the closer's
-    two steps, and finds the same levels as without the guard."""
+    steps, and finds the same levels as without the guard."""
     f = _f_monodromy(Z, M)
     brackets, (master, refined) = _closer_call(f, Z, 18)
     assert master[1].size > 0 and refined[1].size == 0
@@ -1078,7 +1157,7 @@ def test_guard_refines_once_without_a_pair(M, Z, levels):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LevelShortfallWarning)
         recs = find_roots(g, Z, 18)
-    assert len(sizes) == 4
+    assert len(sizes) == 2 + steps
     assert level_count(recs) == levels
 
 

@@ -1,6 +1,7 @@
 """Digest the records find_roots returns for a fixed list of solves.
 
     python tools/records_digest.py path/to/src > digests.txt
+    python tools/records_digest.py SRC_A --compare SRC_B
 
 Imports ptring from the given src directory and runs every solve of
 SOLVES: each coupling of COUPLINGS at each level count of LEVELS, on the
@@ -12,9 +13,19 @@ of calls the solve made to its secular function and the number of t values
 they evaluated, then the solve. A solve whose window is refused prints the
 error text instead. Diffing the output for two checkouts' src/ compares
 their records bit for bit, and the work that found them.
+
+With --compare, both trees are imported side by side and each solve is
+run with both. It prints one line per solve whose record structure (the
+records' count and doublet flags), call count or refusal differs, then
+each closure's call total and the overall one for A and B. It fails a
+solve whose level count differs, or where a level's t in B lies farther
+from A's than the two records' bracket widths together (one ulp of A's t
+where both are 0, at an exact zero), a doublet record standing for two
+levels; it prints a FAIL line for each and exits 1 if there is any.
 """
 
 import hashlib
+import math
 import os
 import sys
 import warnings
@@ -78,24 +89,96 @@ def _solve(ptring, closure, Z, n_levels, t_min, t_max):
         return ptring.find_roots(f, Z, n_levels, config), sizes
 
 
+def _name(solve) -> str:
+    closure, Z, n_levels, t_min, t_max = solve
+    name = f"{closure} Z={Z!r} levels={n_levels}"
+    if t_min is not None:
+        name += f" t=[{t_min!r}, {t_max!r}]"
+    return name
+
+
+def _levels(records) -> list:
+    """(t, bracket_width) per level the records stand for, a doublet's twice."""
+    return [(r.t, r.bracket_width) for r in records for _ in range(1 + r.unresolved_doublet)]
+
+
+def _faults(a, b) -> list[str]:
+    """Why the records b of one solve disagree with the records a, if they do."""
+    la, lb = _levels(a), _levels(b)
+    if len(la) != len(lb):
+        return [f"level count {len(la)} -> {len(lb)}"]
+    return [
+        f"level {j}: t {ta!r} -> {tb!r}, beyond the widths {wa!r} + {wb!r}"
+        for j, ((ta, wa), (tb, wb)) in enumerate(zip(la, lb))
+        if abs(tb - ta) > (wa + wb or math.ulp(ta))
+    ]
+
+
+def compare(ptring_a, ptring_b, solves) -> int:
+    """Run each solve with both packages and print what differs (see above);
+    returns 1 if any solve fails, else 0."""
+    calls: dict = {}
+    failed = 0
+    for solve in solves:
+        outcome = []
+        for ptring in (ptring_a, ptring_b):
+            try:
+                outcome.append(_solve(ptring, *solve))
+            except ValueError as e:
+                outcome.append((str(e), None))
+        (a, sa), (b, sb) = outcome
+        name = _name(solve)
+        if sa is None or sb is None:
+            if sa is not sb:
+                failed += 1
+                print(f"FAIL {name}: refused by one tree only")
+            elif a != b:
+                print(f"changed {name}: error text")
+            continue
+        total = calls.setdefault(solve[0], [0, 0])
+        total[0], total[1] = total[0] + len(sa), total[1] + len(sb)
+        for fault in _faults(a, b):
+            failed += 1
+            print(f"FAIL {name}: {fault}")
+        shape = [[r.unresolved_doublet for r in rs] for rs in (a, b)]
+        if len(sa) != len(sb) or shape[0] != shape[1]:
+            print(
+                f"changed {name}: calls {len(sa)} -> {len(sb)}, records "
+                f"{len(a)} -> {len(b)}, doublets {sum(shape[0])} -> {sum(shape[1])}"
+            )
+    for closure, (ca, cb) in calls.items():
+        print(f"calls {closure}: {ca} -> {cb}")
+    ca, cb = (sum(c) for c in zip(*calls.values()))
+    print(f"calls in all: {ca} -> {cb} ({100.0 * (cb - ca) / ca:+.1f}%)")
+    return 1 if failed else 0
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1 or not os.path.isdir(argv[0]):
-        print("usage: python tools/records_digest.py SRC_DIR", file=sys.stderr)
+    if not (
+        len(argv) in (1, 3)
+        and all(map(os.path.isdir, argv[::2]))
+        and argv[1:2] in ([], ["--compare"])
+    ):
+        print(
+            "usage: python tools/records_digest.py SRC_DIR [--compare SRC_DIR_B]",
+            file=sys.stderr,
+        )
         return 1
+    if len(argv) == 3:
+        sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+        from solve_ab import load
+
+        return compare(load(argv[0], "ptring_a"), load(argv[2], "ptring_b"), SOLVES)
     sys.path.insert(0, os.path.abspath(argv[0]))
     import ptring
 
     for solve in SOLVES:
-        closure, Z, n_levels, t_min, t_max = solve
-        name = f"{closure} Z={Z!r} levels={n_levels}"
-        if t_min is not None:
-            name += f" t=[{t_min!r}, {t_max!r}]"
         try:
             records, sizes = _solve(ptring, *solve)
             out = f"{_digest(records)} calls={len(sizes)} points={sum(sizes)}"
         except ValueError as e:
             out = f"error: {e}"
-        print(out, name)
+        print(out, _name(solve))
     return 0
 
 
