@@ -454,9 +454,11 @@ def test_first_estimate_recovers_a_polynomial_root(
     """Where t is a polynomial of degree below _FIT_POINTS in the factor's
     value y, the first estimate is its root t(0) to rounding, on uneven
     values and with the bracket anywhere on the grid: within 8 ulps where
-    the fit's points lie around the bracket, and within 1e-12 where they are
-    the grid's first or last ones, whose rounding the one-sided fit
-    amplifies (to 1.1e-13 in the first interval over 3000 random draws)."""
+    the fit's points lie around the bracket, and within 1e-9 where they are
+    the grid's first or last ones. A fit shifted to one side of its bracket
+    amplifies rounding, as the Lebesgue function of points spread on one
+    side grows: over 40000 uneven grids the error reached 4.1e-11 in the
+    first interval, 5.1e-12 in the second and 8.2e-13 in the third."""
     y = np.cumsum([0.0, *steps])
     y -= y[crossing] + where * steps[crossing]  # zero inside the crossing
     u = 0.01 * y
@@ -466,7 +468,7 @@ def test_first_estimate_recovers_a_polynomial_root(
     assert k.tolist() == [0] and lo[0] == t[crossing]
     start = crossing - (ptring.roots._FIT_POINTS // 2 - 1)
     centred = 0 <= start <= t.size - ptring.roots._FIT_POINTS
-    tol = 8 * math.ulp(1.0) if centred else 1e-12
+    tol = 8 * math.ulp(1.0) if centred else 1e-9
     assert abs(lo[0] + q[0] * (hi[0] - lo[0]) - 1.0) <= tol
 
 
