@@ -42,7 +42,7 @@ _LAZY = {
         ),
         "spectrum": (
             "spectrum", "EnergyLevel", "SpectrumReport", "analyze_series",
-            "energies_from_roots", "first_differences", "quasi_degenerate_pairs",
+            "energies_from_roots", "first_differences",
         ),
     }.items()
     for name in names

@@ -169,12 +169,15 @@ class RootRecord(NamedTuple):
     bracket_width is the final bracket's width, which holds the root.
     unresolved_doublet=True means the record stands for two levels: a root
     of a factor of count 2, or two roots closer than bracket resolution.
+    factor is the index of that factor among the value's factors (see
+    LogScaledValue), None for two roots merged into one record.
     """
 
     t: float
     residual_logmag: float
     bracket_width: float
     unresolved_doublet: bool = False
+    factor: int | None = None
 
 
 def _chunks(f: Callable[[np.ndarray], object], ts: np.ndarray):
@@ -338,9 +341,9 @@ def _close_brackets(
     and lo < mid < hi holds, and a point with value 0 closes the bracket on
     it. One step evaluates the stencils of all open brackets in one call.
     When all have closed, each record's t is its final end of smaller
-    |factor|, whose log is the residual (-inf at an exact root); where all
-    close on one step and none before, the final ends are taken as they
-    are, without a gather.
+    |factor|, whose log is the residual (-inf at an exact root), and its
+    factor is the bracket's; where all close on one step and none before,
+    the final ends are taken as they are, without a gather.
 
     The working arrays hold the open brackets only: a bracket leaves them
     once, when it closes, with its final ends, and each step writes its
@@ -440,7 +443,10 @@ def _close_brackets(
         residual = np.log(np.abs(np.where(nearer, y1, y2)))
     width = np.where(w > 0, np.maximum(w, _WIDTH_FLOOR_ULPS * np.spacing(m)), 0.0)
     return list(
-        map(RootRecord, t.tolist(), residual.tolist(), width.tolist(), double.tolist())
+        map(
+            RootRecord, t.tolist(), residual.tolist(), width.tolist(),
+            double.tolist(), brackets[3].tolist(),
+        )
     )
 
 

@@ -105,8 +105,12 @@ class LogScaledValue:
     factor and stands for count (1 or 2) levels; the product of the factor
     signs, each to the power count, is the value's sign up to a sign fixed
     per closure. Where several factors vanish at one point, it is a root of
-    the first of them. Root finding reads only the factors and rejects a
-    value without them; from_float(x) carries x as its one factor.
+    the first of them. The band-edge factors come first, in +- pairs: k(a -
+    b) at index 2j and k(a + b) at 2j + 1, one pair per b, and the count-2
+    factors follow them; a level's index there is its branch, and the two
+    factors of one pair hold its quasi-degenerate doublets. Root finding
+    reads only the factors and rejects a value without them; from_float(x)
+    carries x as its one factor.
 
     The secular functions return a deferred value (see deferred): its
     factors are computed by the call, its sign and logmag only when one of
@@ -349,11 +353,12 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     b1 = sqrt(b^2 + gap / k^2) and b2 = sqrt(b^2 + (4 e^(-2t) - gap) / k^2),
     both positive and free of cancellation, swapped where Re c < 0 so that
     each factor is smooth. Its factors are k (a -+ b1) and k (a -+ b2),
-    count 1 each. The sign and logmag, from 2 rho -+ tau and six logs, are
-    computed on first read.
+    count 1 each, and the value is read off them on first read: its sign is
+    -prod sign(f_i), and its logmag log 8 + 5 log|kappa|^2 + log(|c|^2
+    e^(-2t)) + 6t + sum log|f_i|.
     """
     point, mod_sq, scalar = _points(Z, t)
-    k_sq, a, b, sh, th, decay_t, sin_s, em = _cell_trace(point, mod_sq, 1.0)
+    k_sq, a, b, sh, th, _, sin_s, em = _cell_trace(point, mod_sq, 1.0)
     cos_s = np.cos(sh)
     decay = np.exp(-2.0 * th)
     sinh2 = (0.5 * em) ** 2  # sinh^2(t) e^(-2t)
@@ -361,7 +366,6 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     rho = np.abs(cos_s) * (0.5 + 0.5 * decay) / np.sqrt(c2)  # |Re c| / |c|
     # 2 (1 - rho) e^(-2t), through 1 - rho^2 = (Im c)^2 / |c|^2
     gap = 2.0 * sin_s ** 2 * sinh2 / (c2 * (1.0 + rho)) * decay
-    # the value's lo = k^2 (a^2 - b1^2) and hi = k^2 (b2^2 - a^2) before the swap
     b_sq = b * b
     b1, b2 = np.sqrt(b_sq + gap / k_sq), np.sqrt(b_sq + (4.0 * decay - gap) / k_sq)
     flip = cos_s < 0.0
@@ -371,17 +375,11 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     factors += [(k * (a - b2), 1), (k * (a + b2), 1)]
 
     def value():
-        minus, plus = _band_forms(k_sq, a, b, *_cell_cd(point, b, decay_t, sh))
-        lo, hi = minus - gap, plus - gap  # (2 rho -+ tau) e^(-2t)
+        ys = [y for y, _ in factors]
         with np.errstate(divide="ignore"):  # an exact root: -inf
-            logmag = (
-                math.log(8.0)
-                + 5.0 * np.log(mod_sq)
-                + np.log(c2)
-                + 6.0 * th
-                + np.log(np.abs(lo))
-                + np.log(np.abs(hi))
-            )
-        return (np.sign(lo) * np.sign(hi)).astype(int), logmag
+            logmag = math.log(8.0) + 5.0 * np.log(mod_sq) + np.log(c2) + 6.0 * th
+            for y in ys:
+                logmag += np.log(np.abs(y))
+        return -np.prod(np.sign(ys), axis=0).astype(int), logmag
 
     return _log_scaled(value, scalar, factors)

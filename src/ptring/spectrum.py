@@ -4,29 +4,30 @@ Roots arrive in descending t; energies E = s^2 - t^2 with s = Z/(2t) then
 ascend. Levels are indexed n = 0, 1, 2, ... and labeled by series = n mod 4,
 an ordinal label that the difference tables read: second differences of
 the gaps Delta_n = E_n - E_{n-1} are taken at lag 4 for even n and lag 2
-for odd n. It names no branch of the spectrum. Each real level is a simple
-root of one of the explicit closure's four factors k(a - b1), k(a + b1),
-k(a - b2) and k(a + b2), numbered 0-3. At Z = 1 levels 0-11 are roots of
-factors 0,2,0,2,3,1,3,1,0,2,0,2, so each series takes two factors in turn.
-At Z = 4 they are roots of 2,2,3,1,3,1,0,2,0,2,3,1: a pair left the real
-axis between Z = 2.9 and 3.0, and the label of every level above it moved.
+for odd n. It names no branch of the spectrum.
 
-Quasi-degenerate pairs (adjacent levels separated by far less than the
-local level scale) are flagged by analyze_series, which alone cross-links
-them via doublet_partner. At Z = 1 the gap rule finds exactly the
-doublets of the explicit closure, the (3,4), (7,8), (11,12), ... slots, up
-to 30 levels. From 31 levels on, where the gap between two branches
-falls below QUASI_TOL of E, it also pairs levels of different branches:
-(29,30), (33,34), (37,38), (41,42) and (45,46) at 50 levels. At Z = 0.1 it
-adds pairs that cross branches as well, and from Z = 2 up it drops the
-lowest pair, whose split has outgrown the tolerance.
+A level's branch does: the index of the closed-form factor whose simple
+root it is (RootRecord.factor). The band-edge factors come in +- pairs,
+k(a - b) at index 2j and k(a + b) at 2j + 1: on the explicit closure
+k(a - b1), k(a + b1), k(a - b2) and k(a + b2), numbered 0-3, and on the
+periodic one k(a - b) and k(a + b), 0 and 1. The count-2 factors follow
+them, and a level of a record that stands for two levels has no branch.
+At Z = 1 the explicit levels 0-11 are roots of factors
+0,2,0,2,3,1,3,1,0,2,0,2, so each series takes two factors in turn. At
+Z = 4 they are roots of 2,2,3,1,3,1,0,2,0,2,3,1: a pair left the real
+axis between Z = 2.9 and 3.0, and the series of every level above it
+moved, while its branch did not.
+
+A quasi-degenerate doublet is one +- pair of one b, split by about Z^2/E
+at large E. analyze_series alone cross-links doublet partners, by n, and
+links two adjacent levels when the given partner of the lower one is the
+upper one (a spectrum read from a file has no branches), when they
+expand one record (equal t), or when their branches are 2j and 2j + 1.
 """
 
 from typing import NamedTuple, Sequence
 
 from .potential import check_coupling
-
-QUASI_TOL = 2e-2
 
 
 class EnergyLevel(NamedTuple):
@@ -34,7 +35,9 @@ class EnergyLevel(NamedTuple):
 
     doublet_partner is the index n of the other member of a quasi-degenerate
     pair, or None for a singlet. Only analyze_series sets it; an unresolved
-    root pair expands into two levels at the same E, which it pairs.
+    root pair expands into two levels at the same E, which it pairs. branch
+    is the index of the factor whose root the level is, None for a level of
+    a record that stands for two levels and for a level read from a file.
     """
 
     n: int
@@ -43,6 +46,7 @@ class EnergyLevel(NamedTuple):
     E: float
     series: int
     doublet_partner: int | None = None
+    branch: int | None = None
 
 
 class SpectrumReport(NamedTuple):
@@ -60,8 +64,9 @@ class SpectrumReport(NamedTuple):
 def energies_from_roots(roots: Sequence, Z: float) -> list[EnergyLevel]:
     """Expand root records (descending t) into indexed ascending levels.
 
-    Unresolved doublet records produce two coincident levels; no level
-    carries a doublet_partner (see analyze_series). Raises ValueError
+    Unresolved doublet records produce two coincident levels without a
+    branch, every other record one level whose branch is its factor; no
+    level carries a doublet_partner (see analyze_series). Raises ValueError
     unless Z is finite and at least Z_FLOOR and the records are strictly
     descending in t; a t <= 0 anywhere is named before an order fault.
     """
@@ -72,9 +77,11 @@ def energies_from_roots(roots: Sequence, Z: float) -> list[EnergyLevel]:
             raise ValueError("every root must have t > 0")
         s = Z / (2.0 * r.t)
         e = s * s - r.t * r.t
-        for _ in range(2 if getattr(r, "unresolved_doublet", False) else 1):
+        double = r.unresolved_doublet
+        branch = None if double else r.factor
+        for _ in range(2 if double else 1):
             n = len(levels)
-            levels.append(EnergyLevel(n, r.t, s, e, n % 4))
+            levels.append(EnergyLevel(n, r.t, s, e, n % 4, None, branch))
     if any(b.t >= a.t for a, b in zip(roots, roots[1:])):
         raise ValueError("roots must be strictly descending in t")
     return levels
@@ -89,25 +96,6 @@ def first_differences(levels: Sequence[EnergyLevel]) -> list[float | None]:
     return out
 
 
-def quasi_degenerate_pairs(levels: Sequence[EnergyLevel]) -> list[tuple[int, int, float]]:
-    """Adjacent (n, n+1) pairs with gap below QUASI_TOL * max(1, E_n).
-
-    The threshold scales with the lower level's energy so that the shrinking
-    absolute splittings of high doublets keep qualifying. Greedy from below;
-    a level joins at most one pair.
-    """
-    pairs = []
-    i = 0
-    while i < len(levels) - 1:
-        gap = levels[i + 1].E - levels[i].E
-        if gap < QUASI_TOL * max(1.0, levels[i].E):
-            pairs.append((levels[i].n, levels[i + 1].n, gap))
-            i += 2
-        else:
-            i += 1
-    return pairs
-
-
 def analyze_series(levels: Sequence[EnergyLevel]) -> SpectrumReport:
     """Difference tables resolving the four-series gap structure.
 
@@ -117,9 +105,10 @@ def analyze_series(levels: Sequence[EnergyLevel]) -> SpectrumReport:
     kept: odd_third uses lag-4 outer steps, Delta_n - 2 Delta_{n-4}
     + Delta_{n-8} for odd n >= 9, while odd_third_nested iterates the lag-2
     step, Delta_n - 2 Delta_{n-2} + Delta_{n-4} for odd n >= 5. This is
-    the one place doublet partners are decided: each quasi pair's levels are
-    returned linked to each other by n, and every other level is returned
-    as given.
+    the one place doublet partners are decided, greedy from below among
+    adjacent levels of the input (see the module docstring): quasi_pairs
+    lists each pair as (n, n', gap), its levels are returned linked to each
+    other by n, and every other level is returned as given.
     """
     delta = first_differences(levels)
     n_max = len(levels) - 1
@@ -141,16 +130,21 @@ def analyze_series(levels: Sequence[EnergyLevel]) -> SpectrumReport:
         for n in range(5, n_max + 1, 2)
     )
 
-    pairs = quasi_degenerate_pairs(levels)
-    partner = {}
-    for i, j, _gap in pairs:
-        partner[i], partner[j] = j, i
-    tagged = [
-        EnergyLevel(lvl.n, lvl.t, lvl.s, lvl.E, lvl.series, partner[lvl.n])
-        if lvl.n in partner
-        else lvl
-        for lvl in levels
-    ]
+    tagged, pairs = list(levels), []
+    i = 0
+    while i < n_max:
+        lo, hi = levels[i], levels[i + 1]
+        # branches 2j and 2j + 1 differ in their last bit alone
+        linked = (
+            lo.doublet_partner == hi.n
+            or lo.t == hi.t
+            or (None not in (lo.branch, hi.branch) and lo.branch ^ hi.branch == 1)
+        )
+        if linked:
+            pairs.append((lo.n, hi.n, delta[i + 1]))
+            tagged[i] = lo._replace(doublet_partner=hi.n)
+            tagged[i + 1] = hi._replace(doublet_partner=lo.n)
+        i += 2 if linked else 1
     return SpectrumReport(
         levels=tuple(tagged),
         delta1=tuple(delta),

@@ -138,8 +138,8 @@ def test_spectrum_document_is_a_frozen_record():
     doc = SpectrumDocument((level,), (None,))
     assert repr(doc) == (
         "SpectrumDocument(levels=(EnergyLevel(n=0, t=0.5, s=1.0, E=0.75, "
-        "series=0, doublet_partner=None),), delta1=(None,), Z=None, M=None, "
-        "backend=None)"
+        "series=0, doublet_partner=None, branch=None),), delta1=(None,), Z=None, "
+        "M=None, backend=None)"
     )
     assert doc._replace(Z=1.0).Z == 1.0
     with pytest.raises(AttributeError):
@@ -595,6 +595,36 @@ def test_analyze_reads_csv_and_json_alike(monkeypatch, capsys, argv):
     csv_run, json_run = outputs
     assert csv_run == json_run
     assert csv_run[0] == 0 and "quasi_pair,3," in csv_run[1]
+
+
+@pytest.mark.parametrize(
+    "argv,pair",
+    [
+        # a +- pair split by 4.4% of its energy
+        (["spectrum", "--Z", "2", "--backend", "explicit"], (3, 4)),
+        (["spectrum", "--Z", "1", "--backend", "explicit", "--levels", "50"], (43, 44)),
+        (["spectrum", "--Z", "1", "--M", "8"], (1, 2)),
+    ],
+)
+def test_saved_partners_survive_analyze(monkeypatch, capsys, argv, pair):
+    """A saved spectrum has no branches, so analyze links its levels by the
+    partner column spectrum wrote: in CSV and JSON alike, the quasi_pair
+    rows are the printed pairs with their gaps, and analyzing the document
+    again leaves every level as it was read."""
+    for fmt, parse in (("csv", parse_spectrum_csv), ("json", parse_spectrum_json)):
+        code, text, _err = _run(capsys, argv + ["--format", fmt])
+        assert code == 0
+        levels = parse(text).levels
+        printed = [(v.n, v.doublet_partner) for v in levels if (v.doublet_partner or 0) > v.n]
+        assert pair in printed
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _err = _run(capsys, ["analyze"])
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("quasi_pair,")]
+        assert rows == [
+            f"quasi_pair,{i},{fmt_float(levels[j].E - levels[i].E)}" for i, j in printed
+        ]
+        assert ptring.analyze_series(levels).levels == levels
 
 
 def test_analyze_rejects_malformed_input(tmp_path, capsys):

@@ -29,10 +29,11 @@ SOLVER_EXPORTS = {
     ),
 }
 # The propagator product's names and the general segment layout's, which
-# moved to the tests' product oracle
+# moved to the tests' product oracle, and the gap rule's pair finder, which
+# analyze_series' +- rule replaced
 REMOVED = (
     "SecularRealityError", "TransferMatrix2", "monodromy", "segment_propagator",
-    "CirclePotential", "rotate_segments",
+    "CirclePotential", "rotate_segments", "quasi_degenerate_pairs",
 )
 # The same for serialize and spectrum, also loaded on first use
 REPORT_EXPORTS = {
@@ -43,7 +44,7 @@ REPORT_EXPORTS = {
     ),
     spectrum: (
         "EnergyLevel", "SpectrumReport", "analyze_series", "energies_from_roots",
-        "first_differences", "quasi_degenerate_pairs",
+        "first_differences",
     ),
 }
 ERROR_BASES = {

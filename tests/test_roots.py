@@ -114,13 +114,13 @@ def test_scan_config_validation():
         (
             RootRecord(0.5, -math.inf, 0.0, True),
             "RootRecord(t=0.5, residual_logmag=-inf, bracket_width=0.0, "
-            "unresolved_doublet=True)",
+            "unresolved_doublet=True, factor=None)",
             "t",
         ),
         (
             RootRecord(0.25, -3.5, 1e-14),
             "RootRecord(t=0.25, residual_logmag=-3.5, bracket_width=1e-14, "
-            "unresolved_doublet=False)",
+            "unresolved_doublet=False, factor=None)",
             "unresolved_doublet",
         ),
     ],
@@ -142,7 +142,7 @@ def test_scan_values_equal_only_their_own_class():
     assert ScanConfig(0.1, 1.0) != ScanConfig(0.1, 2.0)
     assert ScanConfig(0.1, 1.0) != (0.1, 1.0)
     # the records are NamedTuples, with tuple semantics
-    assert RootRecord(0.5, -1.0, 1e-14) == (0.5, -1.0, 1e-14, False)
+    assert RootRecord(0.5, -1.0, 1e-14) == (0.5, -1.0, 1e-14, False, None)
     assert RootRecord(0.5, -1.0, 1e-14)._replace(unresolved_doublet=True).unresolved_doublet
 
 
@@ -686,6 +686,7 @@ def test_find_roots_counts_double_factor_roots_twice():
         _with_double_factor(0.5, 0.7), 1.0, 3, ScanConfig(t_min=0.3, t_max=0.9)
     )
     assert [r.unresolved_doublet for r in recs] == [False, True]
+    assert [r.factor for r in recs] == [0, 1]
     assert [r.t for r in recs] == pytest.approx([0.7, 0.5], rel=1e-13)
     assert level_count(recs) == 3
 
@@ -743,7 +744,7 @@ def test_find_roots_exact_grid_root_of_two_factors(counts, levels):
     them, whose count decides its levels."""
     f, c = _zero_on_grid(*((None, n) for n in counts))
     recs = find_roots(f, 1.0, 1, ScanConfig(0.1, 1.0))
-    assert [(r.t, r.bracket_width) for r in recs] == [(c[0], 0.0)]
+    assert [(r.t, r.bracket_width, r.factor) for r in recs] == [(c[0], 0.0, 0)]
     assert level_count(recs) == levels
 
 
@@ -946,12 +947,12 @@ def _split_pair(split):
 
 def test_find_roots_synthetic_tight_pair():
     """A real pair split below bisection resolution (5e-14 at t = 0.5), one
-    root of each of two factors, reports as one doublet."""
+    root of each of two factors, reports as one doublet, of no one factor."""
     cfg = ScanConfig(t_min=0.3, t_max=0.7)
     recs = find_roots(_split_pair(2e-14), 1.0, 2, cfg)
     assert level_count(recs) == 2
     assert len(recs) == 1
-    assert recs[0].unresolved_doublet
+    assert recs[0].unresolved_doublet and recs[0].factor is None
     assert recs[0].t == pytest.approx(0.5, abs=1e-6)
 
 
@@ -962,6 +963,7 @@ def test_find_roots_synthetic_resolved_pair():
     cfg = ScanConfig(t_min=0.3, t_max=0.7)
     recs = find_roots(_split_pair(5e-13), 1.0, 2, cfg)
     assert [r.unresolved_doublet for r in recs] == [False, False]
+    assert [r.factor for r in recs] == [1, 0]
     assert [r.t for r in recs] == pytest.approx([0.5 + 5e-13, 0.5], rel=0, abs=5e-14)
 
 

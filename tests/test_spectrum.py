@@ -1,6 +1,7 @@
-"""Level assembly, difference tables, and quasi-degeneracy flags."""
+"""Level assembly, difference tables, branches and doublet partners."""
 
 import math
+import warnings
 
 import pytest
 from product_oracle import layout, rotate_segments, secular_product
@@ -13,7 +14,7 @@ from ptring import (
     energies_from_roots,
     find_roots,
     first_differences,
-    quasi_degenerate_pairs,
+    secular_explicit,
     secular_monodromy,
 )
 
@@ -58,20 +59,29 @@ T_Z1 = [
     0.03978833670789681931525,
     0.03570014539314851402317,
 ]
+# the factor of the explicit closure whose root each level is: k(a - b1),
+# k(a + b1), k(a - b2) and k(a + b2) are 0-3
+F_Z1 = [0, 2, 0, 2, 3, 1, 3, 1, 0, 2, 0, 2, 3, 1, 3, 1, 0, 2]
 
 
-def _record(t, unresolved=False):
+def _record(t, unresolved=False, factor=None):
     return RootRecord(
         t=t,
         residual_logmag=-30.0,
         bracket_width=1e-13,
         unresolved_doublet=unresolved,
+        factor=factor,
     )
+
+
+def _level(n, E, branch=None, partner=None):
+    """Level n at energy E, of its own t."""
+    return EnergyLevel(n, 1.0 / (n + 1), 0.5, E, n % 4, partner, branch)
 
 
 @pytest.fixture(scope="module")
 def levels_z1():
-    return energies_from_roots([_record(t) for t in T_Z1], 1.0)
+    return energies_from_roots([_record(t, factor=k) for t, k in zip(T_Z1, F_Z1)], 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +100,7 @@ def test_energy_reconstruction(levels_z1):
         assert lvl.E == pytest.approx(e, rel=1e-12)
     assert [lvl.n for lvl in levels_z1] == list(range(18))
     assert [lvl.series for lvl in levels_z1] == [n % 4 for n in range(18)]
+    assert [lvl.branch for lvl in levels_z1] == F_Z1
 
 
 def test_zero_energy_point():
@@ -105,30 +116,35 @@ def test_levels_and_reports_are_frozen_records():
     dataclasses, refuse assignment, and are copied with _replace."""
     level = EnergyLevel(3, 0.5, 1.0, 0.75, 3)
     assert repr(level) == (
-        "EnergyLevel(n=3, t=0.5, s=1.0, E=0.75, series=3, doublet_partner=None)"
+        "EnergyLevel(n=3, t=0.5, s=1.0, E=0.75, series=3, doublet_partner=None, "
+        "branch=None)"
     )
     linked = level._replace(doublet_partner=1)
     assert linked.doublet_partner == 1 and level.doublet_partner is None
     assert linked == EnergyLevel(n=3, t=0.5, s=1.0, E=0.75, series=3, doublet_partner=1)
-    report = analyze_series([EnergyLevel(0, 0.5, 1.0, 0.75, 0)])
+    report = analyze_series([EnergyLevel(0, 0.5, 1.0, 0.75, 0, branch=2)])
     assert repr(report) == (
         "SpectrumReport(levels=(EnergyLevel(n=0, t=0.5, s=1.0, E=0.75, series=0, "
-        "doublet_partner=None),), delta1=(None,), even_second=(), odd_second=(), "
-        "odd_third=(), odd_third_nested=(), quasi_pairs=())"
+        "doublet_partner=None, branch=2),), delta1=(None,), even_second=(), "
+        "odd_second=(), odd_third=(), odd_third_nested=(), quasi_pairs=())"
     )
-    for value, field in ((level, "E"), (level, "doublet_partner"), (report, "levels")):
+    for value, field in (
+        (level, "E"), (level, "doublet_partner"), (level, "branch"), (report, "levels")
+    ):
         with pytest.raises(AttributeError):
             setattr(value, field, None)
 
 
 def test_doublet_expansion_partners():
-    """An unresolved record expands into two levels at one E; the partner
-    link between them comes from analyze_series, not from the expansion."""
-    recs = [_record(0.5), _record(0.1, unresolved=True)]
+    """An unresolved record expands into two levels at one E, of no branch
+    whatever its factor; the partner link between them comes from
+    analyze_series, not from the expansion."""
+    recs = [_record(0.5, factor=1), _record(0.1, unresolved=True, factor=2)]
     lv = energies_from_roots(recs, 1.0)
     assert len(lv) == 3
     assert lv[1].E == lv[2].E
     assert [lvl.doublet_partner for lvl in lv] == [None, None, None]
+    assert [lvl.branch for lvl in lv] == [1, None, None]
     tagged = analyze_series(lv).levels
     assert [lvl.doublet_partner for lvl in tagged] == [None, 2, 1]
 
@@ -206,7 +222,7 @@ def test_third_difference_tables(report_z1):
     assert nested[17] == pytest.approx(-0.4507237873, rel=1e-7)
 
 
-# --- quasi-degeneracy ----------------------------------------------------------
+# --- doublet partners ------------------------------------------------------------
 
 
 def test_quasi_pairs_z1(report_z1):
@@ -223,24 +239,62 @@ def test_quasi_pairs_tag_partners(report_z1):
     for i, j, _ in report_z1.quasi_pairs:
         assert lv[i].doublet_partner == j
         assert lv[j].doublet_partner == i
+        assert {lv[i].branch, lv[j].branch} in ({0, 1}, {2, 3})
     assert lv[5].doublet_partner is None
     assert lv[6].doublet_partner is None
 
 
-def test_quasi_pairs_wide_gap_not_flagged(levels_z1):
-    # levels 5 and 6 sit 4.146 apart, far above threshold
-    pairs = quasi_degenerate_pairs(levels_z1)
-    assert (5, 6) not in [(i, j) for i, j, _ in pairs]
+def test_levels_of_two_bs_are_not_linked(levels_z1):
+    """Levels 5 and 6 are roots of k(a + b1) and k(a + b2), of two b's, and
+    stay apart; so do 1 and 2, roots of k(a - b2) and k(a - b1)."""
+    pairs = [(i, j) for i, j, _ in analyze_series(levels_z1).quasi_pairs]
+    assert (5, 6) not in pairs and (1, 2) not in pairs
+
+
+def test_plus_minus_rule_ignores_the_gap():
+    """Branches 2j and 2j + 1 link however wide their gap, branches of two
+    b's do not however narrow it, and a level without a branch links by
+    branch to nothing; greedy from below, a level joins at most one pair."""
+    lv = [
+        _level(0, 1.0, branch=1),
+        _level(1, 5.0, branch=0),
+        _level(2, 5.0 + 1e-9, branch=2),
+        _level(3, 7.0, branch=1),
+        _level(4, 7.1, branch=0),
+        _level(5, 7.2, branch=1),
+        _level(6, 7.3),
+        _level(7, 7.4, branch=0),
+    ]
+    report = analyze_series(lv)
+    assert report.quasi_pairs == ((0, 1, 4.0), (3, 4, pytest.approx(0.1)))
+    assert [lvl.doublet_partner for lvl in report.levels] == [
+        1, 0, None, 4, 3, None, None, None
+    ]
+    assert [lvl.branch for lvl in report.levels] == [lvl.branch for lvl in lv]
 
 
 def test_quasi_pairs_exact_degeneracy():
+    """The two levels of one record, at one t, link whatever their branch."""
     lv = [
-        EnergyLevel(n=0, t=1.0, s=0.5, E=1.0, series=0),
+        EnergyLevel(n=0, t=1.0, s=0.5, E=1.0, series=0, branch=0),
         EnergyLevel(n=1, t=0.9, s=0.55, E=5.0, series=1),
         EnergyLevel(n=2, t=0.9, s=0.55, E=5.0, series=2),
     ]
-    pairs = quasi_degenerate_pairs(lv)
-    assert pairs == [(1, 2, 0.0)]
+    assert analyze_series(lv).quasi_pairs == ((1, 2, 0.0),)
+
+
+def test_given_partners_link_levels_without_branches():
+    """A spectrum read from a file has no branches: its own partner column
+    links two adjacent levels, and a level without one stays single."""
+    lv = [
+        _level(0, 1.0, partner=1),
+        _level(1, 3.0, partner=0),
+        _level(2, 3.01),
+        _level(3, 3.02),
+    ]
+    report = analyze_series(lv)
+    assert report.quasi_pairs == ((0, 1, 2.0),)
+    assert [lvl.doublet_partner for lvl in report.levels] == [1, 0, None, None]
 
 
 def test_quasi_pairs_tag_partners_by_level_number():
@@ -248,13 +302,67 @@ def test_quasi_pairs_tag_partners_by_level_number():
     slice of a longer spectrum) are tagged too, and untagged ones are
     returned as given."""
     lv = [
-        EnergyLevel(n=n, t=1.0 / (n + 1), s=0.5, E=e, series=n % 4)
-        for n, e in zip(range(10, 14), [1.0, 5.0, 5.0, 9.0])
+        _level(n, e, branch=k)
+        for n, e, k in zip(range(10, 14), [1.0, 5.0, 5.0, 9.0], [0, 2, 3, 1])
     ]
     report = analyze_series(lv)
     assert report.quasi_pairs == ((11, 12, 0.0),)
     assert [lvl.doublet_partner for lvl in report.levels] == [None, 12, 11, None]
     assert report.levels[0] is lv[0] and report.levels[3] is lv[3]
+
+
+def _solve(closure, Z, n_levels):
+    """The lowest n_levels levels of the closure ("explicit" or the
+    monodromy's cell count M) at Z, as the CLI cuts them."""
+    well = None if closure == "explicit" else build_square_well(closure, Z)
+
+    def f(t):
+        return secular_explicit(Z, t) if well is None else secular_monodromy(well, Z, t)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # M = 1 finds 63 of 100
+        return energies_from_roots(find_roots(f, Z, n_levels), Z)[:n_levels]
+
+
+def test_branches_of_the_explicit_closure():
+    """The factor sequences of the module docstring; at Z = 4 a pair has
+    left the real axis, so the series moved but the branches did not."""
+    assert [lvl.branch for lvl in _solve("explicit", 1.0, 12)] == F_Z1[:12]
+    assert [lvl.branch for lvl in _solve("explicit", 4.0, 12)] == [
+        2, 2, 3, 1, 3, 1, 0, 2, 0, 2, 3, 1
+    ]
+    # at M = 8 each Bloch doublet is one root of the count-2 factor
+    lv = _solve(8, 1.0, 5)
+    assert [lvl.branch for lvl in lv] == [0, None, None, None, None]
+
+
+def test_no_partner_outside_the_input():
+    """Partners are decided after the level cut, among the levels given: at
+    Z = 1 the explicit level 99, of k(a - b2), has its +- partner at 100,
+    and is returned without one when the cut is at 100 levels."""
+    lv = _solve("explicit", 1.0, 101)
+    assert [lvl.doublet_partner for lvl in lv] == [None] * 101
+    assert (lv[99].branch, lv[100].branch) == (2, 3)
+    assert analyze_series(lv).levels[99].doublet_partner == 100
+    cut = analyze_series(lv[:100])
+    assert cut.levels[99].doublet_partner is None
+    assert all(j < 100 for _, j, _ in cut.quasi_pairs)
+
+
+@pytest.mark.parametrize("closure", ["explicit", 1, 2, 8])
+@pytest.mark.parametrize("Z", [0.1, 0.5, 1.0, 2.0])
+def test_partners_follow_the_doublet_law(closure, Z):
+    """Every linked pair of distinct t is split by Delta E = Z^2 / E_n to
+    1%; the worst is 0.81%, explicit at Z = 2. Exact Bloch doublets (equal
+    t) are excluded. Adjacent levels of two b's read thousands, and stay
+    apart: (29, 30) at Z = 1, within 2% of E, about 5.3e3."""
+    report = analyze_series(_solve(closure, Z, 100))
+    lv = report.levels
+    law = [g * lv[i].E / Z**2 for i, j, g in report.quasi_pairs if lv[i].t != lv[j].t]
+    assert law and max(abs(x - 1.0) for x in law) <= 0.01, law
+    if closure == "explicit" and Z == 1.0:
+        assert lv[29].doublet_partner is None
+        assert (lv[30].E - lv[29].E) * lv[29].E / Z**2 == pytest.approx(5.3e3, rel=0.01)
 
 
 # --- rotation invariance ---------------------------------------------------------

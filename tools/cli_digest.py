@@ -42,6 +42,17 @@ def _spectra() -> list[list[str]]:
     out += [["spectrum", "--Z", "17.9012344", "--levels", n]
             for n in ("11", "18", "30")]
     out.append(["spectrum", "--Z", "0.1", "--backend", "explicit", "--levels", "30"])
+    # doublet partners: levels of two branches within 2% of E at Z = 1 past
+    # 30 levels, a lowest +- pair split by more than that from Z = 2 up, an
+    # M = 2 band edge, the free ring's b1/b2 splits and an EP pair at M = 1
+    out.append(["spectrum", "--Z", "1", "--backend", "explicit", "--levels", "50"])
+    out += [["spectrum", "--Z", "2", "--levels", "18", "--backend", backend]
+            for backend in ("monodromy", "explicit")]
+    out += [
+        ["spectrum", "--Z", "8", "--M", "2", "--levels", "18"],
+        ["spectrum", "--Z", "1e-6", "--backend", "explicit", "--levels", "18"],
+        ["spectrum", "--Z", "5.5423", "--levels", "18"],
+    ]
     return out
 
 
