@@ -18,17 +18,21 @@ two real levels leave the real axis at an exceptional point. So the
 spectrum is the set of sign changes of the factors on a master grid in
 s = Z/(2t) (so the energy resolution is roughly uniform), geometric near
 the ground state and uniform above it, with spacings derived from the
-closer's reach (see _GRID_RATIO). A grid point where a factor vanishes is
-an exact root. Where a factor keeps its sign across three grid points but
-its least magnitude there lies so near zero that a pair of its roots may
-hide in between (see _hides_pair), the scan flags an extremum window, and
+closer's reach (see _GRID_RATIO). A factor's sign has one rule, value < 0
+or not, in the scan and in the closer alike: a computed 0 counts as
+positive, so every root is the closing of a sign-change bracket, and a
+factor that is 0 at a grid or stencil point is closed onto that point.
+Where a factor keeps its sign across three grid points but its least
+magnitude there lies so near zero that a pair of its roots may hide in
+between (see _hides_pair), the scan flags an extremum window, and
 find_roots refines the grid before closing anything: each pass adds the
 closer's stencil around the vertex of each window's parabola and scans the
 merged grid again, until no window is left; a pair it shows is two
-ordinary sign changes. Each bracket is closed on its own factor to a
-relative width of _T_TOL by Chandrupatla's inverse quadratic interpolation
-under ITP's projection, in at most one step more than bisection would
-take; each step evaluates a geometric stencil around the estimate, so an
+ordinary sign changes, and more than a pair per window is rounding noise
+near an exceptional point, an error. Each bracket is closed on its own
+factor to a relative width of _T_TOL by Chandrupatla's inverse quadratic
+interpolation under ITP's projection, in at most one step more than
+bisection would take; each step evaluates a geometric stencil around the estimate, so an
 accurate estimate on either side of the root closes most of the bracket at
 once. All brackets are closed in lock step. The first step starts from the
 scan's first estimate of each root, t interpolated as a polynomial in the
@@ -165,8 +169,10 @@ class RootRecord(NamedTuple):
     """One located root (or root pair) of the secular function.
 
     t is the end of the final bracket where |factor| is smaller, for the
-    factor whose root it is, and residual_logmag is log|factor| there;
-    bracket_width is the final bracket's width, which holds the root.
+    factor whose root it is, and residual_logmag is log|factor| there (-inf
+    where the factor is 0 at t); bracket_width is the final bracket's
+    width, which holds the root, and at least _WIDTH_FLOOR_ULPS ulps of t,
+    never 0.
     unresolved_doublet=True means the record stands for two levels: a root
     of a factor of count 2, or two roots closer than bracket resolution.
     factor is the index of that factor among the value's factors (see
@@ -215,8 +221,9 @@ def _evaluate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The factors of f over the 1-D array ts, chunk by chunk (_chunks), as
     one row per factor, and their counts; the sign and log-magnitude of the
-    value are not read. Raises ValueError on a value without factors, or
-    with a factor of another length than its chunk (_per_t).
+    value are not read. Raises ValueError on a value without factors, with
+    a factor of another length than its chunk (_per_t), or with a NaN
+    factor value, which has no sign to bracket a root with.
     """
     rows = []
     for _, n, v in _chunks(f, ts):
@@ -227,6 +234,9 @@ def _evaluate(
             )
         rows.append(_per_t([y for y, _ in v.factors], n))
     factors = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
+    if np.isnan(factors.min()):  # min propagates NaN
+        k, i = np.argwhere(np.isnan(factors))[0]
+        raise ValueError(f"secular factor {k} is NaN at t={ts[i]}, so it has no sign")
     return factors, np.array([c for _, c in v.factors])
 
 
@@ -308,14 +318,12 @@ def _close_brackets(
     brackets is what _brackets_and_windows found on a grid: per bracket, as
     columns of (2, n) arrays, the ends x1 and x2 and the factor's values
     there, then the first estimate q, the index of the factor of f's value
-    whose root it holds and whether that factor counts twice. A sign-change
-    bracket has ends x1 = lo < x2 = hi, where its factor is not zero, and
-    q its first estimate as a fraction of the way from x1 to x2, strictly
-    between 0 and 1, or NaN for none. An exact root, a grid point where the
-    factor is zero, is a bracket already closed: both ends are that grid
-    point and the values are 0. find_roots has resolved every extremum
-    window on its grid before this, so a pair of roots it found is two
-    ordinary brackets here.
+    whose root it holds and whether that factor counts twice. Each bracket
+    has ends x1 = lo < x2 = hi, where its factor's values are one negative
+    and one not (a 0 counts as positive), and q its first estimate as a
+    fraction of the way from x1 to x2, strictly between 0 and 1, or NaN for
+    none. find_roots has resolved every extremum window on its grid before
+    this, so a pair of roots it found is two ordinary brackets here.
 
     The first step's estimate x is the first estimate, or the midpoint
     where there is none. Each later step's is Chandrupatla's (Adv. Eng.
@@ -327,7 +335,7 @@ def _close_brackets(
     root, and then projected as in ITP (Oliveira & Takahashi, ACM TOMS
     47(1), 2020) with n0 = 1 (_itp_project), except on a step where every
     open bracket's budget is at least its width, where the projection would
-    keep every estimate: 78 of the 1553 steps of the 806 solves of
+    keep every estimate: 84 of the 1599 steps of the 809 solves of
     tools/records_digest.py project, and none of the M = 1 solves at Z in
     [0.05, 4]. The step evaluates the stencil x + epsilon {0, +-1, +-1e3,
     +-1e6, +-1e9}, clipped into the bracket, and takes its sign change as
@@ -338,12 +346,14 @@ def _close_brackets(
     ITP's point alone would leave: at most ceil(log2((hi0 - lo0) / (_T_TOL
     lo0))) + 1 steps, one more than bisection needs to reach width _T_TOL
     lo0. Steps are taken while the width exceeds _T_TOL times the upper end
-    and lo < mid < hi holds, and a point with value 0 closes the bracket on
-    it. One step evaluates the stencils of all open brackets in one call.
+    and lo < mid < hi holds; a stencil point with value 0 counts as
+    positive, as in the scan, so it ends a bracket and is never one alone.
+    One step evaluates the stencils of all open brackets in one call.
     When all have closed, each record's t is its final end of smaller
-    |factor|, whose log is the residual (-inf at an exact root), and its
-    factor is the bracket's; where all close on one step and none before,
-    the final ends are taken as they are, without a gather.
+    |factor|, whose log is the residual (-inf where that is 0), its width
+    the final width but at least _WIDTH_FLOOR_ULPS ulps, and its factor the
+    bracket's; where all close on one step and none before, the final ends
+    are taken as they are, without a gather.
 
     The working arrays hold the open brackets only: a bracket leaves them
     once, when it closes, with its final ends, and each step writes its
@@ -372,8 +382,7 @@ def _close_brackets(
     # + _ITP_N0 steps: rounding of mid and x adds up to one ulp to a width
     # held at its budget, and an ulp less keeps n_max steps enough
     eps = 0.5 * _T_TOL * a
-    with np.errstate(divide="ignore"):  # a closed bracket: a budget of 0
-        n_max = np.ceil(np.log2((b - a) / (2.0 * eps))) + _ITP_N0
+    n_max = np.ceil(np.log2((b - a) / (2.0 * eps))) + _ITP_N0
     budget = (eps - np.spacing(b)) * 2.0**n_max
     at = cols = np.arange(k.size)
     closed = np.empty((6, k.size))
@@ -425,23 +434,21 @@ def _close_brackets(
         ys[:, 1:-1] = values.reshape(values.shape[0], n, -1)[k, brk]
         ys[:, 0], ys[:, -1] = y1, y2
         # the new bracket (row[j - 1], row[j]) at the row's first point j
-        # without x1's sign; its end nearer the estimate row[_CENTRE] becomes
-        # x1, the next point beyond that end x3 (of x1's sign, unless
-        # rounding noise flips a sign inside the stencil), and a zero at
-        # row[j] closes the bracket on it
-        keep = ((ys * np.sign(y1)[col] > 0) | (xs == x1[col])) & (xs != x2[col])
+        # without x1's sign, a value of 0 counting as positive; its end
+        # nearer the estimate row[_CENTRE] becomes x1, the next point beyond
+        # that end x3 (of x1's sign, unless rounding noise flips a sign
+        # inside the stencil)
+        keep = ((ys < 0.0) == (y1 < 0.0)[col]) & (xs != x2[col])
         j = np.argmin(keep, axis=1)
-        idx = _NEXT[:, j]
-        np.copyto(idx[:2], j, where=ys[brk, j] == 0)
-        X, Y = rows[:, brk, idx]
+        X, Y = rows[:, brk, _NEXT[:, j]]
         a, b = np.minimum(X[0], X[1]), np.maximum(X[0], X[1])
         budget *= 0.5
     x1, x2, y1, y2, w, m = (*X[:2], *Y[:2], w, m) if at is cols else closed
     nearer = np.abs(y1) <= np.abs(y2)
     t = np.where(nearer, x1, x2)
-    with np.errstate(divide="ignore"):  # an exact root: -inf
+    with np.errstate(divide="ignore"):  # a computed 0 at t: -inf
         residual = np.log(np.abs(np.where(nearer, y1, y2)))
-    width = np.where(w > 0, np.maximum(w, _WIDTH_FLOOR_ULPS * np.spacing(m)), 0.0)
+    width = np.maximum(w, _WIDTH_FLOOR_ULPS * np.spacing(m))
     return list(
         map(
             RootRecord, t.tolist(), residual.tolist(), width.tolist(),
@@ -454,10 +461,9 @@ def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarra
     """The brackets of the ascending grid ts, the argument of
     _close_brackets, and its extremum windows.
 
-    The brackets are, first, the exact roots, points where a factor is
-    zero, each a bracket already closed on the first such factor, and then
-    the sign-change brackets of each factor between neighbours. Each
-    sign-change bracket gets a first estimate of its root by barycentric
+    The brackets are the sign changes of each factor between neighbours,
+    where one value is negative and the other not (a 0 counts as positive).
+    Each gets a first estimate of its root by barycentric
     inverse interpolation (Berrut & Trefethen, SIAM Rev. 46 (2004) 501): t
     as the polynomial in the factor's value through the _FIT_POINTS
     consecutive grid points around it, taken where the factor is strictly
@@ -465,16 +471,15 @@ def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarra
     NaN otherwise and on a grid of fewer points. An extremum window is three
     neighbouring grid points where a factor keeps its sign and is least in
     magnitude at the middle one, so close to zero that it may hide a pair of
-    roots (_hides_pair), where no factor changes sign or vanishes: a factor
-    touching zero at another factor's root, as U_(M-1) does at every band
-    edge, has no roots of its own there. The windows are an array of shape
+    roots (_hides_pair), where no factor changes sign: a factor touching
+    zero at another factor's root, as U_(M-1) does at every band edge, has
+    no roots of its own there. The windows are an array of shape
     (3, m): per window, its lower grid point, the vertex of its parabola
     (_hides_pair) and its upper grid point.
     """
     factors, counts = scan
-    sign = np.sign(factors)
-    zero = sign == 0
-    change = sign[:, :-1] * sign[:, 1:] < 0
+    negative = factors < 0.0
+    change = negative[:, :-1] != negative[:, 1:]
     quiet = ~change.any(axis=0)  # per grid interval
     # factor by factor in ascending i, as np.nonzero would give them
     k, i = divmod(np.flatnonzero(change), ts.size - 1)
@@ -499,15 +504,6 @@ def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarra
             c = 1.0 / np.prod(d, axis=0)
             u = (c * x).sum(axis=0) / (c.sum(axis=0) * (X[1] - X[0]))
         np.copyto(q, u, where=(y[1:] > y[:-1]).all(axis=0) & (u > 0.0) & (u < 1.0))
-    if zero.any():
-        # the exact roots go first, in ascending t
-        at_zero = zero.any(axis=0)
-        j = np.flatnonzero(at_zero)
-        X = np.concatenate([np.tile(ts[j], (2, 1)), X], axis=1)
-        Y = np.concatenate([np.zeros((2, j.size)), Y], axis=1)
-        q = np.concatenate([np.full(j.size, np.nan), q])
-        k = np.concatenate([np.argmax(zero[:, j], axis=0), k])
-        quiet &= ~(at_zero[:-1] | at_zero[1:])
     brackets = X, Y, q, k, counts[k] == 2
     # the extremum windows: five points around each least |factor|, NaN
     # beyond the grid; of equal magnitudes the one at larger t is least
@@ -539,16 +535,18 @@ def _merge_close(records: list[RootRecord]) -> list[RootRecord]:
     the closer's resolution; they merge into a single unresolved_doublet
     record. The test scales with t, as the closer's relative tolerance
     does, so it holds at every coupling. Returns the records in strictly
-    ascending t: two at one t touch, and merge.
+    ascending t: two at one t touch, and merge. Raises ValueError where one
+    of two touching records already stands for two levels, since one record
+    cannot stand for more than two.
     """
     out: list[RootRecord] = []
     for r in sorted(records, key=lambda r: r.t):
         if out and r.t - out[-1].t <= r.bracket_width + out[-1].bracket_width:
             prev = out.pop()
             if prev.unresolved_doublet or r.unresolved_doublet:
-                # already counted as a pair; keep the sharper record
-                out.append(prev if prev.residual_logmag <= r.residual_logmag else r)
-                continue
+                raise ValueError(
+                    f"roots at t={prev.t!r} and {r.t!r} touch; one stands for two levels"
+                )
             width = abs(r.t - prev.t) + prev.bracket_width + r.bracket_width
             residual = min(prev.residual_logmag, r.residual_logmag)
             out.append(RootRecord(0.5 * (prev.t + r.t), residual, width, True))
@@ -624,16 +622,20 @@ def find_roots(
     a pair of one factor's roots may hide is resolved on the grid first,
     each pass refining around the vertex its scan fitted; then every sign
     change of a factor on the grid is closed on that factor, and the closer
-    makes the record of each root, a grid point where a factor is zero
-    included (_close_brackets). Returns every root found in the window, in
-    descending t (ascending energy) order, _merge_close's ascending list
-    reversed; callers slice the leading n_levels levels after doublet
-    expansion. Warns with LevelShortfallWarning when the window yields fewer
-    levels than requested, which for this operator family indicates levels
-    lost to complex conjugate pairs rather than a scan failure. Raises
-    ValueError on a value without factors, and before evaluating or
-    allocating anything when s = Z/(2 t_max) underflows to 0 or the master
-    grid would take more than _MAX_GRID_POINTS points.
+    makes the record of each root (_close_brackets). Returns every root
+    found in the window, in descending t (ascending energy) order,
+    _merge_close's ascending list reversed; callers slice the leading
+    n_levels levels after doublet expansion. Warns with
+    LevelShortfallWarning when the window yields fewer levels than
+    requested, which for this operator family indicates levels lost to
+    complex conjugate pairs rather than a scan failure. Raises
+    ValueError on a value without factors or with a NaN factor value; when
+    a refinement pass finds more than two sign changes per extremum window
+    of the master grid, where a pair lies within rounding noise of an
+    exceptional point and its factor's sign is noise; when two touching
+    records would stand for more than two levels (_merge_close); and before
+    evaluating or allocating anything when s = Z/(2 t_max) underflows to 0
+    or the master grid would take more than _MAX_GRID_POINTS points.
     """
     cfg = config or default_scan_config(Z, n_levels)
     s_lo = Z / (2.0 * cfg.t_max)
@@ -676,7 +678,11 @@ def find_roots(
     # refine the grid in each extremum window (lo, vertex, hi) until none is
     # left: a pass adds the stencil around the vertex, clipped into the
     # window, for at most bisection's step count over the widest window, and
-    # stops early when it adds no point
+    # stops early when it adds no point. Every factor has one sign at both
+    # ends of a window, so the points a pass adds inside it add an even
+    # number of sign changes, and one pair of roots is two: more than two
+    # per window of the master scan are sign flips of rounding noise
+    most = brackets[3].size + 2 * W.shape[1]
     passes = W.size and _ITP_N0 + int(
         np.ceil(np.log2((W[2] - W[0]) / (_T_TOL * W[0]))).max()
     )
@@ -690,6 +696,11 @@ def find_roots(
         ts = ts[order]
         factors = np.concatenate([factors, _evaluate(f, new)[0]], axis=1)[:, order]
         brackets, W = _brackets_and_windows(ts, (factors, counts))
+        if brackets[3].size > most:
+            raise ValueError(
+                f"at Z={Z!r} a pair lies within rounding noise of an exceptional point:"
+                f" refining the grid found more sign changes than its windows hold"
+            )
         if not W.size:
             break
     records = _merge_close(_close_brackets(f, brackets))[::-1]

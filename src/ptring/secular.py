@@ -104,8 +104,9 @@ class LogScaledValue:
     lie. Every real root of the value is a simple root of exactly one
     factor and stands for count (1 or 2) levels; the product of the factor
     signs, each to the power count, is the value's sign up to a sign fixed
-    per closure. Where several factors vanish at one point, it is a root of
-    the first of them. The band-edge factors come first, in +- pairs: k(a -
+    per closure. A factor value of exactly 0 counts as positive in root
+    finding, so a root where several factors vanish is a root of each. The
+    band-edge factors come first, in +- pairs: k(a -
     b) at index 2j and k(a + b) at 2j + 1, one pair per b, and the count-2
     factors follow them; a level's index there is its branch, and the two
     factors of one pair hold its quasi-degenerate doublets. Root finding
@@ -287,7 +288,8 @@ def _periodic_closure(point: SpectralPoint, mod_sq, M: int, h: float):
         )
         # g/u is 4 sin(M theta) sin(theta), with sin(theta) = 2q / (1 + q^2),
         # and -4 sinh(M phi) sinh(phi) where u > 0; it is 0 at q = 0 too,
-        # where one of k (a -+ b) vanishes and, listed first, takes the root
+        # where one of k (a -+ b) vanishes at tau = 2, and u = M > 0 there, so
+        # the 0 keeps u's sign
         u = np.empty(band.shape)
         # far outside the band |g/u| overflows to inf
         with np.errstate(divide="ignore", over="ignore"):

@@ -234,6 +234,27 @@ def test_spectrum_default_window_without_positive_energy_exits_1(capsys, argv, c
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["--Z", "5.542309700412018"],
+        ["--Z", "2.9247978864107305", "--backend", "explicit", "--levels", "18"],
+    ],
+)
+def test_spectrum_within_rounding_noise_of_an_exceptional_point_exits_1(capsys, argv):
+    """A few ulps from an exceptional point, where the sign of the factor
+    that holds the meeting pair is rounding noise, the run is one error
+    naming Z, not a spectrum of noise roots."""
+    code, out, err = _run(capsys, ["spectrum", *argv])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(
+        f"error: at Z={float(argv[1])!r} a pair lies within rounding noise of an "
+        f"exceptional point"
+    )
+
+
+@pytest.mark.parametrize(
     "argv,points",
     [
         (["--t-min", "1e-300"], "2.714e+301"),

@@ -78,3 +78,21 @@ def test_faults_compare_levels_a_doublet_standing_for_two():
     assert records_digest._faults(exact, moved) == [
         f"level 0: t 0.5 -> {moved[0].t!r}, beyond the widths 0.0 + 0.0"
     ]
+
+
+def test_every_digest_record_is_a_closed_bracket():
+    """Every record of every solve in the digest is the closing of a
+    sign-change bracket: its bracket_width is at least 8 ulps of its t, a
+    root hit exactly included. A solve is refused only for its window; none
+    lies within rounding noise of an exceptional point."""
+    solved = 0
+    for solve in records_digest.SOLVES:
+        try:
+            records, _ = records_digest._solve(ptring, *solve)
+        except ValueError as e:
+            assert str(e).startswith(("the default scan window", "the master grid")), e
+            continue
+        solved += 1
+        for r in records:
+            assert r.bracket_width >= 8 * math.ulp(r.t), (solve, r)
+    assert solved == 766

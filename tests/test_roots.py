@@ -235,10 +235,10 @@ def test_scan_sample_count_is_checked_first(samples):
 
 def _close_on(f, bracket):
     """The root on the two-point grid (lo, hi), as find_roots' scan and
-    closer give it: an end where a factor vanishes (lo before hi), else the
-    first factor's sign change, closed without a first estimate (a grid of
-    fewer than _FIT_POINTS points has none), so that its first step takes
-    the midpoint."""
+    closer give it: the first factor's sign change, a value of 0 counting as
+    positive, closed without a first estimate (a grid of fewer than
+    _FIT_POINTS points has none), so that its first step takes the
+    midpoint."""
     ts = np.array(bracket, dtype=float)
     brackets, _ = _brackets_and_windows(ts, _evaluate(f, ts))
     return _close_brackets(f, tuple(e[..., :1] for e in brackets))[0]
@@ -261,41 +261,48 @@ def test_bisect_linear_function():
 
 
 def test_bisect_exact_endpoint_is_the_root():
-    rec = _close_on(_linear(0.5), (0.5, 0.9))
-    assert (rec.t, rec.bracket_width) == (0.5, 0.0)
-    assert rec.residual_logmag == float("-inf")
+    """A grid point where the factor is 0 counts as positive: it ends the
+    sign change from below, whose record is that point, residual -inf, and
+    makes none with a positive neighbour."""
+    rec = _close_on(_linear(0.5), (0.3, 0.5))
+    assert (rec.t, rec.residual_logmag) == (0.5, -math.inf)
+    assert 8 * np.spacing(0.5) <= rec.bracket_width <= 1e-13 * 0.5
+    ts = np.array([0.5, 0.9])
+    brackets, _ = _brackets_and_windows(ts, _evaluate(_linear(0.5), ts))
+    assert brackets[3].size == 0
 
 
 def test_bisect_exact_midpoint_closes_bracket():
-    # 0.75 is the first midpoint and an exact root
-    rec = _close_on(_linear(0.75), (0.5, 1.0))
-    assert (rec.t, rec.bracket_width) == (0.75, 0.0)
+    """0.75 is the first midpoint and an exact root: the stencil point
+    epsilon below it is negative, so the first step closes the bracket to
+    (0.75 - epsilon, 0.75), of width epsilon, not 0."""
+    counted, sizes = _counted(_linear(0.75))
+    rec = _close_on(counted, (0.5, 1.0))
+    assert (rec.t, rec.residual_logmag) == (0.75, -math.inf)
+    assert rec.bracket_width == pytest.approx(0.5e-13 * 0.5, rel=1e-3, abs=0)
+    assert len(sizes) == 2  # the grid and one step
 
 
 def test_bisect_exact_step_point_closes_bracket():
-    # t^2 - 0.3, zero on [0.54772, 0.54773] around its root: without a first
-    # estimate the first step's is the midpoint 0.75, the next interpolates to
-    # 0.5456, whose stencil misses the run, and the third to 0.54772373,
-    # whose stencil, taken from below, first reaches the run at 0.54772371
+    # t^2 - 0.3, zero on [0.54772, 0.54773] around its root: the zeros
+    # count as positive, so the sign change the closer closes is the run's
+    # lower end, where the first zero is the record's t
     def f(t):
         t = np.asarray(t, dtype=float)
         return LogScaledValue.from_float(
             np.where((0.54772 <= t) & (t <= 0.54773), 0.0, t * t - 0.3)
         )
 
-    counted, sizes = _counted(f)
-    rec = _close_on(counted, (0.5, 1.0))
-    assert rec.bracket_width == 0.0
-    assert rec.t == pytest.approx(0.5477237066763219, abs=1e-15)
-    assert rec.residual_logmag == float("-inf")
-    assert len(sizes) == 4  # the grid and three steps
+    rec = _close_on(f, (0.5, 1.0))
+    assert rec.residual_logmag == -math.inf
+    assert 0.0 < rec.t - 0.54772 <= rec.bracket_width <= 1e-13 * rec.t
 
     # on the grid 0.2, 0.3, ..., 1.5, of _FIT_POINTS points, beside a
     # second factor, t - 1.23, both brackets have a first estimate: t - 1.23
-    # is linear in its value, so its estimate is its root, an exact zero on
-    # which the first step closes it; the first bracket's estimate,
-    # 0.5477636, lies above the run, and it closes on the run at its second
-    # step, alone as in lock step
+    # is linear in its value, so its estimate is its root, an exact zero,
+    # and its first step closes it on (1.23 - epsilon, 1.23); the first
+    # bracket closes on the run's lower end in later steps, alone as in
+    # lock step
     def g(t):
         y = f(t).factors[0][0]
         v = LogScaledValue.from_float(y * (t - 1.23))
@@ -307,10 +314,10 @@ def test_bisect_exact_step_point_closes_bracket():
     np.testing.assert_allclose(lo + q * (hi - lo), [0.5477636, 1.23], rtol=1e-7)
     counted, sizes = _counted(g)
     records = _close_brackets(counted, brackets)
-    assert sizes == [18, 9]
-    assert [(r.t, r.bracket_width) for r in records] == [
-        (pytest.approx(0.5477225824494314, abs=1e-15), 0.0), (1.23, 0.0)
-    ]
+    assert sizes[0] == 18 and set(sizes[1:]) == {9}
+    assert records[0].t - 0.54772 <= records[0].bracket_width
+    assert (records[1].t, records[1].residual_logmag) == (1.23, -math.inf)
+    assert records[1].bracket_width == pytest.approx(0.5e-13 * 1.2, rel=1e-3, abs=0)
     assert records == _lone(g, brackets)
 
 
@@ -692,17 +699,18 @@ def test_find_roots_counts_double_factor_roots_twice():
 
 
 def test_bisect_exact_zero_of_double_factor():
-    """An exact zero of a count-2 factor, at a bracket end or at a step
-    point, is a root standing for two levels; a simple root at a bracket end
-    is not."""
+    """An exact zero of a count-2 factor, at a bracket's upper end or at a
+    step point, is a root standing for two levels, of positive width; a
+    simple root at a bracket end is not; and a zero at a bracket's lower
+    end, which counts as positive, is no sign change of its factor."""
     f = _with_double_factor(0.5, 0.7)
-    for bracket in [(0.5, 0.6), (0.4, 0.6)]:
+    for bracket in [(0.4, 0.5), (0.4, 0.6)]:
         rec = _close_on(f, bracket)
-        assert (rec.t, rec.bracket_width, rec.unresolved_doublet) == (0.5, 0.0, True)
+        assert (rec.t, rec.residual_logmag, rec.unresolved_doublet) == (0.5, -math.inf, True)
+        assert rec.bracket_width >= 8 * np.spacing(0.5)
     assert not _close_on(f, (0.6, 0.7)).unresolved_doublet
-    # an exact end comes before a sign change of an earlier factor
     rec = _close_on(f, (0.5, 0.8))
-    assert (rec.t, rec.bracket_width, rec.unresolved_doublet) == (0.5, 0.0, True)
+    assert (rec.t, rec.unresolved_doublet, rec.factor) == (pytest.approx(0.7), False, 0)
 
 
 def _zero_on_grid(*factors):
@@ -726,12 +734,14 @@ def _zero_on_grid(*factors):
 @pytest.mark.parametrize("n", [1, 2])
 def test_find_roots_exact_grid_root(n):
     """A master-grid point where a factor is zero is a root of that factor,
-    of width 0 and residual -inf, standing for as many levels as the
-    factor's count, beside the sign change of another factor."""
+    found at that point with residual -inf and a width of at least 8 ulps,
+    standing for as many levels as the factor's count, beside the sign
+    change of another factor."""
     f, c = _zero_on_grid((0.4321, 1), (None, n))
     recs = find_roots(f, 1.0, 1, ScanConfig(0.1, 1.0))
     (rec,) = [r for r in recs if r.t == c[0]]
-    assert (rec.bracket_width, rec.residual_logmag) == (0.0, -math.inf)
+    assert rec.residual_logmag == -math.inf
+    assert 8 * np.spacing(c[0]) <= rec.bracket_width <= 1e-13 * c[0]
     assert rec.unresolved_doublet is (n == 2)
     (other,) = [r for r in recs if r is not rec]
     assert other.t == pytest.approx(0.4321, rel=1e-13)
@@ -740,12 +750,45 @@ def test_find_roots_exact_grid_root(n):
 
 @pytest.mark.parametrize("counts,levels", [((1, 2), 1), ((2, 1), 2)])
 def test_find_roots_exact_grid_root_of_two_factors(counts, levels):
-    """A grid point where two factors are zero is one root, of the first of
-    them, whose count decides its levels."""
-    f, c = _zero_on_grid(*((None, n) for n in counts))
-    recs = find_roots(f, 1.0, 1, ScanConfig(0.1, 1.0))
-    assert [(r.t, r.bracket_width, r.factor) for r in recs] == [(c[0], 0.0, 0)]
-    assert level_count(recs) == levels
+    """A grid point where two factors are zero is a root of each, and the
+    two records touch; where one of them stands for two levels, they stand
+    for three, which one record cannot: a ValueError at any level count
+    requested."""
+    f, _ = _zero_on_grid(*((None, n) for n in counts))
+    with pytest.raises(ValueError, match="touch; one stands for two levels"):
+        find_roots(f, 1.0, levels, ScanConfig(0.1, 1.0))
+
+
+def test_find_roots_common_root_of_two_simple_factors_is_a_doublet():
+    """A grid point where two simple factors are zero is a double root of
+    the value: two touching records, which merge into one standing for two
+    levels."""
+    f, c = _zero_on_grid((None, 1), (None, 1))
+    (rec,) = find_roots(f, 1.0, 2, ScanConfig(0.1, 1.0))
+    assert (rec.t, rec.unresolved_doublet, rec.factor) == (c[0], True, None)
+    assert rec.residual_logmag == -math.inf
+
+
+def test_nan_factor_is_refused():
+    """A NaN factor value has no sign: on the master grid or at a closer
+    step it is one ValueError naming the factor and its t."""
+
+    def nan_over(lo, hi):
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            y = np.where((lo <= t) & (t <= hi), np.nan, t - 0.5)
+            return LogScaledValue.deferred(None, ((t - 0.7, 1), (y, 1)))  # factors only
+
+        return f
+
+    config = ScanConfig(0.1, 1.0)
+    with pytest.raises(ValueError, match=r"^secular factor 1 is NaN at t=0\.8"):
+        find_roots(nan_over(0.8, 0.9), 1.0, 2, config)
+    # too narrow for the grid: the closer's first step reaches it
+    with pytest.raises(ValueError, match=r"^secular factor 1 is NaN at t=") as e:
+        find_roots(nan_over(0.5 - 1e-9, 0.5 + 1e-9), 1.0, 2, config)
+    t = float(re.search(r"t=(\S+),", str(e.value)).group(1))
+    assert abs(t - 0.5) <= 1e-9
 
 
 def test_bisect_width_floor(monkeypatch):
@@ -1248,6 +1291,39 @@ def test_exceptional_point_no_pair_above(Z):
         recs = find_roots(_f_monodromy(Z), Z, 18)
     assert level_count(recs) == 9
     assert not [r for r in recs if 1.6 < r.t < 1.75]
+
+
+@pytest.mark.parametrize(
+    "M,Z_c",
+    [
+        # the twisted closure's first two, and three of the M = 1 closure
+        ("explicit", 2.9247978864107296),
+        ("explicit", 5.260797355826909),
+        (1, 5.542309700412016),
+        (1, 17.901234408773018),
+        (1, 33.54495059060428),
+    ],
+)
+def test_rounding_noise_at_an_exceptional_point_is_an_error(M, Z_c):
+    """Within 8 ulps of an exceptional point Z_c the refinement passes
+    sample the rounding noise of the factor that holds the meeting pair; a
+    solve of 18 levels returns no more levels than at Z_c - 8 ulps, or is
+    one ValueError naming Z, never one level per noise flip."""
+    Zs = [Z_c + k * math.ulp(Z_c) for k in range(-8, 9)]
+    counts, errors = [], 0
+    for Z in Zs:
+        f = _f_explicit(Z) if M == "explicit" else _f_monodromy(Z, M)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LevelShortfallWarning)
+                counts.append(level_count(find_roots(f, Z, 18)))
+        except ValueError as e:
+            assert str(e).startswith(
+                f"at Z={Z!r} a pair lies within rounding noise of an exceptional point"
+            )
+            errors += 1
+    assert max(counts) == counts[0]
+    assert errors < len(Zs)
 
 
 @pytest.mark.parametrize("Z,real", [(17.9, True), (17.95, False)])

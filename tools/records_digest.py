@@ -6,7 +6,8 @@
 Imports ptring from the given src directory and runs every solve of
 SOLVES: each coupling of COUPLINGS at each level count of LEVELS, on the
 explicit closure and on the monodromy at each cell count of CELLS, in the
-default window, then the solves of WINDOWS in a window of their own. Prints
+default window, then the solves of PAIRS, also in the default window, and
+those of WINDOWS in a window of their own. Prints
 one line per solve: the SHA-256 of its records' t, residual_logmag and
 bracket_width as hex floats and their unresolved_doublet flags, the number
 of calls the solve made to its secular function and the number of t values
@@ -54,10 +55,15 @@ WINDOWS = (
     # refused: the master grid would be too large
     ("explicit", 1.0, 18, 1e-300, 5.0),
 )
+# (closure, Z, levels): one refinement pass of the exceptional-point guard
+# shows a real pair, just below an exceptional point of the twisted closure
+# (Z_c = 2.92479788641073 and 5.26079735582691) and of the count-2 factor at
+# M = 8 (Z_c between 61.79719740186384 and 61.79719740186385)
+PAIRS = (("explicit", 2.9247978, 18), ("explicit", 5.2607973, 18), (8, 61.7971, 18))
 SOLVES = [
     (closure, Z, n, None, None)
     for closure in CELLS for Z in COUPLINGS for n in LEVELS
-] + list(WINDOWS)
+] + [(*pair, None, None) for pair in PAIRS] + list(WINDOWS)
 
 
 def _digest(records) -> str:
