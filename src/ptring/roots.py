@@ -471,11 +471,15 @@ def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarra
     NaN otherwise and on a grid of fewer points. An extremum window is three
     neighbouring grid points where a factor keeps its sign and is least in
     magnitude at the middle one, so close to zero that it may hide a pair of
-    roots (_hides_pair), where no factor changes sign: a factor touching
-    zero at another factor's root, as U_(M-1) does at every band edge, has
-    no roots of its own there. The windows are an array of shape
-    (3, m): per window, its lower grid point, the vertex of its parabola
-    (_hides_pair) and its upper grid point.
+    roots (_hides_pair), where no factor changes sign. A sign change there
+    is a root the brackets already hold, and the grid point nearest it is a
+    least magnitude whose parabola crosses zero: over the solves of
+    tools/records_digest.py, every window this drops lies beside a sign
+    change of a factor least at its middle point, and keeping them took the
+    explicit closure from 616 calls to 1786 and moved 9 records, near
+    exceptional points and at Z = 1e-6, beyond their widths. The windows
+    are an array of shape (3, m): per window, its lower grid point, the
+    vertex of its parabola (_hides_pair) and its upper grid point.
     """
     factors, counts = scan
     negative = factors < 0.0

@@ -207,9 +207,11 @@ def _cell_trace(point: SpectralPoint, mod_sq, h: float):
     tau = 2 cos^2(sh) - 2 (E/|kappa|^2) sin^2(sh) + 4 (t^2/|kappa|^2) sinh^2(th).
     With k = 2/|kappa|, a = s sin(sh) e^(-th), b = t sinh(th) e^(-th),
     c = s cos(sh) e^(-th) and d = t cosh(th) e^(-th), it is taken through
-    the factored forms of _band_forms, which keep full relative precision at
-    the band edge tau = 2 and stay finite at every t. The factors read only
-    k, a and b, so c and d come from _cell_cd, where a value needs them.
+    the factored forms (2 - tau) e^(-2th) = k^2 (a - b)(a + b) and
+    (2 + tau) e^(-2th) = k^2 (c^2 + d^2) > 0, which keep full relative
+    precision at the band edge tau = 2 and stay finite at every t. The
+    factors read only k, a and b, so c and d come from _cell_cd, where a
+    value needs them.
     """
     s, t = point.s, point.t
     # a unit width (M = 1) skips the two exact products: with them, the
@@ -228,52 +230,52 @@ def _cell_cd(point: SpectralPoint, b, decay, sh):
     return point.s * np.cos(sh) * decay, point.t - b
 
 
-def _band_forms(k_sq, a, b, c, d):
-    """(2 - tau) e^(-2th) = k^2 (a - b)(a + b) and
-    (2 + tau) e^(-2th) = k^2 (c^2 + d^2) > 0, from the pieces of _cell_trace."""
-    return k_sq * (a - b) * (a + b), k_sq * (c * c + d * d)
+def _chebyshev_u(minus, plus, th, M: int):
+    """u = U_(M-1)(tau/2) and log|u|, from minus = (2 - tau) e^(-2th),
+    plus = (2 + tau) e^(-2th) > 0 and th of _cell_trace.
 
-
-def _angles(minus, plus, two_th, M: int):
-    """The band mask tau <= 2 and, within the band, q and sin(M theta), and
-    outside it phi, M phi and log(2 sinh(M phi)) (see _periodic_closure),
-    from the forms of _band_forms."""
-    band = minus >= 0.0
-    out = ~band
+    In the band, minus >= 0, tau = 2 cos(theta) and u = sin(M theta) /
+    sin(theta), M at theta = 0; above it, tau = 2 cosh(phi) and
+    u = sinh(M phi) / sinh(phi) > 0, whose log (M - 1) phi +
+    log((1 - e^(-2 M phi)) / (1 - e^(-2 phi))) stays finite where u
+    overflows to inf. q = sqrt(|minus| / plus) is tan(theta/2) or
+    tanh(phi/2), free of cancellation near tau = 2, and sin(theta) =
+    2q / (1 + q^2) keeps its precision near tau = -2 too.
+    """
+    above = minus < 0.0
     q = np.sqrt(np.abs(minus) / plus)
-    qb, qo = q[band], q[out]
-    with np.errstate(divide="ignore", over="ignore"):
-        sin_m = np.sin(2.0 * M * np.arctan(qb))
+    # each form is taken where it holds; the other's inf and NaN are dropped
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = np.where(q > 0.0, np.sin(2.0 * M * np.arctan(q)) * (0.5 / q + 0.5 * q), M)
         # phi = 2 artanh(q); for q > 1/2 through 1 - q^2 = 4 / (2 + tau)
         phi = np.where(
-            qo <= 0.5,
-            2.0 * np.arctanh(np.minimum(qo, 0.5)),
-            2.0 * np.log1p(qo) + np.log(0.25 * plus[out]) + two_th[out],
+            q <= 0.5,
+            2.0 * np.arctanh(np.minimum(q, 0.5)),
+            2.0 * (np.log1p(q) + th) + np.log(0.25 * plus),
         )
-        y = M * phi
-        log_sinh = y + np.log(-np.expm1(-2.0 * y))  # log(2 sinh(M phi))
-    return band, qb, sin_m, phi, y, log_sinh
+        ratio = np.expm1(-2.0 * M * phi) / np.expm1(-2.0 * phi)
+        log_u = np.where(above, (M - 1) * phi + np.log(ratio), np.log(np.abs(u)))
+        return np.where(above, np.exp(log_u), u), log_u
 
 
 def _periodic_closure(point: SpectralPoint, mod_sq, M: int, h: float):
     """Factors of g = 2 - tr T for T the product of 2M cells, and a function
     of no arguments that returns g's sign and log-magnitude.
 
-    tr T = 2 T_2M(tau/2) (Chebyshev), which is even in tau; and 2 + tau > 0.
-    So g = 4 sin^2(M theta) where tau = 2 cos(theta), and -4 sinh^2(M phi)
-    where tau = 2 cosh(phi) > 2: g = (2 - tau)(2 + tau) u^2 with
-    u = U_(M-1)(tau/2) = sin(M theta) / sin(theta) or sinh(M phi) / sinh(phi).
-    tan(theta/2) and tanh(phi/2) are sqrt(|2 - tau| / (2 + tau)), free of
-    cancellation near tau = 2.
+    tr T = 2 T_2M(tau/2) (Chebyshev), so g = (2 - tau)(2 + tau) u^2 with
+    u = U_(M-1)(tau/2), and with k, a, b, c and d of _cell_trace
+    g = k (a - b) k (a + b) u^2 k^2 (c^2 + d^2) e^(4th).
 
-    The factors, with k, a, b and c of _cell_trace, are k (a - b) and
-    k (a + b), count 1, whose roots are the band edges tau = 2; for M > 1,
-    u, count 2, whose roots tau = 2 cos(pi j / M), 0 < j < M, are the exact
-    double roots of g (the Bloch pair +-pi j / M), carried with u's sign and
-    |g/u| as magnitude; and for Z <= FREE_LIMIT_Z, k c, count 2, whose
+    The factors are k (a - b) and k (a + b), count 1, whose roots are the
+    band edges tau = 2; for M > 1, u (_chebyshev_u), count 2, whose roots
+    tau = 2 cos(pi j / M), 0 < j < M, are the exact double roots of g (the
+    Bloch pair +-pi j / M); and for Z <= FREE_LIMIT_Z, k c, count 2, whose
     roots are the near-axis complex pairs at tau = -2, where
-    2 + tau = k^2 (c^2 + d^2) nearly vanishes. u needs the angles theta and
-    phi, and they need c and d (_cell_cd): most of the value's work. For
+    2 + tau = k^2 (c^2 + d^2) e^(2th) nearly vanishes. The value is read
+    off the product, which leaves k c out: its sign is the product of the
+    factor signs, each to the power of its count, and its logmag
+    log(k^2 (c^2 + d^2)) + 4th + sum count log|f|, with log|u| from
+    _chebyshev_u, finite where u overflows. u needs c and d (_cell_cd); for
     M = 1 they are computed only when the value is, c at once for
     Z <= FREE_LIMIT_Z.
     """
@@ -281,38 +283,26 @@ def _periodic_closure(point: SpectralPoint, mod_sq, M: int, h: float):
     k = np.sqrt(k_sq)
     factors = [(k * (a - b), 1), (k * (a + b), 1)]
     cd = _cell_cd(point, b, decay, sh) if M > 1 or point.Z <= FREE_LIMIT_Z else None
-    angles = None
+
+    def plus():  # (2 + tau) e^(-2th)
+        c, d = cd or _cell_cd(point, b, decay, sh)
+        return k_sq * (c * c + d * d)
+
     if M > 1:
-        angles = band, qb, sin_m, phi, _, log_sinh = _angles(
-            *_band_forms(k_sq, a, b, *cd), 2.0 * th, M
-        )
-        # g/u is 4 sin(M theta) sin(theta), with sin(theta) = 2q / (1 + q^2),
-        # and -4 sinh(M phi) sinh(phi) where u > 0; it is 0 at q = 0 too,
-        # where one of k (a -+ b) vanishes at tau = 2, and u = M > 0 there, so
-        # the 0 keeps u's sign
-        u = np.empty(band.shape)
-        # far outside the band |g/u| overflows to inf
-        with np.errstate(divide="ignore", over="ignore"):
-            u[band] = 8.0 * sin_m * qb / (1.0 + qb * qb)
-            u[~band] = np.exp(log_sinh + phi + np.log(-np.expm1(-2.0 * phi)))
+        u, log_u = _chebyshev_u(factors[0][0] * factors[1][0], plus(), th, M)
         factors.append((u, 2))
     if point.Z <= FREE_LIMIT_Z:
         factors.append((k * cd[0], 2))
 
     def value():
-        c, d = cd or _cell_cd(point, b, decay, sh)
-        band, _, sin_m, _, y, log_sinh = angles or _angles(
-            *_band_forms(k_sq, a, b, c, d), 2.0 * th, M
-        )
-        sign = np.empty(band.shape, dtype=int)
-        logmag = np.empty(band.shape)
-        sign[band] = np.where(sin_m != 0.0, 1, 0)
+        (y0, _), (y1, _) = factors[:2]
+        sign = np.sign(y0) * np.sign(y1)
         with np.errstate(divide="ignore"):  # an exact root: -inf
-            logmag[band] = math.log(4.0) + 2.0 * np.log(np.abs(sin_m))
-        out = ~band
-        sign[out] = np.where(y > 0.0, -1, 0)
-        logmag[out] = 2.0 * log_sinh
-        return sign, logmag
+            logmag = np.log(plus()) + 4.0 * th + np.log(np.abs(y0)) + np.log(np.abs(y1))
+        if M > 1:
+            sign *= np.sign(u) ** 2
+            logmag += 2.0 * log_u
+        return sign.astype(int), logmag
 
     return factors, value
 

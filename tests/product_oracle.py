@@ -224,15 +224,28 @@ def monodromy(pot: CirclePotential, point: SpectralPoint) -> TransferMatrix2:
     return T
 
 
-def _product_closure(pot: CirclePotential, point: SpectralPoint):
-    """The factor of 2 - tr T from the propagator product, and a function of
-    no arguments that returns its sign and log-magnitude.
+def _cells(pot: CirclePotential) -> int:
+    """How many times the layout repeats its first two segments, its cell;
+    0 where it does not."""
+    n, odd = divmod(len(pot.segments), 2)
+    return 0 if odd or pot.segments != pot.segments[:2] * n else n
 
-    The one factor, count 1, is the normalized real value
-    2 e^(-L) - Re tr(T_scaled) for T = e^L T_scaled, which has the value's
-    roots and sign since e^(-L) > 0. Per point it raises SecularOverflowError
-    unless that value and L are finite, then SecularRealityError unless
-    |Im g| <= reality_rtol() (1 + |Re g|).
+
+def _product_closure(pot: CirclePotential, point: SpectralPoint):
+    """The factors of 2 - tr T from the propagator product, and a function
+    of no arguments that returns its sign and log-magnitude.
+
+    The value is the normalized real value 2 e^(-L) - Re tr(T_scaled) for
+    T = e^L T_scaled, which has the value's roots and sign since e^(-L) > 0,
+    and in general it is the one factor, count 1. A layout of 2M equal
+    cells, M > 1, as every square well and its rotations, has
+    g = (2 - tau)(2 + tau) u^2 with tau the trace of its cell's propagator
+    product and u = U_(M-1)(tau/2), here by the three-term recurrence
+    U_(n+1) = tau U_n - U_(n-1) from U_0 = 1 and U_1 = tau: its factors are
+    (2 - tau)(2 + tau), count 1, and u, count 2, whose roots are g's double
+    roots. Per point it raises SecularOverflowError unless the value and L
+    are finite, then SecularRealityError unless |Im g| <= reality_rtol()
+    (1 + |Re g|).
     """
     Z = point.Z
     # an overflowing propagator turns the value non-finite, checked below
@@ -249,18 +262,28 @@ def _product_closure(pot: CirclePotential, point: SpectralPoint):
         raise SecularRealityError(
             "monodromy secular value", Z, float(point.t[i]), float(abs(v.imag[i]))
         )
+    factors = [(v.real, 1)]
+    M = _cells(pot) // 2
+    if M > 1:
+        (w1, _), (w2, _) = pot.segments[:2]
+        C = monodromy(CirclePotential(w1 + w2, pot.start, pot.segments[:2]), point)
+        tau = (C.trace() * np.exp(C.logscale)).real
+        u_low, u = np.ones_like(tau), tau
+        for _ in range(M - 2):
+            u_low, u = u, tau * u - u_low
+        factors = [((2.0 - tau) * (2.0 + tau), 1), (u, 2)]
 
     def value():
         with np.errstate(divide="ignore"):  # Re g = 0 is an exact root: -inf
             logmag = T.logscale + np.log(np.abs(v.real))
         return np.sign(v.real).astype(int), logmag
 
-    return [(v.real, 1)], value
+    return factors, value
 
 
 def secular_product(pot: CirclePotential, Z: float, t) -> LogScaledValue:
     """g(t) = 2 - tr(T) of any layout from the propagator product, as a
-    log-scaled real value with its one factor (see _product_closure), called
+    log-scaled real value with its factors (see _product_closure), called
     as the library's secular functions are: t a float or a 1-D array.
 
     Its propagators overflow from t of about 710 over the widest segment

@@ -1,4 +1,4 @@
-"""tools/code_lines.py, the code-line count quoted for src/."""
+"""tools/code_lines.py, the code-line and parser-token counts quoted for src/."""
 
 import importlib.util
 import pathlib
@@ -35,11 +35,20 @@ def test_counts_code_lines_only():
     assert code_lines.code_lines(SOURCE) == 8
 
 
+def test_counts_parser_tokens():
+    """Comments and the newlines inside brackets or after a comment line do
+    not count; the logical line's NEWLINE and the ENDMARKER do, and a
+    docstring is one token."""
+    assert code_lines.parser_tokens("x = (1,\n     2)  # two\n\n# done\n") == 9
+    assert code_lines.parser_tokens('"""A docstring\nover two lines."""\n') == 3
+    assert code_lines.parser_tokens(SOURCE) == 34
+
+
 def test_main_prints_modules_and_total(tmp_path, capsys):
     (tmp_path / "a.py").write_text(SOURCE)
     (tmp_path / "b.py").write_text("y = 1\n\n# done\n")
     (tmp_path / "notes.txt").write_text("x = 1\n")
     assert code_lines.main([str(tmp_path)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in out] == ["8", "1", "9"]
+    assert [line.split()[:2] for line in out] == [["8", "34"], ["1", "5"], ["9", "39"]]
     assert out[-1].endswith("total")

@@ -1172,40 +1172,59 @@ def test_guard_spends_nothing_on_benchmark_solves(case):
     """The benchmark's solves (the explicit ladder, M = 8 and 32, the
     strictly periodic M = 1 at Z = 1 and across pt-sweep's coupling range)
     flag no extremum on the master grid and make no refinement pass, so the
-    exceptional-point guard adds no point and no secular call to them; in
-    particular U_(M-1) touching zero at each band edge, where another factor
-    has its root, is no window."""
+    exceptional-point guard adds no point and no secular call to them."""
     M, Z, n_levels = case
     f = _f_explicit(Z) if M == "explicit" else _f_monodromy(Z, M)
     (master,) = _closer_call(f, Z, n_levels)[1]
     assert master[1].size == 0
 
 
-@pytest.mark.parametrize(
-    "M,Z,levels,steps",
-    [
-        pytest.param(2, 0.01, 19, 1, id="2-0.01-19"),
-        pytest.param(2, 0.1, 19, 1, id="2-0.1-19"),
-        # one first estimate lands 9 epsilon off its root, at t = 0.00317
-        pytest.param(8, 0.01, 23, 2, id="8-0.01-23"),
-    ],
-)
-def test_guard_refines_once_without_a_pair(M, Z, levels, steps):
-    """Where the master grid flags a window but no pair hides there, one
-    refinement pass shows it: the closer gets the master grid's brackets,
-    the solve takes one call more than the master call and the closer's
-    steps, and finds the same levels as without the guard."""
-    f = _f_monodromy(Z, M)
+@pytest.mark.parametrize("M", [2, 3, 8, 32])
+@pytest.mark.parametrize("Z", [0.01, 0.1, 0.5, 2.0])
+def test_guard_flags_no_window_on_chebyshev_u(M, Z):
+    """The count-2 factor u = U_(M-1)(tau/2) touches zero only at its own
+    roots, so an 18-level solve at M > 1 away from an exceptional point
+    flags no master-grid window, at weak coupling too, and makes no
+    refinement pass."""
+    (master,) = _closer_call(_f_monodromy(Z, M), Z, 18)[1]
+    assert master[1].size == 0
+
+
+def test_guard_finds_the_count_two_pair_at_m8():
+    """Just below the M = 8 exceptional point of u (Z_c between
+    61.79719740186384 and 61.79719740186385) the master grid flags one
+    window on u, whose one refinement pass shows the pair: two roots of u,
+    each a doublet, inside the window, and no level is missing."""
+    Z = 61.7971
+    f = _f_monodromy(Z, 8)
     brackets, (master, refined) = _closer_call(f, Z, 18)
-    assert master[1].size > 0 and refined[1].size == 0
-    for a, b in zip(brackets, master[0]):
+    ((lo,), _, (hi,)) = master[1]
+    assert master[0][3].size + 2 == refined[0][3].size and refined[1].size == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LevelShortfallWarning)
+        recs = find_roots(f, Z, 18)
+    pair = [r for r in recs if lo < r.t < hi]
+    assert [(r.factor, r.unresolved_doublet) for r in pair] == [(2, True)] * 2
+
+
+def test_guard_refines_without_a_pair():
+    """Where the master grid flags a window but no pair hides there, as just
+    above the M = 1 exceptional point Z_c = 17.9012344088, the refinement
+    passes show none: the closer gets the master grid's brackets, the solve
+    takes one call per pass more than the master call and the closer's one
+    step, and finds the 9 levels left once the pair has turned complex."""
+    Z = 17.9012345
+    f = _f_monodromy(Z)
+    brackets, scans = _closer_call(f, Z, 18)
+    assert scans[0][1].size > 0 and scans[-1][1].size == 0
+    for a, b in zip(brackets, scans[0][0]):
         np.testing.assert_array_equal(a, b)
     g, sizes = _counted(f)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LevelShortfallWarning)
         recs = find_roots(g, Z, 18)
-    assert len(sizes) == 2 + steps
-    assert level_count(recs) == levels
+    assert len(sizes) == len(scans) + 1
+    assert level_count(recs) == 9
 
 
 def test_window_vertex_is_the_parabolas():

@@ -37,6 +37,7 @@ from ptring import (
     secular_explicit,
     secular_monodromy,
 )
+from ptring.secular import FREE_LIMIT_Z
 
 # 22-digit roots of the eight-by-eight determinant at Z = 1, ascending E
 EXPLICIT_ROOTS_Z1 = [
@@ -584,10 +585,10 @@ def test_periodic_closure_equals_propagator_product(M, Z):
 @pytest.mark.parametrize("M", [2, 3, 8, 32])
 @pytest.mark.parametrize("Z", [0.1, 1.0, 10.0])
 def test_double_factor_is_chebyshev_u(M, Z):
-    """The one count-2 factor against u = U_(M-1)(tau/2) at 30 digits, tau
-    the cell trace: it has u's sign, so its roots are u's, and |g/u| as
-    magnitude. A square well at M = 1 and the explicit closure carry no
-    count-2 factor above FREE_LIMIT_Z."""
+    """The one count-2 factor is u = U_(M-1)(tau/2) itself, tau the cell
+    trace: it equals mpmath's chebyu at 30 digits to 1e-11 relative, in the
+    band and above it. A square well at M = 1 and the explicit closure carry
+    no count-2 factor above FREE_LIMIT_Z."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     ts = np.geomspace(0.01, 20.0, 120)
@@ -602,12 +603,7 @@ def test_double_factor_is_chebyshev_u(M, Z):
             - 2 * (s * s - t * t) / k2 * mp.sin(s * h) ** 2
             + 4 * t * t / k2 * mp.sinh(t * h) ** 2
         )
-        want = mp.chebyu(M - 1, tau / 2)
-        assert np.sign(y) == mp.sign(want)
-        g_over_u = abs((2 - tau) * (2 + tau) * want)
-        assert math.log(abs(y)) == pytest.approx(
-            float(mp.log(g_over_u)), rel=1e-11, abs=1e-11
-        )
+        assert y == pytest.approx(float(mp.chebyu(M - 1, tau / 2)), rel=1e-11, abs=0)
     m1 = secular_monodromy(build_square_well(1, Z), Z, ts)
     for v in (m1, secular_explicit(Z, ts)):
         assert [count for _, count in v.factors] == [1] * len(v.factors)
@@ -622,20 +618,41 @@ def test_double_factor_is_chebyshev_u(M, Z):
     ),
 )
 def test_factor_signs_give_value_sign(z, m, ts):
-    """The product of the factor signs, each to the power of its count, is
-    the value's sign wherever the value is nonzero; negated on the twisted
-    closure, whose value is -(a - b1)(a + b1)(a - b2)(a + b2) times a
-    positive envelope."""
+    """The value is read off its factors: its sign is the product of the
+    factor signs, each to the power of its count, and its logmag the log of
+    a positive envelope plus the sum of count log|f|, within rounding,
+    wherever the value is nonzero. On the periodic closure the envelope is
+    (2 + tau) e^(2t/M), tau the cell trace, and the k c factor carried at
+    Z <= FREE_LIMIT_Z stays out of the product; the twisted closure's value
+    is -(a - b1)(a + b1)(a - b2)(a + b2) times 8 |kappa|^10 |cos kappa|^2
+    e^(4t)."""
     ts = np.array(ts)
-    cases = [(secular_monodromy(build_square_well(m, z), z, ts), 1)]
+    p = SpectralPoint.from_zt(z, ts)
+    s, t, h = p.s, p.t, 1.0 / m
+    mod_sq = s * s + t * t
+    # 2 + tau as a sum of squares (tau of _cell_trace)
+    plus = 4.0 * np.cos(s * h) ** 2 + 4.0 * t * t * (
+        np.sin(s * h) ** 2 + np.sinh(t * h) ** 2
+    ) / mod_sq
+    v = secular_monodromy(build_square_well(m, z), z, ts)
+    cases = [(v, v.factors[: len(v.factors) - (z <= FREE_LIMIT_Z)], 1,
+              np.log(plus) + 2.0 * t * h)]
     if m == 1:
-        cases.append((secular_explicit(z, ts), -1))
-    for v, closure_sign in cases:
+        w = secular_explicit(z, ts)
+        envelope = math.log(8.0) + 5.0 * np.log(mod_sq) + 4.0 * t
+        envelope += np.log(np.cos(s) ** 2 + np.sinh(t) ** 2)
+        cases.append((w, w.factors, -1, envelope))
+    for v, factors, closure_sign, logmag in cases:
         product = np.ones(ts.size)
-        for y, count in v.factors:
+        for y, count in factors:
             product *= np.sign(y) ** count
+            with np.errstate(divide="ignore"):  # an exact root: -inf
+                logmag = logmag + count * np.log(np.abs(y))
         nonzero = v.sign != 0
         assert (closure_sign * product[nonzero] == v.sign[nonzero]).all()
+        np.testing.assert_allclose(
+            v.logmag[nonzero], logmag[nonzero], rtol=1e-12, atol=1e-12
+        )
 
 
 def test_q_matrix_shape_and_sparsity():

@@ -370,14 +370,15 @@ def test_partners_follow_the_doublet_law(closure, Z):
 
 def test_spectrum_invariant_under_rotation():
     """Rotating the segment pattern leaves secular roots in place: the
-    propagator product of a rotated layout has the closed form's roots.
-    M = 1, whose roots are all simple: the product has no count-2 factor,
-    so at M > 1 its rounding noise at a double root reads as crossings."""
+    propagator product of a rotated layout has the closed form's roots, at
+    M = 1 and, through the product's count-2 factor U_(M-1)(tau/2), at
+    M = 2 and 8, whose doublets it finds as the closed form does."""
     z = 1.0
-    well = build_square_well(1, z)
-    rot = rotate_segments(layout(well), 3)
-    a = find_roots(lambda t: secular_monodromy(well, z, t), z, 3)
-    b = find_roots(lambda t: secular_product(rot, z, t), z, 3)
-    assert len(a) == len(b)
-    for ra, rb in zip(a, b):
-        assert abs(ra.t - rb.t) < 1e-9
+    for M in (1, 2, 8):
+        well = build_square_well(M, z)
+        rot = rotate_segments(layout(well), 3)
+        a = find_roots(lambda t: secular_monodromy(well, z, t), z, 3)
+        b = find_roots(lambda t: secular_product(rot, z, t), z, 3)
+        assert [r.unresolved_doublet for r in a] == [r.unresolved_doublet for r in b]
+        for ra, rb in zip(a, b):
+            assert abs(ra.t - rb.t) < 1e-9

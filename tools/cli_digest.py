@@ -61,7 +61,7 @@ COMMANDS = (
     + [["scan", "--Z", "1", "--samples", n] for n in ("16", "512", "2048")]
     + [
         ["scan", "--Z", "1", "--samples", "512", "--backend", "explicit"],
-        # the monodromy's value with tau's angles computed with its factors
+        # the monodromy's value read off its factors, U_(M-1)(tau/2) among them
         ["scan", "--Z", "1", "--M", "8", "--samples", "512"],
         ["scan", "--Z", "1", "--M", "32", "--samples", "512"],
         # the weak-coupling value, which carries the k c factor
