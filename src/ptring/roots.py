@@ -23,13 +23,14 @@ or not, in the scan and in the closer alike: a computed 0 counts as
 positive, so every root is the closing of a sign-change bracket, and a
 factor that is 0 at a grid or stencil point is closed onto that point.
 Where a factor keeps its sign across three grid points but its least
-magnitude there lies so near zero that a pair of its roots may hide in
-between (see _hides_pair), the scan flags an extremum window, and
-find_roots refines the grid before closing anything: each pass adds the
-closer's stencil around the vertex of each window's parabola and scans the
-merged grid again, until no window is left; a pair it shows is two
-ordinary sign changes, and more than a pair per window is rounding noise
-near an exceptional point, an error. Each bracket is closed on its own
+magnitude there lies within five times the factor's largest change over
+its five neighbouring points, so near zero that a pair of its roots may
+hide in between, the scan flags an extremum window, and find_roots refines
+the grid before closing anything: each pass adds the closer's stencil
+around the vertex of each window's parabola (_vertex) and scans the merged
+grid again, until no window is left; a pair it shows is two ordinary sign
+changes, and more than a pair per window is rounding noise near an
+exceptional point, an error. Each bracket is closed on its own
 factor to a relative width of _T_TOL by Chandrupatla's inverse quadratic
 interpolation under ITP's projection, in at most one step more than
 bisection would take; each step evaluates a geometric stencil around the estimate, so an
@@ -129,11 +130,6 @@ _GRID_STEP = 0.5 * _REACH ** (1.0 / 3.0)
 _FIT_POINTS = 14
 # Offsets of those points from the first of them, as a column
 _FIT = np.arange(_FIT_POINTS)[:, None]
-# An extremum of a factor toward zero may hide a pair of roots when the vertex
-# of the parabola through it and its neighbours lies within this many times
-# the parabola's own error (the cubic term, from the third divided difference)
-# of zero, or beyond it
-_VERTEX_MARGIN = 3.0
 # Least bracket_width reported for a closed bracket, in ulps of its t: the
 # sign of a computed value is rounding noise within a few ulps of its root
 _WIDTH_FLOOR_ULPS = 8
@@ -281,33 +277,16 @@ def _itp_project(xt, m, w, budget):
     return np.where(np.abs(d) <= r, xt, m - np.sign(d) * r)
 
 
-def _hides_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of x and y, five points in ascending x (NaN where absent)
-    around a middle point where |y| is least, all of one sign: whether a pair
-    of roots may lie near it, and the abscissa of the vertex of the parabola
-    through the middle three points (the middle point where that parabola is
-    not finite, as on flat or straight values).
-
-    A pair may hide where the vertex lies within _VERTEX_MARGIN times the
-    parabola's error of zero, or beyond it. The error is the cubic term, the
-    largest third divided difference over four neighbouring points times the
-    cube of the wider middle spacing, so a touch of zero at a kink, where the
-    third difference is large, counts as near. x is taken relative to the
-    middle point, which keeps the differences finite at any t; this is the
-    one fit of each window's parabola.
-    """
-    u = x / x[2] - 1.0
+def _vertex(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per column of x and y, three points in ascending x: the abscissa of
+    the vertex of the parabola through them, the middle point where it is
+    not finite, as on flat or straight values. x is taken relative to the
+    middle point, which keeps the divided differences finite at any t."""
+    u = x / x[1] - 1.0
     with np.errstate(all="ignore"):
         d1 = (y[1:] - y[:-1]) / (u[1:] - u[:-1])
-        d2 = (d1[1:] - d1[:-1]) / (u[2:] - u[:-2])
-        d3 = np.abs((d2[1:] - d2[:-1]) / (u[3:] - u[:-3]))
-        # the parabola through the middle three points, about u[2] = 0
-        uv = 0.5 * u[1] - 0.5 * d1[1] / d2[1]
-        v = y[2] + uv * (d1[1] + d2[1] * (uv - u[1]))
-    fit = np.isfinite(uv) & np.isfinite(v)
-    error = np.fmax(np.fmax(d3[0], d3[1]), 0.0) * np.maximum(-u[1], u[3]) ** 3
-    hides = ~(np.sign(y[2]) * np.where(fit, v, y[2]) > _VERTEX_MARGIN * error)
-    return hides, x[2] * (1.0 + np.where(fit, uv, 0.0))
+        uv = 0.5 * u[0] - 0.5 * d1[0] / ((d1[1] - d1[0]) / (u[2] - u[0]))
+    return x[1] * (1.0 + np.where(np.isfinite(uv), uv, 0.0))
 
 
 def _close_brackets(
@@ -470,16 +449,19 @@ def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarra
     monotone over them and the estimate lies strictly inside the bracket,
     NaN otherwise and on a grid of fewer points. An extremum window is three
     neighbouring grid points where a factor keeps its sign and is least in
-    magnitude at the middle one, so close to zero that it may hide a pair of
-    roots (_hides_pair), where no factor changes sign. A sign change there
-    is a root the brackets already hold, and the grid point nearest it is a
+    magnitude at the middle one, below five times its largest difference
+    from the middle value over the five points around it (the three and
+    their outer neighbours), so close to zero that it may hide a pair of
+    roots, where no factor changes sign. A sign change there is a root the
+    brackets already hold, and the grid point nearest it is a
     least magnitude whose parabola crosses zero: over the solves of
     tools/records_digest.py, every window this drops lies beside a sign
     change of a factor least at its middle point, and keeping them took the
     explicit closure from 616 calls to 1786 and moved 9 records, near
     exceptional points and at Z = 1e-6, beyond their widths. The windows
     are an array of shape (3, m): per window, its lower grid point, the
-    vertex of its parabola (_hides_pair) and its upper grid point.
+    vertex of the parabola through its three points (_vertex) and its upper
+    grid point.
     """
     factors, counts = scan
     negative = factors < 0.0
@@ -519,16 +501,16 @@ def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarra
     inside = (near >= 0) & (near < ts.size)
     near = np.minimum(np.maximum(near, 0), ts.size - 1)
     y5 = np.where(inside, factors[kw, near], np.nan)
-    # on a near-uniform grid the parabola's vertex lies at most S/4 beyond
-    # the middle value and its cubic term is at most 4 S/3, S the largest
-    # difference from the middle value over the five points: no pair hides
-    # where |y| at the middle exceeds 5 S
+    # S is the largest difference from the middle value over the five points.
+    # On a near-uniform grid the parabola through the middle three reaches at
+    # most S/4 beyond the middle value, and its error, the cubic term, is at
+    # most 4 S/3: a pair may hide only where |y| at the middle is below 5 S,
+    # which holds the parabola's reach and three times its error
     low = np.abs(y5[2]) < 5.0 * np.fmax.reduce(np.abs(y5 - y5[2]), axis=0)
     if not low.any():
         return brackets, np.empty((3, 0))
-    x5 = np.where(inside, ts[near], np.nan)[:, low]
-    hides, vertex = _hides_pair(x5, y5[:, low])
-    return brackets, np.stack([x5[1], vertex, x5[3]])[:, hides]
+    x3 = ts[near[1:4, low]]
+    return brackets, np.stack([x3[0], _vertex(x3, y5[1:4, low]), x3[2]])
 
 
 def _merge_close(records: list[RootRecord]) -> list[RootRecord]:

@@ -258,6 +258,24 @@ def _chebyshev_u(minus, plus, th, M: int):
         return np.where(above, np.exp(log_u), u), log_u
 
 
+def _edge_pair(k, a, b) -> list:
+    """The band-edge factors k (a - b) and k (a + b) of one b, count 1 each:
+    the +- pair of the j-th b sits at indices 2j and 2j + 1."""
+    return [(k * (a - b), 1), (k * (a + b), 1)]
+
+
+def _read_off(sign, logmag, factors, log_u=None) -> tuple:
+    """The int sign and the log-magnitude of a value read off its (f, count)
+    factors: sign prod sign(f)^count and logmag + sum count log|f|, where
+    sign and logmag are those of the envelope the factors leave out. A
+    factor of count 2 is u, whose log|u| is log_u (_chebyshev_u), finite
+    where u overflows."""
+    for y, count in factors:
+        sign = sign * np.sign(y) ** count
+        logmag = logmag + count * (log_u if count == 2 else np.log(np.abs(y)))
+    return sign.astype(int), logmag
+
+
 def _periodic_closure(point: SpectralPoint, mod_sq, M: int, h: float):
     """Factors of g = 2 - tr T for T the product of 2M cells, and a function
     of no arguments that returns g's sign and log-magnitude.
@@ -272,16 +290,14 @@ def _periodic_closure(point: SpectralPoint, mod_sq, M: int, h: float):
     Bloch pair +-pi j / M); and for Z <= FREE_LIMIT_Z, k c, count 2, whose
     roots are the near-axis complex pairs at tau = -2, where
     2 + tau = k^2 (c^2 + d^2) e^(2th) nearly vanishes. The value is read
-    off the product, which leaves k c out: its sign is the product of the
-    factor signs, each to the power of its count, and its logmag
-    log(k^2 (c^2 + d^2)) + 4th + sum count log|f|, with log|u| from
-    _chebyshev_u, finite where u overflows. u needs c and d (_cell_cd); for
-    M = 1 they are computed only when the value is, c at once for
-    Z <= FREE_LIMIT_Z.
+    off the product (_read_off), which leaves k c out, with the positive
+    envelope k^2 (c^2 + d^2) e^(4th) and log|u| from _chebyshev_u, finite
+    where u overflows. u needs c and d (_cell_cd); for M = 1 they are
+    computed only when the value is, c at once for Z <= FREE_LIMIT_Z.
     """
     k_sq, a, b, sh, th, decay = _cell_trace(point, mod_sq, h)[:6]
     k = np.sqrt(k_sq)
-    factors = [(k * (a - b), 1), (k * (a + b), 1)]
+    factors, log_u = _edge_pair(k, a, b), None
     cd = _cell_cd(point, b, decay, sh) if M > 1 or point.Z <= FREE_LIMIT_Z else None
 
     def plus():  # (2 + tau) e^(-2th)
@@ -295,14 +311,9 @@ def _periodic_closure(point: SpectralPoint, mod_sq, M: int, h: float):
         factors.append((k * cd[0], 2))
 
     def value():
-        (y0, _), (y1, _) = factors[:2]
-        sign = np.sign(y0) * np.sign(y1)
         with np.errstate(divide="ignore"):  # an exact root: -inf
-            logmag = np.log(plus()) + 4.0 * th + np.log(np.abs(y0)) + np.log(np.abs(y1))
-        if M > 1:
-            sign *= np.sign(u) ** 2
-            logmag += 2.0 * log_u
-        return sign.astype(int), logmag
+            envelope = np.log(plus()) + 4.0 * th
+            return _read_off(1, envelope, factors[: 2 + (M > 1)], log_u)
 
     return factors, value
 
@@ -345,9 +356,9 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     b1 = sqrt(b^2 + gap / k^2) and b2 = sqrt(b^2 + (4 e^(-2t) - gap) / k^2),
     both positive and free of cancellation, swapped where Re c < 0 so that
     each factor is smooth. Its factors are k (a -+ b1) and k (a -+ b2),
-    count 1 each, and the value is read off them on first read: its sign is
-    -prod sign(f_i), and its logmag log 8 + 5 log|kappa|^2 + log(|c|^2
-    e^(-2t)) + 6t + sum log|f_i|.
+    count 1 each, and the value is read off them on first read (_read_off)
+    with the negative envelope, of logmag log 8 + 5 log|kappa|^2 +
+    log(|c|^2 e^(-2t)) + 6t.
     """
     point, mod_sq, scalar = _points(Z, t)
     k_sq, a, b, sh, th, _, sin_s, em = _cell_trace(point, mod_sq, 1.0)
@@ -363,15 +374,11 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     flip = cos_s < 0.0
     b1, b2 = np.where(flip, b2, b1), np.where(flip, b1, b2)
     k = np.sqrt(k_sq)
-    factors = [(k * (a - b1), 1), (k * (a + b1), 1)]
-    factors += [(k * (a - b2), 1), (k * (a + b2), 1)]
+    factors = _edge_pair(k, a, b1) + _edge_pair(k, a, b2)
 
     def value():
-        ys = [y for y, _ in factors]
         with np.errstate(divide="ignore"):  # an exact root: -inf
-            logmag = math.log(8.0) + 5.0 * np.log(mod_sq) + np.log(c2) + 6.0 * th
-            for y in ys:
-                logmag += np.log(np.abs(y))
-        return -np.prod(np.sign(ys), axis=0).astype(int), logmag
+            envelope = math.log(8.0) + 5.0 * np.log(mod_sq) + np.log(c2) + 6.0 * th
+            return _read_off(-1, envelope, factors)
 
     return _log_scaled(value, scalar, factors)

@@ -6,7 +6,8 @@ emitted document and re-emitting it reproduces the input exactly. CSV uses
 a comma separator, a header row, and LF line endings. A potential is
 written from its SquareWell's (M, Z) alone. The spectrum parsers accept
 only what the emitters can write: finite floats, and levels numbered by
-their row.
+their row, ascending in E, whose doublet partners are adjacent and name
+each other.
 """
 
 import csv
@@ -97,7 +98,9 @@ def _read_spectrum(rows: Iterable[Sequence], none, **meta) -> SpectrumDocument:
     A t, s, E or delta1 that is no finite float (_finite), a series or
     doublet_partner that is no integer (_integer), or an n that is not the
     row's index as an integer, is a ValueError: analysis pairs levels by
-    their place in the list."""
+    their place in the list. So are an E below the level before it and a
+    doublet_partner that is not n - 1 or n + 1 or whose level does not name
+    n back, which analyze_series never writes."""
     levels, delta1 = [], []
     for i, (n, t, s, E, d, series, p) in enumerate(rows):
         if type(n) is not int or n != i:
@@ -113,6 +116,16 @@ def _read_spectrum(rows: Iterable[Sequence], none, **meta) -> SpectrumDocument:
             )
         )
         delta1.append(None if d == none else _finite("delta1", d))
+        if i and E < levels[i - 1].E:
+            raise ValueError(f"spectrum level {i} has E={E!r}, below level {i - 1}'s")
+    partner = [lvl.doublet_partner for lvl in levels]
+    for n, p in enumerate(partner):
+        # the slice is empty for p = -1 and p = len(levels)
+        if p is not None and (abs(p - n) != 1 or partner[p : p + 1] != [n]):
+            raise ValueError(
+                f"spectrum level {n} has doublet_partner={p}, "
+                f"not an adjacent level that names it back"
+            )
     return SpectrumDocument(tuple(levels), tuple(delta1), **meta)
 
 

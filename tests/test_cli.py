@@ -766,6 +766,69 @@ def test_analyze_rejects_csv_float_text_the_emitters_never_write(
     assert f"field {field} must be finite and written as a float" in err
 
 
+def _csv_edited(levels, cells):
+    """The first levels rows of the six-level CSV, with the cells {(row,
+    column): text} replaced."""
+    rows = [line.split(",") for line in _spectrum_text("csv").splitlines()]
+    rows = rows[: levels + 1]
+    for (i, field), text in cells.items():
+        rows[i + 1][rows[0].index(field)] = text
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_analyze_rejects_energies_that_descend(capsys, monkeypatch, fmt):
+    """The emitters write levels in ascending E: a level below the one
+    before it, here E = 5.0 then 1.0 in a two-level spectrum, is one error
+    naming it, in either format."""
+    if fmt == "csv":
+        E = {(0, "E"): "5.00000000000e+00", (1, "E"): "1.00000000000e+00"}
+        text = _csv_edited(2, E)
+    else:
+        lines = _spectrum_text("json").split("\n")
+        lines[5] = re.sub(r'"E": [^,]+', '"E": 5.00000000000e+00', lines[5])
+        text = "\n".join(lines)
+    err = _analyze_error(capsys, monkeypatch, text)
+    assert "spectrum level 1 has E=1." in err and "below level 0's" in err
+
+
+def test_analyze_reads_equal_energies(capsys, monkeypatch):
+    """An exact doublet prints two levels at one E, which is no descent."""
+    E0 = _spectrum_text("csv").splitlines()[1].split(",")[3]
+    monkeypatch.setattr("sys.stdin", io.StringIO(_csv_edited(2, {(1, "E"): E0})))
+    assert _run(capsys, ["analyze"])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "levels,partners,bad",
+    [
+        # beyond a two-level spectrum
+        (2, {0: "5"}, (0, 5)),
+        # an adjacent index past the last level, and one before the first
+        (2, {1: "2"}, (1, 2)),
+        (6, {0: "-1"}, (0, -1)),
+        # not adjacent, though each names the other
+        (6, {1: "3", 3: "1", 4: ""}, (1, 3)),
+        # adjacent, but the other level names no partner, or another one
+        (6, {1: "2"}, (1, 2)),
+        (6, {2: "3"}, (2, 3)),
+        # a level that names itself
+        (6, {5: "5"}, (5, 5)),
+    ],
+)
+def test_analyze_rejects_partners_the_emitters_never_write(
+    capsys, monkeypatch, levels, partners, bad
+):
+    """analyze_series links only adjacent levels, each naming the other: a
+    doublet_partner that is not n - 1 or n + 1, or whose level does not name
+    n back, is one error naming the first such level. Level 3 and 4 of the
+    six-level spectrum are partners as printed."""
+    text = _csv_edited(levels, {(i, "doublet_partner"): p for i, p in partners.items()})
+    err = _analyze_error(capsys, monkeypatch, text)
+    n, p = bad
+    assert f"spectrum level {n} has doublet_partner={p}, not an adjacent" in err
+
+
 @pytest.mark.parametrize("value", ["2.5", "1e400", "true", "+1", "01", " 1", "1_0"])
 @pytest.mark.parametrize("field", ["series", "doublet_partner"])
 def test_spectrum_csv_rejects_non_integral_fields(field, value):

@@ -35,8 +35,8 @@ from ptring.roots import (
     _brackets_and_windows,
     _close_brackets,
     _evaluate,
-    _hides_pair,
     _itp_project,
+    _vertex,
 )
 
 T_EXPLICIT_Z01 = [0.2219819562431546437372, 0.03467067057228565555074]
@@ -1228,35 +1228,45 @@ def test_guard_refines_without_a_pair():
 
 
 def test_window_vertex_is_the_parabolas():
-    """The vertex _hides_pair returns is that of numpy.polyfit's parabola
-    through the middle three of five points, to 1e-9 relative, at any t and
-    with or without the outer points; on flat or exactly straight values it
-    is the middle point."""
+    """The vertex _vertex returns is that of numpy.polyfit's parabola
+    through three points, to 1e-9 relative, at any t; on flat or exactly
+    straight values it is the middle point."""
     rng = np.random.default_rng(2024)
     n = 2000
     mid = 10.0 ** rng.uniform(-3.0, 3.0, n)
-    steps = mid * rng.uniform(0.005, 0.05, (4, n))
-    x = mid + np.concatenate([-steps[1::-1].cumsum(0)[::-1], [np.zeros(n)],
-                              steps[2:].cumsum(0)])
+    steps = mid * rng.uniform(0.005, 0.05, (2, n))
+    x = np.stack([mid - steps[0], mid, mid + steps[1]])
     # a parabola with its vertex among the points and a cubic term, in units
     # of the mean spacing h, at any scale and of either sign
-    h, xv = steps.mean(0), rng.uniform(x[0], x[4])
+    h, xv = steps.mean(0), rng.uniform(x[0], x[2])
     a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
     y = a * (((x - xv) / h) ** 2 + rng.normal(size=n)
              + 0.1 * rng.normal(size=n) * ((x - mid) / h) ** 3)
-    x[0, ::3] = np.nan
-    x[4, 1::3] = np.nan
-    _, vertex = _hides_pair(x, y)
+    vertex = _vertex(x, y)
     for j in range(n):
-        c2, c1, _ = np.polyfit(x[1:4, j] - mid[j], y[1:4, j], 2)
+        c2, c1, _ = np.polyfit(x[:, j] - mid[j], y[:, j], 2)
         assert vertex[j] == pytest.approx(mid[j] - c1 / (2.0 * c2), rel=1e-9)
-    flat_x = np.array([[0.5, 1e-7, 30.0], [1.0, 2e-7, 40.0], [2.0, 3e-7, 50.0],
-                       [3.0, 4e-7, 60.0], [4.0, np.nan, 70.0]])
-    for flat_y in (np.full((5, 3), 0.25), np.full((5, 3), -7e10)):
-        np.testing.assert_array_equal(_hides_pair(flat_x, flat_y)[1], flat_x[2])
+    flat_x = np.array([[1e-7, 30.0, 1.0], [2e-7, 40.0, 2.0], [3e-7, 50.0, 4.0]])
+    for flat_y in (np.full((3, 3), 0.25), np.full((3, 3), -7e10)):
+        np.testing.assert_array_equal(_vertex(flat_x, flat_y), flat_x[1])
     # a line whose divided differences are exact: the second one is 0
-    line_x = np.array([1.0, 1.5, 2.0, 2.5, 3.0])[:, None]
-    assert _hides_pair(line_x, 3.0 * line_x - 1.0)[1] == [2.0]
+    line_x = np.array([1.5, 2.0, 2.5])[:, None]
+    assert _vertex(line_x, 3.0 * line_x - 1.0) == [2.0]
+
+
+def test_guard_flags_every_window_the_bound_admits():
+    """Just above the M = 1 exceptional point Z_c = 33.5449505906 the
+    master grid flags one window, whose middle value lies within five times
+    its neighbours' largest difference from it; refinement shows no pair
+    there and ends with no window, and the solve finds the 7 levels left
+    once the pair has turned complex."""
+    Z = 33.55
+    f = _f_monodromy(Z)
+    _, scans = _closer_call(f, Z, 18)
+    assert scans[0][1].shape[1] == 1 and scans[-1][1].size == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        assert level_count(find_roots(f, Z, 18)) == 7
 
 
 def test_windows_hold_their_vertex():

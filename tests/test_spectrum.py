@@ -4,10 +4,13 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from product_oracle import layout, rotate_segments, secular_product
 
 from ptring import (
     EnergyLevel,
+    LevelShortfallWarning,
     RootRecord,
     analyze_series,
     build_square_well,
@@ -382,3 +385,21 @@ def test_spectrum_invariant_under_rotation():
         assert [r.unresolved_doublet for r in a] == [r.unresolved_doublet for r in b]
         for ra, rb in zip(a, b):
             assert abs(ra.t - rb.t) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(Z=st.floats(0.05, 4.0), M=st.sampled_from([1, 2, 3, 8]), data=st.data())
+def test_spectrum_invariant_under_any_rotation(Z, M, data):
+    """The property behind the test above, over couplings, cell counts and
+    every rotation k in 1..4M - 1 of the 4M segments: the product of the
+    rotated layout gives the closed form's records, with the same doublet
+    flags and each t within 1e-9."""
+    k = data.draw(st.integers(1, 4 * M - 1), label="k")
+    well = build_square_well(M, Z)
+    rot = rotate_segments(layout(well), k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        a = find_roots(lambda t: secular_monodromy(well, Z, t), Z, 3)
+        b = find_roots(lambda t: secular_product(rot, Z, t), Z, 3)
+    assert [r.unresolved_doublet for r in a] == [r.unresolved_doublet for r in b]
+    assert [r.t for r in b] == pytest.approx([r.t for r in a], rel=0, abs=1e-9)

@@ -10,7 +10,8 @@ environment. Nor does PYTHONUNBUFFERED reach a command, so that its
 stdout is buffered as a user's is. Prints one line per command: the SHA-256 of its stdout,
 stderr and exit code, then the command. Each spectrum command that
 prints a spectrum, CSV or JSON, is followed by an `analyze` command that
-reads it from stdin in the same run. Diffing the output
+reads it from stdin in the same run, and each document of ANALYZE_INPUTS
+is read by `analyze` from stdin last. Diffing the output
 for two checkouts' src/ compares what the CLI prints in each, byte for
 byte.
 """
@@ -103,6 +104,24 @@ COMMANDS = (
 )
 
 
+# two levels as the spectrum command writes them, but for the E and
+# doublet_partner cells
+_TWO_LEVELS = (
+    "n,t,s,E,delta1,series,doublet_partner\n"
+    "0,6.56419569606e-01,7.61707942833e-01,{},,0,{}\n"
+    "1,3.93471017661e-01,1.27074162405e+00,{},1.31065249455e+00,1,{}\n"
+)
+# documents that analyze reads from stdin, each refused with one "error:"
+# line and exit 1: the emitters write levels in ascending E, and partners
+# only as adjacent levels that name each other
+_ONE, _FIVE = "1.00000000000e+00", "5.00000000000e+00"
+ANALYZE_INPUTS = (
+    ("E descending", _TWO_LEVELS.format(_FIVE, "", _ONE, "")),
+    ("partner beyond the levels", _TWO_LEVELS.format(_ONE, "5", _FIVE, "")),
+    ("partner not named back", _TWO_LEVELS.format(_ONE, "1", _FIVE, "")),
+)
+
+
 def _run(argv: list[str], env: dict, cwd: str, stdin: bytes = b""):
     return subprocess.run(
         [sys.executable, "-m", "ptring.cli", *argv],
@@ -132,6 +151,8 @@ def main(argv: list[str]) -> int:
             if cmd[0] == "spectrum" and proc.stdout:
                 print(_digest(_run(["analyze"], env, cwd, proc.stdout)),
                       "analyze <", " ".join(cmd))
+        for name, text in ANALYZE_INPUTS:
+            print(_digest(_run(["analyze"], env, cwd, text.encode())), "analyze <", name)
     return 0
 
 

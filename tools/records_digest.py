@@ -32,8 +32,8 @@ import sys
 import warnings
 
 # the guard flags master-grid windows only near an exceptional point: at
-# M = 1 from Z = 17.9012 to 17.9012345 and at 5.5423 (1 and 3 levels), and
-# in PAIRS
+# M = 1 from Z = 17.9012 to 17.9012345, at 5.5423 (1 and 3 levels) and at
+# 33.55 (18, 50 and 100 levels), and in PAIRS
 COUPLINGS = (
     1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.5, 1.0, 1.3, 2.0, 4.0, 5.5423, 8.0,
     17.9012, 17.901234, 17.9012344, 17.9012345, 20.0, 33.55,
