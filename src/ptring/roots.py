@@ -41,9 +41,10 @@ factor's value through the _FIT_POINTS grid points around the bracket; a
 bracket whose factor turns among those points starts at its midpoint. On
 every M = 1 solve at Z in [0.05, 4], and at M = 8 and 32 at Z = 1, the
 estimate lands within the stencil's innermost step of every root, so that
-one step closes every bracket. A root stands for as many levels as its
-factor's count; two roots whose closed brackets overlap, so that the
-closer cannot order them, merge into one record standing for two.
+one step closes every bracket. Each root is one record, which stands for
+as many levels as its factor's count, however near a root of another
+factor lies; two neighbouring roots of one factor whose closed brackets
+touch are rounding noise near an exceptional point, an error.
 
 A level count below the requested one is a physical signal, not a
 numerical fault: the missing levels have no real root in the window, as
@@ -53,6 +54,7 @@ complex conjugate pairs. find_roots emits a LevelShortfallWarning for it.
 
 import math
 import warnings
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -162,24 +164,22 @@ class ScanConfig(_Frozen):
 
 
 class RootRecord(NamedTuple):
-    """One located root (or root pair) of the secular function.
+    """One located root of one factor of the secular function.
 
-    t is the end of the final bracket where |factor| is smaller, for the
-    factor whose root it is, and residual_logmag is log|factor| there (-inf
-    where the factor is 0 at t); bracket_width is the final bracket's
-    width, which holds the root, and at least _WIDTH_FLOOR_ULPS ulps of t,
-    never 0.
-    unresolved_doublet=True means the record stands for two levels: a root
-    of a factor of count 2, or two roots closer than bracket resolution.
-    factor is the index of that factor among the value's factors (see
-    LogScaledValue), None for two roots merged into one record.
+    t is the end of the final bracket where |factor| is smaller, and
+    residual_logmag is log|factor| there (-inf where the factor is 0 at t);
+    bracket_width is the final bracket's width, which holds the root, and
+    at least _WIDTH_FLOOR_ULPS ulps of t, never 0.
+    unresolved_doublet=True means the record stands for two levels: its
+    factor has count 2. factor is the index of that factor among the
+    value's factors (see LogScaledValue).
     """
 
     t: float
     residual_logmag: float
     bracket_width: float
-    unresolved_doublet: bool = False
-    factor: int | None = None
+    unresolved_doublet: bool
+    factor: int
 
 
 def _chunks(f: Callable[[np.ndarray], object], ts: np.ndarray):
@@ -513,34 +513,6 @@ def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarra
     return brackets, np.stack([x3[0], _vertex(x3, y5[1:4, low]), x3[2]])
 
 
-def _merge_close(records: list[RootRecord]) -> list[RootRecord]:
-    """Collapse root pairs that bracket closing cannot tell apart.
-
-    Each record's root lies within bracket_width of its t. Two records
-    whose such intervals touch are one doublet whose splitting is below
-    the closer's resolution; they merge into a single unresolved_doublet
-    record. The test scales with t, as the closer's relative tolerance
-    does, so it holds at every coupling. Returns the records in strictly
-    ascending t: two at one t touch, and merge. Raises ValueError where one
-    of two touching records already stands for two levels, since one record
-    cannot stand for more than two.
-    """
-    out: list[RootRecord] = []
-    for r in sorted(records, key=lambda r: r.t):
-        if out and r.t - out[-1].t <= r.bracket_width + out[-1].bracket_width:
-            prev = out.pop()
-            if prev.unresolved_doublet or r.unresolved_doublet:
-                raise ValueError(
-                    f"roots at t={prev.t!r} and {r.t!r} touch; one stands for two levels"
-                )
-            width = abs(r.t - prev.t) + prev.bracket_width + r.bracket_width
-            residual = min(prev.residual_logmag, r.residual_logmag)
-            out.append(RootRecord(0.5 * (prev.t + r.t), residual, width, True))
-        else:
-            out.append(r)
-    return out
-
-
 def level_count(records: Sequence[RootRecord]) -> int:
     """Number of energy levels the records stand for (doublets count twice)."""
     return sum(2 if r.unresolved_doublet else 1 for r in records)
@@ -609,17 +581,18 @@ def find_roots(
     each pass refining around the vertex its scan fitted; then every sign
     change of a factor on the grid is closed on that factor, and the closer
     makes the record of each root (_close_brackets). Returns every root
-    found in the window, in descending t (ascending energy) order,
-    _merge_close's ascending list reversed; callers slice the leading
-    n_levels levels after doublet expansion. Warns with
+    found in the window, in descending t (ascending energy) order, and by
+    ascending factor at equal t; callers slice the leading n_levels levels
+    after doublet expansion. Warns with
     LevelShortfallWarning when the window yields fewer levels than
     requested, which for this operator family indicates levels lost to
     complex conjugate pairs rather than a scan failure. Raises
     ValueError on a value without factors or with a NaN factor value; when
     a refinement pass finds more than two sign changes per extremum window
     of the master grid, where a pair lies within rounding noise of an
-    exceptional point and its factor's sign is noise; when two touching
-    records would stand for more than two levels (_merge_close); and before
+    exceptional point and its factor's sign is noise; when two neighbouring
+    roots of one factor touch, each within bracket_width of its t, which is
+    rounding noise near an exceptional point too; and before
     evaluating or allocating anything when s = Z/(2 t_max) underflows to 0
     or the master grid would take more than _MAX_GRID_POINTS points.
     """
@@ -689,7 +662,16 @@ def find_roots(
             )
         if not W.size:
             break
-    records = _merge_close(_close_brackets(f, brackets))[::-1]
+    # the records come factor by factor, each factor's in ascending t; the
+    # sort is stable, so records of one t keep their ascending factors
+    records = _close_brackets(f, brackets)
+    for (t0, _, w0, _, k0), (t1, _, w1, _, k1) in zip(records, records[1:]):
+        if k0 == k1 and t1 - t0 <= w0 + w1:
+            raise ValueError(
+                f"at Z={Z!r} two roots of factor {k0} at t={t0!r} and {t1!r} touch,"
+                f" rounding noise near an exceptional point"
+            )
+    records.sort(key=itemgetter(0), reverse=True)
 
     found = level_count(records)
     if found < n_levels:

@@ -11,7 +11,7 @@ root it is (RootRecord.factor). The band-edge factors come in +- pairs,
 k(a - b) at index 2j and k(a + b) at 2j + 1: on the explicit closure
 k(a - b1), k(a + b1), k(a - b2) and k(a + b2), numbered 0-3, and on the
 periodic one k(a - b) and k(a + b), 0 and 1. The count-2 factors follow
-them, and a level of a record that stands for two levels has no branch.
+them, and both levels of one of their roots take its index.
 At Z = 1 the explicit levels 0-11 are roots of factors
 0,2,0,2,3,1,3,1,0,2,0,2, so each series takes two factors in turn. At
 Z = 4 they are roots of 2,2,3,1,3,1,0,2,0,2,3,1: a pair left the real
@@ -22,7 +22,8 @@ A quasi-degenerate doublet is one +- pair of one b, split by about Z^2/E
 at large E. analyze_series alone cross-links doublet partners, by n, and
 links two adjacent levels when the given partner of the lower one is the
 upper one (a spectrum read from a file has no branches), when they
-expand one record (equal t), or when their branches are 2j and 2j + 1.
+expand one record (equal t and branch), or when their branches are 2j and
+2j + 1.
 """
 
 from typing import NamedTuple, Sequence
@@ -34,10 +35,10 @@ class EnergyLevel(NamedTuple):
     """One real eigenvalue with its (t, s) root coordinates.
 
     doublet_partner is the index n of the other member of a quasi-degenerate
-    pair, or None for a singlet. Only analyze_series sets it; an unresolved
-    root pair expands into two levels at the same E, which it pairs. branch
-    is the index of the factor whose root the level is, None for a level of
-    a record that stands for two levels and for a level read from a file.
+    pair, or None for a singlet. Only analyze_series sets it; a root of a
+    count-2 factor expands into two levels at the same E, which it pairs.
+    branch is the index of the factor whose root the level is, None only for
+    a level read from a file.
     """
 
     n: int
@@ -64,11 +65,12 @@ class SpectrumReport(NamedTuple):
 def energies_from_roots(roots: Sequence, Z: float) -> list[EnergyLevel]:
     """Expand root records (descending t) into indexed ascending levels.
 
-    Unresolved doublet records produce two coincident levels without a
-    branch, every other record one level whose branch is its factor; no
+    Unresolved doublet records produce two coincident levels, every other
+    record one level, and each level's branch is its record's factor; no
     level carries a doublet_partner (see analyze_series). Raises ValueError
     unless Z is finite and at least Z_FLOOR and the records are strictly
-    descending in t; a t <= 0 anywhere is named before an order fault.
+    descending in t, by strictly ascending factor at equal t, as find_roots
+    returns them; a t <= 0 anywhere is named before an order fault.
     """
     check_coupling(Z)
     levels: list[EnergyLevel] = []
@@ -77,13 +79,14 @@ def energies_from_roots(roots: Sequence, Z: float) -> list[EnergyLevel]:
             raise ValueError("every root must have t > 0")
         s = Z / (2.0 * r.t)
         e = s * s - r.t * r.t
-        double = r.unresolved_doublet
-        branch = None if double else r.factor
-        for _ in range(2 if double else 1):
+        for _ in range(2 if r.unresolved_doublet else 1):
             n = len(levels)
-            levels.append(EnergyLevel(n, r.t, s, e, n % 4, None, branch))
-    if any(b.t >= a.t for a, b in zip(roots, roots[1:])):
-        raise ValueError("roots must be strictly descending in t")
+            levels.append(EnergyLevel(n, r.t, s, e, n % 4, None, r.factor))
+    order = [(-r.t, r.factor) for r in roots]
+    if any(a >= b for a, b in zip(order, order[1:])):
+        raise ValueError(
+            "roots must be strictly descending in t, by ascending factor at equal t"
+        )
     return levels
 
 
@@ -137,7 +140,7 @@ def analyze_series(levels: Sequence[EnergyLevel]) -> SpectrumReport:
         # branches 2j and 2j + 1 differ in their last bit alone
         linked = (
             lo.doublet_partner == hi.n
-            or lo.t == hi.t
+            or (lo.t, lo.branch) == (hi.t, hi.branch)
             or (None not in (lo.branch, hi.branch) and lo.branch ^ hi.branch == 1)
         )
         if linked:

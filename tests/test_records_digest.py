@@ -65,16 +65,19 @@ def test_a_moved_or_lost_level_fails(capsys):
 
 
 def test_faults_compare_levels_a_doublet_standing_for_two():
-    """Two records that merge into one doublet at rounding level are the
-    same two levels within their widths; two exact roots must agree to an
-    ulp."""
-    pair = [RootRecord(1.0 + 2e-13, -30.0, 1e-13), RootRecord(1.0, -30.0, 1e-13)]
-    merged = [RootRecord(1.0 + 1e-13, -30.0, 4e-13, True)]
+    """A record standing for two levels, such as older trees made of two
+    roots of two factors at rounding level, and the two records of those
+    roots are the same two levels within their widths; two exact roots
+    must agree to an ulp."""
+    pair = [RootRecord(1.0 + 2e-13, -30.0, 1e-13, False, 1),
+            RootRecord(1.0, -30.0, 1e-13, False, 0)]
+    merged = [RootRecord(1.0 + 1e-13, -30.0, 4e-13, True, 2)]
     assert records_digest._faults(pair, merged) == []
     assert records_digest._faults(merged, pair) == []
-    exact = [RootRecord(0.5, -math.inf, 0.0)]
-    assert records_digest._faults(exact, [RootRecord(math.nextafter(0.5, 1), -math.inf, 0.0)]) == []
-    moved = [RootRecord(0.5 + 2 * math.ulp(0.5), -math.inf, 0.0)]
+    exact = [RootRecord(0.5, -math.inf, 0.0, False, 0)]
+    nearby = [RootRecord(math.nextafter(0.5, 1), -math.inf, 0.0, False, 0)]
+    assert records_digest._faults(exact, nearby) == []
+    moved = [RootRecord(0.5 + 2 * math.ulp(0.5), -math.inf, 0.0, False, 0)]
     assert records_digest._faults(exact, moved) == [
         f"level 0: t 0.5 -> {moved[0].t!r}, beyond the widths 0.0 + 0.0"
     ]
@@ -82,9 +85,10 @@ def test_faults_compare_levels_a_doublet_standing_for_two():
 
 def test_every_digest_record_is_a_closed_bracket():
     """Every record of every solve in the digest is the closing of a
-    sign-change bracket: its bracket_width is at least 8 ulps of its t, a
-    root hit exactly included. A solve is refused only for its window; none
-    lies within rounding noise of an exceptional point."""
+    sign-change bracket of one factor, named by an int: its bracket_width
+    is at least 8 ulps of its t, a root hit exactly included, and no two
+    neighbouring roots of one factor touch. A solve is refused only for its
+    window; none lies within rounding noise of an exceptional point."""
     solved = 0
     for solve in records_digest.SOLVES:
         try:
@@ -93,6 +97,12 @@ def test_every_digest_record_is_a_closed_bracket():
             assert str(e).startswith(("the default scan window", "the master grid")), e
             continue
         solved += 1
+        by_factor: dict = {}
         for r in records:
             assert r.bracket_width >= 8 * math.ulp(r.t), (solve, r)
+            assert type(r.factor) is int, (solve, r)
+            by_factor.setdefault(r.factor, []).append(r)
+        for rs in by_factor.values():  # each in descending t
+            for a, b in zip(rs, rs[1:]):
+                assert a.t - b.t > a.bracket_width + b.bracket_width, (solve, a, b)
     assert solved == 766

@@ -112,15 +112,15 @@ def test_scan_config_validation():
     [
         (ScanConfig(0.03, 1.0), "ScanConfig(t_min=0.03, t_max=1.0)", "t_min"),
         (
-            RootRecord(0.5, -math.inf, 0.0, True),
+            RootRecord(0.5, -math.inf, 0.0, True, 2),
             "RootRecord(t=0.5, residual_logmag=-inf, bracket_width=0.0, "
-            "unresolved_doublet=True, factor=None)",
+            "unresolved_doublet=True, factor=2)",
             "t",
         ),
         (
-            RootRecord(0.25, -3.5, 1e-14),
+            RootRecord(0.25, -3.5, 1e-14, False, 0),
             "RootRecord(t=0.25, residual_logmag=-3.5, bracket_width=1e-14, "
-            "unresolved_doublet=False, factor=None)",
+            "unresolved_doublet=False, factor=0)",
             "unresolved_doublet",
         ),
     ],
@@ -142,8 +142,8 @@ def test_scan_values_equal_only_their_own_class():
     assert ScanConfig(0.1, 1.0) != ScanConfig(0.1, 2.0)
     assert ScanConfig(0.1, 1.0) != (0.1, 1.0)
     # the records are NamedTuples, with tuple semantics
-    assert RootRecord(0.5, -1.0, 1e-14) == (0.5, -1.0, 1e-14, False, None)
-    assert RootRecord(0.5, -1.0, 1e-14)._replace(unresolved_doublet=True).unresolved_doublet
+    assert RootRecord(0.5, -1.0, 1e-14, False, 1) == (0.5, -1.0, 1e-14, False, 1)
+    assert RootRecord(0.5, -1.0, 1e-14, False, 1)._replace(unresolved_doublet=True).unresolved_doublet
 
 
 def test_default_scan_config_overrides():
@@ -750,23 +750,27 @@ def test_find_roots_exact_grid_root(n):
 
 @pytest.mark.parametrize("counts,levels", [((1, 2), 1), ((2, 1), 2)])
 def test_find_roots_exact_grid_root_of_two_factors(counts, levels):
-    """A grid point where two factors are zero is a root of each, and the
-    two records touch; where one of them stands for two levels, they stand
-    for three, which one record cannot: a ValueError at any level count
+    """A grid point where two factors are zero is a root of each: two
+    records at that point, in ascending factor, each standing for its
+    factor's count of levels, three together, at any level count
     requested."""
-    f, _ = _zero_on_grid(*((None, n) for n in counts))
-    with pytest.raises(ValueError, match="touch; one stands for two levels"):
-        find_roots(f, 1.0, levels, ScanConfig(0.1, 1.0))
+    f, c = _zero_on_grid(*((None, n) for n in counts))
+    recs = find_roots(f, 1.0, levels, ScanConfig(0.1, 1.0))
+    assert [(r.t, r.factor) for r in recs] == [(c[0], 0), (c[0], 1)]
+    assert [r.unresolved_doublet for r in recs] == [n == 2 for n in counts]
+    assert level_count(recs) == 3
 
 
 def test_find_roots_common_root_of_two_simple_factors_is_a_doublet():
     """A grid point where two simple factors are zero is a double root of
-    the value: two touching records, which merge into one standing for two
-    levels."""
+    the value: two records of one level each at that point, factor 0
+    first."""
     f, c = _zero_on_grid((None, 1), (None, 1))
-    (rec,) = find_roots(f, 1.0, 2, ScanConfig(0.1, 1.0))
-    assert (rec.t, rec.unresolved_doublet, rec.factor) == (c[0], True, None)
-    assert rec.residual_logmag == -math.inf
+    recs = find_roots(f, 1.0, 2, ScanConfig(0.1, 1.0))
+    assert [(r.t, r.unresolved_doublet, r.factor) for r in recs] == [
+        (c[0], False, 0), (c[0], False, 1)
+    ]
+    assert [r.residual_logmag for r in recs] == [-math.inf, -math.inf]
 
 
 def test_nan_factor_is_refused():
@@ -990,13 +994,36 @@ def _split_pair(split):
 
 def test_find_roots_synthetic_tight_pair():
     """A real pair split below bisection resolution (5e-14 at t = 0.5), one
-    root of each of two factors, reports as one doublet, of no one factor."""
+    root of each of two factors, is two records of one level each, each
+    closed on its own factor to within its width of that factor's root."""
     cfg = ScanConfig(t_min=0.3, t_max=0.7)
     recs = find_roots(_split_pair(2e-14), 1.0, 2, cfg)
-    assert level_count(recs) == 2
-    assert len(recs) == 1
-    assert recs[0].unresolved_doublet and recs[0].factor is None
-    assert recs[0].t == pytest.approx(0.5, abs=1e-6)
+    assert [(r.unresolved_doublet, r.factor) for r in recs] == [(False, 1), (False, 0)]
+    for r in recs:
+        root = 0.5 + 2e-14 * (r.factor == 1)
+        assert abs(r.t - root) <= r.bracket_width, r
+
+
+def test_find_roots_touching_roots_of_one_factor_are_refused():
+    """Two roots of one factor that touch, split below bisection resolution
+    at t = 0.5, are what rounding noise makes of an exceptional point: a
+    ValueError naming Z and the factor. Split by ten times that, they are
+    two records of that factor, beside the root of the other."""
+
+    def one_factor_pair(split):
+        def f(t):
+            y = (t - 0.5) * (t - 0.5 - split)
+            g = LogScaledValue.from_float(y)
+            return LogScaledValue(g.sign, g.logmag, ((t - 0.7, 1), (y, 1)))
+
+        return f
+
+    cfg = ScanConfig(t_min=0.3, t_max=0.9)
+    with pytest.raises(ValueError, match=r"^at Z=1\.0 two roots of factor 1 at t="):
+        find_roots(one_factor_pair(2e-14), 1.0, 3, cfg)
+    recs = find_roots(one_factor_pair(5e-13), 1.0, 3, cfg)
+    assert [r.factor for r in recs] == [0, 1, 1]
+    assert [r.t for r in recs] == pytest.approx([0.7, 0.5 + 5e-13, 0.5], rel=0, abs=5e-14)
 
 
 def test_find_roots_synthetic_resolved_pair():

@@ -67,7 +67,7 @@ T_Z1 = [
 F_Z1 = [0, 2, 0, 2, 3, 1, 3, 1, 0, 2, 0, 2, 3, 1, 3, 1, 0, 2]
 
 
-def _record(t, unresolved=False, factor=None):
+def _record(t, factor=0, unresolved=False):
     return RootRecord(
         t=t,
         residual_logmag=-30.0,
@@ -139,25 +139,45 @@ def test_levels_and_reports_are_frozen_records():
 
 
 def test_doublet_expansion_partners():
-    """An unresolved record expands into two levels at one E, of no branch
-    whatever its factor; the partner link between them comes from
+    """An unresolved record expands into two levels at one E, both of its
+    factor's branch; the partner link between them comes from
     analyze_series, not from the expansion."""
     recs = [_record(0.5, factor=1), _record(0.1, unresolved=True, factor=2)]
     lv = energies_from_roots(recs, 1.0)
     assert len(lv) == 3
     assert lv[1].E == lv[2].E
     assert [lvl.doublet_partner for lvl in lv] == [None, None, None]
-    assert [lvl.branch for lvl in lv] == [1, None, None]
+    assert [lvl.branch for lvl in lv] == [1, 2, 2]
     tagged = analyze_series(lv).levels
     assert [lvl.doublet_partner for lvl in tagged] == [None, 2, 1]
 
 
 def test_rejects_non_descending_roots():
+    """Records of ascending t, or of one t and one factor, are out of
+    order; so is a Z below the floor."""
     for ts in ([0.1, 0.5], [0.5, 0.5]):
         with pytest.raises(ValueError, match="strictly descending"):
-            energies_from_roots([_record(t) for t in ts], 1.0)
+            energies_from_roots([_record(t, factor=0) for t in ts], 1.0)
     with pytest.raises(ValueError):
-        energies_from_roots([_record(0.5)], -1.0)
+        energies_from_roots([_record(0.5, factor=0)], -1.0)
+
+
+def test_equal_t_roots_of_two_factors():
+    """Roots of two factors at one t are two levels of one E, each of its
+    own branch, in ascending factor; one factor twice, or a descending
+    factor, at one t is an order fault. analyze_series links a +- pair of
+    them once, and two factors of two b's not at all."""
+    recs = [_record(0.5, factor=0), _record(0.5, factor=1)]
+    lv = energies_from_roots(recs, 1.0)
+    assert [(lvl.n, lvl.t, lvl.branch) for lvl in lv] == [(0, 0.5, 0), (1, 0.5, 1)]
+    assert lv[0].E == lv[1].E
+    assert analyze_series(lv).quasi_pairs == ((0, 1, 0.0),)
+    # of two b's, not a +- pair: one t alone does not link them
+    lv = energies_from_roots([_record(0.5, factor=1), _record(0.5, factor=2)], 1.0)
+    assert analyze_series(lv).quasi_pairs == ()
+    for factors in ((0, 0), (1, 0), (1, 1)):
+        with pytest.raises(ValueError, match="by ascending factor at equal t"):
+            energies_from_roots([_record(0.5, factor=k) for k in factors], 1.0)
 
 
 @pytest.mark.parametrize("t", [0.0, -0.5])
@@ -277,7 +297,8 @@ def test_plus_minus_rule_ignores_the_gap():
 
 
 def test_quasi_pairs_exact_degeneracy():
-    """The two levels of one record, at one t, link whatever their branch."""
+    """The two levels of one record, at one t and of one branch (none,
+    as read from a file), link."""
     lv = [
         EnergyLevel(n=0, t=1.0, s=0.5, E=1.0, series=0, branch=0),
         EnergyLevel(n=1, t=0.9, s=0.55, E=5.0, series=1),
@@ -334,9 +355,9 @@ def test_branches_of_the_explicit_closure():
     assert [lvl.branch for lvl in _solve("explicit", 4.0, 12)] == [
         2, 2, 3, 1, 3, 1, 0, 2, 0, 2, 3, 1
     ]
-    # at M = 8 each Bloch doublet is one root of the count-2 factor
+    # at M = 8 each Bloch doublet is one root of the count-2 factor, index 2
     lv = _solve(8, 1.0, 5)
-    assert [lvl.branch for lvl in lv] == [0, None, None, None, None]
+    assert [lvl.branch for lvl in lv] == [0, 2, 2, 2, 2]
 
 
 def test_no_partner_outside_the_input():

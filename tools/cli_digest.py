@@ -54,6 +54,13 @@ def _spectra() -> list[list[str]]:
         ["spectrum", "--Z", "1e-6", "--backend", "explicit", "--levels", "18"],
         ["spectrum", "--Z", "5.5423", "--levels", "18"],
     ]
+    # roots of two factors within each other's widths at small Z: the +-
+    # pairs of the periodic closure, and two explicit roots 1.2e-13 apart
+    # relative near t = 1.0610329539459e-05
+    out += [
+        ["spectrum", "--Z", "1e-6", "--levels", "18"],
+        ["spectrum", "--Z", "1e-3", "--backend", "explicit", "--levels", "100"],
+    ]
     return out
 
 

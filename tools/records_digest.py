@@ -111,7 +111,12 @@ def _levels(records) -> list:
 
 
 def _faults(a, b) -> list[str]:
-    """Why the records b of one solve disagree with the records a, if they do."""
+    """Why the records b of one solve disagree with the records a, if they do.
+
+    Levels are compared in order, a record standing for two levels taken
+    twice at its t, so that a doublet record of one tree, as older trees
+    merged two roots of two factors at rounding level into, and the two
+    records of the other agree within their widths."""
     la, lb = _levels(a), _levels(b)
     if len(la) != len(lb):
         return [f"level count {len(la)} -> {len(lb)}"]
