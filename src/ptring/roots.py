@@ -2,10 +2,11 @@
 
 The secular callable f takes a 1-D float array of t and returns a
 LogScaledValue whose sign and logmag are arrays of the same length, with
-its real factors. Root finding reads only the factors, and rejects a
-value without them, so a closure that computes its sign and logmag on
-first read never computes them here; scan_secular reads the value
-itself. Every stage evaluates whole arrays: the master grid (in chunks
+its real factors and, where the closure has one, its analytic form. Root
+finding reads only these, and rejects a value without factors, so a
+closure that computes its sign and logmag on first read never computes
+them here; scan_secular reads the value itself. Every stage evaluates
+whole arrays: the master grid (in chunks
 of at most _EVAL_CHUNK points, one chunk at 18 levels) and one step of
 every open bracket together. Each secular call costs a fixed overhead
 far above its per-point cost, so a solve's time follows its number of
@@ -36,12 +37,15 @@ interpolation under ITP's projection, in at most one step more than
 bisection would take; each step evaluates a geometric stencil around the estimate, so an
 accurate estimate on either side of the root closes most of the bracket at
 once. All brackets are closed in lock step. The first step starts from the
-scan's first estimate of each root, t interpolated as a polynomial in the
-factor's value through the _FIT_POINTS grid points around the bracket; a
-bracket whose factor turns among those points starts at its midpoint. On
-every M = 1 solve at Z in [0.05, 4], and at M = 8 and 32 at Z = 1, the
-estimate lands within the stencil's innermost step of every root, so that
-one step closes every bracket. Each root is one record, which stands for
+scan's first estimate of each root (estimate.first_estimates): t
+interpolated as a polynomial in the factor's value through the _FIT_POINTS
+grid points around the bracket, or, where the value carries an analytic
+form, the root of that form's interpolant through the same points; a
+bracket without either starts at its midpoint. On every M = 1 solve at Z
+in [0.05, 4], at M = 8 and 32 at Z = 1, and on the twisted closure at Z
+from 0.134 to 2.754 and at Z = 1 up to 100 levels, the estimate lands
+within the stencil's innermost step of every root, so that one step closes
+every bracket. Each root is one record, which stands for
 as many levels as its factor's count, however near a root of another
 factor lies; two neighbouring roots of one factor whose closed brackets
 touch are rounding noise near an exceptional point, an error.
@@ -60,6 +64,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import LevelShortfallWarning, SecularEvaluationError
+from .estimate import first_estimates
 from .potential import _Frozen, _set, check_coupling
 
 # Most points of a master grid, checked before it is allocated, and of a
@@ -115,23 +120,6 @@ _REACH = float(_STENCIL[-1]) * _T_TOL / 2
 # windows catch them.
 _GRID_RATIO = math.sqrt(8.0 * _REACH)
 _GRID_STEP = 0.5 * _REACH ** (1.0 / 3.0)
-# Grid points around a bracket through which the closer's first estimate
-# interpolates t as a polynomial in the factor's value (_brackets_and_windows).
-# Through p points h apart on a factor that varies on a length l, it errs by
-# about (h/l)^p relative to t, and h/l <= 2 _GRID_STEP ~ 0.037 on either part
-# of the grid (_GRID_RATIO = 0.02 on the geometric one). Landing within
-# epsilon = _T_TOL t / 2, where one stencil step closes the bracket, then
-# needs (2 _GRID_STEP)^p <= _T_TOL / 2, p >= 9.3, before the spread of the p
-# points around the root, which costs a few powers of h/l more. Measured on
-# the M = 1 solves at 400 couplings in [0.05, 4], the estimate lands within
-# 15.6 epsilon of every root at p = 10, 1.28 at 12, 0.34 at 13 and 0.15 at
-# 14; p = 14 is also the least at which M = 32 at Z = 1 closes in one step.
-# The fit costs p^2 products per bracket: about 25 us of the scan's 100 on
-# the 25 brackets of the explicit closure at 18 levels, 56 of 170 on 125 at
-# 100 levels (one core of a shared 2-vCPU host)
-_FIT_POINTS = 14
-# Offsets of those points from the first of them, as a column
-_FIT = np.arange(_FIT_POINTS)[:, None]
 # Least bracket_width reported for a closed bracket, in ulps of its t: the
 # sign of a computed value is rounding noise within a few ulps of its root
 _WIDTH_FLOOR_ULPS = 8
@@ -216,10 +204,11 @@ def _evaluate(
     f: Callable[[np.ndarray], object], ts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The factors of f over the 1-D array ts, chunk by chunk (_chunks), as
-    one row per factor, and their counts; the sign and log-magnitude of the
-    value are not read. Raises ValueError on a value without factors, with
-    a factor of another length than its chunk (_per_t), or with a NaN
-    factor value, which has no sign to bracket a root with.
+    one row per factor, then its analytic form as one more row where the
+    value carries one, and the factors' counts; the sign and log-magnitude
+    of the value are not read. Raises ValueError on a value without
+    factors, with a factor of another length than its chunk (_per_t), or
+    with a NaN factor value, which has no sign to bracket a root with.
     """
     rows = []
     for _, n, v in _chunks(f, ts):
@@ -228,7 +217,8 @@ def _evaluate(
                 "root finding needs a secular value with factors; "
                 "LogScaledValue.from_float(x) carries x as its one factor"
             )
-        rows.append(_per_t([y for y, _ in v.factors], n))
+        analytic = [] if v.analytic is None else [v.analytic]
+        rows.append(_per_t([y for y, _ in v.factors] + analytic, n))
     factors = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
     if np.isnan(factors.min()):  # min propagates NaN
         k, i = np.argwhere(np.isnan(factors))[0]
@@ -314,10 +304,11 @@ def _close_brackets(
     root, and then projected as in ITP (Oliveira & Takahashi, ACM TOMS
     47(1), 2020) with n0 = 1 (_itp_project), except on a step where every
     open bracket's budget is at least its width, where the projection would
-    keep every estimate: 84 of the 1599 steps of the 809 solves of
-    tools/records_digest.py project, and none of the M = 1 solves at Z in
-    [0.05, 4]. The step evaluates the stencil x + epsilon {0, +-1, +-1e3,
-    +-1e6, +-1e9}, clipped into the bracket, and takes its sign change as
+    keep every estimate: 86 of the 1347 steps of the 766 solves of
+    tools/records_digest.py that the window admits project, and none of the
+    M = 1 solves at Z in [0.05, 4]. The step evaluates the stencil
+    x + epsilon {0, +-1, +-1e3, +-1e6, +-1e9}, clipped into the bracket,
+    and takes its sign change as
     the new bracket, so an estimate off the root by e < 1e9 epsilon, on
     either side, leaves a bracket at most about 1e3 e wide (epsilon for
     e < epsilon), and a first estimate within epsilon of the root closes
@@ -338,9 +329,9 @@ def _close_brackets(
     once, when it closes, with its final ends, and each step writes its
     rows into buffers allocated once, so a step on which every bracket is
     open gathers and scatters nothing. That is the one step of each M = 1
-    solve at Z in [0.05, 4] (24 of 24 over 24 couplings), and of the M = 8
-    and 32 solves at Z = 1, and 3 of the 9 steps on the explicit closure at
-    Z = 1 and 18, 50 and 100 levels. On the 13 brackets of an M = 1 solve
+    solve at Z in [0.05, 4] (24 of 24 over 24 couplings), of the M = 8
+    and 32 solves at Z = 1, and of the explicit closure's at Z = 1 and 18,
+    50 and 100 levels. On the 13 brackets of an M = 1 solve
     at Z = 0.3 the closer's own numpy work, its set-up and records
     included, is about 92 us for its one step, besides its secular call
     (one core of a shared 2-vCPU host, numpy 2.4, least of 300 runs).
@@ -436,24 +427,24 @@ def _close_brackets(
     )
 
 
-def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarray]:
+def _brackets_and_windows(
+    ts: np.ndarray, scan: tuple, Z: float
+) -> tuple[tuple, np.ndarray]:
     """The brackets of the ascending grid ts, the argument of
     _close_brackets, and its extremum windows.
 
-    The brackets are the sign changes of each factor between neighbours,
-    where one value is negative and the other not (a 0 counts as positive).
-    Each gets a first estimate of its root by barycentric
-    inverse interpolation (Berrut & Trefethen, SIAM Rev. 46 (2004) 501): t
-    as the polynomial in the factor's value through the _FIT_POINTS
-    consecutive grid points around it, taken where the factor is strictly
-    monotone over them and the estimate lies strictly inside the bracket,
-    NaN otherwise and on a grid of fewer points. An extremum window is three
-    neighbouring grid points where a factor keeps its sign and is least in
-    magnitude at the middle one, below five times its largest difference
-    from the middle value over the five points around it (the three and
-    their outer neighbours), so close to zero that it may hide a pair of
-    roots, where no factor changes sign. A sign change there is a root the
-    brackets already hold, and the grid point nearest it is a
+    scan is what _evaluate returns on ts: one row per factor, then the
+    analytic form's row where the value carries one, and the factors'
+    counts; Z is the coupling of s = Z/(2t). The brackets are the sign
+    changes of each factor between neighbours, where one value is negative
+    and the other not (a 0 counts as positive). Each gets its first
+    estimate from estimate.first_estimates, NaN for none. An extremum
+    window is three neighbouring grid points where a factor keeps its sign
+    and is least in magnitude at the middle one, below five times its
+    largest difference from the middle value over the five points around
+    it (the three and their outer neighbours), so close to zero that it may
+    hide a pair of roots, where no factor changes sign. A sign change there
+    is a root the brackets already hold, and the grid point nearest it is a
     least magnitude whose parabola crosses zero: over the solves of
     tools/records_digest.py, every window this drops lies beside a sign
     change of a factor least at its middle point, and keeping them took the
@@ -464,6 +455,7 @@ def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarra
     grid point.
     """
     factors, counts = scan
+    factors, analytic = factors[: counts.size], factors[counts.size :]
     negative = factors < 0.0
     change = negative[:, :-1] != negative[:, 1:]
     quiet = ~change.any(axis=0)  # per grid interval
@@ -471,25 +463,7 @@ def _brackets_and_windows(ts: np.ndarray, scan: tuple) -> tuple[tuple, np.ndarra
     k, i = divmod(np.flatnonzero(change), ts.size - 1)
     lohi = i + _AROUND
     X, Y = ts[lohi], factors[k, lohi]
-    # the first estimates, as fractions q of the way from lo to hi (NaN on a
-    # grid of fewer points): with x the points' t relative to lo and y their
-    # values over hi's less lo's, which rise through the bracket, the bracket
-    # axis innermost. With y on its diagonal, the product over the first
-    # axis of d is, per point, (-1)^(p-1) times its value and its differences
-    # to the others, the reciprocal of its barycentric weight at y = 0; the
-    # quotient drops the sign
-    q = np.full(i.size, np.nan)
-    last = ts.size - _FIT_POINTS  # the last grid index a fit may start at
-    if last >= 0:
-        fit = np.minimum(np.maximum(i - (_FIT_POINTS // 2 - 1), 0), last) + _FIT
-        # factor k at grid index fit is factors' flat entry fit + k * ts.size
-        x, y = ts[fit] - X[0], factors.take(fit + k * ts.size) / (Y[1] - Y[0])
-        d = y[:, None] - y
-        d.reshape(_FIT_POINTS**2, -1)[:: _FIT_POINTS + 1] = y  # the diagonal
-        with np.errstate(all="ignore"):  # equal values: not monotone
-            c = 1.0 / np.prod(d, axis=0)
-            u = (c * x).sum(axis=0) / (c.sum(axis=0) * (X[1] - X[0]))
-        np.copyto(q, u, where=(y[1:] > y[:-1]).all(axis=0) & (u > 0.0) & (u < 1.0))
+    q = first_estimates(ts, factors, analytic, Z, X, Y, k, i)
     brackets = X, Y, q, k, counts[k] == 2
     # the extremum windows: five points around each least |factor|, NaN
     # beyond the grid; of equal magnitudes the one at larger t is least
@@ -633,7 +607,7 @@ def find_roots(
     s = np.concatenate([s_lo * np.exp(ratio * np.arange(n_geo)), lin])
     ts = Z / (2.0 * s[::-1])
     factors, counts = _evaluate(f, ts)
-    brackets, W = _brackets_and_windows(ts, (factors, counts))
+    brackets, W = _brackets_and_windows(ts, (factors, counts), Z)
     # refine the grid in each extremum window (lo, vertex, hi) until none is
     # left: a pass adds the stencil around the vertex, clipped into the
     # window, for at most bisection's step count over the widest window, and
@@ -654,7 +628,7 @@ def find_roots(
         order = np.argsort(ts)
         ts = ts[order]
         factors = np.concatenate([factors, _evaluate(f, new)[0]], axis=1)[:, order]
-        brackets, W = _brackets_and_windows(ts, (factors, counts))
+        brackets, W = _brackets_and_windows(ts, (factors, counts), Z)
         if brackets[3].size > most:
             raise ValueError(
                 f"at Z={Z!r} a pair lies within rounding noise of an exceptional point:"

@@ -23,8 +23,9 @@ Both backends substitute s = Z/(2t) and work at purely real energy
 E = s^2 - t^2; values are returned in sign/log-magnitude form to survive the
 huge dynamic range of the secular functions. Every value also carries
 closed-form real factors (see LogScaledValue), whose simple roots are the
-levels. The call computes the factors, and the sign and log-magnitude only
-when one of them is first read, since root finding reads only the factors.
+levels, and the twisted closure's value also its analytic form. The call
+computes these, and the sign and log-magnitude only when one of them is
+first read, since root finding reads only these.
 
 Both take t as a float or a 1-D float array. A float is evaluated as a
 one-point array and comes back as a scalar LogScaledValue; an array comes
@@ -109,9 +110,18 @@ class LogScaledValue:
     band-edge factors come first, in +- pairs: k(a -
     b) at index 2j and k(a + b) at 2j + 1, one pair per b, and the count-2
     factors follow them; a level's index there is its branch, and the two
-    factors of one pair hold its quasi-degenerate doublets. Root finding
-    reads only the factors and rejects a value without them; from_float(x)
-    carries x as its one factor.
+    factors of one pair hold its quasi-degenerate doublets.
+
+    analytic is None, or the value over a positive envelope as a float or
+    array of the value's shape: the product of the factors times a function
+    of one sign, with the value's sign and real roots, but analytic in s
+    near the real axis, where a factor need not be. Root finding interpolates it
+    to place its first estimates (see estimate), and reads the sum of a
+    +- pair, positive at the roots of k (a - b) and negative at those of
+    k (a + b), to tell which root of a pair is whose. Root finding reads
+    only the factors and the analytic form, and rejects a value without
+    factors; from_float(x) carries x as its one factor and no analytic
+    form, and so does the periodic closure.
 
     The secular functions return a deferred value (see deferred): its
     factors are computed by the call, its sign and logmag only when one of
@@ -119,19 +129,19 @@ class LogScaledValue:
     constructor runs them at once.
     """
 
-    __slots__ = ("factors", "_value", "_pair")
+    __slots__ = ("factors", "analytic", "_value", "_pair")
 
     def __init__(self, sign, logmag, factors: tuple = ()):
-        self.factors = factors
+        self.factors, self.analytic = factors, None
         self._value = None
         self._pair = _checked(sign, logmag)
 
     @classmethod
-    def deferred(cls, value, factors: tuple = ()) -> "LogScaledValue":
+    def deferred(cls, value, factors: tuple = (), analytic=None) -> "LogScaledValue":
         """The value whose sign and logmag value() returns, called once, on
-        the first read of either."""
+        the first read of either, with its analytic form, if any."""
         v = cls.__new__(cls)
-        v.factors, v._value, v._pair = factors, value, None
+        v.factors, v.analytic, v._value, v._pair = factors, analytic, value, None
         return v
 
     @property
@@ -184,19 +194,24 @@ def _points(Z: float, t) -> tuple[SpectralPoint, object, bool]:
     return *_spectral(Z, ts), scalar
 
 
-def _log_scaled(value, scalar: bool, factors=()) -> LogScaledValue:
+def _log_scaled(value, scalar: bool, factors=(), analytic=None) -> LogScaledValue:
     """The deferred value whose sign and log-magnitude arrays value()
-    returns, with its (value, count) factors, unwrapped to Python scalars
-    for a scalar call. value() must read only arrays the call computed, not
-    the caller's t, which the caller may change before the value is read."""
+    returns, with its (value, count) factors and its analytic form (see
+    LogScaledValue), unwrapped to Python scalars for a scalar call. value()
+    must read only arrays the call computed, not the caller's t, which the
+    caller may change before the value is read."""
     if not scalar:
-        return LogScaledValue.deferred(value, tuple(factors))
+        return LogScaledValue.deferred(value, tuple(factors), analytic)
 
     def first():
         sign, logmag = value()
         return int(sign[0]), float(logmag[0])
 
-    return LogScaledValue.deferred(first, tuple((float(v[0]), c) for v, c in factors))
+    return LogScaledValue.deferred(
+        first,
+        tuple((float(v[0]), c) for v, c in factors),
+        None if analytic is None else float(analytic[0]),
+    )
 
 
 def _cell_trace(point: SpectralPoint, mod_sq, h: float):
@@ -358,7 +373,11 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     each factor is smooth. Its factors are k (a -+ b1) and k (a -+ b2),
     count 1 each, and the value is read off them on first read (_read_off)
     with the negative envelope, of logmag log 8 + 5 log|kappa|^2 +
-    log(|c|^2 e^(-2t)) + 6t.
+    log(|c|^2 e^(-2t)) + 6t. b1 and b2 are square roots whose radicands
+    vanish near the real axis, b1's beside sin s = 0 and both where |c|
+    does, at cos s = +-i sinh t, so the factors are not analytic there, but
+    their product is: the value's analytic form is -|c|^2 e^(-2t) times it,
+    (4 (Re c)^2 - |c|^2 tau^2) e^(-6t), computed from the factors.
     """
     point, mod_sq, scalar = _points(Z, t)
     k_sq, a, b, sh, th, _, sin_s, em = _cell_trace(point, mod_sq, 1.0)
@@ -375,10 +394,11 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     b1, b2 = np.where(flip, b2, b1), np.where(flip, b1, b2)
     k = np.sqrt(k_sq)
     factors = _edge_pair(k, a, b1) + _edge_pair(k, a, b2)
+    (f0, _), (f1, _), (f2, _), (f3, _) = factors
 
     def value():
         with np.errstate(divide="ignore"):  # an exact root: -inf
             envelope = math.log(8.0) + 5.0 * np.log(mod_sq) + np.log(c2) + 6.0 * th
             return _read_off(-1, envelope, factors)
 
-    return _log_scaled(value, scalar, factors)
+    return _log_scaled(value, scalar, factors, -c2 * (f0 * f1) * (f2 * f3))

@@ -655,6 +655,40 @@ def test_factor_signs_give_value_sign(z, m, ts):
         )
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    z=st.floats(min_value=-6.0, max_value=1.6).map(lambda e: 10.0**e),
+    t=st.floats(min_value=-3.0, max_value=1.0).map(lambda e: 10.0**e),
+)
+def test_explicit_analytic_form(z, t):
+    """The twisted closure's analytic form is -|c|^2 e^(-2t) times the
+    product of its four factors, c = cos(kappa): that is
+    (4 (Re c)^2 - |c|^2 tau^2) e^(-6t), tau the cell trace, which mpmath
+    gives at 30 digits, at the s = Z/(2t) the closure computes. It agrees to
+    1e-14 of (4 (Re c)^2 + |c|^2 tau^2) e^(-6t), the size of its terms, and
+    carries the value's sign. The periodic closure and from_float carry
+    none."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    v = secular_explicit(z, t)
+    s, t_ = mp.mpf(z / (2.0 * t)), mp.mpf(t)
+    k2 = s * s + t_ * t_
+    tau = (
+        2 * mp.cos(s) ** 2
+        - 2 * (s * s - t_ * t_) / k2 * mp.sin(s) ** 2
+        + 4 * t_ * t_ / k2 * mp.sinh(t_) ** 2
+    )
+    c = mp.cos(mp.mpc(s, -t_))
+    terms = 4 * mp.re(c) ** 2, abs(c) ** 2 * tau**2
+    decay = mp.exp(-6 * t_)
+    exact = float((terms[0] - terms[1]) * decay)
+    assert abs(v.analytic - exact) <= 1e-14 * float((terms[0] + terms[1]) * decay)
+    if v.analytic != 0.0:
+        assert np.sign(v.analytic) == v.sign
+    assert secular_monodromy(build_square_well(1, z), z, t).analytic is None
+    assert LogScaledValue.from_float(t).analytic is None
+
+
 def test_q_matrix_shape_and_sparsity():
     Q = build_Q(1.0, 0.5)
     assert Q.shape == (8, 8)
