@@ -118,7 +118,8 @@ class LogScaledValue:
     near the real axis, where a factor need not be. Root finding interpolates it
     to place its first estimates (see estimate), and reads the sum of a
     +- pair, positive at the roots of k (a - b) and negative at those of
-    k (a + b), to tell which root of a pair is whose. Root finding reads
+    k (a + b), to tell which root of a pair is whose, so a value with an
+    analytic form has only band-edge factors. Root finding reads
     only the factors and the analytic form, and rejects a value without
     factors; from_float(x) carries x as its one factor and no analytic
     form, and so does the periodic closure.
