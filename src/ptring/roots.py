@@ -26,12 +26,15 @@ factor that is 0 at a grid or stencil point is closed onto that point.
 Where a factor keeps its sign across three grid points but its least
 magnitude there lies within five times the factor's largest change over
 its five neighbouring points, so near zero that a pair of its roots may
-hide in between, the scan flags an extremum window, and find_roots refines
-the grid before closing anything: each pass adds the closer's stencil
-around the vertex of each window's parabola (_vertex) and scans the merged
-grid again, until no window is left; a pair it shows is two ordinary sign
-changes, and more than a pair per window is rounding noise near an
-exceptional point, an error. Each bracket is closed on its own
+hide in between, the window scan (_windows) flags an extremum window;
+each factor is read alone, whatever the others do there. find_roots
+refines the grid before making any bracket: each pass adds the closer's
+stencil around the vertex of each window's parabola (_vertex) and runs
+the window scan on the merged grid again, until no window is left; a
+pair it shows is two ordinary sign changes, and more than a pair per
+window is rounding noise near an exceptional point, an error. The
+brackets and their first estimates are then built once, on the final
+grid (_brackets). Each bracket is closed on its own
 factor to a relative width of _T_TOL by Chandrupatla's inverse quadratic
 interpolation under ITP's projection, in at most one step more than
 bisection would take; each step evaluates a geometric stencil around the estimate, so an
@@ -75,7 +78,10 @@ _MAX_GRID_POINTS = 2**22
 # Least points of a master grid: a derived grid with fewer has each of its
 # intervals split evenly until it has at least this many. Of the default
 # windows it binds only on those of 1-3 levels at Z from about 0.5 to 44
-# (186-253 derived points at Z = 1-17.9), whose printed roots rest on it
+# (186-253 derived points at Z = 1-17.9), whose printed roots rest on it.
+# It also saves calls: without it the solves of tools/records_digest.py
+# take 2182 calls instead of 2149, most of the difference from 1-3-level
+# solves at M = 3, 8 and 32 and Z from 4 to 20, 3 calls instead of 2
 _LEAST_GRID_POINTS = 256
 # Most t values handed to the secular callable in one call, which bounds its
 # temporaries: a few dozen doubles per point for the closed forms. 8192
@@ -284,7 +290,7 @@ def _close_brackets(
 ) -> list[RootRecord]:
     """Close every bracket in lock step and make one record of each.
 
-    brackets is what _brackets_and_windows found on a grid: per bracket, as
+    brackets is what _brackets found on a grid: per bracket, as
     columns of (2, n) arrays, the ends x1 and x2 and the factor's values
     there, then the first estimate q, the index of the factor of f's value
     whose root it holds and whether that factor counts twice. Each bracket
@@ -374,7 +380,7 @@ def _close_brackets(
             )
         x1, x2, y1, y2 = X[0], X[1], Y[0], Y[1]
         dx = x2 - x1
-        if first:  # the first estimate, where _brackets_and_windows found one
+        if first:  # the first estimate, where _brackets found one
             iqi, first = np.isfinite(q), False
         else:
             # inverse quadratic interpolation where Chandrupatla's test
@@ -427,64 +433,69 @@ def _close_brackets(
     )
 
 
-def _brackets_and_windows(
-    ts: np.ndarray, scan: tuple, Z: float
-) -> tuple[tuple, np.ndarray]:
+def _windows(ts: np.ndarray, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sign changes of the factors on the ascending grid ts, and its
+    extremum windows.
+
+    factors holds one row per factor, its values on ts. A factor changes
+    sign between neighbours where one value is negative and the other not
+    (a 0 counts as positive); the sign changes are a boolean array with a
+    row per factor and a column per grid interval. An extremum window is
+    three neighbouring grid points where one factor keeps its sign and is
+    least in magnitude at the middle one, below five times its largest
+    difference from the middle value over the five points around it (the
+    three and their outer neighbours, the end point in place of one beyond
+    the grid), so close to zero that it may hide a pair of that factor's
+    roots. Each factor is read alone: a least magnitude beside a sign
+    change of its own is that root's, which a bracket holds, but one beside
+    another factor's root may still hide a pair of its own. The windows are
+    an array of shape (3, m): per window, its lower grid point, the vertex
+    of the parabola through its three points (_vertex) and its upper grid
+    point.
+    """
+    negative = factors < 0.0
+    change = negative[:, :-1] != negative[:, 1:]
+    # five points around each least |factor|, indices clamped into the grid;
+    # of equal magnitudes the one at larger t is least
+    mag = np.abs(factors)
+    mid = mag[:, 1:-1]
+    least = (mid < mag[:, :-2]) & (mid <= mag[:, 2:])
+    kw, iw = divmod(np.flatnonzero(least), ts.size - 2)
+    near = np.minimum(np.maximum(iw + np.arange(-1, 4)[:, None], 0), ts.size - 1)
+    y5 = factors[kw, near]
+    # S is the largest difference from the middle value over the five points,
+    # which a repeated end point cannot move. On a near-uniform grid the
+    # parabola through the middle three reaches at most S/4 beyond the middle
+    # value, and its error, the cubic term, is at most 4 S/3: a pair may hide
+    # only where |y| at the middle is below 5 S, which holds the parabola's
+    # reach and three times its error
+    low = np.abs(y5[2]) < 5.0 * np.abs(y5 - y5[2]).max(axis=0)
+    low &= ~(change[kw, iw] | change[kw, iw + 1])  # its own sign kept
+    if not low.any():
+        return change, np.empty((3, 0))
+    x3 = ts[near[1:4, low]]
+    return change, np.stack([x3[0], _vertex(x3, y5[1:4, low]), x3[2]])
+
+
+def _brackets(ts: np.ndarray, scan: tuple, change: np.ndarray, Z: float) -> tuple:
     """The brackets of the ascending grid ts, the argument of
-    _close_brackets, and its extremum windows.
+    _close_brackets.
 
     scan is what _evaluate returns on ts: one row per factor, then the
     analytic form's row where the value carries one, and the factors'
-    counts; Z is the coupling of s = Z/(2t). The brackets are the sign
-    changes of each factor between neighbours, where one value is negative
-    and the other not (a 0 counts as positive). Each gets its first
-    estimate from estimate.first_estimates, NaN for none. An extremum
-    window is three neighbouring grid points where a factor keeps its sign
-    and is least in magnitude at the middle one, below five times its
-    largest difference from the middle value over the five points around
-    it (the three and their outer neighbours), so close to zero that it may
-    hide a pair of roots, where no factor changes sign. A sign change there
-    is a root the brackets already hold, and the grid point nearest it is a
-    least magnitude whose parabola crosses zero: over the solves of
-    tools/records_digest.py, every window this drops lies beside a sign
-    change of a factor least at its middle point, and keeping them took the
-    explicit closure from 616 calls to 1786 and moved 9 records, near
-    exceptional points and at Z = 1e-6, beyond their widths. The windows
-    are an array of shape (3, m): per window, its lower grid point, the
-    vertex of the parabola through its three points (_vertex) and its upper
-    grid point.
+    counts; change is its sign changes as _windows gives them, and Z the
+    coupling of s = Z/(2t). Each sign change of a factor between
+    neighbours is a bracket, and gets its first estimate from
+    estimate.first_estimates, NaN for none.
     """
     factors, counts = scan
     factors, analytic = factors[: counts.size], factors[counts.size :]
-    negative = factors < 0.0
-    change = negative[:, :-1] != negative[:, 1:]
-    quiet = ~change.any(axis=0)  # per grid interval
     # factor by factor in ascending i, as np.nonzero would give them
     k, i = divmod(np.flatnonzero(change), ts.size - 1)
     lohi = i + _AROUND
     X, Y = ts[lohi], factors[k, lohi]
     q = first_estimates(ts, factors, analytic, Z, X, Y, k, i)
-    brackets = X, Y, q, k, counts[k] == 2
-    # the extremum windows: five points around each least |factor|, NaN
-    # beyond the grid; of equal magnitudes the one at larger t is least
-    mag = np.abs(factors)
-    mid = mag[:, 1:-1]
-    least = (mid < mag[:, :-2]) & (mid <= mag[:, 2:])
-    kw, iw = divmod(np.flatnonzero(least & quiet[:-1] & quiet[1:]), ts.size - 2)
-    near = iw + np.arange(-1, 4)[:, None]
-    inside = (near >= 0) & (near < ts.size)
-    near = np.minimum(np.maximum(near, 0), ts.size - 1)
-    y5 = np.where(inside, factors[kw, near], np.nan)
-    # S is the largest difference from the middle value over the five points.
-    # On a near-uniform grid the parabola through the middle three reaches at
-    # most S/4 beyond the middle value, and its error, the cubic term, is at
-    # most 4 S/3: a pair may hide only where |y| at the middle is below 5 S,
-    # which holds the parabola's reach and three times its error
-    low = np.abs(y5[2]) < 5.0 * np.fmax.reduce(np.abs(y5 - y5[2]), axis=0)
-    if not low.any():
-        return brackets, np.empty((3, 0))
-    x3 = ts[near[1:4, low]]
-    return brackets, np.stack([x3[0], _vertex(x3, y5[1:4, low]), x3[2]])
+    return X, Y, q, k, counts[k] == 2
 
 
 def level_count(records: Sequence[RootRecord]) -> int:
@@ -552,8 +563,9 @@ def find_roots(
     each pass that refines it in the extremum windows, and on each lock-step
     closer step, and only its factors are read. Every extremum window where
     a pair of one factor's roots may hide is resolved on the grid first,
-    each pass refining around the vertex its scan fitted; then every sign
-    change of a factor on the grid is closed on that factor, and the closer
+    each pass refining around the vertex its window scan fitted (_windows);
+    then every sign change of a factor on the final grid is a bracket with
+    its first estimate (_brackets), closed on that factor, and the closer
     makes the record of each root (_close_brackets). Returns every root
     found in the window, in descending t (ascending energy) order, and by
     ascending factor at equal t; callers slice the leading n_levels levels
@@ -607,29 +619,30 @@ def find_roots(
     s = np.concatenate([s_lo * np.exp(ratio * np.arange(n_geo)), lin])
     ts = Z / (2.0 * s[::-1])
     factors, counts = _evaluate(f, ts)
-    brackets, W = _brackets_and_windows(ts, (factors, counts), Z)
+    change, W = _windows(ts, factors[: counts.size])
     # refine the grid in each extremum window (lo, vertex, hi) until none is
     # left: a pass adds the stencil around the vertex, clipped into the
     # window, for at most bisection's step count over the widest window, and
-    # stops early when it adds no point. Every factor has one sign at both
-    # ends of a window, so the points a pass adds inside it add an even
-    # number of sign changes, and one pair of roots is two: more than two
-    # per window of the master scan are sign flips of rounding noise
-    most = brackets[3].size + 2 * W.shape[1]
+    # stops early when it adds no point. Points added between two grid
+    # points keep the parity of each factor's sign changes between them, so
+    # a pass adds an even number of sign changes, and one pair of roots is
+    # two: more than two per window of the master scan are sign flips of
+    # rounding noise. The brackets are built once, on the final grid
+    most = np.count_nonzero(change) + 2 * W.shape[1]
     passes = W.size and _ITP_N0 + int(
         np.ceil(np.log2((W[2] - W[0]) / (_T_TOL * W[0]))).max()
     )
     for _ in range(passes):
-        x = W[1][:, None] + (0.5 * _T_TOL * W[0])[:, None] * _STENCIL
-        new = np.setdiff1d(np.clip(x, W[0][:, None], W[2][:, None]), ts)
+        lo, vertex, hi = W[:, :, None]
+        new = np.setdiff1d(np.clip(vertex + 0.5 * _T_TOL * lo * _STENCIL, lo, hi), ts)
         if not new.size:
             break
         ts = np.concatenate([ts, new])
         order = np.argsort(ts)
         ts = ts[order]
         factors = np.concatenate([factors, _evaluate(f, new)[0]], axis=1)[:, order]
-        brackets, W = _brackets_and_windows(ts, (factors, counts), Z)
-        if brackets[3].size > most:
+        change, W = _windows(ts, factors[: counts.size])
+        if np.count_nonzero(change) > most:
             raise ValueError(
                 f"at Z={Z!r} a pair lies within rounding noise of an exceptional point:"
                 f" refining the grid found more sign changes than its windows hold"
@@ -638,7 +651,7 @@ def find_roots(
             break
     # the records come factor by factor, each factor's in ascending t; the
     # sort is stable, so records of one t keep their ascending factors
-    records = _close_brackets(f, brackets)
+    records = _close_brackets(f, _brackets(ts, (factors, counts), change, Z))
     for (t0, _, w0, _, k0), (t1, _, w1, _, k1) in zip(records, records[1:]):
         if k0 == k1 and t1 - t0 <= w0 + w1:
             raise ValueError(

@@ -52,3 +52,16 @@ def test_main_prints_modules_and_total(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in out] == [["8", "34"], ["1", "5"], ["9", "39"]]
     assert out[-1].endswith("total")
+
+
+def test_every_module_stays_within_4096_parser_tokens():
+    """Every module of src/ptring has at most 4096 parser tokens: past that
+    size compiling a module peaks about 230 KB higher (see the tool's
+    docstring), which a process that compiles the package without a
+    bytecode cache pays."""
+    src = _PATH.parent.parent / "src" / "ptring"
+    modules = code_lines._modules([str(src)])
+    assert modules
+    for path in modules:
+        source = pathlib.Path(path).read_text(encoding="utf-8")
+        assert code_lines.parser_tokens(source) <= 4096, path

@@ -33,11 +33,12 @@ import ptring.estimate
 import ptring.roots
 from ptring.potential import Z_FLOOR
 from ptring.roots import (
-    _brackets_and_windows,
+    _brackets,
     _close_brackets,
     _evaluate,
     _itp_project,
     _vertex,
+    _windows,
 )
 
 T_EXPLICIT_Z01 = [0.2219819562431546437372, 0.03467067057228565555074]
@@ -234,6 +235,12 @@ def test_scan_sample_count_is_checked_first(samples):
 # --- the lock-step closer -----------------------------------------------------
 
 
+def _scan_brackets(ts, scan, Z=1.0):
+    """The brackets find_roots makes on the grid ts from scan, what
+    _evaluate returns there, with the window scan's sign changes."""
+    return _brackets(ts, scan, _windows(ts, scan[0][: scan[1].size])[0], Z)
+
+
 def _close_on(f, bracket):
     """The root on the two-point grid (lo, hi), as find_roots' scan and
     closer give it: the first factor's sign change, a value of 0 counting as
@@ -241,7 +248,7 @@ def _close_on(f, bracket):
     _FIT_POINTS points has none), so that its first step takes the
     midpoint."""
     ts = np.array(bracket, dtype=float)
-    brackets, _ = _brackets_and_windows(ts, _evaluate(f, ts), 1.0)
+    brackets = _scan_brackets(ts, _evaluate(f, ts))
     return _close_brackets(f, tuple(e[..., :1] for e in brackets))[0]
 
 
@@ -269,8 +276,7 @@ def test_bisect_exact_endpoint_is_the_root():
     assert (rec.t, rec.residual_logmag) == (0.5, -math.inf)
     assert 8 * np.spacing(0.5) <= rec.bracket_width <= 1e-13 * 0.5
     ts = np.array([0.5, 0.9])
-    brackets, _ = _brackets_and_windows(ts, _evaluate(_linear(0.5), ts), 1.0)
-    assert brackets[3].size == 0
+    assert _scan_brackets(ts, _evaluate(_linear(0.5), ts))[3].size == 0
 
 
 def test_bisect_exact_midpoint_closes_bracket():
@@ -310,7 +316,7 @@ def test_bisect_exact_step_point_closes_bracket():
         return LogScaledValue(v.sign, v.logmag, ((y, 1), (t - 1.23, 1)))
 
     ts = np.linspace(0.2, 1.5, 14)
-    brackets, _ = _brackets_and_windows(ts, _evaluate(g, ts), 1.0)
+    brackets = _scan_brackets(ts, _evaluate(g, ts))
     (lo, hi), _, q, _, _ = brackets
     np.testing.assert_allclose(lo + q * (hi - lo), [0.5477636, 1.23], rtol=1e-7)
     counted, sizes = _counted(g)
@@ -370,21 +376,23 @@ def _lone(f, brackets):
 
 def _closer_call(f, Z, n_levels, config=None):
     """The brackets find_roots hands its lock-step closer, and what each
-    scan before it found (brackets and extremum windows): the
-    master grid's first, then each refinement pass's."""
+    window scan before it found (its sign-change count and extremum
+    windows) with the grid it scanned: the master grid's first, then each
+    refinement pass's."""
     seen, scans = [], []
 
     def spy(g, brackets):
         seen.append(brackets)
         return _close_brackets(g, brackets)
 
-    def scan_spy(ts, *scan):
-        scans.append(_brackets_and_windows(ts, *scan))
-        return scans[-1]
+    def scan_spy(ts, factors):
+        change, windows = _windows(ts, factors)
+        scans.append((np.count_nonzero(change), windows, ts))
+        return change, windows
 
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         mp.setattr(ptring.roots, "_close_brackets", spy)
-        mp.setattr(ptring.roots, "_brackets_and_windows", scan_spy)
+        mp.setattr(ptring.roots, "_windows", scan_spy)
         warnings.simplefilter("ignore", LevelShortfallWarning)
         find_roots(f, Z, n_levels, config)
     (brackets,) = seen
@@ -471,8 +479,7 @@ def test_first_estimate_recovers_a_polynomial_root(
     y -= y[crossing] + where * steps[crossing]  # zero inside the crossing
     u = 0.01 * y
     t = 1.0 + u + sum(c * u**d for d, c in zip(range(2, degree + 1), coefficients))
-    brackets, _ = _brackets_and_windows(t, (y[None, :], np.array([1])), 1.0)
-    (lo, hi), _, q, k, _ = brackets
+    (lo, hi), _, q, k, _ = _scan_brackets(t, (y[None, :], np.array([1])))
     assert k.tolist() == [0] and lo[0] == t[crossing]
     start = crossing - (ptring.estimate._FIT_POINTS // 2 - 1)
     centred = 0 <= start <= t.size - ptring.estimate._FIT_POINTS
@@ -1251,7 +1258,7 @@ def test_guard_finds_the_count_two_pair_at_m8():
     f = _f_monodromy(Z, 8)
     brackets, (master, refined) = _closer_call(f, Z, 18)
     ((lo,), _, (hi,)) = master[1]
-    assert master[0][3].size + 2 == refined[0][3].size and refined[1].size == 0
+    assert master[0] + 2 == refined[0] and refined[1].size == 0
     with warnings.catch_warnings():
         warnings.simplefilter("error", LevelShortfallWarning)
         recs = find_roots(f, Z, 18)
@@ -1269,7 +1276,8 @@ def test_guard_refines_without_a_pair():
     f = _f_monodromy(Z)
     brackets, scans = _closer_call(f, Z, 18)
     assert scans[0][1].size > 0 and scans[-1][1].size == 0
-    for a, b in zip(brackets, scans[0][0]):
+    master = scans[0][2]
+    for a, b in zip(brackets, _scan_brackets(master, _evaluate(f, master), Z)):
         np.testing.assert_array_equal(a, b)
     g, sizes = _counted(f)
     with warnings.catch_warnings():
@@ -1321,13 +1329,99 @@ def test_guard_flags_every_window_the_bound_admits():
         assert level_count(find_roots(f, Z, 18)) == 7
 
 
+def _factor_and_pair(root, centre, half):
+    """Two factors: t - root, and (t - centre)^2 - half^2, whose pair of
+    roots lies at centre -+ half."""
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        y0, y1 = t - root, (t - centre) ** 2 - half * half
+        v = LogScaledValue.from_float(y0 * y1)
+        return LogScaledValue(v.sign, v.logmag, ((y0, 1), (y1, 1)))
+
+    return f
+
+
+def _master_grid(Z, config):
+    """The master grid of find_roots over config at Z, its first call."""
+    grids = []
+    find_roots(lambda t: grids.append(t) or _linear(0.55)(t), Z, 1, config)
+    return grids[0]
+
+
+_PAIR_CFG = ScanConfig(t_min=0.3, t_max=0.8)
+_PAIR_GRID = _master_grid(1.0, _PAIR_CFG)
+
+
+def test_guard_finds_a_pair_beside_another_factors_root():
+    """Factor 1 keeps its sign on the master grid around its pair at
+    0.50019 and 0.50021, in the grid interval that holds factor 0's root at
+    0.5: its least magnitude there flags a window of its own, and the solve
+    finds all three levels. A guard that left out every window beside any
+    factor's sign change found 1."""
+    i = np.searchsorted(_PAIR_GRID, 0.5)
+    assert _PAIR_GRID[i - 1] < 0.5 < 0.50021 < _PAIR_GRID[i]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LevelShortfallWarning)
+        recs = find_roots(_factor_and_pair(0.5, 0.5002, 1e-5), 1.0, 3, _PAIR_CFG)
+    assert [r.factor for r in recs] == [1, 1, 0]
+    assert [r.t for r in recs] == pytest.approx([0.50021, 0.50019, 0.5], rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    root=st.floats(0.35, 0.75),
+    offset=st.floats(-1.0, 1.0),
+    gap=st.floats(1e-4, 0.999),
+)
+def test_guard_finds_every_pair_beside_another_factors_root(root, offset, gap):
+    """A pair of factor 1 centred within one master grid interval h of
+    factor 0's root, and gap h apart, gap < 1, is found with that root:
+    every one of the three levels, each to 1e-12 relative."""
+    i = np.searchsorted(_PAIR_GRID, root)
+    h = _PAIR_GRID[i] - _PAIR_GRID[i - 1]
+    centre, half = root + offset * h, 0.5 * gap * h
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LevelShortfallWarning)
+        recs = find_roots(_factor_and_pair(root, centre, half), 1.0, 3, _PAIR_CFG)
+    assert sorted((r.factor, r.t) for r in recs) == [
+        (0, pytest.approx(root, rel=1e-12)),
+        (1, pytest.approx(centre - half, rel=1e-12)),
+        (1, pytest.approx(centre + half, rel=1e-12)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "M,Z,least_calls",
+    [(1, 17.9012345, 4), (8, 61.7971, 3), (1, 1.0, 2)],
+    ids=["M1-above-EP", "M8-count-two-pair", "M1-Z1"],
+)
+def test_first_estimates_run_once_per_solve(monkeypatch, M, Z, least_calls):
+    """The refinement passes re-run only the window scan: the brackets and
+    their first estimates are built once, on the final grid, however many
+    passes the solve takes (at least least_calls - 2)."""
+    runs = []
+
+    def spy(*args):
+        runs.append(args)
+        return ptring.estimate.first_estimates(*args)
+
+    monkeypatch.setattr(ptring.roots, "first_estimates", spy)
+    g, sizes = _counted(_f_monodromy(Z, M))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        find_roots(g, Z, 18)
+    assert len(sizes) >= least_calls
+    assert len(runs) == 1
+
+
 def test_windows_hold_their_vertex():
     """Every extremum window (lo, vertex, hi) of the solve just below the
     M = 1 exceptional point, on the master grid and on each refinement
     pass, holds its vertex."""
     Z = 17.9012344
     _, scans = _closer_call(_f_monodromy(Z), Z, 18)
-    W = np.concatenate([windows for _, windows in scans], axis=1)
+    W = np.concatenate([windows for _, windows, _ in scans], axis=1)
     assert W.shape[0] == 3 and W.shape[1] > 0
     assert ((W[0] <= W[1]) & (W[1] <= W[2])).all()
 
