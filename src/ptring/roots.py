@@ -89,7 +89,12 @@ _LEAST_GRID_POINTS = 256
 # (about 1100 points at 18, 5400 at 100) in one call; against 1024 it raised
 # the peak RSS of a solve by at most 0.3 MB (explicit, 100 levels, on a
 # uniform master grid of step 5e-3), and the benchmark's peak_rss_mb by
-# 0.3-0.9 MB (+0.5% to +1.4%).
+# 0.3-0.9 MB (+0.5% to +1.4%). Smaller chunks do not cure the allocator's
+# churn that secular_explicit's working set caused (see README,
+# "Performance"): at 2048, before that set shrank, a 100-level solve still
+# took 78 of its 172 minor page faults, the 50- and 100-level solves took 3
+# and 4 calls instead of 2, and a ladder solve got slower (least time 1.007
+# of 8192's, tools/solve_ab.py --interleave, 20 s).
 _EVAL_CHUNK = 8192
 # Relative width to which every bracket is closed
 _T_TOL = 1e-13
@@ -425,12 +430,13 @@ def _close_brackets(
     with np.errstate(divide="ignore"):  # a computed 0 at t: -inf
         residual = np.log(np.abs(np.where(nearer, y1, y2)))
     width = np.maximum(w, _WIDTH_FLOOR_ULPS * np.spacing(m))
-    return list(
-        map(
-            RootRecord, t.tolist(), residual.tolist(), width.tolist(),
-            double.tolist(), brackets[3].tolist(),
-        )
+    # each record is built from its fields in C, not by RootRecord's
+    # generated __new__, as levels are (see spectrum)
+    fields = zip(
+        t.tolist(), residual.tolist(), width.tolist(), double.tolist(),
+        brackets[3].tolist(),
     )
+    return list(map(tuple.__new__, [RootRecord] * t.size, fields))
 
 
 def _windows(ts: np.ndarray, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -618,6 +624,7 @@ def find_roots(
     lin[-1] = s_hi
     s = np.concatenate([s_lo * np.exp(ratio * np.arange(n_geo)), lin])
     ts = Z / (2.0 * s[::-1])
+    del s, lin  # the solve keeps only ts: its peak working set (see secular_explicit)
     factors, counts = _evaluate(f, ts)
     change, W = _windows(ts, factors[: counts.size])
     # refine the grid in each extremum window (lo, vertex, hi) until none is

@@ -381,19 +381,27 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     (4 (Re c)^2 - |c|^2 tau^2) e^(-6t), computed from the factors.
     """
     point, mod_sq, scalar = _points(Z, t)
-    k_sq, a, b, sh, th, _, sin_s, em = _cell_trace(point, mod_sq, 1.0)
+    k_sq, a, b, sh, th, decay, sin_s, em = _cell_trace(point, mod_sq, 1.0)
     cos_s = np.cos(sh)
     decay = np.exp(-2.0 * th)
     sinh2 = (0.5 * em) ** 2  # sinh^2(t) e^(-2t)
+    # each array is dropped after its last use: e^(-t) as decay is rebound,
+    # then s and the energy, which _points checked. That holds the call's
+    # peak to 13 arrays of its length, from 25, and on the 100-level master
+    # grid keeps the allocator from handing the memory back to the OS after
+    # every call and faulting it in again on the next (see README,
+    # "Performance")
+    del point, sh, em
     c2 = cos_s * cos_s * decay + sinh2  # |c|^2 e^(-2t)
     rho = np.abs(cos_s) * (0.5 + 0.5 * decay) / np.sqrt(c2)  # |Re c| / |c|
     # 2 (1 - rho) e^(-2t), through 1 - rho^2 = (Im c)^2 / |c|^2
     gap = 2.0 * sin_s ** 2 * sinh2 / (c2 * (1.0 + rho)) * decay
+    del sin_s, sinh2, rho
     b_sq = b * b
     b1, b2 = np.sqrt(b_sq + gap / k_sq), np.sqrt(b_sq + (4.0 * decay - gap) / k_sq)
-    flip = cos_s < 0.0
+    flip, k = cos_s < 0.0, np.sqrt(k_sq)
+    del b, b_sq, gap, decay, cos_s, k_sq
     b1, b2 = np.where(flip, b2, b1), np.where(flip, b1, b2)
-    k = np.sqrt(k_sq)
     factors = _edge_pair(k, a, b1) + _edge_pair(k, a, b2)
     (f0, _), (f1, _), (f2, _), (f3, _) = factors
 

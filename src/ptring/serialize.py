@@ -22,9 +22,14 @@ from .potential import CIRCUMFERENCE, MAX_SEGMENTS, START, SquareWell
 from .spectrum import EnergyLevel, SpectrumReport
 
 
+# the format spec of every float's text: fmt_float's, and in the %-templates
+# of spectrum_to_csv, where "%" + spec writes the same text
+_FLOAT_SPEC = ".11e"
+
+
 def fmt_float(x: float) -> str:
     """12-significant-digit lowercase scientific notation, round-trip stable."""
-    return f"{x:.11e}"
+    return f"{x:{_FLOAT_SPEC}}"
 
 
 class SpectrumDocument(NamedTuple):
@@ -46,6 +51,10 @@ _FLOAT = _INTEGER + r"(?=[.eE])(\.[0-9]+)?([eE][-+]?[0-9]+)?"
 SPECTRUM_COLUMNS = ("n", "t", "s", "E", "delta1", "series", "doublet_partner")
 # the text rule and the type of each column's CSV cells
 _CSV_CELLS = ((_INTEGER, int), *[(_FLOAT, float)] * 4, *[(_INTEGER, int)] * 2)
+# a level's CSV row, and one without its delta1, which %.0s leaves empty: n,
+# series and doublet_partner as str() writes them, the floats as fmt_float does
+_CSV_ROW = "%s,{0},{0},{0},{0},%s,%s".format("%" + _FLOAT_SPEC)
+_CSV_ROW_NO_DELTA = "%s,{0},{0},{0},%.0s,%s,%s".format("%" + _FLOAT_SPEC)
 
 
 def _spectrum_rows(
@@ -149,10 +158,20 @@ def spectrum_to_csv(
 ) -> str:
     """One row per level, columns SPECTRUM_COLUMNS.
 
-    None fields (delta1 at n=0, missing partner) are left empty.
+    None fields (delta1 at n=0, missing partner) are left empty. A row is
+    one %-template (_CSV_ROW); where a level is no 7-field tuple of fields
+    the template takes, or delta1 has another length, the rows are written
+    field by field (_spectrum_rows), which raises its own error.
     """
     lines = [",".join(SPECTRUM_COLUMNS)]
-    lines.extend(",".join(row) for row in _spectrum_rows(levels, delta1, ""))
+    try:
+        lines += [
+            (_CSV_ROW if d is not None else _CSV_ROW_NO_DELTA)
+            % (n, t, s, E, d, q, "" if p is None else p)
+            for (n, t, s, E, q, p, _), d in zip(levels, delta1, strict=True)
+        ]
+    except (TypeError, ValueError):
+        lines += map(",".join, _spectrum_rows(levels, delta1, ""))
     return "\n".join(lines) + "\n"
 
 

@@ -26,9 +26,14 @@ expand one record (equal t and branch), or when their branches are 2j and
 2j + 1.
 """
 
+import operator
 from typing import NamedTuple, Sequence
 
 from .potential import check_coupling
+
+# builds a level from the tuple of its fields in C, not through the named
+# tuple's generated __new__, on the per-level path of every solve
+_new = tuple.__new__
 
 
 class EnergyLevel(NamedTuple):
@@ -74,16 +79,17 @@ def energies_from_roots(roots: Sequence, Z: float) -> list[EnergyLevel]:
     """
     check_coupling(Z)
     levels: list[EnergyLevel] = []
-    for r in roots:
-        if not r.t > 0:
+    order = []
+    for t, _, _, doublet, factor in roots:
+        if not t > 0:
             raise ValueError("every root must have t > 0")
-        s = Z / (2.0 * r.t)
-        e = s * s - r.t * r.t
-        for _ in range(2 if r.unresolved_doublet else 1):
+        s = Z / (2.0 * t)
+        e = s * s - t * t
+        for _ in range(2 if doublet else 1):
             n = len(levels)
-            levels.append(EnergyLevel(n, r.t, s, e, n % 4, None, r.factor))
-    order = [(-r.t, r.factor) for r in roots]
-    if any(a >= b for a, b in zip(order, order[1:])):
+            levels.append(_new(EnergyLevel, (n, t, s, e, n % 4, None, factor)))
+        order.append((-t, factor))
+    if any(map(operator.ge, order, order[1:])):
         raise ValueError(
             "roots must be strictly descending in t, by ascending factor at equal t"
         )
@@ -92,10 +98,9 @@ def energies_from_roots(roots: Sequence, Z: float) -> list[EnergyLevel]:
 
 def first_differences(levels: Sequence[EnergyLevel]) -> list[float | None]:
     """Delta_n = E_n - E_{n-1}, aligned with levels (None at n = 0)."""
+    energies = [lvl.E for lvl in levels]
     out: list[float | None] = [None] if levels else []
-    out.extend(
-        levels[i].E - levels[i - 1].E for i in range(1, len(levels))
-    )
+    out.extend(map(operator.sub, energies[1:], energies))
     return out
 
 
@@ -145,8 +150,8 @@ def analyze_series(levels: Sequence[EnergyLevel]) -> SpectrumReport:
         )
         if linked:
             pairs.append((lo.n, hi.n, delta[i + 1]))
-            tagged[i] = lo._replace(doublet_partner=hi.n)
-            tagged[i + 1] = hi._replace(doublet_partner=lo.n)
+            tagged[i] = _new(EnergyLevel, (*lo[:5], hi.n, lo.branch))
+            tagged[i + 1] = _new(EnergyLevel, (*hi[:5], lo.n, hi.branch))
         i += 2 if linked else 1
     return SpectrumReport(
         levels=tuple(tagged),

@@ -10,6 +10,7 @@ sign changes across tight brackets around them rather than re-deriving.
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,6 +35,8 @@ from ptring import (
     SecularOverflowError,
     SpectralPoint,
     build_square_well,
+    find_roots,
+    roots,
     secular_explicit,
     secular_monodromy,
 )
@@ -793,3 +796,38 @@ def test_explicit_requires_positive_inputs():
         secular_explicit(-1.0, 0.5)
     with pytest.raises(ValueError, match="-0.5"):
         secular_explicit(1.0, np.array([0.3, -0.5, 0.2]))
+
+
+def _traced_peak(fn) -> int:
+    """The tracemalloc peak of fn(), in bytes above what was traced before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_explicit_grid_call_holds_few_arrays_at_once(monkeypatch):
+    """Root finding's call of the twisted closure on the master grid of a
+    100-level solve at Z = 1 (5391 points) peaks at 13.2 arrays of the
+    grid's length under tracemalloc, since each array is dropped after its
+    last use, and the whole solve at 15.3, since it keeps only the grid's t;
+    with every array held to the end of the call they were 25.2 and 28.2.
+    The bounds are 15 and 17."""
+    grids = []
+    evaluate = roots._evaluate
+
+    def spy(f, ts):
+        grids.append(ts)
+        return evaluate(f, ts)
+
+    monkeypatch.setattr(roots, "_evaluate", spy)
+    f = lambda t: secular_explicit(1.0, t)  # noqa: E731
+    find_roots(f, 1.0, 100)
+    monkeypatch.undo()
+    ts = grids[0]
+    assert ts.size == 5391
+    assert _traced_peak(lambda: evaluate(f, ts)) <= 15 * ts.nbytes
+    assert _traced_peak(lambda: find_roots(f, 1.0, 100)) <= 17 * ts.nbytes

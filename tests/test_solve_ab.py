@@ -18,19 +18,20 @@ def test_couplings_one_per_stratum():
 
 def test_one_pair_prints_both_sides_and_the_ratio(capsys):
     """One short pair of the same tree against itself: a row per side with
-    its least and median time per solve and one per stage, then the pair's
-    two ratios and a summary of each."""
+    its least and median time per solve, one per stage and its minor page
+    faults per solve, then the pair's two ratios and a summary of each."""
     src = str(ROOT / "src")
     assert solve_ab.main([src, src, "--workload", "pt-sweep", "--pairs", "1",
                           "--seconds", "0.02"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("workload pt-sweep, seed 1, 1 pairs")
-    assert lines[1].split() == ["side", "least", "median", *solve_ab.STAGES]
+    assert lines[1].split() == ["side", "least", "median", *solve_ab.STAGES, "faults"]
     for side, line in zip("AB", lines[2:4]):
         fields = line.split()
-        assert fields[0] == side and len(fields) == 3 + len(solve_ab.STAGES)
+        assert fields[0] == side and len(fields) == 4 + len(solve_ab.STAGES)
         least, median = map(float, fields[1:3])
         assert 0.0 < least <= median
+        assert float(fields[-1]) >= 0.0
     assert lines[4].split() == [
         "pair", "first", "A_least", "B_least", "B/A", "A_median", "B_median", "B/A"
     ]
@@ -46,20 +47,22 @@ def test_one_pair_prints_both_sides_and_the_ratio(capsys):
 
 def test_interleave_prints_each_side_and_the_ratio(capsys):
     """--interleave with the same tree on both sides: a row per side with
-    its least time per solve and per stage, then the ratio B/A of the least
-    times and the count of inputs B solved faster."""
+    its least time per solve and per stage and its mean minor page faults
+    per solve, then the ratio B/A of the least times and the count of
+    inputs B solved faster."""
     src = str(ROOT / "src")
     assert solve_ab.main([src, src, "--workload", "ladder", "--interleave",
                           "--seconds", "0.02"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("workload ladder, seed 1, A and B interleaved")
     assert lines[0].endswith("averaged over the 3 inputs")
-    assert lines[1].split() == ["side", "least", *solve_ab.STAGES]
+    assert lines[1].split() == ["side", "least", *solve_ab.STAGES, "faults"]
     for side, line in zip("AB", lines[2:4]):
         fields = line.split()
-        assert fields[0] == side and len(fields) == 2 + len(solve_ab.STAGES)
-        least, *stages = map(float, fields[1:])
+        assert fields[0] == side and len(fields) == 3 + len(solve_ab.STAGES)
+        least, *stages, faults = map(float, fields[1:])
         assert 0.0 < sum(stages) <= least * 1.001
+        assert faults >= 0.0
     a, b = (float(line.split()[1]) for line in lines[2:4])
     ratio = lines[4].split()
     assert lines[4].startswith("B/A of the least time per solve ")

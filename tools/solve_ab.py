@@ -13,6 +13,8 @@ solve of each input, for the given seconds after one untimed round. A solve
 is what `ptring spectrum` does: find_roots under a recording warnings
 filter, energies_from_roots, the cut to the requested levels,
 analyze_series and spectrum_to_csv; each of those stages is timed too.
+The minor page faults of each solve are read with getrusage just before
+its first time mark and just after its last, so the reads are not timed.
 
 The inputs are defined here, not imported from the benchmark:
 
@@ -24,9 +26,10 @@ The inputs are defined here, not imported from the benchmark:
 
 Prints, per side, its least time per solve over all rounds, the median of
 its runs' median times per solve and the like median for each stage, in
-microseconds; then, per pair, the two runs' least and median times per
-solve and their ratios B/A, and last, for each, the median ratio and the
-number of pairs in which B was faster. On a shared host, load from
+microseconds, and the like median of its minor page faults per solve; then,
+per pair, the two runs' least and median times per solve and their ratios
+B/A, and last, for each, the median ratio and the number of pairs in which
+B was faster. On a shared host, load from
 elsewhere that lasts seconds moves a run's median; its least time, the
 cost of a solve when nothing else ran, moves far less.
 
@@ -34,7 +37,8 @@ With --interleave, A and B are imported side by side into this one
 process, pinned to one core, and each round solves every input with A and
 then B, or B and then A in odd rounds, for the given seconds after one
 untimed round. It prints, per side, the least time of each input's solve
-and of each stage, averaged over the inputs, in microseconds, then the
+and of each stage, averaged over the inputs, in microseconds, and its mean
+minor page faults per solve over all timed rounds, then the
 ratio B/A of the least times per solve and the number of inputs that B
 solved faster. Load from elsewhere then falls on both sides alike, so a
 change of 1-2% in the least time per solve, which pairs of fresh
@@ -50,6 +54,7 @@ import json
 import math
 import os
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -99,12 +104,16 @@ def load(src: str, name: str):
 def solver(ptring):
     """A function of one input (f, Z, levels) that solves it as `ptring
     spectrum` does with the package ptring and returns the time of each of
-    STAGES in seconds."""
+    STAGES in seconds and the solve's minor page faults."""
     spectrum = importlib.import_module(f"{ptring.__name__}.spectrum")
     to_csv = importlib.import_module(f"{ptring.__name__}.serialize").spectrum_to_csv
     clock = time.perf_counter
 
+    def minflt():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
     def solve(f, Z, n):
+        faults = minflt()
         marks = [clock()]
         with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
@@ -116,30 +125,33 @@ def solver(ptring):
         marks.append(clock())
         to_csv(report.levels, report.delta1)
         marks.append(clock())
-        return [stop - start for start, stop in zip(marks, marks[1:])]
+        faults = minflt() - faults
+        return [stop - start for start, stop in zip(marks, marks[1:])], faults
 
     return solve
 
 
 def run(src: str, workload: str, seconds: float, seed: int) -> dict:
     """Time the workload's solves in this process, importing ptring from src:
-    per round, the time per solve and the time per solve of each stage."""
+    per round, the time per solve, the time per solve of each stage and the
+    minor page faults per solve."""
     ptring = load(src, "ptring")
     solve, solves = solver(ptring), inputs(ptring, workload, seed)
     rounds = []
     end = None
     while end is None or time.perf_counter() < end:
-        spent = dict.fromkeys(("solve", *STAGES), 0.0)
+        spent = dict.fromkeys(("solve", *STAGES, "faults"), 0.0)
         for f, Z, n in solves:
-            times = solve(f, Z, n)
+            times, faults = solve(f, Z, n)
             spent["solve"] += sum(times) / len(solves)
+            spent["faults"] += faults / len(solves)
             for stage, dt in zip(STAGES, times):
                 spent[stage] += dt / len(solves)
         if end is None:  # the untimed round
             end = time.perf_counter() + seconds
         else:
             rounds.append(spent)
-    return {key: [r[key] for r in rounds] for key in ("solve", *STAGES)}
+    return {key: [r[key] for r in rounds] for key in ("solve", *STAGES, "faults")}
 
 
 def interleave(args) -> int:
@@ -156,25 +168,28 @@ def interleave(args) -> int:
             solve(*case)
     # per side and input, the least time of the solve and of each stage
     least = {side: [[math.inf] * (1 + len(STAGES))] * count for side in sides}
-    order, end = "AB", time.perf_counter() + args.seconds
+    faults = dict.fromkeys(sides, 0)
+    order, end, rounds = "AB", time.perf_counter() + args.seconds, 0
     while time.perf_counter() < end:
         for i in range(count):
             for side in order:
                 solve, solves = sides[side]
-                times = solve(*solves[i])
+                times, faults_i = solve(*solves[i])
                 least[side][i] = list(map(min, least[side][i], [sum(times), *times]))
-        order = order[::-1]
+                faults[side] += faults_i
+        order, rounds = order[::-1], rounds + 1
     print(
         f"workload {args.workload}, seed {args.seed}, A and B interleaved for "
         f"{args.seconds:g} s on one core; least microseconds per solve, "
         f"averaged over the {count} inputs"
     )
-    print("side   least  " + "  ".join(f"{s:>10}" for s in STAGES))
+    print("side   least  " + "  ".join(f"{s:>10}" for s in STAGES) + "   faults")
     mean = {}
     for side, rows in least.items():
         mean[side] = [statistics.fmean(col) * 1e6 for col in zip(*rows)]
         stages = "  ".join(f"{t:10.1f}" for t in mean[side][1:])
-        print(f"{side:<4} {mean[side][0]:7.1f}  {stages}")
+        per_solve = faults[side] / max(1, rounds * count)
+        print(f"{side:<4} {mean[side][0]:7.1f}  {stages}  {per_solve:7.1f}")
     wins = sum(b[0] < a[0] for a, b in zip(least["A"], least["B"]))
     print(
         f"B/A of the least time per solve {mean['B'][0] / mean['A'][0]:.3f}; "
@@ -229,11 +244,13 @@ def main(argv=None) -> int:
         f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs of "
         f"{args.seconds:g} s runs, one core each; microseconds per solve"
     )
-    print("side   least  median  " + "  ".join(f"{s:>10}" for s in STAGES))
+    print("side   least  median  " + "  ".join(f"{s:>10}" for s in STAGES) + "   faults")
     for side, rs in runs.items():
         least = min(min(r["solve"]) for r in rs) * us
         stages = "  ".join(f"{median_us(rs, s):10.1f}" for s in STAGES)
-        print(f"{side:<4} {least:7.1f} {median_us(rs, 'solve'):7.1f}  {stages}")
+        faults = statistics.median(statistics.median(r["faults"]) for r in rs)
+        median = median_us(rs, "solve")
+        print(f"{side:<4} {least:7.1f} {median:7.1f}  {stages}  {faults:7.1f}")
     print("pair first   A_least   B_least     B/A  A_median  B_median     B/A")
     ratios = {"least": [], "median": []}
     for p, (a, b) in enumerate(zip(runs["A"], runs["B"])):
