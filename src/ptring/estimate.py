@@ -28,7 +28,8 @@ finds both, and each factor takes the one where the pair's sum
 k (a - b) + k (a + b) = 2 k a has its sign: positive for k (a - b),
 negative for k (a + b). The forward estimate replaces the
 inverse one where it lies strictly inside the bracket, has that sign, and
-its Newton step is at most _SETTLED relative to s.
+its last Newton step e = p / p' has settled: the step's own error bound,
+|p'' / (2 p')| e^2, is at most the closer's epsilon relative to s.
 """
 
 import numpy as np
@@ -49,15 +50,9 @@ import numpy as np
 _FIT_POINTS = 14
 # Offsets of those points from the first of them, as a column
 _FIT = np.arange(_FIT_POINTS)[:, None]
-# Largest Newton step, relative to s, that ends a forward estimate taken:
-# 1e3 epsilon at the closer's _T_TOL = 1e-13. On the twisted closure at Z
-# from 0.5 to 33.55 it takes every estimate, where a bound of epsilon
-# turned away up to 36 of 123 that had landed within epsilon; the longer
-# steps, at Z of 0.05 and below, end iterations that have not settled
-_SETTLED = 5e-11
 
 
-def first_estimates(ts, factors, analytic, Z: float, X, Y, k, i) -> np.ndarray:
+def first_estimates(ts, factors, analytic, Z: float, X, Y, k, i, eps) -> np.ndarray:
     """Per bracket, the first estimate of its root as a fraction of the way
     from its lower end to its upper one, strictly between 0 and 1, or NaN
     for none.
@@ -66,8 +61,9 @@ def first_estimates(ts, factors, analytic, Z: float, X, Y, k, i) -> np.ndarray:
     the value's analytic form there, a (1, n) row, or (0, n) for none; Z is
     the coupling of s = Z/(2t). Bracket j is a sign change of factor k[j]
     between grid points i[j] and i[j] + 1, with ends X[:, j] and the
-    factor's values Y[:, j] there. The inverse estimate is taken where the
-    factor is strictly monotone over the fit's points and the estimate lies
+    factor's values Y[:, j] there; eps is the closer's epsilon relative to
+    s, _T_TOL / 2 of roots. The inverse estimate is taken where the factor
+    is strictly monotone over the fit's points and the estimate lies
     strictly inside the bracket, the forward one as the module docstring
     says; a grid of fewer than _FIT_POINTS points gives NaN throughout.
     """
@@ -100,11 +96,11 @@ def first_estimates(ts, factors, analytic, Z: float, X, Y, k, i) -> np.ndarray:
         p, p1, p2, _ = _derivatives(z, x, w, y)
         root = np.sqrt(np.fmax(p1 * p1 - 4.0 * p * p2, 0.0))
         z = z - 2.0 * p / (p1 + [[1.0], [-1.0]] * root)
-        p, p1, _, c = _derivatives(z, x, w, y)
+        p, p1, p2, c = _derivatives(z, x, w, y)
         e = p / p1
         u = (Z / (2.0 * (z - e)) - X[0]) / (X[1] - X[0])
         pair = (c * (factors[k & ~1, fit] + factors[k | 1, fit])).sum(axis=1)
-    ok = (u > 0.0) & (u < 1.0) & (np.abs(e) <= _SETTLED * z)
+        ok = (u > 0.0) & (u < 1.0) & (np.abs(p2 / p1) * e * e <= eps * z)
     ok &= (pair > 0.0) == (k % 2 == 0)
     np.copyto(q, np.where(ok[0], u[0], u[1]), where=ok.any(axis=0))
     return q

@@ -45,10 +45,10 @@ interpolated as a polynomial in the factor's value through the _FIT_POINTS
 grid points around the bracket, or, where the value carries an analytic
 form, the root of that form's interpolant through the same points; a
 bracket without either starts at its midpoint. On every M = 1 solve at Z
-in [0.05, 4], at M = 8 and 32 at Z = 1, and on the twisted closure at Z
-from 0.134 to 2.754 and at Z = 1 up to 100 levels, the estimate lands
-within the stencil's innermost step of every root, so that one step closes
-every bracket. Each root is one record, which stands for
+in [0.05, 4], at M = 8 and 32 at Z = 1, and on the twisted closure at 18
+levels from Z = 0.0513 to 2.780 and at Z = 1 up to 100 levels, the
+estimate lands within the stencil's innermost step of every root, so that
+one step closes every bracket. Each root is one record, which stands for
 as many levels as its factor's count, however near a root of another
 factor lies; two neighbouring roots of one factor whose closed brackets
 touch are rounding noise near an exceptional point, an error.
@@ -500,7 +500,7 @@ def _brackets(ts: np.ndarray, scan: tuple, change: np.ndarray, Z: float) -> tupl
     k, i = divmod(np.flatnonzero(change), ts.size - 1)
     lohi = i + _AROUND
     X, Y = ts[lohi], factors[k, lohi]
-    q = first_estimates(ts, factors, analytic, Z, X, Y, k, i)
+    q = first_estimates(ts, factors, analytic, Z, X, Y, k, i, 0.5 * _T_TOL)
     return X, Y, q, k, counts[k] == 2
 
 

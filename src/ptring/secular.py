@@ -187,9 +187,11 @@ def _checked(sign, logmag) -> tuple:
 
 def _points(Z: float, t) -> tuple[SpectralPoint, object, bool]:
     """The spectral points of t as a 1-D array, |kappa|^2 there (see
-    _spectral), and whether t was a scalar."""
+    _spectral), and whether t was a scalar. The points hold a copy of t,
+    so a deferred value that reads them (see _log_scaled) does not see
+    the caller change t before it is read."""
     scalar = np.ndim(t) == 0
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = np.array(t, dtype=float, ndmin=1)
     if ts.ndim != 1:
         raise ValueError(f"t must be a float or a 1-D array, got shape {ts.shape}")
     return *_spectral(Z, ts), scalar
@@ -199,8 +201,8 @@ def _log_scaled(value, scalar: bool, factors=(), analytic=None) -> LogScaledValu
     """The deferred value whose sign and log-magnitude arrays value()
     returns, with its (value, count) factors and its analytic form (see
     LogScaledValue), unwrapped to Python scalars for a scalar call. value()
-    must read only arrays the call computed, not the caller's t, which the
-    caller may change before the value is read."""
+    must read only arrays the call computed or copied (_points), not the
+    caller's t, which the caller may change before the value is read."""
     if not scalar:
         return LogScaledValue.deferred(value, tuple(factors), analytic)
 

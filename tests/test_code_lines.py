@@ -54,6 +54,16 @@ def test_main_prints_modules_and_total(tmp_path, capsys):
     assert out[-1].endswith("total")
 
 
+def test_main_refuses_no_path_or_a_missing_one(tmp_path, capsys):
+    """No path, or any path that does not exist, prints the usage line and
+    returns 1, before any module is counted."""
+    missing = str(tmp_path / "missing")
+    for argv in ([], [missing], [str(tmp_path), missing]):
+        assert code_lines.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: python tools/code_lines.py")
+
+
 def test_every_module_stays_within_4096_parser_tokens():
     """Every module of src/ptring has at most 4096 parser tokens: past that
     size compiling a module peaks about 230 KB higher (see the tool's

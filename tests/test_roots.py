@@ -604,12 +604,12 @@ def test_explicit_z1_takes_two_calls(n_levels):
 
 
 @settings(max_examples=40, deadline=None)
-@given(Z=st.floats(0.14, 2.75))
+@given(Z=st.floats(0.055, 2.75))
 def test_explicit_solve_takes_two_calls(Z):
     """An 18-level solve of the twisted closure takes the master call and one
     closer step: the forward estimate from its analytic form lands within
     epsilon of every root, the b1 doublets' included. Measured on grids of
-    Z, two calls hold from Z = 0.134 to 2.754; below, pairs closer than the
+    Z, two calls hold from Z = 0.0513 to 2.780; below, pairs closer than the
     interpolant resolves, and above, the exceptional point at Z = 2.9248,
     take more."""
     g, sizes = _counted(_f_explicit(Z))
@@ -617,6 +617,22 @@ def test_explicit_solve_takes_two_calls(Z):
         warnings.simplefilter("ignore", LevelShortfallWarning)
         find_roots(g, Z, 18)
     assert len(sizes) == 2
+
+
+@pytest.mark.parametrize(
+    "Z,n_levels,levels", [(0.01, 1, 3), (0.01, 2, 5), (0.1, 18, 25), (0.5, 100, 125)]
+)
+def test_settled_forward_estimates_take_two_calls(Z, n_levels, levels):
+    """Twisted solves whose forward estimates have converged by the error
+    bound of their last Newton step, though on some brackets that step is
+    5800 to 32000 epsilon long: each takes the forward estimates, closes
+    every bracket in one closer step and finds all its levels."""
+    g, sizes = _counted(_f_explicit(Z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LevelShortfallWarning)
+        records = find_roots(g, Z, n_levels)
+    assert len(sizes) == 2
+    assert level_count(records) == levels
 
 
 MULTICELL_LEVELS = {1: 13, 2: 19, 8: 23, 32: 25}
@@ -1146,7 +1162,7 @@ def test_scan_overflow_error_carries_first_failing_t(backend):
 @pytest.mark.parametrize(
     "backend,Z,M",
     [("monodromy", z, m) for z in (1e-6, 0.1, 1.0, 4.0) for m in (1, 8)]
-    + [("explicit", z, 1) for z in (0.1, 1.0, 4.0)],
+    + [("explicit", z, 1) for z in (0.1, 1.0, 4.0, 28.546)],
 )
 def test_solve_raises_no_numpy_warning(backend, Z, M):
     """The CLI prints every warning a solve raises; only the level

@@ -352,6 +352,22 @@ def _same_value(u, v):
     )
 
 
+@pytest.mark.parametrize("M", [None, 1, 8])
+def test_deferred_value_ignores_later_changes_to_t(M):
+    """A closure's sign and logmag, computed on their first read, are those
+    of t at the call, however the caller changes its array before that read:
+    the twisted closure (M None) and the periodic one at M = 1 and 8."""
+    t = np.array([0.3, 0.4])
+    if M is None:
+        value, fresh = (secular_explicit(1.0, x) for x in (t, t.copy()))
+    else:
+        well = build_square_well(M, 1.0)
+        value, fresh = (secular_monodromy(well, 1.0, x) for x in (t, t.copy()))
+    t[:] = [0.7, 0.9]
+    assert value.sign.tolist() == fresh.sign.tolist()
+    assert value.logmag.tolist() == fresh.logmag.tolist()
+
+
 @pytest.mark.parametrize("backend", ["explicit", "monodromy"])
 def test_secular_entry_takes_t_as_before(backend):
     """Both closures take t as a float or a 1-D array of any real dtype: a

@@ -74,7 +74,7 @@ def _modules(paths: list[str]) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if not argv:
+    if not argv or not all(map(os.path.exists, argv)):
         print("usage: python tools/code_lines.py PATH...", file=sys.stderr)
         return 1
     lines = tokens = 0
