@@ -2,12 +2,14 @@
 
 Every float is rendered with fmt_float (12 significant digits, lowercase
 e-notation) and emitters build their output byte-by-byte, so parsing an
-emitted document and re-emitting it reproduces the input exactly. CSV uses
-a comma separator, a header row, and LF line endings. A potential is
-written from its SquareWell's (M, Z) alone. The spectrum parsers accept
-only what the emitters can write: finite floats, and levels numbered by
-their row, ascending in E, whose doublet partners are adjacent and name
-each other.
+emitted document and re-emitting it reproduces the input exactly. Both
+spectrum formats write a level's row through one %-template each, made
+from the same column cells. CSV uses a comma separator, a header row, and
+LF line endings. A potential is written from its SquareWell's (M, Z)
+alone. The spectrum parsers accept only what the emitters can write:
+finite floats, a backend string, no field the emitters never write, and
+levels numbered by their row, ascending in E, whose doublet partners are
+adjacent and name each other.
 """
 
 import csv
@@ -22,8 +24,8 @@ from .potential import CIRCUMFERENCE, MAX_SEGMENTS, START, SquareWell
 from .spectrum import EnergyLevel, SpectrumReport
 
 
-# the format spec of every float's text: fmt_float's, and in the %-templates
-# of spectrum_to_csv, where "%" + spec writes the same text
+# the format spec of every float's text: fmt_float's, and in the spectrum
+# row templates, where "%" + spec writes the same text
 _FLOAT_SPEC = ".11e"
 
 
@@ -47,34 +49,49 @@ class SpectrumDocument(NamedTuple):
 # compiled on the first parse
 _INTEGER = r"-?(0|[1-9][0-9]*)"
 _FLOAT = _INTEGER + r"(?=[.eE])(\.[0-9]+)?([eE][-+]?[0-9]+)?"
-# one spectrum row, in the order both formats write it
+# one spectrum row, in the order both formats write it, and the keys of a
+# spectrum JSON document
 SPECTRUM_COLUMNS = ("n", "t", "s", "E", "delta1", "series", "doublet_partner")
+_JSON_KEYS = ("Z", "M", "backend", "levels")
 # the text rule and the type of each column's CSV cells
 _CSV_CELLS = ((_INTEGER, int), *[(_FLOAT, float)] * 4, *[(_INTEGER, int)] * 2)
-# a level's CSV row, and one without its delta1, which %.0s leaves empty: n,
-# series and doublet_partner as str() writes them, the floats as fmt_float does
-_CSV_ROW = "%s,{0},{0},{0},{0},%s,%s".format("%" + _FLOAT_SPEC)
-_CSV_ROW_NO_DELTA = "%s,{0},{0},{0},%.0s,%s,%s".format("%" + _FLOAT_SPEC)
+# a level's cells: n, series and doublet_partner as str() writes them, the
+# floats as fmt_float does
+_CELLS = ("%s", *["%" + _FLOAT_SPEC] * 4, "%s", "%s")
 
 
-def _spectrum_rows(
-    levels: Sequence[EnergyLevel], delta1: Sequence[float | None], none: str
-) -> list[list[str]]:
-    """Each level's SPECTRUM_COLUMNS values as text, with none for None."""
+def _object(names: Sequence[str], texts: Sequence[str]) -> str:
+    """A one-line JSON object of names' values, given as JSON texts."""
+    return "{%s}" % ", ".join(f'"{k}": {v}' for k, v in zip(names, texts))
+
+
+def _row_form(none: str, join) -> tuple[str, str, str]:
+    """A format's row template, join(_CELLS); its twin for a level without
+    delta1, whose delta1 cell writes none and then the None through %.0s,
+    which writes nothing; and none, the format's text of a None."""
+    return join(_CELLS), join([*_CELLS[:4], none + "%.0s", *_CELLS[5:]]), none
+
+
+_CSV_ROW = _row_form("", ",".join)
+_JSON_ROW = _row_form("null", lambda cells: _object(SPECTRUM_COLUMNS, cells))
+
+
+def _level_rows(levels: Sequence, delta1: Sequence, form: tuple) -> list[str]:
+    """Each level's row in form (_CSV_ROW, _JSON_ROW): both spectrum
+    writers' rows. A length mismatch is a ValueError saying so; a level that
+    is no 7-field tuple of fields the template takes, or a delta1 it cannot
+    write, is one ValueError too."""
     if len(levels) != len(delta1):
         raise ValueError("levels and delta1 must have equal length")
-    return [
-        [
-            str(lvl.n),
-            fmt_float(lvl.t),
-            fmt_float(lvl.s),
-            fmt_float(lvl.E),
-            none if d is None else fmt_float(d),
-            str(lvl.series),
-            none if lvl.doublet_partner is None else str(lvl.doublet_partner),
+    full, no_delta, none = form
+    try:
+        return [
+            (full if d is not None else no_delta)
+            % (n, t, s, E, d, q, none if p is None else p)
+            for (n, t, s, E, q, p, _), d in zip(levels, delta1)
         ]
-        for lvl, d in zip(levels, delta1)
-    ]
+    except (OverflowError, TypeError, ValueError) as e:
+        raise ValueError(f"a spectrum level the writers cannot write: {e}") from e
 
 
 def _finite(name: str, value) -> float:
@@ -102,7 +119,7 @@ def _integer(name: str, value) -> int:
 
 
 def _read_spectrum(rows: Iterable[Sequence], none, **meta) -> SpectrumDocument:
-    """Invert _spectrum_rows: rows of SPECTRUM_COLUMNS values, none for None.
+    """Read back _level_rows: rows of SPECTRUM_COLUMNS values, none for None.
 
     A t, s, E or delta1 that is no finite float (_finite), a series or
     doublet_partner that is no integer (_integer), or an n that is not the
@@ -138,19 +155,12 @@ def _read_spectrum(rows: Iterable[Sequence], none, **meta) -> SpectrumDocument:
     return SpectrumDocument(tuple(levels), tuple(delta1), **meta)
 
 
-def _json_document(fields: Sequence, key: str, names: Sequence, rows: Sequence) -> str:
-    """A JSON object: fields, then key's array of flat objects, one a line.
-
-    fields are (name, JSON text) pairs; each row holds the JSON texts of
-    the values of names, in order.
-    """
-    lines = ["{", *(f'  "{k}": {v},' for k, v in fields), f'  "{key}": [']
-    cells = ", ".join(f'"{k}": {{}}' for k in names)
-    for i, values in enumerate(rows):
-        tail = "," if i < len(rows) - 1 else ""
-        lines.append(f"    {{{cells.format(*values)}}}{tail}")
-    lines.extend(["  ]", "}"])
-    return "\n".join(lines) + "\n"
+def _json_document(fields: Sequence, key: str, rows: Iterable[str]) -> str:
+    """A JSON object: fields, (name, JSON text) pairs, then key's array of
+    rows, each an object's JSON text, one a line."""
+    head = "".join(f'  "{k}": {v},\n' for k, v in fields)
+    body = ",".join(f"\n    {row}" for row in rows)
+    return f'{{\n{head}  "{key}": [{body}\n  ]\n}}\n'
 
 
 def spectrum_to_csv(
@@ -158,21 +168,11 @@ def spectrum_to_csv(
 ) -> str:
     """One row per level, columns SPECTRUM_COLUMNS.
 
-    None fields (delta1 at n=0, missing partner) are left empty. A row is
-    one %-template (_CSV_ROW); where a level is no 7-field tuple of fields
-    the template takes, or delta1 has another length, the rows are written
-    field by field (_spectrum_rows), which raises its own error.
+    None fields (delta1 at n=0, missing partner) are left empty. A
+    malformed level is a ValueError (_level_rows).
     """
-    lines = [",".join(SPECTRUM_COLUMNS)]
-    try:
-        lines += [
-            (_CSV_ROW if d is not None else _CSV_ROW_NO_DELTA)
-            % (n, t, s, E, d, q, "" if p is None else p)
-            for (n, t, s, E, q, p, _), d in zip(levels, delta1, strict=True)
-        ]
-    except (TypeError, ValueError):
-        lines += map(",".join, _spectrum_rows(levels, delta1, ""))
-    return "\n".join(lines) + "\n"
+    rows = _level_rows(levels, delta1, _CSV_ROW)
+    return "\n".join([",".join(SPECTRUM_COLUMNS), *rows]) + "\n"
 
 
 def parse_spectrum_csv(text: str) -> SpectrumDocument:
@@ -202,24 +202,40 @@ def spectrum_to_json(
     backend: str,
 ) -> str:
     fields = [("Z", fmt_float(Z)), ("M", str(M)), ("backend", json.dumps(backend))]
-    rows = _spectrum_rows(levels, delta1, "null")
-    return _json_document(fields, "levels", SPECTRUM_COLUMNS, rows)
+    return _json_document(fields, "levels", _level_rows(levels, delta1, _JSON_ROW))
+
+
+def _fields(where: str, obj: dict, names: Sequence[str]) -> list:
+    """obj's values of names, in order. A key of obj that is none of names,
+    which the emitters never write, is a ValueError naming it; a missing
+    name is a KeyError, and an obj that is no JSON object an AttributeError."""
+    for k in obj.keys():
+        if k not in names:
+            raise ValueError(f"{where} has a field the emitters never write: {k!r}")
+    return [obj[k] for k in names]
 
 
 def parse_spectrum_json(text: str) -> SpectrumDocument:
+    """A spectrum JSON document as spectrum_to_json writes it. Beside what
+    _read_spectrum refuses, a backend that is no JSON string and a key that
+    spectrum_to_json never writes are a ValueError naming them."""
     try:
         obj = json.loads(text)
+        Z, M, backend, levels = _fields("spectrum JSON", obj, _JSON_KEYS)
+        if type(backend) is not str:
+            raise ValueError(
+                f"spectrum field backend must be a string, got {backend!r}"
+            )
+        rows = (
+            _fields(f"spectrum level {i}", d, SPECTRUM_COLUMNS)
+            for i, d in enumerate(levels)
+        )
+        return _read_spectrum(
+            rows, None, Z=_finite("Z", Z), M=_integer("M", M), backend=backend
+        )
     except json.JSONDecodeError as e:
         raise ValueError(f"not a spectrum JSON document: {e}") from e
-    try:
-        return _read_spectrum(
-            ([d[k] for k in SPECTRUM_COLUMNS] for d in obj["levels"]),
-            None,
-            Z=_finite("Z", obj["Z"]),
-            M=_integer("M", obj["M"]),
-            backend=str(obj["backend"]),
-        )
-    except (KeyError, TypeError) as e:
+    except (AttributeError, KeyError, TypeError) as e:
         raise ValueError(f"spectrum JSON missing or malformed field: {e}") from e
 
 
@@ -251,8 +267,8 @@ def potential_to_json(well: SquareWell) -> str:
         ("start", fmt_float(START)),
     ]
     width = fmt_float(1.0 / well.M)
-    rows = [(width, fmt_float(well.Z)), (width, fmt_float(-well.Z))] * (2 * well.M)
-    return _json_document(fields, "segments", ("width", "im"), rows)
+    pair = [_object(("width", "im"), (width, fmt_float(z))) for z in (well.Z, -well.Z)]
+    return _json_document(fields, "segments", pair * (2 * well.M))
 
 
 def potential_to_csv(well: SquareWell, samples: int) -> str:

@@ -3,12 +3,14 @@ written as plain per-field loops, to check the library's versions against.
 
 The library builds each level as a tuple in one call, links doublet
 partners without _replace, takes first differences with map and writes a
-CSV row through one %-template. These are the same steps one field at a
+CSV or JSON row through one %-template. These are the same steps one field at a
 time: every EnergyLevel through its constructor, every float through
-fmt_float. Their levels, reports and text must equal the library's, and
-they raise the same errors with the same messages, in the same order.
+fmt_float. Their levels, reports and text must equal the library's. energies_from_roots
+raises the same errors with the same messages, in the same order, and so do
+the writers on a length mismatch.
 """
 
+import json
 from typing import Sequence
 
 from ptring.potential import check_coupling
@@ -82,22 +84,55 @@ def analyze_series(levels: Sequence[EnergyLevel]) -> SpectrumReport:
     )
 
 
-def spectrum_to_csv(
-    levels: Sequence[EnergyLevel], delta1: Sequence[float | None]
-) -> str:
-    """ptring.serialize.spectrum_to_csv, one fmt_float call per float."""
+def _spectrum_rows(
+    levels: Sequence[EnergyLevel], delta1: Sequence[float | None], none: str
+) -> list[list[str]]:
+    """Each level's SPECTRUM_COLUMNS values as text, with none for None."""
     if len(levels) != len(delta1):
         raise ValueError("levels and delta1 must have equal length")
-    lines = [",".join(SPECTRUM_COLUMNS)]
-    for lvl, d in zip(levels, delta1):
-        row = [
+    return [
+        [
             str(lvl.n),
             fmt_float(lvl.t),
             fmt_float(lvl.s),
             fmt_float(lvl.E),
-            "" if d is None else fmt_float(d),
+            none if d is None else fmt_float(d),
             str(lvl.series),
-            "" if lvl.doublet_partner is None else str(lvl.doublet_partner),
+            none if lvl.doublet_partner is None else str(lvl.doublet_partner),
         ]
-        lines.append(",".join(row))
+        for lvl, d in zip(levels, delta1)
+    ]
+
+
+def spectrum_to_csv(
+    levels: Sequence[EnergyLevel], delta1: Sequence[float | None]
+) -> str:
+    """ptring.serialize.spectrum_to_csv, one fmt_float call per float."""
+    lines = [",".join(SPECTRUM_COLUMNS)]
+    lines += map(",".join, _spectrum_rows(levels, delta1, ""))
+    return "\n".join(lines) + "\n"
+
+
+def spectrum_to_json(
+    levels: Sequence[EnergyLevel],
+    delta1: Sequence[float | None],
+    Z: float,
+    M: int,
+    backend: str,
+) -> str:
+    """ptring.serialize.spectrum_to_json, one fmt_float call per float and
+    one line per level."""
+    lines = [
+        "{",
+        f'  "Z": {fmt_float(Z)},',
+        f'  "M": {M},',
+        f'  "backend": {json.dumps(backend)},',
+        '  "levels": [',
+    ]
+    rows = _spectrum_rows(levels, delta1, "null")
+    for i, row in enumerate(rows):
+        cells = ", ".join(f'"{k}": {v}' for k, v in zip(SPECTRUM_COLUMNS, row))
+        tail = "," if i < len(rows) - 1 else ""
+        lines.append(f"    {{{cells}}}{tail}")
+    lines.extend(["  ]", "}"])
     return "\n".join(lines) + "\n"

@@ -750,6 +750,30 @@ def test_analyze_rejects_non_float_json_fields(capsys, monkeypatch, field, token
     assert f"field {field} must be finite and written as a float" in err
 
 
+@pytest.mark.parametrize("token", ["null", "7", '["x"]'])
+def test_analyze_rejects_a_backend_that_is_no_json_string(capsys, monkeypatch, token):
+    """backend is a JSON string as the emitter writes it: null, a number or
+    a list, which were read as the strings "None", "7" and "['x']", is one
+    error naming the field."""
+    lines = _spectrum_text("json").split("\n")
+    assert lines[3].startswith('  "backend": ')
+    lines[3] = f'  "backend": {token},'
+    err = _analyze_error(capsys, monkeypatch, "\n".join(lines))
+    assert "spectrum field backend must be a string, got" in err
+
+
+@pytest.mark.parametrize("line,where", [(1, "spectrum JSON"), (5, "spectrum level 0")])
+def test_analyze_rejects_json_keys_the_emitter_never_writes(
+    capsys, monkeypatch, line, where
+):
+    """A top-level key other than Z, M, backend and levels, or a level key
+    outside SPECTRUM_COLUMNS, is one error naming it, never ignored."""
+    lines = _spectrum_text("json").split("\n")
+    lines[line] = lines[line].replace('"', '"units": "eV", "', 1)
+    err = _analyze_error(capsys, monkeypatch, "\n".join(lines))
+    assert f"{where} has a field the emitters never write: 'units'" in err
+
+
 @pytest.mark.parametrize("value", ["5_0.0", " 1", "+1", "1", "1.", ".5", "0x1p0"])
 @pytest.mark.parametrize("field", ["t", "s", "E", "delta1"])
 def test_analyze_rejects_csv_float_text_the_emitters_never_write(

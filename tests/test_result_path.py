@@ -1,8 +1,11 @@
 """The result path, record to CSV row, against its per-field reference.
 
-energies_from_roots, analyze_series and spectrum_to_csv must give the
-levels, reports and bytes of the plain loops in result_reference.py, and
-raise what they raise, for any record list find_roots may return.
+energies_from_roots, analyze_series, spectrum_to_csv and spectrum_to_json
+must give the levels, reports and bytes of the plain loops in
+result_reference.py for any record list find_roots may return.
+energies_from_roots raises what its loop raises; the writers raise its
+length error, and one ValueError for any level their templates cannot
+write.
 """
 
 import math
@@ -65,7 +68,7 @@ def test_result_path_matches_the_per_field_reference(records, Z, data):
         )
         assert spectrum_to_json(
             report.levels, report.delta1, Z, 1, "explicit"
-        ) == spectrum_to_json(want.levels, want.delta1, Z, 1, "explicit")
+        ) == ref.spectrum_to_json(want.levels, want.delta1, Z, 1, "explicit")
 
 
 @settings(max_examples=100, deadline=None)
@@ -88,12 +91,20 @@ def test_energies_raise_what_the_reference_raises(records, seed):
     "x", [-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
 )
 def test_csv_row_template_writes_what_fmt_float_writes(x):
-    """A row's floats, with and without delta1, as fmt_float writes them."""
+    """A row's floats, with and without delta1, as fmt_float writes them,
+    in CSV and JSON alike."""
     levels = [EnergyLevel(0, x, x, x, 0, None), EnergyLevel(1, x, x, x, 1, 0)]
     text = spectrum_to_csv(levels, [None, x])
     f = fmt_float(x)
     assert text.splitlines()[1:] == [f"0,{f},{f},{f},,0,", f"1,{f},{f},{f},{f},1,0"]
     assert text == ref.spectrum_to_csv(levels, [None, x])
+    text = spectrum_to_json(levels, [None, x], x, 1, "explicit")
+    cells = f'"t": {f}, "s": {f}, "E": {f}, "delta1"'
+    assert text.splitlines()[5:7] == [
+        f'    {{"n": 0, {cells}: null, "series": 0, "doublet_partner": null}},',
+        f'    {{"n": 1, {cells}: {f}, "series": 1, "doublet_partner": 0}}',
+    ]
+    assert text == ref.spectrum_to_json(levels, [None, x], x, 1, "explicit")
 
 
 @pytest.mark.parametrize(
@@ -111,8 +122,19 @@ def test_csv_row_template_writes_what_fmt_float_writes(x):
     ],
 )
 def test_csv_raises_what_the_reference_raises(levels, delta1):
-    """A length mismatch, a field fmt_float cannot format or a level of
-    other fields than an EnergyLevel's raises the per-field path's error."""
-    got = _outcome(spectrum_to_csv, levels, delta1)
-    assert isinstance(got, tuple)
-    assert got == _outcome(ref.spectrum_to_csv, levels, delta1)
+    """Both writers raise the per-field path's error on a length mismatch,
+    and one ValueError on a field the row template cannot write or a level
+    of other fields than an EnergyLevel's, where the per-field path raised
+    a ValueError, TypeError or AttributeError by field."""
+    for write, ref_write in (
+        (spectrum_to_csv, ref.spectrum_to_csv),
+        (lambda *a: spectrum_to_json(*a, 1.0, 1, "explicit"),
+         lambda *a: ref.spectrum_to_json(*a, 1.0, 1, "explicit")),
+    ):
+        got = _outcome(write, levels, delta1)
+        assert isinstance(got, tuple)
+        if len(levels) != len(delta1):
+            assert got == _outcome(ref_write, levels, delta1)
+        else:
+            assert got[0] is ValueError
+            assert got[1].startswith("a spectrum level the writers cannot write: ")

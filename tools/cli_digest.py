@@ -119,13 +119,28 @@ _TWO_LEVELS = (
     "1,3.93471017661e-01,1.27074162405e+00,{},1.31065249455e+00,1,{}\n"
 )
 # documents that analyze reads from stdin, each refused with one "error:"
-# line and exit 1: the emitters write levels in ascending E, and partners
-# only as adjacent levels that name each other
+# line and exit 1: the emitters write levels in ascending E, partners only
+# as adjacent levels that name each other, a backend only as a JSON string,
+# and no key outside their columns
 _ONE, _FIVE = "1.00000000000e+00", "5.00000000000e+00"
+# a one-level spectrum JSON document as the spectrum command writes it, but
+# for the backend's value and a key it never writes, at the top or in the
+# level
+_ONE_LEVEL = (
+    '{{\n  "Z": 1.00000000000e+00,\n  "M": 1,\n  "backend": {},{}\n  "levels": [\n'
+    '    {{"n": 0, "t": 5.00000000000e-01, "s": 1.00000000000e+00, '
+    '"E": 7.50000000000e-01, "delta1": null, "series": 0, '
+    '"doublet_partner": null{}}}\n  ]\n}}\n'
+)
 ANALYZE_INPUTS = (
     ("E descending", _TWO_LEVELS.format(_FIVE, "", _ONE, "")),
     ("partner beyond the levels", _TWO_LEVELS.format(_ONE, "5", _FIVE, "")),
     ("partner not named back", _TWO_LEVELS.format(_ONE, "1", _FIVE, "")),
+    ("backend null", _ONE_LEVEL.format("null", "", "")),
+    ("backend 7", _ONE_LEVEL.format("7", "", "")),
+    ('backend ["x"]', _ONE_LEVEL.format('["x"]', "", "")),
+    ("top-level key units", _ONE_LEVEL.format('"explicit"', '\n  "units": "eV",', "")),
+    ("level key units", _ONE_LEVEL.format('"explicit"', "", ', "units": "eV"')),
 )
 
 
