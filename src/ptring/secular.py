@@ -25,7 +25,10 @@ huge dynamic range of the secular functions. Every value also carries
 closed-form real factors (see LogScaledValue), whose simple roots are the
 levels, and the twisted closure's value also its analytic form. The call
 computes these, and the sign and log-magnitude only when one of them is
-first read, since root finding reads only these.
+first read, since root finding reads only these. Both closures, and
+LogScaledValue.from_float, read that sign and log-magnitude off the factors
+in one place, _log_scaled, each over its own envelope: the part of the value
+its factors leave out.
 
 Both take t as a float or a 1-D float array. A float is evaluated as a
 one-point array and comes back as a scalar LogScaledValue; an array comes
@@ -124,8 +127,9 @@ class LogScaledValue:
     factors; from_float(x) carries x as its one factor and no analytic
     form, and so does the periodic closure.
 
-    The secular functions return a deferred value (see deferred): its
-    factors are computed by the call, its sign and logmag only when one of
+    The secular functions and from_float return a deferred value (see
+    deferred), whose sign and logmag _log_scaled reads off its factors: the
+    factors are computed by the call, the sign and logmag only when one of
     them is first read. The checks on sign and logmag run then; the
     constructor runs them at once.
     """
@@ -167,11 +171,10 @@ class LogScaledValue:
 
     @classmethod
     def from_float(cls, x) -> "LogScaledValue":
-        """x in log-scaled form, with x itself as its one factor, count 1."""
+        """x in log-scaled form, with x itself as its one factor, count 1,
+        read off over an envelope of 0."""
         xs = np.array(x, dtype=float, ndmin=1)
-        with np.errstate(divide="ignore"):  # log(0) = -inf marks the zeros
-            pair = np.sign(xs).astype(int), np.log(np.abs(xs))
-        return _log_scaled(lambda: pair, np.ndim(x) == 0, [(xs, 1)])
+        return _log_scaled(np.ndim(x) == 0, [(xs, 1)], None, 1, lambda: 0.0)
 
 
 def _checked(sign, logmag) -> tuple:
@@ -197,24 +200,29 @@ def _points(Z: float, t) -> tuple[SpectralPoint, object, bool]:
     return *_spectral(Z, ts), scalar
 
 
-def _log_scaled(value, scalar: bool, factors=(), analytic=None) -> LogScaledValue:
-    """The deferred value whose sign and log-magnitude arrays value()
-    returns, with its (value, count) factors and its analytic form (see
-    LogScaledValue), unwrapped to Python scalars for a scalar call. value()
-    must read only arrays the call computed or copied (_points), not the
-    caller's t, which the caller may change before the value is read."""
-    if not scalar:
-        return LogScaledValue.deferred(value, tuple(factors), analytic)
+def _log_scaled(
+    scalar: bool, factors, analytic, sign: int, envelope, read=None, log_u=None
+) -> LogScaledValue:
+    """The deferred value with its (value, count) factors and its analytic
+    form (see LogScaledValue), unwrapped to Python scalars for a scalar
+    call: the one place a value is read off its factors. On the first read
+    of its sign or logmag, the (f, count) factors of read (all factors if
+    None) are read off (_read_off) over the envelope they leave out, whose
+    sign is sign and whose log-magnitude envelope() returns, with log_u as
+    log|u|. The factors and envelope() must read only arrays the call
+    computed or copied (_points), not the caller's t, which the caller may
+    change before the value is read."""
+    read = factors if read is None else read
 
-    def first():
-        sign, logmag = value()
-        return int(sign[0]), float(logmag[0])
+    def value():
+        with np.errstate(divide="ignore"):  # an exact root: -inf
+            pair = _read_off(sign, envelope(), read, log_u)
+        return (int(pair[0][0]), float(pair[1][0])) if scalar else pair
 
-    return LogScaledValue.deferred(
-        first,
-        tuple((float(v[0]), c) for v, c in factors),
-        None if analytic is None else float(analytic[0]),
-    )
+    if scalar:
+        factors = [(float(v[0]), c) for v, c in factors]
+        analytic = None if analytic is None else float(analytic[0])
+    return LogScaledValue.deferred(value, tuple(factors), analytic)
 
 
 def _cell_trace(point: SpectralPoint, mod_sq, h: float):
@@ -294,9 +302,15 @@ def _read_off(sign, logmag, factors, log_u=None) -> tuple:
     return sign.astype(int), logmag
 
 
-def _periodic_closure(point: SpectralPoint, mod_sq, M: int, h: float):
-    """Factors of g = 2 - tr T for T the product of 2M cells, and a function
-    of no arguments that returns g's sign and log-magnitude.
+def secular_monodromy(well: SquareWell, Z: float, t) -> LogScaledValue:
+    """g(t) = 2 - tr(T) for the monodromy T of the well's 2M cells, as a
+    log-scaled real value.
+
+    well.Z must equal Z to 1e-12 relative, else a ValueError names both
+    couplings. The value is the closed form in the cell trace, which is real
+    by construction, with its factors; the sign and logmag are computed on
+    first read. A point whose energy leaves the double range raises
+    SecularOverflowError.
 
     tr T = 2 T_2M(tau/2) (Chebyshev), so g = (2 - tau)(2 + tau) u^2 with
     u = U_(M-1)(tau/2), and with k, a, b, c and d of _cell_trace
@@ -308,15 +322,19 @@ def _periodic_closure(point: SpectralPoint, mod_sq, M: int, h: float):
     Bloch pair +-pi j / M); and for Z <= FREE_LIMIT_Z, k c, count 2, whose
     roots are the near-axis complex pairs at tau = -2, where
     2 + tau = k^2 (c^2 + d^2) e^(2th) nearly vanishes. The value is read
-    off the product (_read_off), which leaves k c out, with the positive
-    envelope k^2 (c^2 + d^2) e^(4th) and log|u| from _chebyshev_u, finite
+    off the other factors (_log_scaled), leaving k c out, over the positive
+    envelope k^2 (c^2 + d^2) e^(4th), with log|u| from _chebyshev_u, finite
     where u overflows. u needs c and d (_cell_cd); for M = 1 they are
     computed only when the value is, c at once for Z <= FREE_LIMIT_Z.
     """
-    k_sq, a, b, sh, th, decay = _cell_trace(point, mod_sq, h)[:6]
+    if abs(well.Z - Z) > 1e-12 * Z:
+        raise ValueError(f"square well of coupling {well.Z!r} called at Z={Z!r}")
+    point, mod_sq, scalar = _points(Z, t)
+    M = well.M
+    k_sq, a, b, sh, th, decay = _cell_trace(point, mod_sq, 1.0 / M)[:6]
     k = np.sqrt(k_sq)
     factors, log_u = _edge_pair(k, a, b), None
-    cd = _cell_cd(point, b, decay, sh) if M > 1 or point.Z <= FREE_LIMIT_Z else None
+    cd = _cell_cd(point, b, decay, sh) if M > 1 or Z <= FREE_LIMIT_Z else None
 
     def plus():  # (2 + tau) e^(-2th)
         c, d = cd or _cell_cd(point, b, decay, sh)
@@ -325,32 +343,14 @@ def _periodic_closure(point: SpectralPoint, mod_sq, M: int, h: float):
     if M > 1:
         u, log_u = _chebyshev_u(factors[0][0] * factors[1][0], plus(), th, M)
         factors.append((u, 2))
-    if point.Z <= FREE_LIMIT_Z:
+    read = factors[: 2 + (M > 1)]
+    if Z <= FREE_LIMIT_Z:
         factors.append((k * cd[0], 2))
 
-    def value():
-        with np.errstate(divide="ignore"):  # an exact root: -inf
-            envelope = np.log(plus()) + 4.0 * th
-            return _read_off(1, envelope, factors[: 2 + (M > 1)], log_u)
+    def envelope():
+        return np.log(plus()) + 4.0 * th
 
-    return factors, value
-
-
-def secular_monodromy(well: SquareWell, Z: float, t) -> LogScaledValue:
-    """g(t) = 2 - tr(T) for the monodromy T of the well's 2M cells, as a
-    log-scaled real value.
-
-    well.Z must equal Z to 1e-12 relative, else a ValueError names both
-    couplings. The value is the closed form in the cell trace, which is real
-    by construction, with its factors (see _periodic_closure); the sign and
-    logmag are computed on first read. A point whose energy leaves the
-    double range raises SecularOverflowError.
-    """
-    if abs(well.Z - Z) > 1e-12 * Z:
-        raise ValueError(f"square well of coupling {well.Z!r} called at Z={Z!r}")
-    point, mod_sq, scalar = _points(Z, t)
-    factors, value = _periodic_closure(point, mod_sq, well.M, 1.0 / well.M)
-    return _log_scaled(value, scalar, factors)
+    return _log_scaled(scalar, factors, None, 1, envelope, read, log_u)
 
 
 def secular_explicit(Z: float, t) -> LogScaledValue:
@@ -374,8 +374,8 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     b1 = sqrt(b^2 + gap / k^2) and b2 = sqrt(b^2 + (4 e^(-2t) - gap) / k^2),
     both positive and free of cancellation, swapped where Re c < 0 so that
     each factor is smooth. Its factors are k (a -+ b1) and k (a -+ b2),
-    count 1 each, and the value is read off them on first read (_read_off)
-    with the negative envelope, of logmag log 8 + 5 log|kappa|^2 +
+    count 1 each, and the value is read off them on first read (_log_scaled)
+    over the negative envelope, of logmag log 8 + 5 log|kappa|^2 +
     log(|c|^2 e^(-2t)) + 6t. b1 and b2 are square roots whose radicands
     vanish near the real axis, b1's beside sin s = 0 and both where |c|
     does, at cos s = +-i sinh t, so the factors are not analytic there, but
@@ -407,9 +407,7 @@ def secular_explicit(Z: float, t) -> LogScaledValue:
     factors = _edge_pair(k, a, b1) + _edge_pair(k, a, b2)
     (f0, _), (f1, _), (f2, _), (f3, _) = factors
 
-    def value():
-        with np.errstate(divide="ignore"):  # an exact root: -inf
-            envelope = math.log(8.0) + 5.0 * np.log(mod_sq) + np.log(c2) + 6.0 * th
-            return _read_off(-1, envelope, factors)
+    def envelope():
+        return math.log(8.0) + 5.0 * np.log(mod_sq) + np.log(c2) + 6.0 * th
 
-    return _log_scaled(value, scalar, factors, -c2 * (f0 * f1) * (f2 * f3))
+    return _log_scaled(scalar, factors, -c2 * (f0 * f1) * (f2 * f3), -1, envelope)

@@ -232,20 +232,20 @@ def _cells(pot: CirclePotential) -> int:
 
 
 def _product_closure(pot: CirclePotential, point: SpectralPoint):
-    """The factors of 2 - tr T from the propagator product, and a function
-    of no arguments that returns its sign and log-magnitude.
+    """The factors of g = 2 - tr T from the propagator product, the
+    normalized real value 2 e^(-L) - Re tr(T_scaled) for T = e^L T_scaled,
+    and L.
 
-    The value is the normalized real value 2 e^(-L) - Re tr(T_scaled) for
-    T = e^L T_scaled, which has the value's roots and sign since e^(-L) > 0,
-    and in general it is the one factor, count 1. A layout of 2M equal
-    cells, M > 1, as every square well and its rotations, has
-    g = (2 - tau)(2 + tau) u^2 with tau the trace of its cell's propagator
-    product and u = U_(M-1)(tau/2), here by the three-term recurrence
-    U_(n+1) = tau U_n - U_(n-1) from U_0 = 1 and U_1 = tau: its factors are
-    (2 - tau)(2 + tau), count 1, and u, count 2, whose roots are g's double
-    roots. Per point it raises SecularOverflowError unless the value and L
-    are finite, then SecularRealityError unless |Im g| <= reality_rtol()
-    (1 + |Re g|).
+    The normalized value has g's roots and sign since e^(-L) > 0, and g is
+    read off it over the envelope e^L; in general it is the one factor,
+    count 1. A layout of 2M equal cells, M > 1, as every square well and its
+    rotations, has g = (2 - tau)(2 + tau) u^2 with tau the trace of its
+    cell's propagator product and u = U_(M-1)(tau/2), here by the three-term
+    recurrence U_(n+1) = tau U_n - U_(n-1) from U_0 = 1 and U_1 = tau: its
+    factors are (2 - tau)(2 + tau), count 1, and u, count 2, whose roots are
+    g's double roots. Per point it raises SecularOverflowError unless the
+    value and L are finite, then SecularRealityError unless |Im g| <=
+    reality_rtol() (1 + |Re g|).
     """
     Z = point.Z
     # an overflowing propagator turns the value non-finite, checked below
@@ -272,13 +272,7 @@ def _product_closure(pot: CirclePotential, point: SpectralPoint):
         for _ in range(M - 2):
             u_low, u = u, tau * u - u_low
         factors = [((2.0 - tau) * (2.0 + tau), 1), (u, 2)]
-
-    def value():
-        with np.errstate(divide="ignore"):  # Re g = 0 is an exact root: -inf
-            logmag = T.logscale + np.log(np.abs(v.real))
-        return np.sign(v.real).astype(int), logmag
-
-    return factors, value
+    return factors, v.real, T.logscale
 
 
 def secular_product(pot: CirclePotential, Z: float, t) -> LogScaledValue:
@@ -296,8 +290,8 @@ def secular_product(pot: CirclePotential, Z: float, t) -> LogScaledValue:
         ts = np.atleast_1d(t)
         _product_closure(pot, SpectralPoint.from_zt(Z, ts[: np.argmax(ts == e.t)]))
         raise
-    factors, value = _product_closure(pot, point)
-    return _log_scaled(value, scalar, factors)
+    factors, g, logscale = _product_closure(pot, point)
+    return _log_scaled(scalar, factors, None, 1, lambda: logscale, [(g, 1)])
 
 
 def is_pt_symmetric(pot: CirclePotential) -> bool:

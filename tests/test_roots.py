@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fd_oracle import fd_eigenvalues
-from product_oracle import CirclePotential, SecularRealityError, secular_product
+from product_oracle import CirclePotential, SecularRealityError, layout, secular_product
 from test_secular import EXPLICIT_ROOTS_Z1, NON_ALTERNATING
 
 from ptring import (
@@ -32,6 +32,7 @@ from ptring import (
 import ptring.estimate
 import ptring.roots
 from ptring.potential import Z_FLOOR
+from ptring.secular import FREE_LIMIT_Z
 from ptring.roots import (
     _brackets,
     _close_brackets,
@@ -1186,8 +1187,15 @@ def test_solve_raises_no_numpy_warning(backend, Z, M):
 def test_find_roots_never_computes_a_closed_form_value(monkeypatch, Z):
     """Root finding reads only the factors of the closed forms: with the
     deferred value stage made to raise, every solve still finds its
-    levels."""
+    levels, and so does a solve of LogScaledValue.from_float values or of
+    the propagator product."""
     solves = {M: _f_monodromy(Z, M) for M in (1, 2, 8, 32)}
+    solves["from_float"] = _linear(0.5 * default_scan_config(Z, 18).t_max)
+    # below FREE_LIMIT_Z the product, which carries no k c, cannot tell its
+    # near-axis pairs at tau = -2 from rounding noise
+    if Z >= FREE_LIMIT_Z:
+        pot = layout(build_square_well(2, Z))
+        solves["product"] = lambda t: secular_product(pot, Z, t)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LevelShortfallWarning)
         expected = {M: find_roots(f, Z, 18) for M, f in solves.items()}

@@ -29,6 +29,7 @@ from product_oracle import (
     secular_product,
     segment_propagator,
 )
+import value_reference
 
 from ptring import (
     LogScaledValue,
@@ -352,20 +353,82 @@ def _same_value(u, v):
     )
 
 
-@pytest.mark.parametrize("M", [None, 1, 8])
-def test_deferred_value_ignores_later_changes_to_t(M):
-    """A closure's sign and logmag, computed on their first read, are those
+@pytest.mark.parametrize("case", [None, 1, 8, "from_float", "product"])
+def test_deferred_value_ignores_later_changes_to_t(case):
+    """A value's sign and logmag, computed on their first read, are those
     of t at the call, however the caller changes its array before that read:
-    the twisted closure (M None) and the periodic one at M = 1 and 8."""
+    the twisted closure (None), the periodic one at M = 1 and 8,
+    LogScaledValue.from_float and the propagator product."""
+    f = {
+        None: _closure("explicit"),
+        1: _closure("monodromy"),
+        8: _closure("monodromy", 8),
+        "from_float": LogScaledValue.from_float,
+        "product": _closure("product"),
+    }[case]
     t = np.array([0.3, 0.4])
-    if M is None:
-        value, fresh = (secular_explicit(1.0, x) for x in (t, t.copy()))
-    else:
-        well = build_square_well(M, 1.0)
-        value, fresh = (secular_monodromy(well, 1.0, x) for x in (t, t.copy()))
+    value, fresh = f(t), f(t.copy())
     t[:] = [0.7, 0.9]
     assert value.sign.tolist() == fresh.sign.tolist()
     assert value.logmag.tolist() == fresh.logmag.tolist()
+
+
+def _bits(x):
+    """x's type, dtype, shape and bytes, equal for two values only when
+    they are equal bit for bit."""
+    a = np.asarray(x)
+    return type(x), a.dtype, a.shape, a.tobytes()
+
+
+def _assert_read_as(value, reference):
+    """value's sign, logmag and factors equal the reference reader's
+    (sign, logmag, factors) bit for bit (see value_reference)."""
+    sign, logmag, factors = reference
+    assert _bits(value.sign) == _bits(sign)
+    assert _bits(value.logmag) == _bits(logmag)
+    assert [c for _, c in value.factors] == [c for _, c in factors]
+    assert [_bits(y) for y, _ in value.factors] == [_bits(y) for y, _ in factors]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    z=st.floats(min_value=-6.0, max_value=math.log10(60.0)).map(lambda e: 10.0**e),
+    m=st.sampled_from([None, 1, 2, 3, 8, 32]),
+    ts=st.lists(
+        st.floats(min_value=-4.0, max_value=3.0).map(lambda e: 10.0**e),
+        min_size=1, max_size=40,
+    ),
+    scalar=st.booleans(),
+)
+def test_closure_values_read_as_their_own_readers(z, m, ts, scalar):
+    """Both closures read their sign and logmag off their factors through
+    one deferred reader, and every bit of sign, logmag and each factor is
+    that of the closure's own reader (value_reference): the twisted closure
+    (m None) and the periodic one at M = 1, 2, 3, 8 and 32, for a float t
+    and an array, at Z from 1e-6 to 60 (at or below FREE_LIMIT_Z the k c
+    factor is carried but not read) and t up to 1e3, where u overflows to
+    inf at M = 32 and only log|u| keeps logmag finite."""
+    t = ts[0] if scalar else np.array(ts)
+    if m is None:
+        _assert_read_as(secular_explicit(z, t), value_reference.explicit(z, t))
+    else:
+        well = build_square_well(m, z)
+        expected = value_reference.periodic(well, z, t)
+        _assert_read_as(secular_monodromy(well, z, t), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    xs=st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+    scalar=st.booleans(),
+)
+def test_from_float_reads_as_its_own_reader(xs, scalar):
+    """LogScaledValue.from_float reads x off as its one factor over an
+    envelope of 0, and its sign, logmag and factor equal, bit for bit, the
+    np.sign and np.log|x| it once took at once (value_reference), zeros,
+    signed zeros and infinities included."""
+    x = xs[0] if scalar else np.array(xs)
+    _assert_read_as(LogScaledValue.from_float(x), value_reference.from_float(x))
 
 
 @pytest.mark.parametrize("backend", ["explicit", "monodromy"])

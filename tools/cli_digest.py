@@ -10,10 +10,10 @@ environment. Nor does PYTHONUNBUFFERED reach a command, so that its
 stdout is buffered as a user's is. Prints one line per command: the SHA-256 of its stdout,
 stderr and exit code, then the command. Each spectrum command that
 prints a spectrum, CSV or JSON, is followed by an `analyze` command that
-reads it from stdin in the same run, and each document of ANALYZE_INPUTS
-is read by `analyze` from stdin last. Diffing the output
-for two checkouts' src/ compares what the CLI prints in each, byte for
-byte.
+reads it from stdin in the same run. Each document of ANALYZE_INPUTS is
+then read by `analyze` from stdin, and the commands of LATER_COMMANDS run
+last. Diffing the output for two checkouts' src/ compares what the CLI
+prints in each, byte for byte.
 """
 
 import hashlib
@@ -109,6 +109,15 @@ COMMANDS = (
         ["validate", "--Z", "0.002"],
     ]
 )
+# commands run after ANALYZE_INPUTS, so that the lines of those above keep
+# their places and a digest of an earlier checkout reads as a prefix
+LATER_COMMANDS = (
+    # the value where u overflows to inf and only log|u| keeps logmag finite
+    ["scan", "--Z", "1", "--M", "32", "--t-min", "0.03", "--t-max", "1000",
+     "--samples", "64"],
+    # the free-limit k c factor, which the value leaves out
+    ["scan", "--Z", "1e-4", "--M", "8", "--samples", "64"],
+)
 
 
 # two levels as the spectrum command writes them, but for the E and
@@ -159,6 +168,16 @@ def _digest(proc) -> str:
     return h.hexdigest()
 
 
+def _print_digests(cmd: list[str], env: dict, cwd: str) -> None:
+    """Print the digest line of cmd and, for a spectrum it prints, of the
+    analyze command that reads it."""
+    proc = _run(cmd, env, cwd)
+    print(_digest(proc), " ".join(cmd))
+    if cmd[0] == "spectrum" and proc.stdout:
+        print(_digest(_run(["analyze"], env, cwd, proc.stdout)),
+              "analyze <", " ".join(cmd))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not os.path.isdir(argv[0]):
         print("usage: python tools/cli_digest.py SRC_DIR", file=sys.stderr)
@@ -168,13 +187,11 @@ def main(argv: list[str]) -> int:
         env.pop(name, None)
     with tempfile.TemporaryDirectory() as cwd:
         for cmd in COMMANDS:
-            proc = _run(cmd, env, cwd)
-            print(_digest(proc), " ".join(cmd))
-            if cmd[0] == "spectrum" and proc.stdout:
-                print(_digest(_run(["analyze"], env, cwd, proc.stdout)),
-                      "analyze <", " ".join(cmd))
+            _print_digests(cmd, env, cwd)
         for name, text in ANALYZE_INPUTS:
             print(_digest(_run(["analyze"], env, cwd, text.encode())), "analyze <", name)
+        for cmd in LATER_COMMANDS:
+            _print_digests(cmd, env, cwd)
     return 0
 
 
